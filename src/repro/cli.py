@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError, ReproError, WorkloadError
 from .functional.batch import set_batching_enabled
-from .timing.batch import set_timing_batching
 from .obs import (
     CORE_KINDS,
     CountingSink,
@@ -302,11 +301,6 @@ def _add_obs_flags(sub: argparse.ArgumentParser) -> None:
         help="disable batched (WarpPack) functional execution; every "
              "warp is emulated individually (bitwise-identical results, "
              "mostly useful for debugging and benchmarking)")
-    sub.add_argument(
-        "--no-batch-timing", action="store_true", dest="no_batch_timing",
-        help="disable batched (TimePack) detailed timing; the engine "
-             "runs its scalar event loop (bitwise-identical results, "
-             "mostly useful for debugging and benchmarking)")
 
 
 def _watchdog_from(args: argparse.Namespace) -> Optional[WatchdogConfig]:
@@ -465,8 +459,6 @@ def _run(args: argparse.Namespace) -> int:
     if args.no_batch:
         # process-wide: fork-based sweep workers inherit the flag
         set_batching_enabled(False)
-    if args.no_batch_timing:
-        set_timing_batching(False)
     watchdog = _watchdog_from(args)
     obs = _ObsSession(args.trace_out)
     cache = None

@@ -67,13 +67,6 @@ class PhotonConfig:
     # this field turns it off per configuration (sweeps serialize it).
     batched_functional: bool = True
 
-    # batched (TimePack) detailed timing.  Also purely a performance
-    # knob — the batched engine is bitwise-identical to the scalar
-    # event loop (cycles, event sequences, stop snapshots).  The CLI's
-    # --no-batch-timing clears the process-wide flag; this field turns
-    # it off per configuration (sweeps serialize it).
-    batched_timing: bool = True
-
     def __post_init__(self) -> None:
         if not 0 < self.sample_fraction <= 1:
             raise ConfigError(

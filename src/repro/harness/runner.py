@@ -27,7 +27,6 @@ from ..core.kerneldb import KernelDB
 from ..core.photon import AnalysisStore, Photon
 from ..errors import ReproError, WorkloadError
 from ..functional.batch import batching_enabled, scoped_batching
-from ..timing.batch import scoped_timing_batching, timing_batching_enabled
 from ..functional.kernel import Application, Kernel
 from ..reliability.faults import FaultPlan
 from ..reliability.retry import NO_RETRY, RetryPolicy
@@ -224,9 +223,7 @@ def simulate_method(kernel: Kernel, method: str, gpu: GpuConfig,
     if fault_plan is not None:
         fault_plan.arm("harness.method", kernel=method)
     with scoped_batching(batching_enabled()
-                         and photon_config.batched_functional), \
-            scoped_timing_batching(timing_batching_enabled()
-                                   and photon_config.batched_timing):
+                         and photon_config.batched_functional):
         if method == "pka":
             return PKA(gpu, pka_config).simulate_kernel(kernel)
         if method in _BASELINES:
@@ -247,9 +244,7 @@ def simulate_app_method(app: Application, method: str, gpu: GpuConfig,
     if fault_plan is not None:
         fault_plan.arm("harness.method", kernel=method)
     with scoped_batching(batching_enabled()
-                         and photon_config.batched_functional), \
-            scoped_timing_batching(timing_batching_enabled()
-                                   and photon_config.batched_timing):
+                         and photon_config.batched_functional):
         if method == "pka":
             return PKA(gpu, pka_config).simulate_app(app)
         if method in _BASELINES:

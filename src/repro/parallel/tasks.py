@@ -32,7 +32,6 @@ from ..core.photon import AnalysisStore
 from ..baselines.pka import PkaConfig
 from ..errors import ConfigError, ReproError
 from ..functional.batch import batching_enabled, scoped_batching
-from ..timing.batch import scoped_timing_batching, timing_batching_enabled
 from ..harness.defaults import EVAL_PHOTON, resolve_gpu
 from ..harness.runner import (
     LEVEL_METHODS,
@@ -126,6 +125,11 @@ class SweepTask:
             jitter=float(retry_data.get("jitter", 0.1)),
             seed=int(retry_data.get("seed", 0)),
         )
+        # journals and fleet manifests outlive PhotonConfig fields: a
+        # retired field (the switch that selected the second timing
+        # loop, say) is dropped on read instead of failing the resume
+        known = {f.name for f in dataclasses.fields(PhotonConfig)}
+        photon = {k: v for k, v in data["photon"].items() if k in known}
         return cls(
             index=int(data["index"]),
             workload=str(data["workload"]),
@@ -134,7 +138,7 @@ class SweepTask:
             gpu=str(data.get("gpu", "r9nano")),
             seed=(int(data["seed"]) if data.get("seed") is not None
                   else None),
-            photon=PhotonConfig(**data["photon"]),
+            photon=PhotonConfig(**photon),
             pka=(PkaConfig(**data["pka"])
                  if data.get("pka") is not None else None),
             watchdog=(WatchdogConfig(**data["watchdog"])
@@ -306,9 +310,7 @@ def run_task(task: SweepTask,
     try:
         with scoped_trace_cache(cache), \
                 scoped_batching(batching_enabled()
-                                and task.photon.batched_functional), \
-                scoped_timing_batching(timing_batching_enabled()
-                                       and task.photon.batched_timing):
+                                and task.photon.batched_functional):
             result, out.attempts, out.backoff_total = (
                 task.retry.run_logged(attempt))
     except ReproError as exc:

@@ -1,11 +1,5 @@
 """Cycle-approximate GPU timing model (the MGPUSim substitute)."""
 
-from .batch import (
-    scoped_timing_batching,
-    set_timing_batching,
-    timing_batching_enabled,
-    timing_pack_compatible,
-)
 from .caches import Cache, Dram, MemoryHierarchy
 from .engine import DetailedEngine, EngineListener, EngineResult
 from .fastmodel import FastModelResult, schedule_only
@@ -39,12 +33,8 @@ __all__ = [
     "current_trace_cache",
     "ipc_over_time",
     "schedule_only",
-    "scoped_timing_batching",
     "scoped_trace_cache",
     "set_default_trace_cache",
-    "set_timing_batching",
     "simulate_app_detailed",
     "simulate_kernel_detailed",
-    "timing_batching_enabled",
-    "timing_pack_compatible",
 ]

@@ -1,73 +1,66 @@
-"""TimePack: SoA, lockstep-batched detailed timing engine core.
+"""The detailed timing engine's loop: SoA state advanced in rounds.
 
-The scalar :meth:`~repro.timing.engine.DetailedEngine._run` loop pops one
-``(time, seq)`` event per dynamic instruction off a global heap.  Because
-every issue port serves at most one instruction per ``issue_interval``
-and all model latencies are integers, events cluster on integer cycle
-boundaries: all events that share a timestamp form a *round*, and within
-a round the scalar loop's effects factor cleanly:
+:meth:`~repro.timing.engine.DetailedEngine.run` has one body, this one.
+Every issue port serves at most one instruction per ``issue_interval``
+and the model latencies are integers by default, so ready times cluster
+on cycle boundaries: all instructions that become ready at one
+timestamp form a *round*.  A bucket queue (a dict keyed by timestamp
+plus a heap of *distinct* times) hands out whole rounds; members of a
+round are kept in push order, which is the engine's total event order.
+
+A round is **replayed member by member**, in that order: issue-port
+arbitration, latency, cache access, barrier bookkeeping, warp
+retirement and dispatch, and every event emission happen per member.
+This is the reference semantics, and it is the only path a run takes
+when vector rounds are off.
+
+A round of at least :data:`VEC_THRESHOLD` members is **vectorized**,
+because within one timestamp the member effects factor cleanly:
 
 * **Issue-port arbitration** is a per-port recurrence with a closed
-  form: the ``k``-th same-port member (in seq order) of a round at time
-  ``t`` issues at ``max(port_free, t) + k * issue_interval``.  This
-  vectorizes exactly — one gather, one max, one scatter per round.
+  form: the ``k``-th same-port member of a round at time ``t`` issues at
+  ``max(port_free, t) + k * issue_interval`` — one gather, one max, one
+  scatter per round.
 * **Fixed-latency classes** (ALU, LDS, branches, waitcnt) retire at
   ``issue + latency`` — a vector add.
-* **Dependency-ready times** only ever reference *earlier* instructions
-  of the *same* warp, and each warp has at most one in-flight event, so
-  the dependee's retire time is already committed when the round runs —
-  a vector gather.
+* **Dependency-ready times** only reference *earlier* instructions of
+  the *same* warp, and each warp has at most one in-flight instruction,
+  so the dependee's retire time is already committed — a vector gather.
 * **Stateful members** (cache accesses, barrier arrivals, warp
-  retirement/dispatch) and members with event emissions are replayed
-  member-by-member in seq order inside the round — exactly the order
-  the scalar loop would process them — with the round's remaining
-  members bulk-committed *between* them, so caches, barrier
-  bookkeeping, the bucket queue, and the attach-order event contract
-  all observe an unchanged sequence.
+  retirement/dispatch) and members with event emissions are still
+  replayed one by one, with the round's remaining members
+  bulk-committed *between* them, so caches, barriers, the bucket queue
+  and the attach-order event contract observe the member-by-member
+  sequence.
+
+Vector rounds are off for a whole run — one local decision in
+:meth:`_BatchedRun.run`, counted as
+``engine.batch.member_only.<reason>`` — when
+
+* a watchdog is armed (``watchdog``): it ticks once per member, between
+  member effects, and notes progress once per new timestamp;
+* the start time (``fractional_start_time``) or an issue/ALU/branch/
+  LDS/dispatch latency (``fractional_latency``) is not integer-valued:
+  the closed-form port recurrence is bit-exact on integers only.
 
 Per-warp state lives in stacked SoA numpy matrices (retire timestamps,
 issue ports, encoded latencies, dependency indices — one row per
-resident-warp slot), replacing the per-object ``_WarpRun`` lists for
-batched rounds.  The event heap is replaced by a bucket queue (a dict
-keyed by timestamp plus a heap of *distinct* times), which both feeds
-whole rounds to the vector path and cuts heap traffic for the scalar
-path.
-
-Rounds below :data:`VEC_THRESHOLD` members are issued member-by-member
-(numpy overhead beats the win on tiny batches — latency-bound kernels
-run almost entirely on this path and the docs call this out); runs that
-are incompatible with batching fall back to the scalar engine wholesale
-via :func:`timing_pack_compatible` — the ladder mirrors
-``functional/batch.py``:
-
-* an armed watchdog (per-event ``tick`` accounting is ordered between
-  member effects in ways a batch cannot replicate);
-* fractional start times or model latencies (the closed-form port
-  recurrence is bit-exact only for integer-valued timestamps).
-
-``collect_latency`` runs *batched*: per-opcode latency sums accumulate
+resident-warp slot).  ``collect_latency`` accumulates per-opcode sums
 into dense float64 arrays with ``np.add.at``, which applies elements
-sequentially in index order — the same addition sequence (and therefore
-the same IEEE-754 result bits) as the scalar loop's dict accumulation,
-segment-interleaved with replayed members in hybrid rounds.
+sequentially in index order — the same addition sequence, hence the
+same IEEE-754 bits, as accumulating member by member.
 
-The equivalence bar is *bitwise*: identical simulated cycles, event
-sequences, and ``request_stop`` snapshots versus the scalar engine,
-enforced by the differential property suite in
-``tests/test_timing_batch.py``.
-
-A process-wide flag (:func:`set_timing_batching` /
-:func:`scoped_timing_batching`, CLI ``--no-batch-timing``) and the
-``PhotonConfig.batched_timing`` knob gate everything; batched runs are
-timed under the pinned ``timing.batch`` span (``timing.scalar_fallback``
-for ladder fallbacks) with ``engine.batch.*`` counters.
+The bar is *bitwise*: ``tests/test_timing_batch.py`` holds vectorized
+rounds to the member-by-member replay on cycles, event sequences and
+``request_stop`` snapshots, and ``tests/test_timing_golden.py`` pins
+the member-only runs.  Every run is timed under the ``timing.batch``
+span with ``engine.batch.*`` counters.
 """
 
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -84,6 +77,7 @@ from ..obs import (
     ENGINE_WARP_RETIRE,
     ENGINE_WG_DISPATCH,
 )
+from .engine import EngineResult
 
 _CLS_SCALAR_ALU = int(OpClass.SCALAR_ALU)
 _CLS_VECTOR_ALU = int(OpClass.VECTOR_ALU)
@@ -94,6 +88,13 @@ _CLS_BRANCH = int(OpClass.BRANCH)
 _CLS_BARRIER = int(OpClass.BARRIER)
 _CLS_WAITCNT = int(OpClass.WAITCNT)
 _CLS_END = int(OpClass.END)
+
+#: op classes that issue through the CU's scalar port, indexable by class
+_IS_SCALAR_PORT = [
+    cls in (_CLS_SCALAR_ALU, _CLS_SCALAR_MEM, _CLS_BRANCH, _CLS_BARRIER,
+            _CLS_WAITCNT, _CLS_END)
+    for cls in range(9)
+]
 
 #: dense latency-table accumulator width (opcode ids are small ints)
 _N_CODES = max(op.value for op in Opcode) + 1
@@ -106,80 +107,6 @@ VEC_THRESHOLD = 24
 #: higher break-even when every member must be replayed anyway
 #: (instruction-event subscribers or a windowed-IPC bucket attached)
 VEC_THRESHOLD_OBS = 48
-
-# -- process-wide batched-timing switch (mirrors functional/batch.py) ------
-
-_timing_batching = True
-
-
-def timing_batching_enabled() -> bool:
-    """Whether the batched (TimePack) timing engine is the default."""
-    return _timing_batching
-
-
-def set_timing_batching(on: bool) -> bool:
-    """Set the process-wide batched-timing flag; returns the previous."""
-    global _timing_batching
-    previous = _timing_batching
-    _timing_batching = bool(on)
-    return previous
-
-
-@contextmanager
-def scoped_timing_batching(on: bool):
-    """Temporarily force batched timing on or off."""
-    previous = set_timing_batching(on)
-    try:
-        yield
-    finally:
-        set_timing_batching(previous)
-
-
-# -- pack-compatibility ladder ---------------------------------------------
-
-
-def timing_pack_compatible(engine) -> Tuple[bool, str]:
-    """Whether a batched run of ``engine`` is bitwise-safe.
-
-    Returns ``(ok, reason)``; ``reason`` names the failing rung for the
-    ``engine.batch.fallback.*`` counters.
-    """
-    if engine.watchdog is not None:
-        # per-event tick/progress accounting interleaves with member
-        # effects in scalar order; run those under the scalar engine
-        return False, "watchdog"
-    if not float(engine.start_time).is_integer():
-        return False, "fractional_start_time"
-    config = engine.config
-    for value in (config.issue_interval, config.scalar_alu_lat,
-                  config.vector_alu_lat, config.branch_lat, config.lds_lat,
-                  config.cp_dispatch_interval):
-        if not float(value).is_integer():
-            # the closed-form port recurrence is exact on integers only
-            return False, "fractional_latency"
-    return True, ""
-
-
-def maybe_run_batched(engine):
-    """Run ``engine`` batched if enabled+compatible; ``None`` otherwise.
-
-    On an incompatible run the *scalar* loop executes here, under the
-    pinned ``timing.scalar_fallback`` span, so sweeps can tell batched
-    from fallback time; when batching is disabled entirely the caller
-    runs the scalar loop under the plain ``timing`` span.
-    """
-    if not _timing_batching:
-        return None
-    metrics = engine.bus.metrics
-    ok, reason = timing_pack_compatible(engine)
-    if not ok:
-        metrics.counter("engine.batch.fallback_runs").inc()
-        metrics.counter("engine.batch.fallback." + reason).inc()
-        with metrics.span("timing.scalar_fallback"):
-            return engine._run()
-    metrics.counter("engine.batch.runs").inc()
-    with metrics.span("timing.batch"):
-        return _BatchedRun(engine).run()
 
 
 class _SlotRef:
@@ -194,7 +121,7 @@ class _SlotRef:
 
 
 class _BatchedRun:
-    """One batched engine run over SoA state (see module docstring)."""
+    """One engine run over SoA state (see module docstring)."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -280,9 +207,7 @@ class _BatchedRun:
 
     # -- the run -----------------------------------------------------------
 
-    def run(self):
-        from .engine import EngineResult, _IS_SCALAR_PORT, _bump
-
+    def run(self) -> EngineResult:
         e = self.engine
         kernel = e.kernel
         config = e.config
@@ -330,8 +255,8 @@ class _BatchedRun:
         self._scalar_lut = np.asarray(_IS_SCALAR_PORT, dtype=bool)
 
         # dense per-opcode latency accumulators; np.add.at applies
-        # elements sequentially, so batched accumulation performs the
-        # exact addition sequence of the scalar loop's dict
+        # elements sequentially, so a vector round performs the exact
+        # addition sequence of its member-by-member replay
         collect_latency = e.collect_latency
         self._collect_latency = collect_latency
         if collect_latency:
@@ -397,6 +322,7 @@ class _BatchedRun:
         heappush = heapq.heappush
         heappop = heapq.heappop
         metrics = bus.metrics
+        metrics.counter("engine.batch.runs").inc()
         trace_provider = e.trace_provider
         rounds_vec = rounds_scalar = 0
         insts_vec = insts_scalar = 0
@@ -471,8 +397,9 @@ class _BatchedRun:
                         fn(warp_id, time)
             return True
 
-        # initial dispatch: command-processor-staggered burst (identical
-        # to the scalar engine's)
+        # initial dispatch: fill CUs round-robin until nothing more fits;
+        # the command processor dispatches one workgroup every
+        # cp_dispatch_interval cycles, staggering the start-up burst
         cp_interval = config.cp_dispatch_interval
         cp_time = start
         progress = True
@@ -486,6 +413,24 @@ class _BatchedRun:
         # every member must be replayed when these are attached
         full_replay = bool(inst_subs) or bucket is not None
         vec_threshold = VEC_THRESHOLD_OBS if full_replay else VEC_THRESHOLD
+        # vector rounds allowed?  (reasons: see the module docstring)
+        wd = None
+        if e.watchdog is not None:
+            wd = e.watchdog.for_engine(f"engine({kernel.name})")
+            if not wd.armed:
+                wd = None
+        member_only = None
+        if wd is not None:
+            member_only = "watchdog"
+        elif not float(start).is_integer():
+            member_only = "fractional_start_time"
+        elif not all(float(lat).is_integer() for lat in (
+                interval, config.scalar_alu_lat, config.vector_alu_lat,
+                lat_branch, config.lds_lat, cp_interval)):
+            member_only = "fractional_latency"
+        if member_only is not None:
+            metrics.counter("engine.batch.member_only." + member_only).inc()
+            vec_threshold = float("inf")
         vector_access_many = hierarchy.vector_access_many
         scalar_access = hierarchy.scalar_access
         n_insts = 0
@@ -505,13 +450,15 @@ class _BatchedRun:
             if members is None:
                 continue  # stale entry: same-time bucket already drained
             e._now = t
+            if wd is not None and t > start:
+                wd.note_progress()  # round times strictly increase
 
             # a round can refill its own timestamp (END dispatch, zero
             # issue_interval): re-pop until the bucket stays empty
             while members is not None:
                 if e._abort_requested:
                     # set by an emission at the tail of the previous
-                    # same-time round; the scalar loop checks at pop
+                    # same-time round
                     aborted = True
                     break
                 r = len(members)
@@ -603,11 +550,10 @@ class _BatchedRun:
                     rounds_scalar += 1
                     insts_scalar += r
 
-                # -- member replay: the scalar engine's loop body over
-                # SoA state.  With spec_list set, only the stateful /
-                # emitting members replay; the rest bulk-commit between
-                # them, preserving exact seq order of every push and
-                # emission -------------------------------------------
+                # -- member replay, in push order.  With spec_list set,
+                # only the stateful / emitting members replay; the rest
+                # bulk-commit between them, preserving the exact order
+                # of every push and emission ---------------------------
                 prev = 0
                 for k in (spec_list if spec_list is not None
                           else range(r)):
@@ -630,6 +576,8 @@ class _BatchedRun:
                             else:
                                 lst.append(s)
                     prev = k + 1
+                    if wd is not None:
+                        wd.tick()
                     s = members[k]
                     i = cur_item(s)
                     cls = cls_l[s][i]
@@ -701,7 +649,7 @@ class _BatchedRun:
                             ready_o = release + 1
                             odep = dep_l[other][oi]
                             if odep >= 0:
-                                od = ret_rav[other * wp + odep]
+                                od = ret_rav.item(other * wp + odep)
                                 if od > ready_o:
                                     ready_o = od
                             push(ready_o, other)
@@ -794,7 +742,7 @@ class _BatchedRun:
                         ready_m = issue + interval
                         mdep = dep_l[s][i]
                         if mdep >= 0:
-                            md = ret_rav[s * wp + mdep]
+                            md = ret_rav.item(s * wp + mdep)
                             if md > ready_m:
                                 ready_m = md
                     lst = buckets.get(ready_m)
@@ -860,3 +808,9 @@ class _BatchedRun:
         e._result = None
         e._resident = set()
         return result
+
+
+def _bump(series: List[int], idx: int) -> None:
+    if idx >= len(series):
+        series.extend([0] * (idx + 1 - len(series)))
+    series[idx] += 1

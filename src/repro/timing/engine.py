@@ -5,6 +5,9 @@ workgroups are dispatched to compute units as slots free up; each CU
 issues instructions in order per warp through per-SIMD and scalar issue
 ports; memory operations traverse the cache hierarchy; ``s_barrier``
 synchronises workgroups; dependencies stall the per-warp in-order stream.
+This module is the engine's interface — construction, listeners,
+stop/abort, the result; the one loop behind :meth:`DetailedEngine.run`
+is :mod:`repro.timing.batch`.
 
 All instrumentation flows through the :mod:`repro.obs` event bus: the
 engine publishes workgroup-dispatch, warp-dispatch, basic-block,
@@ -33,24 +36,16 @@ Attaching the same listener twice is a :class:`~repro.errors.ConfigError`.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config.gpu_configs import GpuConfig
-from ..errors import ConfigError, SimulationStalled, TimingError
+from ..errors import ConfigError
 from ..functional.kernel import Kernel
 from ..functional.trace import WarpTrace
-from ..isa.opcodes import OpClass
 from ..obs import (
-    ENGINE_BARRIER,
     ENGINE_BB,
-    ENGINE_INST,
-    ENGINE_KERNEL,
-    ENGINE_STALL,
-    ENGINE_WAITCNT,
     ENGINE_WARP_DISPATCH,
     ENGINE_WARP_RETIRE,
-    ENGINE_WG_DISPATCH,
     EventBus,
     current_bus,
 )
@@ -58,23 +53,6 @@ from ..reliability.watchdog import WatchdogConfig
 from .caches import MemoryHierarchy
 
 TraceProvider = Callable[[int], WarpTrace]
-
-_CLS_SCALAR_ALU = int(OpClass.SCALAR_ALU)
-_CLS_VECTOR_ALU = int(OpClass.VECTOR_ALU)
-_CLS_SCALAR_MEM = int(OpClass.SCALAR_MEM)
-_CLS_VECTOR_MEM = int(OpClass.VECTOR_MEM)
-_CLS_LDS = int(OpClass.LDS)
-_CLS_BRANCH = int(OpClass.BRANCH)
-_CLS_BARRIER = int(OpClass.BARRIER)
-_CLS_WAITCNT = int(OpClass.WAITCNT)
-_CLS_END = int(OpClass.END)
-
-_SCALAR_PORT_CLASSES = frozenset(
-    (_CLS_SCALAR_ALU, _CLS_SCALAR_MEM, _CLS_BRANCH, _CLS_BARRIER,
-     _CLS_WAITCNT, _CLS_END)
-)
-# indexable fast path for the hot loop
-_IS_SCALAR_PORT = [cls in _SCALAR_PORT_CLASSES for cls in range(9)]
 
 
 class EngineListener:
@@ -100,40 +78,6 @@ class EngineListener:
     def on_warp_retired(self, warp_id: int, dispatch: float,
                         retire: float) -> None:
         """A warp finished all its instructions."""
-
-
-class _WarpRun:
-    """Mutable per-warp execution state inside the engine."""
-
-    __slots__ = (
-        "warp_id", "trace", "i", "retires", "cu", "simd", "dispatch_time",
-        "bb_ptr", "cur_bb_pc", "cur_bb_start", "in_stop_snapshot", "wg_id",
-        "cls_list", "dep_list", "mem_list", "code_list",
-        "bb_pcs", "bb_starts", "next_bb_at",
-    )
-
-    def __init__(self, warp_id: int, trace: WarpTrace, cu: int, simd: int,
-                 dispatch_time: float, wg_id: int):
-        self.warp_id = warp_id
-        self.trace = trace
-        self.i = 0
-        self.retires = [0.0] * trace.n_insts
-        self.cu = cu
-        self.simd = simd
-        self.dispatch_time = dispatch_time
-        self.bb_ptr = 0
-        self.cur_bb_pc = -1
-        self.cur_bb_start = dispatch_time
-        self.in_stop_snapshot = False
-        self.wg_id = wg_id
-        # hot-loop views of the trace
-        self.cls_list = trace.opclass
-        self.dep_list = trace.dep
-        self.mem_list = trace.mem_lines
-        self.code_list = trace.opcode
-        self.bb_pcs = [pc for pc, _ in trace.bb_seq]
-        self.bb_starts = [start for _, start in trace.bb_seq]
-        self.next_bb_at = self.bb_starts[0] if self.bb_starts else -1
 
 
 class EngineResult:
@@ -285,8 +229,6 @@ class DetailedEngine:
         """Current simulated time (valid while :meth:`run` executes)."""
         return self._now
 
-    # -- main loop -------------------------------------------------------------
-
     def run(self) -> EngineResult:
         """Run the kernel; returns the (possibly stopped-early) result.
 
@@ -294,317 +236,16 @@ class DetailedEngine:
         duration of the run (the :class:`EngineListener` shim) and
         detached afterwards, even on error.
         """
-        from .batch import maybe_run_batched
+        from .batch import _BatchedRun  # imports EngineResult from here
 
         bus = self.bus
         shims = self._shim_subscriptions()
         for etype, fn in shims:
             bus.subscribe(etype, fn)
         try:
-            with bus.metrics.span("timing"):
-                # TimePack (batched SoA core) by default; None when
-                # batching is disabled — then the scalar loop runs here
-                result = maybe_run_batched(self)
-                if result is not None:
-                    return result
-                return self._run()
+            with bus.metrics.span("timing"), \
+                    bus.metrics.span("timing.batch"):
+                return _BatchedRun(self).run()
         finally:
             for etype, fn in shims:
                 bus.unsubscribe(etype, fn)
-
-    def _run(self) -> EngineResult:
-        kernel = self.kernel
-        config = self.config
-        hierarchy = self.hierarchy
-        result = EngineResult()
-        result.ipc_bucket = self.ipc_bucket
-        self._result = result
-
-        n_cu = config.n_cu
-        simd_per_cu = config.simd_per_cu
-        issue_interval = config.issue_interval
-        lat_scalar = config.scalar_alu_lat
-        lat_vector = config.vector_alu_lat
-        lat_branch = config.branch_lat
-        lat_lds = config.lds_lat
-
-        simd_busy = [[self.start_time] * simd_per_cu for _ in range(n_cu)]
-        scalar_busy = [self.start_time] * n_cu
-        free_slots = [config.max_warps_per_cu] * n_cu
-        slot_cursor = [0] * n_cu  # rotates SIMD assignment
-
-        self._wg_queue = [
-            (wg, list(kernel.warps_in_workgroup(wg)))
-            for wg in range(kernel.n_workgroups)
-        ]
-        self._wg_next = 0
-        wg_sizes = {wg: len(w) for wg, w in self._wg_queue}
-
-        barrier_state: Dict[int, List] = {}  # wg -> [arrived, max_t, parked]
-        heap: List[Tuple[float, int, _WarpRun]] = []
-        self._seq = 0
-        ipc_series: List[int] = []
-        # live view for listeners that monitor windowed IPC (e.g. PKA)
-        self.live_ipc_series = ipc_series
-        bucket = self.ipc_bucket
-        lat_sum: Dict[int, float] = {}
-        lat_cnt: Dict[int, int] = {}
-        # hot-loop views of the bus: each channel's subscriber list is
-        # hoisted once; with nothing attached every potential event is a
-        # single falsy check and allocates nothing (the detached path)
-        bus = self.bus
-        wg_subs = bus.channel(ENGINE_WG_DISPATCH).subscribers
-        dispatch_subs = bus.channel(ENGINE_WARP_DISPATCH).subscribers
-        bb_subs = bus.channel(ENGINE_BB).subscribers
-        retire_subs = bus.channel(ENGINE_WARP_RETIRE).subscribers
-        barrier_subs = bus.channel(ENGINE_BARRIER).subscribers
-        waitcnt_subs = bus.channel(ENGINE_WAITCNT).subscribers
-        stall_subs = bus.channel(ENGINE_STALL).subscribers
-        inst_subs = bus.channel(ENGINE_INST).subscribers
-        resident = self._resident
-
-        def dispatch_wg(cu: int, time: float) -> bool:
-            """Dispatch the next queued workgroup onto ``cu`` if it fits."""
-            if self._stop_requested or self._wg_next >= len(self._wg_queue):
-                return False
-            wg_id, warps = self._wg_queue[self._wg_next]
-            if free_slots[cu] < len(warps):
-                return False
-            free_slots[cu] -= len(warps)
-            self._wg_next += 1
-            if wg_subs:
-                for fn in wg_subs:
-                    fn(wg_id, cu, time, len(warps))
-            for warp_id in warps:
-                trace = self.trace_provider(warp_id)
-                simd = slot_cursor[cu] % simd_per_cu
-                slot_cursor[cu] += 1
-                run = _WarpRun(warp_id, trace, cu, simd, time, wg_id)
-                resident.add(run)
-                heapq.heappush(heap, (time, self._seq, run))
-                self._seq += 1
-                if dispatch_subs:
-                    for fn in dispatch_subs:
-                        fn(warp_id, time)
-            return True
-
-        # initial dispatch: fill CUs round-robin until nothing more fits;
-        # the command processor dispatches one workgroup every
-        # cp_dispatch_interval cycles, staggering the start-up burst
-        cp_interval = config.cp_dispatch_interval
-        cp_time = self.start_time
-        progress = True
-        while progress:
-            progress = False
-            for cu in range(n_cu):
-                if dispatch_wg(cu, cp_time):
-                    cp_time += cp_interval
-                    progress = True
-
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        is_scalar_port = _IS_SCALAR_PORT
-        has_bb = bool(bb_subs)
-        wd = None
-        if self.watchdog is not None:
-            wd = self.watchdog.for_engine(
-                f"engine({self.kernel.name})")
-            if not wd.armed:
-                wd = None
-        wd_prev_time = self.start_time
-        collect_latency = self.collect_latency
-        vector_access = hierarchy.vector_access
-        scalar_access = hierarchy.scalar_access
-        n_insts = 0
-        seq = self._seq
-        end_time = 0.0
-
-        while heap:
-            if self._stop_requested:
-                if self._abort_requested:
-                    if self._now > end_time:
-                        end_time = self._now
-                    break
-                self._seq = seq  # keep dispatch bookkeeping coherent
-
-            t, _, w = heappop(heap)
-            self._now = t
-            if wd is not None:
-                if t > wd_prev_time:
-                    wd.note_progress()
-                    wd_prev_time = t
-                wd.tick()
-            i = w.i
-            opclass = w.cls_list[i]
-            cu = w.cu
-
-            # issue-port arbitration
-            if is_scalar_port[opclass]:
-                port_free = scalar_busy[cu]
-                issue = port_free if port_free > t else t
-                scalar_busy[cu] = issue + issue_interval
-                if stall_subs and issue > t:
-                    for fn in stall_subs:
-                        fn(w.warp_id, t, issue - t, "scalar")
-            else:
-                ports = simd_busy[cu]
-                port_free = ports[w.simd]
-                issue = port_free if port_free > t else t
-                ports[w.simd] = issue + issue_interval
-                if stall_subs and issue > t:
-                    for fn in stall_subs:
-                        fn(w.warp_id, t, issue - t, "simd")
-
-            # basic-block boundary bookkeeping (only bb subscribers pay)
-            if has_bb and i == w.next_bb_at:
-                if w.cur_bb_pc >= 0:
-                    for fn in bb_subs:
-                        fn(w.warp_id, w.cur_bb_pc, w.cur_bb_start, issue)
-                ptr = w.bb_ptr
-                w.cur_bb_pc = w.bb_pcs[ptr]
-                w.cur_bb_start = issue
-                ptr += 1
-                w.bb_ptr = ptr
-                w.next_bb_at = w.bb_starts[ptr] if ptr < len(w.bb_starts) else -1
-
-            # latency
-            if opclass == _CLS_VECTOR_ALU:
-                retire = issue + lat_vector
-            elif opclass == _CLS_SCALAR_ALU:
-                retire = issue + lat_scalar
-            elif opclass == _CLS_VECTOR_MEM:
-                lines = w.mem_list[i]
-                if lines:
-                    retire = issue
-                    for line in lines:
-                        done = vector_access(cu, line, issue)
-                        if done > retire:
-                            retire = done
-                else:
-                    retire = issue + 1
-            elif opclass == _CLS_SCALAR_MEM:
-                retire = scalar_access(cu, w.mem_list[i][0], issue)
-            elif opclass == _CLS_LDS:
-                retire = issue + lat_lds
-            elif opclass == _CLS_BRANCH or opclass == _CLS_WAITCNT:
-                retire = issue + lat_branch
-                if waitcnt_subs and opclass == _CLS_WAITCNT:
-                    for fn in waitcnt_subs:
-                        fn(w.warp_id, issue)
-            elif opclass == _CLS_BARRIER:
-                state = barrier_state.setdefault(w.wg_id, [0, 0.0, []])
-                state[0] += 1
-                if issue > state[1]:
-                    state[1] = issue
-                n_insts += 1
-                if inst_subs:
-                    for fn in inst_subs:
-                        fn(w.warp_id, opclass, issue, issue)
-                if state[0] < wg_sizes[w.wg_id]:
-                    state[2].append(w)
-                    continue  # parked; released by the last arrival
-                release = state[1] + 1
-                del barrier_state[w.wg_id]
-                if barrier_subs:
-                    for fn in barrier_subs:
-                        fn(w.wg_id, release, wg_sizes[w.wg_id])
-                if bucket is not None:
-                    idx = int(release // bucket)
-                    for _ in state[2] + [w]:
-                        _bump(ipc_series, idx)
-                for other in state[2] + [w]:
-                    other.retires[other.i] = release
-                    other.i += 1
-                    ready = release + 1
-                    dep = other.dep_list[other.i]
-                    if dep >= 0 and other.retires[dep] > ready:
-                        ready = other.retires[dep]
-                    heappush(heap, (ready, seq, other))
-                    seq += 1
-                continue
-            elif opclass == _CLS_END:
-                retire = issue
-                w.retires[i] = retire
-                n_insts += 1
-                if inst_subs:
-                    for fn in inst_subs:
-                        fn(w.warp_id, opclass, issue, retire)
-                if bucket is not None:
-                    _bump(ipc_series, int(retire // bucket))
-                result.warp_times[w.warp_id] = (w.dispatch_time, retire)
-                if retire > end_time:
-                    end_time = retire
-                if has_bb and w.cur_bb_pc >= 0:
-                    for fn in bb_subs:
-                        fn(w.warp_id, w.cur_bb_pc, w.cur_bb_start,
-                           retire)
-                if retire_subs:
-                    for fn in retire_subs:
-                        fn(w.warp_id, w.dispatch_time, retire)
-                free_slots[cu] += 1
-                resident.discard(w)
-                if w.in_stop_snapshot:
-                    result.cu_slot_free.setdefault(cu, []).append(retire)
-                self._seq = seq
-                dispatch_wg(cu, retire)
-                seq = self._seq
-                continue
-            else:  # pragma: no cover - defensive
-                raise TimingError(f"unknown op class {opclass}")
-
-            w.retires[i] = retire
-            n_insts += 1
-            if inst_subs:
-                for fn in inst_subs:
-                    fn(w.warp_id, opclass, issue, retire)
-            if bucket is not None:
-                _bump(ipc_series, int(retire // bucket))
-            if collect_latency:
-                code = w.code_list[i]
-                lat_sum[code] = lat_sum.get(code, 0.0) + (retire - issue)
-                lat_cnt[code] = lat_cnt.get(code, 0) + 1
-
-            i += 1
-            w.i = i
-            ready = issue + issue_interval
-            dep = w.dep_list[i]
-            if dep >= 0 and w.retires[dep] > ready:
-                ready = w.retires[dep]
-            heappush(heap, (ready, seq, w))
-            seq += 1
-
-        if barrier_state and not self._abort_requested:
-            # the event heap drained while warps were still parked at a
-            # barrier no remaining warp can release: a deadlock that the
-            # old code reported as a silently-short kernel
-            parked = sorted(
-                run.warp_id for state in barrier_state.values()
-                for run in state[2])
-            raise SimulationStalled(
-                f"kernel {kernel.name!r}: barrier deadlock — warps "
-                f"{parked} parked in workgroups "
-                f"{sorted(barrier_state)} with no runnable warp left")
-
-        result.n_insts = n_insts
-        result.end_time = end_time
-        self._seq = seq
-        if bucket is not None:
-            result.ipc_series = ipc_series
-        if collect_latency:
-            result.latency_table = {
-                code: lat_sum[code] / lat_cnt[code] for code in lat_sum
-            }
-        result.mem_stats = self.hierarchy.stats()
-        bus.emit(ENGINE_KERNEL, kernel.name, self.start_time,
-                 result.end_time, n_insts, result.stopped)
-        bus.metrics.counter("engine.runs").inc()
-        bus.metrics.counter("engine.insts").inc(n_insts)
-        self._result = None
-        self._resident = set()
-        return result
-
-
-def _bump(series: List[int], idx: int) -> None:
-    if idx >= len(series):
-        series.extend([0] * (idx + 1 - len(series)))
-    series[idx] += 1

@@ -6,8 +6,8 @@ volatility (Horner form, Abramowitz-Stegun constants) followed by a
 clamped fixed-point update driving the volatility toward the target
 price.  There is no LDS staging and no barrier; with only fixed-latency
 vector ALU work in the loop, resident warps stay phase-aligned through
-the uniform latencies alone — the best case for TimePack's lockstep
-batched issue (nbody/kmeans need a barrier to re-align; this kernel
+the uniform latencies alone — the best case for the timing engine's
+vector rounds (nbody/kmeans need a barrier to re-align; this kernel
 never de-aligns).
 
 The closed-form Black-Scholes price is replaced by the cubic polynomial

@@ -4,8 +4,8 @@ Each warp owns 64 points; the centroid table is staged into LDS once,
 then a long uniform loop computes the squared distance of every point
 to every centroid and keeps the minimum.  Like :mod:`nbody`, the loop
 body is pure fixed-latency arithmetic after one barrier, so resident
-warps stay phase-aligned — a stress case for TimePack's lockstep
-batched issue.
+warps stay phase-aligned — a stress case for the timing engine's
+vector rounds.
 
 LDS is a per-warp scratchpad in this simulator, so every warp stages
 the full centroid table itself (64 slots for x, 64 for y).

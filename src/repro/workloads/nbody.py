@@ -5,7 +5,7 @@ body positions into LDS, synchronises at a barrier, then runs a long
 uniform arithmetic loop over the staged tile before moving to the
 next one.  Between barriers every resident warp executes the same
 fixed-latency instruction sequence, which keeps warps phase-aligned —
-the regime where TimePack's lockstep batched issue pays off (see
+the regime where the timing engine's vector rounds pay off (see
 docs/performance.md).
 
 Because LDS is a per-warp scratchpad in this simulator (see

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.config import R9_NANO
 from repro.core import PhotonConfig
 from repro.functional import GlobalMemory, Kernel
 from repro.isa import KernelBuilder, MemAddr, s, v
+from repro.obs import ENGINE_BB
+from repro.timing import batch as timing_batch
 
 
 @pytest.fixture
@@ -24,6 +28,30 @@ def fast_photon_config():
         bb_window=32, warp_window=16, min_sample_warps=4,
         mean_delta=0.3, bb_retire_gate_fraction=0.1,
     )
+
+
+@contextmanager
+def vec_thresholds(value):
+    """Pin both of the engine's vector-round thresholds for the
+    enclosed runs: 2 vectorizes every round with two members,
+    ``float("inf")`` replays every round member by member."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timing_batch, "VEC_THRESHOLD", value)
+        patch.setattr(timing_batch, "VEC_THRESHOLD_OBS", value)
+        yield
+
+
+def request_stop_after_bbs(engine, n: int) -> None:
+    """``engine.request_stop()`` from inside the ``n``-th basic-block
+    event of the run."""
+    seen = [0]
+
+    def on_bb(warp, pc, t0, t1):
+        seen[0] += 1
+        if seen[0] == n:
+            engine.request_stop()
+
+    engine.bus.subscribe(ENGINE_BB, on_bb)
 
 
 def make_vecadd(n_warps: int = 8, wg_size: int = 2) -> Kernel:

@@ -293,13 +293,13 @@ def test_exec_driven_run_has_no_trace_io_phase(tiny_gpu):
     with scoped_bus() as bus:
         DetailedEngine(make_vecadd(n_warps=4), tiny_gpu).run()
         phases = bus.metrics.phases()
-    # TimePack nests its own phase inside ``timing`` (exclusive spans),
-    # so a batched exec-driven run shows exactly these three
+    # the round loop nests its own phase inside ``timing`` (exclusive
+    # spans), so an exec-driven run shows exactly these three
     assert set(phases) == {"functional", "timing", "timing.batch"}
 
 
 def test_timing_batch_metrics_vocabulary(tiny_gpu):
-    """Pinned TimePack vocabulary: the ``timing.batch`` span and the
+    """Pinned engine vocabulary: the ``timing.batch`` span and the
     ``engine.batch.*`` counters are what sweeps/dashboards grep for."""
     with scoped_bus() as bus:
         DetailedEngine(make_vecadd(n_warps=4), tiny_gpu).run()
@@ -313,8 +313,9 @@ def test_timing_batch_metrics_vocabulary(tiny_gpu):
 
 
 def test_timing_fallback_metrics_vocabulary(tiny_gpu):
-    """An incompatible engine runs scalar under the pinned
-    ``timing.scalar_fallback`` span with a reason counter."""
+    """A run that cannot use vector rounds (here: an armed watchdog) is
+    the same engine under the same ``timing.batch`` span; one
+    ``engine.batch.member_only.<reason>`` counter says why."""
     from repro.reliability.watchdog import WatchdogConfig
 
     with scoped_bus() as bus:
@@ -323,19 +324,8 @@ def test_timing_fallback_metrics_vocabulary(tiny_gpu):
         engine.run()
         counters = bus.metrics.snapshot()["counters"]
         phases = bus.metrics.phases()
-    assert "timing.scalar_fallback" in phases
-    assert "timing.batch" not in phases
-    assert counters["engine.batch.fallback_runs"] == 1
-    assert counters["engine.batch.fallback.watchdog"] == 1
-
-
-def test_disabled_timing_batching_runs_under_plain_timing_span(tiny_gpu):
-    from repro.timing import scoped_timing_batching
-
-    with scoped_bus() as bus:
-        with scoped_timing_batching(False):
-            DetailedEngine(make_vecadd(n_warps=4), tiny_gpu).run()
-        phases = bus.metrics.phases()
-        counters = bus.metrics.snapshot()["counters"]
-    assert set(phases) == {"functional", "timing"}
-    assert "engine.batch.runs" not in counters
+    assert set(phases) == {"functional", "timing", "timing.batch"}
+    assert counters["engine.batch.runs"] == 1
+    assert counters["engine.batch.member_only.watchdog"] == 1
+    assert counters["engine.batch.rounds"] == 0
+    assert counters["engine.batch.scalar_insts"] == counters["engine.insts"]

@@ -143,6 +143,29 @@ def test_failed_tasks_rerun_on_resume(tmp_path):
     assert resumed.replayed == len(golden.outcomes) - 1
 
 
+def test_resume_of_journal_with_retired_config_key(tmp_path):
+    """A run directory journaled before a ``PhotonConfig`` field was
+    retired (the timing engine's on/off switch went with its second
+    loop) still resumes: the key is dropped on read."""
+    from repro.parallel.journal import decode_line, encode_record
+
+    golden = run_sweep(_plan(), run_dir=str(tmp_path / "golden"))
+    lines = (tmp_path / "golden" / JOURNAL_NAME).read_bytes().splitlines(
+        keepends=True)
+    plan = decode_line(lines[0])
+    del plan["checksum"]
+    for task in plan["tasks"]:
+        task["photon"]["retired_switch"] = True
+    run_dir = tmp_path / "old"
+    run_dir.mkdir()
+    # the plan and the first outcome: one replayed task, the rest re-run
+    (run_dir / JOURNAL_NAME).write_bytes(
+        encode_record(plan) + b"".join(lines[1:3]))
+    resumed = resume_sweep(str(run_dir))
+    assert _det(resumed) == _det(golden)
+    assert resumed.replayed == 1
+
+
 # ------------------------------------------- injected filesystem crashes
 
 

@@ -1,27 +1,41 @@
-"""Differential property suite for TimePack (the batched timing core).
+"""Differential property suite for the engine's vector rounds.
 
-Batched timing is purely a performance optimisation: the SoA lockstep
-engine in ``timing/batch.py`` must be *bitwise* indistinguishable from
-the scalar event loop.  Hypothesis generates random programs across the
-shapes that exercise every engine mechanism — warp-divergent branches,
-workgroup barriers, LDS round trips under partial exec masks, counted
-loops, and global-memory traffic — and each example runs the same
-launch twice (batched on / off, each on its own :class:`EventBus`) and
-compares:
+A vector round is purely a performance optimisation of the round
+engine in ``timing/batch.py``: it must be *bitwise* indistinguishable
+from replaying the same round member by member.  Hypothesis generates
+random programs across the shapes that exercise every engine mechanism
+— warp-divergent branches, workgroup barriers, LDS round trips under
+partial exec masks, counted loops, and global-memory traffic — and each
+example runs the same launch twice, each on its own :class:`EventBus`:
+
+* the **reference** with both vector thresholds at ``inf``, so every
+  round replays member by member (the semantics
+  ``tests/test_timing_golden.py`` pins against the retired heap loop);
+* the **side under test** with both thresholds at 2, so these 1-16 warp
+  kernels execute fully-vector rounds, hybrid rounds (specials replayed
+  between bulk commits) and same-port collisions.
+
+It compares:
 
 * end-to-end simulated cycles and per-warp dispatch/retire times;
 * the **full materialised event sequence** across every engine channel
-  (kind, per-bus sequence number, and all fields);
+  (kind, per-bus sequence number, and all fields) — a ``MemorySink``
+  subscribes to ``engine.inst``, which makes vector rounds replay every
+  member, so each example also runs a *no-sink* lane where plain
+  members are bulk-committed and only the dispatch / barrier / retire
+  channels are journalled;
 * ``request_stop`` snapshots — stop time, resident-warp retire times,
   undispatched warps, and CU slot-release times;
 * optional accounting surfaces (``ipc_series``, ``latency_table``,
   ``mem_stats``).
 
-The quick lanes run in the fast CI job; the ``slow``-marked lanes rerun
-the same properties at 200 examples in the nightly job.
+Every property asserts that its examples really ran vector rounds
+(``engine.batch.rounds > 0`` in total).  The quick lanes run in the
+fast CI job; the ``slow``-marked lanes rerun the same properties at 200
+examples in the nightly job.
 """
 
-import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,17 +43,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import R9_NANO
 from repro.functional import GlobalMemory, Kernel
+from repro.harness.runner import workload_factory
 from repro.isa import KernelBuilder, MemAddr, s, v
-from repro.obs import ENGINE_BB, EventBus, MemorySink
-from repro.reliability.watchdog import WatchdogConfig
-from repro.timing import (
-    DetailedEngine,
-    EngineListener,
-    scoped_timing_batching,
-    set_timing_batching,
-    timing_batching_enabled,
-    timing_pack_compatible,
+from repro.harness.defaults import EVAL_R9NANO
+from repro.obs import (
+    ENGINE_BARRIER,
+    ENGINE_WARP_DISPATCH,
+    ENGINE_WARP_RETIRE,
+    ENGINE_WG_DISPATCH,
+    EventBus,
+    MemorySink,
 )
+from repro.timing import DetailedEngine, EngineListener
+
+from conftest import request_stop_after_bbs, vec_thresholds
 
 GPU = R9_NANO.scaled(4)
 
@@ -150,25 +167,40 @@ def timing_kernel_factories(draw):
 
 # -- the differential harness ------------------------------------------------
 
+MEMBER_ONLY = float("inf")  # no round is ever this wide
+VECTOR = 2                  # every round with two members vectorizes
 
-def _run_once(factory, batched, stop_after_bbs=None, **engine_kwargs):
-    """One engine run on a private bus; returns (result, event dicts)."""
+
+# channels that fire only on members a vector round replays anyway
+_LIGHT_CHANNELS = (ENGINE_WG_DISPATCH, ENGINE_WARP_DISPATCH,
+                   ENGINE_BARRIER, ENGINE_WARP_RETIRE)
+
+
+def _run_once(factory, sink=True, stop_after_bbs=None, gpu=GPU,
+              **engine_kwargs):
+    """One engine run on a private bus.
+
+    Returns ``(result, events, counters)``.  With ``sink`` the events
+    are every engine event, materialised; without, nothing subscribes
+    to ``engine.inst`` and the events are a journal of the light
+    channels.
+    """
     kernel = factory()
     bus = EventBus()
-    sink = bus.add_sink(MemorySink())
-    engine = DetailedEngine(kernel, GPU, bus=bus, **engine_kwargs)
+    journal = []
+    if sink:
+        memory = bus.add_sink(MemorySink())
+    else:
+        for etype in _LIGHT_CHANNELS:
+            bus.subscribe(
+                etype, lambda *args, kind=etype.name: journal.append(
+                    (kind,) + args))
+    engine = DetailedEngine(kernel, gpu, bus=bus, **engine_kwargs)
     if stop_after_bbs is not None:
-        seen = [0]
-
-        def on_bb(warp, pc, t0, t1):
-            seen[0] += 1
-            if seen[0] == stop_after_bbs:
-                engine.request_stop()
-
-        bus.subscribe(ENGINE_BB, on_bb)
-    with scoped_timing_batching(batched):
-        result = engine.run()
-    return result, [e.to_dict() for e in sink.events]
+        request_stop_after_bbs(engine, stop_after_bbs)
+    result = engine.run()
+    events = [e.to_dict() for e in memory.events] if sink else journal
+    return result, events, bus.metrics.snapshot()["counters"]
 
 
 def _assert_results_identical(ref, got):
@@ -184,53 +216,79 @@ def _assert_results_identical(ref, got):
     assert got.latency_table == ref.latency_table
 
 
-def _differential(factory, stop_after_bbs=None, **engine_kwargs):
-    ref, ref_events = _run_once(factory, batched=False,
-                                stop_after_bbs=stop_after_bbs,
-                                **engine_kwargs)
-    got, got_events = _run_once(factory, batched=True,
-                                stop_after_bbs=stop_after_bbs,
-                                **engine_kwargs)
+def _differential(factory, **run_kwargs):
+    """Member-only reference vs the current thresholds; returns the
+    latter's counters."""
+    with vec_thresholds(MEMBER_ONLY):
+        ref, ref_events, ref_counters = _run_once(factory, **run_kwargs)
+    assert ref_counters["engine.batch.rounds"] == 0
+    got, got_events, counters = _run_once(factory, **run_kwargs)
     _assert_results_identical(ref, got)
     assert got_events == ref_events
+    return counters
 
 
-@settings(max_examples=40, deadline=None)
-@given(timing_kernel_factories())
-def test_timing_batched_equivalence_quick(factory):
-    """Fast-lane slice: batched vs scalar, full event-sequence compare."""
-    _differential(factory)
+def _check_property(max_examples, stop_after=st.none(), **engine_kwargs):
+    """Run the differential over generated kernels, with and without a
+    sink; each lane's examples must, between them, have executed vector
+    rounds."""
+    vector_rounds = Counter()
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(timing_kernel_factories(), stop_after)
+    def prop(factory, stop_after_bbs):
+        for sink in (True, False):
+            with vec_thresholds(VECTOR):
+                counters = _differential(
+                    factory, sink=sink, stop_after_bbs=stop_after_bbs,
+                    **engine_kwargs)
+            vector_rounds[sink] += counters["engine.batch.rounds"]
+
+    prop()
+    assert vector_rounds[True] > 0 and vector_rounds[False] > 0
+
+
+def test_timing_batched_equivalence_quick():
+    """Fast-lane slice: vector vs member-only, full event-sequence
+    compare."""
+    _check_property(40)
 
 
 @pytest.mark.slow
-@settings(max_examples=200, deadline=None)
-@given(timing_kernel_factories())
-def test_timing_batched_equivalence_full(factory):
-    """Full 200-example batched-vs-scalar run (nightly lane)."""
-    _differential(factory)
+def test_timing_batched_equivalence_full():
+    """Full 200-example run (nightly lane)."""
+    _check_property(200)
 
 
-@settings(max_examples=20, deadline=None)
-@given(timing_kernel_factories(), st.integers(1, 30))
-def test_timing_batched_stop_snapshot_quick(factory, stop_after):
+def test_timing_batched_stop_snapshot_quick():
     """``request_stop`` mid-run from an event callback: the snapshot
     (stop time, resident retires, undispatched, slot frees) is bitwise
-    identical between the batched and scalar engines."""
-    _differential(factory, stop_after_bbs=stop_after)
+    identical with and without vector rounds."""
+    _check_property(20, stop_after=st.integers(1, 30))
 
 
 @pytest.mark.slow
-@settings(max_examples=200, deadline=None)
-@given(timing_kernel_factories(), st.integers(1, 60))
-def test_timing_batched_stop_snapshot_full(factory, stop_after):
-    _differential(factory, stop_after_bbs=stop_after)
+def test_timing_batched_stop_snapshot_full():
+    _check_property(200, stop_after=st.integers(1, 60))
 
 
-@settings(max_examples=10, deadline=None)
-@given(timing_kernel_factories())
-def test_timing_batched_accounting_surfaces(factory):
+def test_timing_batched_accounting_surfaces():
     """ipc_series buckets and the opcode latency table match exactly."""
-    _differential(factory, ipc_bucket=25.0, collect_latency=True)
+    _check_property(10, ipc_bucket=25.0, collect_latency=True)
+    # an ipc_bucket makes vector rounds replay every member; without
+    # one the latency table accumulates through bulk np.add.at commits
+    _check_property(10, collect_latency=True)
+
+
+@pytest.mark.parametrize("workload,size", [
+    ("nbody", 512), ("kmeans", 1024), ("blackscholes", 512)])
+def test_natural_width_vector_rounds(workload, size):
+    """At the shipped thresholds, on the evaluation GPU, the barrier-
+    and latency-aligned compute kernels reach vector rounds on their
+    own, and those rounds change nothing."""
+    counters = _differential(workload_factory(workload, size), sink=False,
+                             gpu=EVAL_R9NANO)
+    assert counters["engine.batch.rounds"] > 0
 
 
 # -- attach-order regression pin --------------------------------------------
@@ -253,15 +311,14 @@ class _Recorder(EngineListener):
         self.journal.append((self.tag, "retire", warp_id, dispatch, retire))
 
 
-def _listener_journal(batched):
-    kernel_factory = _attach_order_kernel()
+def _listener_journal(threshold):
     journal = []
-    engine = DetailedEngine(kernel_factory(), GPU, bus=EventBus())
+    engine = DetailedEngine(_attach_order_kernel(), GPU, bus=EventBus())
     # attach order is part of the observable contract: listener "a"
     # must see every event before listener "b" does
     engine.attach(_Recorder("a", journal))
     engine.attach(_Recorder("b", journal))
-    with scoped_timing_batching(batched):
+    with vec_thresholds(threshold):
         engine.run()
     return journal
 
@@ -279,84 +336,23 @@ def _attach_order_kernel():
     b.s_barrier()
     b.v_add(v(1), v(1), 1.0)
     b.s_endpgm()
-    program = b.build()
-
-    def factory():
-        mem = GlobalMemory(capacity_words=1024)
-        return Kernel(program=program, n_warps=6, wg_size=2, memory=mem,
-                      args=lambda w: {}, name="attach_order")
-
-    return factory
+    mem = GlobalMemory(capacity_words=1024)
+    return Kernel(program=b.build(), n_warps=6, wg_size=2, memory=mem,
+                  args=lambda w: {}, name="attach_order")
 
 
 def test_attach_order_pinned_across_engines():
     """Two listeners attached a-then-b observe the identical interleaved
-    callback journal whether the run is batched or scalar."""
-    scalar = _listener_journal(batched=False)
-    batched = _listener_journal(batched=True)
-    assert scalar, "journal must not be empty"
-    assert batched == scalar
+    callback journal whether rounds are vectorized or replayed member
+    by member."""
+    member_only = _listener_journal(MEMBER_ONLY)
+    vector = _listener_journal(VECTOR)
+    assert member_only, "journal must not be empty"
+    assert vector == member_only
     # and within any single event, "a" fires before "b"
-    for i in range(0, len(batched) - 1, 1):
-        tag, *rest = batched[i]
-        if tag == "a" and i + 1 < len(batched):
-            nxt_tag, *nxt_rest = batched[i + 1]
+    for i in range(0, len(vector) - 1, 1):
+        tag, *rest = vector[i]
+        if tag == "a" and i + 1 < len(vector):
+            nxt_tag, *nxt_rest = vector[i + 1]
             if nxt_rest == rest:
                 assert nxt_tag == "b"
-
-
-# -- pack-compatibility ladder and flag plumbing -----------------------------
-
-
-def test_ladder_accepts_default_engine():
-    engine = DetailedEngine(_attach_order_kernel()(), GPU, bus=EventBus())
-    ok, reason = timing_pack_compatible(engine)
-    assert ok and reason == ""
-
-
-def test_ladder_rejects_watchdog():
-    engine = DetailedEngine(_attach_order_kernel()(), GPU, bus=EventBus(),
-                            watchdog=WatchdogConfig(max_events=10**9))
-    ok, reason = timing_pack_compatible(engine)
-    assert not ok and reason == "watchdog"
-
-
-def test_ladder_rejects_fractional_start_time():
-    engine = DetailedEngine(_attach_order_kernel()(), GPU, bus=EventBus(),
-                            start_time=0.5)
-    ok, reason = timing_pack_compatible(engine)
-    assert not ok and reason == "fractional_start_time"
-
-
-def test_ladder_rejects_fractional_latency():
-    config = dataclasses.replace(GPU, vector_alu_lat=1.5)
-    engine = DetailedEngine(_attach_order_kernel()(), config,
-                            bus=EventBus())
-    ok, reason = timing_pack_compatible(engine)
-    assert not ok and reason == "fractional_latency"
-
-
-def test_fallback_run_is_still_bitwise_identical():
-    """An incompatible engine (fractional start) falls back to the
-    scalar loop under batching — results match batching-off exactly."""
-    factory = _attach_order_kernel()
-    _differential(factory, start_time=0.5)
-
-
-def test_scoped_timing_batching_restores_flag():
-    assert timing_batching_enabled()
-    with scoped_timing_batching(False):
-        assert not timing_batching_enabled()
-        with scoped_timing_batching(True):
-            assert timing_batching_enabled()
-        assert not timing_batching_enabled()
-    assert timing_batching_enabled()
-
-
-def test_set_timing_batching_round_trip():
-    try:
-        set_timing_batching(False)
-        assert not timing_batching_enabled()
-    finally:
-        set_timing_batching(True)
-    assert timing_batching_enabled()

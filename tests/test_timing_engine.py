@@ -124,6 +124,31 @@ def test_stop_reports_undispatched_and_slots(tiny_gpu):
             assert t >= res.stop_time
 
 
+def test_times_are_builtin_floats(tiny_gpu):
+    """No numpy scalar escapes the engine's arrays: a leaked
+    ``numpy.float64`` would flow on through every later add and compare
+    of the run, and into the cache model's clocks."""
+    from repro.obs import MemorySink, scoped_bus
+
+    kernel = make_loop_kernel(n_warps=400, trips_of=lambda w: 8)
+    with scoped_bus() as bus:
+        sink = bus.add_sink(MemorySink())
+        engine = DetailedEngine(kernel, tiny_gpu)
+        engine.attach(_StopAfter(5))
+        res = engine.run()
+    times = [res.end_time, res.stop_time]
+    for pair in res.warp_times.values():
+        times.extend(pair)
+    for slot_times in res.cu_slot_free.values():
+        assert slot_times
+        times.extend(slot_times)
+    assert {type(t) for t in times} == {float}
+    field_types = {type(value) for event in sink.events
+                   if event.kind.startswith("engine.")
+                   for value in event.fields.values()}
+    assert field_types <= {float, int, str, bool}
+
+
 def test_stop_with_everything_dispatched(tiny_gpu):
     kernel = make_vecadd(n_warps=4)  # fits entirely on the GPU
     engine = DetailedEngine(kernel, tiny_gpu)
