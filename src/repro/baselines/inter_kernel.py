@@ -33,7 +33,6 @@ from typing import Dict, Optional, Tuple
 from ..config.gpu_configs import GpuConfig
 from ..errors import ConfigError
 from ..functional.batch import control_traces
-from ..functional.executor import FunctionalExecutor
 from ..functional.kernel import Application, Kernel
 from ..timing.caches import MemoryHierarchy
 from ..timing.engine import DetailedEngine
@@ -61,9 +60,7 @@ class _InterKernelSampler:
         self._strata: Dict[Tuple, _Stratum] = {}
 
     def _profile_insts(self, kernel: Kernel) -> int:
-        executor = FunctionalExecutor(kernel)
-        traces = control_traces(kernel, range(kernel.n_warps),
-                                executor=executor)
+        traces = control_traces(kernel, range(kernel.n_warps))
         return sum(trace.n_insts for trace in traces.values())
 
     def _key(self, kernel: Kernel, total_insts: int) -> Tuple:

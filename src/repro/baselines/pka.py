@@ -35,7 +35,6 @@ import numpy as np
 from ..config.gpu_configs import GpuConfig
 from ..errors import ConfigError
 from ..functional.batch import control_traces
-from ..functional.executor import FunctionalExecutor
 from ..functional.kernel import Application, Kernel
 from ..timing.caches import MemoryHierarchy
 from ..timing.engine import DetailedEngine, EngineListener
@@ -199,7 +198,6 @@ class PKA:
 
     def _profile(self, kernel: Kernel) -> _KernelFeatures:
         """Up-front fast-forward profiling of every warp (PKA's cost)."""
-        executor = FunctionalExecutor(kernel)
         program = kernel.program
         # per-block static opcode histograms, aggregated by dynamic counts
         n_ops = 64  # opcode ids fit comfortably
@@ -211,8 +209,7 @@ class PKA:
             block_hist[block.pc] = hist
         mix = np.zeros(n_ops)
         total = 0
-        traces = control_traces(kernel, range(kernel.n_warps),
-                                executor=executor)
+        traces = control_traces(kernel, range(kernel.n_warps))
         for warp_id in range(kernel.n_warps):
             trace = traces[warp_id]
             total += trace.n_insts

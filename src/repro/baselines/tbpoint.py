@@ -34,7 +34,6 @@ from typing import Dict, Optional
 from ..config.gpu_configs import GpuConfig
 from ..errors import ConfigError
 from ..functional.batch import control_traces
-from ..functional.executor import FunctionalExecutor
 from ..functional.kernel import Application, Kernel
 from ..timing.caches import MemoryHierarchy
 from ..timing.engine import DetailedEngine, EngineListener
@@ -136,11 +135,9 @@ class TBPoint:
             start_time=detailed.stop_time,
             cu_slot_free=detailed.cu_slot_free,
         )
-        executor = FunctionalExecutor(kernel)
         predicted_insts = sum(
             trace.n_insts
-            for trace in control_traces(kernel, remaining,
-                                        executor=executor).values())
+            for trace in control_traces(kernel, remaining).values())
         result = KernelResult(
             kernel_name=kernel.name,
             sim_time=max(detailed.end_time, fast.end_time),

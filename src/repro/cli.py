@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError, ReproError, WorkloadError
-from .functional.batch import set_batching_enabled
 from .obs import (
     CORE_KINDS,
     CountingSink,
@@ -296,11 +295,6 @@ def _add_obs_flags(sub: argparse.ArgumentParser) -> None:
         dest="trace_store_max_mb",
         help="evict least-recently-written trace-store bundles after "
              "the run until the store fits in MB megabytes")
-    sub.add_argument(
-        "--no-batch", action="store_true",
-        help="disable batched (WarpPack) functional execution; every "
-             "warp is emulated individually (bitwise-identical results, "
-             "mostly useful for debugging and benchmarking)")
 
 
 def _watchdog_from(args: argparse.Namespace) -> Optional[WatchdogConfig]:
@@ -456,9 +450,6 @@ def _trace_export(args: argparse.Namespace) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     _validate_methods(args.methods)
-    if args.no_batch:
-        # process-wide: fork-based sweep workers inherit the flag
-        set_batching_enabled(False)
     watchdog = _watchdog_from(args)
     obs = _ObsSession(args.trace_out)
     cache = None

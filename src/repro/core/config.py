@@ -61,12 +61,6 @@ class PhotonConfig:
     enable_warp_sampling: bool = True
     enable_bb_sampling: bool = True
 
-    # batched (WarpPack) functional fast-forwarding.  Purely a
-    # performance knob: batched and per-warp execution are bitwise
-    # equivalent.  The CLI's --no-batch clears the process-wide flag;
-    # this field turns it off per configuration (sweeps serialize it).
-    batched_functional: bool = True
-
     def __post_init__(self) -> None:
         if not 0 < self.sample_fraction <= 1:
             raise ConfigError(

@@ -81,8 +81,7 @@ def analyze_kernel(
     type_insts: Dict[int, int] = {}
     total_insts = 0
 
-    traces = control_traces(kernel, sample, executor=executor,
-                            batched=config.batched_functional)
+    traces = control_traces(kernel, sample, executor=executor)
     for warp_id in sample:
         trace = traces[warp_id]
         total_insts += trace.n_insts

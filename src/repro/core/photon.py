@@ -457,11 +457,8 @@ class Photon:
         program = kernel.program
         executor = FunctionalExecutor(kernel, watchdog=self.watchdog,
                                       bus=self.bus)
-        # fast-forward the remaining warps in one batched (WarpPack)
-        # CONTROL pass when allowed; falls back per-warp otherwise
-        traces = control_traces(
-            kernel, remaining, executor=executor,
-            batched=self.config.batched_functional)
+        # fast-forward the remaining warps in one CONTROL fill
+        traces = control_traces(kernel, remaining, executor=executor)
 
         def bb_time(pc: int) -> float:
             known = table.get(pc)

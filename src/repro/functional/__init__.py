@@ -1,15 +1,6 @@
 """Functional (architectural) GPU simulation: memory, kernels, interpreter."""
 
-from .batch import (
-    PackProvider,
-    WarpPackExecutor,
-    batching_enabled,
-    control_traces,
-    pack_compatible,
-    resolve_trace_provider,
-    scoped_batching,
-    set_batching_enabled,
-)
+from .batch import PackProvider, WarpPackExecutor, control_traces
 from .executor import FunctionalExecutor
 from .kernel import Application, Kernel
 from .memory import GlobalMemory, LINE_BYTES, WORDS_PER_LINE, lines_of
@@ -26,11 +17,6 @@ __all__ = [
     "WORDS_PER_LINE",
     "WarpPackExecutor",
     "WarpTrace",
-    "batching_enabled",
     "control_traces",
     "lines_of",
-    "pack_compatible",
-    "resolve_trace_provider",
-    "scoped_batching",
-    "set_batching_enabled",
 ]

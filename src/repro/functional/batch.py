@@ -1,228 +1,76 @@
-"""WarpPack: path-grouped, warp-batched vectorized functional execution.
+"""WarpPack: fills of many warps through the one interpreter.
 
-The per-warp :class:`~repro.functional.executor.FunctionalExecutor`
-interprets one warp at a time in a Python dispatch loop, so the cost of
-fast-forwarding a kernel is ``n_warps x n_insts`` interpreter steps even
-though warps are architecturally independent and control flow is
-scalar-only.  This module exploits that structure:
+:meth:`FunctionalExecutor.run_batches` interprets batches of warps in
+lockstep and splits them on divergence.  This module decides *what to
+hand it* and accounts for the result:
 
-1. A **lockstep CONTROL pass** runs *all* requested warps at once on the
-   scalar side, splitting the batch whenever a conditional branch
-   diverges between warps.  Each leaf batch is a *path group*: a set of
-   warps that executed the exact same dynamic basic-block path.  The
-   pass yields per-warp :class:`~repro.functional.trace.ControlTrace`\\ s
-   and the groups in one sweep — ``O(path length)`` interpreter steps
-   per group instead of per warp.
-2. FULL mode runs the same split-on-divergence lockstep directly, with
-   register files stacked along a leading batch axis — scalar registers
-   become ``(n_group,)`` rows, vector registers ``(n_group, warp_size)``
-   planes — so every vector/scalar handler is **one** vectorized numpy
-   op for every warp still on the same path: path groups share each
-   dispatch up to their divergence point instead of re-executing common
-   prefixes once per group, and the branch outcomes double as the
-   CONTROL pass (nothing is re-derived).  A fill whose warps already
-   have path signatures on record (``Kernel.path_memo``, written by any
-   earlier CONTROL or FULL lockstep pass) starts pre-partitioned into
-   its path groups, so a CONTROL fast-forward's grouping is shared with
-   subsequent FULL fills.  Per-warp
-   :class:`~repro.functional.trace.WarpTrace`\\ s are sliced back out
-   **bitwise-identical** to the per-warp executor's output (for a path
-   group, every trace array except ``mem_lines`` is shared; memory
-   lines are extracted per warp from the batched address planes).
+* A **fill** (:meth:`WarpPackExecutor.fill_full` /
+  :meth:`~WarpPackExecutor.fill_control`) runs a set of warps.  A
+  CONTROL fill starts as one merged batch; its leaves are the *path
+  groups* — sets of warps that executed the exact same dynamic
+  basic-block path — and the fill records every leaf's path signature
+  in ``Kernel.path_memo``.  A FULL fill whose warps already have
+  signatures on record starts pre-partitioned into those groups (the
+  rest form one merged batch whose scalar-branch outcomes discover the
+  grouping on the fly), so a CONTROL fast-forward's grouping is shared
+  with later FULL fills instead of being re-derived.  A stale memo entry
+  is only a hint: it costs one mid-batch split.
+* **When a fill runs as singletons.**  Fault plans arm per memory
+  instruction of a warp, and ``max_instructions`` /
+  ``stall_instructions`` are budgets of one warp's run; neither has a
+  batch-wise meaning.  A fill under either runs every warp as its own
+  batch of one, each with its own
+  ``executor(<kernel> warp <id>)`` watchdog — one local decision in
+  :meth:`WarpPackExecutor._fill`, counted as
+  ``exec.batch.singleton.{fault_plan,instruction_budget}``.  Deadline
+  and event budgets batch fine (one ``warppack(...)`` watchdog per
+  fill).  There is no switch: nothing else selects singletons.
+* **Faults.**  The driver isolates a faulting warp by bisection and
+  never re-executes the others, so a fill returns traces for every warp
+  that finished plus, in :attr:`PackFill.fallback`, the stored
+  per-warp :class:`~repro.errors.ExecutionError` of every warp that did
+  not.  Providers raise that error when the warp is requested.
+  Reliability errors (watchdog trips, injected faults) propagate out of
+  the fill: a budget trip must stop the run.
 
-Semantics notes (why bitwise equality holds):
-
-* Scalar arithmetic uses IEEE float64 either way; ``min``/``max`` are
-  replicated with ``np.where(b < a, b, a)`` (CPython's tie/NaN
-  behaviour), not ``np.minimum``.
-* ``int()`` truncation equals ``astype(np.int64)`` truncation for the
-  address magnitudes the memory model accepts.
-* Coalesced line sets use the same sorted-unique reduction as
-  :func:`~repro.functional.memory.lines_of`.
-
-Fallback ladder: any :class:`~repro.errors.ExecutionError` (including
-:class:`~repro.errors.MemoryFault`) during a batched attempt marks the
-affected warps for **per-warp fallback** — they are re-run through the
-plain executor so error behaviour and results match the per-warp path
-exactly.  Reliability errors (watchdog trips) propagate: a budget trip
-must stop the run, not silently retry it.  Batched execution is skipped
-entirely when a fault plan is armed (per-warp injection sites cannot be
-replicated batch-wise) or when the watchdog carries per-warp
-instruction/stall budgets.
-
-A process-wide flag (:func:`set_batching_enabled` /
-:func:`scoped_batching`, CLI ``--no-batch``) and the
-``PhotonConfig.batched_functional`` knob gate everything; fills are
-published on the obs bus as ``exec.batch`` / ``exec.batch_fallback``
-events with ``exec.batch.*`` counters.
+Fills are published on the obs bus as ``exec.batch`` /
+``exec.batch_fallback`` events with ``exec.batch.*`` counters.
 """
 
 from __future__ import annotations
 
 import time as _time
-from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..errors import ExecutionError
-from ..isa.opcodes import Opcode
-from ..obs import EXEC_BATCH, EXEC_BATCH_FALLBACK, EventBus, current_bus
+from ..obs import EXEC_BATCH, EXEC_BATCH_FALLBACK, EventBus
 from ..reliability.watchdog import WatchdogConfig
-from .executor import (
-    DEFAULT_MAX_STEPS,
-    FunctionalExecutor,
-    LDS_WORDS,
-    N_SREGS,
-    N_VREGS,
-    _K_BARRIER,
-    _K_BRANCH,
-    _K_CBR0,
-    _K_CBR1,
-    _K_DSREAD,
-    _K_DSWRITE,
-    _K_END,
-    _K_EXEC_ALL,
-    _K_EXEC_VCC,
-    _K_SBIN,
-    _K_SCMP,
-    _K_SLOAD,
-    _K_SMOV,
-    _K_VBIN,
-    _K_VCMP,
-    _K_VCND,
-    _K_VFMA,
-    _K_VLANE,
-    _K_VLOAD,
-    _K_VMAC,
-    _K_VMOV,
-    _K_VSTORE,
-    _K_WAITCNT,
-)
+from .executor import DEFAULT_MAX_STEPS, FunctionalExecutor
 from .kernel import Kernel
-from .memory import WORDS_PER_LINE
 from .trace import ControlTrace, WarpTrace
 
-#: warps batch-filled per pack attempt; bounds wasted work when a
+#: warps batch-filled per provider fill; bounds wasted work when a
 #: detector stops dispatch early and bounds per-fill memory
 DEFAULT_CHUNK = 256
 
-# -- process-wide batching switch (mirrors the default-bus pattern) --------
-
-_batching_enabled = True
-
-
-def batching_enabled() -> bool:
-    """Whether batched (WarpPack) functional execution is the default."""
-    return _batching_enabled
-
-
-def set_batching_enabled(on: bool) -> bool:
-    """Set the process-wide batching flag; returns the previous value."""
-    global _batching_enabled
-    previous = _batching_enabled
-    _batching_enabled = bool(on)
-    return previous
-
-
-@contextmanager
-def scoped_batching(on: bool):
-    """Temporarily force batching on or off."""
-    previous = set_batching_enabled(on)
-    try:
-        yield
-    finally:
-        set_batching_enabled(previous)
-
-
-# -- batched scalar semantics (bit-exact vs the per-warp Python ops) -------
-
-_BATCH_SBIN = {
-    Opcode.S_ADD.value: np.add,
-    Opcode.S_SUB.value: np.subtract,
-    Opcode.S_MUL.value: np.multiply,
-    # CPython min/max keep the *first* argument on ties and NaN
-    # comparisons — np.minimum/np.maximum do not, np.where does.
-    Opcode.S_MIN.value: lambda a, b: np.where(b < a, b, a),
-    Opcode.S_MAX.value: lambda a, b: np.where(b > a, b, a),
-}
-
-
-def _int_sbin(fn):
-    def apply(a, b):
-        return fn(
-            np.asarray(a, dtype=np.float64).astype(np.int64),
-            np.asarray(b, dtype=np.float64).astype(np.int64),
-        ).astype(np.float64)
-
-    return apply
-
-
-_BATCH_SBIN.update({
-    Opcode.S_AND.value: _int_sbin(np.bitwise_and),
-    Opcode.S_OR.value: _int_sbin(np.bitwise_or),
-    Opcode.S_LSHL.value: _int_sbin(np.left_shift),
-    Opcode.S_LSHR.value: _int_sbin(np.right_shift),
-})
-
-_BATCH_SCMP = {
-    Opcode.S_CMP_LT.value: np.less,
-    Opcode.S_CMP_LE.value: np.less_equal,
-    Opcode.S_CMP_EQ.value: np.equal,
-    Opcode.S_CMP_NE.value: np.not_equal,
-    Opcode.S_CMP_GT.value: np.greater,
-    Opcode.S_CMP_GE.value: np.greater_equal,
-}
-
-_LINE_SENTINEL = np.int64(2 ** 62)  # beyond any legal line number
-
-
-def _batch_mem_lines(addrs: np.ndarray,
-                     mask: Optional[np.ndarray]) -> List[tuple]:
-    """Per-warp coalesced line tuples for a ``(n, warp_size)`` plane.
-
-    Equivalent to calling :func:`lines_of` on each warp's active lanes
-    (sorted unique line numbers as a tuple of ints; ``()`` when a warp
-    has no active lane), but the sort/unique reduction runs once over
-    the whole plane.
-    """
-    lines = addrs.astype(np.int64) // WORDS_PER_LINE
-    if mask is not None:
-        lines = np.where(mask, lines, _LINE_SENTINEL)
-    srt = np.sort(lines, axis=1)
-    fresh = np.empty(srt.shape, dtype=bool)
-    fresh[:, 0] = True
-    fresh[:, 1:] = srt[:, 1:] != srt[:, :-1]
-    if mask is not None:
-        fresh &= srt != _LINE_SENTINEL
-    flat = srt[fresh].tolist()          # python ints in one C pass
-    out: List[tuple] = []
-    pos = 0
-    for count in fresh.sum(axis=1).tolist():
-        out.append(tuple(flat[pos:pos + count]))
-        pos += count
-    return out
-
 
 class PackFill:
-    """Result of one batched fill: traces plus fallback/accounting."""
+    """Result of one fill: traces, stored errors and accounting."""
 
     __slots__ = ("traces", "fallback", "group_sizes", "wall")
 
     def __init__(self, traces, fallback, group_sizes, wall):
         self.traces = traces          # Dict[int, WarpTrace|ControlTrace]
-        self.fallback = fallback      # List[int]: serve these per-warp
+        self.fallback = fallback      # Dict[int, ExecutionError]
         self.group_sizes = group_sizes
         self.wall = wall
 
 
 class WarpPackExecutor:
-    """Executes path groups of warps in lockstep numpy batches.
+    """Fills: path-memo grouping, the singleton decision, accounting.
 
-    Wraps (or builds) a per-warp :class:`FunctionalExecutor` for the
-    shared static tables and the fallback path.  The pack never arms
-    fault plans — callers must route fault-plan runs through the
-    per-warp executor (see :func:`pack_compatible`).
+    Wraps (or builds) the :class:`FunctionalExecutor` whose interpreter,
+    watchdog configuration and fault plan the fills use.
     """
 
     def __init__(self, kernel: Kernel,
@@ -235,630 +83,81 @@ class WarpPackExecutor:
                 kernel, max_steps=max_steps, watchdog=watchdog, bus=bus)
         self.executor = executor
         self.kernel = executor.kernel
-        self.max_steps = executor.max_steps
-        self.watchdog = watchdog if watchdog is not None \
-            else executor.watchdog
         self.bus = bus if bus is not None else executor.bus
 
-    # -- watchdog ----------------------------------------------------------
-
-    def _fill_watchdog(self, n_warps: int):
-        if self.watchdog is None:
-            return None
-        wd = self.watchdog.for_executor(
-            f"warppack({self.kernel.name!r} x{n_warps} warps)")
-        return wd if wd.armed else None
-
-    # -- state setup -------------------------------------------------------
-
-    def _init_sregs_batch(self, warp_ids: Sequence[int]) -> np.ndarray:
-        """Stacked scalar register file, shape ``(N_SREGS, n)``."""
-        init = self.executor._init_sregs
-        return np.array([init(w) for w in warp_ids],
-                        dtype=np.float64).T.copy()
-
-    # -- lockstep CONTROL with split-on-divergence -------------------------
-
-    def control_packs(self, warp_ids: Sequence[int],
-                      sregs0: Optional[np.ndarray] = None):
-        """Run CONTROL mode for all ``warp_ids`` in lockstep.
-
-        Returns ``(traces, groups, fallback)``: per-warp control traces,
-        the path groups as lists of warp ids (warps in one group took an
-        identical dynamic path), and warps whose batch raised an
-        :class:`ExecutionError` (serve those per-warp).
-        """
-        executor = self.executor
-        static = executor._static
-        memory = self.kernel.memory
-        read_gather = memory.read_gather
-        max_steps = self.max_steps
-        memo = self.kernel.path_memo
-        ids = np.asarray(list(warp_ids), dtype=np.int64)
-        wd = self._fill_watchdog(len(ids))
-        wd_seen = bytearray(len(static)) if wd is not None else None
-
-        traces: Dict[int, ControlTrace] = {}
-        groups: List[List[int]] = []
-        fallback: List[int] = []
-        sregs0 = (self._init_sregs_batch(ids) if sregs0 is None
-                  else sregs0.copy())
-        # item: (pc, steps, n_insts, sregs(N_SREGS,k), scc(k,), bb_seq, idx)
-        stack = [(0, 0, 0, sregs0,
-                  np.zeros(len(ids), dtype=bool), [], ids)]
-
-        while stack:
-            pc, steps, n_insts, sregs, scc, bb_seq, members = stack.pop()
-            try:
-                while True:
-                    steps += 1
-                    if steps > max_steps:
-                        raise ExecutionError(
-                            f"warp pack of {self.kernel.name!r} exceeded "
-                            f"{max_steps} steps (runaway loop?)")
-                    info = static[pc]
-                    if wd is not None:
-                        if not wd_seen[pc]:
-                            wd_seen[pc] = 1
-                            wd.note_progress()
-                        wd.tick()
-                    if info.is_leader:
-                        bb_seq.append(pc)
-                    n_insts += 1
-                    next_pc = pc + 1
-                    kind = info.kind
-
-                    if kind == _K_SBIN:
-                        a, b = self._sread(info, sregs)
-                        sregs[info.dst_idx] = _BATCH_SBIN[info.opcode_id](
-                            a, b)
-                    elif kind == _K_SCMP:
-                        a, b = self._sread(info, sregs)
-                        flags = np.asarray(
-                            _BATCH_SCMP[info.opcode_id](a, b), dtype=bool)
-                        if flags.shape != scc.shape:
-                            flags = np.broadcast_to(
-                                flags, scc.shape).copy()
-                        scc = flags
-                    elif kind == _K_SMOV:
-                        tag, x = info.src_spec[0]
-                        if tag == "v":
-                            raise ExecutionError(
-                                f"vector operand v{x} evaluated in "
-                                f"scalar-only (CONTROL) mode")
-                        sregs[info.dst_idx] = (
-                            sregs[x] if tag == "s" else float(x))
-                    elif kind == _K_SLOAD:
-                        addrs = (sregs[info.mem_base].astype(np.int64)
-                                 + info.mem_offset)
-                        sregs[info.dst_idx] = read_gather(addrs)
-                    elif kind == _K_BRANCH:
-                        next_pc = info.target
-                    elif kind == _K_CBR1 or kind == _K_CBR0:
-                        taken = scc if kind == _K_CBR1 else ~scc
-                        if taken.all():
-                            next_pc = info.target
-                        elif taken.any():
-                            # divergence: split into two lockstep items
-                            not_taken = ~taken
-                            stack.append((
-                                info.target, steps, n_insts,
-                                sregs[:, taken], scc[taken],
-                                list(bb_seq), members[taken]))
-                            stack.append((
-                                pc + 1, steps, n_insts,
-                                sregs[:, not_taken], scc[not_taken],
-                                list(bb_seq), members[not_taken]))
-                            break
-                    elif kind == _K_END:
-                        group = [int(w) for w in members]
-                        token = object()
-                        for warp_id in group:
-                            trace = ControlTrace(warp_id=warp_id)
-                            trace.bb_seq = list(bb_seq)
-                            trace.n_insts = n_insts
-                            traces[warp_id] = trace
-                            memo[warp_id] = token
-                        groups.append(group)
-                        break
-                    # vector / LDS / barrier / waitcnt: control-irrelevant
-                    pc = next_pc
-            except ExecutionError:
-                fallback.extend(int(w) for w in members)
-        return traces, groups, fallback
-
-    @staticmethod
-    def _sread(info, sregs):
-        """Scalar operand rows for a batched scalar instruction."""
-        out = []
-        for tag, x in info.src_spec[:2]:
-            if tag == "s":
-                out.append(sregs[x])
-            elif tag == "v":
-                raise ExecutionError(
-                    f"vector operand v{x} evaluated in scalar-only "
-                    f"(CONTROL) mode")
-            else:
-                out.append(x)
-        return out
-
-    # -- batched FULL execution of one path group --------------------------
-
-    def run_group_full(self, warp_ids: Sequence[int],
-                       wd=None, wd_seen=None,
-                       sregs0: Optional[np.ndarray] = None
-                       ) -> Dict[int, WarpTrace]:
-        """FULL-mode execute one path group as a single batch.
-
-        A single-batch wrapper over :meth:`_run_batches_full`.  Scalar
-        branch divergence inside the group no longer raises — the batch
-        splits and each side continues (a stale ``path_memo`` hint
-        self-heals at the cost of one split).  Raises
-        :class:`ExecutionError` when any part of the batch faults; the
-        caller falls back to the per-warp executor.
-        """
-        traces, _sizes, fallback = self._run_batches_full(
-            [(list(warp_ids), sregs0)], wd=wd, wd_seen=wd_seen)
-        if fallback:
-            raise ExecutionError(
-                f"warp pack group of {self.kernel.name!r} faulted for "
-                f"warps {sorted(fallback)}")
-        return traces
-
-    def _run_batches_full(self, batches, wd=None, wd_seen=None):
-        """FULL-mode execute ``batches`` with split-on-divergence.
-
-        ``batches`` is a list of ``(members, sregs0)`` items, each a
-        warp-id sequence plus its stacked ``(N_SREGS, k)`` initial
-        scalar registers (``None`` derives them from the kernel
-        arguments).  Warps in one batch advance in lockstep — **one
-        numpy dispatch per instruction for the whole batch** — for
-        exactly as long as their dynamic paths coincide; a scalar
-        branch with mixed outcomes splits the batch and each side
-        continues independently.  Path groups therefore share every
-        dispatch up to their divergence point instead of re-executing
-        common prefixes once per group, and the branch outcomes double
-        as the CONTROL lockstep pass (no separate CONTROL
-        re-derivation before a FULL fill).
-
-        Returns ``(traces, group_sizes, fallback)``: per-warp
-        :class:`WarpTrace`\\ s, the leaf path-group sizes, and warps
-        whose batch raised an :class:`ExecutionError` (serve those
-        per-warp).  Every finished leaf records its path signature in
-        ``kernel.path_memo``, so later fills start pre-partitioned.
-        """
-        kernel = self.kernel
-        executor = self.executor
-        static = executor._static
-        warp_size = kernel.warp_size
-        memory = kernel.memory
-        read_gather = memory.read_gather
-        write_scatter = memory.write_scatter
-        max_steps = self.max_steps
-        memo = kernel.path_memo
-
-        traces: Dict[int, WarpTrace] = {}
-        group_sizes: List[int] = []
-        fallback: List[int] = []
-
-        # item: (pc, steps, dyn, last_mem_dyn, members, sregs, vregs,
-        #        lds, vcc, exec_mask, exec_all, scc, columns, mem_rows,
-        #        last_writer); vector/LDS state is allocated lazily when
-        #        an initial item is first popped
-        stack = []
-        for members, sregs0 in batches:
-            ids = np.asarray(list(members), dtype=np.int64)
-            if not ids.size:
-                continue
-            sregs = (self._init_sregs_batch(ids) if sregs0 is None
-                     else sregs0.copy())
-            stack.append((0, 0, 0, -1, ids, sregs, None, None, None,
-                          None, True, np.zeros(ids.size, dtype=bool),
-                          ([], [], [], [], [], []), [], {}))
-
-        while stack:
-            (pc, steps, dyn, last_mem_dyn, members, sregs, vregs, lds,
-             vcc, exec_mask, exec_all, scc, cols, mem_rows,
-             last_writer) = stack.pop()
-            n = len(members)
-            if vregs is None:
-                vregs = np.zeros((N_VREGS, n, warp_size),
-                                 dtype=np.float64)
-                lds = np.zeros((n, LDS_WORDS), dtype=np.float64)
-                vcc = np.zeros((n, warp_size), dtype=bool)
-                exec_mask = np.ones((n, warp_size), dtype=bool)
-            t_static, t_class, t_opcode, t_dep, t_store, t_bb = cols
-            row_ids = np.arange(n)[:, None]           # LDS row selector
-            lane_ids = np.arange(warp_size, dtype=np.float64)
-            lw_get = last_writer.get
-
-            def val(spec, sregs=sregs, vregs=vregs):
-                tag, x = spec
-                if tag == "s":
-                    return sregs[x][:, None]  # warp column vs lane axis
-                if tag == "v":
-                    return vregs[x]
-                return x
-
-            try:
-                while True:
-                    steps += 1
-                    if steps > max_steps:
-                        raise ExecutionError(
-                            f"warp pack of {kernel.name!r} exceeded "
-                            f"{max_steps} steps (runaway loop?)")
-                    info = static[pc]
-                    if wd is not None:
-                        if not wd_seen[pc]:
-                            wd_seen[pc] = 1
-                            wd.note_progress()
-                        wd.tick()
-                    if info.is_leader:
-                        t_bb.append((pc, dyn))
-                    kind = info.kind
-
-                    dep = -1
-                    for key in info.reads:
-                        d = lw_get(key, -1)
-                        if d > dep:
-                            dep = d
-
-                    mem_rec = None   # None, or list of per-warp tuples
-                    split = None     # mixed-outcome scalar branch mask
-                    store = False
-                    next_pc = pc + 1
-                    spec = info.src_spec
-
-                    if kind == _K_VBIN:
-                        result = info.fn(val(spec[0]), val(spec[1]))
-                        if exec_all:
-                            vregs[info.dst_idx] = np.broadcast_to(
-                                result, (n, warp_size))
-                        else:
-                            vregs[info.dst_idx][exec_mask] = \
-                                np.broadcast_to(
-                                    result, (n, warp_size))[exec_mask]
-                    elif kind == _K_VMAC:
-                        result = vregs[info.dst_idx] + \
-                            np.asarray(val(spec[0])) * val(spec[1])
-                        if exec_all:
-                            vregs[info.dst_idx] = result
-                        else:
-                            vregs[info.dst_idx][exec_mask] = \
-                                result[exec_mask]
-                    elif kind == _K_SBIN:
-                        a, b = self._sread_full(info, sregs)
-                        sregs[info.dst_idx] = _BATCH_SBIN[
-                            info.opcode_id](a, b)
-                    elif kind == _K_SCMP:
-                        a, b = self._sread_full(info, sregs)
-                        flags = np.asarray(
-                            _BATCH_SCMP[info.opcode_id](a, b),
-                            dtype=bool)
-                        if flags.shape != scc.shape:
-                            flags = np.broadcast_to(
-                                flags, scc.shape).copy()
-                        scc = flags
-                    elif kind == _K_SMOV:
-                        tag, x = spec[0]
-                        if tag == "v":
-                            raise ExecutionError(
-                                f"vector operand v{x} in a scalar move")
-                        sregs[info.dst_idx] = (
-                            sregs[x] if tag == "s" else float(x))
-                    elif kind == _K_VCMP:
-                        vcc = np.asarray(
-                            info.fn(np.asarray(val(spec[0])),
-                                    np.asarray(val(spec[1]))),
-                            dtype=bool)
-                        if vcc.shape != (n, warp_size):
-                            vcc = np.broadcast_to(
-                                vcc, (n, warp_size)).copy()
-                    elif kind == _K_VLOAD:
-                        base = (sregs[info.mem_base][:, None]
-                                + info.mem_offset)
-                        if info.mem_index >= 0:
-                            addrs = (base + vregs[info.mem_index]
-                                     * info.mem_scale)
-                        else:
-                            addrs = np.broadcast_to(base, (n, warp_size))
-                        if exec_all:
-                            values = read_gather(addrs.ravel())
-                            vregs[info.dst_idx] = values.reshape(
-                                n, warp_size)
-                            mem_rec = _batch_mem_lines(addrs, None)
-                        else:
-                            flat = addrs[exec_mask]
-                            if flat.size:
-                                vregs[info.dst_idx][exec_mask] = \
-                                    read_gather(flat)
-                            mem_rec = _batch_mem_lines(addrs, exec_mask)
-                        last_mem_dyn = dyn
-                    elif kind == _K_VSTORE:
-                        base = (sregs[info.mem_base][:, None]
-                                + info.mem_offset)
-                        if info.mem_index >= 0:
-                            addrs = (base + vregs[info.mem_index]
-                                     * info.mem_scale)
-                        else:
-                            addrs = np.broadcast_to(base, (n, warp_size))
-                        data = vregs[info.dst_idx]
-                        if exec_all:
-                            write_scatter(addrs.ravel(), data.ravel())
-                            mem_rec = _batch_mem_lines(addrs, None)
-                        else:
-                            flat = addrs[exec_mask]
-                            if flat.size:
-                                write_scatter(flat, data[exec_mask])
-                            mem_rec = _batch_mem_lines(addrs, exec_mask)
-                        store = True
-                        last_mem_dyn = dyn
-                    elif kind == _K_SLOAD:
-                        addrs = (sregs[info.mem_base].astype(np.int64)
-                                 + info.mem_offset)
-                        sregs[info.dst_idx] = read_gather(addrs)
-                        mem_rec = [(line,) for line in
-                                   (addrs // WORDS_PER_LINE).tolist()]
-                        last_mem_dyn = dyn
-                    elif kind == _K_DSREAD:
-                        idx = (np.asarray(val(spec[0]))
-                               .astype(np.int64) % LDS_WORDS)
-                        idx = np.broadcast_to(idx, (n, warp_size))
-                        gathered = lds[row_ids, idx]
-                        if exec_all:
-                            vregs[info.dst_idx] = gathered
-                        else:
-                            vregs[info.dst_idx][exec_mask] = \
-                                gathered[exec_mask]
-                    elif kind == _K_DSWRITE:
-                        idx = (np.asarray(val(spec[0]))
-                               .astype(np.int64) % LDS_WORDS)
-                        idx = np.broadcast_to(idx, (n, warp_size))
-                        data = np.broadcast_to(
-                            np.asarray(val(spec[1]), dtype=np.float64),
-                            (n, warp_size))
-                        rows = np.broadcast_to(row_ids, (n, warp_size))
-                        if exec_all:
-                            lds[rows, idx] = data
-                        else:
-                            lds[rows[exec_mask], idx[exec_mask]] = \
-                                data[exec_mask]
-                    elif kind == _K_VFMA:
-                        result = (np.asarray(val(spec[0])) * val(spec[1])
-                                  + val(spec[2]))
-                        if exec_all:
-                            vregs[info.dst_idx] = np.broadcast_to(
-                                result, (n, warp_size))
-                        else:
-                            vregs[info.dst_idx][exec_mask] = \
-                                np.broadcast_to(
-                                    result, (n, warp_size))[exec_mask]
-                    elif kind == _K_VMOV:
-                        result = np.broadcast_to(
-                            np.asarray(val(spec[0]), dtype=np.float64),
-                            (n, warp_size))
-                        if exec_all:
-                            vregs[info.dst_idx][...] = result
-                        else:
-                            vregs[info.dst_idx][exec_mask] = \
-                                result[exec_mask]
-                    elif kind == _K_VLANE:
-                        if exec_all:
-                            vregs[info.dst_idx][...] = lane_ids
-                        else:
-                            vregs[info.dst_idx][exec_mask] = \
-                                np.broadcast_to(
-                                    lane_ids,
-                                    (n, warp_size))[exec_mask]
-                    elif kind == _K_VCND:
-                        result = np.where(vcc, np.asarray(val(spec[1])),
-                                          np.asarray(val(spec[0])))
-                        if exec_all:
-                            vregs[info.dst_idx] = np.broadcast_to(
-                                result, (n, warp_size))
-                        else:
-                            vregs[info.dst_idx][exec_mask] = \
-                                np.broadcast_to(
-                                    result, (n, warp_size))[exec_mask]
-                    elif kind == _K_EXEC_VCC:
-                        exec_mask = vcc.copy()
-                        exec_all = bool(exec_mask.all())
-                    elif kind == _K_EXEC_ALL:
-                        exec_mask = np.ones((n, warp_size), dtype=bool)
-                        exec_all = True
-                    elif kind == _K_BRANCH:
-                        next_pc = info.target
-                    elif kind == _K_CBR1 or kind == _K_CBR0:
-                        taken = scc if kind == _K_CBR1 else ~scc
-                        if taken.all():
-                            next_pc = info.target
-                        elif taken.any():
-                            split = taken
-                    elif kind == _K_BARRIER:
-                        pass  # timing-only effect
-                    elif kind == _K_WAITCNT:
-                        if last_mem_dyn > dep:
-                            dep = last_mem_dyn
-                    elif kind == _K_END:
-                        t_static.append(pc)
-                        t_class.append(info.opclass)
-                        t_opcode.append(info.opcode_id)
-                        t_dep.append(dep)
-                        t_store.append(False)
-                        # END rows never record memory (entry is None)
-                        # slice per-warp traces out of the shared
-                        # columns; every warp of the leaf references
-                        # the SAME column list objects (only mem_lines
-                        # is per-warp) — columns are immutable once
-                        # built, and downstream id()-keyed conversion
-                        # caches (the timing engine's per-trace pools)
-                        # rely on the sharing
-                        n_insts = len(t_static)
-                        mem_template: List[Optional[tuple]] = \
-                            [None] * n_insts
-                        token = object()
-                        for j, warp_id in enumerate(members):
-                            wid = int(warp_id)
-                            mem = list(mem_template)
-                            for pos, per_warp in mem_rows:
-                                mem[pos] = per_warp[j]
-                            trace = WarpTrace(warp_id=wid)
-                            trace.static_idx = t_static
-                            trace.opclass = t_class
-                            trace.opcode = t_opcode
-                            trace.dep = t_dep
-                            trace.mem_lines = mem
-                            trace.is_store = t_store
-                            trace.bb_seq = t_bb
-                            traces[wid] = trace
-                            memo[wid] = token
-                        group_sizes.append(n)
-                        break
-                    else:  # pragma: no cover - defensive
-                        raise ExecutionError(f"unhandled kind {kind}")
-
-                    for key in info.writes:
-                        last_writer[key] = dyn
-
-                    t_static.append(pc)
-                    t_class.append(info.opclass)
-                    t_opcode.append(info.opcode_id)
-                    t_dep.append(dep)
-                    t_store.append(store)
-                    if mem_rec is not None:
-                        mem_rows.append((dyn, mem_rec))
-                    dyn += 1
-
-                    if split is not None:
-                        # mixed-outcome scalar branch: peel the taken
-                        # side off with copied history (the
-                        # fall-through side keeps the live columns);
-                        # per-warp memory rows re-index on both sides
-                        not_taken = ~split
-                        sel = np.nonzero(split)[0].tolist()
-                        osel = np.nonzero(not_taken)[0].tolist()
-                        taken_rows = [(d, [rec[j] for j in sel])
-                                      for d, rec in mem_rows]
-                        mem_rows = [(d, [rec[j] for j in osel])
-                                    for d, rec in mem_rows]
-                        stack.append((
-                            info.target, steps, dyn, last_mem_dyn,
-                            members[split], sregs[:, split],
-                            vregs[:, split], lds[split], vcc[split],
-                            exec_mask[split],
-                            exec_all or bool(exec_mask[split].all()),
-                            scc[split],
-                            (list(t_static), list(t_class),
-                             list(t_opcode), list(t_dep),
-                             list(t_store), list(t_bb)),
-                            taken_rows, dict(last_writer)))
-                        stack.append((
-                            pc + 1, steps, dyn, last_mem_dyn,
-                            members[not_taken], sregs[:, not_taken],
-                            vregs[:, not_taken], lds[not_taken],
-                            vcc[not_taken], exec_mask[not_taken],
-                            exec_all
-                            or bool(exec_mask[not_taken].all()),
-                            scc[not_taken], cols, mem_rows,
-                            last_writer))
-                        break
-
-                    pc = next_pc
-            except ExecutionError:
-                fallback.extend(int(w) for w in members)
-        return traces, group_sizes, fallback
-
-    @staticmethod
-    def _sread_full(info, sregs):
-        """Scalar operand rows in FULL mode (vector operands rejected)."""
-        out = []
-        for tag, x in info.src_spec[:2]:
-            if tag == "s":
-                out.append(sregs[x])
-            elif tag == "v":
-                raise ExecutionError(
-                    f"vector operand v{x} in a scalar instruction")
-            else:
-                out.append(x)
-        return out
-
-    # -- fills (grouping + events + fallback accounting) -------------------
-
     def fill_control(self, warp_ids: Sequence[int]) -> PackFill:
-        """Batched CONTROL traces for ``warp_ids`` (+ fallback list)."""
-        with self.bus.metrics.span("functional"):
-            t0 = _time.perf_counter()
-            traces, groups, fallback = self.control_packs(warp_ids)
-            fill = PackFill(traces, fallback,
-                            [len(g) for g in groups],
-                            _time.perf_counter() - t0)
-        self._publish(fill, "control")
-        return fill
+        """CONTROL traces for ``warp_ids`` (+ stored per-warp errors)."""
+        return self._fill(warp_ids, False)
 
     def fill_full(self, warp_ids: Sequence[int]) -> PackFill:
-        """Batched FULL traces for ``warp_ids``.
+        """FULL traces for ``warp_ids`` (+ stored per-warp errors)."""
+        return self._fill(warp_ids, True)
 
-        Warps whose dynamic path is already on record (an earlier
-        CONTROL or FULL lockstep pass of this kernel — see
-        ``Kernel.path_memo``) start pre-partitioned into their path
-        groups; the rest run as one merged batch whose scalar-branch
-        outcomes discover the grouping on the fly.  Either way the
-        CONTROL lockstep pass is shared, not re-derived.  Warps whose
-        batch raised an :class:`ExecutionError` land on
-        ``fill.fallback`` — serve them through the per-warp executor
-        (their stores may have partially applied, but warps are
-        architecturally independent and stores are deterministic, so a
-        per-warp re-run reproduces the exact per-warp results).
-        """
-        with self.bus.metrics.span("functional"):
+    def _fill(self, warp_ids: Sequence[int], full: bool) -> PackFill:
+        executor = self.executor
+        metrics = self.bus.metrics
+        with metrics.span("functional"):
             t0 = _time.perf_counter()
             ids = [int(w) for w in warp_ids]
-            column = {w: j for j, w in enumerate(ids)}
-            memo = self.kernel.path_memo
-            known: Dict[object, List[int]] = {}
-            unknown: List[int] = []
-            for w in ids:
-                token = memo.get(w)
-                if token is None:
-                    unknown.append(w)
-                else:
-                    known.setdefault(token, []).append(w)
-            groups = ([unknown] if unknown else []) + list(known.values())
-            wd = self._fill_watchdog(len(ids))
-            wd_seen = (bytearray(len(self.executor._static))
-                       if wd is not None else None)
-            sregs_all = (self._init_sregs_batch(ids) if ids else None)
-            batches = [(group, sregs_all[:, [column[w] for w in group]])
-                       for group in groups]
-            traces, group_sizes, fallback = self._run_batches_full(
-                batches, wd=wd, wd_seen=wd_seen)
-            if known:
-                self.bus.metrics.counter("exec.batch.ctrl_reused").inc(
-                    sum(len(g) for g in known.values()))
-            fill = PackFill(traces, fallback, group_sizes,
+            limits = executor.watchdog
+            if executor.fault_plan is not None:
+                singleton = "fault_plan"
+            elif limits is not None and (
+                    limits.max_instructions is not None
+                    or limits.stall_instructions is not None):
+                singleton = "instruction_budget"
+            else:
+                singleton = None
+            if singleton is not None:
+                metrics.counter(f"exec.batch.singleton.{singleton}").inc()
+                batches = [([w], executor.warp_watchdog(w)) for w in ids]
+            else:
+                unknown: List[int] = []
+                known: Dict[object, List[int]] = {}
+                memo = self.kernel.path_memo if full else {}
+                for w in ids:
+                    token = memo.get(w)
+                    if token is None:
+                        unknown.append(w)
+                    else:
+                        known.setdefault(token, []).append(w)
+                if known:
+                    metrics.counter("exec.batch.ctrl_reused").inc(
+                        len(ids) - len(unknown))
+                wd = executor.watchdog_for(
+                    f"warppack({self.kernel.name!r} x{len(ids)} warps)")
+                batches = [(group, wd)
+                           for group in [unknown, *known.values()] if group]
+            traces, errors, groups = executor.run_batches(batches, full)
+            if singleton is None and len(ids) > 1:
+                # warps that finished together took one path: record it
+                # (a warp that ran alone says nothing about grouping)
+                for group in groups:
+                    token = object()
+                    for w in group:
+                        self.kernel.path_memo[w] = token
+            fill = PackFill(traces, errors, [len(g) for g in groups],
                             _time.perf_counter() - t0)
-        self._publish(fill, "full")
+        self._publish(fill, "full" if full else "control")
         return fill
 
     def run_warps_full(
             self, warp_ids: Sequence[int]) -> Dict[int, WarpTrace]:
-        """Batched FULL traces with eager per-warp fallback.
-
-        Unlike :meth:`fill_full` (which defers fallback warps so errors
-        surface when each warp is individually requested), this eagerly
-        re-runs fallback warps and therefore raises the per-warp error.
-        """
-        fill = self.fill_full(warp_ids)
-        for warp_id in fill.fallback:
-            fill.traces[warp_id] = self.executor.run_warp_full(warp_id)
-        return fill.traces
+        """FULL traces for ``warp_ids``; raises the stored error of the
+        lowest warp that faulted (:meth:`fill_full` defers it until the
+        warp is individually requested)."""
+        return self._all_or_raise(self.fill_full(warp_ids))
 
     def run_warps_control(
             self, warp_ids: Sequence[int]) -> Dict[int, ControlTrace]:
-        """Batched CONTROL traces with eager per-warp fallback."""
-        fill = self.fill_control(warp_ids)
-        for warp_id in fill.fallback:
-            fill.traces[warp_id] = self.executor.run_warp_control(warp_id)
+        """CONTROL traces for ``warp_ids``; raises like
+        :meth:`run_warps_full`."""
+        return self._all_or_raise(self.fill_control(warp_ids))
+
+    @staticmethod
+    def _all_or_raise(fill: PackFill):
+        if fill.fallback:
+            raise fill.fallback[min(fill.fallback)]
         return fill.traces
 
     def _publish(self, fill: PackFill, mode: str) -> None:
@@ -881,96 +180,66 @@ class WarpPackExecutor:
                                    sorted(fill.fallback))
 
 
-# -- compatibility + convenience entry points ------------------------------
-
-
-def pack_compatible(watchdog: Optional[WatchdogConfig] = None,
-                    fault_plan=None) -> bool:
-    """Whether batched execution preserves these reliability semantics.
-
-    Fault plans arm per-warp injection sites; instruction/stall budgets
-    are per-warp-run quantities.  Neither can be replicated batch-wise,
-    so their presence routes execution through the per-warp path.
-    Deadline and event budgets batch fine.
-    """
-    if fault_plan is not None:
-        return False
-    if watchdog is not None and (watchdog.max_instructions is not None
-                                 or watchdog.stall_instructions is not None):
-        return False
-    return True
-
-
 def control_traces(kernel: Kernel, warp_ids: Iterable[int],
                    watchdog: Optional[WatchdogConfig] = None,
                    bus: Optional[EventBus] = None,
                    executor: Optional[FunctionalExecutor] = None,
-                   batched: bool = True) -> Dict[int, ControlTrace]:
-    """CONTROL traces for ``warp_ids``, batched when allowed.
+                   ) -> Dict[int, ControlTrace]:
+    """CONTROL traces for ``warp_ids`` in one fill.
 
     The single fast-forward entry point shared by Photon's online
     analysis and bb-sampling finish, PKA profiling, and the TBPoint /
-    inter-kernel baselines.  Honors the process-wide batching flag and
-    the caller's ``batched`` knob; falls back to the per-warp executor
-    wholesale when batching is off or incompatible, and per warp when a
-    batch raises.
+    inter-kernel baselines.
     """
-    ids = list(warp_ids)
     if executor is None:
         executor = FunctionalExecutor(kernel, watchdog=watchdog, bus=bus)
-    if (batched and batching_enabled() and len(ids) > 1
-            and pack_compatible(executor.watchdog, executor.fault_plan)):
-        pack = WarpPackExecutor(kernel, executor=executor)
-        return pack.run_warps_control(ids)
-    return {w: executor.run_warp_control(w) for w in ids}
+    return WarpPackExecutor(
+        kernel, bus=bus, executor=executor).run_warps_control(
+            list(warp_ids))
 
 
 class PackProvider:
-    """A chunked, batch-filling ``trace_provider`` for the engine.
+    """A chunked, fill-backed ``trace_provider`` for the engine.
 
-    Serves :meth:`DetailedEngine` trace requests from pack fills of
-    ``chunk`` consecutive warps, so the per-warp Python interpreter runs
-    only for fallback warps.  Chunking bounds both wasted work under
+    Serves :meth:`DetailedEngine` trace requests from FULL fills of
+    ``chunk`` consecutive warps.  Chunking bounds both wasted work under
     detector early-stop and resident trace memory (served traces are
-    dropped; the engine keeps what it needs).
+    dropped; the engine keeps what it needs).  ``have(w)``, when given,
+    names warps the caller can already serve from elsewhere (a cache, a
+    store): a fill never emulates them speculatively, only on request.
+    A warp whose emulation faulted raises its stored error whenever it
+    is requested.
     """
 
     def __init__(self, kernel: Kernel, chunk: int = DEFAULT_CHUNK,
-                 executor: Optional[FunctionalExecutor] = None):
+                 executor: Optional[FunctionalExecutor] = None,
+                 have: Optional[Callable[[int], bool]] = None):
         self.kernel = kernel
         self.chunk = max(1, int(chunk))
         self.executor = executor if executor is not None \
             else FunctionalExecutor(kernel)
         self._pack = WarpPackExecutor(kernel, executor=self.executor)
+        self._have = have if have is not None else (lambda w: False)
         self._ready: Dict[int, WarpTrace] = {}
-        self._fallback: set = set()
+        self._errors: Dict[int, ExecutionError] = {}
         self._filled: set = set()
 
     def __call__(self, warp_id: int) -> WarpTrace:
         trace = self._ready.pop(warp_id, None)
         if trace is not None:
             return trace
-        if (warp_id in self._fallback or not batching_enabled()
-                or not pack_compatible(self.executor.watchdog,
-                                       self.executor.fault_plan)):
-            return self.executor.run_warp_full(warp_id)
-        lo = (warp_id // self.chunk) * self.chunk
-        hi = min(lo + self.chunk, self.kernel.n_warps)
-        candidates = [w for w in range(lo, hi) if w not in self._filled]
-        if warp_id not in candidates:
-            candidates.append(warp_id)
-        fill = self._pack.fill_full(candidates)
-        self._filled.update(candidates)
-        self._ready.update(fill.traces)
-        self._fallback.update(fill.fallback)
-        trace = self._ready.pop(warp_id, None)
-        if trace is not None:
-            return trace
-        return self.executor.run_warp_full(warp_id)
-
-
-def resolve_trace_provider(kernel: Kernel):
-    """Default engine ``trace_provider``: batched when enabled."""
-    if batching_enabled():
-        return PackProvider(kernel)
-    return FunctionalExecutor(kernel).run_warp_full
+        if warp_id not in self._errors:
+            lo = (warp_id // self.chunk) * self.chunk
+            hi = min(lo + self.chunk, self.kernel.n_warps)
+            candidates = [w for w in range(lo, hi)
+                          if w not in self._filled and not self._have(w)]
+            if warp_id not in candidates:
+                candidates.append(warp_id)
+            fill = self._pack.fill_full(candidates)
+            self._filled.update(candidates)
+            self._ready.update(fill.traces)
+            self._errors.update(fill.fallback)
+            trace = self._ready.pop(warp_id, None)
+            if trace is not None:
+                return trace
+        raise self._errors[warp_id]

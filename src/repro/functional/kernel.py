@@ -62,8 +62,8 @@ class Kernel:
     name: str = ""
     # free-form metadata (layer name, problem size, ...) used in reports
     meta: Dict[str, object] = field(default_factory=dict)
-    # per-warp dynamic-path signatures discovered by WarpPack lockstep
-    # passes (functional.batch): warps sharing a token took an identical
+    # per-warp dynamic-path signatures recorded by the interpreter's
+    # finished batches: warps sharing a token took an identical
     # path, so a CONTROL fast-forward's grouping pre-partitions later
     # FULL fills instead of being re-derived.  Purely a performance
     # hint — a stale entry only costs a mid-batch split.

@@ -26,7 +26,6 @@ from ..core.config import PhotonConfig
 from ..core.kerneldb import KernelDB
 from ..core.photon import AnalysisStore, Photon
 from ..errors import ReproError, WorkloadError
-from ..functional.batch import batching_enabled, scoped_batching
 from ..functional.kernel import Application, Kernel
 from ..reliability.faults import FaultPlan
 from ..reliability.retry import NO_RETRY, RetryPolicy
@@ -222,15 +221,13 @@ def simulate_method(kernel: Kernel, method: str, gpu: GpuConfig,
     """
     if fault_plan is not None:
         fault_plan.arm("harness.method", kernel=method)
-    with scoped_batching(batching_enabled()
-                         and photon_config.batched_functional):
-        if method == "pka":
-            return PKA(gpu, pka_config).simulate_kernel(kernel)
-        if method in _BASELINES:
-            return _BASELINES[method](gpu).simulate_kernel(kernel)
-        simulator = _photon_for(method, gpu, photon_config, watchdog,
-                                fault_plan, analysis_store, kernel_db)
-        return simulator.simulate_kernel(kernel)
+    if method == "pka":
+        return PKA(gpu, pka_config).simulate_kernel(kernel)
+    if method in _BASELINES:
+        return _BASELINES[method](gpu).simulate_kernel(kernel)
+    simulator = _photon_for(method, gpu, photon_config, watchdog,
+                            fault_plan, analysis_store, kernel_db)
+    return simulator.simulate_kernel(kernel)
 
 
 def simulate_app_method(app: Application, method: str, gpu: GpuConfig,
@@ -243,16 +240,14 @@ def simulate_app_method(app: Application, method: str, gpu: GpuConfig,
     """Application counterpart of :func:`simulate_method`."""
     if fault_plan is not None:
         fault_plan.arm("harness.method", kernel=method)
-    with scoped_batching(batching_enabled()
-                         and photon_config.batched_functional):
-        if method == "pka":
-            return PKA(gpu, pka_config).simulate_app(app)
-        if method in _BASELINES:
-            return _BASELINES[method](gpu).simulate_app(
-                app, method_name=method)
-        simulator = _photon_for(method, gpu, photon_config, watchdog,
-                                fault_plan, analysis_store, kernel_db)
-        return simulator.simulate_app(app, method_name=method)
+    if method == "pka":
+        return PKA(gpu, pka_config).simulate_app(app)
+    if method in _BASELINES:
+        return _BASELINES[method](gpu).simulate_app(
+            app, method_name=method)
+    simulator = _photon_for(method, gpu, photon_config, watchdog,
+                            fault_plan, analysis_store, kernel_db)
+    return simulator.simulate_app(app, method_name=method)
 
 
 def sweep_sizes(

@@ -101,12 +101,12 @@ EXEC_BATCH = EventType(
     "exec.batch",
     ("kernel", "mode", "warps", "groups", "group_sizes", "fallbacks",
      "wall"),
-    "One WarpPack batched fill: path-group count and sizes, warps "
-    "served batched, warps deferred to per-warp fallback.")
+    "One fill of warps through the interpreter: path-group count and "
+    "sizes, warps with a trace, warps isolated with a stored error.")
 EXEC_BATCH_FALLBACK = EventType(
     "exec.batch_fallback", ("kernel", "mode", "warps"),
-    "A batched attempt raised ExecutionError; these warps will be "
-    "re-run through the per-warp executor.")
+    "A fill isolated these warps: each faulted as a batch of one and "
+    "its ExecutionError is raised when the warp is requested.")
 
 # -- persistent trace store (TraceForge) -----------------------------------
 

@@ -31,7 +31,6 @@ from ..core.persist import analysis_store_payload, kernel_db_payload
 from ..core.photon import AnalysisStore
 from ..baselines.pka import PkaConfig
 from ..errors import ConfigError, ReproError
-from ..functional.batch import batching_enabled, scoped_batching
 from ..harness.defaults import EVAL_PHOTON, resolve_gpu
 from ..harness.runner import (
     LEVEL_METHODS,
@@ -126,8 +125,9 @@ class SweepTask:
             seed=int(retry_data.get("seed", 0)),
         )
         # journals and fleet manifests outlive PhotonConfig fields: a
-        # retired field (the switch that selected the second timing
-        # loop, say) is dropped on read instead of failing the resume
+        # retired field (the switches that selected the second timing
+        # loop and the per-warp interpreter, say) is dropped on read
+        # instead of failing the resume
         known = {f.name for f in dataclasses.fields(PhotonConfig)}
         photon = {k: v for k, v in data["photon"].items() if k in known}
         return cls(
@@ -308,9 +308,7 @@ def run_task(task: SweepTask,
         cache = TraceCache(backing_store=staged)
 
     try:
-        with scoped_trace_cache(cache), \
-                scoped_batching(batching_enabled()
-                                and task.photon.batched_functional):
+        with scoped_trace_cache(cache):
             result, out.attempts, out.backoff_total = (
                 task.retry.run_logged(attempt))
     except ReproError as exc:

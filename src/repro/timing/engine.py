@@ -139,10 +139,9 @@ class DetailedEngine:
                 # --trace-store) serves traces without re-emulation
                 trace_provider = cache.provider(kernel)
             else:
-                from ..functional.batch import resolve_trace_provider
+                from ..functional.batch import PackProvider
 
-                # WarpPack (batched) by default; per-warp when disabled
-                trace_provider = resolve_trace_provider(kernel)
+                trace_provider = PackProvider(kernel)
         self.trace_provider = trace_provider
         self.ipc_bucket = ipc_bucket
         self.collect_latency = collect_latency

@@ -37,12 +37,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 
-from ..functional.batch import (
-    DEFAULT_CHUNK,
-    WarpPackExecutor,
-    batching_enabled,
-    pack_compatible,
-)
+from ..functional.batch import DEFAULT_CHUNK, PackProvider
 from ..functional.executor import FunctionalExecutor
 from ..functional.kernel import Kernel
 from ..functional.trace import WarpTrace
@@ -62,18 +57,18 @@ class TraceCache:
         covers the input data — so two same-program launches with
         different inputs never alias.
     batch_chunk:
-        Misses are batch-filled through the WarpPack executor in chunks
-        of this many consecutive warps (cold-run speedup; chunking
-        bounds wasted work when a detector stops the engine early).
-        Warps already cached in memory or available in the backing
-        store are never re-emulated by a fill.
+        Misses are filled through a
+        :class:`~repro.functional.batch.PackProvider` in chunks of this
+        many consecutive warps (cold-run speedup; chunking bounds
+        wasted work when a detector stops the engine early).  Warps
+        already cached in memory or available in the backing store are
+        never re-emulated by a fill.
     """
 
     def __init__(self, max_traces: int = 1 << 20, backing_store=None,
                  batch_chunk: int = DEFAULT_CHUNK):
         self._traces: Dict[Tuple, WarpTrace] = {}
         self._executors: Dict[Tuple, FunctionalExecutor] = {}
-        self._packs: Dict[Tuple, WarpPackExecutor] = {}
         self.max_traces = max_traces
         self.backing_store = backing_store
         self.batch_chunk = max(1, int(batch_chunk))
@@ -133,45 +128,15 @@ class TraceCache:
         hit_channel = bus.channel(TRACESTORE_HIT)
         miss_channel = bus.channel(TRACESTORE_MISS)
 
-        # one pack per kernel key: fills share the executor's state and
-        # the kernel's path memo, so a chunk whose path groups were
-        # discovered by an earlier fill (or a CONTROL fast-forward —
-        # see Kernel.path_memo) starts pre-partitioned
-        pack = self._packs.get(kernel_key)
-        if pack is None:
-            pack = WarpPackExecutor(kernel, executor=executor)
-            self._packs[kernel_key] = pack
-        chunk = self.batch_chunk
-        n_warps = kernel.n_warps
-        filled: set = set()      # warps a fill already attempted
-        fallback: set = set()    # serve these per-warp
-        prefilled: Dict[int, WarpTrace] = {}  # batch-emulated, unserved
-
-        def record_miss(warp_id: int, trace: WarpTrace) -> None:
-            self.misses += 1
-            c_miss.inc()
-            if miss_channel.subscribers:
-                miss_channel.publish(warp_id)
-            if len(self._traces) < self.max_traces:
-                self._traces[kernel_key + (warp_id,)] = trace
-            if pending is not None:
-                pending[warp_id] = trace
-
-        def batch_fill(warp_id: int) -> None:
-            """Pack-emulate the missing warps of ``warp_id``'s chunk."""
-            lo = (warp_id // chunk) * chunk
-            candidates = [
-                w for w in range(lo, min(lo + chunk, n_warps))
-                if w not in filled
-                and kernel_key + (w,) not in self._traces
-                and (view is None or not view.has(w))
-            ]
-            if warp_id not in candidates:
-                candidates.append(warp_id)
-            filled.update(candidates)
-            fill = pack.fill_full(candidates)
-            fallback.update(fill.fallback)
-            prefilled.update(fill.traces)
+        # chunked fills of the misses; a fill skips what the cache or
+        # the store can already serve, and the fills of one kernel share
+        # its path memo, so a chunk whose path groups were discovered by
+        # an earlier fill (or a CONTROL fast-forward — see
+        # Kernel.path_memo) starts pre-partitioned
+        emulate = PackProvider(
+            kernel, chunk=self.batch_chunk, executor=executor,
+            have=lambda w: (kernel_key + (w,) in self._traces
+                            or (view is not None and view.has(w))))
 
         def provide(warp_id: int) -> WarpTrace:
             key = kernel_key + (warp_id,)
@@ -192,19 +157,18 @@ class TraceCache:
                     if len(self._traces) < self.max_traces:
                         self._traces[key] = trace
                     return trace
-            if (warp_id not in fallback and batching_enabled()
-                    and pack_compatible(executor.watchdog,
-                                        executor.fault_plan)):
-                if warp_id not in filled:
-                    batch_fill(warp_id)
-                trace = prefilled.pop(warp_id, None)
-                if trace is not None:
-                    # misses count at serve time, so a speculative fill
-                    # of a warp the engine never requests is not a miss
-                    record_miss(warp_id, trace)
-                    return trace
-            trace = executor.run_warp_full(warp_id)
-            record_miss(warp_id, trace)
+            # misses count at serve time, so a speculative fill of a
+            # warp the engine never requests is not a miss (and a warp
+            # whose emulation faulted raises here, uncounted)
+            trace = emulate(warp_id)
+            self.misses += 1
+            c_miss.inc()
+            if miss_channel.subscribers:
+                miss_channel.publish(warp_id)
+            if len(self._traces) < self.max_traces:
+                self._traces[key] = trace
+            if pending is not None:
+                pending[warp_id] = trace
             return trace
 
         return provide

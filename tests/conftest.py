@@ -120,3 +120,178 @@ def make_barrier_kernel(n_warps: int = 8, wg_size: int = 4) -> Kernel:
     b.s_endpgm()
     return Kernel(program=b.build(), n_warps=n_warps, wg_size=wg_size,
                   memory=mem, args=lambda w: {4: out}, name="barriered")
+
+
+def make_split_kernel(n_warps: int = 8, threshold: int = 4,
+                      wg_size: int = 2) -> Kernel:
+    """Warps below ``threshold`` run an extra segment (two path groups)."""
+    mem = GlobalMemory(capacity_words=n_warps * 64 + 64)
+    out = mem.alloc("out", n_warps * 64)
+    b = KernelBuilder("split")
+    b.v_lane(v(0))
+    b.s_mul(s(3), s(0), 64)
+    b.v_add(v(0), v(0), s(3))
+    b.v_mov(v(1), 1.0)
+    b.s_cmp_lt(s(0), threshold)
+    b.s_cbranch_scc0("join")
+    b.v_mul(v(1), v(1), 3.0)
+    b.v_add(v(1), v(1), v(0))
+    b.label("join")
+    b.v_store(v(1), MemAddr(base=s(4), index=v(0)))
+    b.s_endpgm()
+    return Kernel(program=b.build(), n_warps=n_warps, wg_size=wg_size,
+                  memory=mem, args=lambda w: {4: out}, name="split")
+
+
+def make_faulting_kernel(n_warps: int = 6, bad_warp: int = 2,
+                         wg_size: int = 2) -> Kernel:
+    """One warp branches to an out-of-bounds store; the rest are fine."""
+    mem = GlobalMemory(capacity_words=n_warps * 64 + 64)
+    out = mem.alloc("out", n_warps * 64)
+    b = KernelBuilder("faulty")
+    b.v_lane(v(0))
+    b.s_mul(s(3), s(0), 64)
+    b.v_add(v(0), v(0), s(3))
+    b.v_mov(v(1), 1.0)
+    b.s_cmp_eq(s(0), bad_warp)
+    b.s_cbranch_scc0("safe")
+    b.v_store(v(1), MemAddr(base=s(9), index=v(0)))  # s9 is OOB
+    b.label("safe")
+    b.v_store(v(1), MemAddr(base=s(4), index=v(0)))
+    b.s_endpgm()
+    oob = mem.capacity * 4
+    return Kernel(program=b.build(), n_warps=n_warps, wg_size=wg_size,
+                  memory=mem, args=lambda w: {4: out, 9: oob},
+                  name="faulty")
+
+
+def make_inplace_faulting_kernel(n_warps: int = 6, bad_warp: int = 2,
+                                 wg_size: int = 2) -> Kernel:
+    """``x += 1`` in place, then a store through a per-warp pointer that
+    is out of bounds for ``bad_warp`` only.  Every warp takes the same
+    path, so the fault hits a batch that has already written ``x``:
+    executing any warp twice shows as ``x == 3``."""
+    mem = GlobalMemory(capacity_words=2 * n_warps * 64 + 64)
+    x = mem.alloc("x", np.ones(n_warps * 64))
+    out = mem.alloc("out", n_warps * 64)
+    b = KernelBuilder("inplace")
+    b.v_lane(v(0))
+    b.s_mul(s(3), s(0), 64)
+    b.v_add(v(0), v(0), s(3))
+    b.v_load(v(1), MemAddr(base=s(4), index=v(0)))
+    b.s_waitcnt()
+    b.v_add(v(1), v(1), 1.0)
+    b.v_store(v(1), MemAddr(base=s(4), index=v(0)))
+    b.v_store(v(1), MemAddr(base=s(9), index=v(0)))
+    b.s_endpgm()
+    oob = mem.capacity * 4
+    return Kernel(program=b.build(), n_warps=n_warps, wg_size=wg_size,
+                  memory=mem,
+                  args=lambda w: {4: x, 9: oob if w == bad_warp else out},
+                  name="inplace")
+
+
+# -- random well-formed programs (property suite + golden corpus) ----------
+
+_VOPS = ("v_add", "v_sub", "v_mul", "v_max", "v_min", "v_xor")
+_SOPS = ("s_add", "s_sub", "s_mul", "s_min", "s_max")
+
+
+class RandomSource:
+    """``random.Random`` behind the draw interface of
+    :func:`random_kernel_factory` (the property suite wraps hypothesis'
+    ``draw`` the same way)."""
+
+    def __init__(self, rng):
+        self.integers = rng.randint
+        self.choice = rng.choice
+        self.booleans = lambda: rng.random() < 0.5
+
+
+def random_kernel_factory(src):
+    """A zero-arg factory building a random well-formed kernel.
+
+    ``src`` supplies ``integers(lo, hi)``, ``booleans()`` and
+    ``choice(seq)``.  The program is straight-line vector/scalar
+    arithmetic with an optional warp-divergent scalar branch, an
+    optional lane-divergent segment under a partial exec mask, counted
+    loops and memory traffic.  Returning a *factory* lets one example
+    run the same launch several times from identical initial state —
+    an execution-driven run applies the kernel's stores to its arena.
+    """
+    def ops(pool, lo, hi):
+        return [(src.choice(pool), src.integers(1, 7))
+                for _ in range(src.integers(lo, hi))]
+
+    n_warps = src.integers(1, 12)
+    wg_size = src.choice((1, 2, 4))
+    n_loops = src.integers(0, 2)
+
+    b = KernelBuilder("random")
+    b.v_lane(v(0))
+    b.s_mul(s(3), s(0), 64)
+    b.v_add(v(0), v(0), s(3))
+    segments = [ops(_VOPS + _SOPS, 1, 6) for _ in range(n_loops + 1)]
+
+    def emit_ops(seq):
+        for name, operand in seq:
+            if name.startswith("v_"):
+                getattr(b, name)(v(1), v(1), float(operand))
+            else:
+                getattr(b, name)(s(5), s(5), operand)
+
+    b.v_mov(v(1), 0.0)
+    b.s_mov(s(5), 1)
+    emit_ops(segments[0])
+
+    # optional warp-divergent scalar branch: s0 is the warp id, so warps
+    # on either side of the threshold follow different basic-block paths
+    # (this is what splits a lockstep batch)
+    if src.booleans():
+        threshold = src.integers(0, 12)
+        extra = ops(_VOPS + _SOPS, 1, 4)
+        b.s_cmp_lt(s(0), threshold)
+        b.s_cbranch_scc0("skip_warp_div")
+        emit_ops(extra)
+        b.label("skip_warp_div")
+
+    # optional lane divergence: run a segment under a partial exec mask,
+    # optionally with an LDS round trip, then merge with v_cndmask
+    if src.booleans():
+        masked = ops(_VOPS, 1, 4)
+        b.v_lane(v(3))
+        b.v_cmp_lt(v(3), float(src.integers(1, 63)))
+        b.s_exec_from_vcc()
+        emit_ops(masked)
+        if src.booleans():
+            b.ds_write(v(3), v(1))
+            b.s_waitcnt()
+            b.ds_read(v(2), v(3))
+            b.s_waitcnt()
+        b.s_exec_all()
+        b.v_cndmask(v(1), v(1), v(2))
+
+    for loop_idx in range(n_loops):
+        trips = src.integers(1, 5)
+        counter = s(8 + loop_idx)
+        b.s_mov(counter, 0)
+        b.label(f"loop{loop_idx}")
+        emit_ops(segments[loop_idx + 1])
+        if src.booleans():
+            b.v_load(v(2), MemAddr(base=s(4), index=v(0)))
+            b.s_waitcnt()
+        b.s_add(counter, counter, 1)
+        b.s_cmp_lt(counter, trips)
+        b.s_cbranch_scc1(f"loop{loop_idx}")
+    if src.booleans():
+        b.v_store(v(1), MemAddr(base=s(4), index=v(0)))
+    b.s_endpgm()
+    program = b.build()
+
+    def factory():
+        mem = GlobalMemory(capacity_words=n_warps * 64 + 256)
+        buf = mem.alloc("buf", np.ones(n_warps * 64))
+        return Kernel(program=program, n_warps=n_warps, wg_size=wg_size,
+                      memory=mem, args=lambda w: {4: buf}, name="random")
+
+    return factory

@@ -78,6 +78,26 @@ def test_fleet_init_writes_loadable_manifest(tmp_path):
     assert options == {}
 
 
+def test_manifest_with_retired_functional_key_loads(tmp_path):
+    """A manifest written while tasks still serialized the
+    functional-batching switch loads as the same plan."""
+    import json
+
+    from repro.core.persist import payload_checksum
+
+    tasks = _plan()
+    fleet_init(tmp_path / "fleet", tasks)
+    manifest = tmp_path / "fleet" / MANIFEST_NAME
+    body = json.loads(manifest.read_bytes())
+    del body["checksum"]
+    for task in body["tasks"]:
+        task["photon"]["batched" + "_functional"] = False
+    body["checksum"] = payload_checksum(body)
+    manifest.write_text(json.dumps(body, sort_keys=True))
+    loaded, _options = load_manifest(tmp_path / "fleet")
+    assert [t.to_dict() for t in loaded] == [t.to_dict() for t in tasks]
+
+
 def test_fleet_init_refuses_reuse(tmp_path):
     fleet_init(tmp_path / "fleet", _plan())
     with pytest.raises(ConfigError, match="already exists"):

@@ -1,11 +1,12 @@
-"""WarpPack: path-grouped, warp-batched vectorized functional execution.
+"""WarpPack: fills of many warps through the one interpreter.
 
-Covers the batched executor's grouping behaviour, the fallback ladder
-(batch -> per-warp on ExecutionError), the process-wide and per-config
-batching switches, the ``exec.batch`` observability surface, the
-chunked engine provider, and the TraceCache batch-fill accounting.
-Bitwise equivalence against the per-warp interpreter is property-tested
-in ``test_property_random_programs.py``.
+Covers path grouping and the path memo, fault = split (a faulting warp
+is isolated, nobody is re-executed), when a fill runs as singletons,
+the ``exec.batch`` observability surface, the chunked engine provider,
+and the TraceCache fill accounting.  Equality with the retired per-warp
+loops is replayed from ``tests/golden/functional_traces.json``
+(``test_functional_golden.py``); batch-composition invariance is
+property-tested in ``test_property_random_programs.py``.
 """
 
 from __future__ import annotations
@@ -13,70 +14,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import MemoryFault
+from repro.errors import BudgetExceeded, InjectedFault, MemoryFault
 from repro.functional import (
     FunctionalExecutor,
-    GlobalMemory,
-    Kernel,
     PackProvider,
     WarpPackExecutor,
-    batching_enabled,
     control_traces,
-    pack_compatible,
-    resolve_trace_provider,
-    scoped_batching,
-    set_batching_enabled,
 )
-from repro.isa import KernelBuilder, MemAddr, s, v
-from repro.obs import EXEC_BATCH, EXEC_BATCH_FALLBACK, EventBus, scoped_bus
-from repro.reliability.faults import FaultPlan
+from repro.obs import EXEC_BATCH, EXEC_BATCH_FALLBACK, MemorySink, scoped_bus
+from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.watchdog import WatchdogConfig
-from repro.timing import DetailedEngine, TraceCache
+from repro.timing import TraceCache
 
-from conftest import make_vecadd
-
-
-def make_split_kernel(n_warps: int = 8, threshold: int = 4,
-                      wg_size: int = 2) -> Kernel:
-    """Warps below ``threshold`` run an extra segment (two path groups)."""
-    mem = GlobalMemory(capacity_words=n_warps * 64 + 64)
-    out = mem.alloc("out", n_warps * 64)
-    b = KernelBuilder("split")
-    b.v_lane(v(0))
-    b.s_mul(s(3), s(0), 64)
-    b.v_add(v(0), v(0), s(3))
-    b.v_mov(v(1), 1.0)
-    b.s_cmp_lt(s(0), threshold)
-    b.s_cbranch_scc0("join")
-    b.v_mul(v(1), v(1), 3.0)
-    b.v_add(v(1), v(1), v(0))
-    b.label("join")
-    b.v_store(v(1), MemAddr(base=s(4), index=v(0)))
-    b.s_endpgm()
-    return Kernel(program=b.build(), n_warps=n_warps, wg_size=wg_size,
-                  memory=mem, args=lambda w: {4: out}, name="split")
-
-
-def make_faulting_kernel(n_warps: int = 6, bad_warp: int = 2,
-                         wg_size: int = 2) -> Kernel:
-    """One warp branches to an out-of-bounds store; the rest are fine."""
-    mem = GlobalMemory(capacity_words=n_warps * 64 + 64)
-    out = mem.alloc("out", n_warps * 64)
-    b = KernelBuilder("faulty")
-    b.v_lane(v(0))
-    b.s_mul(s(3), s(0), 64)
-    b.v_add(v(0), v(0), s(3))
-    b.v_mov(v(1), 1.0)
-    b.s_cmp_eq(s(0), bad_warp)
-    b.s_cbranch_scc0("safe")
-    b.v_store(v(1), MemAddr(base=s(9), index=v(0)))  # s9 is OOB
-    b.label("safe")
-    b.v_store(v(1), MemAddr(base=s(4), index=v(0)))
-    b.s_endpgm()
-    oob = mem.capacity * 4
-    return Kernel(program=b.build(), n_warps=n_warps, wg_size=wg_size,
-                  memory=mem, args=lambda w: {4: out, 9: oob},
-                  name="faulty")
+from conftest import (
+    make_faulting_kernel,
+    make_inplace_faulting_kernel,
+    make_loop_kernel,
+    make_split_kernel,
+    make_vecadd,
+)
 
 
 # -- path grouping -----------------------------------------------------------
@@ -84,20 +40,23 @@ def make_faulting_kernel(n_warps: int = 6, bad_warp: int = 2,
 
 def test_uniform_kernel_is_one_group():
     kernel = make_vecadd(n_warps=8)
-    pack = WarpPackExecutor(kernel)
-    _traces, groups, fallback = pack.control_packs(range(8))
-    assert fallback == []
-    assert [sorted(g) for g in groups] == [list(range(8))]
+    fill = WarpPackExecutor(kernel).fill_control(range(8))
+    assert fill.fallback == {}
+    assert fill.group_sizes == [8]
+    assert len(set(kernel.path_memo.values())) == 1
 
 
 def test_divergent_kernel_splits_groups():
     kernel = make_split_kernel(n_warps=8, threshold=4)
-    pack = WarpPackExecutor(kernel)
-    traces, groups, fallback = pack.control_packs(range(8))
-    assert fallback == []
-    assert sorted(sorted(g) for g in groups) == [[0, 1, 2, 3],
-                                                 [4, 5, 6, 7]]
+    fill = WarpPackExecutor(kernel).fill_control(range(8))
+    assert fill.fallback == {}
+    assert fill.group_sizes == [4, 4]
+    memo = kernel.path_memo
+    assert len({memo[w] for w in range(4)}) == 1
+    assert len({memo[w] for w in range(4, 8)}) == 1
+    assert memo[0] is not memo[4]
     # path signatures really differ between the halves
+    traces = fill.traces
     assert traces[0].bb_seq != traces[4].bb_seq
     assert len(traces) == 8
 
@@ -107,7 +66,7 @@ def test_fill_full_reports_group_sizes():
     fill = WarpPackExecutor(kernel).fill_full(range(8))
     assert sorted(fill.group_sizes) == [2, 6]
     assert sorted(fill.traces) == list(range(8))
-    assert fill.fallback == []
+    assert fill.fallback == {}
 
 
 # -- CONTROL-result sharing (Kernel.path_memo) -------------------------------
@@ -140,7 +99,7 @@ def test_fill_full_reuses_memoized_partition():
         reused = bus.metrics.counter("exec.batch.ctrl_reused").value
     assert reused == 8
     assert sorted(fill.group_sizes) == [2, 6]
-    assert fill.fallback == []
+    assert fill.fallback == {}
 
 
 def test_stale_path_memo_self_heals():
@@ -154,7 +113,7 @@ def test_stale_path_memo_self_heals():
     for w in range(8):
         kernel.path_memo[w] = token
     fill = pack.fill_full(range(8))
-    assert fill.fallback == []
+    assert fill.fallback == {}
     expect = FunctionalExecutor(make_split_kernel(n_warps=8, threshold=2))
     for w in range(8):
         assert fill.traces[w] == expect.run_warp_full(w), f"warp {w}"
@@ -183,14 +142,56 @@ def test_same_path_traces_share_column_objects():
     assert traces[2].mem_lines is not traces[7].mem_lines
 
 
-# -- fallback ladder ---------------------------------------------------------
+# -- fault = split -----------------------------------------------------------
 
 
 def test_faulting_group_falls_back_without_losing_good_warps():
     kernel = make_faulting_kernel(n_warps=6, bad_warp=2)
     fill = WarpPackExecutor(kernel).fill_full(range(6))
-    assert fill.fallback == [2]
+    assert list(fill.fallback) == [2]
+    assert isinstance(fill.fallback[2], MemoryFault)
     assert sorted(fill.traces) == [0, 1, 3, 4, 5]
+
+
+def test_faulting_batch_does_not_double_apply_stores():
+    """``x += 1`` in place, then a store that faults for one warp of a
+    batch that is still together: the fault splits the batch at the
+    store, so every warp (the bad one included) incremented exactly
+    once — re-running the members from instruction 0 would give 3."""
+    kernel = make_inplace_faulting_kernel(n_warps=6, bad_warp=2)
+    with scoped_bus() as bus:
+        fill = WarpPackExecutor(kernel, bus=bus).fill_full(range(6))
+        counters = bus.metrics.snapshot()["counters"]
+    assert np.array_equal(kernel.memory.view("x"), np.full(6 * 64, 2.0))
+    assert sorted(fill.traces) == [0, 1, 3, 4, 5]
+    assert list(fill.fallback) == [2]
+    # the stored error is the per-warp one: it names warp 2's lanes only
+    reference = make_inplace_faulting_kernel(n_warps=6, bad_warp=2)
+    with pytest.raises(MemoryFault) as per_warp:
+        FunctionalExecutor(reference).run_warp_full(2)
+    assert str(fill.fallback[2]) == str(per_warp.value)
+    assert counters["exec.batch.fallbacks"] == 1
+    out = kernel.memory.view("out").reshape(6, 64)
+    assert (out[[0, 1, 3, 4, 5]] == 2.0).all() and not out[2].any()
+
+    # the same through the engine's provider: serving the good warps
+    # and being refused the bad one leaves every x at 2
+    kernel = make_inplace_faulting_kernel(n_warps=6, bad_warp=2)
+    provider = PackProvider(kernel)
+    for warp in (0, 1, 3, 4, 5):
+        assert provider(warp).warp_id == warp
+    with pytest.raises(MemoryFault):
+        provider(2)
+    assert np.array_equal(kernel.memory.view("x"), np.full(6 * 64, 2.0))
+
+
+def test_bad_arg_register_isolates_one_warp():
+    kernel = make_vecadd(n_warps=4)
+    good = kernel.args
+    kernel.args = lambda w: {0: 1.0} if w == 1 else good(w)
+    fill = WarpPackExecutor(kernel).fill_full(range(4))
+    assert sorted(fill.traces) == [0, 2, 3]
+    assert "arg register s0" in str(fill.fallback[1])
 
 
 def test_provider_serves_good_warps_and_raises_for_bad():
@@ -211,59 +212,93 @@ def test_fallback_trace_matches_per_warp():
         assert fill.traces[warp] == reference.run_warp_full(warp)
 
 
-# -- batching switches -------------------------------------------------------
+# -- when a fill runs as singletons ------------------------------------------
+
+#: every ``exec.batch.*`` counter the fills may bump (docs/observability.md)
+EXEC_BATCH_COUNTERS = {
+    "exec.batch.groups", "exec.batch.batched_warps",
+    "exec.batch.fallbacks", "exec.batch.ctrl_reused",
+    "exec.batch.singleton.fault_plan",
+    "exec.batch.singleton.instruction_budget",
+}
 
 
-def test_scoped_batching_flag():
-    assert batching_enabled()
-    with scoped_batching(False):
-        assert not batching_enabled()
-        with scoped_batching(True):
-            assert batching_enabled()
-        assert not batching_enabled()
-    assert batching_enabled()
+def _fill_counters(mode="full", **executor_kwargs):
+    with scoped_bus() as bus:
+        kernel = make_split_kernel(n_warps=8, threshold=4)
+        pack = WarpPackExecutor(
+            kernel, executor=FunctionalExecutor(kernel, **executor_kwargs))
+        fill = pack.fill_full(range(8)) if mode == "full" \
+            else pack.fill_control(range(8))
+        counters = {name: value for name, value
+                    in bus.metrics.snapshot()["counters"].items()
+                    if name.startswith("exec.batch")}
+    assert set(counters) <= EXEC_BATCH_COUNTERS
+    return fill, counters
 
 
-def test_resolve_trace_provider_honors_flag():
+def test_singleton_fill_reasons():
+    """The one decision: a fault plan or a per-warp instruction / stall
+    budget runs every warp as its own batch; everything else batches."""
+    for kwargs in ({}, {"watchdog": WatchdogConfig(deadline_seconds=10.0)},
+                   {"watchdog": WatchdogConfig(max_events=5)}):
+        fill, counters = _fill_counters(**kwargs)
+        assert fill.group_sizes == [4, 4]
+        assert counters == {"exec.batch.groups": 2,
+                            "exec.batch.batched_warps": 8}
+    for reason, kwargs in (
+            ("instruction_budget",
+             {"watchdog": WatchdogConfig(max_instructions=100)}),
+            ("instruction_budget",
+             {"watchdog": WatchdogConfig(stall_instructions=50)}),
+            ("fault_plan", {"fault_plan": FaultPlan()}),
+            ("fault_plan",
+             {"fault_plan": FaultPlan(),
+              "watchdog": WatchdogConfig(max_instructions=100)})):
+        for mode in ("full", "control"):
+            fill, counters = _fill_counters(mode, **kwargs)
+            assert fill.group_sizes == [1] * 8
+            assert counters == {f"exec.batch.singleton.{reason}": 1,
+                                "exec.batch.groups": 8,
+                                "exec.batch.batched_warps": 8}
+
+
+def test_singleton_fill_has_per_warp_watchdogs():
+    """Each singleton gets its own instruction budget and its own label;
+    the trip names the first warp that exceeds it and stops the fill."""
+    kernel = make_loop_kernel(8, trips_of=lambda w: 1 + 3 * w)
+    with scoped_bus() as bus:
+        sink = bus.add_sink(MemorySink())
+        with pytest.raises(BudgetExceeded, match="'loopy' warp 3"):
+            control_traces(kernel, range(8),
+                           watchdog=WatchdogConfig(max_instructions=45))
+    (trip,) = sink.of_kind("reliability.watchdog")
+    assert trip.fields["ticks"] == 46
+
+
+def test_singleton_fill_arms_fault_plan_per_warp_instruction():
+    """vecadd touches memory three times per warp: the 5th arming is
+    warp 1's second access, exactly as when warps run one at a time."""
+    plan = FaultPlan(FaultSpec(site="executor.memory", at=5))
     kernel = make_vecadd(n_warps=4)
-    assert isinstance(resolve_trace_provider(kernel), PackProvider)
-    with scoped_batching(False):
-        assert not isinstance(resolve_trace_provider(kernel), PackProvider)
-
-
-def test_pack_compatible_gates():
-    assert pack_compatible(None, None)
-    assert pack_compatible(WatchdogConfig(deadline_seconds=10.0), None)
-    assert not pack_compatible(WatchdogConfig(max_instructions=100), None)
-    assert not pack_compatible(WatchdogConfig(stall_instructions=50), None)
-    assert not pack_compatible(None, FaultPlan())
+    pack = WarpPackExecutor(
+        kernel, executor=FunctionalExecutor(kernel, fault_plan=plan))
+    pack.fill_control(range(4))       # CONTROL never arms the plan
+    assert plan.specs[0].hits == 0
+    with pytest.raises(InjectedFault):
+        pack.fill_full(range(4))
+    assert plan.specs[0].hits == 5
 
 
 def test_control_traces_batched_equals_per_warp():
     kernel = make_split_kernel(n_warps=8)
     batched = control_traces(kernel, range(8))
-    with scoped_batching(False):
-        per_warp = control_traces(kernel, range(8))
-    assert batched == per_warp
-
-
-def test_engine_results_identical_with_batching_off(tiny_gpu):
-    first = DetailedEngine(make_vecadd(n_warps=8), tiny_gpu).run()
-    with scoped_batching(False):
-        second = DetailedEngine(make_vecadd(n_warps=8), tiny_gpu).run()
-    assert first.end_time == second.end_time
-    assert first.warp_times == second.warp_times
-    assert first.mem_stats == second.mem_stats
-
-
-def test_cli_no_batch_flag():
-    from repro.cli import main
-
-    try:
-        assert main(["run", "relu", "--size", "64", "--no-batch"]) == 0
-        assert not batching_enabled()
-    finally:
-        set_batching_enabled(True)
+    one_by_one = {}
+    for w in range(8):
+        one_by_one.update(control_traces(kernel, [w]))
+    executor = FunctionalExecutor(kernel)
+    assert batched == one_by_one == {
+        w: executor.run_warp_control(w) for w in range(8)}
 
 
 # -- observability -----------------------------------------------------------
@@ -327,25 +362,52 @@ def test_trace_cache_batch_fill_counts_served_misses_only(tiny_gpu):
     assert cache.hits == 1
 
 
-def test_trace_cache_per_warp_when_batching_off(tiny_gpu):
-    with scoped_batching(False):
-        cache = TraceCache()
-        kernel = make_vecadd(n_warps=8)
-        DetailedEngine(kernel, tiny_gpu,
-                       trace_provider=cache.provider(kernel)).run()
-        assert cache.misses == 8 and cache.hits == 0
+def test_trace_cache_fill_skips_cached_and_stored_warps(tmp_path):
+    """One chunk-fill serves the provider and the cache: the cache only
+    names what it can already serve, and the fill leaves those alone."""
+    from repro.tracestore import TraceStore
+
+    store = TraceStore(tmp_path)
+    kernel = make_vecadd(n_warps=8)
+    key = store.key_for(kernel)
+    executor = FunctionalExecutor(kernel)
+    store.put_kernel(kernel, {w: executor.run_warp_full(w) for w in (1, 2)},
+                     key=key)
+    with scoped_bus() as bus:
+        fills = []
+        bus.subscribe(
+            EXEC_BATCH,
+            lambda kernel, mode, warps, groups, sizes, fallbacks, wall:
+            fills.append(warps))
+        cache = TraceCache(backing_store=store)
+        provider = cache.provider(make_vecadd(n_warps=8))
+        for warp in (0, 1, 2, 3):
+            assert provider(warp).warp_id == warp
+        assert fills == [6]           # 8 warps minus the two stored ones
+        assert (cache.misses, cache.store_hits, cache.hits) == (2, 2, 0)
+        provider(0)
+        assert cache.hits == 1 and fills == [6]
 
 
-# -- END-row shape regression (per-warp and batched agree) -------------------
+def test_trace_cache_raises_stored_error_uncounted():
+    cache = TraceCache()
+    provider = cache.provider(make_faulting_kernel(n_warps=6, bad_warp=2))
+    assert provider(1).warp_id == 1
+    for _ in range(2):
+        with pytest.raises(MemoryFault):
+            provider(2)
+    assert cache.misses == 1
+
+
+# -- END-row shape regression (batches of one and of four agree) -------------
 
 
 def test_end_row_shape_pinned():
     """``s_endpgm`` appends a full trace row then stops.
 
     The END handler writes a dependency entry with ``mem_lines`` None
-    and ``is_store`` False, and breaks *before* the last-writer update —
-    the batched interpreter replicates this exactly, so the final row is
-    part of the bitwise contract.
+    and ``is_store`` False, and breaks *before* the last-writer update;
+    the final row is part of the bitwise contract.
     """
     kernel = make_vecadd(n_warps=4)
     program = kernel.program

@@ -229,32 +229,26 @@ def test_store_flag_marked():
     assert trace.opclass[stores[0]] == int(OpClass.VECTOR_MEM)
 
 
-# ------------------------------------------ shared operand reader
+# ------------------------------------------ one interpreter, two modes
 
 
-def test_operand_reader_full_mode_reads_both_files():
-    from repro.functional.executor import make_operand_reader
+def test_vector_operand_in_scalar_instruction_rejected():
+    """The scalar side is written once, so both modes reject a vector
+    operand with the same typed error."""
+    def body(b):
+        b.v_lane(v(1))
+        b.s_add(s(5), v(1), 1)
+        b.s_endpgm()
 
-    sregs = {3: 7.0}
-    vregs = {1: np.arange(4.0)}
-    val = make_operand_reader(sregs, vregs)
-    assert val(("s", 3)) == 7.0
-    assert np.array_equal(val(("v", 1)), np.arange(4.0))
-    assert val(("i", 2.5)) == 2.5
-
-
-def test_operand_reader_control_mode_is_scalar_only():
-    from repro.functional.executor import make_operand_reader
-
-    val = make_operand_reader({0: 1.0, 5: 2.0})
-    assert val(("s", 5)) == 2.0
-    assert val(("i", 9)) == 9
-    with pytest.raises(ExecutionError, match="scalar-only"):
-        val(("v", 0))
+    ex, kernel, mem, w = run_single(body)
+    for run in (ex.run_warp_full, ex.run_warp_control):
+        with pytest.raises(ExecutionError, match="vector operand v1"):
+            run(w)
 
 
 def test_operand_reader_backs_both_run_modes():
-    """The shared closure yields identical scalar paths in both modes."""
+    """CONTROL is the FULL driver with the vector side off: identical
+    scalar paths in both modes."""
     kernel = make_loop_kernel(n_warps=2, trips_of=lambda w: 3)
     full = FunctionalExecutor(kernel).run_warp_full(0)
     control = FunctionalExecutor(

