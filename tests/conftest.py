@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
@@ -11,8 +9,13 @@ from repro.config import R9_NANO
 from repro.core import PhotonConfig
 from repro.functional import GlobalMemory, Kernel
 from repro.isa import KernelBuilder, MemAddr, s, v
-from repro.obs import ENGINE_BB
-from repro.timing import batch as timing_batch
+from repro.obs import (
+    ENGINE_BARRIER,
+    ENGINE_BB,
+    ENGINE_WARP_DISPATCH,
+    ENGINE_WARP_RETIRE,
+    ENGINE_WG_DISPATCH,
+)
 
 
 @pytest.fixture
@@ -28,17 +31,6 @@ def fast_photon_config():
         bb_window=32, warp_window=16, min_sample_warps=4,
         mean_delta=0.3, bb_retire_gate_fraction=0.1,
     )
-
-
-@contextmanager
-def vec_thresholds(value):
-    """Pin both of the engine's vector-round thresholds for the
-    enclosed runs: 2 vectorizes every round with two members,
-    ``float("inf")`` replays every round member by member."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(timing_batch, "VEC_THRESHOLD", value)
-        patch.setattr(timing_batch, "VEC_THRESHOLD_OBS", value)
-        yield
 
 
 def request_stop_after_bbs(engine, n: int) -> None:
@@ -197,6 +189,38 @@ _VOPS = ("v_add", "v_sub", "v_mul", "v_max", "v_min", "v_xor")
 _SOPS = ("s_add", "s_sub", "s_mul", "s_min", "s_max")
 
 
+# the light engine channels: they fire on dispatch / barrier / retire
+# only, so a journal of them leaves ``engine.inst`` without a subscriber
+LIGHT_CHANNELS = (ENGINE_WG_DISPATCH, ENGINE_WARP_DISPATCH,
+                  ENGINE_BARRIER, ENGINE_WARP_RETIRE)
+
+
+def _draw_ops(src, pool, lo, hi):
+    return [(src.choice(pool), src.integers(1, 7))
+            for _ in range(src.integers(lo, hi))]
+
+
+def _emit_ops(b, seq):
+    """Each op accumulates into v1 (vector) or s5 (scalar)."""
+    for name, operand in seq:
+        if name.startswith("v_"):
+            getattr(b, name)(v(1), v(1), float(operand))
+        else:
+            getattr(b, name)(s(5), s(5), operand)
+
+
+def _one_buffer_factory(program, n_warps, wg_size, name):
+    """Zero-arg factory: a fresh launch of ``program`` over one buffer
+    of ones passed in s4."""
+    def factory():
+        mem = GlobalMemory(capacity_words=n_warps * 64 + 256)
+        buf = mem.alloc("buf", np.ones(n_warps * 64))
+        return Kernel(program=program, n_warps=n_warps, wg_size=wg_size,
+                      memory=mem, args=lambda w: {4: buf}, name=name)
+
+    return factory
+
+
 class RandomSource:
     """``random.Random`` behind the draw interface of
     :func:`random_kernel_factory` (the property suite wraps hypothesis'
@@ -219,10 +243,6 @@ def random_kernel_factory(src):
     run the same launch several times from identical initial state —
     an execution-driven run applies the kernel's stores to its arena.
     """
-    def ops(pool, lo, hi):
-        return [(src.choice(pool), src.integers(1, 7))
-                for _ in range(src.integers(lo, hi))]
-
     n_warps = src.integers(1, 12)
     wg_size = src.choice((1, 2, 4))
     n_loops = src.integers(0, 2)
@@ -231,38 +251,31 @@ def random_kernel_factory(src):
     b.v_lane(v(0))
     b.s_mul(s(3), s(0), 64)
     b.v_add(v(0), v(0), s(3))
-    segments = [ops(_VOPS + _SOPS, 1, 6) for _ in range(n_loops + 1)]
-
-    def emit_ops(seq):
-        for name, operand in seq:
-            if name.startswith("v_"):
-                getattr(b, name)(v(1), v(1), float(operand))
-            else:
-                getattr(b, name)(s(5), s(5), operand)
-
+    segments = [_draw_ops(src, _VOPS + _SOPS, 1, 6)
+                for _ in range(n_loops + 1)]
     b.v_mov(v(1), 0.0)
     b.s_mov(s(5), 1)
-    emit_ops(segments[0])
+    _emit_ops(b, segments[0])
 
     # optional warp-divergent scalar branch: s0 is the warp id, so warps
     # on either side of the threshold follow different basic-block paths
     # (this is what splits a lockstep batch)
     if src.booleans():
         threshold = src.integers(0, 12)
-        extra = ops(_VOPS + _SOPS, 1, 4)
+        extra = _draw_ops(src, _VOPS + _SOPS, 1, 4)
         b.s_cmp_lt(s(0), threshold)
         b.s_cbranch_scc0("skip_warp_div")
-        emit_ops(extra)
+        _emit_ops(b, extra)
         b.label("skip_warp_div")
 
     # optional lane divergence: run a segment under a partial exec mask,
     # optionally with an LDS round trip, then merge with v_cndmask
     if src.booleans():
-        masked = ops(_VOPS, 1, 4)
+        masked = _draw_ops(src, _VOPS, 1, 4)
         b.v_lane(v(3))
         b.v_cmp_lt(v(3), float(src.integers(1, 63)))
         b.s_exec_from_vcc()
-        emit_ops(masked)
+        _emit_ops(b, masked)
         if src.booleans():
             b.ds_write(v(3), v(1))
             b.s_waitcnt()
@@ -276,7 +289,7 @@ def random_kernel_factory(src):
         counter = s(8 + loop_idx)
         b.s_mov(counter, 0)
         b.label(f"loop{loop_idx}")
-        emit_ops(segments[loop_idx + 1])
+        _emit_ops(b, segments[loop_idx + 1])
         if src.booleans():
             b.v_load(v(2), MemAddr(base=s(4), index=v(0)))
             b.s_waitcnt()
@@ -286,12 +299,80 @@ def random_kernel_factory(src):
     if src.booleans():
         b.v_store(v(1), MemAddr(base=s(4), index=v(0)))
     b.s_endpgm()
-    program = b.build()
+    return _one_buffer_factory(b.build(), n_warps, wg_size, "random")
 
-    def factory():
-        mem = GlobalMemory(capacity_words=n_warps * 64 + 256)
-        buf = mem.alloc("buf", np.ones(n_warps * 64))
-        return Kernel(program=program, n_warps=n_warps, wg_size=wg_size,
-                      memory=mem, args=lambda w: {4: buf}, name="random")
 
-    return factory
+def timing_kernel_factory(src):
+    """A zero-arg factory building a random timing-shaped kernel.
+
+    Same ``src`` interface as :func:`random_kernel_factory`.  Compared
+    to that generator this one leans on the mechanisms the *engine*
+    cares about: barriers (workgroup synchronisation), waitcnt joins,
+    LDS latency, divergent path groups of different lengths, and enough
+    warps to cause CU contention.
+    """
+    n_warps = src.integers(1, 16)
+    wg_size = src.choice((1, 2, 4))
+    n_loops = src.integers(0, 2)
+
+    b = KernelBuilder("timing_random")
+    b.v_lane(v(0))
+    b.s_mul(s(3), s(0), 64)
+    b.v_add(v(0), v(0), s(3))
+    b.v_mov(v(1), 0.0)
+    b.s_mov(s(5), 1)
+
+    _emit_ops(b, _draw_ops(src, _VOPS + _SOPS, 1, 6))
+
+    # barrier on the common path: every warp of a workgroup must arrive
+    if src.booleans():
+        b.s_barrier()
+
+    # warp-divergent scalar branch (s0 = warp id) -> path groups of
+    # different dynamic lengths, which desynchronises the rounds
+    if src.booleans():
+        threshold = src.integers(0, 15)
+        extra = _draw_ops(src, _VOPS + _SOPS, 1, 5)
+        b.s_cmp_lt(s(0), threshold)
+        b.s_cbranch_scc0("skip_warp_div")
+        _emit_ops(b, extra)
+        if src.booleans():
+            b.v_load(v(2), MemAddr(base=s(4), index=v(0)))
+            b.s_waitcnt()
+        b.label("skip_warp_div")
+        # optional barrier after reconvergence: warps arrive at
+        # different times, so barrier release ordering is exercised
+        if wg_size > 1 and src.booleans():
+            b.s_barrier()
+
+    # lane divergence with an LDS round trip under a partial exec mask
+    if src.booleans():
+        b.v_lane(v(3))
+        b.v_cmp_lt(v(3), float(src.integers(1, 63)))
+        b.s_exec_from_vcc()
+        _emit_ops(b, _draw_ops(src, _VOPS, 1, 3))
+        if src.booleans():
+            b.ds_write(v(3), v(1))
+            b.s_waitcnt()
+            b.ds_read(v(2), v(3))
+            b.s_waitcnt()
+        b.s_exec_all()
+        b.v_cndmask(v(1), v(1), v(2))
+
+    for loop_idx in range(n_loops):
+        trips = src.integers(1, 4)
+        counter = s(8 + loop_idx)
+        b.s_mov(counter, 0)
+        b.label(f"loop{loop_idx}")
+        _emit_ops(b, _draw_ops(src, _VOPS + _SOPS, 1, 4))
+        if src.booleans():
+            b.v_load(v(2), MemAddr(base=s(4), index=v(0)))
+            b.s_waitcnt()
+        b.s_add(counter, counter, 1)
+        b.s_cmp_lt(counter, trips)
+        b.s_cbranch_scc1(f"loop{loop_idx}")
+
+    if src.booleans():
+        b.v_store(v(1), MemAddr(base=s(4), index=v(0)))
+    b.s_endpgm()
+    return _one_buffer_factory(b.build(), n_warps, wg_size, "timing_random")

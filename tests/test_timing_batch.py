@@ -1,206 +1,120 @@
-"""Differential property suite for the engine's vector rounds.
+"""Invariant property suite for the timing engine's round loop.
 
-A vector round is purely a performance optimisation of the round
-engine in ``timing/batch.py``: it must be *bitwise* indistinguishable
-from replaying the same round member by member.  Hypothesis generates
-random programs across the shapes that exercise every engine mechanism
-— warp-divergent branches, workgroup barriers, LDS round trips under
-partial exec masks, counted loops, and global-memory traffic — and each
-example runs the same launch twice, each on its own :class:`EventBus`:
+The engine has one loop and no twin to be compared against, so random
+programs are held to what the *model* promises instead (ROADMAP 5a).
+Hypothesis draws ``conftest.timing_kernel_factory`` programs — warp-
+divergent branches, workgroup barriers, LDS round trips under partial
+exec masks, counted loops, global-memory traffic — and every example
+runs on a private :class:`EventBus` with a subscriber on every engine
+channel.  From the result, the event log and the warps' functional
+traces it checks:
 
-* the **reference** with both vector thresholds at ``inf``, so every
-  round replays member by member (the semantics
-  ``tests/test_timing_golden.py`` pins against the retired heap loop);
-* the **side under test** with both thresholds at 2, so these 1-16 warp
-  kernels execute fully-vector rounds, hybrid rounds (specials replayed
-  between bulk commits) and same-port collisions.
+* **conservation** — warps dispatched = warps retired, dispatched and
+  undispatched partition the grid, ``n_insts`` = the retired warps'
+  trace lengths, ``warp_times`` = the dispatch/retire events,
+  ``dispatch <= retire`` and ``end_time`` = the latest retire;
+* **cache accounting** — per level, ``hits + misses`` = the accesses
+  the level above issued (L1V: coalesced lines of the vector memory
+  instructions; L1K: scalar loads; L2: L1 misses; DRAM: L2 misses);
+* **the instruction stream** — each warp issues its trace in order, no
+  earlier than one ``issue_interval`` after its previous instruction
+  and no earlier than its producer retired; two instructions never
+  share an issue port within one ``issue_interval``; a barrier releases
+  one cycle after its last arrival and nobody runs ahead of it;
+* **observer independence** — the run without an ``engine.inst``
+  subscriber returns the identical result and dispatch / barrier /
+  retire journal, and so does a repeat of the same run;
+* **trace-supply independence** — ``PackProvider`` chunks of 1, 2-5 and
+  the whole grid give the identical result;
+* **stop snapshots** (8-slot GPU) — a ``request_stop`` from the *n*-th
+  basic-block event dispatches nothing more, reports exactly the warps
+  not yet dispatched, drains the resident ones and lists their retire
+  times per CU in ``cu_slot_free``;
+* **accounting surfaces** — ``ipc_series`` is the histogram of retire
+  (for barriers, release) times and ``latency_table`` the per-opcode
+  mean of ``retire - issue``, both recomputed from the event log in
+  emission order, so they must match to the bit.
 
-It compares:
-
-* end-to-end simulated cycles and per-warp dispatch/retire times;
-* the **full materialised event sequence** across every engine channel
-  (kind, per-bus sequence number, and all fields) — a ``MemorySink``
-  subscribes to ``engine.inst``, which makes vector rounds replay every
-  member, so each example also runs a *no-sink* lane where plain
-  members are bulk-committed and only the dispatch / barrier / retire
-  channels are journalled;
-* ``request_stop`` snapshots — stop time, resident-warp retire times,
-  undispatched warps, and CU slot-release times;
-* optional accounting surfaces (``ipc_series``, ``latency_table``,
-  ``mem_stats``).
-
-Every property asserts that its examples really ran vector rounds
-(``engine.batch.rounds > 0`` in total).  The quick lanes run in the
-fast CI job; the ``slow``-marked lanes rerun the same properties at 200
-examples in the nightly job.
+The lanes keep the names they had when this file compared numpy-
+batched rounds with member-by-member replay; what that comparison
+pinned now lives in ``tests/golden/timing_engine.json``.  The quick
+lanes run in the fast CI job; the ``slow``-marked lanes rerun the same
+properties at 200 examples in the nightly job.
 """
 
-from collections import Counter
+import dataclasses
+from collections import Counter, defaultdict
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import R9_NANO
 from repro.functional import GlobalMemory, Kernel
-from repro.harness.runner import workload_factory
-from repro.isa import KernelBuilder, MemAddr, s, v
-from repro.harness.defaults import EVAL_R9NANO
-from repro.obs import (
-    ENGINE_BARRIER,
-    ENGINE_WARP_DISPATCH,
-    ENGINE_WARP_RETIRE,
-    ENGINE_WG_DISPATCH,
-    EventBus,
-    MemorySink,
-)
+from repro.functional.batch import PackProvider, WarpPackExecutor
+from repro.isa import KernelBuilder, s, v
+from repro.isa.opcodes import OpClass
+from repro.obs import ENGINE_BB, ENGINE_INST, EventBus
 from repro.timing import DetailedEngine, EngineListener
 
-from conftest import request_stop_after_bbs, vec_thresholds
+from conftest import LIGHT_CHANNELS, timing_kernel_factory
 
 GPU = R9_NANO.scaled(4)
+# 8 resident slots: most generated grids still have workgroups queued
+# when a stop arrives
+STOP_GPU = dataclasses.replace(R9_NANO.scaled(2), max_warps_per_cu=4)
 
-_VOPS = ("v_add", "v_sub", "v_mul", "v_max", "v_min", "v_xor")
-_SOPS = ("s_add", "s_sub", "s_mul", "s_min", "s_max")
+_SCALAR_PORT = {OpClass.SCALAR_ALU, OpClass.SCALAR_MEM, OpClass.BRANCH,
+                OpClass.BARRIER, OpClass.WAITCNT, OpClass.END}
 
 
 @st.composite
 def timing_kernel_factories(draw):
-    """A zero-arg factory building a random timing-shaped kernel.
-
-    Compared to the functional property generator this one leans on the
-    mechanisms the *engine* cares about: barriers (workgroup
-    synchronisation), waitcnt joins, LDS latency, divergent path groups
-    of different lengths, and enough warps to cause CU contention.
-    """
-    n_warps = draw(st.integers(1, 16))
-    wg_size = draw(st.sampled_from([1, 2, 4]))
-    n_loops = draw(st.integers(0, 2))
-
-    b = KernelBuilder("timing_random")
-    b.v_lane(v(0))
-    b.s_mul(s(3), s(0), 64)
-    b.v_add(v(0), v(0), s(3))
-    b.v_mov(v(1), 0.0)
-    b.s_mov(s(5), 1)
-
-    def emit_ops(ops):
-        for name, operand in ops:
-            if name.startswith("v_"):
-                getattr(b, name)(v(1), v(1), float(operand))
-            else:
-                getattr(b, name)(s(5), s(5), operand)
-
-    emit_ops(draw(st.lists(
-        st.tuples(st.sampled_from(_VOPS + _SOPS), st.integers(1, 7)),
-        min_size=1, max_size=6)))
-
-    # barrier on the common path: every warp of a workgroup must arrive
-    if draw(st.booleans()):
-        b.s_barrier()
-
-    # warp-divergent scalar branch (s0 = warp id) -> path groups of
-    # different dynamic lengths, which is what desynchronises the
-    # lockstep rounds and forces partial-retire handling
-    if draw(st.booleans()):
-        threshold = draw(st.integers(0, 15))
-        extra = draw(st.lists(
-            st.tuples(st.sampled_from(_VOPS + _SOPS), st.integers(1, 7)),
-            min_size=1, max_size=5))
-        b.s_cmp_lt(s(0), threshold)
-        b.s_cbranch_scc0("skip_warp_div")
-        emit_ops(extra)
-        if draw(st.booleans()):
-            b.v_load(v(2), MemAddr(base=s(4), index=v(0)))
-            b.s_waitcnt()
-        b.label("skip_warp_div")
-        # optional barrier after reconvergence: warps arrive at
-        # different times, so barrier release ordering is exercised
-        if wg_size > 1 and draw(st.booleans()):
-            b.s_barrier()
-
-    # lane divergence with an LDS round trip under a partial exec mask
-    if draw(st.booleans()):
-        b.v_lane(v(3))
-        b.v_cmp_lt(v(3), float(draw(st.integers(1, 63))))
-        b.s_exec_from_vcc()
-        emit_ops(draw(st.lists(
-            st.tuples(st.sampled_from(_VOPS), st.integers(1, 7)),
-            min_size=1, max_size=3)))
-        if draw(st.booleans()):
-            b.ds_write(v(3), v(1))
-            b.s_waitcnt()
-            b.ds_read(v(2), v(3))
-            b.s_waitcnt()
-        b.s_exec_all()
-        b.v_cndmask(v(1), v(1), v(2))
-
-    for loop_idx in range(n_loops):
-        trips = draw(st.integers(1, 4))
-        counter = s(8 + loop_idx)
-        b.s_mov(counter, 0)
-        b.label(f"loop{loop_idx}")
-        emit_ops(draw(st.lists(
-            st.tuples(st.sampled_from(_VOPS + _SOPS), st.integers(1, 7)),
-            min_size=1, max_size=4)))
-        if draw(st.booleans()):
-            b.v_load(v(2), MemAddr(base=s(4), index=v(0)))
-            b.s_waitcnt()
-        b.s_add(counter, counter, 1)
-        b.s_cmp_lt(counter, trips)
-        b.s_cbranch_scc1(f"loop{loop_idx}")
-
-    if draw(st.booleans()):
-        b.v_store(v(1), MemAddr(base=s(4), index=v(0)))
-    b.s_endpgm()
-    program = b.build()
-
-    def factory():
-        mem = GlobalMemory(capacity_words=n_warps * 64 + 256)
-        buf = mem.alloc("buf", np.ones(n_warps * 64))
-        return Kernel(program=program, n_warps=n_warps, wg_size=wg_size,
-                      memory=mem, args=lambda w: {4: buf},
-                      name="timing_random")
-
-    return factory
+    """Hypothesis draws behind ``conftest.timing_kernel_factory`` (the
+    golden corpus feeds the same generator from ``random.Random``)."""
+    return timing_kernel_factory(SimpleNamespace(
+        integers=lambda lo, hi: draw(st.integers(lo, hi)),
+        booleans=lambda: draw(st.booleans()),
+        choice=lambda seq: draw(st.sampled_from(seq))))
 
 
-# -- the differential harness ------------------------------------------------
-
-MEMBER_ONLY = float("inf")  # no round is ever this wide
-VECTOR = 2                  # every round with two members vectorizes
+# -- one observed run --------------------------------------------------------
 
 
-# channels that fire only on members a vector round replays anyway
-_LIGHT_CHANNELS = (ENGINE_WG_DISPATCH, ENGINE_WARP_DISPATCH,
-                   ENGINE_BARRIER, ENGINE_WARP_RETIRE)
+def _events(log, kind):
+    """The field tuples of one kind's events, in emission order."""
+    return [e[1:] for e in log if e[0] == kind]
 
 
-def _run_once(factory, sink=True, stop_after_bbs=None, gpu=GPU,
-              **engine_kwargs):
+def _observe(factory, gpu, insts=True, stop_after_bbs=None, **engine_kwargs):
     """One engine run on a private bus.
 
-    Returns ``(result, events, counters)``.  With ``sink`` the events
-    are every engine event, materialised; without, nothing subscribes
-    to ``engine.inst`` and the events are a journal of the light
-    channels.
+    Returns ``(result, log, resident_at_stop)``: ``log`` is every event
+    of the light channels (plus ``engine.inst`` with ``insts``) as
+    ``(kind, *fields)`` in emission order; ``resident_at_stop`` the
+    warps dispatched but not retired when the stop was requested.
     """
-    kernel = factory()
     bus = EventBus()
-    journal = []
-    if sink:
-        memory = bus.add_sink(MemorySink())
-    else:
-        for etype in _LIGHT_CHANNELS:
-            bus.subscribe(
-                etype, lambda *args, kind=etype.name: journal.append(
-                    (kind,) + args))
-    engine = DetailedEngine(kernel, gpu, bus=bus, **engine_kwargs)
+    log = []
+    for etype in LIGHT_CHANNELS + ((ENGINE_INST,) if insts else ()):
+        bus.subscribe(etype, lambda *args, kind=etype.name: log.append(
+            (kind,) + args))
+    engine = DetailedEngine(factory(), gpu, bus=bus, **engine_kwargs)
+    resident_at_stop = None
     if stop_after_bbs is not None:
-        request_stop_after_bbs(engine, stop_after_bbs)
-    result = engine.run()
-    events = [e.to_dict() for e in memory.events] if sink else journal
-    return result, events, bus.metrics.snapshot()["counters"]
+        seen = [0]
+
+        def on_bb(warp, pc, t0, t1):
+            nonlocal resident_at_stop
+            seen[0] += 1
+            if seen[0] == stop_after_bbs:
+                resident_at_stop = (
+                    {w for w, _ in _events(log, "engine.warp_dispatch")}
+                    - {w for w, _, _ in _events(log, "engine.warp_retire")})
+                engine.request_stop()
+
+        bus.subscribe(ENGINE_BB, on_bb)
+    return engine.run(), log, resident_at_stop
 
 
 def _assert_results_identical(ref, got):
@@ -216,79 +130,257 @@ def _assert_results_identical(ref, got):
     assert got.latency_table == ref.latency_table
 
 
-def _differential(factory, **run_kwargs):
-    """Member-only reference vs the current thresholds; returns the
-    latter's counters."""
-    with vec_thresholds(MEMBER_ONLY):
-        ref, ref_events, ref_counters = _run_once(factory, **run_kwargs)
-    assert ref_counters["engine.batch.rounds"] == 0
-    got, got_events, counters = _run_once(factory, **run_kwargs)
-    _assert_results_identical(ref, got)
-    assert got_events == ref_events
-    return counters
+# -- the oracles ------------------------------------------------------------
 
 
-def _check_property(max_examples, stop_after=st.none(), **engine_kwargs):
-    """Run the differential over generated kernels, with and without a
-    sink; each lane's examples must, between them, have executed vector
-    rounds."""
-    vector_rounds = Counter()
+def _check_conservation(kernel, result, log, traces):
+    dispatched = _events(log, "engine.warp_dispatch")
+    retired = _events(log, "engine.warp_retire")
+    dispatch_t = dict(dispatched)
+    assert len(dispatch_t) == len(dispatched), "a warp dispatched twice"
+    assert len({w for w, _, _ in retired}) == len(retired)
+    assert set(dispatch_t) == {w for w, _, _ in retired}
+    assert sorted(list(dispatch_t) + result.undispatched) == list(
+        range(kernel.n_warps))
+    if not result.stopped:
+        assert result.undispatched == []
+    assert result.warp_times == {w: (t0, t1) for w, t0, t1 in retired}
+    for w, t0, t1 in retired:
+        assert t0 == dispatch_t[w] and t0 <= t1
+    assert result.end_time == max(t1 for _, _, t1 in retired)
+    assert result.n_insts == sum(traces[w].n_insts for w in dispatch_t)
+    assert sum(n for _, _, _, n in _events(
+        log, "engine.wg_dispatch")) == len(dispatched)
 
+
+def _check_cache_accounting(result, traces):
+    mem = result.mem_stats
+    vector_lines = scalar_loads = 0
+    for w in result.warp_times:
+        trace = traces[w]
+        for cls, lines in zip(trace.opclass, trace.mem_lines):
+            if cls == OpClass.VECTOR_MEM and lines:
+                vector_lines += len(lines)
+            elif cls == OpClass.SCALAR_MEM:
+                scalar_loads += 1
+    assert mem["l1v_hits"] + mem["l1v_misses"] == vector_lines
+    assert mem["l1k_hits"] + mem["l1k_misses"] == scalar_loads
+    assert mem["l2_hits"] + mem["l2_misses"] == (
+        mem["l1v_misses"] + mem["l1k_misses"])
+    assert mem["dram_accesses"] == mem["l2_misses"]
+
+
+def _placement(kernel, gpu, log):
+    """warp -> (cu, issue port of its SIMD), replayed from the dispatch
+    events: the k-th warp placed on a CU takes SIMD ``k % simd_per_cu``."""
+    cu_of_wg = {wg: cu for wg, cu, _, _ in _events(log, "engine.wg_dispatch")}
+    placed = Counter()
+    where = {}
+    for w, _ in _events(log, "engine.warp_dispatch"):
+        cu = cu_of_wg[w // kernel.wg_size]
+        where[w] = (cu, ("simd", cu, placed[cu] % gpu.simd_per_cu))
+        placed[cu] += 1
+    return where
+
+
+def _barrier_releases(kernel, log, stream):
+    """``(wg, k) -> release time`` of each workgroup's k-th barrier,
+    checked against the arrivals in ``stream`` (warp -> inst events)."""
+    releases = {}
+    nth = Counter()
+    for wg, release, n_warps in _events(log, "engine.barrier"):
+        warps = list(kernel.warps_in_workgroup(wg))
+        assert n_warps == len(warps)
+        k = nth[wg]
+        nth[wg] += 1
+        arrivals = [
+            [t0 for cls, t0, _ in stream[w] if cls == OpClass.BARRIER][k]
+            for w in warps]
+        assert release == max(arrivals) + 1
+        releases[wg, k] = release
+    return releases
+
+
+def _check_instruction_stream(kernel, gpu, result, log, traces):
+    """Returns the time each logged instruction counts as retired at
+    (its ``t1``; for a barrier, the release), in emission order."""
+    interval = gpu.issue_interval
+    insts = _events(log, "engine.inst")
+    stream = defaultdict(list)
+    for w, cls, t0, t1 in insts:
+        stream[w].append((cls, t0, t1))
+    assert sum(len(insts) for insts in stream.values()) == result.n_insts
+    where = _placement(kernel, gpu, log)
+    releases = _barrier_releases(kernel, log, stream)
+    port_issues = defaultdict(list)
+    for w, issued in stream.items():
+        trace = traces[w]
+        assert [cls for cls, _, _ in issued] == trace.opclass
+        cu, simd_port = where[w]
+        n_barriers = 0
+        floor = result.warp_times[w][0]  # nothing issues before dispatch
+        for i, (cls, t0, t1) in enumerate(issued):
+            assert floor <= t0 <= t1, (w, i)
+            dep = trace.dep[i]
+            if dep >= 0:
+                assert t0 >= issued[dep][2], (w, i, "issued before producer")
+            floor = t0 + interval
+            if cls == OpClass.BARRIER:
+                release = releases[w // kernel.wg_size, n_barriers]
+                n_barriers += 1
+                assert t0 < release
+                floor = release + 1
+            port_issues[("scalar", cu) if cls in _SCALAR_PORT
+                        else simd_port].append(t0)
+        assert issued[-1][0] == OpClass.END
+        assert issued[-1][2] == result.warp_times[w][1]
+    for port, issues in port_issues.items():
+        issues.sort()
+        for a, b in zip(issues, issues[1:]):
+            assert b - a >= interval, (port, a, b)
+
+    counted_at = []
+    n_barriers = Counter()
+    for w, cls, _, t1 in insts:
+        if cls == OpClass.BARRIER:
+            t1 = releases[w // kernel.wg_size, n_barriers[w]]
+            n_barriers[w] += 1
+        counted_at.append(t1)
+    return counted_at
+
+
+def _check_accounting(result, log, traces, counted_at):
+    bucket = result.ipc_bucket
+    series = [0] * (int(max(counted_at) // bucket) + 1)
+    for t in counted_at:
+        series[int(t // bucket)] += 1
+    assert result.ipc_series == series
+
+    lat_sum, lat_cnt, cursor = Counter(), Counter(), Counter()
+    for w, cls, t0, t1 in _events(log, "engine.inst"):
+        code = traces[w].opcode[cursor[w]]
+        cursor[w] += 1
+        if cls not in (OpClass.BARRIER, OpClass.END):
+            lat_sum[code] += t1 - t0
+            lat_cnt[code] += 1
+    assert result.latency_table == {
+        code: lat_sum[code] / lat_cnt[code] for code in sorted(lat_cnt)}
+
+
+def _check_stop_snapshot(gpu, kernel, result, log, resident_at_stop):
+    if resident_at_stop is None:
+        assert not result.stopped and not result.cu_slot_free
+        return
+    assert result.stopped
+    assert result.stop_time <= result.end_time
+    # nothing is dispatched after the stop, and the report says so
+    dispatched = {w for w, _ in _events(log, "engine.warp_dispatch")}
+    assert result.undispatched == [
+        w for w in range(kernel.n_warps) if w not in dispatched]
+    assert resident_at_stop <= dispatched
+    where = _placement(kernel, gpu, log)
+    slot_free = defaultdict(list)
+    for w, _, retire in _events(log, "engine.warp_retire"):
+        if w in resident_at_stop:
+            assert retire >= result.stop_time
+            slot_free[where[w][0]].append(retire)
+    assert result.cu_slot_free == dict(slot_free)
+
+
+def _check_example(factory, gpu, stop_after_bbs=None, **engine_kwargs):
+    kernel = factory()
+    traces = WarpPackExecutor(factory()).run_warps_full(
+        range(kernel.n_warps))
+    result, log, resident_at_stop = _observe(
+        factory, gpu, stop_after_bbs=stop_after_bbs, **engine_kwargs)
+    _check_conservation(kernel, result, log, traces)
+    _check_cache_accounting(result, traces)
+    counted_at = _check_instruction_stream(kernel, gpu, result, log, traces)
+    _check_stop_snapshot(gpu, kernel, result, log, resident_at_stop)
+    if result.ipc_bucket is not None:
+        _check_accounting(result, log, traces, counted_at)
+
+    # observer independence, and a repeat is a replay
+    light = [e for e in log if e[0] != "engine.inst"]
+    for insts in (False, True):
+        again, again_log, _ = _observe(
+            factory, gpu, insts=insts, stop_after_bbs=stop_after_bbs,
+            **engine_kwargs)
+        _assert_results_identical(result, again)
+        assert again_log == (log if insts else light)
+    return result
+
+
+def _check_chunk_invariance(factory, reference, mid_chunk):
+    for chunk in (1, mid_chunk, factory().n_warps):
+        kernel = factory()
+        _assert_results_identical(reference, DetailedEngine(
+            kernel, GPU, bus=EventBus(),
+            trace_provider=PackProvider(kernel, chunk=chunk)).run())
+
+
+# -- the lanes --------------------------------------------------------------
+
+
+def _event_lane(max_examples):
     @settings(max_examples=max_examples, deadline=None)
-    @given(timing_kernel_factories(), stop_after)
-    def prop(factory, stop_after_bbs):
-        for sink in (True, False):
-            with vec_thresholds(VECTOR):
-                counters = _differential(
-                    factory, sink=sink, stop_after_bbs=stop_after_bbs,
-                    **engine_kwargs)
-            vector_rounds[sink] += counters["engine.batch.rounds"]
+    @given(timing_kernel_factories(), st.integers(2, 5))
+    def prop(factory, mid_chunk):
+        result = _check_example(factory, GPU)
+        _check_chunk_invariance(factory, result, mid_chunk)
 
     prop()
-    assert vector_rounds[True] > 0 and vector_rounds[False] > 0
+
+
+def _stop_lane(max_examples, max_bbs):
+    outcomes = Counter()
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(timing_kernel_factories(), st.integers(1, max_bbs))
+    def prop(factory, stop_after_bbs):
+        result = _check_example(factory, STOP_GPU,
+                                stop_after_bbs=stop_after_bbs)
+        outcomes["stopped"] += result.stopped
+        outcomes["left work"] += bool(result.undispatched)
+
+    prop()
+    # the lane is only about stops if some examples were really cut short
+    assert outcomes["stopped"] and outcomes["left work"]
 
 
 def test_timing_batched_equivalence_quick():
-    """Fast-lane slice: vector vs member-only, full event-sequence
-    compare."""
-    _check_property(40)
+    """Fast-lane slice: conservation, cache accounting, the instruction
+    stream, observer and trace-supply independence."""
+    _event_lane(40)
 
 
 @pytest.mark.slow
 def test_timing_batched_equivalence_full():
     """Full 200-example run (nightly lane)."""
-    _check_property(200)
+    _event_lane(200)
 
 
 def test_timing_batched_stop_snapshot_quick():
     """``request_stop`` mid-run from an event callback: the snapshot
-    (stop time, resident retires, undispatched, slot frees) is bitwise
-    identical with and without vector rounds."""
-    _check_property(20, stop_after=st.integers(1, 30))
+    (stop time, resident retires, undispatched, slot frees) is what the
+    event log says it must be."""
+    _stop_lane(20, max_bbs=30)
 
 
 @pytest.mark.slow
 def test_timing_batched_stop_snapshot_full():
-    _check_property(200, stop_after=st.integers(1, 60))
+    _stop_lane(200, max_bbs=60)
 
 
 def test_timing_batched_accounting_surfaces():
-    """ipc_series buckets and the opcode latency table match exactly."""
-    _check_property(10, ipc_bucket=25.0, collect_latency=True)
-    # an ipc_bucket makes vector rounds replay every member; without
-    # one the latency table accumulates through bulk np.add.at commits
-    _check_property(10, collect_latency=True)
+    """ipc_series buckets and the opcode latency table are exactly what
+    the instruction events add up to."""
+    @settings(max_examples=20, deadline=None)
+    @given(timing_kernel_factories())
+    def prop(factory):
+        _check_example(factory, GPU, ipc_bucket=25.0, collect_latency=True)
 
-
-@pytest.mark.parametrize("workload,size", [
-    ("nbody", 512), ("kmeans", 1024), ("blackscholes", 512)])
-def test_natural_width_vector_rounds(workload, size):
-    """At the shipped thresholds, on the evaluation GPU, the barrier-
-    and latency-aligned compute kernels reach vector rounds on their
-    own, and those rounds change nothing."""
-    counters = _differential(workload_factory(workload, size), sink=False,
-                             gpu=EVAL_R9NANO)
-    assert counters["engine.batch.rounds"] > 0
+    prop()
 
 
 # -- attach-order regression pin --------------------------------------------
@@ -311,15 +403,14 @@ class _Recorder(EngineListener):
         self.journal.append((self.tag, "retire", warp_id, dispatch, retire))
 
 
-def _listener_journal(threshold):
+def _listener_journal():
     journal = []
     engine = DetailedEngine(_attach_order_kernel(), GPU, bus=EventBus())
     # attach order is part of the observable contract: listener "a"
     # must see every event before listener "b" does
     engine.attach(_Recorder("a", journal))
     engine.attach(_Recorder("b", journal))
-    with vec_thresholds(threshold):
-        engine.run()
+    engine.run()
     return journal
 
 
@@ -342,17 +433,13 @@ def _attach_order_kernel():
 
 
 def test_attach_order_pinned_across_engines():
-    """Two listeners attached a-then-b observe the identical interleaved
-    callback journal whether rounds are vectorized or replayed member
-    by member."""
-    member_only = _listener_journal(MEMBER_ONLY)
-    vector = _listener_journal(VECTOR)
-    assert member_only, "journal must not be empty"
-    assert vector == member_only
-    # and within any single event, "a" fires before "b"
-    for i in range(0, len(vector) - 1, 1):
-        tag, *rest = vector[i]
-        if tag == "a" and i + 1 < len(vector):
-            nxt_tag, *nxt_rest = vector[i + 1]
-            if nxt_rest == rest:
-                assert nxt_tag == "b"
+    """Two listeners attached a-then-b: every event reaches "a" and then
+    "b", back to back, and a second engine built the same way delivers
+    the identical interleaved journal."""
+    journal = _listener_journal()
+    assert journal, "journal must not be empty"
+    assert _listener_journal() == journal
+    assert len(journal) % 2 == 0
+    for first, second in zip(journal[0::2], journal[1::2]):
+        assert first[0] == "a" and second[0] == "b"
+        assert first[1:] == second[1:]

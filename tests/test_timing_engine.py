@@ -1,10 +1,15 @@
 """Detailed engine: causality, barriers, dispatch, stop/abort, probes."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 
 from repro.config import R9_NANO
 from repro.errors import ConfigError
 from repro.functional import FunctionalExecutor
+from repro.functional.batch import WarpPackExecutor
+from repro.obs import ENGINE_WARP_RETIRE, EventBus
 from repro.timing import BBProbe, DetailedEngine, EngineListener, WarpProbe
 
 from conftest import make_barrier_kernel, make_loop_kernel, make_vecadd
@@ -275,3 +280,36 @@ def test_listener_sequences_repeat_across_runs(tiny_gpu):
         engine.run()
         streams.append(recorder.events)
     assert streams[0] == streams[1]
+
+
+def test_retire_rows_stay_packed():
+    """The run's peak Python heap is the retire rows — one 8-byte cell
+    per instruction of each resident slot — plus a fixed allowance for
+    everything else.  Rows of boxed floats (32 bytes per instruction)
+    blow the bound; at 64 CUs they also cost the speed back."""
+    gpu = dataclasses.replace(R9_NANO.scaled(4), max_warps_per_cu=10)
+    slots = gpu.n_cu * gpu.max_warps_per_cu
+    kernel = make_loop_kernel(n_warps=200, trips_of=lambda w: 250 + w % 3)
+    traces = WarpPackExecutor(kernel).run_warps_full(range(kernel.n_warps))
+    longest = max(t.n_insts for t in traces.values())
+    assert longest >= 1000
+    bus = EventBus()
+    engine = DetailedEngine(kernel, gpu, bus=bus,
+                            trace_provider=traces.__getitem__)
+    # tracing every allocation is slow, and the peak is reached once
+    # every slot has been filled and recycled: stop there
+    retired = []
+
+    def on_retire(warp, t0, t1):
+        retired.append(warp)
+        if len(retired) == slots + 20:
+            engine.request_abort()
+
+    bus.subscribe(ENGINE_WARP_RETIRE, on_retire)
+    tracemalloc.start()
+    try:
+        engine.run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * slots * (longest + 1) + 128 * 1024

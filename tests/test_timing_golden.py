@@ -1,16 +1,22 @@
-"""Golden replay of the runs that cannot use vector rounds.
+"""Golden replay of the timing engine against the engines it replaced.
 
-``tests/golden/timing_engine.json`` was recorded from the retired heap
-loop (``DetailedEngine._run`` at commit 1ea305a), which is where armed
-watchdogs and fractional start times / latencies used to execute.  The
-round engine now replays those runs member by member and must reproduce
-the file exactly: every ``EngineResult`` field, a digest of the full
-event sequence, and for watchdog trips the exception class, its message
-and the ``reliability.watchdog`` event.
+``tests/golden/timing_engine.json`` holds two recorded corpora, and the
+one loop in ``repro.timing.engine`` must reproduce both exactly: every
+``EngineResult`` field, a digest of the event sequence, and for
+watchdog trips the exception class, its message and the
+``reliability.watchdog`` event.
 
-The cases run with both vector thresholds forced down to 2, so the
-equality also proves that the engine — not the narrow test kernels —
-keeps these runs off the vector path (``engine.batch.rounds == 0``).
+* **Heap-loop corpus** (``CASES`` x ``KERNELS``), recorded from the
+  retired heap loop (``DetailedEngine._run`` at commit 1ea305a): armed
+  watchdogs, a fractional start time, fractional latencies.
+* **Numpy-round corpus**, recorded at commit fba0e44 from the retired
+  ``timing/batch.py`` while its vectorized rounds really executed:
+  nbody@512, kmeans@1024 and blackscholes@512 on the evaluation GPU at
+  the shipped width thresholds (``NATURAL``), and 40 seeded programs
+  from ``conftest.timing_kernel_factory`` with both thresholds forced
+  to 2 (``SEEDS`` x ``SEEDED_MODES``: quiet, with an ``engine.inst``
+  subscriber, with an ``ipc_bucket``, with ``request_stop`` after *n*
+  basic blocks).
 
 ``PYTHONPATH=src:tests python tests/test_timing_golden.py`` rewrites the
 file from the current engine (only after an intended model change).
@@ -28,17 +34,21 @@ import pytest
 from repro.config import R9_NANO
 from repro.errors import ReproError
 from repro.functional import GlobalMemory, Kernel
+from repro.harness.defaults import EVAL_R9NANO
+from repro.harness.runner import workload_factory
 from repro.isa import KernelBuilder, MemAddr, s, v
 from repro.obs import MemorySink, scoped_bus
 from repro.reliability.watchdog import WatchdogConfig
 from repro.timing import DetailedEngine
 
 from conftest import (
+    LIGHT_CHANNELS,
+    RandomSource,
     make_barrier_kernel,
     make_loop_kernel,
     make_vecadd,
     request_stop_after_bbs,
-    vec_thresholds,
+    timing_kernel_factory,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "timing_engine.json"
@@ -91,43 +101,64 @@ KERNELS = {
 
 _ACCOUNTING = {"ipc_bucket": 25.0, "collect_latency": True}
 
-# name -> (vector rounds are off because, engine kwargs, GpuConfig
-# overrides, request_stop after this many basic blocks)
+# name -> (engine kwargs, GpuConfig overrides, request_stop after this
+# many basic blocks)
 CASES = {}
 for _budget in (1, 17, 100, 333):
     CASES[f"watchdog-max-events-{_budget}"] = (
-        "watchdog", {"watchdog": WatchdogConfig(max_events=_budget)}, {},
-        None)
+        {"watchdog": WatchdogConfig(max_events=_budget)}, {}, None)
 for _stall in (1, 3):
     CASES[f"watchdog-stall-events-{_stall}"] = (
-        "watchdog", {"watchdog": WatchdogConfig(stall_events=_stall)}, {},
-        None)
+        {"watchdog": WatchdogConfig(stall_events=_stall)}, {}, None)
 _QUIET = WatchdogConfig(max_events=10**9, stall_events=10**6)
-CASES["watchdog-armed-quiet"] = ("watchdog", {"watchdog": _QUIET}, {}, None)
+CASES["watchdog-armed-quiet"] = ({"watchdog": _QUIET}, {}, None)
 CASES["watchdog-armed-quiet-stop"] = (
-    "watchdog", {"watchdog": _QUIET, **_ACCOUNTING}, {}, 9)
-CASES["start-time"] = ("fractional_start_time", {"start_time": 0.5}, {}, None)
-CASES["start-time-stop"] = (
-    "fractional_start_time", {"start_time": 0.5, **_ACCOUNTING}, {}, 9)
+    {"watchdog": _QUIET, **_ACCOUNTING}, {}, 9)
+CASES["start-time"] = ({"start_time": 0.5}, {}, None)
+CASES["start-time-stop"] = ({"start_time": 0.5, **_ACCOUNTING}, {}, 9)
 # non-dyadic values: every add rounds, so the order of operations shows
 for _field, _value in (("issue_interval", 1.3), ("scalar_alu_lat", 1.1),
                        ("vector_alu_lat", 4.7), ("branch_lat", 1.3),
                        ("lds_lat", 8.6), ("cp_dispatch_interval", 8.3)):
-    CASES[_field] = ("fractional_latency", {}, {_field: _value}, None)
-    CASES[f"{_field}-stop"] = (
-        "fractional_latency", dict(_ACCOUNTING), {_field: _value}, 9)
+    CASES[_field] = ({}, {_field: _value}, None)
+    CASES[f"{_field}-stop"] = (dict(_ACCOUNTING), {_field: _value}, 9)
+
+# the barrier- and latency-aligned compute kernels whose rounds reached
+# the retired vector path on their own, on the evaluation GPU
+NATURAL = (("nbody", 512), ("kmeans", 1024), ("blackscholes", 512))
+
+SEEDS = range(40)
+SEEDED_GPU = R9_NANO.scaled(4)
+# 8 resident slots, so a stop finds most programs with warps to dispatch
+SEEDED_STOP_GPU = dataclasses.replace(R9_NANO.scaled(2), max_warps_per_cu=4)
+# mode -> (materialise every event, engine kwargs, stop mid-run)
+SEEDED_MODES = {
+    "quiet": (False, {"collect_latency": True}, False),
+    "inst": (True, {}, False),
+    "ipc": (False, _ACCOUNTING, False),
+    "stop": (True, {}, True),
+}
 
 
-def run_case(case: str, kernel_name: str) -> dict:
-    """One engine run, reduced to the JSON record the golden file holds."""
-    _, engine_kwargs, gpu_overrides, stop_after = CASES[case]
+def _record(kernel, gpu, engine_kwargs, stop_after=None,
+            full_events=True) -> dict:
+    """One engine run, reduced to the JSON record the golden file holds.
+
+    With ``full_events`` a ``MemorySink`` materialises every engine
+    event; without, the digest covers a journal of the light channels.
+    """
     record = {}
+    journal = []
     with scoped_bus() as bus:
         # the default bus, so the watchdog's trip event lands in the sink
-        sink = bus.add_sink(MemorySink())
-        engine = DetailedEngine(KERNELS[kernel_name](),
-                                dataclasses.replace(GPU, **gpu_overrides),
-                                **engine_kwargs)
+        if full_events:
+            sink = bus.add_sink(MemorySink())
+        else:
+            for etype in LIGHT_CHANNELS:
+                bus.subscribe(
+                    etype, lambda *args, kind=etype.name: journal.append(
+                        {"kind": kind, "args": args}))
+        engine = DetailedEngine(kernel, gpu, **engine_kwargs)
         if stop_after is not None:
             request_stop_after_bbs(engine, stop_after)
         try:
@@ -152,14 +183,58 @@ def run_case(case: str, kernel_name: str) -> dict:
                 "mem_stats": result.mem_stats,
             }
         record["counters"] = bus.metrics.snapshot()["counters"]
-    events = [e.to_dict() for e in sink.events
-              if e.kind.startswith(("engine.", "reliability."))]
+    events = journal
+    if full_events:
+        events = [e.to_dict() for e in sink.events
+                  if e.kind.startswith(("engine.", "reliability."))]
     record["n_events"] = len(events)
     record["events_sha256"] = hashlib.sha256(
         json.dumps(events, sort_keys=True).encode()).hexdigest()
     record["watchdog_events"] = [
         e for e in events if e["kind"] == "reliability.watchdog"]
     return record
+
+
+def run_case(case: str, kernel_name: str) -> dict:
+    engine_kwargs, gpu_overrides, stop_after = CASES[case]
+    return _record(KERNELS[kernel_name](),
+                   dataclasses.replace(GPU, **gpu_overrides),
+                   engine_kwargs, stop_after)
+
+
+def run_natural(workload: str, size: int) -> dict:
+    return _record(workload_factory(workload, size)(), EVAL_R9NANO,
+                   {"collect_latency": True}, full_events=False)
+
+
+def run_seeded(seed: int, mode: str) -> dict:
+    full_events, engine_kwargs, stop = SEEDED_MODES[mode]
+    rng = random.Random(seed)
+    kernel = timing_kernel_factory(RandomSource(rng))()
+    gpu, stop_after = ((SEEDED_STOP_GPU, rng.randint(1, 30)) if stop
+                       else (SEEDED_GPU, None))
+    return _record(kernel, gpu, engine_kwargs, stop_after, full_events)
+
+
+def all_runs():
+    """``(golden key, zero-arg run)`` for every record of the file."""
+    for case in sorted(CASES):
+        for kernel_name in sorted(KERNELS):
+            yield (f"{case}/{kernel_name}",
+                   lambda c=case, k=kernel_name: run_case(c, k))
+    for workload, size in NATURAL:
+        yield (f"natural/{workload}-{size}",
+               lambda w=workload, n=size: run_natural(w, n))
+    for seed in SEEDS:
+        for mode in SEEDED_MODES:
+            yield (f"seeded-{seed:02d}/{mode}",
+                   lambda n=seed, m=mode: run_seeded(n, m))
+
+
+def _assert_replays(record: dict, expected: dict, what) -> None:
+    counters = record.pop("counters")
+    assert record == expected, what
+    assert counters["engine.batch.runs"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -169,17 +244,22 @@ def golden():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_replay(case, golden):
-    reason = CASES[case][0]
     for kernel_name in sorted(KERNELS):
-        with vec_thresholds(2):
-            record = run_case(case, kernel_name)
-        counters = record.pop("counters")
-        assert record == golden[f"{case}/{kernel_name}"], kernel_name
-        assert counters["engine.batch.runs"] == 1
-        assert counters.get("engine.batch.rounds", 0) == 0
-        assert [name for name in counters
-                if name.startswith("engine.batch.member_only.")] == [
-            f"engine.batch.member_only.{reason}"]
+        _assert_replays(run_case(case, kernel_name),
+                        golden[f"{case}/{kernel_name}"], kernel_name)
+
+
+@pytest.mark.parametrize("workload,size", NATURAL)
+def test_golden_replay_natural_width(workload, size, golden):
+    _assert_replays(run_natural(workload, size),
+                    golden[f"natural/{workload}-{size}"], workload)
+
+
+@pytest.mark.parametrize("mode", sorted(SEEDED_MODES))
+def test_golden_replay_seeded_programs(mode, golden):
+    for seed in SEEDS:
+        _assert_replays(run_seeded(seed, mode),
+                        golden[f"seeded-{seed:02d}/{mode}"], seed)
 
 
 def test_golden_trips_and_survivors_both_present(golden):
@@ -193,16 +273,27 @@ def test_golden_trips_and_survivors_both_present(golden):
                for key in golden if key.endswith("-stop/mixed"))
 
 
-if __name__ == "__main__":
-    records = {}
-    for case_name in sorted(CASES):
-        for kernel in sorted(KERNELS):
-            rec = run_case(case_name, kernel)
-            del rec["counters"]
-            records[f"{case_name}/{kernel}"] = rec
+def test_golden_stops_really_stop(golden):
+    """The seeded stop lane is only meaningful while some programs are
+    long enough to be stopped with work left over."""
+    stopped = [golden[f"seeded-{seed:02d}/stop"]["result"]
+               for seed in SEEDS]
+    assert sum(1 for r in stopped if r["stopped"]) >= len(SEEDS) // 2
+    assert any(r["undispatched"] for r in stopped)
+
+
+def write_golden(records: dict) -> None:
     GOLDEN.parent.mkdir(exist_ok=True)
     # one record per line: a changed case is a one-line diff
     GOLDEN.write_text("{\n" + ",\n".join(
         f"{json.dumps(key)}: {json.dumps(rec, sort_keys=True)}"
         for key, rec in records.items()) + "\n}\n")
     print(f"wrote {len(records)} records to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    fresh = {}
+    for golden_key, run in all_runs():
+        fresh[golden_key] = run()
+        del fresh[golden_key]["counters"]
+    write_golden(fresh)
