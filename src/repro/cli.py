@@ -519,16 +519,7 @@ def _run_sweep(args: argparse.Namespace,
         result = resume_sweep(args.resume_dir, jobs=args.jobs,
                               sweep_deadline=args.sweep_deadline)
     else:
-        if not args.workloads:
-            raise ConfigError(
-                "sweep needs workload names (or --resume DIR)")
-        tasks = plan_sweep(
-            args.workloads, sizes=args.sizes,
-            methods=tuple(args.methods), gpu=args.gpu, seed=args.seed,
-            photon_config=EVAL_PHOTON, watchdog=watchdog,
-            shard=_parse_shard(args.shard),
-            trace_store=args.trace_store)
-        result = run_sweep(tasks, jobs=args.jobs,
+        result = run_sweep(_plan_from_args(args, watchdog), jobs=args.jobs,
                            sweep_deadline=args.sweep_deadline,
                            run_dir=args.run_dir)
     return _emit_sweep_result(args, result, obs)
@@ -552,12 +543,13 @@ def _emit_sweep_result(args: argparse.Namespace, result,
     return 0
 
 
-def _fleet_plan(args: argparse.Namespace,
-                watchdog: Optional[WatchdogConfig]):
+def _plan_from_args(args: argparse.Namespace,
+                    watchdog: Optional[WatchdogConfig]):
+    """The plan the sweep's planning flags describe (run and fleet-init)."""
     if not args.workloads:
         raise ConfigError(
-            "fleet planning needs workload names "
-            "(repro sweep W... --fleet-dir D --fleet-init)")
+            "sweep needs workload names (only --resume DIR, --worker and "
+            "--coordinate take the plan from disk)")
     return plan_sweep(
         args.workloads, sizes=args.sizes,
         methods=tuple(args.methods), gpu=args.gpu, seed=args.seed,
@@ -575,7 +567,7 @@ def _run_fleet(args: argparse.Namespace,
 
     manifest = Path(args.fleet_dir) / MANIFEST_NAME
     if args.fleet_init:
-        fleet_init(args.fleet_dir, _fleet_plan(args, watchdog),
+        fleet_init(args.fleet_dir, _plan_from_args(args, watchdog),
                    options={"on_conflict": "keep"})
         print(f"fleet initialized: {manifest}")
         return 0
@@ -594,7 +586,7 @@ def _run_fleet(args: argparse.Namespace,
     # --coordinate: plan-and-init first when the manifest is absent and
     # workloads were given, so one command can bootstrap a whole fleet
     if not manifest.exists() and args.workloads:
-        fleet_init(args.fleet_dir, _fleet_plan(args, watchdog),
+        fleet_init(args.fleet_dir, _plan_from_args(args, watchdog),
                    options={"on_conflict": "keep"})
     elif manifest.exists() and args.workloads:
         raise ConfigError(

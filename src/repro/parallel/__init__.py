@@ -51,6 +51,7 @@ from .journal import (
     scan_journal,
 )
 from .scheduler import (
+    MergedState,
     SweepResult,
     merge_outcome_state,
     plan_sweep,
@@ -69,6 +70,7 @@ __all__ = [
     "FleetWorkerReport",
     "JOURNAL_NAME",
     "JournalScan",
+    "MergedState",
     "RunReport",
     "SweepJournal",
     "SweepResult",

@@ -34,18 +34,22 @@ only bounds *wasted* work, it is not required for correctness.
 ``failed`` records to its own :class:`~repro.parallel.journal.SweepJournal`
 (fsync'd, checksummed, valid-prefix recovery), so a SIGKILLed host
 loses at most its in-flight task — which its expired lease hands to a
-survivor.  A restarted host resumes its own journal (quarantining any
-torn tail) and continues claiming.  In-task transient failures retry
-through the task's own :class:`~repro.reliability.retry.RetryPolicy`,
-exactly as in single-host sweeps.
+survivor.  The journaled step itself (``scheduled`` record → run →
+outcome record) is the scheduler's ``run_journaled``, shared with
+single-host sweeps.  A restarted host resumes its own journal
+(quarantining any torn tail) and continues claiming.  In-task transient
+failures retry through the task's own
+:class:`~repro.reliability.retry.RetryPolicy`, exactly as in
+single-host sweeps.
 
 **Coordinator.**  :func:`fleet_coordinate` waits until every task is
 covered (a done marker or a journaled outcome on some host), re-runs
-any task that no surviving journal covers, then merges everything *in
-task-index order*: rows via ``rows_from_outcomes``, analysis-store /
-kernel-db payloads via the scheduler's deterministic fold, and staged
-trace bundles via the multi-root ``TraceStore.merge_staged`` (hosts
-visited in sorted order; first-written blob wins and duplicates are
+any task that no surviving journal covers, then hands everything to
+the scheduler's :func:`~repro.parallel.scheduler.assemble_result` — the
+same function a single-host sweep ends in — which merges *in task-index
+order*: rows, analysis-store / kernel-db payloads, and staged trace
+bundles via the multi-root ``TraceStore.merge_staged`` (hosts visited
+in sorted order; first-written blob wins and duplicates are
 content-equal by construction).  The merged result is **bitwise
 identical** to ``run_sweep(tasks, jobs=1)`` on one host — the same
 contract every prior layer earned, now surviving arbitrary host
@@ -68,6 +72,7 @@ import socket
 import threading
 import time as _time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -76,9 +81,14 @@ from ..durable import durable_replace
 from ..errors import ConfigError, SamplingError
 from ..obs import SWEEP_FLEET, current_bus
 from .journal import JOURNAL_NAME, SweepJournal, scan_journal
-from .scheduler import SweepResult, merge_outcome_state, rows_from_outcomes
+from .scheduler import (
+    SweepResult,
+    assemble_result,
+    in_caller,
+    run_journaled,
+)
 from .tasks import SweepTask, TaskOutcome, run_task
-from .telemetry import RunReport, TaskTelemetry
+from .telemetry import RunReport
 
 PathLike = Union[str, Path]
 
@@ -393,12 +403,8 @@ class FleetWorker:
                         self.clock() + self.lease_seconds,
                         generation=claim.generation, nonce=claim.nonce)
 
-    def run_claimed(self, claim: _Claim) -> TaskOutcome:
-        """Execute a claimed task: journal, run, mark done."""
-        task = self.tasks[claim.index]
-        if task.index != claim.index:  # pragma: no cover - plan invariant
-            task = next(t for t in self.tasks if t.index == claim.index)
-        self._journal.task_scheduled(task)
+    def _run_leased(self, claim: _Claim, task: SweepTask) -> TaskOutcome:
+        """Run one claimed task under a heartbeat; stamp its provenance."""
         stop = threading.Event()
         beat = None
         if self.heartbeat and self.lease_seconds > 0:
@@ -415,7 +421,16 @@ class FleetWorker:
                 beat.join()
         outcome.host = self.host
         outcome.stolen = claim.stolen
-        self._journal.task_outcome(outcome)
+        return outcome
+
+    def run_claimed(self, claim: _Claim) -> TaskOutcome:
+        """Execute a claimed task: journal, run, mark done."""
+        task = self.tasks[claim.index]
+        if task.index != claim.index:  # pragma: no cover - plan invariant
+            task = next(t for t in self.tasks if t.index == claim.index)
+        [(outcome, _wait)] = run_journaled(
+            [task], in_caller(partial(self._run_leased, claim)),
+            self._journal)
         write_done(self.fleet_dir, claim.index, self.host,
                    outcome.status, claim.stolen)
         self._completed.add(claim.index)
@@ -646,61 +661,19 @@ def fleet_coordinate(
                 f"--coordinate (or raise the timeout)")
         _time.sleep(poll_interval)
 
-    ordered = [outcomes_by_index[task.index] for task in tasks]
-    rows = rows_from_outcomes(ordered)
-    store, db, store_stats, db_stats = merge_outcome_state(
-        ordered, on_conflict)
-
-    trace_merge = None
-    trace_roots = sorted({task.trace_store for task in tasks
-                          if task.trace_store is not None})
-    if trace_roots:
-        from ..tracestore import TraceStore
-
-        staging_root = fleet_dir / STAGING_DIR
-        host_stages = (sorted(p for p in staging_root.iterdir()
-                              if p.is_dir())
-                       if staging_root.is_dir() else [])
-        trace_merge = {"tasks": 0, "bundles": 0, "warps_added": 0,
-                       "quarantined": 0}
-        for root in trace_roots:
-            part = TraceStore(root).merge_staged(
-                staging_roots=host_stages)
-            for key in trace_merge:
-                trace_merge[key] += part[key]
-
-    total_wall = _time.perf_counter() - t0
-    hosts = sorted({outcome.host for outcome in ordered
-                    if outcome.host})
-    report = RunReport(jobs=max(1, len(hosts)), mp_context="fleet",
-                       total_wall=total_wall)
-    for outcome in ordered:
-        replayed = outcome.index not in fresh
-        report.tasks.append(TaskTelemetry(
-            index=outcome.index,
-            workload=outcome.workload,
-            size=outcome.size,
-            method=outcome.method,
-            worker=outcome.worker,
-            host=outcome.host,
-            stolen=outcome.stolen,
-            task_wall=outcome.task_wall,
-            sim_wall=outcome.wall_seconds,
-            attempts=outcome.attempts,
-            backoff_total=outcome.backoff_total,
-            fallbacks=len(outcome.fallbacks),
-            status=outcome.status,
-            error_class=outcome.error_class,
-            replayed=replayed,
-        ))
+    staging_root = fleet_dir / STAGING_DIR
+    host_stages = (sorted(p for p in staging_root.iterdir() if p.is_dir())
+                   if staging_root.is_dir() else [])
+    hosts = {outcome.host for outcome in outcomes_by_index.values()
+             if outcome.host}
+    report = RunReport(jobs=max(1, len(hosts)), mp_context="fleet")
+    result = assemble_result(tasks, outcomes_by_index, fresh, report,
+                             on_conflict, staging_roots=host_stages)
+    report.total_wall = _time.perf_counter() - t0   # the merge included
     bus = current_bus()
     bus.emit(SWEEP_FLEET, _sanitize_host(coordinator_host), "merge",
              -1, len(hosts))
     bus.metrics.counter("fleet.merges").inc()
     if quarantined:
         bus.metrics.counter("fleet.journal.quarantined").inc(quarantined)
-    return SweepResult(rows=rows, outcomes=ordered, store=store,
-                       kernel_db=db, report=report,
-                       store_merge=store_stats, db_merge=db_stats,
-                       trace_merge=trace_merge,
-                       replayed=len(ordered) - len(fresh))
+    return result

@@ -4,8 +4,11 @@
 methods) into an ordered list of :class:`~repro.parallel.tasks.SweepTask`
 shards — each cell contributes one ``full`` baseline task followed by
 one task per sampled method.  :func:`run_sweep` executes a plan either
-inline (``jobs=1``) or over a ``multiprocessing`` pool with a bounded
-submission window, then:
+inline (``jobs=1``, the in-caller reference path) or as a thin client
+of the one pool owner, :class:`~repro.parallel.tier.ExecutionTier`: it
+keeps a bounded window of tasks submitted and journals around them;
+worker processes, broken pools and crash outcomes are the tier's.
+Then :func:`assemble_result` — shared with the fleet coordinator —
 
 * reassembles :class:`~repro.harness.metrics.Comparison` rows in plan
   order, reproducing the serial harness's row semantics exactly
@@ -17,14 +20,16 @@ submission window, then:
 
 Crash safety (DuraSweep): with ``run_dir=D`` every scheduling decision
 and task outcome is appended to a write-ahead journal
-(:mod:`repro.parallel.journal`) before the sweep moves on, and
+(:mod:`repro.parallel.journal`) before the sweep moves on
+(:func:`run_journaled`, the one journaled-run step), and
 :func:`resume_sweep` restarts a killed run — completed tasks are
 *replayed* from the journal, missing and failed ones re-executed, and
 the merged result is bitwise-identical to an uninterrupted run (the
 deterministic task-order merge is order-independent, so it cannot tell
-a replayed outcome from a fresh one).  A SIGKILLed pool worker no
-longer poisons the run either: the scheduler rebuilds the broken pool
-and retries the tasks that were in flight, bounded per task.
+a replayed outcome from a fresh one).  A SIGKILLed pool worker does not
+poison the run either (the tier retries the tasks that were in flight
+one at a time), and an exception that *escapes* a task is not an
+outcome on any backend: the pool is shut down and it propagates.
 
 Determinism contract: all simulated quantities in the produced rows
 are pure functions of (workload, seed, configuration).  Serial,
@@ -37,17 +42,23 @@ only fields allowed to differ.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
+import itertools
 import time as _time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..baselines.pka import PkaConfig
 from ..core.config import PhotonConfig
@@ -64,18 +75,18 @@ from ..harness.runner import _check_methods
 from ..obs import PARALLEL_TASK, SWEEP_RESUME, current_bus
 from ..reliability.retry import NO_RETRY, RetryPolicy
 from ..reliability.watchdog import WatchdogConfig
+from ..tracestore import TraceStore
 from ..workloads.base import REGISTRY
 from .journal import SweepJournal
 from .tasks import FULL_METHOD, SweepTask, TaskOutcome, run_task
 from .telemetry import RunReport, TaskTelemetry
-from .tier import default_context as _default_context
-from .tier import worker_init as _worker_init
+from .tier import ExecutionTier
 
 SizesSpec = Union[None, Sequence[int], Mapping[str, Sequence[int]]]
 
-#: a task seen in this many broken-pool incidents stops being retried
-#: and keeps its synthesized error outcome (resume can retry it later)
-_POOL_CRASH_LIMIT = 2
+#: tasks kept submitted per worker: one running, one queued behind it so
+#: a worker never idles waiting for the parent to notice a completion
+WINDOW_PER_JOB = 2
 
 
 def _sizes_for(workload: str, sizes: SizesSpec) -> Tuple[int, ...]:
@@ -264,32 +275,144 @@ def _cell_rows(full: TaskOutcome,
     return rows
 
 
-def merge_outcome_state(outcomes: Sequence[TaskOutcome],
-                        on_conflict: str) -> Tuple[AnalysisStore,
-                                                   Optional[KernelDB],
-                                                   MergeStats, MergeStats]:
-    """Fold worker store/db payloads together, in task order.
+@dataclass
+class MergedState:
+    """Reusable warm-analysis state folded out of task outcomes."""
 
-    Shared by the in-process scheduler and the fleet coordinator: the
-    fold visits outcomes sorted by task index, so the merged state is
-    independent of which worker/host produced which payload when.
-    """
-    store = AnalysisStore()
-    store_stats = MergeStats()
-    db: Optional[KernelDB] = None
-    db_stats = MergeStats()
-    for outcome in sorted(outcomes, key=lambda o: o.index):
+    store: AnalysisStore = field(default_factory=AnalysisStore)
+    kernel_db: Optional[KernelDB] = None   # None until a payload arrives
+    store_merge: MergeStats = field(default_factory=MergeStats)
+    db_merge: MergeStats = field(default_factory=MergeStats)
+
+    def fold(self, outcome: TaskOutcome, on_conflict: str = "keep") -> None:
+        """Fold one outcome's store / kernel-db payloads in.
+
+        The single per-outcome fold: :func:`merge_outcome_state` loops
+        over it in task order, and a live server absorbs each finished
+        request through it.
+        """
         if outcome.store_payload is not None:
             part = analysis_store_from_payload(outcome.store_payload)
-            store_stats.update(store.merge(part, on_conflict=on_conflict))
+            self.store_merge.update(
+                self.store.merge(part, on_conflict=on_conflict))
         if outcome.kerneldb_payload is not None:
             part_db = kernel_db_from_payload(outcome.kerneldb_payload)
-            if db is None:
-                db = part_db
-                db_stats.added += len(part_db)
+            if self.kernel_db is None:
+                self.kernel_db = part_db
+                self.db_merge.added += len(part_db)
             else:
-                db_stats.update(db.merge(part_db))
-    return store, db, store_stats, db_stats
+                self.db_merge.update(self.kernel_db.merge(part_db))
+
+
+def merge_outcome_state(outcomes: Sequence[TaskOutcome],
+                        on_conflict: str) -> MergedState:
+    """Fold worker store/db payloads together, in task order.
+
+    The fold visits outcomes sorted by task index, so the merged state
+    is independent of which worker/host produced which payload when.
+    """
+    state = MergedState()
+    for outcome in sorted(outcomes, key=lambda o: o.index):
+        state.fold(outcome, on_conflict)
+    return state
+
+
+def in_caller(run=run_task):
+    """A ``submit`` that runs the task right here, in the caller: the
+    inline backend of :func:`run_journaled`.  Same shape as
+    :meth:`ExecutionTier.submit`, but the future comes back resolved and
+    whatever ``run`` raises propagates at once."""
+    def submit(task: SweepTask) -> Future:
+        future: Future = Future()
+        future.set_result(run(task))
+        return future
+    return submit
+
+
+def run_journaled(tasks: Iterable[SweepTask], submit,
+                  journal: Optional[SweepJournal] = None,
+                  window: int = 1,
+                  ) -> Iterator[Tuple[TaskOutcome, float]]:
+    """Journal ``scheduled`` → run → journal the outcome, for every task.
+
+    The one journaled-run step, shared by the inline loop
+    (``submit=in_caller()``), the pool client (``submit=tier.submit``, a
+    wider ``window``) and a fleet worker's claimed task.  At most
+    ``window`` tasks are in flight; the rest wait here, in the parent —
+    constant memory regardless of plan size.  Yields ``(outcome,
+    queue_wait)`` in completion order, each already journaled; an
+    exception that escapes a task propagates to the caller.
+    """
+    queue = iter(tasks)
+    inflight: Dict[Future, float] = {}
+    while True:
+        for task in itertools.islice(queue, window - len(inflight)):
+            if journal is not None:
+                journal.task_scheduled(task)
+            future = submit(task)
+            inflight[future] = _time.monotonic()
+        if not inflight:
+            return
+        done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+        for future in done:
+            submitted = inflight.pop(future)
+            outcome = future.result()
+            if journal is not None:
+                journal.task_outcome(outcome)
+            yield outcome, max(0.0, outcome.started - submitted)
+
+
+def assemble_result(tasks: Sequence[SweepTask],
+                    outcomes: Mapping[int, TaskOutcome],
+                    fresh: Collection[int],
+                    report: RunReport, on_conflict: str,
+                    queue_waits: Optional[Mapping[int, float]] = None,
+                    staging_roots: Optional[Sequence[Path]] = None,
+                    ) -> SweepResult:
+    """Everything after execution: rows, merges, telemetry, the result.
+
+    ``outcomes`` covers the plan by task index; ``fresh`` names the
+    tasks this call executed (the rest were replayed from a journal)
+    and ``queue_waits`` how long each of those sat submitted before it
+    started; ``report`` is the header the per-task samples are appended
+    to; ``staging_roots`` points the trace-store fold at a fleet's
+    per-host staging trees instead of each store's own.  Shared by
+    :func:`run_sweep` / :func:`resume_sweep` and the fleet coordinator.
+    """
+    ordered = [outcomes[task.index] for task in tasks]
+    rows = rows_from_outcomes(ordered)
+    state = merge_outcome_state(ordered, on_conflict)
+    trace_merge: Optional[Dict[str, int]] = None
+    for root in sorted({task.trace_store for task in tasks
+                        if task.trace_store is not None}):
+        part = TraceStore(root).merge_staged(staging_roots=staging_roots)
+        trace_merge = (part if trace_merge is None else
+                       {key: trace_merge[key] + part[key] for key in part})
+    waits = queue_waits or {}
+    for outcome in ordered:
+        report.tasks.append(TaskTelemetry(
+            index=outcome.index,
+            workload=outcome.workload,
+            size=outcome.size,
+            method=outcome.method,
+            worker=outcome.worker,
+            queue_wait=waits.get(outcome.index, 0.0),
+            task_wall=outcome.task_wall,
+            sim_wall=outcome.wall_seconds,
+            attempts=outcome.attempts,
+            backoff_total=outcome.backoff_total,
+            fallbacks=len(outcome.fallbacks),
+            status=outcome.status,
+            error_class=outcome.error_class,
+            replayed=outcome.index not in fresh,
+            host=outcome.host,
+            stolen=outcome.stolen,
+        ))
+    return SweepResult(rows=rows, outcomes=ordered, store=state.store,
+                       kernel_db=state.kernel_db, report=report,
+                       store_merge=state.store_merge,
+                       db_merge=state.db_merge, trace_merge=trace_merge,
+                       replayed=len(ordered) - len(fresh))
 
 
 def _with_deadline(watchdog: Optional[WatchdogConfig],
@@ -301,11 +424,14 @@ def _with_deadline(watchdog: Optional[WatchdogConfig],
     return dataclasses.replace(watchdog, deadline_seconds=deadline)
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
+
+
 def run_sweep(
     tasks: Sequence[SweepTask],
     jobs: int = 1,
-    mp_context: Optional[str] = None,
-    queue_depth: int = 2,
     sweep_deadline: Optional[float] = None,
     on_conflict: str = "keep",
     run_dir: Optional[str] = None,
@@ -313,30 +439,25 @@ def run_sweep(
     """Execute a sweep plan and merge its results.
 
     ``jobs=1`` runs every task inline (no processes) — the reference
-    path the parallel one is tested against.  ``jobs>1`` schedules the
-    tasks over a process pool, keeping at most ``jobs * queue_depth``
-    tasks in flight (the bounded work queue).  ``sweep_deadline``
-    splits a whole-sweep wall-clock budget into per-task watchdog
-    deadlines via :meth:`WatchdogConfig.per_task`.
+    path the parallel one is tested against.  ``jobs>1`` submits the
+    tasks to an :class:`~repro.parallel.tier.ExecutionTier`, keeping at
+    most ``jobs * WINDOW_PER_JOB`` in flight (the bounded work queue).
+    ``sweep_deadline`` splits a whole-sweep wall-clock budget into
+    per-task watchdog deadlines via :meth:`WatchdogConfig.per_task`.
 
     ``run_dir`` makes the sweep crash-safe: the plan and every task
     outcome are journaled (fsync'd write-ahead log) so a killed run
     can be restarted with :func:`resume_sweep` without losing
     completed work.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
-    if queue_depth < 1:
-        raise ConfigError(
-            f"queue_depth must be >= 1, got {queue_depth!r}")
+    _check_jobs(jobs)
     tasks = list(tasks)
     journal = None
     if run_dir is not None:
         journal = SweepJournal.create(
             run_dir, tasks, options={"on_conflict": on_conflict})
     try:
-        return _execute(tasks, {}, jobs=jobs, mp_context=mp_context,
-                        queue_depth=queue_depth,
+        return _execute(tasks, {}, jobs=jobs,
                         sweep_deadline=sweep_deadline,
                         on_conflict=on_conflict, journal=journal)
     finally:
@@ -347,18 +468,16 @@ def run_sweep(
 def resume_sweep(
     run_dir: str,
     jobs: int = 1,
-    mp_context: Optional[str] = None,
-    queue_depth: int = 2,
     sweep_deadline: Optional[float] = None,
     on_conflict: Optional[str] = None,
 ) -> SweepResult:
     """Resume a journaled sweep after a crash (or verify a finished one).
 
     The plan comes from the journal's ``plan`` record — no workloads,
-    sizes or methods need restating; execution knobs (``jobs``,
-    ``queue_depth``...) are free to differ from the original run.
-    Journaled completed tasks are replayed without re-execution;
-    missing and failed ones re-run (and are journaled again).  The
+    sizes or methods need restating; ``jobs`` is free to differ from
+    the original run.  Journaled completed tasks are replayed without
+    re-execution; missing and failed ones (a ``stage="pool"`` crash
+    outcome included) re-run and are journaled again.  The
     result — rows, merged stores, merged trace bundles — is
     bitwise-identical to what the uninterrupted run would have
     produced, because every simulated quantity is deterministic and
@@ -366,11 +485,7 @@ def resume_sweep(
     one.  Resuming an already-complete journal replays everything and
     re-runs nothing.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
-    if queue_depth < 1:
-        raise ConfigError(
-            f"queue_depth must be >= 1, got {queue_depth!r}")
+    _check_jobs(jobs)
     journal, scan = SweepJournal.resume(run_dir)
     try:
         tasks = scan.tasks()
@@ -390,8 +505,7 @@ def resume_sweep(
         if scan.quarantined_lines:
             bus.metrics.counter("sweep.journal.quarantined").inc(
                 scan.quarantined_lines)
-        return _execute(tasks, prior, jobs=jobs, mp_context=mp_context,
-                        queue_depth=queue_depth,
+        return _execute(tasks, prior, jobs=jobs,
                         sweep_deadline=sweep_deadline,
                         on_conflict=on_conflict, journal=journal)
     finally:
@@ -402,8 +516,6 @@ def _execute(
     tasks: List[SweepTask],
     prior: Dict[int, TaskOutcome],
     jobs: int,
-    mp_context: Optional[str],
-    queue_depth: int,
     sweep_deadline: Optional[float],
     on_conflict: str,
     journal: Optional[SweepJournal],
@@ -418,180 +530,39 @@ def _execute(
                                           per.deadline_seconds))
             for task in pending]
 
-    t0 = _time.perf_counter()
+    # the inline loop is the in-caller reference path; anything wider
+    # is a bounded window over the one pool owner
     if jobs == 1 or len(pending) <= 1:
-        ctx_name = "inline"
-        fresh: List[TaskOutcome] = []
-        for task in pending:
-            if journal is not None:
-                journal.task_scheduled(task)
-            outcome = run_task(task)
-            if journal is not None:
-                journal.task_outcome(outcome)
-            fresh.append(outcome)
-        fresh_waits = [0.0] * len(fresh)
+        tier, submit, window, backend = None, in_caller(), 1, "inline"
     else:
-        ctx_name = mp_context or _default_context()
-        fresh, fresh_waits = _run_pool(pending, jobs, ctx_name,
-                                       queue_depth, journal)
-    total_wall = _time.perf_counter() - t0
+        tier = ExecutionTier(jobs)
+        submit, window = tier.submit, jobs * WINDOW_PER_JOB
+        backend = tier.mp_context
+    outcomes = dict(prior)
+    queue_waits: Dict[int, float] = {}   # keyed by the tasks run here
+    t0 = _time.perf_counter()
+    try:
+        for outcome, queue_wait in run_journaled(pending, submit, journal,
+                                                 window):
+            outcomes[outcome.index] = outcome
+            queue_waits[outcome.index] = queue_wait
+    finally:
+        if tier is not None:
+            tier.shutdown()
+    report = RunReport(jobs=jobs, mp_context=backend,
+                       total_wall=_time.perf_counter() - t0)
 
-    # stitch replayed and fresh outcomes back into plan order
-    fresh_by_index = {outcome.index: outcome for outcome in fresh}
-    wait_by_index = {outcome.index: queue_wait
-                     for outcome, queue_wait in zip(fresh, fresh_waits)}
-    outcomes: List[TaskOutcome] = []
-    queue_waits: List[float] = []
-    for task in tasks:
-        outcome = fresh_by_index.get(task.index)
-        if outcome is None:
-            outcome = prior[task.index]
-        outcomes.append(outcome)
-        queue_waits.append(wait_by_index.get(task.index, 0.0))
-
-    rows = rows_from_outcomes(outcomes)
-    store, db, store_stats, db_stats = merge_outcome_state(
-        outcomes, on_conflict)
-    trace_merge = None
-    trace_roots = sorted({task.trace_store for task in tasks
-                          if task.trace_store is not None})
-    if trace_roots:
-        from ..tracestore import TraceStore
-
-        trace_merge = {"tasks": 0, "bundles": 0, "warps_added": 0,
-                       "quarantined": 0}
-        for root in trace_roots:
-            part = TraceStore(root).merge_staged()
-            for key in trace_merge:
-                trace_merge[key] += part[key]
+    result = assemble_result(tasks, outcomes, queue_waits, report,
+                             on_conflict, queue_waits=queue_waits)
     if journal is not None:
-        journal.merged(trace_merge)
-    report = RunReport(jobs=jobs, mp_context=ctx_name,
-                       total_wall=total_wall)
+        journal.merged(result.trace_merge)
     bus = current_bus()
-    task_subs = bus.channel(PARALLEL_TASK).subscribers
-    for outcome, queue_wait in zip(outcomes, queue_waits):
-        replayed = outcome.index in prior
-        if task_subs and not replayed:
-            t1 = outcome.started + outcome.task_wall
-            for fn in task_subs:
-                fn(outcome.index, outcome.workload, outcome.size,
-                   outcome.method, outcome.status, outcome.worker,
-                   outcome.started, t1)
-        report.tasks.append(TaskTelemetry(
-            index=outcome.index,
-            workload=outcome.workload,
-            size=outcome.size,
-            method=outcome.method,
-            worker=outcome.worker,
-            queue_wait=queue_wait,
-            task_wall=outcome.task_wall,
-            sim_wall=outcome.wall_seconds,
-            attempts=outcome.attempts,
-            backoff_total=outcome.backoff_total,
-            fallbacks=len(outcome.fallbacks),
-            status=outcome.status,
-            error_class=outcome.error_class,
-            replayed=replayed,
-        ))
+    for outcome in result.outcomes:
+        if outcome.index in queue_waits:   # ran here, not replayed
+            bus.emit(PARALLEL_TASK, outcome.index, outcome.workload,
+                     outcome.size, outcome.method, outcome.status,
+                     outcome.worker, outcome.started,
+                     outcome.started + outcome.task_wall)
     bus.metrics.counter("sweep.runs").inc()
-    bus.metrics.counter("sweep.tasks").inc(len(outcomes))
-    return SweepResult(rows=rows, outcomes=outcomes, store=store,
-                       kernel_db=db, report=report,
-                       store_merge=store_stats, db_merge=db_stats,
-                       trace_merge=trace_merge, replayed=len(prior))
-
-
-def _run_pool(tasks: List[SweepTask], jobs: int, ctx_name: str,
-              queue_depth: int,
-              journal: Optional[SweepJournal] = None,
-              ) -> Tuple[List[TaskOutcome], List[float]]:
-    """Bounded-window scheduling over a (rebuildable) process pool.
-
-    A SIGKILLed or OOM-killed worker breaks the whole
-    ``ProcessPoolExecutor`` — every in-flight future raises
-    ``BrokenProcessPool``.  Instead of poisoning the sweep, the
-    scheduler drains the broken pool, builds a fresh one, and retries
-    the tasks that were in flight; a task involved in
-    ``_POOL_CRASH_LIMIT`` breakages keeps a synthesized error outcome
-    (it is likely the one crashing the workers) which a journaled
-    resume may retry later.
-    """
-    ctx = multiprocessing.get_context(ctx_name)
-    outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
-    queue_waits = [0.0] * len(tasks)
-    max_inflight = jobs * queue_depth
-    remaining = list(range(len(tasks)))
-    remaining.reverse()  # pop() from the front of the plan
-    crash_counts = [0] * len(tasks)
-
-    def record(position: int, outcome: TaskOutcome) -> None:
-        outcomes[position] = outcome
-        if journal is not None:
-            journal.task_outcome(outcome)
-
-    def crash_outcome(position: int, exc: BaseException) -> TaskOutcome:
-        task = tasks[position]
-        return TaskOutcome(
-            index=task.index, workload=task.workload,
-            size=task.size, method=task.method,
-            status="error", stage="run",
-            error_class=type(exc).__name__, error=str(exc))
-
-    generations = 0
-    max_generations = _POOL_CRASH_LIMIT * len(tasks) + 2
-    while remaining:
-        generations += 1
-        if generations > max_generations:  # pragma: no cover - backstop
-            for position in remaining:
-                record(position, crash_outcome(
-                    position, RuntimeError("worker pool kept breaking")))
-            break
-        alive = True
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
-                                 initializer=_worker_init) as pool:
-            inflight: Dict = {}
-
-            def submit_more() -> bool:
-                while remaining and len(inflight) < max_inflight:
-                    position = remaining.pop()
-                    if journal is not None:
-                        journal.task_scheduled(tasks[position])
-                    try:
-                        future = pool.submit(run_task, tasks[position])
-                    except BrokenExecutor:
-                        remaining.append(position)
-                        return False
-                    inflight[future] = (position, _time.monotonic())
-                return True
-
-            alive = submit_more()
-            while inflight:
-                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    position, submitted = inflight.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenExecutor as exc:
-                        # the pool died under this task: retry it in a
-                        # fresh pool unless it keeps killing workers
-                        alive = False
-                        crash_counts[position] += 1
-                        if crash_counts[position] < _POOL_CRASH_LIMIT:
-                            remaining.append(position)
-                        else:
-                            record(position,
-                                   crash_outcome(position, exc))
-                    except Exception as exc:  # task-level failure
-                        record(position, crash_outcome(position, exc))
-                    else:
-                        queue_waits[position] = max(
-                            0.0, outcome.started - submitted)
-                        record(position, outcome)
-                if alive:
-                    alive = submit_more()
-                # once broken, keep draining without submitting; the
-                # executor fails the remaining futures immediately
-        # `with` exit shut the (possibly broken) pool down; loop builds
-        # a fresh one for whatever is still remaining
-    return outcomes, queue_waits
+    bus.metrics.counter("sweep.tasks").inc(len(tasks))
+    return result

@@ -66,27 +66,6 @@ class TaskTelemetry:
             "stolen": self.stolen,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TaskTelemetry":
-        return cls(
-            index=int(data["index"]),
-            workload=str(data["workload"]),
-            size=int(data["size"]),
-            method=str(data["method"]),
-            worker=int(data.get("worker", 0)),
-            queue_wait=float(data.get("queue_wait", 0.0)),
-            task_wall=float(data.get("task_wall", 0.0)),
-            sim_wall=float(data.get("sim_wall", 0.0)),
-            attempts=int(data.get("attempts", 1)),
-            backoff_total=float(data.get("backoff_total", 0.0)),
-            fallbacks=int(data.get("fallbacks", 0)),
-            status=str(data.get("status", "ok")),
-            error_class=str(data.get("error_class", "")),
-            replayed=bool(data.get("replayed", False)),
-            host=str(data.get("host", "")),
-            stolen=bool(data.get("stolen", False)),
-        )
-
 
 @dataclass
 class RunReport:

@@ -1,28 +1,31 @@
-"""ParSweep's worker pool as an embeddable, long-lived execution tier.
+"""The execution tier: the one owner of a worker pool.
 
-:func:`~repro.parallel.scheduler.run_sweep` owns a process pool for the
-duration of one sweep; a serving front end (:mod:`repro.serve`) needs
-the same execution machinery — isolated workers running
-:func:`~repro.parallel.tasks.run_task`, broken-pool recovery, the
-pristine-bus worker initialiser — but with a *submit one task, await
-its outcome* surface that stays up across requests.
-:class:`ExecutionTier` packages exactly that:
+Sweeps (:func:`~repro.parallel.scheduler.run_sweep`) and the serving
+front end (:mod:`repro.serve`) run tasks through one primitive:
+:meth:`ExecutionTier.submit` takes a task and returns a *tier-owned*
+future that resolves to its :class:`~repro.parallel.tasks.TaskOutcome`.
+The blocking sweep window waits on those futures, ``run_sync`` is
+``submit(task).result()`` and ``run`` awaits the same future under
+``asyncio.wrap_future`` — one pool, one broken-pool policy and one
+synthesized crash outcome, whoever the client is:
 
-* ``jobs >= 1`` schedules tasks over a ``ProcessPoolExecutor`` built
-  with the same fork-friendly context and :func:`worker_init` the sweep
-  scheduler uses, so a tier worker is indistinguishable from a sweep
-  worker (fresh silent bus, no inherited default trace cache);
-* a SIGKILLed/OOM-killed worker breaks the whole pool —
-  :meth:`ExecutionTier.run` transparently rebuilds it and retries the
-  task, bounded by ``crash_limit``, then synthesizes an error outcome
-  (mirroring the sweep scheduler's broken-pool policy);
+* ``jobs >= 1`` schedules tasks over a ``ProcessPoolExecutor`` (fork
+  where available, else spawn) whose workers start from
+  :func:`worker_init`: fresh silent bus, no inherited trace cache;
+* a SIGKILLed/OOM-killed worker breaks the whole pool and fails every
+  future it held.  Those tasks are *suspects*, not culprits: the tier
+  rebuilds the pool, holds new submissions back and retries the
+  suspects **one at a time**; only a suspect that breaks a pool while
+  running alone — its second strike — keeps the synthesized
+  ``stage="pool"`` error outcome.  A poison task never fails a bystander;
 * ``jobs == 0`` runs tasks on a single in-process thread — no fork, no
   pickling — for tests, smoke runs and debugging.  Simulated results
   are identical either way (the determinism contract).
 
 The tier never raises for task-level failures: :func:`run_task` already
-folds those into error outcomes.  Only caller bugs (submitting after
-shutdown) escape.
+folds those into error outcomes.  What escapes ``run_task`` (an unknown
+method name, an I/O fault while staging traces) is a caller bug or a
+host fault; the future re-raises it unchanged, as the inline path does.
 """
 
 from __future__ import annotations
@@ -30,16 +33,21 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import threading
+from collections import deque
 from concurrent.futures import (
     BrokenExecutor,
+    CancelledError,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Deque, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
 from ..obs import reset_default_bus
+from ..timing.tracecache import set_default_trace_cache
 from .tasks import SweepTask, TaskOutcome, run_task
 
 
@@ -55,138 +63,207 @@ def worker_init() -> None:
     ``SweepTask.trace_store``.
     """
     reset_default_bus()
-    from ..timing.tracecache import set_default_trace_cache
-
     set_default_trace_cache(None)
 
 
-def default_context() -> str:
-    """Prefer fork (cheap, shares loaded numpy) where available."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
+@dataclass(eq=False)
+class _Job:
+    """One submitted task on its way to an outcome."""
+
+    task: SweepTask
+    future: Future = field(default_factory=Future)
+    suspect: bool = False   # first strike: in flight when a pool broke
 
 
 class ExecutionTier:
-    """A rebuildable worker pool executing :class:`SweepTask` shards."""
+    """A rebuildable worker pool executing :class:`SweepTask` shards.
 
-    def __init__(self, jobs: int = 1, mp_context: Optional[str] = None,
-                 crash_limit: int = 2):
+    Locking rule: the tier lock guards bookkeeping only — no pool method
+    (``submit``, ``shutdown``) and no client callback runs under it.  A
+    breaking ``ProcessPoolExecutor`` fails its futures, and so runs
+    :meth:`_done`, while holding its own shutdown lock (CPython >=
+    3.12.1), and the executor's weakref callback takes that lock again.
+    Calling back into the broken pool, calling any pool with the tier
+    lock held, or dropping the last reference to the broken pool inside
+    the callback would deadlock; so a broken pool is parked in
+    ``_retired`` and released by a later ``submit`` / ``shutdown`` —
+    which clients therefore call from their own threads, never from a
+    done-callback of a tier future.
+    """
+
+    def __init__(self, jobs: int = 1):
         if jobs < 0:
             raise ConfigError(f"jobs must be >= 0, got {jobs!r}")
-        if crash_limit < 1:
-            raise ConfigError(
-                f"crash_limit must be >= 1, got {crash_limit!r}")
         self.jobs = jobs
-        self.mp_context = mp_context or default_context()
-        self.crash_limit = crash_limit
+        # fork (cheap, shares loaded numpy) where available, else spawn
+        methods = multiprocessing.get_all_start_methods()
+        self.mp_context = "fork" if "fork" in methods else "spawn"
         self.rebuilds = 0   # broken pools replaced over the tier's life
         self.executed = 0   # tasks that ran to an outcome (ok or error)
         self._lock = threading.Lock()
         self._pool = None
         self._closed = False
+        self._running: Set[_Job] = set()        # claimed for a pool
+        self._backlog: Deque[_Job] = deque()    # accepted, not started
+        self._suspects: Deque[_Job] = deque()   # awaiting a solo retry
+        self._retired: List[object] = []        # broken pools to release
 
     # -- pool management ---------------------------------------------------
 
-    @property
-    def workers(self) -> int:
-        """Concurrent task capacity (1 for the inline thread tier)."""
-        return max(1, self.jobs)
-
     def _ensure_pool(self):
-        with self._lock:
-            if self._closed:
-                raise ConfigError("execution tier is shut down")
-            if self._pool is None:
-                if self.jobs == 0:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=1,
-                        thread_name_prefix="repro-serve-inline")
-                else:
-                    ctx = multiprocessing.get_context(self.mp_context)
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.jobs, mp_context=ctx,
-                        initializer=worker_init)
-            return self._pool
+        if self._pool is None:
+            if self.jobs == 0:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=1,
+                    thread_name_prefix="repro-serve-inline")
+            else:
+                ctx = multiprocessing.get_context(self.mp_context)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs, mp_context=ctx,
+                    initializer=worker_init)
+        return self._pool
 
-    def _rebuild(self, broken) -> None:
-        """Replace a broken pool (the old one is shut down, not joined)."""
-        with self._lock:
-            if self._pool is broken and not self._closed:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-                self.rebuilds += 1
+    def _release_retired(self, wait: bool = False) -> None:
+        """Let go of the broken pools (lock not held, see the class)."""
+        if self._retired:
+            with self._lock:
+                retired, self._retired = self._retired, []
+            for pool in retired:
+                pool.shutdown(wait=wait)
 
     def shutdown(self, wait: bool = True) -> None:
+        """Stop the pool; tasks that never started are cancelled."""
         with self._lock:
             self._closed = True
             pool, self._pool = self._pool, None
+            stranded = [*self._suspects, *self._backlog]
+            self._suspects.clear()
+            self._backlog.clear()
+        for job in stranded:
+            job.future.set_exception(CancelledError())
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=True)
+        self._release_retired(wait)
 
     # -- execution ---------------------------------------------------------
 
     def submit(self, task: SweepTask) -> Future:
         """Schedule one task; the future resolves to its TaskOutcome.
 
-        Raises ``BrokenExecutor`` straight through — callers that want
-        the rebuild-and-retry policy use :meth:`run` / :meth:`run_sync`.
+        The future is the tier's own: a broken pool under the task is
+        absorbed here and never shows through.  It cannot be cancelled —
+        a process worker cannot be interrupted mid-task, so an abandoned
+        result is simply dropped.
         """
-        return self._ensure_pool().submit(run_task, task)
+        job = _Job(task)
+        job.future.set_running_or_notify_cancel()
+        self._release_retired()
+        with self._lock:
+            if self._closed:
+                raise ConfigError("execution tier is shut down")
+            self._backlog.append(job)
+            ready = self._claim()
+        self._start(ready)
+        return job.future
 
     def run_sync(self, task: SweepTask) -> TaskOutcome:
-        """Execute one task, absorbing broken pools (blocking form)."""
-        last: Optional[BaseException] = None
-        for _attempt in range(self.crash_limit):
-            pool = self._ensure_pool()
-            try:
-                outcome = pool.submit(run_task, task).result()
-            except BrokenExecutor as exc:
-                last = exc
-                self._rebuild(pool)
-                continue
-            self.executed += 1
-            return outcome
-        self.executed += 1
-        return _crash_outcome(task, last)
+        """Execute one task and wait for its outcome (blocking form)."""
+        return self.submit(task).result()
 
     async def run(self, task: SweepTask) -> TaskOutcome:
-        """Execute one task from asyncio, absorbing broken pools.
+        """Execute one task from asyncio; cancelling the await only
+        drops the result, the task itself keeps running."""
+        return await asyncio.wrap_future(self.submit(task))
 
-        The awaiting coroutine may be cancelled freely: the underlying
-        pool future keeps running (process workers cannot be
-        interrupted mid-task anyway) and its result is simply dropped.
+    def _claim(self) -> List[Tuple[_Job, object]]:
+        """Pick whatever may run now, with its pool (lock held).
+
+        Suspects wait for the in-flight work to drain and then run one
+        at a time; nothing else starts until the last one is cleared, so
+        a suspect in flight is always in flight *alone*.
         """
-        last: Optional[BaseException] = None
-        for _attempt in range(self.crash_limit):
-            pool = self._ensure_pool()
+        ready = []
+        while not self._closed:
+            if self._suspects:
+                if self._running:
+                    break
+                job = self._suspects.popleft()
+            elif self._backlog and not any(
+                    job.suspect for job in self._running):
+                job = self._backlog.popleft()
+            else:
+                break
+            self._running.add(job)
+            ready.append((job, self._ensure_pool()))
+        return ready
+
+    def _start(self, ready: List[Tuple[_Job, object]]) -> None:
+        """Hand claimed jobs to their pool (lock *not* held)."""
+        for job, pool in ready:
             try:
-                future = pool.submit(run_task, task)
+                inner = pool.submit(run_task, job.task)
             except BrokenExecutor as exc:
-                last = exc
-                self._rebuild(pool)
-                continue
-            try:
-                outcome = await asyncio.wrap_future(future)
-            except BrokenExecutor as exc:
-                last = exc
-                self._rebuild(pool)
-                continue
-            self.executed += 1
-            return outcome
-        self.executed += 1
-        return _crash_outcome(task, last)
+                # the pool died idle; same policy as dying under the task
+                self._settle(job, pool, exc)
+            except RuntimeError as exc:
+                # shutdown() won the race between claim and start
+                self._settle(job, pool,
+                             CancelledError() if self._closed else exc)
+            else:
+                inner.add_done_callback(partial(self._done, job, pool))
+
+    def _done(self, job: _Job, pool, inner: Future) -> None:
+        """A pool future finished (runs on the pool's manager thread)."""
+        try:
+            exc = inner.exception()
+        except CancelledError as cancelled:   # by shutdown
+            exc = cancelled
+        self._settle(job, pool, exc,
+                     inner.result() if exc is None else None)
+
+    def _settle(self, job: _Job, pool, exc: Optional[BaseException],
+                outcome: Optional[TaskOutcome] = None) -> None:
+        """``job`` left ``pool``: resolve it or queue its solo retry.
+
+        The one crash policy.  A broken pool is only *retired* here —
+        it terminates its own workers, and it must be neither called
+        nor garbage-collected from its own callback.  What else escaped
+        ``run_task`` (a caller bug, a host I/O fault) reaches the client
+        unchanged.
+        """
+        broke = isinstance(exc, BrokenExecutor)
+        with self._lock:
+            self._running.discard(job)
+            if broke and self._pool is pool:
+                self._pool = None
+                self._retired.append(pool)
+                self.rebuilds += 1
+            retry = broke and not job.suspect and not self._closed
+            if retry:
+                job.suspect = True
+                self._suspects.append(job)
+            elif broke:
+                # second strike — a suspect only ever runs alone
+                outcome, exc = _crash_outcome(job.task, exc), None
+            if outcome is not None:
+                self.executed += 1
+            ready = self._claim()
+        if outcome is not None:
+            job.future.set_result(outcome)
+        elif not retry:
+            job.future.set_exception(exc)
+        self._start(ready)
 
 
-def _crash_outcome(task: SweepTask,
-                   exc: Optional[BaseException]) -> TaskOutcome:
+def _crash_outcome(task: SweepTask, exc: BaseException) -> TaskOutcome:
     """Synthesize the error outcome for a task that kept breaking pools.
 
     ``stage="pool"`` marks the failure as infrastructure-synthesized
     (a crashing worker pool), distinct from the deterministic
     ``build``/``run`` error outcomes :func:`run_task` produces — serving
-    layers must not cache or absorb these.
+    layers must not cache or absorb these, and a journaled sweep re-runs
+    them on ``--resume`` like any failed task.
     """
-    exc = exc if exc is not None else RuntimeError("worker pool broken")
     return TaskOutcome(
         index=task.index, workload=task.workload, size=task.size,
         method=task.method, status="error", stage="pool",

@@ -44,15 +44,10 @@ from typing import Dict, Optional, Tuple
 
 from pathlib import Path
 
-from ..core.persist import (
-    analysis_store_from_payload,
-    kernel_db_from_payload,
-)
-from ..core.photon import AnalysisStore
 from ..durable import durable_replace
 from ..harness.tables import comparison_table
 from ..obs import SERVE_DEDUP, SERVE_QUEUE, SERVE_REQUEST, current_bus
-from ..parallel import plan_sweep, rows_from_outcomes
+from ..parallel import MergedState, plan_sweep, rows_from_outcomes
 from ..parallel.tier import ExecutionTier
 from ..tracestore import TraceStore
 from .dedup import SingleFlight
@@ -102,7 +97,8 @@ class _CellFailed(Exception):
 def _infra_error_outcome(outcome) -> bool:
     """True for error outcomes the execution tier synthesized after
     repeated pool breakage (``stage == "pool"``) — transient host
-    trouble, not a deterministic property of the request key."""
+    trouble, not a deterministic property of the request key.  The same
+    rule holds for sweeps: ``--resume`` re-runs such an outcome."""
     return outcome.status == "error" and outcome.stage == "pool"
 
 
@@ -120,7 +116,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8630              # 0 = ephemeral (bound port is printed)
     jobs: int = 1                 # worker processes (0 = inline thread)
-    mp_context: Optional[str] = None
     queue_limit: int = 32         # queued executions before 429
     max_inflight: Optional[int] = None   # concurrent executions (None=jobs)
     tenant_rate: float = 0.0      # requests/second/tenant (0 = unlimited)
@@ -148,12 +143,10 @@ class PhotonServer:
             max_inflight=self.config.tenant_max_inflight)
         self.flights = SingleFlight()
         self.drain = DrainController(self.config.state_dir)
-        self.tier = ExecutionTier(jobs=self.config.jobs,
-                                  mp_context=self.config.mp_context)
+        self.tier = ExecutionTier(jobs=self.config.jobs)
         self.store = (TraceStore(self.config.trace_store)
                       if self.config.trace_store else None)
-        self.analysis = AnalysisStore()   # warm state merged from outcomes
-        self.kernel_db = None
+        self.warm = MergedState()   # warm state folded from outcomes
         self.results: "OrderedDict[str, Dict]" = OrderedDict()
         self.counts: Dict[str, int] = {name: 0 for name in _COUNTERS}
         # private pool for key hashing and store folds: the loop's
@@ -188,9 +181,9 @@ class PhotonServer:
             "flights": len(self.flights),
             "coalesced": self.flights.coalesced,
             "results_cached": len(self.results),
-            "analysis_entries": len(self.analysis),
-            "kernel_records": (len(self.kernel_db)
-                               if self.kernel_db is not None else 0),
+            "analysis_entries": len(self.warm.store),
+            "kernel_records": (len(self.warm.kernel_db)
+                               if self.warm.kernel_db is not None else 0),
             "tier": {"jobs": self.tier.jobs,
                      "rebuilds": self.tier.rebuilds},
             "draining": self.drain.is_draining(),
@@ -581,15 +574,7 @@ class PhotonServer:
 
     async def _absorb(self, outcome, task) -> None:
         """Fold one outcome's reusable state into the server's stores."""
-        if outcome.store_payload is not None:
-            part = analysis_store_from_payload(outcome.store_payload)
-            self.analysis.merge(part, on_conflict="keep")
-        if outcome.kerneldb_payload is not None:
-            part_db = kernel_db_from_payload(outcome.kerneldb_payload)
-            if self.kernel_db is None:
-                self.kernel_db = part_db
-            else:
-                self.kernel_db.merge(part_db)
+        self.warm.fold(outcome)
         if self.store is not None:
             # fold only this task's staging directory — other tasks may
             # still be writing theirs (bundle writes are atomic, so

@@ -77,8 +77,6 @@ def test_resume_of_complete_journal_replays_everything(tmp_path):
 def test_resume_validates_arguments(tmp_path):
     with pytest.raises(ConfigError, match="jobs"):
         resume_sweep(str(tmp_path), jobs=0)
-    with pytest.raises(ConfigError, match="queue_depth"):
-        resume_sweep(str(tmp_path), queue_depth=0)
 
 
 # ------------------------------------- resume from every journal prefix
