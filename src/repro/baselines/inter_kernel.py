@@ -28,15 +28,12 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..config.gpu_configs import GpuConfig
 from ..errors import ConfigError
-from ..functional.batch import control_traces
-from ..functional.kernel import Application, Kernel
-from ..timing.caches import MemoryHierarchy
-from ..timing.engine import DetailedEngine
-from ..timing.simulator import AppResult, KernelResult
+from ..functional.kernel import Kernel
+from ..timing.simulator import KernelResult, Methodology
 
 
 @dataclass
@@ -47,20 +44,19 @@ class _Stratum:
     total_insts: int
 
 
-class _InterKernelSampler:
+class _InterKernelSampler(Methodology):
     """Shared machinery: profile, classify, simulate-or-project."""
 
     #: subclass-provided mode labels
     mode_detail = "baseline-full"
     mode_skip = "baseline-kernel"
 
-    def __init__(self, gpu_config: GpuConfig):
-        self.gpu_config = gpu_config
-        self.hierarchy = MemoryHierarchy(gpu_config)
+    def __init__(self, gpu_config: GpuConfig, **shared):
+        super().__init__(gpu_config, **shared)
         self._strata: Dict[Tuple, _Stratum] = {}
 
     def _profile_insts(self, kernel: Kernel) -> int:
-        traces = control_traces(kernel, range(kernel.n_warps))
+        traces = self.control_traces(kernel, range(kernel.n_warps))
         return sum(trace.n_insts for trace in traces.values())
 
     def _key(self, kernel: Kernel, total_insts: int) -> Tuple:
@@ -83,9 +79,7 @@ class _InterKernelSampler:
                 mode=self.mode_skip,
                 detail_insts=0,
             )
-        engine = DetailedEngine(kernel, self.gpu_config,
-                                hierarchy=self.hierarchy)
-        detailed = engine.run()
+        detailed = self.engine(kernel).run()
         self._strata[key] = _Stratum(sim_time=detailed.end_time,
                                      total_insts=total_insts)
         return KernelResult(
@@ -97,20 +91,11 @@ class _InterKernelSampler:
             detail_insts=detailed.n_insts,
         )
 
-    def simulate_app(self, app: Application,
-                     method_name: str = "") -> AppResult:
-        """Simulate a whole application stratum by stratum."""
-        result = AppResult(app_name=app.name,
-                           method=method_name or self.mode_detail)
-        for kernel in app.kernels:
-            self.hierarchy.reset_timing()
-            result.kernels.append(self.simulate_kernel(kernel))
-        return result
-
 
 class GTPin(_InterKernelSampler):
     """GT-Pin-style selection: kernel name + basic-block statistics."""
 
+    name = "gtpin"
     mode_detail = "gtpin-full"
     mode_skip = "gtpin-kernel"
 
@@ -129,11 +114,13 @@ class Sieve(_InterKernelSampler):
     an existing stratum are projected from its representative.
     """
 
+    name = "sieve"
     mode_detail = "sieve-full"
     mode_skip = "sieve-kernel"
 
-    def __init__(self, gpu_config: GpuConfig, bucket_ratio: float = 1.3):
-        super().__init__(gpu_config)
+    def __init__(self, gpu_config: GpuConfig, bucket_ratio: float = 1.3,
+                 **shared):
+        super().__init__(gpu_config, **shared)
         if bucket_ratio <= 1.0:
             raise ConfigError("bucket_ratio must exceed 1.0")
         self._log_ratio = math.log(bucket_ratio)

@@ -34,11 +34,9 @@ import numpy as np
 
 from ..config.gpu_configs import GpuConfig
 from ..errors import ConfigError
-from ..functional.batch import control_traces
-from ..functional.kernel import Application, Kernel
-from ..timing.caches import MemoryHierarchy
+from ..functional.kernel import Kernel
 from ..timing.engine import DetailedEngine, EngineListener
-from ..timing.simulator import AppResult, KernelResult
+from ..timing.simulator import KernelResult, Methodology
 
 
 @dataclass(frozen=True)
@@ -130,14 +128,15 @@ def feature_distance(a: _KernelFeatures, b: _KernelFeatures) -> float:
     return float(np.abs(a.mix - b.mix).sum() / 2.0)
 
 
-class PKA:
+class PKA(Methodology):
     """The PKA baseline simulator (same interface as :class:`Photon`)."""
 
+    name = "pka"
+
     def __init__(self, gpu_config: GpuConfig,
-                 config: Optional[PkaConfig] = None):
-        self.gpu_config = gpu_config
+                 config: Optional[PkaConfig] = None, **shared):
+        super().__init__(gpu_config, **shared)
         self.config = config or PkaConfig()
-        self.hierarchy = MemoryHierarchy(gpu_config)
         self._clusters: List[_KernelFeatures] = []
 
     def simulate_kernel(self, kernel: Kernel) -> KernelResult:
@@ -160,10 +159,7 @@ class PKA:
                 )
                 return result
 
-        engine = DetailedEngine(
-            kernel, self.gpu_config, hierarchy=self.hierarchy,
-            ipc_bucket=self.config.bucket_cycles,
-        )
+        engine = self.engine(kernel, ipc_bucket=self.config.bucket_cycles)
         monitor = IpcStabilityMonitor(self.config)
         engine.attach(monitor)
         detailed = engine.run()
@@ -185,15 +181,6 @@ class PKA:
             detail_insts=detailed.n_insts,
         )
 
-    def simulate_app(self, app: Application,
-                     method_name: str = "pka") -> AppResult:
-        """Simulate a whole application kernel by kernel."""
-        result = AppResult(app_name=app.name, method=method_name)
-        for kernel in app.kernels:
-            self.hierarchy.reset_timing()
-            result.kernels.append(self.simulate_kernel(kernel))
-        return result
-
     # -- internals -----------------------------------------------------------
 
     def _profile(self, kernel: Kernel) -> _KernelFeatures:
@@ -209,7 +196,7 @@ class PKA:
             block_hist[block.pc] = hist
         mix = np.zeros(n_ops)
         total = 0
-        traces = control_traces(kernel, range(kernel.n_warps))
+        traces = self.control_traces(kernel, range(kernel.n_warps))
         for warp_id in range(kernel.n_warps):
             trace = traces[warp_id]
             total += trace.n_insts

@@ -33,12 +33,10 @@ from typing import Dict, Optional
 
 from ..config.gpu_configs import GpuConfig
 from ..errors import ConfigError
-from ..functional.batch import control_traces
-from ..functional.kernel import Application, Kernel
-from ..timing.caches import MemoryHierarchy
+from ..functional.kernel import Kernel
 from ..timing.engine import DetailedEngine, EngineListener
 from ..timing.fastmodel import schedule_only
-from ..timing.simulator import AppResult, KernelResult
+from ..timing.simulator import KernelResult, Methodology
 
 
 @dataclass(frozen=True)
@@ -98,21 +96,21 @@ class _WorkgroupMonitor(EngineListener):
                 self._engine.request_stop()
 
 
-class TBPoint:
+class TBPoint(Methodology):
     """Workgroup-granularity sampled simulation (same interface as
     :class:`~repro.core.Photon`)."""
 
+    name = "tbpoint"
+
     def __init__(self, gpu_config: GpuConfig,
-                 config: Optional[TBPointConfig] = None):
-        self.gpu_config = gpu_config
+                 config: Optional[TBPointConfig] = None, **shared):
+        super().__init__(gpu_config, **shared)
         self.config = config or TBPointConfig()
-        self.hierarchy = MemoryHierarchy(gpu_config)
 
     def simulate_kernel(self, kernel: Kernel) -> KernelResult:
         """Simulate one kernel, extrapolating stable workgroups."""
         t0 = _time.perf_counter()
-        engine = DetailedEngine(kernel, self.gpu_config,
-                                hierarchy=self.hierarchy)
+        engine = self.engine(kernel)
         monitor = _WorkgroupMonitor(kernel, self.config)
         engine.attach(monitor)
         detailed = engine.run()
@@ -137,7 +135,7 @@ class TBPoint:
         )
         predicted_insts = sum(
             trace.n_insts
-            for trace in control_traces(kernel, remaining).values())
+            for trace in self.control_traces(kernel, remaining).values())
         result = KernelResult(
             kernel_name=kernel.name,
             sim_time=max(detailed.end_time, fast.end_time),
@@ -148,13 +146,4 @@ class TBPoint:
         )
         result.meta["workgroups_predicted"] = len(
             {kernel.workgroup_of(w) for w in remaining})
-        return result
-
-    def simulate_app(self, app: Application,
-                     method_name: str = "tbpoint") -> AppResult:
-        """Simulate a whole application kernel by kernel."""
-        result = AppResult(app_name=app.name, method=method_name)
-        for kernel in app.kernels:
-            self.hierarchy.reset_timing()
-            result.kernels.append(self.simulate_kernel(kernel))
         return result

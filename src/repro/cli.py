@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ConfigError, ReproError, WorkloadError
+from .errors import ConfigError, ReproError
 from .obs import (
     CORE_KINDS,
     CountingSink,
@@ -48,8 +48,8 @@ from .harness.defaults import (
     resolve_gpu,
 )
 from .harness.runner import (
-    LEVEL_METHODS,
     all_methods,
+    check_methods,
     run_methods_app,
     run_methods_kernel,
     workload_factory,
@@ -73,23 +73,6 @@ APP_BUILDERS = {
     "pr-4096": lambda: build_pagerank(4096, iterations=8),
 }
 
-_ALL_METHODS = sorted(LEVEL_METHODS) + ["pka", "sieve", "gtpin",
-                                        "tbpoint"]
-
-
-def _validate_methods(methods: List[str]) -> None:
-    """Fail fast with a one-line error naming the first bad method.
-
-    Runs before any simulation work, so a typo in ``--methods`` costs
-    nothing instead of surfacing minutes into a sweep.
-    """
-    known = set(all_methods())
-    for method in methods:
-        if method not in known:
-            raise WorkloadError(
-                f"unknown method {method!r}; choose from "
-                f"{', '.join(all_methods())}")
-
 
 def _parse_shard(text: str) -> Tuple[int, int]:
     """Parse ``I/N`` shard notation (e.g. ``0/4``)."""
@@ -111,20 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("workload", choices=sorted(REGISTRY))
     run.add_argument("--size", type=int, default=4096,
                      help="problem size in warps (default 4096)")
-    run.add_argument("--gpu", default="r9nano",
-                     choices=["r9nano", "mi100", "full-r9nano",
-                              "full-mi100"])
-    run.add_argument("--methods", nargs="+", default=["photon"],
-                     choices=_ALL_METHODS)
+    _add_cell_flags(run, ["photon"])
     _add_watchdog_flags(run)
     _add_obs_flags(run)
 
     app = sub.add_parser("app", help="run a multi-kernel application")
     app.add_argument("name", choices=sorted(APP_BUILDERS))
-    app.add_argument("--gpu", default="r9nano",
-                     choices=["r9nano", "mi100"])
-    app.add_argument("--methods", nargs="+", default=["photon"],
-                     choices=_ALL_METHODS)
+    _add_cell_flags(app, ["photon"])
     _add_watchdog_flags(app)
     _add_obs_flags(app)
 
@@ -137,11 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sizes", nargs="+", type=int, default=None,
                        help="problem sizes in warps (default: the "
                             "per-workload quick sizes)")
-    sweep.add_argument("--methods", nargs="+",
-                       default=["pka", "photon"],
-                       help="sampled methods to compare against full")
-    sweep.add_argument("--gpu", default="r9nano",
-                       choices=list(GPU_PRESET_NAMES))
+    _add_cell_flags(sweep, ["pka", "photon"])
     sweep.add_argument("--seed", type=int, default=None,
                        help="workload data seed (default: per-workload)")
     sweep.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -267,6 +239,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _method_name(text: str) -> str:
+    """``--methods`` element: a WorkloadError (exit 2, one line) for a
+    typo, before any simulation work."""
+    check_methods([text])
+    return text
+
+
+def _add_cell_flags(sub: argparse.ArgumentParser,
+                    methods: List[str]) -> None:
+    """``--gpu`` / ``--methods``: the same names on every subcommand."""
+    sub.add_argument("--gpu", default="r9nano",
+                     choices=list(GPU_PRESET_NAMES))
+    sub.add_argument("--methods", nargs="+", default=methods,
+                     type=_method_name, metavar="METHOD",
+                     help="sampled methods to compare against full: "
+                          + ", ".join(all_methods()))
+
+
 def _add_watchdog_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--deadline-seconds", type=float, default=None, metavar="S",
@@ -360,15 +350,14 @@ class _ObsSession:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point.  Returns 0 on success, 2 on any :class:`ReproError`
     (bad config, watchdog trip, unrecoverable simulation failure)."""
-    args = build_parser().parse_args(argv)
-
-    if args.command == "list":
-        print("single-kernel workloads:", ", ".join(sorted(REGISTRY)))
-        print("applications:           ", ", ".join(sorted(APP_BUILDERS)))
-        print("methods:                ", ", ".join(_ALL_METHODS))
-        return 0
-
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "list":
+            print("single-kernel workloads:", ", ".join(sorted(REGISTRY)))
+            print("applications:           ",
+                  ", ".join(sorted(APP_BUILDERS)))
+            print("methods:                ", ", ".join(all_methods()))
+            return 0
         if args.command == "trace":
             return _trace_export(args)
         if args.command == "serve":
@@ -392,9 +381,8 @@ def _serve(args: argparse.Namespace) -> int:
         tenant_max_inflight=args.tenant_max_inflight,
         result_cache=args.result_cache, trace_store=args.trace_store,
         state_dir=args.state_dir, drain_grace=args.drain_grace)
+    obs = _ObsSession(None)  # same bus: PhotonServer uses current_bus()
     server = PhotonServer(config)
-    counting = CountingSink()
-    server.bus.add_sink(counting, kinds=list(CORE_KINDS))
 
     def announce(host: str, port: int) -> None:
         # the exact line tooling parses to find an ephemeral port
@@ -404,16 +392,11 @@ def _serve(args: argparse.Namespace) -> int:
     try:
         stats = asyncio.run(server.run(announce=announce))
     finally:
-        server.bus.remove_sink(counting)
+        obs.finish()
     print(f"drained: {json.dumps(stats['counts'], sort_keys=True)}",
           file=sys.stderr)
     if args.metrics:
-        print("-- observability --", file=sys.stderr)
-        for kind, count in sorted(counting.counts.items()):
-            print(f"event {kind}: {count}", file=sys.stderr)
-        counters = server.bus.metrics.snapshot()["counters"]
-        for name in sorted(counters):
-            print(f"counter {name}: {counters[name]}", file=sys.stderr)
+        obs.print_summary()
     return 0
 
 
@@ -449,7 +432,6 @@ def _trace_export(args: argparse.Namespace) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    _validate_methods(args.methods)
     watchdog = _watchdog_from(args)
     obs = _ObsSession(args.trace_out)
     cache = None

@@ -24,6 +24,7 @@ import numpy as np
 from ..functional.batch import control_traces
 from ..functional.executor import FunctionalExecutor
 from ..functional.kernel import Kernel
+from ..obs import EventBus
 from ..reliability.watchdog import WatchdogConfig
 from .bbv import BBVProjector, gpu_bbv, warp_type_key
 from .config import PhotonConfig
@@ -68,9 +69,10 @@ def analyze_kernel(
     config: PhotonConfig,
     projector: BBVProjector,
     watchdog: "WatchdogConfig | None" = None,
+    bus: "EventBus | None" = None,
 ) -> OnlineAnalysis:
     """Run the online analysis for one kernel launch."""
-    executor = FunctionalExecutor(kernel, watchdog=watchdog)
+    executor = FunctionalExecutor(kernel, watchdog=watchdog, bus=bus)
     sample = select_sample(
         kernel.n_warps, config.sample_fraction, config.min_sample_warps
     )

@@ -46,17 +46,13 @@ import numpy as np
 
 from ..config.gpu_configs import GpuConfig
 from ..errors import ConfigError, SamplingError, TimingError
-from ..functional.batch import control_traces
-from ..functional.executor import FunctionalExecutor
-from ..functional.kernel import Application, Kernel
-from ..obs import RELIABILITY_FALLBACK, EventBus, current_bus
+from ..functional.kernel import Kernel
+from ..obs import RELIABILITY_FALLBACK, EventBus
 from ..reliability.faults import FaultPlan
 from ..reliability.ledger import FALLBACK_CHAIN, FallbackEvent
 from ..reliability.watchdog import WatchdogConfig
-from ..timing.caches import MemoryHierarchy
-from ..timing.engine import DetailedEngine
 from ..timing.fastmodel import schedule_only
-from ..timing.simulator import AppResult, KernelResult
+from ..timing.simulator import KernelResult, Methodology
 from .bbv import BBVProjector
 from .config import PhotonConfig
 from .detectors import BBSamplingDetector, WarpSamplingDetector
@@ -176,7 +172,7 @@ def _analyses_equal(a: OnlineAnalysis, b: OnlineAnalysis) -> bool:
             and np.array_equal(a.gpu_bbv, b.gpu_bbv))
 
 
-class Photon:
+class Photon(Methodology):
     """Sampled GPU simulator (the paper's contribution).
 
     One instance carries warm state across an application's kernels: the
@@ -186,6 +182,8 @@ class Photon:
     deterministically injects failures (tests use it to prove the
     degradation paths).
     """
+
+    name = "photon"
 
     def __init__(
         self,
@@ -197,8 +195,7 @@ class Photon:
         kernel_db: Optional[KernelDB] = None,
         bus: Optional[EventBus] = None,
     ):
-        self.gpu_config = gpu_config
-        self.bus = bus if bus is not None else current_bus()
+        super().__init__(gpu_config, watchdog, bus)
         self.config = config or PhotonConfig()
         self.projector = BBVProjector(self.config.bbv_dim)
         if kernel_db is not None:
@@ -218,9 +215,7 @@ class Photon:
             self.kernel_db = KernelDB(self.config.kernel_distance,
                                       gpu_config.n_cu)
         self.interval_model = IntervalModel(gpu_config)
-        self.hierarchy = MemoryHierarchy(gpu_config)
         self.analysis_store = analysis_store
-        self.watchdog = watchdog
         self.fault_plan = fault_plan
 
     # -- public API --------------------------------------------------------------
@@ -257,15 +252,6 @@ class Photon:
         result.wall_seconds = _time.perf_counter() - t0
         if attempt > 1:
             result.meta["degraded_attempts"] = attempt
-        return result
-
-    def simulate_app(self, app: Application,
-                     method_name: str = "photon") -> AppResult:
-        """Simulate a whole application kernel by kernel."""
-        result = AppResult(app_name=app.name, method=method_name)
-        for kernel in app.kernels:
-            self.hierarchy.reset_timing()
-            result.kernels.append(self.simulate_kernel(kernel))
         return result
 
     # -- degradation ladder ------------------------------------------------------
@@ -362,7 +348,7 @@ class Photon:
                 if cached is not None:
                     return cached
         analysis = analyze_kernel(kernel, self.config, self.projector,
-                                  watchdog=self.watchdog)
+                                  watchdog=self.watchdog, bus=self.bus)
         if self.analysis_store is not None:
             self.analysis_store.put(kernel, analysis)
         return analysis
@@ -371,14 +357,7 @@ class Photon:
         self, kernel: Kernel, analysis: OnlineAnalysis,
         allow: Dict[str, bool],
     ) -> KernelResult:
-        engine = DetailedEngine(
-            kernel,
-            self.gpu_config,
-            hierarchy=self.hierarchy,
-            collect_latency=True,
-            watchdog=self.watchdog,
-            bus=self.bus,
-        )
+        engine = self.engine(kernel, collect_latency=True)
         bb_detector = None
         warp_detector = None
         if allow["bb"]:
@@ -455,10 +434,8 @@ class Photon:
         interval_cache: Dict[int, float] = {}
         duration_cache: Dict[Tuple[int, ...], float] = {}
         program = kernel.program
-        executor = FunctionalExecutor(kernel, watchdog=self.watchdog,
-                                      bus=self.bus)
         # fast-forward the remaining warps in one CONTROL fill
-        traces = control_traces(kernel, remaining, executor=executor)
+        traces = self.control_traces(kernel, remaining)
 
         def bb_time(pc: int) -> float:
             known = table.get(pc)

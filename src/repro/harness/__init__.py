@@ -11,7 +11,6 @@ from .metrics import (
     Comparison,
     compare_apps,
     compare_kernels,
-    failed_comparison,
     sim_time_error,
     wall_speedup,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "compare_apps",
     "compare_kernels",
     "comparison_table",
-    "failed_comparison",
     "format_table",
     "measure_online_offline",
     "run_methods_app",

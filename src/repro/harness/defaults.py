@@ -14,31 +14,35 @@ paper's reported 6.83% average.
 
 from __future__ import annotations
 
-from ..config.gpu_configs import GpuConfig, MI100, R9_NANO, preset
+from ..config.gpu_configs import GpuConfig, MI100, R9_NANO
+from ..errors import ConfigError
 from ..core.config import PhotonConfig
 
 # scaled evaluation GPUs (Table 1 microarchitectures, 8 / 15 CUs)
 EVAL_R9NANO: GpuConfig = R9_NANO.scaled(8)
 EVAL_MI100: GpuConfig = MI100.scaled(16)
 
-#: GPU preset names accepted everywhere a configuration is named by
-#: string (CLI flags, serialized sweep tasks)
-GPU_PRESET_NAMES = ("r9nano", "mi100", "full-r9nano", "full-mi100")
+#: the GPU presets a configuration can be named by (CLI flags, serve
+#: requests, serialized sweep tasks): ``r9nano`` / ``mi100`` are the
+#: scaled evaluation GPUs, the ``full-`` prefix selects the unscaled
+#: Table 1 presets
+GPU_PRESETS = {"r9nano": EVAL_R9NANO, "mi100": EVAL_MI100,
+               "full-r9nano": R9_NANO, "full-mi100": MI100}
+GPU_PRESET_NAMES = tuple(GPU_PRESETS)
 
 
 def resolve_gpu(name: str) -> GpuConfig:
     """Resolve a preset name to a configuration.
 
-    ``r9nano`` / ``mi100`` are the scaled evaluation GPUs; the
-    ``full-`` prefix selects the unscaled Table 1 presets.  Sweep tasks
-    carry the *name* across process boundaries and resolve it in the
-    worker, so configurations never need to be pickled.
+    Sweep tasks carry the *name* across process boundaries and resolve
+    it in the worker, so configurations never need to be pickled.
     """
-    if name == "r9nano":
-        return EVAL_R9NANO
-    if name == "mi100":
-        return EVAL_MI100
-    return preset(name.removeprefix("full-"))
+    try:
+        return GPU_PRESETS[name]
+    except KeyError:
+        raise ConfigError(f"unknown GPU preset {name!r}; choose from "
+                          f"{', '.join(GPU_PRESETS)}") from None
+
 
 # Photon configuration used throughout the benchmarks
 EVAL_PHOTON = PhotonConfig(

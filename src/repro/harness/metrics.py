@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
-from ..errors import ReproError, SamplingError
+from ..errors import SamplingError
 from ..timing.simulator import AppResult, KernelResult
 
 
@@ -126,16 +126,35 @@ class Comparison:
         )
 
 
+@dataclass
+class Evaluation:
+    """What evaluating one method on one cell produced: a result, or the
+    failure that prevented one (class name and one-line message — all
+    that survives a process boundary) and the stage it struck in."""
+
+    method: str
+    result: "KernelResult | AppResult | None" = None
+    error_class: str = ""  # "" means success
+    error: str = ""
+    stage: str = "run"     # "build" (workload construction) | "run"
+                           # | "pool" (synthesized: worker pool crashed)
+    attempts: int = 1
+    backoff_total: float = 0.0  # retry backoff seconds slept
+    # the winning attempt's AnalysisStore / KernelDB, when a worker
+    # asked to keep them for the deterministic merge
+    analysis_store: object = None
+    kernel_db: object = None
+
+    @property
+    def ok(self) -> bool:
+        return not self.error_class
+
+
 def failed_row(workload: str, size: int, method: str,
                error_class: str, message: str,
                full: "KernelResult | AppResult | None" = None,
                ) -> Comparison:
-    """A failed row built from an error's (class name, message) pair.
-
-    Used directly when the failure crossed a process boundary and only
-    its serialized form survives; :func:`failed_comparison` is the
-    in-process convenience wrapper.
-    """
+    """A failed row built from an error's (class name, message) pair."""
     return Comparison(
         workload=workload,
         size=size,
@@ -151,13 +170,46 @@ def failed_row(workload: str, size: int, method: str,
     )
 
 
-def failed_comparison(workload: str, size: int, method: str,
-                      exc: ReproError,
-                      full: "KernelResult | AppResult | None" = None,
-                      ) -> Comparison:
-    """A row recording that ``method`` failed instead of producing data."""
-    return failed_row(workload, size, method, type(exc).__name__,
-                      str(exc), full=full)
+def cell_rows(workload: str, size: Optional[int], full: Evaluation,
+              sampled: Sequence[Evaluation]) -> List[Comparison]:
+    """The rows of one evaluation cell — the only row builder.
+
+    ``full`` is the baseline's evaluation, ``sampled`` one per method in
+    order (ignored, beyond their names, once the baseline failed — a
+    harness never runs them then, a sweep's tasks ran regardless):
+
+    * baseline build failure → a single ``build`` row for the cell;
+    * baseline run failure → failed rows for ``full`` and every method;
+    * method failure → a failed row carrying the baseline's times;
+    * otherwise → :func:`compare_kernels` / :func:`compare_apps`.
+
+    ``size=None`` marks an application cell: its size column is the
+    baseline's instruction count (0 when there is no baseline) and the
+    table has no ``full`` row of its own.
+    """
+    if not full.ok:
+        size = size or 0
+        if full.stage == "build":
+            return [failed_row(workload, size, "build",
+                               full.error_class, full.error)]
+        return [failed_row(workload, size, method,
+                           full.error_class, full.error)
+                for method in (full.method, *(e.method for e in sampled))]
+    base, app = full.result, size is None
+    if app:
+        size, rows = base.n_insts, []
+    else:
+        rows = [compare_kernels(workload, size, full.method, base, base)]
+    for ev in sampled:
+        if not ev.ok:
+            rows.append(failed_row(workload, size, ev.method,
+                                   ev.error_class, ev.error, full=base))
+        elif app:
+            rows.append(compare_apps(workload, ev.method, base, ev.result))
+        else:
+            rows.append(compare_kernels(workload, size, ev.method, base,
+                                        ev.result))
+    return rows
 
 
 def compare_kernels(workload: str, size: int, method: str,

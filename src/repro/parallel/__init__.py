@@ -1,15 +1,17 @@
 """ParSweep: the parallel evaluation subsystem.
 
 Reproducing the paper's figures is embarrassingly parallel work — every
-(workload × size × method) cell is independent — yet the serial harness
-runs them one at a time.  This package decomposes an evaluation into
+(workload × size × method) cell is independent — yet ``repro run`` runs
+them one at a time.  This package decomposes an evaluation into
 self-contained :class:`SweepTask` shards, schedules them over
 ``multiprocessing`` workers with a bounded work queue and per-task
 watchdog budgets, transports results back as serializable payloads,
 deterministically merges per-worker ``AnalysisStore``/``KernelDB``
 state, and reports structured run telemetry.
 
-Parallelism is a pure speed knob: serial and parallel runs of the same
+Parallelism is a pure speed knob: every task goes through the evaluate
+step ``repro run`` uses (:func:`repro.harness.runner.evaluate`) and every
+row through the same builder, so serial and parallel runs of the same
 plan produce identical simulated results (see ``docs/parallel.md`` for
 the determinism contract and the task model).
 
@@ -59,7 +61,8 @@ from .scheduler import (
     rows_from_outcomes,
     run_sweep,
 )
-from .tasks import FULL_METHOD, SweepTask, TaskOutcome, run_task
+from ..harness.runner import FULL_METHOD
+from .tasks import SweepTask, TaskOutcome, run_task
 from .telemetry import RunReport, TaskTelemetry
 from .tier import ExecutionTier, worker_init
 

@@ -11,8 +11,9 @@ worker processes, broken pools and crash outcomes are the tier's.
 Then :func:`assemble_result` — shared with the fleet coordinator —
 
 * reassembles :class:`~repro.harness.metrics.Comparison` rows in plan
-  order, reproducing the serial harness's row semantics exactly
-  (including ``build`` rows and failure isolation);
+  order through the one row builder,
+  :func:`~repro.harness.metrics.cell_rows` (``build`` rows and failure
+  isolation included);
 * deterministically merges every worker's ``AnalysisStore`` /
   ``KernelDB`` contents in task order, so the reusable warm-analysis
   state survives sharding regardless of worker scheduling;
@@ -69,16 +70,15 @@ from ..core.persist import (
 )
 from ..core.photon import AnalysisStore
 from ..errors import ConfigError, SamplingError, WorkloadError
-from ..harness.defaults import EVAL_PHOTON, QUICK_SIZES
-from ..harness.metrics import Comparison, compare_kernels, failed_row
-from ..harness.runner import _check_methods
+from ..harness.defaults import EVAL_PHOTON, QUICK_SIZES, resolve_gpu
+from ..harness.metrics import Comparison, cell_rows
+from ..harness.runner import FULL_METHOD, check_methods, check_workloads
 from ..obs import PARALLEL_TASK, SWEEP_RESUME, current_bus
 from ..reliability.retry import NO_RETRY, RetryPolicy
 from ..reliability.watchdog import WatchdogConfig
 from ..tracestore import TraceStore
-from ..workloads.base import REGISTRY
 from .journal import SweepJournal
-from .tasks import FULL_METHOD, SweepTask, TaskOutcome, run_task
+from .tasks import SweepTask, TaskOutcome, run_task
 from .telemetry import RunReport, TaskTelemetry
 from .tier import ExecutionTier
 
@@ -128,17 +128,14 @@ def plan_sweep(
     cells whose enumeration index is ``i`` modulo ``n``; the union of
     all shards is exactly the unsharded plan.
 
-    Workload and method names are validated here, up front — a typo
-    fails the whole plan with a one-line error instead of surfacing
+    Workload, method and GPU names are validated here, up front — a
+    typo fails the whole plan with a one-line error instead of surfacing
     mid-sweep from inside a worker.
     """
     methods = tuple(methods)
-    _check_methods(methods)
-    for workload in workloads:
-        if workload not in REGISTRY:
-            raise WorkloadError(
-                f"unknown workload {workload!r}; "
-                f"registered: {sorted(REGISTRY)}")
+    check_methods(methods)
+    check_workloads(workloads)
+    resolve_gpu(gpu)
     shard_index, shard_count = shard
     if shard_count < 1 or not 0 <= shard_index < shard_count:
         raise ConfigError(
@@ -216,63 +213,25 @@ class SweepResult:
 def rows_from_outcomes(outcomes: Sequence[TaskOutcome]) -> List[Comparison]:
     """Reassemble comparison rows from task outcomes, in plan order.
 
-    Reproduces the serial harness's semantics cell by cell:
-
-    * baseline build failure → a single ``build`` row for the cell;
-    * baseline run failure → failed rows for ``full`` and every method
-      (their own outcomes are discarded, as the serial path never runs
-      them);
-    * method failure → a failed row carrying the baseline's times;
-    * otherwise → the same rows :func:`~repro.harness.metrics.compare_kernels`
-      builds serially.
+    Splits the plan into cells — a ``full`` baseline and the sampled
+    methods that follow it — and hands each to
+    :func:`~repro.harness.metrics.cell_rows`, the row builder ``repro
+    run`` uses too.
     """
-    ordered = sorted(outcomes, key=lambda o: o.index)
-    rows: List[Comparison] = []
-    i, n = 0, len(ordered)
-    while i < n:
-        full = ordered[i]
-        if full.method != FULL_METHOD:
+    cells: List[List[TaskOutcome]] = []
+    for outcome in sorted(outcomes, key=lambda o: o.index):
+        if outcome.method == FULL_METHOD:
+            cells.append([])
+        elif not cells:
             raise SamplingError(
-                f"malformed sweep plan: task {full.index} "
-                f"({full.workload}/{full.size}/{full.method}) starts a "
-                f"cell but is not a {FULL_METHOD!r} baseline")
-        j = i + 1
-        while j < n and ordered[j].method != FULL_METHOD:
-            j += 1
-        rows.extend(_cell_rows(full, ordered[i + 1:j]))
-        i = j
-    return rows
-
-
-def _cell_rows(full: TaskOutcome,
-               cell: Sequence[TaskOutcome]) -> List[Comparison]:
-    workload, size = full.workload, full.size
-    if not full.ok and full.stage == "build":
-        return [failed_row(workload, size, "build",
-                           full.error_class, full.error)]
-    if not full.ok:
-        return [failed_row(workload, size, method,
-                           full.error_class, full.error)
-                for method in (FULL_METHOD,
-                               *(o.method for o in cell))]
-    baseline = full.to_kernel_result()
-    rows = [Comparison(
-        workload=workload, size=size, method=FULL_METHOD,
-        full_time=baseline.sim_time, sampled_time=baseline.sim_time,
-        full_wall=baseline.wall_seconds,
-        sampled_wall=baseline.wall_seconds,
-        mode="full", detail_fraction=1.0,
-    )]
-    for outcome in cell:
-        if not outcome.ok:
-            rows.append(failed_row(workload, size, outcome.method,
-                                   outcome.error_class, outcome.error,
-                                   full=baseline))
-        else:
-            rows.append(compare_kernels(workload, size, outcome.method,
-                                        baseline,
-                                        outcome.to_kernel_result()))
-    return rows
+                f"malformed sweep plan: task {outcome.index} "
+                f"({outcome.workload}/{outcome.size}/{outcome.method}) "
+                f"starts a cell but is not a {FULL_METHOD!r} baseline")
+        cells[-1].append(outcome)
+    return [row for full, *sampled in cells
+            for row in cell_rows(full.workload, full.size,
+                                 full.evaluation(),
+                                 [o.evaluation() for o in sampled])]
 
 
 @dataclass

@@ -8,12 +8,14 @@ or executed inline: :func:`run_task` is the single code path for all
 three.  The baseline run of a cell is itself a task (``method="full"``),
 which keeps shards independent: no task ever waits on another's output.
 
-A task's product is a :class:`TaskOutcome`: a JSON-safe record carrying
-either the simulated result (plus the worker's analysis-store/kernel-db
-contents for the deterministic merge) or the failure that prevented
-one, tagged with the stage it occurred in (``build`` vs ``run``) so the
-scheduler can reconstruct exactly the rows the serial harness would
-have produced.
+:func:`run_task` is :func:`repro.harness.runner.evaluate` — the step
+``repro run`` and ``repro app`` go through — plus what crossing a
+process needs: names resolved to a factory and a GPU, the staged trace
+cache, and the :class:`~repro.harness.metrics.Evaluation` packed into a
+:class:`TaskOutcome`, a JSON-safe record carrying either the simulated
+result (plus the worker's analysis-store/kernel-db contents for the
+deterministic merge) or the failure that prevented one, tagged with the
+stage it occurred in (``build`` vs ``run``).
 """
 
 from __future__ import annotations
@@ -26,26 +28,17 @@ from typing import Dict, List, Optional, Tuple, Type
 
 from .. import errors as _errors
 from ..core.config import PhotonConfig
-from ..core.kerneldb import KernelDB
 from ..core.persist import analysis_store_payload, kernel_db_payload
-from ..core.photon import AnalysisStore
 from ..baselines.pka import PkaConfig
 from ..errors import ConfigError, ReproError
 from ..harness.defaults import EVAL_PHOTON, resolve_gpu
-from ..harness.runner import (
-    LEVEL_METHODS,
-    _check_methods,
-    simulate_method,
-    workload_factory,
-)
+from ..harness.metrics import Evaluation
+from ..harness.runner import FULL_METHOD, evaluate, workload_factory
 from ..reliability.ledger import FallbackEvent
 from ..reliability.retry import NO_RETRY, RetryPolicy
 from ..reliability.watchdog import WatchdogConfig
-from ..timing.simulator import KernelResult, simulate_kernel_detailed
+from ..timing.simulator import KernelResult
 from ..timing.tracecache import scoped_trace_cache
-
-#: method name reserved for the full-detailed baseline task of a cell
-FULL_METHOD = "full"
 
 
 def _transient_names(retry: RetryPolicy) -> List[str]:
@@ -207,6 +200,13 @@ class TaskOutcome:
                              for d in self.fallbacks)
         return result
 
+    def evaluation(self) -> Evaluation:
+        """This outcome as the evaluate step's product (what
+        :func:`~repro.harness.metrics.cell_rows` builds rows from)."""
+        return Evaluation(self.method,
+                          self.to_kernel_result() if self.ok else None,
+                          self.error_class, self.error, self.stage)
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "index": self.index,
@@ -250,51 +250,20 @@ def run_task(task: SweepTask,
 
     Workload-construction errors come back as ``stage="build"``
     outcomes, simulation errors as ``stage="run"`` — both carry the
-    exception class and one-line message so the scheduler can rebuild
-    the exact failed rows the serial harness produces.  An *unknown
-    method name* does raise (:class:`~repro.errors.WorkloadError`): a
-    typo is a caller bug, not a sweep casualty, mirroring the serial
-    harness contract.
+    exception class and one-line message.  An *unknown method or GPU
+    name* does raise (:class:`~repro.errors.WorkloadError` /
+    :class:`~repro.errors.ConfigError`): a typo is a caller bug, not a
+    sweep casualty.
 
     ``stage_dir`` overrides where trace-store writes are staged: the
     default is the store's own ``staging/task-<index>`` (single-host
     sweeps); fleet workers pass ``<fleet>/staging/<host>/task-<index>``
     so hosts never write into each other's staging directories.
     """
-    if task.method != FULL_METHOD:
-        _check_methods([task.method])
     started = _time.monotonic()
     t0 = _time.perf_counter()
-    out = TaskOutcome(index=task.index, workload=task.workload,
-                      size=task.size, method=task.method,
-                      worker=os.getpid(), started=started)
-    try:
-        gpu = resolve_gpu(task.gpu)
-        kwargs = {} if task.seed is None else {"seed": task.seed}
-        factory = workload_factory(task.workload, task.size, **kwargs)
-        factory()  # surface construction errors as a "build" failure
-    except ReproError as exc:
-        out.status, out.stage = "error", "build"
-        out.error_class, out.error = type(exc).__name__, str(exc)
-        out.task_wall = _time.perf_counter() - t0
-        return out
-
-    # per-attempt state: a retried attempt starts from scratch, exactly
-    # like the serial harness (which re-runs the whole method closure)
-    holder: Dict[str, object] = {}
-
-    def attempt() -> KernelResult:
-        if task.method == FULL_METHOD:
-            return simulate_kernel_detailed(factory(), gpu,
-                                            watchdog=task.watchdog)
-        store = db = None
-        if task.method in LEVEL_METHODS:
-            store = AnalysisStore()
-            db = KernelDB(task.photon.kernel_distance, gpu.n_cu)
-        holder["store"], holder["db"] = store, db
-        return simulate_method(factory(), task.method, gpu, task.photon,
-                               task.pka, watchdog=task.watchdog,
-                               analysis_store=store, kernel_db=db)
+    gpu = resolve_gpu(task.gpu)
+    kwargs = {} if task.seed is None else {"seed": task.seed}
 
     cache = None
     if task.trace_store is not None:
@@ -307,34 +276,37 @@ def run_task(task: SweepTask,
             staged = TraceStore(task.trace_store).stage(task.index)
         cache = TraceCache(backing_store=staged)
 
-    try:
-        with scoped_trace_cache(cache):
-            result, out.attempts, out.backoff_total = (
-                task.retry.run_logged(attempt))
-    except ReproError as exc:
-        out.status, out.stage = "error", "run"
-        out.error_class, out.error = type(exc).__name__, str(exc)
-        out.task_wall = _time.perf_counter() - t0
-        return out
-    finally:
-        if cache is not None:
-            # persist even partial attempts: traces are deterministic,
-            # so anything emulated is worth sharing with later tasks
-            out.trace_writes = cache.flush()
-            out.trace_hits = cache.hits
-            out.trace_store_hits = cache.store_hits
-            out.trace_misses = cache.misses
+    with scoped_trace_cache(cache):
+        ev = evaluate(
+            lambda: workload_factory(task.workload, task.size, **kwargs)(),
+            task.method, gpu, task.photon, task.pka, task.watchdog,
+            retry=task.retry, keep_state=True)
 
-    out.sim_time = result.sim_time
-    out.wall_seconds = result.wall_seconds
-    out.n_insts = result.n_insts
-    out.detail_insts = result.detail_insts
-    out.mode = result.mode
-    out.fallbacks = [event.to_dict() for event in result.errors]
-    store, db = holder.get("store"), holder.get("db")
-    if store is not None and len(store):
-        out.store_payload = analysis_store_payload(store)
-    if db is not None and len(db):
-        out.kerneldb_payload = kernel_db_payload(db)
+    out = TaskOutcome(index=task.index, workload=task.workload,
+                      size=task.size, method=task.method,
+                      worker=os.getpid(), started=started,
+                      attempts=ev.attempts, backoff_total=ev.backoff_total)
+    if cache is not None:
+        # persist even failed attempts: traces are deterministic, so
+        # anything emulated is worth sharing with later tasks
+        out.trace_writes = cache.flush()
+        out.trace_hits = cache.hits
+        out.trace_store_hits = cache.store_hits
+        out.trace_misses = cache.misses
+    if ev.ok:
+        result = ev.result
+        out.sim_time = result.sim_time
+        out.wall_seconds = result.wall_seconds
+        out.n_insts = result.n_insts
+        out.detail_insts = result.detail_insts
+        out.mode = result.mode
+        out.fallbacks = [event.to_dict() for event in result.errors]
+        if len(ev.analysis_store):
+            out.store_payload = analysis_store_payload(ev.analysis_store)
+        if len(ev.kernel_db):
+            out.kerneldb_payload = kernel_db_payload(ev.kernel_db)
+    else:
+        out.status, out.stage = "error", ev.stage
+        out.error_class, out.error = ev.error_class, ev.error
     out.task_wall = _time.perf_counter() - t0
     return out

@@ -18,6 +18,8 @@ synthesized crash outcome, whoever the client is:
   suspects **one at a time**; only a suspect that breaks a pool while
   running alone — its second strike — keeps the synthesized
   ``stage="pool"`` error outcome.  A poison task never fails a bystander;
+* a worker killed while *idle* may break nothing until shutdown, where
+  its siblings would be waited on forever (:func:`_stop_pool`);
 * ``jobs == 0`` runs tasks on a single in-process thread — no fork, no
   pickling — for tests, smoke runs and debugging.  Simulated results
   are identical either way (the determinism contract).
@@ -142,7 +144,7 @@ class ExecutionTier:
         for job in stranded:
             job.future.set_exception(CancelledError())
         if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=True)
+            _stop_pool(pool, wait)
         self._release_retired(wait)
 
     # -- execution ---------------------------------------------------------
@@ -253,6 +255,31 @@ class ExecutionTier:
         elif not retry:
             job.future.set_exception(exc)
         self._start(ready)
+
+
+def _stop_pool(pool, wait: bool) -> None:
+    """Shut a healthy pool down without trusting its workers to be alive.
+
+    A worker SIGKILLed while *idle* dies holding the call queue's reader
+    lock.  If that lands as the pool shuts down, CPython's executor
+    never marks it broken: it queues one exit sentinel per worker and
+    joins them, and the survivors — blocked on the dead worker's lock —
+    never read theirs.  So the tier joins the workers itself and, once
+    one of them turns out to have died abnormally, kills the rest.
+    """
+    workers = list((getattr(pool, "_processes", None) or {}).values())
+    if not (wait and workers):    # the inline thread pool has none
+        pool.shutdown(wait=wait, cancel_futures=True)
+        return
+    pool.shutdown(wait=False, cancel_futures=True)
+    while True:
+        alive = [worker for worker in workers if worker.is_alive()]
+        if not alive:
+            return
+        if any(worker.exitcode for worker in workers):
+            for worker in alive:
+                worker.kill()
+        alive[0].join(timeout=0.05)
 
 
 def _crash_outcome(task: SweepTask, exc: BaseException) -> TaskOutcome:

@@ -40,12 +40,15 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..core.config import PhotonConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, WorkloadError
 from ..harness.defaults import EVAL_PHOTON, GPU_PRESET_NAMES
-from ..harness.runner import LEVEL_METHODS, _BASELINES, workload_factory
-from ..parallel.tasks import FULL_METHOD, SweepTask, TaskOutcome
+from ..harness.runner import (
+    check_methods,
+    check_workloads,
+    workload_factory,
+)
+from ..parallel.tasks import SweepTask, TaskOutcome
 from ..tracestore.format import TraceKey, trace_key
-from ..workloads.base import REGISTRY
 
 
 class ProtocolError(ConfigError):
@@ -60,8 +63,6 @@ _NONDETERMINISTIC_FIELDS = frozenset((
     "trace_hits", "trace_store_hits", "trace_misses", "trace_writes",
     "host", "stolen",
 ))
-
-_KNOWN_METHODS = tuple(sorted(_BASELINES)) + tuple(sorted(LEVEL_METHODS))
 
 
 @dataclass(frozen=True)
@@ -134,33 +135,17 @@ def normalize_request(data: object, op: Optional[str] = None) -> ServeRequest:
         return ServeRequest(op="ping", tenant=tenant, stream=stream,
                             delay_ms=delay, key=str(data.get("key", "")))
 
+    _require(op in ("run", "sweep"),
+             f"unknown op {op!r}; expected run, sweep or ping")
     if op == "run":
-        workload = str(data.get("workload", ""))
-        _require(workload in REGISTRY,
-                 f"unknown workload {data.get('workload')!r}; "
-                 f"registered: {sorted(REGISTRY)}")
+        workloads = (str(data.get("workload", "")),)
         size = _int_field(data, "size", 4096, minimum=1)
-        method = str(data.get("method", "photon"))
-        _require(method == FULL_METHOD or method in _KNOWN_METHODS,
-                 f"unknown method {data.get('method')!r}; choose from "
-                 f"{(FULL_METHOD,) + _KNOWN_METHODS}")
-        gpu = str(data.get("gpu", "r9nano"))
-        _require(gpu in GPU_PRESET_NAMES,
-                 f"unknown gpu {data.get('gpu')!r}; "
-                 f"choose from {GPU_PRESET_NAMES}")
-        seed = _int_field(data, "seed")
-        return ServeRequest(op="run", tenant=tenant, stream=stream,
-                            workload=workload, size=size, method=method,
-                            gpu=gpu, seed=seed)
-
-    if op == "sweep":
+        methods = (str(data.get("method", "photon")),)
+    else:
         workloads = data.get("workloads") or ()
         _require(isinstance(workloads, (list, tuple)) and workloads,
                  "sweep needs a non-empty 'workloads' list")
-        for name in workloads:
-            _require(name in REGISTRY,
-                     f"unknown workload {name!r}; "
-                     f"registered: {sorted(REGISTRY)}")
+        workloads = tuple(str(w) for w in workloads)
         sizes = data.get("sizes")
         if sizes is not None:
             _require(isinstance(sizes, (list, tuple)) and sizes,
@@ -168,21 +153,24 @@ def normalize_request(data: object, op: Optional[str] = None) -> ServeRequest:
             sizes = tuple(_int_field({"s": s}, "s", minimum=1)
                           for s in sizes)
         methods = tuple(data.get("methods") or ("photon",))
-        for method in methods:
-            _require(method in _KNOWN_METHODS,
-                     f"unknown method {method!r}; "
-                     f"choose from {_KNOWN_METHODS}")
-        gpu = str(data.get("gpu", "r9nano"))
-        _require(gpu in GPU_PRESET_NAMES,
-                 f"unknown gpu {data.get('gpu')!r}; "
-                 f"choose from {GPU_PRESET_NAMES}")
-        seed = _int_field(data, "seed")
-        return ServeRequest(op="sweep", tenant=tenant, stream=stream,
-                            workloads=tuple(str(w) for w in workloads),
-                            sizes=sizes, methods=methods, gpu=gpu,
-                            seed=seed)
-
-    raise ProtocolError(f"unknown op {op!r}; expected run, sweep or ping")
+    try:
+        check_workloads(workloads)
+        # a run request is one task, which may be the baseline itself
+        check_methods(methods, baseline=op == "run")
+    except WorkloadError as exc:
+        raise ProtocolError(str(exc)) from None
+    gpu = str(data.get("gpu", "r9nano"))
+    _require(gpu in GPU_PRESET_NAMES,
+             f"unknown gpu {data.get('gpu')!r}; "
+             f"choose from {GPU_PRESET_NAMES}")
+    seed = _int_field(data, "seed")
+    if op == "run":
+        return ServeRequest(op="run", tenant=tenant, stream=stream,
+                            workload=workloads[0], size=size,
+                            method=methods[0], gpu=gpu, seed=seed)
+    return ServeRequest(op="sweep", tenant=tenant, stream=stream,
+                        workloads=workloads, sizes=sizes, methods=methods,
+                        gpu=gpu, seed=seed)
 
 
 # -- request identity -------------------------------------------------------

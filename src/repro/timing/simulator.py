@@ -1,20 +1,29 @@
-"""Full-detailed simulation facade.
+"""Results, the base every methodology shares, and full detail.
+
+:class:`Methodology` is what Photon, the baselines and full detail have
+in common: one cache hierarchy kept warm across an application's
+launches (as an execution-driven simulator would), one watchdog and one
+bus that reach *every* engine and *every* CONTROL profiling pass the
+methodology starts, and the application loop.  A methodology implements
+:meth:`~Methodology.simulate_kernel`; everything else is inherited.
 
 :func:`simulate_kernel_detailed` runs one kernel start-to-finish in
-detailed mode and returns a :class:`KernelResult`;
-:func:`simulate_app_detailed` runs a whole application, keeping the cache
-hierarchy warm across launches (as an execution-driven simulator would).
+detailed mode and returns a :class:`KernelResult`; :class:`FullDetail`
+is that run as a methodology — the baseline every other one is compared
+against — and :func:`simulate_app_detailed` its application loop.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..config.gpu_configs import GpuConfig
+from ..functional.batch import control_traces
 from ..functional.kernel import Application, Kernel
-from ..obs import EventBus
+from ..functional.trace import ControlTrace
+from ..obs import EventBus, current_bus
 from ..reliability.ledger import FallbackEvent
 from ..reliability.watchdog import WatchdogConfig
 from .caches import MemoryHierarchy
@@ -121,6 +130,64 @@ def simulate_kernel_detailed(
     return result
 
 
+class Methodology:
+    """One simulation methodology: shared state plus the application loop.
+
+    Subclasses implement :meth:`simulate_kernel` and start detailed
+    engines and CONTROL profiling passes only through :meth:`engine` and
+    :meth:`control_traces`, so the watchdog budgets and the bus bound
+    every phase of every methodology by construction.
+    """
+
+    #: label of the :class:`AppResult` when the caller names none
+    name = ""
+
+    def __init__(self, gpu_config: GpuConfig,
+                 watchdog: Optional[WatchdogConfig] = None,
+                 bus: Optional[EventBus] = None):
+        self.gpu_config = gpu_config
+        self.watchdog = watchdog
+        self.bus = bus if bus is not None else current_bus()
+        self.hierarchy = MemoryHierarchy(gpu_config)
+
+    def engine(self, kernel: Kernel, **options) -> DetailedEngine:
+        """A detailed engine over the shared hierarchy, budgeted."""
+        return DetailedEngine(kernel, self.gpu_config,
+                              hierarchy=self.hierarchy,
+                              watchdog=self.watchdog, bus=self.bus,
+                              **options)
+
+    def control_traces(self, kernel: Kernel,
+                       warp_ids: Iterable[int]) -> Dict[int, ControlTrace]:
+        """A CONTROL fast-forward of ``warp_ids``, budgeted."""
+        return control_traces(kernel, warp_ids, watchdog=self.watchdog,
+                              bus=self.bus)
+
+    def simulate_kernel(self, kernel: Kernel) -> KernelResult:
+        raise NotImplementedError
+
+    def simulate_app(self, app: Application,
+                     method_name: str = "") -> AppResult:
+        """Simulate a whole application kernel by kernel (warm caches)."""
+        result = AppResult(app_name=app.name,
+                           method=method_name or self.name)
+        for kernel in app.kernels:
+            self.hierarchy.reset_timing()
+            result.kernels.append(self.simulate_kernel(kernel))
+        return result
+
+
+class FullDetail(Methodology):
+    """Every instruction of every warp in detailed mode."""
+
+    name = "full"
+
+    def simulate_kernel(self, kernel: Kernel) -> KernelResult:
+        return simulate_kernel_detailed(
+            kernel, self.gpu_config, hierarchy=self.hierarchy,
+            watchdog=self.watchdog, bus=self.bus)
+
+
 def simulate_app_detailed(
     app: Application,
     config: GpuConfig,
@@ -128,12 +195,4 @@ def simulate_app_detailed(
     bus: Optional[EventBus] = None,
 ) -> AppResult:
     """Run every kernel of ``app`` fully in detailed mode (warm caches)."""
-    result = AppResult(app_name=app.name, method="full")
-    hierarchy = MemoryHierarchy(config)
-    for kernel in app.kernels:
-        hierarchy.reset_timing()
-        result.kernels.append(
-            simulate_kernel_detailed(kernel, config, hierarchy=hierarchy,
-                                     watchdog=watchdog, bus=bus)
-        )
-    return result
+    return FullDetail(config, watchdog=watchdog, bus=bus).simulate_app(app)

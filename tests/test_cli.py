@@ -44,9 +44,12 @@ def test_unknown_workload_rejected():
         main(["run", "nope"])
 
 
-def test_unknown_method_rejected():
-    with pytest.raises(SystemExit):
-        main(["run", "relu", "--methods", "magic"])
+def test_unknown_method_rejected(capsys):
+    # same contract on run / app / sweep: exit 2, one WorkloadError line
+    assert main(["run", "relu", "--methods", "magic"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "magic" in err and "WorkloadError" in err
 
 
 def test_parser_structure():

@@ -17,6 +17,7 @@ from repro.parallel import (
     rows_from_outcomes,
     run_sweep,
 )
+from repro.reliability.watchdog import WatchdogConfig
 
 SIZES = (256,)  # small enough for process-pool tests to stay fast
 
@@ -77,13 +78,33 @@ def test_shards_partition_the_plan():
 # ----------------------------------------------------- determinism
 
 
+#: (sizes, methods, watchdog, methods of the rows that must fail)
+_HARNESS_CELLS = [
+    (SIZES, ("pka", "photon"), None, []),
+    # an unbuildable size: one ``build`` row, the other cell intact
+    ((0, 256), ("pka", "photon"), None, ["build"]),
+    # baseline over budget: ``full`` and every method fail with it
+    (SIZES, ("pka", "photon"), WatchdogConfig(max_events=10),
+     ["full", "pka", "photon"]),
+    # one method over budget (pka's CONTROL profile; the others never
+    # run a warp past five instructions under a watchdog)
+    (SIZES, ("pka", "tbpoint"), WatchdogConfig(max_instructions=5),
+     ["pka"]),
+]
+
+
 def test_inline_sweep_matches_serial_harness():
-    """run_sweep(jobs=1) reproduces the serial sweep_sizes rows."""
-    serial = sweep_sizes("relu", SIZES, methods=("pka", "photon"),
-                         photon_config=EVAL_PHOTON)
-    tasks = plan_sweep(["relu"], sizes=SIZES, methods=("pka", "photon"))
-    inline = run_sweep(tasks, jobs=1)
-    assert _det_table(inline.rows) == _det_table(serial)
+    """sweep_sizes == run_sweep(jobs=1) == run_sweep(jobs=2), failure
+    cells included: one evaluator and one row builder behind all three."""
+    for sizes, methods, watchdog, failed in _HARNESS_CELLS:
+        serial = sweep_sizes("relu", sizes, methods=methods,
+                             photon_config=EVAL_PHOTON, watchdog=watchdog)
+        assert [r.method for r in serial if not r.ok] == failed
+        tasks = plan_sweep(["relu"], sizes=sizes, methods=methods,
+                           watchdog=watchdog)
+        for jobs in (1, 2):
+            assert _det_table(run_sweep(tasks, jobs=jobs).rows) \
+                == _det_table(serial), (failed, jobs)
 
 
 def test_parallel_sweep_is_deterministic():

@@ -201,3 +201,25 @@ def test_concurrent_submitters_all_resolve(monkeypatch):
         tier.shutdown()
     assert got == list(range(n_threads * per_thread))
     assert tier.executed == n_threads * per_thread
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+def test_shutdown_survives_a_worker_killed_idle(victim):
+    """An idle worker dies holding the call queue's reader lock (one of
+    the two does; the other is queued behind it).  Shutting the pool
+    down right then must not wait on the survivor forever."""
+    import signal
+
+    tier = ExecutionTier(2)
+    for index in range(4):
+        assert tier.run_sync(SweepTask(index=index, workload="relu",
+                                       size=32, method="full")).ok
+    workers = sorted(multiprocessing.active_children(),
+                     key=lambda process: process.pid)
+    assert len(workers) == 2
+    os.kill(workers[victim].pid, signal.SIGKILL)
+    stopper = threading.Thread(target=tier.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(timeout=60)
+    assert not stopper.is_alive(), "tier.shutdown() hung"
+    assert not multiprocessing.active_children()
