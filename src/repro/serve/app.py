@@ -14,12 +14,15 @@ One :class:`PhotonServer` owns the whole serving pipeline::
       → absorb: result cache, analysis-store merge, trace-store staging fold
 
 The server is a plain ``asyncio.start_server`` HTTP/1.1 implementation
-(stdlib only — no framework dependency): one request per connection,
-``Connection: close``, JSON bodies both ways.  Streaming responses
+(stdlib only — no framework dependency) with persistent connections:
+requests on one connection are served in order until the request says
+``Connection: close``, the reply is a stream, the request could not be
+framed, the server drains, or the connection sits idle between requests
+for ``_IDLE_SECONDS``.  JSON bodies both ways.  Streaming responses
 (``"stream": true``) emit one JSON object per line, bridging the
 SimScope bus's ``serve.*`` events for the request's key onto the wire
 as they happen, terminated by a ``done`` line carrying the full
-response.
+response and the end of the connection.
 
 Endpoints::
 
@@ -40,7 +43,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from pathlib import Path
 
@@ -61,6 +64,7 @@ from .protocol import (
     ProtocolError,
     ServeRequest,
     deterministic_result,
+    memoized_request_key,
     normalize_request,
     outcome_from_result,
     request_key,
@@ -77,18 +81,23 @@ _REASONS = {
 
 _MAX_BODY = 1 << 20   # 1 MiB of JSON is far beyond any legal request
 
+#: a connection idle this long between requests is closed by the server
+_IDLE_SECONDS = 30.0
+
 #: counter names mirrored onto the bus metrics as ``serve.<name>``
-_COUNTERS = ("requests", "hits", "dedup", "executions",
+_COUNTERS = ("connections", "requests", "hits", "dedup", "executions",
              "rejected_queue", "rejected_quota", "rejected_draining",
              "drained", "replayed", "errors")
 
 
-class _CellFailed(Exception):
-    """A sweep cell answered non-200 for a non-drain reason; carries
-    the cell's response triple so the sweep can relay it verbatim."""
+class _ErrorReply(Exception):
+    """A complete non-200 answer, raised to whoever relays it verbatim:
+    a sweep cell's (non-drain) failure to its sweep, an unusable
+    request framing to the connection loop (which then closes — the
+    body was not consumed)."""
 
     def __init__(self, code: int, extra, payload):
-        super().__init__(f"sweep cell failed with {code}")
+        super().__init__(f"request failed with {code}")
         self.code = code
         self.extra = extra
         self.payload = payload
@@ -157,6 +166,10 @@ class PhotonServer:
         self._task_seq = itertools.count()   # unique staging indices
         self._req_seq = itertools.count(1)
         self._server: Optional[asyncio.base_events.Server] = None
+        # open connections -> their handler task; the idle ones are
+        # parked between requests (closed at drain, nothing in flight)
+        self._conns: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._idle: Set[asyncio.StreamWriter] = set()
         self._started = time.monotonic()
         self.host = self.config.host
         self.port = self.config.port
@@ -202,8 +215,21 @@ class PhotonServer:
         return self.host, self.port
 
     def begin_drain(self) -> None:
-        """Flip into drain mode (SIGTERM handler; idempotent)."""
+        """Flip into drain mode (SIGTERM handler; idempotent): idle
+        connections close now, in-flight replies say ``Connection:
+        close``."""
         self.drain.begin()
+        for writer in self._idle:
+            writer.close()
+
+    async def _close_connections(self) -> None:
+        """End every handler before the loop does: idle connections
+        first, then — a second late — whatever is still mid-request."""
+        for writers in (self._idle, self._conns):
+            for writer in list(writers):
+                writer.close()
+            if self._conns:
+                await asyncio.wait(list(self._conns.values()), timeout=1.0)
 
     async def replay_pending(self) -> int:
         """Replay a drained predecessor's ``pending.jsonl``; truncate it.
@@ -286,6 +312,7 @@ class PhotonServer:
         await self.queue.wait_idle(timeout=grace)
         if self._server is not None:
             self._server.close()
+            await self._close_connections()
             try:
                 await asyncio.wait_for(self._server.wait_closed(),
                                        timeout=1.0)
@@ -301,32 +328,64 @@ class PhotonServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Serve one connection's requests in order (keep-alive)."""
+        self._count("connections")
+        self._conns[writer] = asyncio.current_task()
         try:
-            parsed = await self._read_http(reader)
-            if parsed is None:
-                return
-            method, path, headers, body = parsed
-            await self._route(writer, method, path, headers, body)
+            while await self._serve_one(reader, writer):
+                await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
-        except Exception as exc:  # never kill the server on one request
-            self._count("errors")
-            try:
-                self._write_response(writer, 500,
-                                     {"error": f"{type(exc).__name__}: "
-                                               f"{exc}"})
-            except ConnectionError:
-                pass
         finally:
+            del self._conns[writer]
             try:
-                await writer.drain()
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, asyncio.IncompleteReadError):
                 pass
 
-    async def _read_http(self, reader: asyncio.StreamReader):
-        request_line = await reader.readline()
+    async def _serve_one(self, reader, writer) -> bool:
+        """Read and answer one request; True when the connection may
+        carry another."""
+        close = True   # unless a request is framed, answered and agrees
+        try:
+            parsed = await self._read_http(reader, writer)
+            if parsed is None:
+                return False
+            method, path, headers, body = parsed
+            reply = await self._route(writer, method, path, headers, body)
+            close = headers.get("connection", "").lower() == "close"
+        except _ErrorReply as exc:
+            self._count("errors")
+            reply = exc.code, exc.extra, exc.payload
+        except (ConnectionError, asyncio.IncompleteReadError):
+            raise
+        except Exception as exc:  # never kill the server on one request
+            self._count("errors")
+            reply = 500, None, {"error": f"{type(exc).__name__}: {exc}"}
+        if reply is None:   # a stream: the end of the body is the close
+            return False
+        keep = not close and not self.drain.is_draining()
+        status, extra, payload = reply
+        body = (json.dumps(payload, allow_nan=False, sort_keys=True)
+                + "\n").encode("utf-8")
+        writer.write(self._head(
+            status, {"Content-Type": "application/json",
+                     "Content-Length": str(len(body)), **(extra or {})},
+            close=not keep) + body)
+        return keep
+
+    async def _read_http(self, reader: asyncio.StreamReader, writer):
+        # parked between requests: the idle timer or a drain closes the
+        # connection, which ends the wait with an empty line
+        self._idle.add(writer)
+        timer = asyncio.get_running_loop().call_later(_IDLE_SECONDS,
+                                                      writer.close)
+        try:
+            request_line = await reader.readline()
+        finally:
+            timer.cancel()
+            self._idle.discard(writer)
         if not request_line.strip():
             return None
         try:
@@ -341,56 +400,44 @@ class PhotonServer:
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not declared.isdecimal():
+            raise _ErrorReply(400, None, {
+                "error": f"malformed Content-Length {declared!r}"})
+        length = int(declared)
         if length > _MAX_BODY:
-            raise ProtocolError(f"request body too large ({length} bytes)")
+            raise _ErrorReply(413, None, {
+                "error": f"request body too large ({length} bytes; the "
+                         f"limit is {_MAX_BODY})"})
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, headers, body
 
-    def _write_response(self, writer: asyncio.StreamWriter, status: int,
-                        payload: Dict[str, object],
-                        extra_headers: Optional[Dict[str, str]] = None
-                        ) -> None:
-        body = (json.dumps(payload, allow_nan=False, sort_keys=True)
-                + "\n").encode("utf-8")
-        writer.write(self._head(
-            status, {"Content-Type": "application/json",
-                     "Content-Length": str(len(body)),
-                     **(extra_headers or {})}))
-        writer.write(body)
-
     @staticmethod
-    def _head(status: int, headers: Dict[str, str]) -> bytes:
+    def _head(status: int, headers: Dict[str, str], close: bool) -> bytes:
         lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
         lines += [f"{name}: {value}" for name, value in headers.items()]
-        lines.append("Connection: close")
+        lines.append(f"Connection: {'close' if close else 'keep-alive'}")
         return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
     # -- routing -----------------------------------------------------------
 
     async def _route(self, writer, method: str, path: str,
-                     headers: Dict[str, str], body: bytes) -> None:
+                     headers: Dict[str, str], body: bytes):
+        """``(status, extra headers, payload)`` for one request; None
+        when the reply was a stream already written to ``writer``."""
         path = path.split("?", 1)[0]
         if method == "GET" and path == "/healthz":
             draining = self.drain.is_draining()
-            self._write_response(
-                writer, 200,
-                {"status": "draining" if draining else "ok"})
-            return
+            return 200, None, {"status": "draining" if draining else "ok"}
         if method == "GET" and path == "/v1/stats":
-            self._write_response(writer, 200, self.stats())
-            return
+            return 200, None, self.stats()
         op = {"/v1/run": "run", "/v1/sweep": "sweep",
               "/v1/ping": "ping"}.get(path)
         if op is None:
-            self._write_response(writer, 404,
-                                 {"error": f"no route {path!r}"})
-            return
+            return 404, None, {"error": f"no route {path!r}"}
         if method != "POST":
-            self._write_response(writer, 405,
-                                 {"error": f"{method} not supported "
-                                           f"on {path}"})
-            return
+            return 405, None, {"error": f"{method} not supported "
+                                        f"on {path}"}
         try:
             data = json.loads(body.decode("utf-8")) if body else {}
             if (isinstance(data, dict) and "tenant" not in data
@@ -399,23 +446,17 @@ class PhotonServer:
             request = normalize_request(data, op=op)
         except ProtocolError as exc:
             self._count("errors")
-            self._write_response(writer, 400, {"error": str(exc)})
-            return
+            return 400, None, {"error": str(exc)}
         except (ValueError, UnicodeDecodeError) as exc:
             self._count("errors")
-            self._write_response(writer, 400,
-                                 {"error": f"body is not JSON: {exc}"})
-            return
+            return 400, None, {"error": f"body is not JSON: {exc}"}
         raw = data if isinstance(data, dict) else {}
-        if request.op == "sweep":
-            status, extra, payload = await self._serve_sweep(request, raw)
-            self._write_response(writer, status, payload, extra)
-            return
-        if request.stream:
+        if request.stream and request.op != "sweep":
             await self._serve_streaming(writer, request, raw)
-            return
-        status, extra, payload = await self._serve_keyed(request, raw)
-        self._write_response(writer, status, payload, extra)
+            return None
+        serve = (self._serve_sweep if request.op == "sweep"
+                 else self._serve_keyed)
+        return await serve(request, raw)
 
     # -- the serving pipeline ----------------------------------------------
 
@@ -453,9 +494,10 @@ class PhotonServer:
             return key, work, False
         task = request.task(index=next(self._task_seq),
                             trace_store=self.config.trace_store)
-        loop = asyncio.get_running_loop()
-        key = await loop.run_in_executor(self._offload, request_key,
-                                         task)
+        key = memoized_request_key(task)
+        if key is None:   # builds the kernel: off the loop thread
+            key = await asyncio.get_running_loop().run_in_executor(
+                self._offload, request_key, task)
 
         async def work():
             outcome = await self.tier.run(task)
@@ -636,7 +678,7 @@ class PhotonServer:
                 if code == 503:
                     raise Drained(bool(payload.get("journaled")))
                 if code != 200:   # anything else is a cell-level error
-                    raise _CellFailed(code, extra, payload)
+                    raise _ErrorReply(code, extra, payload)
                 dispositions[payload["cache"]] += 1
                 return outcome_from_result(payload["result"],
                                            plan_task.index)
@@ -648,7 +690,7 @@ class PhotonServer:
                 return (503, {"Retry-After": "5"},
                         {"error": "server is draining",
                          "journaled": exc.journaled})
-            except _CellFailed as exc:
+            except _ErrorReply as exc:
                 status = exc.code
                 return exc.code, exc.extra, exc.payload
             rows = rows_from_outcomes(list(outcomes))
@@ -693,7 +735,7 @@ class PhotonServer:
         for etype in (SERVE_QUEUE, SERVE_DEDUP):
             bridge(etype)
         writer.write(self._head(200, {
-            "Content-Type": "application/x-ndjson"}))
+            "Content-Type": "application/x-ndjson"}, close=True))
         self._write_line(writer, {"event": "accepted",
                                   "op": request.op})
         await writer.drain()

@@ -2,7 +2,9 @@
 
 Used by the test suite, the serve benchmark and ``scripts/``; one
 :class:`ServeClient` talks to one server over plain ``http.client``
-connections (one per request — the server is ``Connection: close``).
+connections, one persistent (HTTP/1.1 keep-alive) connection per calling
+thread.  When the server has closed an idle connection the request is
+sent once more on a fresh one — a request is never sent a third time.
 
 Every call returns ``(status_code, headers, payload)`` so callers can
 assert on backpressure responses (429 + ``Retry-After``) as easily as
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 from typing import Dict, Iterator, Optional, Tuple
 
 
@@ -35,6 +38,20 @@ class ServeClient:
         self.host = host
         self.port = int(port)
         self.timeout = timeout
+        # thread ident -> that thread's connection; a thread touches only
+        # its own key, and an ident reused after a thread's death simply
+        # inherits a connection (dead or alive, like any idle one)
+        self._conns: Dict[int, http.client.HTTPConnection] = {}
+
+    def _connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(self.host, self.port,
+                                          timeout=self.timeout)
+
+    def close(self) -> None:
+        """Close every thread's connection (call with no request in
+        flight; a later call simply reconnects)."""
+        for conn in list(self._conns.values()):
+            conn.close()
 
     # -- raw request/response ----------------------------------------------
 
@@ -43,25 +60,36 @@ class ServeClient:
                 headers: Optional[Dict[str, str]] = None
                 ) -> Tuple[int, Dict[str, str], Dict]:
         """One round trip; returns (status, headers, decoded JSON body)."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            body = (json.dumps(payload).encode("utf-8")
-                    if payload is not None else None)
-            send_headers = {"Content-Type": "application/json",
-                            **(headers or {})}
-            conn.request(method, path, body=body, headers=send_headers)
-            response = conn.getresponse()
-            raw = response.read()
+        body = (json.dumps(payload).encode("utf-8")
+                if payload is not None else None)
+        send_headers = {"Content-Type": "application/json",
+                        **(headers or {})}
+        while True:
+            conn = self._conns.get(threading.get_ident())
+            if conn is None:
+                conn = self._conns[threading.get_ident()] = self._connect()
+            reused = conn.sock is not None
             try:
-                decoded = json.loads(raw.decode("utf-8")) if raw else {}
-            except ValueError:
-                decoded = {"raw": raw.decode("utf-8", "replace")}
-            resp_headers = {name.lower(): value
-                            for name, value in response.getheaders()}
-            return response.status, resp_headers, decoded
-        finally:
-            conn.close()
+                conn.request(method, path, body=body, headers=send_headers)
+                response = conn.getresponse()
+                raw = response.read()
+                break
+            except ConnectionError:
+                # the server closed a connection we held idle: once more
+                # on a fresh one; a fresh one failing is the caller's
+                conn.close()
+                if not reused:
+                    raise
+            except BaseException:
+                conn.close()   # mid-exchange state is unknowable
+                raise
+        try:
+            decoded = json.loads(raw.decode("utf-8")) if raw else {}
+        except ValueError:
+            decoded = {"raw": raw.decode("utf-8", "replace")}
+        resp_headers = {name.lower(): value
+                        for name, value in response.getheaders()}
+        return response.status, resp_headers, decoded
 
     def post(self, path: str, payload: Dict,
              headers: Optional[Dict[str, str]] = None):
@@ -106,8 +134,7 @@ class ServeClient:
         The final yielded record is the ``{"event": "done", ...}`` line
         carrying the full response payload.
         """
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        conn = self._connect()   # its own: the stream ends by closing it
         try:
             body = json.dumps({**payload, "stream": True}).encode("utf-8")
             conn.request("POST", path, body=body,

@@ -196,6 +196,21 @@ def content_trace_key(workload: str, size: int,
     return key
 
 
+#: memoized request keys by everything :func:`request_key` reads
+_REQUEST_KEYS: Dict[tuple, str] = {}
+
+
+def _key_memo(task: SweepTask) -> tuple:
+    return (task.workload, task.size, task.seed, task.method, task.gpu,
+            task.photon, task.pka, task.watchdog)
+
+
+def memoized_request_key(task: SweepTask) -> Optional[str]:
+    """``request_key(task)`` when already computed (a dict lookup — no
+    kernel to build, nothing to hash), else None."""
+    return _REQUEST_KEYS.get(_key_memo(task))
+
+
 def request_key(task: SweepTask) -> str:
     """Canonical identity of one simulation task (sha256 hex).
 
@@ -216,7 +231,11 @@ def request_key(task: SweepTask) -> str:
                      if task.watchdog is not None else None),
     }
     blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    while len(_REQUEST_KEYS) >= _TRACE_KEYS_MAX:
+        _REQUEST_KEYS.pop(next(iter(_REQUEST_KEYS)))
+    _REQUEST_KEYS[_key_memo(task)] = key
+    return key
 
 
 def deterministic_result(outcome: TaskOutcome) -> Dict[str, object]:

@@ -14,8 +14,6 @@ from .format import (
     FORMAT_VERSION,
     TraceFormatError,
     TraceKey,
-    decode_warp_trace,
-    encode_warp_trace,
     kernel_data_digest,
     program_digest,
     trace_key,
@@ -29,8 +27,6 @@ __all__ = [
     "TraceFormatError",
     "TraceKey",
     "TraceStore",
-    "decode_warp_trace",
-    "encode_warp_trace",
     "kernel_data_digest",
     "program_digest",
     "trace_key",

@@ -1,4 +1,4 @@
-"""On-disk trace format: stable content keys and the binary warp codec.
+"""On-disk trace format: stable content keys and the binary path/line codec.
 
 The persistent store (:mod:`repro.tracestore.store`) is content
 addressed: a bundle of FULL-mode warp traces is keyed by what the
@@ -15,20 +15,26 @@ Python ``hash()``, which is process-randomised for strings and, before
 here are sha256 over a canonical text encoding — stable across
 processes, platforms and Python versions.
 
-A warp trace serialises to a little-endian binary blob (section sizes
-up front, then flat numpy arrays).  ``mem_lines`` is ternary per
-instruction — ``None`` (not a memory op), ``()`` (memory op with no
-active lanes), or a tuple of line numbers — and is stored sparsely as
-(instruction index, line count, flat lines) so the common non-memory
-instruction costs nothing.
+A warp trace serialises to two little-endian binary blobs (section
+sizes up front, then flat numpy arrays), split where the interpreter
+splits it: the *path blob* holds every column the warps of one path
+group share by reference (static index, class, opcode, dependency,
+is-store, basic-block sequence) plus the positions of the memory
+instructions, and is stored once per distinct path; the *line blob*
+holds only what is per-warp — the cache lines touched at those
+positions.  ``mem_lines`` is ternary per instruction — ``None`` (not a
+memory op), ``()`` (memory op with no active lanes), or a tuple of
+line numbers — so a line blob is (line count per memory position, flat
+lines) and the common non-memory instruction costs nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +44,7 @@ from ..isa.opcodes import Imm, OpClass, SReg, VReg
 from ..isa.program import Program
 
 #: bump on any incompatible change to the key derivation or blob layout
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: header magic for bundle files
 FORMAT_NAME = "repro-tracestore"
@@ -153,113 +159,120 @@ def trace_key(kernel: Kernel) -> TraceKey:
     )
 
 
-# -- binary warp-trace codec ------------------------------------------------
+# -- binary codec: path blobs and line blobs --------------------------------
 
-_COUNTS = struct.Struct("<4I")  # n_insts, n_mem, total_lines, n_bb
+_PATH_COUNTS = struct.Struct("<3I")  # n_insts, n_mem, n_bb
+_LINE_COUNTS = struct.Struct("<2I")  # n_mem, total_lines
 
-# hoisted out of decode_warp_trace: it runs once per warp on the warm path
-_VALID_OPCLASS = frozenset(int(c) for c in OpClass)
-_MAX_OPCLASS = max(_VALID_OPCLASS)
+# OpClass values are contiguous from 0, so an unsigned max() check
+# validates the whole section without a per-element Python loop
+_MAX_OPCLASS = max(int(c) for c in OpClass)
 
 
 class TraceFormatError(ValueError):
     """A trace blob or bundle failed structural validation."""
 
 
-def encode_warp_trace(trace: WarpTrace) -> bytes:
-    """Serialise one :class:`WarpTrace` to a self-contained binary blob."""
-    n = len(trace.opclass)
-    mem_idx: List[int] = []
-    mem_cnt: List[int] = []
-    mem_vals: List[int] = []
-    for i, rec in enumerate(trace.mem_lines):
-        if rec is None:
-            continue
-        mem_idx.append(i)
-        mem_cnt.append(len(rec))
-        mem_vals.extend(rec)
-    bb_pc = [pc for pc, _ in trace.bb_seq]
-    bb_start = [start for _, start in trace.bb_seq]
+#: a decoded path blob: what every warp of one path group shares, as a
+#: line-less trace (``warp_id`` -1), and the dynamic indices whose
+#: ``mem_lines`` is not None
+DecodedPath = Tuple[WarpTrace, List[int]]
 
+
+def mem_positions(mem_lines: Sequence[Optional[tuple]]) -> List[int]:
+    """Dynamic indices of the memory instructions of one trace."""
+    return [i for i, rec in enumerate(mem_lines) if rec is not None]
+
+
+def encode_path(trace: WarpTrace, mem_pos: Sequence[int]) -> bytes:
+    """Serialise the path-shared columns of ``trace`` to a path blob."""
     sections = (
         np.asarray(trace.static_idx, dtype="<i4"),
         np.asarray(trace.opclass, dtype="<u1"),
         np.asarray(trace.opcode, dtype="<i4"),
         np.asarray(trace.dep, dtype="<i4"),
-        np.asarray([1 if s else 0 for s in trace.is_store], dtype="<u1"),
-        np.asarray(mem_idx, dtype="<u4"),
-        np.asarray(mem_cnt, dtype="<u4"),
-        np.asarray(mem_vals, dtype="<i8"),
-        np.asarray(bb_pc, dtype="<i4"),
-        np.asarray(bb_start, dtype="<u4"),
+        np.asarray(trace.is_store, dtype="<u1"),
+        np.asarray(mem_pos, dtype="<u4"),
+        np.asarray([pc for pc, _ in trace.bb_seq], dtype="<i4"),
+        np.asarray([start for _, start in trace.bb_seq], dtype="<u4"),
     )
-    head = _COUNTS.pack(n, len(mem_idx), len(mem_vals), len(bb_pc))
+    head = _PATH_COUNTS.pack(len(trace.opclass), len(mem_pos),
+                             len(trace.bb_seq))
     return head + b"".join(a.tobytes() for a in sections)
 
 
-def decode_warp_trace(warp_id: int, blob: bytes) -> WarpTrace:
-    """Rebuild a :class:`WarpTrace` from :func:`encode_warp_trace` output.
+def _sections(blob, offset: int, *shape: Tuple[str, int]) -> List[list]:
+    """Consecutive flat arrays of ``(dtype, count)`` from ``blob``."""
+    out = []
+    for dtype, count in shape:
+        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+        offset += arr.nbytes
+        out.append(arr.tolist())
+    return out
+
+
+def decode_path(blob) -> DecodedPath:
+    """Rebuild the shared columns from :func:`encode_path` output.
 
     Raises :class:`TraceFormatError` on any structural mismatch (the
     store turns that into a per-entry quarantine, never a failed run).
     """
-    if len(blob) < _COUNTS.size:
-        raise TraceFormatError("blob shorter than its count header")
-    n, n_mem, total_lines, n_bb = _COUNTS.unpack_from(blob, 0)
-    expected = (_COUNTS.size + n * (4 + 1 + 4 + 4 + 1)
-                + n_mem * 8 + total_lines * 8 + n_bb * 8)
+    if len(blob) < _PATH_COUNTS.size:
+        raise TraceFormatError("path blob shorter than its count header")
+    n, n_mem, n_bb = _PATH_COUNTS.unpack_from(blob, 0)
+    expected = _PATH_COUNTS.size + n * 14 + n_mem * 4 + n_bb * 8
     if len(blob) != expected:
         raise TraceFormatError(
-            f"blob length {len(blob)} != expected {expected}")
+            f"path blob length {len(blob)} != expected {expected}")
+    (static_idx, opclass, opcode, dep, is_store, mem_pos, bb_pc,
+     bb_start) = _sections(
+        blob, _PATH_COUNTS.size, ("<i4", n), ("<u1", n), ("<i4", n),
+        ("<i4", n), ("?", n), ("<u4", n_mem), ("<i4", n_bb), ("<u4", n_bb))
+    if n and max(opclass) > _MAX_OPCLASS:
+        raise TraceFormatError(f"unknown opclass value {max(opclass)}")
+    if mem_pos and (mem_pos[-1] >= n or sorted(set(mem_pos)) != mem_pos):
+        raise TraceFormatError("memory positions out of range or order")
+    return WarpTrace(-1, static_idx, opclass, opcode, dep, [], is_store,
+                     list(zip(bb_pc, bb_start))), mem_pos
 
-    off = _COUNTS.size
 
-    def take(dtype: str, count: int) -> np.ndarray:
-        nonlocal off
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=off)
-        off += arr.nbytes
-        return arr
+def encode_lines(mem_lines: Sequence[Optional[tuple]],
+                 mem_pos: Sequence[int]) -> bytes:
+    """Serialise one warp's cache lines at ``mem_pos`` to a line blob."""
+    recs = [mem_lines[p] for p in mem_pos]
+    flat = list(chain.from_iterable(recs))
+    return (_LINE_COUNTS.pack(len(recs), len(flat))
+            + np.asarray([len(r) for r in recs], dtype="<u4").tobytes()
+            + np.asarray(flat, dtype="<i8").tobytes())
 
-    static_idx = take("<i4", n).tolist()
-    opclass_arr = take("<u1", n)
-    opcode = take("<i4", n).tolist()
-    dep = take("<i4", n).tolist()
-    is_store = take("<u1", n).astype(bool).tolist()
-    mem_idx = take("<u4", n_mem).tolist()
-    mem_cnt = take("<u4", n_mem).tolist()
-    mem_vals = take("<i8", total_lines).tolist()
-    bb_pc = take("<i4", n_bb).tolist()
-    bb_start = take("<u4", n_bb).tolist()
 
-    # OpClass values are contiguous from 0, so an unsigned max() check
-    # validates the whole section without a per-element Python loop
-    if n and int(opclass_arr.max()) > _MAX_OPCLASS:
+def decode_lines(warp_id: int, path: DecodedPath, blob) -> WarpTrace:
+    """Rebuild a :class:`WarpTrace` over ``path``'s column lists (shared
+    by reference, as a fresh fill does) from :func:`encode_lines` output.
+
+    Raises :class:`TraceFormatError` on any structural mismatch.
+    """
+    columns, mem_pos = path
+    if len(blob) < _LINE_COUNTS.size:
+        raise TraceFormatError("line blob shorter than its count header")
+    n_mem, total_lines = _LINE_COUNTS.unpack_from(blob, 0)
+    expected = _LINE_COUNTS.size + n_mem * 4 + total_lines * 8
+    if len(blob) != expected or n_mem != len(mem_pos):
         raise TraceFormatError(
-            f"unknown opclass value {int(opclass_arr.max())}")
-    opclass = opclass_arr.tolist()
-
-    mem_lines: List[Optional[Tuple[int, ...]]] = [None] * n
+            f"line blob length {len(blob)} != expected {expected}, or "
+            f"{n_mem} memory positions != the path's {len(mem_pos)}")
+    counts, vals = _sections(blob, _LINE_COUNTS.size,
+                             ("<u4", n_mem), ("<i8", total_lines))
+    mem_lines: List[Optional[Tuple[int, ...]]] = [None] * columns.n_insts
     pos = 0
-    for i, cnt in zip(mem_idx, mem_cnt):
-        if i >= n or pos + cnt > total_lines:
-            raise TraceFormatError("memory-section indices out of range")
-        mem_lines[i] = tuple(mem_vals[pos:pos + cnt])
+    for i, cnt in zip(mem_pos, counts):
+        mem_lines[i] = tuple(vals[pos:pos + cnt])
         pos += cnt
     if pos != total_lines:
         raise TraceFormatError("memory-line section not fully consumed")
-
-    return WarpTrace(
-        warp_id=warp_id,
-        static_idx=static_idx,
-        opclass=opclass,
-        opcode=opcode,
-        dep=dep,
-        mem_lines=mem_lines,
-        is_store=is_store,
-        bb_seq=list(zip(bb_pc, bb_start)),
-    )
+    return replace(columns, warp_id=warp_id, mem_lines=mem_lines)
 
 
-def blob_checksum(blob: bytes) -> str:
-    """Per-entry integrity checksum (sha256 hex) over one warp blob."""
+def blob_checksum(blob) -> str:
+    """Per-blob integrity checksum (sha256 hex) over a path or line blob."""
     return hashlib.sha256(blob).hexdigest()

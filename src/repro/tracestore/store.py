@@ -2,13 +2,19 @@
 
 One *bundle* file holds every cached warp of one kernel launch, named
 by the launch's :class:`~repro.tracestore.format.TraceKey`.  The layout
-is a single JSON header line followed by the concatenated binary warp
-blobs::
+is a single JSON header line followed by the concatenated binary blobs
+— one *path blob* per distinct path (the columns the interpreter shares
+across a path group), then one *line blob* per warp (its cache lines)::
 
-    {"format": ..., "version": 1, "key": {...},
-     "entries": [{"warp": 0, "offset": 0, "length": N, "sha256": ...}],
+    {"format": ..., "version": 2, "key": {...},
+     "paths": [{"offset": 0, "length": N, "sha256": ...}],
+     "entries": [{"warp": 0, "path": 0, "offset": N, "length": M,
+                  "sha256": ...}],
      "checksum": <sha256 over the canonical header>}\\n
-    <blob><blob>...
+    <path blob>...<line blob>...
+
+Paths are ordered by sha256 and entries by warp, so a bundle's bytes are
+a pure function of what it holds.
 
 The hardening contract matches ``core.persist`` v2:
 
@@ -19,9 +25,10 @@ The hardening contract matches ``core.persist`` v2:
 * **format version** — an unsupported ``version`` quarantines the whole
   bundle (every entry becomes a miss), it never raises;
 * **sha256 checksums** — the header carries its own checksum and every
-  entry carries one over its blob slice;
-* **per-entry quarantine** — a truncated file or a flipped blob byte
-  loses exactly the affected warps; intact entries still replay.
+  path and every entry carries one over its blob slice;
+* **per-entry quarantine** — a truncated file or a flipped byte loses
+  exactly the affected warps (one warp for a line blob, the warps of
+  one path for a path blob); intact entries still replay.
 
 Corruption is *never* an error at this layer: a bad entry is counted in
 ``quarantined`` and treated as a cache miss (the warp is re-emulated
@@ -30,10 +37,12 @@ and the bundle healed on the next flush).
 Reads go through a small process-wide decode cache keyed by the sha256
 of the *file contents*: every open still reads and hashes the file (so
 external modification is always detected — no mtime heuristics), but
-entry verification and warp decoding happen once per bundle content per
-process.  A sweep whose tasks share one store decodes each bundle once,
-not once per task.  Decoded traces are shared object graphs — callers
-must treat them as immutable, which the engine already does.
+entry verification and decoding happen once per bundle content per
+process — a path once, however many warps follow it, and every warp of
+a path is handed the same column lists, exactly as a fresh fill does.
+A sweep whose tasks share one store decodes each bundle once, not once
+per task.  Decoded traces are shared object graphs — callers must treat
+them as immutable, which the engine already does.
 
 Sweep workers write through :meth:`TraceStore.stage`, which lands
 bundles in ``staging/task-<index>/``; the parent folds staged bundles
@@ -57,14 +66,16 @@ from .format import (
     FORMAT_NAME,
     FORMAT_VERSION,
     TraceFormatError,
+    DecodedPath,
     TraceKey,
     blob_checksum,
-    decode_warp_trace,
-    encode_warp_trace,
+    decode_lines,
+    decode_path,
+    encode_lines,
+    encode_path,
+    mem_positions,
     trace_key,
 )
-
-_SUPPORTED_VERSIONS = (FORMAT_VERSION,)
 
 _STAGING_DIR = "staging"
 
@@ -84,18 +95,24 @@ def _span(name: str):
 
 
 class _BundleData:
-    """Parsed bundle: raw blobs by warp id plus quarantine accounting.
+    """Parsed bundle: verified blobs plus quarantine accounting.
 
-    ``decoded`` memoises :func:`decode_warp_trace` results; it is shared
-    by every view of the same parsed bundle (see ``_DECODE_CACHE``).
+    ``paths`` maps a path blob's sha256 to its bytes; ``lines`` maps a
+    warp id to ``(path sha256, line blob)``.  ``columns`` and
+    ``decoded`` memoise :func:`decode_path` / :func:`decode_lines`
+    results; they are shared by every view of the same parsed bundle
+    (see ``_DECODE_CACHE``).
     """
 
-    __slots__ = ("blobs", "quarantined", "header_key", "decoded")
+    __slots__ = ("paths", "lines", "quarantined", "header_key", "columns",
+                 "decoded")
 
     def __init__(self) -> None:
-        self.blobs: Dict[int, bytes] = {}
+        self.paths: Dict[str, bytes] = {}
+        self.lines: Dict[int, Tuple[str, bytes]] = {}
         self.quarantined = 0
         self.header_key: Optional[TraceKey] = None
+        self.columns: Dict[str, DecodedPath] = {}
         self.decoded: Dict[int, WarpTrace] = {}
 
 
@@ -137,7 +154,7 @@ def _read_bundle_cached(path: Path,
         _DECODE_CACHE[digest] = data
     if expect_key is not None and data.header_key != expect_key:
         wrong = _BundleData()
-        wrong.quarantined = (len(data.blobs) + data.quarantined) or 1
+        wrong.quarantined = (len(data.lines) + data.quarantined) or 1
         return wrong
     return data
 
@@ -154,12 +171,12 @@ def _parse_bundle(raw: bytes, expect_key: Optional[TraceKey]) -> _BundleData:
     except (ValueError, UnicodeDecodeError):
         data.quarantined += 1
         return data
-    entries = header.get("entries")
-    if not isinstance(entries, list):
+    entries, paths = header.get("entries"), header.get("paths")
+    if not isinstance(entries, list) or not isinstance(paths, list):
         data.quarantined += 1
         return data
     if (header.get("format") != FORMAT_NAME
-            or header.get("version") not in _SUPPORTED_VERSIONS
+            or header.get("version") != FORMAT_VERSION
             or header.get("checksum") != _header_checksum(header)):
         # unreadable or future-format bundle: every entry is a miss
         data.quarantined += len(entries) or 1
@@ -171,45 +188,64 @@ def _parse_bundle(raw: bytes, expect_key: Optional[TraceKey]) -> _BundleData:
     if expect_key is not None and data.header_key != expect_key:
         data.quarantined += len(entries) or 1
         return data
-    body = raw[newline + 1:]
-    for entry in entries:
+    body = memoryview(raw)[newline + 1:]
+
+    def verified(record) -> Optional[Tuple[str, bytes]]:
+        """``(sha256, blob)`` of one header record, None when bad."""
         try:
-            warp = int(entry["warp"])
-            offset = int(entry["offset"])
-            length = int(entry["length"])
-            digest = str(entry["sha256"])
+            offset, length = int(record["offset"]), int(record["length"])
+            digest = str(record["sha256"])
         except (KeyError, TypeError, ValueError):
-            data.quarantined += 1
-            continue
+            return None
         blob = body[offset:offset + length]
         if len(blob) != length or blob_checksum(blob) != digest:
+            return None
+        return digest, blob
+
+    # a bad path blob takes exactly the warps that follow it
+    path_blobs = [verified(record) for record in paths]
+    for entry in entries:
+        try:
+            line = verified(entry)
+            path = path_blobs[int(entry["path"])]
+            warp = int(entry["warp"])
+        except (KeyError, TypeError, ValueError, IndexError):
+            line = path = None
+        if line is None or path is None:
             data.quarantined += 1
             continue
-        data.blobs[warp] = blob
+        data.paths[path[0]] = path[1]
+        data.lines[warp] = (path[0], line[1])
     return data
 
 
-def _write_bundle(path: Path, key: TraceKey,
-                  blobs: Dict[int, bytes]) -> None:
-    """Atomically and durably write a bundle (``durable_replace``)."""
-    entries: List[Dict[str, object]] = []
+def _write_bundle(path: Path, key: TraceKey, paths: Dict[str, bytes],
+                  lines: Dict[int, Tuple[str, bytes]]) -> None:
+    """Atomically and durably write a bundle (``durable_replace``).
+
+    Only the paths some warp of ``lines`` follows are written.
+    """
     parts: List[bytes] = []
     offset = 0
-    for warp in sorted(blobs):
-        blob = blobs[warp]
-        entries.append({
-            "warp": warp,
-            "offset": offset,
-            "length": len(blob),
-            "sha256": blob_checksum(blob),
-        })
+
+    def record(blob, digest: str, **fields) -> Dict[str, object]:
+        """Header record of ``blob``, laid out in call order."""
+        nonlocal offset
         parts.append(blob)
         offset += len(blob)
+        return {**fields, "offset": offset - len(blob),
+                "length": len(blob), "sha256": digest}
+
+    index = {sha: i for i, sha in enumerate(
+        sorted({sha for sha, _blob in lines.values()}))}
     header: Dict[str, object] = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "key": key.to_dict(),
-        "entries": entries,
+        "paths": [record(paths[sha], sha) for sha in index],
+        "entries": [record(blob, blob_checksum(blob), warp=warp,
+                           path=index[sha])
+                    for warp, (sha, blob) in sorted(lines.items())],
     }
     header["checksum"] = _header_checksum(header)
     payload = (json.dumps(header, sort_keys=True,
@@ -219,43 +255,70 @@ def _write_bundle(path: Path, key: TraceKey,
     durable_replace(payload, path, site="tracestore.bundle")
 
 
+def _path_of(trace: WarpTrace, shared: Dict[tuple, Tuple[str, List[int]]],
+             paths: Dict[str, bytes]) -> Tuple[str, List[int]]:
+    """``(path sha256, memory positions)`` of ``trace``; a new path's
+    blob lands in ``paths``.
+
+    The warps of one path group carry the *same* column list objects, so
+    within one fill a path is found by identity (``shared``) and encoded
+    once; across fills the sha256 finds it.
+    """
+    mem = trace.mem_lines
+    ident = tuple(map(id, (trace.static_idx, trace.opclass, trace.opcode,
+                           trace.dep, trace.is_store, trace.bb_seq)))
+    found = shared.get(ident)
+    # same columns must also mean same memory positions (C-speed check)
+    if (found is None or len(mem) - mem.count(None) != len(found[1])
+            or None in [mem[p] for p in found[1]]):
+        mem_pos = mem_positions(mem)
+        blob = encode_path(trace, mem_pos)
+        found = shared[ident] = (blob_checksum(blob), mem_pos)
+        paths.setdefault(found[0], blob)
+    return found
+
+
 class KernelTraces:
     """Read view of one kernel's bundle: decode-on-demand warp traces."""
 
     def __init__(self, key: TraceKey, data: _BundleData, store: "TraceStore"):
         self.key = key
-        self._blobs = data.blobs
-        self._decoded = data.decoded  # shared with other views; immutable
+        self._data = data  # shared with other views; immutable once decoded
         self._store = store
         self.quarantined = data.quarantined
 
     @property
     def n_available(self) -> int:
-        return len(self._blobs)
+        return len(self._data.lines)
 
     def has(self, warp_id: int) -> bool:
         """Whether a trace for ``warp_id`` is present (without decoding)."""
-        return warp_id in self._decoded or warp_id in self._blobs
+        return warp_id in self._data.lines
 
     def get(self, warp_id: int) -> Optional[WarpTrace]:
         """Decode the stored trace for ``warp_id`` (None on miss)."""
-        trace = self._decoded.get(warp_id)
+        data = self._data
+        trace = data.decoded.get(warp_id)
         if trace is not None:
             return trace
-        blob = self._blobs.get(warp_id)
-        if blob is None:
+        entry = data.lines.get(warp_id)
+        if entry is None:
             return None
+        sha, blob = entry
         try:
             with _span("trace_io"):
-                trace = decode_warp_trace(warp_id, blob)
+                path = data.columns.get(sha)
+                if path is None:
+                    path = data.columns[sha] = decode_path(data.paths[sha])
+                trace = decode_lines(warp_id, path, blob)
         except TraceFormatError:
-            # checksum passed but the blob is structurally bad (format
+            # checksums passed but a blob is structurally bad (format
             # drift): quarantine this entry, treat as a miss
-            del self._blobs[warp_id]
+            del data.lines[warp_id]
             self.quarantined += 1
             self._store.quarantined += 1
             return None
-        self._decoded[warp_id] = trace
+        data.decoded[warp_id] = trace
         return trace
 
 
@@ -300,7 +363,7 @@ class TraceStore:
         with _span("trace_io"):
             data = (_read_bundle_cached(path, key) if path.exists()
                     else _BundleData())
-        if data.blobs or data.quarantined:
+        if data.lines or data.quarantined:
             self.reads += 1
         self.quarantined += data.quarantined
         return KernelTraces(key, data, self)
@@ -323,15 +386,17 @@ class TraceStore:
         with _span("trace_io"):
             existing = (_read_bundle(path, key) if path.exists()
                         else _BundleData())
-            blobs = dict(existing.blobs)
+            paths, lines = dict(existing.paths), dict(existing.lines)
+            shared: Dict[tuple, Tuple[str, List[int]]] = {}
             added = 0
             for warp_id, trace in traces.items():
-                if warp_id in blobs:
+                if warp_id in lines:
                     continue
-                blobs[warp_id] = encode_warp_trace(trace)
+                sha, mem_pos = _path_of(trace, shared, paths)
+                lines[warp_id] = (sha, encode_lines(trace.mem_lines, mem_pos))
                 added += 1
             if added or existing.quarantined:
-                _write_bundle(path, key, blobs)
+                _write_bundle(path, key, paths, lines)
         if added or existing.quarantined:
             self.writes += 1
         return added
@@ -407,9 +472,6 @@ class TraceStore:
                 continue
             yield index, entry
 
-    def _staged_dirs(self) -> Iterator[Tuple[int, Path]]:
-        yield from self._staged_dirs_in(self.root / _STAGING_DIR)
-
     def merge_staged(self,
                      indices: Optional[Iterable[int]] = None,
                      staging_roots: Optional[Iterable[Path]] = None,
@@ -438,17 +500,13 @@ class TraceStore:
         stats = {"tasks": 0, "bundles": 0, "warps_added": 0,
                  "quarantined": 0}
         wanted = None if indices is None else set(indices)
-        if staging_roots is None:
-            entries = [(index, 0, task_dir)
-                       for index, task_dir in self._staged_dirs()]
-            cleanup_roots = [self.root / _STAGING_DIR]
-        else:
-            cleanup_roots = [Path(root) for root in staging_roots]
-            entries = [
-                (index, position, task_dir)
-                for position, root in enumerate(cleanup_roots)
-                for index, task_dir in self._staged_dirs_in(root)
-            ]
+        cleanup_roots = ([self.root / _STAGING_DIR] if staging_roots is None
+                         else [Path(root) for root in staging_roots])
+        entries = [
+            (index, position, task_dir)
+            for position, root in enumerate(cleanup_roots)
+            for index, task_dir in self._staged_dirs_in(root)
+        ]
         entries.sort(key=lambda item: (item[0], item[1]))
         for index, _position, task_dir in entries:
             if wanted is not None and index not in wanted:
@@ -458,27 +516,21 @@ class TraceStore:
                 with _span("trace_io"):
                     staged = _read_bundle(staged_path, None)
                 stats["quarantined"] += staged.quarantined
-                if not staged.blobs:
+                if not staged.lines:
                     continue
                 canonical = self.root / staged_path.name
                 with _span("trace_io"):
                     current = (_read_bundle(canonical, None)
                                if canonical.exists() else _BundleData())
-                    merged = dict(current.blobs)
-                    added = 0
-                    for warp_id in sorted(staged.blobs):
-                        if warp_id not in merged:
-                            merged[warp_id] = staged.blobs[warp_id]
-                            added += 1
-                    if added or current.quarantined:
-                        # recover the key from the staged header; it was
-                        # validated against nothing, so re-derive it from
-                        # the staged file's own header line
-                        key = _bundle_key(staged_path)
-                        if key is not None:
-                            _write_bundle(canonical, key, merged)
-                            stats["bundles"] += 1
-                            stats["warps_added"] += added
+                    merged = {**staged.lines, **current.lines}
+                    added = len(merged) - len(current.lines)
+                    key = staged.header_key
+                    if (added or current.quarantined) and key is not None:
+                        _write_bundle(canonical, key,
+                                      {**staged.paths, **current.paths},
+                                      merged)
+                        stats["bundles"] += 1
+                        stats["warps_added"] += added
                 self.quarantined += staged.quarantined
             shutil.rmtree(task_dir, ignore_errors=True)
         for staging in cleanup_roots:
@@ -490,13 +542,3 @@ class TraceStore:
         return (f"TraceStore({str(self.root)!r}, reads={self.reads}, "
                 f"writes={self.writes}, quarantined={self.quarantined})")
 
-
-def _bundle_key(path: Path) -> Optional[TraceKey]:
-    """Extract the TraceKey from a bundle's (already validated) header."""
-    try:
-        with path.open("rb") as handle:
-            line = handle.readline()
-        header = json.loads(line.decode("utf-8"))
-        return TraceKey.from_dict(header["key"])
-    except (OSError, ValueError, KeyError, TypeError, UnicodeDecodeError):
-        return None

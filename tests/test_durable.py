@@ -157,7 +157,7 @@ def test_persist_and_tracestore_write_through_fault_sites(tmp_path):
                        wg_size=1, warp_size=4)
         with pytest.raises(DiskFault):
             _write_bundle(tmp_path / "traces" / key.bundle_name, key,
-                          {0: b"\x00\x01"})
+                          {"sha": b"\x00"}, {0: ("sha", b"\x00\x01")})
     assert {site for site, _m, _p in plan.fired} == \
         {"persist.store", "tracestore.bundle"}
     # neither layer left a torn target behind

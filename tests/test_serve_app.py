@@ -39,6 +39,7 @@ def serve_test(config=None):
                     await fn(server=server, client=client)
                 finally:
                     await server.drain_and_stop()
+                    client.close()
             asyncio.run(body())
         # keep the test's own name, but NOT its signature — pytest
         # would read the inner (server, client) params as fixtures
@@ -552,3 +553,295 @@ def test_drained_ping_replays_as_ping_after_restart(tmp_path):
 
     asyncio.run(restart())
     assert read_pending(tmp_path) == []
+
+
+# -- the wire: keep-alive, framing limits, reuse ----------------------------
+
+class RawConn:
+    """A bare socket speaking HTTP/1.1 by hand (no client library
+    between the test and the server's framing)."""
+
+    def __init__(self, client):
+        import socket
+
+        self.sock = socket.create_connection((client.host, client.port),
+                                             timeout=10)
+        self.buffer = b""
+
+    def send(self, method, path, body=b"", headers=()):
+        head = [f"{method} {path} HTTP/1.1", "Host: test", *headers]
+        if body:
+            head.append(f"Content-Length: {len(body)}")
+        self.sock.sendall("\r\n".join(head).encode() + b"\r\n\r\n" + body)
+
+    def _fill(self) -> bool:
+        chunk = self.sock.recv(65536)
+        self.buffer += chunk
+        return bool(chunk)
+
+    def response(self):
+        """``(status, headers, body bytes)`` of the next framed reply."""
+        while b"\r\n\r\n" not in self.buffer:
+            assert self._fill(), "closed before a response head"
+        head, self.buffer = self.buffer.split(b"\r\n\r\n", 1)
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {k.lower(): v.strip() for k, v in
+                   (line.split(":", 1) for line in lines[1:])}
+        length = int(headers.get("content-length", 0))
+        while len(self.buffer) < length:
+            assert self._fill(), "closed inside a response body"
+        body, self.buffer = self.buffer[:length], self.buffer[length:]
+        return int(lines[0].split()[1]), headers, body
+
+    def closed_by_server(self) -> bool:
+        """True when the server ends the connection (EOF, no more bytes)."""
+        import socket
+
+        self.sock.settimeout(2)
+        try:
+            return not self._fill()
+        except socket.timeout:
+            return False
+        except ConnectionError:
+            return True
+
+    def close(self):
+        self.sock.close()
+
+
+@pytest.mark.parametrize("declared, status", [
+    ("abc", 400), ("-5", 400), ("99999999999", 413)])
+def test_bad_content_length_is_4xx_json_and_closes(declared, status):
+    import json
+
+    @serve_test()
+    async def body(server, client):
+        def exchange():
+            conn = RawConn(client)
+            try:
+                conn.send("POST", "/v1/ping",
+                          headers=[f"Content-Length: {declared}"])
+                code, headers, raw = conn.response()
+                return code, headers, raw, conn.closed_by_server()
+            finally:
+                conn.close()
+
+        code, headers, raw, closed = await call(exchange)
+        assert code == status
+        assert headers["connection"] == "close" and closed
+        assert headers["content-type"] == "application/json"
+        error = json.loads(raw)["error"]
+        assert "Content-Length" in error or "too large" in error
+        assert "Error" not in error and "Traceback" not in error
+        counts = (await call(client.stats))["counts"]
+        assert counts["errors"] == 1 and counts["requests"] == 0
+
+    body()
+
+
+@serve_test()
+async def test_one_thread_reuses_one_connection(server, client):
+    def pings():
+        return [client.ping()["cache"] for _ in range(50)]
+
+    assert await call(pings) == ["miss"] * 50
+    assert server.counts["connections"] == 1
+    assert server.counts["requests"] == 50
+
+
+@serve_test()
+async def test_one_client_two_threads_two_connections(server, client):
+    import threading
+
+    def from_two_threads():
+        threads = [threading.Thread(
+            target=lambda: [client.ping() for _ in range(5)])
+            for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+    await call(from_two_threads)
+    assert server.counts["connections"] == 2
+    assert server.counts["requests"] == 10
+    # the counter is on the wire too (this call is a third thread's)
+    assert (await call(client.stats))["counts"]["connections"] == 3
+
+
+@serve_test()
+async def test_connection_close_and_streams_end_the_connection(server,
+                                                               client):
+    import json
+
+    def exchange():
+        keep, close, stream = RawConn(client), RawConn(client), \
+            RawConn(client)
+        try:
+            keep.send("POST", "/v1/ping", b'{"key": "k"}')
+            first = keep.response()
+            keep.send("GET", "/healthz")     # same socket, second request
+            second = keep.response()
+            close.send("POST", "/v1/ping", b'{"key": "k"}',
+                       ["Connection: close"])
+            closing = close.response()
+            stream.send("POST", "/v1/ping", b'{"key": "s", "stream": true}')
+            while stream._fill():
+                pass                          # a stream ends by EOF
+            return (first, second, closing, close.closed_by_server(),
+                    stream.buffer)
+        finally:
+            for conn in (keep, close, stream):
+                conn.close()
+
+    first, second, closing, closed, streamed = await call(exchange)
+    assert first[0] == second[0] == closing[0] == 200
+    assert first[1]["connection"] == second[1]["connection"] == "keep-alive"
+    assert closing[1]["connection"] == "close" and closed
+    head, _sep, lines = streamed.partition(b"\r\n\r\n")
+    assert b"Connection: close" in head and b"Content-Length" not in head
+    assert json.loads(lines.splitlines()[-1])["event"] == "done"
+    assert server.counts["connections"] == 3
+
+
+@serve_test()
+async def test_idle_connection_closed_by_server_reconnects_once(server,
+                                                                client):
+    from repro.serve import app
+
+    previous, app._IDLE_SECONDS = app._IDLE_SECONDS, 0.05
+    try:
+        def two_pings_around_an_idle_gap():
+            import time
+
+            client.ping()
+            time.sleep(0.3)            # the server closes the idle socket
+            return client.ping()
+
+        assert (await call(two_pings_around_an_idle_gap))["cache"] == "miss"
+    finally:
+        app._IDLE_SECONDS = previous
+    # one resend on one fresh connection; each ping served exactly once
+    assert server.counts["connections"] == 2
+    assert server.counts["requests"] == 2
+
+
+def test_client_never_sends_a_request_a_third_time():
+    """A reused connection that died gets one resend on a fresh one; a
+    fresh connection that dies is the caller's error."""
+    import socket
+    import threading
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    accepted = []
+
+    def serve():
+        reply = (b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n"
+                 b"Connection: keep-alive\r\n\r\n{}\n")
+        while True:
+            try:
+                conn, _addr = listener.accept()
+            except OSError:
+                return
+            accepted.append(conn)
+            if len(accepted) == 1:       # answer once, then hang up
+                conn.recv(65536)
+                conn.sendall(reply)
+            conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        client = ServeClient(*listener.getsockname(), timeout=5)
+        assert client.request("GET", "/healthz")[0] == 200
+        with pytest.raises(ConnectionError):
+            client.request("GET", "/healthz")   # reused dies, fresh dies
+        assert len(accepted) == 2
+        with pytest.raises(ConnectionError):
+            client.request("GET", "/healthz")   # fresh dies: no resend
+        assert len(accepted) == 3
+    finally:
+        listener.close()
+        thread.join(timeout=5)
+
+
+@serve_test()
+async def test_hit_bytes_identical_on_reused_and_fresh_connection(server,
+                                                                  client):
+    request = b'{"workload": "relu", "size": 128, "method": "photon"}'
+
+    def exchange():
+        reused, fresh = RawConn(client), RawConn(client)
+        try:
+            bodies = []
+            for conn in (reused, reused, reused, fresh):
+                conn.send("POST", "/v1/run", request)
+                bodies.append(conn.response()[2])
+            return bodies
+        finally:
+            reused.close()
+            fresh.close()
+
+    miss, hit_a, hit_b, hit_fresh = await call(exchange)
+    assert b'"cache": "miss"' in miss and b'"cache": "hit"' in hit_a
+    assert hit_a == hit_b == hit_fresh
+    assert hit_a == miss.replace(b'"cache": "miss"', b'"cache": "hit"')
+
+
+def test_drain_closes_idle_connections_and_marks_inflight_replies():
+    async def body():
+        server = PhotonServer(ServeConfig(port=0, jobs=0, queue_limit=4))
+        host, port = await server.start()
+        client = ServeClient(host, port, timeout=30)
+
+        def idle_then_watch():
+            conn = RawConn(client)
+            try:
+                conn.send("GET", "/healthz")
+                assert conn.response()[1]["connection"] == "keep-alive"
+                return conn.closed_by_server()   # parked idle until drain
+            finally:
+                conn.close()
+
+        def inflight():
+            conn = RawConn(client)
+            try:
+                conn.send("POST", "/v1/ping",
+                          b'{"delay_ms": 300, "key": "slow"}')
+                status, headers, _body = conn.response()
+                return status, headers["connection"], \
+                    conn.closed_by_server()
+            finally:
+                conn.close()
+
+        idle, slow = call(idle_then_watch), call(inflight)
+        await asyncio.sleep(0.15)
+        assert len(server._idle) == 1 and len(server._conns) == 2
+        server.begin_drain()
+        assert await idle is True
+        # paid-for work is delivered, on a connection that then ends
+        assert await slow == (200, "close", True)
+        await server.drain_and_stop()
+        assert not server._conns and not server._idle
+
+    asyncio.run(body())
+
+
+@serve_test()
+async def test_oversized_request_line_is_answered_not_dropped(server,
+                                                              client):
+    """A request line past the stream reader's limit is an error reply
+    on a connection that then closes — never an unhandled exception in
+    the connection handler."""
+    def exchange():
+        conn = RawConn(client)
+        try:
+            conn.send("GET", "/" + "x" * (1 << 17))
+            status, headers, _body = conn.response()
+            return status, headers["connection"], conn.closed_by_server()
+        finally:
+            conn.close()
+
+    assert await call(exchange) == (500, "close", True)
+    assert server.counts["errors"] == 1
+    assert (await call(client.health)) == {"status": "ok"}

@@ -53,6 +53,7 @@ class ServeProc:
         return self.proc.returncode, out, err
 
     def kill(self):
+        self.client.close()
         if self.proc.poll() is None:
             self.proc.kill()
             self.proc.communicate(timeout=10)
@@ -161,4 +162,35 @@ def test_e2e_sigterm_mid_request_finishes_inflight(tmp_path):
             pending = read_pending(state)
             assert [p.get("key") for p in pending] == ["queued"]
     finally:
+        server.kill()
+
+
+def test_e2e_sigterm_with_idle_persistent_connections_exits_quietly():
+    """Idle keep-alive connections (a client's, and a socket that never
+    sent a byte) must not hold the drain open or leave their handler
+    tasks to be cancelled noisily at loop shutdown."""
+    import socket
+    import time
+
+    server = ServeProc("--jobs", "1")
+    silent = None
+    try:
+        assert server.client.ping()["cache"] == "miss"   # stays connected
+        silent = socket.create_connection(
+            (server.client.host, server.client.port), timeout=10)
+        deadline = time.monotonic() + 5.0
+        while server.client.stats()["counts"]["connections"] < 2:
+            assert time.monotonic() < deadline, "connections never accepted"
+            time.sleep(0.02)
+        start = time.monotonic()
+        code, _out, err = server.sigterm_and_wait()
+        drain_seconds = time.monotonic() - start
+        assert code == 0
+        assert drain_seconds < 1.0, drain_seconds
+        assert "drained:" in err
+        assert "Traceback" not in err and "Exception" not in err, err
+        assert silent.recv(1) == b""     # the server closed it, cleanly
+    finally:
+        if silent is not None:
+            silent.close()
         server.kill()

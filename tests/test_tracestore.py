@@ -25,13 +25,18 @@ from repro.timing import DetailedEngine, TraceCache, scoped_trace_cache
 from repro.tracestore import (
     FORMAT_VERSION,
     TraceStore,
-    decode_warp_trace,
-    encode_warp_trace,
     kernel_data_digest,
     program_digest,
     trace_key,
 )
-from repro.tracestore.format import TraceFormatError
+from repro.tracestore.format import (
+    TraceFormatError,
+    decode_lines,
+    decode_path,
+    encode_lines,
+    encode_path,
+    mem_positions,
+)
 from repro.tracestore.store import _header_checksum
 
 GPU = R9_NANO.scaled(4)
@@ -39,15 +44,38 @@ GPU = R9_NANO.scaled(4)
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures" / "tracestore"
 
 
-# -- binary codec -----------------------------------------------------------
+# -- binary codec: path blob + line blob ------------------------------------
+
+def _roundtrip(trace, warp_id=None):
+    """One trace through a path blob and a line blob and back."""
+    mem_pos = mem_positions(trace.mem_lines)
+    path = decode_path(encode_path(trace, mem_pos))
+    return decode_lines(trace.warp_id if warp_id is None else warp_id,
+                        path, encode_lines(trace.mem_lines, mem_pos))
+
 
 def test_codec_roundtrip_real_traces():
     for kernel in (make_vecadd(n_warps=4), make_loop_kernel(n_warps=4)):
         executor = FunctionalExecutor(kernel)
         for warp in range(kernel.n_warps):
             trace = executor.run_warp_full(warp)
-            clone = decode_warp_trace(warp, encode_warp_trace(trace))
-            assert clone == trace
+            assert _roundtrip(trace) == trace
+
+
+def test_codec_one_path_blob_serves_every_warp_of_the_group():
+    """Warps of one fill share a path blob; only the line blob differs."""
+    from repro.functional.batch import WarpPackExecutor
+
+    kernel = make_vecadd(n_warps=4)
+    traces = WarpPackExecutor(kernel).run_warps_full(range(4))
+    mem_pos = mem_positions(traces[0].mem_lines)
+    path = decode_path(encode_path(traces[0], mem_pos))
+    blobs = [encode_lines(traces[w].mem_lines, mem_pos) for w in range(4)]
+    assert len(set(blobs)) == 4
+    for warp in range(4):
+        clone = decode_lines(warp, path, blobs[warp])
+        assert clone == traces[warp]
+        assert clone.opclass is path[0].opclass   # shared, not copied
 
 
 def test_codec_distinguishes_none_from_empty_mem():
@@ -64,7 +92,7 @@ def test_codec_distinguishes_none_from_empty_mem():
         is_store=[False, False, True],
         bb_seq=[(0, 0)],
     )
-    clone = decode_warp_trace(3, encode_warp_trace(trace))
+    clone = _roundtrip(trace)
     assert clone == trace
     assert clone.mem_lines[0] is None
     assert clone.mem_lines[1] == ()
@@ -72,9 +100,26 @@ def test_codec_distinguishes_none_from_empty_mem():
 
 def test_codec_rejects_truncated_blob():
     trace = FunctionalExecutor(make_vecadd(n_warps=1)).run_warp_full(0)
-    blob = encode_warp_trace(trace)
+    mem_pos = mem_positions(trace.mem_lines)
+    path_blob = encode_path(trace, mem_pos)
+    line_blob = encode_lines(trace.mem_lines, mem_pos)
+    for cut in (3, len(path_blob) - 2):
+        with pytest.raises(TraceFormatError):
+            decode_path(path_blob[:-cut])
+    path = decode_path(path_blob)
+    for cut in (3, len(line_blob) - 2):
+        with pytest.raises(TraceFormatError):
+            decode_lines(0, path, line_blob[:-cut])
+
+
+def test_codec_rejects_line_blob_of_another_path():
+    """A line blob only decodes against a path with as many memory
+    positions — a mismatched pairing is a format error, not a trace."""
+    trace = FunctionalExecutor(make_vecadd(n_warps=1)).run_warp_full(0)
+    mem_pos = mem_positions(trace.mem_lines)
+    path = decode_path(encode_path(trace, mem_pos[:-1]))
     with pytest.raises(TraceFormatError):
-        decode_warp_trace(0, blob[:-3])
+        decode_lines(0, path, encode_lines(trace.mem_lines, mem_pos))
 
 
 # -- stable content keys ----------------------------------------------------
@@ -313,7 +358,7 @@ def test_merge_staged_is_first_writer_wins_in_task_order(tmp_path):
     executor = FunctionalExecutor(make_vecadd(n_warps=4))
     real = {w: executor.run_warp_full(w) for w in range(4)}
     # task 3 stages a forged trace for warp 0; task 1 stages the real set
-    forged = decode_warp_trace(0, encode_warp_trace(real[0]))
+    forged = _roundtrip(real[0])
     forged.opcode = list(forged.opcode)
     forged.opcode[0] += 1
     store.stage(3).put_kernel(kernel, {0: forged}, key=key)
@@ -356,6 +401,187 @@ def test_merge_staged_empty_store(tmp_path):
     stats = TraceStore(tmp_path).merge_staged()
     assert stats == {"tasks": 0, "bundles": 0, "warps_added": 0,
                      "quarantined": 0}
+
+
+# -- path blobs: sharing, quarantine granularity, merges --------------------
+
+_SHARED_COLUMNS = ("static_idx", "opclass", "opcode", "dep", "is_store",
+                   "bb_seq")
+
+
+def _two_path_kernel(n_warps=8):
+    """Even warps loop twice, odd warps three times: two path groups."""
+    return make_loop_kernel(n_warps=n_warps, trips_of=lambda w: 2 + w % 2)
+
+
+def _fill(kernel, warps=None):
+    """One batched fill (warps of a path group share column lists)."""
+    from repro.functional.batch import WarpPackExecutor
+
+    ids = list(range(kernel.n_warps) if warps is None else warps)
+    return WarpPackExecutor(kernel).run_warps_full(ids)
+
+
+def _put(store, kernel, warps=None):
+    """Fill ``warps`` of a fresh ``kernel`` and persist them (the key is
+    taken before emulation applies the kernel's stores)."""
+    key = store.key_for(kernel)
+    traces = _fill(kernel, warps)
+    store.put_kernel(kernel, traces, key=key)
+    return traces
+
+
+def _digests(root):
+    import hashlib
+
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in pathlib.Path(root).glob("*.trc")}
+
+
+def test_store_served_warps_of_one_path_share_column_lists(tmp_path):
+    traces = _put(TraceStore(tmp_path), _two_path_kernel())
+    assert traces[0].opclass is traces[2].opclass   # what a fill shares
+    header, _body = _split_bundle(_bundle_path(tmp_path))
+    assert len(header["paths"]) == 2 < len(header["entries"]) == 8
+
+    view = TraceStore(tmp_path).open_kernel(_two_path_kernel())
+    a, b, other = view.get(0), view.get(2), view.get(1)
+    for column in _SHARED_COLUMNS:
+        assert getattr(a, column) is getattr(b, column), column
+        assert getattr(a, column) is not getattr(other, column), column
+    assert a.mem_lines is not b.mem_lines
+    for warp, trace in traces.items():
+        assert view.get(warp) == trace
+
+
+def test_chunked_puts_hold_one_path_blob_per_distinct_path(tmp_path):
+    """Two fills of one bundle: identity finds a path within a fill,
+    sha256 finds it across fills."""
+    store = TraceStore(tmp_path)
+    _put(store, _two_path_kernel(), range(0, 4))
+    _put(store, _two_path_kernel(), range(4, 8))
+    header, _body = _split_bundle(_bundle_path(tmp_path))
+    assert len(header["paths"]) == 2
+    assert [e["warp"] for e in header["entries"]] == list(range(8))
+    # and the bytes equal a single-fill bundle's
+    once = tmp_path / "once"
+    _put(TraceStore(once), _two_path_kernel())
+    assert _digests(once) == _digests(tmp_path)
+
+
+def test_same_columns_different_memory_positions_get_own_paths(tmp_path):
+    """Column identity alone never merges two warps whose memory
+    positions differ (hand-built traces may alias lists)."""
+    from repro.functional.trace import WarpTrace
+
+    kernel = make_vecadd(n_warps=2)
+    cols = dict(static_idx=[0, 1], opclass=[1, 2], opcode=[10, 11],
+                dep=[-1, 0], is_store=[False, False], bb_seq=[(0, 0)])
+    traces = {0: WarpTrace(warp_id=0, mem_lines=[(5,), None], **cols),
+              1: WarpTrace(warp_id=1, mem_lines=[None, (6,)], **cols)}
+    store = TraceStore(tmp_path)
+    store.put_kernel(kernel, traces)
+    view = TraceStore(tmp_path).open_kernel(make_vecadd(n_warps=2))
+    assert view.quarantined == 0
+    assert view.get(0) == traces[0] and view.get(1) == traces[1]
+
+
+def test_flipped_path_blob_byte_quarantines_that_paths_warps(tmp_path):
+    traces = _put(TraceStore(tmp_path), _two_path_kernel())
+    path = _bundle_path(tmp_path)
+    header, _body = _split_bundle(path)
+    victim = header["paths"][1]
+    lost = {e["warp"] for e in header["entries"] if e["path"] == 1}
+    assert len(lost) == 4
+    raw = bytearray(path.read_bytes())
+    raw[raw.find(b"\n") + 1 + victim["offset"] + victim["length"] // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+    store = TraceStore(tmp_path)
+    view = store.open_kernel(_two_path_kernel())
+    assert view.quarantined == store.quarantined == 4
+    for warp, trace in traces.items():
+        assert view.has(warp) == (warp not in lost)
+        assert view.get(warp) == (None if warp in lost else trace)
+    # the next flush heals the bundle
+    assert store.put_kernel(_two_path_kernel(),
+                            {w: traces[w] for w in lost}) == 4
+    assert TraceStore(tmp_path).open_kernel(
+        _two_path_kernel()).n_available == 8
+
+
+def test_structurally_bad_path_blob_quarantines_on_get(tmp_path):
+    """Checksums pass but the path blob does not parse (format drift):
+    each warp of it is quarantined when asked for, the rest replay."""
+    from repro.tracestore.store import _read_bundle, _write_bundle
+
+    store = TraceStore(tmp_path)
+    key = store.key_for(_two_path_kernel())
+    traces = _put(store, _two_path_kernel())
+    data = _read_bundle(_bundle_path(tmp_path), key)
+    bad_sha = data.lines[1][0]
+    _write_bundle(_bundle_path(tmp_path), key,
+                  {**data.paths, bad_sha: bytes(data.paths[bad_sha])[:-4]},
+                  data.lines)
+    # _write_bundle trusts the sha it is given, so the header checksum
+    # of the shortened blob is stale: re-stamp it the way a drifted
+    # writer would have
+    header, body = _split_bundle(_bundle_path(tmp_path))
+    import hashlib
+    rec = header["paths"][sorted(data.paths).index(bad_sha)]
+    rec["sha256"] = hashlib.sha256(
+        body[rec["offset"]:rec["offset"] + rec["length"]]).hexdigest()
+    _write_header(_bundle_path(tmp_path), header, body)
+
+    view = TraceStore(tmp_path).open_kernel(_two_path_kernel())
+    assert view.quarantined == 0 and view.n_available == 8
+    assert view.get(1) is None and view.get(3) is None
+    assert view.quarantined == 2
+    assert view.get(0) == traces[0]
+
+
+@pytest.mark.parametrize("external", [False, True])
+def test_merge_staged_carries_path_blobs_deterministically(tmp_path,
+                                                           external):
+    """Own staging and ``staging_roots``: whichever task ran first, the
+    merged bundle holds each path once and the same bytes."""
+    digests = []
+    for order in ((1, 3), (3, 1)):
+        root = tmp_path / f"store-{order[0]}"
+        store = TraceStore(root)
+        hosts = [tmp_path / f"ext-{order[0]}" / h for h in ("a", "b")]
+        for n, index in enumerate(order):
+            staged = (TraceStore(root, write_root=hosts[n] /
+                                 f"task-{index:08d}")
+                      if external else store.stage(index))
+            _put(staged, _two_path_kernel(),
+                 range(0, 6) if index == 1 else range(2, 8))
+        stats = store.merge_staged(
+            staging_roots=hosts if external else None)
+        assert stats["tasks"] == 2 and stats["warps_added"] == 8
+        assert stats["quarantined"] == 0
+        header, _body = _split_bundle(_bundle_path(root))
+        assert len(header["paths"]) == 2 and len(header["entries"]) == 8
+        view = store.open_kernel(_two_path_kernel())
+        assert view.get(0).dep is view.get(6).dep
+        digests.append(_digests(root))
+    assert digests[0] == digests[1]
+    reference = tmp_path / "reference"
+    _put(TraceStore(reference), _two_path_kernel())
+    assert digests[0] == _digests(reference)
+
+
+def test_stale_v1_bundle_is_never_opened(tmp_path):
+    """The format version is part of the program digest, so a v1 file
+    has a name no v2 lookup produces: inert until ``evict`` removes it."""
+    kernel = make_vecadd(n_warps=4)
+    stale = tmp_path / "0123456789abcdef0123-0123456789abcdef0123-g4x2w64.trc"
+    stale.write_bytes(b'{"format":"repro-tracestore","version":1}\n')
+    store = TraceStore(tmp_path)
+    assert store.key_for(kernel).bundle_name != stale.name
+    view = store.open_kernel(kernel)
+    assert (view.n_available, view.quarantined, store.reads) == (0, 0, 0)
+    assert store.evict(max_mb=0.0) == 1 and not stale.exists()
 
 
 # -- golden fixture ---------------------------------------------------------
