@@ -18,7 +18,7 @@ from conftest import emit
 def _dominating_series(kernel):
     probe = BBProbe()
     engine = DetailedEngine(kernel, EVAL_R9NANO)
-    engine.attach(probe)
+    probe.watch(engine)
     engine.run()
     pc = probe.dominating_pc()
     return pc, np.array(probe.exec_times(pc))

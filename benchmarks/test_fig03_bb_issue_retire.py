@@ -19,7 +19,7 @@ from conftest import emit
 def _fit(kernel):
     probe = BBProbe()
     engine = DetailedEngine(kernel, EVAL_R9NANO)
-    engine.attach(probe)
+    probe.watch(engine)
     engine.run()
     pc = probe.dominating_pc()
     records = probe.records[pc]

@@ -20,7 +20,7 @@ from conftest import emit
 def _warp_fit(kernel):
     probe = WarpProbe()
     engine = DetailedEngine(kernel, EVAL_R9NANO)
-    engine.attach(probe)
+    probe.watch(engine)
     engine.run()
     pairs = probe.issue_retire_pairs()
     tail = pairs[len(pairs) // 3:]

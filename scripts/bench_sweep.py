@@ -72,9 +72,7 @@ from repro.parallel import (
     plan_sweep,
     run_sweep,
 )
-from repro.timing import TraceCache, scoped_trace_cache
 from repro.timing.simulator import simulate_kernel_detailed
-from repro.tracestore import TraceStore
 
 DEMO_WORKLOADS = ("relu", "fir", "sc", "spmv")
 
@@ -218,7 +216,7 @@ def measure_fleet_sim(tasks, serial_wall: float, serial_table: str,
     cores = _available_cores()
     with tempfile.TemporaryDirectory() as tmp:
         fleet_dir = os.path.join(tmp, "fleet")
-        fleet_init(fleet_dir, tasks, options={"on_conflict": "keep"})
+        fleet_init(fleet_dir, tasks)
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")

@@ -262,8 +262,7 @@ def fleet_trial(tmp: Path, seed: int, golden_table: str,
     rng = random.Random(2000 + seed)
     fleet_dir = tmp / f"fleet-{seed}"
     store = tmp / f"fleet-{seed}-store"
-    fleet_init(fleet_dir, _plan(str(store)),
-               options={"on_conflict": "keep"})
+    fleet_init(fleet_dir, _plan(str(store)))
     hosts = [f"chaos-w{i}" for i in (1, 2)]
     kill_after = rng.randrange(1, 3)   # journaled outcomes on victim
     victim = rng.choice(hosts)

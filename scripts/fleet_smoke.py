@@ -68,8 +68,7 @@ def main() -> int:
 
         fleet_dir = tmp / "fleet"
         fleet_store = tmp / "fleet-store"
-        fleet_init(fleet_dir, _plan(str(fleet_store)),
-                   options={"on_conflict": "keep"})
+        fleet_init(fleet_dir, _plan(str(fleet_store)))
         # a dead host claimed task 0 long ago and never heartbeat again:
         # whichever worker reaches it first must steal (generation 1)
         write_lease(fleet_dir, 0, "ghost-host", deadline=1.0)

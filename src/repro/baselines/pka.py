@@ -35,7 +35,8 @@ import numpy as np
 from ..config.gpu_configs import GpuConfig
 from ..errors import ConfigError
 from ..functional.kernel import Kernel
-from ..timing.engine import DetailedEngine, EngineListener
+from ..obs import ENGINE_BB, ENGINE_WARP_RETIRE
+from ..timing.engine import DetailedEngine
 from ..timing.simulator import KernelResult, Methodology
 
 
@@ -62,7 +63,7 @@ class PkaConfig:
         return int(self.window_cycles / self.bucket_cycles)
 
 
-class IpcStabilityMonitor(EngineListener):
+class IpcStabilityMonitor:
     """Aborts detailed simulation once windowed IPC stabilises."""
 
     def __init__(self, config: PkaConfig):
@@ -72,8 +73,11 @@ class IpcStabilityMonitor(EngineListener):
         self.stop_time: Optional[float] = None
         self._checked_through = 0
 
-    def bind(self, engine: DetailedEngine) -> None:
+    def watch(self, engine: DetailedEngine) -> None:
+        """Observe ``engine``'s run; a stable IPC aborts it."""
         self._engine = engine
+        engine.subscribe(ENGINE_BB, self.on_bb_complete)
+        engine.subscribe(ENGINE_WARP_RETIRE, self.on_warp_retired)
 
     def _check(self) -> None:
         if self.stable_ipc is not None or self._engine is None:
@@ -161,7 +165,7 @@ class PKA(Methodology):
 
         engine = self.engine(kernel, ipc_bucket=self.config.bucket_cycles)
         monitor = IpcStabilityMonitor(self.config)
-        engine.attach(monitor)
+        monitor.watch(engine)
         detailed = engine.run()
 
         if monitor.stable_ipc is not None:

@@ -34,7 +34,8 @@ from typing import Dict, Optional
 from ..config.gpu_configs import GpuConfig
 from ..errors import ConfigError
 from ..functional.kernel import Kernel
-from ..timing.engine import DetailedEngine, EngineListener
+from ..obs import ENGINE_WARP_DISPATCH, ENGINE_WARP_RETIRE
+from ..timing.engine import DetailedEngine
 from ..timing.fastmodel import schedule_only
 from ..timing.simulator import KernelResult, Methodology
 
@@ -53,7 +54,7 @@ class TBPointConfig:
             raise ConfigError("cv_threshold must be positive")
 
 
-class _WorkgroupMonitor(EngineListener):
+class _WorkgroupMonitor:
     """Tracks workgroup completion times and stops on stability."""
 
     def __init__(self, kernel: Kernel, config: TBPointConfig):
@@ -65,8 +66,11 @@ class _WorkgroupMonitor(EngineListener):
         self._engine: Optional[DetailedEngine] = None
         self.stable_mean: Optional[float] = None
 
-    def bind(self, engine: DetailedEngine) -> None:
+    def watch(self, engine: DetailedEngine) -> None:
+        """Observe ``engine``'s run; stable workgroups stop its dispatch."""
         self._engine = engine
+        engine.subscribe(ENGINE_WARP_DISPATCH, self.on_warp_dispatched)
+        engine.subscribe(ENGINE_WARP_RETIRE, self.on_warp_retired)
 
     def on_warp_dispatched(self, warp_id: int, time: float) -> None:
         wg = self.kernel.workgroup_of(warp_id)
@@ -112,7 +116,7 @@ class TBPoint(Methodology):
         t0 = _time.perf_counter()
         engine = self.engine(kernel)
         monitor = _WorkgroupMonitor(kernel, self.config)
-        engine.attach(monitor)
+        monitor.watch(engine)
         detailed = engine.run()
 
         if monitor.stable_mean is None or not detailed.undispatched:

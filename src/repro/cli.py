@@ -57,7 +57,7 @@ from .harness.runner import (
 from .harness.tables import comparison_table
 from .parallel import plan_sweep, resume_sweep, run_sweep
 from .reliability.watchdog import WatchdogConfig
-from .timing.tracecache import TraceCache, scoped_trace_cache
+from .timing.tracecache import TraceCache
 from .tracestore import TraceStore
 from .workloads import REGISTRY, build_pagerank, build_resnet, build_vgg
 
@@ -445,26 +445,25 @@ def _run(args: argparse.Namespace) -> int:
         if args.command == "sweep":
             return _run_sweep(args, watchdog, obs)
         gpu = resolve_gpu(args.gpu)
-        with scoped_trace_cache(cache):
-            if args.command == "run":
-                rows = run_methods_kernel(
-                    workload_factory(args.workload, args.size),
-                    args.workload, args.size, gpu=gpu,
-                    methods=tuple(args.methods),
-                    photon_config=EVAL_PHOTON,
-                    watchdog=watchdog)
-                print(comparison_table(rows))
-                return 0
-
-            out = run_methods_app(APP_BUILDERS[args.name], args.name,
-                                  gpu=gpu, methods=tuple(args.methods),
-                                  photon_config=EVAL_PHOTON,
-                                  watchdog=watchdog)
-            print(comparison_table(out["rows"]))
-            for method in args.methods:
-                if method in out:
-                    print(f"{method} modes: {out[method].mode_counts()}")
+        if args.command == "run":
+            rows = run_methods_kernel(
+                workload_factory(args.workload, args.size),
+                args.workload, args.size, gpu=gpu,
+                methods=tuple(args.methods),
+                photon_config=EVAL_PHOTON,
+                watchdog=watchdog, trace_cache=cache)
+            print(comparison_table(rows))
             return 0
+
+        out = run_methods_app(APP_BUILDERS[args.name], args.name,
+                              gpu=gpu, methods=tuple(args.methods),
+                              photon_config=EVAL_PHOTON,
+                              watchdog=watchdog, trace_cache=cache)
+        print(comparison_table(out["rows"]))
+        for method in args.methods:
+            if method in out:
+                print(f"{method} modes: {out[method].mode_counts()}")
+        return 0
     finally:
         if cache is not None:
             cache.flush()
@@ -549,8 +548,7 @@ def _run_fleet(args: argparse.Namespace,
 
     manifest = Path(args.fleet_dir) / MANIFEST_NAME
     if args.fleet_init:
-        fleet_init(args.fleet_dir, _plan_from_args(args, watchdog),
-                   options={"on_conflict": "keep"})
+        fleet_init(args.fleet_dir, _plan_from_args(args, watchdog))
         print(f"fleet initialized: {manifest}")
         return 0
     if args.fleet_worker:
@@ -568,8 +566,7 @@ def _run_fleet(args: argparse.Namespace,
     # --coordinate: plan-and-init first when the manifest is absent and
     # workloads were given, so one command can bootstrap a whole fleet
     if not manifest.exists() and args.workloads:
-        fleet_init(args.fleet_dir, _plan_from_args(args, watchdog),
-                   options={"on_conflict": "keep"})
+        fleet_init(args.fleet_dir, _plan_from_args(args, watchdog))
     elif manifest.exists() and args.workloads:
         raise ConfigError(
             "--coordinate takes the plan from the existing fleet "

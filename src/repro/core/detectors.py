@@ -1,6 +1,6 @@
-"""Engine listeners implementing Photon's online switch criteria.
+"""Engine observers implementing Photon's online switch criteria.
 
-Both detectors attach to the detailed engine at kernel start and run in
+Both detectors watch the detailed engine from kernel start and run in
 parallel (paper Section 4: "the warp-sampling detector runs in parallel
 and Photon switches to warp-sampling when the criteria are satisfied").
 Whichever fires first stops workgroup dispatch; the controller then
@@ -11,15 +11,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..obs import DETECTOR_SWITCH
+from ..obs import DETECTOR_SWITCH, ENGINE_BB, ENGINE_WARP_RETIRE
 from ..reliability.faults import FaultPlan
-from ..timing.engine import DetailedEngine, EngineListener
+from ..timing.engine import DetailedEngine
 from .config import PhotonConfig
 from .lsq import StabilityDetector
 from .online import OnlineAnalysis
 
 
-class BBSamplingDetector(EngineListener):
+class BBSamplingDetector:
     """Switches to basic-block-sampling (paper Section 4.1, Figure 7).
 
     Tracks a :class:`StabilityDetector` per basic-block type over the
@@ -49,8 +49,11 @@ class BBSamplingDetector(EngineListener):
         )
         self._retired = 0
 
-    def bind(self, engine: DetailedEngine) -> None:
+    def watch(self, engine: DetailedEngine) -> None:
+        """Observe ``engine``'s run; the switch stops its dispatch."""
         self._engine = engine
+        engine.subscribe(ENGINE_BB, self.on_bb_complete)
+        engine.subscribe(ENGINE_WARP_RETIRE, self.on_warp_retired)
 
     def on_warp_retired(self, warp_id: int, dispatch: float,
                         retire: float) -> None:
@@ -113,7 +116,7 @@ class BBSamplingDetector(EngineListener):
         return table
 
 
-class WarpSamplingDetector(EngineListener):
+class WarpSamplingDetector:
     """Switches to warp-sampling (paper Section 4.2, Figure 10).
 
     Only armed when the online analysis found a dominant warp type
@@ -137,8 +140,10 @@ class WarpSamplingDetector(EngineListener):
         self.switched = False
         self.switch_time: Optional[float] = None
 
-    def bind(self, engine: DetailedEngine) -> None:
+    def watch(self, engine: DetailedEngine) -> None:
+        """Observe ``engine``'s run; the switch stops its dispatch."""
         self._engine = engine
+        engine.subscribe(ENGINE_WARP_RETIRE, self.on_warp_retired)
 
     def on_warp_retired(self, warp_id: int, dispatch: float,
                         retire: float) -> None:

@@ -53,6 +53,7 @@ from ..reliability.ledger import FALLBACK_CHAIN, FallbackEvent
 from ..reliability.watchdog import WatchdogConfig
 from ..timing.fastmodel import schedule_only
 from ..timing.simulator import KernelResult, Methodology
+from ..timing.tracecache import TraceCache
 from .bbv import BBVProjector
 from .config import PhotonConfig
 from .detectors import BBSamplingDetector, WarpSamplingDetector
@@ -194,8 +195,9 @@ class Photon(Methodology):
         fault_plan: Optional[FaultPlan] = None,
         kernel_db: Optional[KernelDB] = None,
         bus: Optional[EventBus] = None,
+        trace_cache: Optional[TraceCache] = None,
     ):
-        super().__init__(gpu_config, watchdog, bus)
+        super().__init__(gpu_config, watchdog, bus, trace_cache)
         self.config = config or PhotonConfig()
         self.projector = BBVProjector(self.config.bbv_dim)
         if kernel_db is not None:
@@ -366,12 +368,12 @@ class Photon(Methodology):
             bb_detector = BBSamplingDetector(analysis, self.config,
                                              warp_capacity=capacity,
                                              fault_plan=self.fault_plan)
-            engine.attach(bb_detector)
+            bb_detector.watch(engine)
         if allow["warp"]:
             warp_detector = WarpSamplingDetector(analysis, self.config,
                                                  fault_plan=self.fault_plan)
             if warp_detector.armed:
-                engine.attach(warp_detector)
+                warp_detector.watch(engine)
 
         detailed = engine.run()
         self.interval_model.update(detailed.latency_table)

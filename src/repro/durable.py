@@ -16,6 +16,12 @@ closes that gap once, for every writer:
   torn *tail*, which journal readers quarantine.
 * :func:`fsync_dir` — directory-entry durability for renames/creates.
 
+It also defines, once, the JSON those records are written in and read
+back with (trace-bundle headers, the sweep journal, fleet manifests /
+leases / markers, serve's pending journal): :func:`canonical_json`,
+:func:`payload_checksum` over it, and the never-raising readers
+:func:`parse_record` / :func:`read_record`.
+
 Every durable write passes through the filesystem fault layer
 (:mod:`repro.reliability.fsfaults`), so tests can deterministically
 inject ENOSPC, short writes and torn writes at any site.
@@ -23,14 +29,50 @@ inject ENOSPC, short writes and torn writes at any site.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import tempfile
 from pathlib import Path
-from typing import BinaryIO, Union
+from typing import BinaryIO, Optional, Union
 
 from .reliability.fsfaults import arm_fs_write
 
 PathLike = Union[str, Path]
+
+
+def canonical_json(value: object, allow_nan: bool = True) -> bytes:
+    """``value`` as canonical JSON — sorted keys, no whitespace, UTF-8 —
+    so equal values give equal bytes and equal checksums.
+    ``allow_nan=False`` raises ``ValueError`` on NaN / infinities, for
+    records that must stay strict JSON."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      allow_nan=allow_nan).encode("utf-8")
+
+
+def payload_checksum(payload: dict) -> str:
+    """SHA-256 over the canonical JSON of ``payload`` minus ``checksum``."""
+    body = {k: v for k, v in payload.items() if k != "checksum"}
+    return hashlib.sha256(canonical_json(body)).hexdigest()
+
+
+def parse_record(raw: bytes) -> Optional[dict]:
+    """Decode one UTF-8 JSON object; None when torn, not JSON or not an
+    object — a record reader never raises on what a crash left behind."""
+    try:
+        record = json.loads(raw.decode("utf-8"))
+    except ValueError:   # UnicodeDecodeError included
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def read_record(path: PathLike) -> Optional[dict]:
+    """:func:`parse_record` of a whole file; None when it cannot be read."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError:
+        return None
+    return parse_record(raw)
 
 
 def fsync_dir(path: PathLike) -> None:

@@ -55,6 +55,7 @@ from ..timing.simulator import (
     KernelResult,
     Methodology,
 )
+from ..timing.tracecache import TraceCache
 from ..workloads.base import REGISTRY
 from .defaults import EVAL_PHOTON, EVAL_R9NANO
 from .metrics import Comparison, Evaluation, cell_rows
@@ -77,28 +78,29 @@ LEVEL_METHODS = {
 
 def _shared_only(cls) -> Callable[..., Methodology]:
     """Table entry of a methodology built from the shared state alone."""
-    return lambda gpu, watchdog=None, **_: cls(gpu, watchdog=watchdog)
+    return lambda gpu, shared, **_: cls(gpu, **shared)
 
 
 def _photon_levels(levels: Dict[str, bool]) -> Callable[..., Methodology]:
     """Table entry of Photon restricted to ``levels``."""
-    def build(gpu, photon_config, watchdog=None, fault_plan=None,
+    def build(gpu, shared, photon_config, fault_plan=None,
               analysis_store=None, kernel_db=None, **_):
         return Photon(gpu, photon_config.with_levels(**levels),
-                      watchdog=watchdog, fault_plan=fault_plan,
-                      analysis_store=analysis_store, kernel_db=kernel_db)
+                      fault_plan=fault_plan, analysis_store=analysis_store,
+                      kernel_db=kernel_db, **shared)
     return build
 
 
 #: the method table: name → constructor.  Every constructor is called
-#: with the same keywords (``gpu``, ``photon_config``, ``pka_config``,
-#: ``watchdog``, ``fault_plan``, ``analysis_store``, ``kernel_db``) and
-#: takes the ones its methodology has a use for.
+#: with the same keywords — ``gpu``, ``shared`` (what every
+#: :class:`Methodology` takes: ``watchdog``, ``trace_cache``),
+#: ``photon_config``, ``pka_config``, ``fault_plan``, ``analysis_store``,
+#: ``kernel_db`` — and takes the ones its methodology has a use for.
 METHODS: Dict[str, Callable[..., Methodology]] = {
     FULL_METHOD: _shared_only(FullDetail),
     "gtpin": _shared_only(GTPin),
-    "pka": lambda gpu, pka_config=None, watchdog=None, **_: PKA(
-        gpu, pka_config, watchdog=watchdog),
+    "pka": lambda gpu, shared, pka_config=None, **_: PKA(
+        gpu, pka_config, **shared),
     "sieve": _shared_only(Sieve),
     "tbpoint": _shared_only(TBPoint),
     **{name: _photon_levels(LEVEL_METHODS[name])
@@ -150,6 +152,7 @@ def simulate_method(target: Union[Kernel, Application], method: str,
                     fault_plan: Optional[FaultPlan] = None,
                     analysis_store: Optional[AnalysisStore] = None,
                     kernel_db: Optional[KernelDB] = None,
+                    trace_cache: Optional[TraceCache] = None,
                     ) -> Union[KernelResult, AppResult]:
     """Simulate one kernel or application under one named method.
 
@@ -157,15 +160,18 @@ def simulate_method(target: Union[Kernel, Application], method: str,
     arrives as arguments, nothing is read from or written to shared
     state.  ``analysis_store`` and ``kernel_db`` apply to Photon-family
     methods only; a parallel worker passes fresh instances and ships
-    their contents back for the deterministic merge.
+    their contents back for the deterministic merge.  ``trace_cache``
+    serves every detailed engine the method starts (the caller flushes
+    a store-backed one).
     """
     check_methods([method], baseline=True)
     if fault_plan is not None:
         fault_plan.arm("harness.method", kernel=method)
     simulator = METHODS[method](
-        gpu=gpu, photon_config=photon_config, pka_config=pka_config,
-        watchdog=watchdog, fault_plan=fault_plan,
-        analysis_store=analysis_store, kernel_db=kernel_db)
+        gpu=gpu, shared=dict(watchdog=watchdog, trace_cache=trace_cache),
+        photon_config=photon_config, pka_config=pka_config,
+        fault_plan=fault_plan, analysis_store=analysis_store,
+        kernel_db=kernel_db)
     if isinstance(target, Application):
         return simulator.simulate_app(target, method_name=method)
     return simulator.simulate_kernel(target)
@@ -187,12 +193,15 @@ def evaluate(
     retry: Optional[RetryPolicy] = None,
     isolate: bool = True,
     keep_state: bool = False,
+    trace_cache: Optional[TraceCache] = None,
 ) -> Evaluation:
     """Evaluate ``method`` on what ``factory`` builds — the one step.
 
     Every attempt starts from scratch: a freshly built target, a new
     simulator and (``keep_state``, for workers that ship it back) a new
-    analysis store and kernel database.  A :class:`ReproError` comes back
+    analysis store and kernel database; ``trace_cache`` alone is shared
+    across attempts (traces are deterministic, so whatever a failed
+    attempt emulated is still right).  A :class:`ReproError` comes back
     as a failed :class:`Evaluation` tagged with the stage it struck in —
     ``build`` (inside ``factory``) or ``run`` — unless ``isolate`` is
     off; an unknown method name always raises.
@@ -213,7 +222,7 @@ def evaluate(
             db = KernelDB(photon_config.kernel_distance, gpu.n_cu)
         return simulate_method(target, method, gpu, photon_config,
                                pka_config, watchdog, fault_plan,
-                               store, db), store, db
+                               store, db, trace_cache), store, db
 
     try:
         (result, store, db), attempts, backoff = (
@@ -251,7 +260,8 @@ def run_methods_kernel(factory: KernelFactory, workload: str, size: int,
 
     ``methods`` may contain any name of :func:`all_methods`; ``options``
     are :func:`evaluate`'s (``photon_config``, ``pka_config``,
-    ``watchdog``, ``fault_plan``, ``retry``, ``isolate``).  Unknown
+    ``watchdog``, ``fault_plan``, ``retry``, ``isolate``,
+    ``trace_cache``).  Unknown
     method names always raise :class:`WorkloadError` (a typo is a caller
     bug, not a sweep casualty); failures *inside* a known method become
     failed rows when ``isolate`` is on, and a kernel that cannot even be

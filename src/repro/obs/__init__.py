@@ -1,18 +1,18 @@
 """SimScope: the unified observability layer (``repro.obs``).
 
-One typed event bus + metrics registry replaces the three disconnected
-ways the stack used to be watched: :class:`~repro.timing.engine.EngineListener`
-callbacks, the :class:`~repro.reliability.FallbackEvent` ledger, and
-:class:`~repro.parallel.TaskTelemetry`.  Every layer now emits through
-the bus:
+One typed event bus + metrics registry is how the stack is watched:
+engine observers, the :class:`~repro.reliability.FallbackEvent` ledger
+and :class:`~repro.parallel.TaskTelemetry` all travel over it.  Every
+layer emits through the bus:
 
 * the detailed engine publishes kernel/warp/basic-block spans plus
   dispatch, barrier, waitcnt, stall and instruction-class events —
   with a zero-allocation no-op path when nothing is attached;
 * the functional executor publishes per-warp interpretation events;
-* Photon's detectors publish switch decisions; legacy
-  ``EngineListener`` users (probes, detectors) keep working — the
-  engine subscribes them to the bus behind a compatibility shim;
+* Photon's detectors publish switch decisions; they, the baselines'
+  monitors and the probes are themselves bus subscribers, registered
+  per run through :meth:`DetailedEngine.subscribe
+  <repro.timing.engine.DetailedEngine.subscribe>`;
 * the reliability layer re-emits fallbacks, injected faults and
   watchdog trips; the sweep scheduler re-emits task telemetry — so one
   trace interleaves all of them.

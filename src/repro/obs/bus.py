@@ -8,9 +8,9 @@ Design constraints, in priority order:
    before their hot loop and publish *positional* arguments — no event
    object, no dict, no kwargs are built unless a sink is attached.
 2. **Delivery order is deterministic.**  Subscribers of one channel are
-   invoked in subscription order; the engine subscribes legacy
-   listeners in attach order, so two listeners observe identical event
-   sequences (see ``docs/observability.md``).
+   invoked in subscription order; the engine subscribes a run's
+   observers in registration order, so two observers see identical
+   event sequences (see ``docs/observability.md``).
 3. **Sinks are pluggable and late-bound.**  A sink subscribes to any
    subset of kinds; the bus materialises :class:`~repro.obs.events.Event`
    records (with a global monotone ``seq``) only for sink-backed

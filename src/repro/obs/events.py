@@ -71,13 +71,13 @@ ENGINE_WG_DISPATCH = EventType(
     "A workgroup was placed onto a compute unit.")
 ENGINE_WARP_DISPATCH = EventType(
     "engine.warp_dispatch", ("warp", "t"),
-    "A warp was scheduled onto a CU (legacy on_warp_dispatched).")
+    "A warp was scheduled onto a CU.")
 ENGINE_BB = EventType(
     "engine.bb", ("warp", "pc", "t0", "t1"),
-    "A dynamic basic block ran (legacy on_bb_complete).")
+    "A dynamic basic block ran.")
 ENGINE_WARP_RETIRE = EventType(
     "engine.warp_retire", ("warp", "t0", "t1"),
-    "A warp finished all instructions (legacy on_warp_retired).")
+    "A warp finished all instructions.")
 ENGINE_BARRIER = EventType(
     "engine.barrier", ("wg", "t", "n_warps"),
     "The last warp of a workgroup arrived; the barrier released.")

@@ -9,7 +9,7 @@ per host, and per-host trace staging:
 
 ```
 fleet-dir/
-  fleet.json                      manifest: plan + options (durable)
+  fleet.json                      manifest: the plan (durable)
   leases/task-<idx>/lease.json    current claim (owner, nonce, deadline)
   leases/task-<idx>/done.json     completion marker (any outcome)
   hosts/<host>/journal.jsonl      per-host DuraSweep WAL (+ quarantine)
@@ -65,7 +65,6 @@ simulated-fleet scaling bench.
 
 from __future__ import annotations
 
-import json
 import os
 import secrets
 import socket
@@ -76,8 +75,12 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.persist import payload_checksum
-from ..durable import durable_replace
+from ..durable import (
+    canonical_json,
+    durable_replace,
+    payload_checksum,
+    read_record,
+)
 from ..errors import ConfigError, SamplingError
 from ..obs import SWEEP_FLEET, current_bus
 from .journal import JOURNAL_NAME, SweepJournal, scan_journal
@@ -123,8 +126,7 @@ def default_host_id() -> str:
 # ---------------------------------------------------------------- manifest
 
 
-def fleet_init(fleet_dir: PathLike, tasks: Sequence[SweepTask],
-               options: Optional[Dict[str, object]] = None) -> Path:
+def fleet_init(fleet_dir: PathLike, tasks: Sequence[SweepTask]) -> Path:
     """Create a fleet directory: manifest, lease and staging roots.
 
     Refuses to overwrite an existing manifest — a fleet directory holds
@@ -147,33 +149,24 @@ def fleet_init(fleet_dir: PathLike, tasks: Sequence[SweepTask],
         "format": _MANIFEST_FORMAT,
         "version": _MANIFEST_VERSION,
         "tasks": [task.to_dict() for task in tasks],
-        "options": dict(options or {}),
     }
     body["checksum"] = payload_checksum(body)
-    durable_replace(
-        json.dumps(body, sort_keys=True, separators=(",", ":"),
-                   allow_nan=False).encode("utf-8"),
-        manifest, site="fleet.manifest")
+    durable_replace(canonical_json(body, allow_nan=False), manifest,
+                    site="fleet.manifest")
     return fleet_dir
 
 
-def load_manifest(fleet_dir: PathLike
-                  ) -> Tuple[List[SweepTask], Dict[str, object]]:
+def load_manifest(fleet_dir: PathLike) -> List[SweepTask]:
     """Read and verify a fleet manifest; raises on absence/corruption."""
     manifest = Path(fleet_dir) / MANIFEST_NAME
-    try:
-        body = json.loads(manifest.read_bytes().decode("utf-8"))
-    except OSError:
+    if not manifest.exists():
         raise SamplingError(
             f"{manifest}: no fleet manifest; initialize the fleet "
-            f"first (repro sweep ... --fleet-dir D --fleet-init)"
-        ) from None
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise SamplingError(f"{manifest}: unreadable manifest: "
-                            f"{exc}") from None
-    if (not isinstance(body, dict)
-            or body.get("checksum") != payload_checksum(body)):
-        raise SamplingError(f"{manifest}: manifest checksum mismatch")
+            f"first (repro sweep ... --fleet-dir D --fleet-init)")
+    body = read_record(manifest)
+    if body is None or body.get("checksum") != payload_checksum(body):
+        raise SamplingError(
+            f"{manifest}: unreadable manifest or checksum mismatch")
     if (body.get("format") != _MANIFEST_FORMAT
             or body.get("version") not in _SUPPORTED_VERSIONS):
         raise SamplingError(
@@ -184,7 +177,7 @@ def load_manifest(fleet_dir: PathLike
     except (KeyError, TypeError, ValueError) as exc:
         raise SamplingError(
             f"{manifest}: malformed task list: {exc}") from exc
-    return tasks, dict(body.get("options") or {})
+    return tasks
 
 
 # ---------------------------------------------------------------- leases
@@ -196,12 +189,7 @@ def _task_dir(fleet_dir: Path, index: int) -> Path:
 
 def read_lease(fleet_dir: PathLike, index: int) -> Optional[Dict[str, object]]:
     """The current (complete) lease record for a task, or None."""
-    path = _task_dir(Path(fleet_dir), index) / LEASE_NAME
-    try:
-        record = json.loads(path.read_bytes().decode("utf-8"))
-    except (OSError, ValueError, UnicodeDecodeError):
-        return None
-    return record if isinstance(record, dict) else None
+    return read_record(_task_dir(Path(fleet_dir), index) / LEASE_NAME)
 
 
 def write_lease(fleet_dir: PathLike, index: int, owner: str,
@@ -223,21 +211,14 @@ def write_lease(fleet_dir: PathLike, index: int, owner: str,
     }
     path = _task_dir(Path(fleet_dir), index)
     path.mkdir(parents=True, exist_ok=True)
-    durable_replace(
-        json.dumps(record, sort_keys=True,
-                   separators=(",", ":")).encode("utf-8"),
-        path / LEASE_NAME, site="fleet.lease")
+    durable_replace(canonical_json(record), path / LEASE_NAME,
+                    site="fleet.lease")
     return nonce
 
 
 def read_done(fleet_dir: PathLike, index: int) -> Optional[Dict[str, object]]:
     """The completion marker for a task, or None."""
-    path = _task_dir(Path(fleet_dir), index) / DONE_NAME
-    try:
-        record = json.loads(path.read_bytes().decode("utf-8"))
-    except (OSError, ValueError, UnicodeDecodeError):
-        return None
-    return record if isinstance(record, dict) else None
+    return read_record(_task_dir(Path(fleet_dir), index) / DONE_NAME)
 
 
 def write_done(fleet_dir: PathLike, index: int, host: str,
@@ -246,10 +227,8 @@ def write_done(fleet_dir: PathLike, index: int, host: str,
               "stolen": stolen}
     path = _task_dir(Path(fleet_dir), index)
     path.mkdir(parents=True, exist_ok=True)
-    durable_replace(
-        json.dumps(record, sort_keys=True,
-                   separators=(",", ":")).encode("utf-8"),
-        path / DONE_NAME, site="fleet.done")
+    durable_replace(canonical_json(record), path / DONE_NAME,
+                    site="fleet.done")
 
 
 @dataclass
@@ -306,7 +285,7 @@ class FleetWorker:
         self.clock = clock
         self.heartbeat = heartbeat
         self.max_wait = max_wait
-        self.tasks, self.options = load_manifest(self.fleet_dir)
+        self.tasks = load_manifest(self.fleet_dir)
         self.report = FleetWorkerReport(host=self.host)
         self._completed: set = set()
         self._journal = self._open_journal()
@@ -325,8 +304,7 @@ class FleetWorker:
             journal, scan = SweepJournal.resume(host_dir)
             self._completed.update(scan.outcomes())
             return journal
-        return SweepJournal.create(host_dir, self.tasks,
-                                   options=self.options)
+        return SweepJournal.create(host_dir, self.tasks)
 
     # -- claim protocol ----------------------------------------------------
 
@@ -561,7 +539,6 @@ def _coordinator_rerun(fleet_dir: Path, missing: List[SweepTask],
 
 def fleet_coordinate(
     fleet_dir: PathLike,
-    on_conflict: Optional[str] = None,
     wait: bool = True,
     timeout: Optional[float] = None,
     poll_interval: float = 0.05,
@@ -591,9 +568,7 @@ def fleet_coordinate(
     result, bitwise-equal to a single-host inline run of the plan.
     """
     fleet_dir = Path(fleet_dir)
-    tasks, options = load_manifest(fleet_dir)
-    if on_conflict is None:
-        on_conflict = str(options.get("on_conflict", "keep"))
+    tasks = load_manifest(fleet_dir)
     t0 = _time.perf_counter()
     deadline = (None if timeout is None
                 else _time.monotonic() + timeout)
@@ -668,7 +643,7 @@ def fleet_coordinate(
              if outcome.host}
     report = RunReport(jobs=max(1, len(hosts)), mp_context="fleet")
     result = assemble_result(tasks, outcomes_by_index, fresh, report,
-                             on_conflict, staging_roots=host_stages)
+                             staging_roots=host_stages)
     report.total_wall = _time.perf_counter() - t0   # the merge included
     bus = current_bus()
     bus.emit(SWEEP_FLEET, _sanitize_host(coordinator_host), "merge",

@@ -13,8 +13,8 @@ Record taxonomy (field ``rec``):
 
 ``plan``
     First record of every journal: the serialized task list
-    (:meth:`SweepTask.to_dict`) plus run options.  Resume re-derives
-    the exact plan from it — no CLI arguments needed.
+    (:meth:`SweepTask.to_dict`).  Resume re-derives the exact plan
+    from it — no CLI arguments needed.
 ``scheduled``
     A task was handed to a worker (or is about to run inline).  Purely
     forensic: a ``scheduled`` without a matching outcome marks the
@@ -46,14 +46,18 @@ points.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.persist import payload_checksum
-from ..durable import durable_append, fsync_dir
+from ..durable import (
+    canonical_json,
+    durable_append,
+    fsync_dir,
+    parse_record,
+    payload_checksum,
+)
 from ..errors import ConfigError, SamplingError
 from ..obs import SWEEP_JOURNAL, current_bus
 from .tasks import SweepTask, TaskOutcome
@@ -79,19 +83,13 @@ def encode_record(record: Dict[str, object]) -> bytes:
     """One checksummed JSONL line for ``record`` (excluding checksum)."""
     body = dict(record)
     body["checksum"] = payload_checksum(body)
-    return (json.dumps(body, sort_keys=True, separators=(",", ":"))
-            + "\n").encode("utf-8")
+    return canonical_json(body) + b"\n"
 
 
 def decode_line(line: bytes) -> Optional[Dict[str, object]]:
     """Parse and verify one journal line; None if torn or corrupt."""
-    try:
-        record = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict):
-        return None
-    if record.get("checksum") != payload_checksum(record):
+    record = parse_record(line)
+    if record is None or record.get("checksum") != payload_checksum(record):
         return None
     return record
 
@@ -184,9 +182,8 @@ class SweepJournal:
         self.records_written = 0
 
     @classmethod
-    def create(cls, run_dir: PathLike, tasks: List[SweepTask],
-               options: Optional[Dict[str, object]] = None
-               ) -> "SweepJournal":
+    def create(cls, run_dir: PathLike,
+               tasks: List[SweepTask]) -> "SweepJournal":
         """Start a fresh journal: directory, file, fsync'd plan record.
 
         Refuses to overwrite an existing journal — a run directory
@@ -206,7 +203,6 @@ class SweepJournal:
             "rec": REC_PLAN,
             "version": _FORMAT_VERSION,
             "tasks": [task.to_dict() for task in tasks],
-            "options": dict(options or {}),
         })
         return journal
 

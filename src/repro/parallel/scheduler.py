@@ -243,7 +243,7 @@ class MergedState:
     store_merge: MergeStats = field(default_factory=MergeStats)
     db_merge: MergeStats = field(default_factory=MergeStats)
 
-    def fold(self, outcome: TaskOutcome, on_conflict: str = "keep") -> None:
+    def fold(self, outcome: TaskOutcome) -> None:
         """Fold one outcome's store / kernel-db payloads in.
 
         The single per-outcome fold: :func:`merge_outcome_state` loops
@@ -252,8 +252,7 @@ class MergedState:
         """
         if outcome.store_payload is not None:
             part = analysis_store_from_payload(outcome.store_payload)
-            self.store_merge.update(
-                self.store.merge(part, on_conflict=on_conflict))
+            self.store_merge.update(self.store.merge(part))
         if outcome.kerneldb_payload is not None:
             part_db = kernel_db_from_payload(outcome.kerneldb_payload)
             if self.kernel_db is None:
@@ -263,8 +262,7 @@ class MergedState:
                 self.db_merge.update(self.kernel_db.merge(part_db))
 
 
-def merge_outcome_state(outcomes: Sequence[TaskOutcome],
-                        on_conflict: str) -> MergedState:
+def merge_outcome_state(outcomes: Sequence[TaskOutcome]) -> MergedState:
     """Fold worker store/db payloads together, in task order.
 
     The fold visits outcomes sorted by task index, so the merged state
@@ -272,7 +270,7 @@ def merge_outcome_state(outcomes: Sequence[TaskOutcome],
     """
     state = MergedState()
     for outcome in sorted(outcomes, key=lambda o: o.index):
-        state.fold(outcome, on_conflict)
+        state.fold(outcome)
     return state
 
 
@@ -324,7 +322,7 @@ def run_journaled(tasks: Iterable[SweepTask], submit,
 def assemble_result(tasks: Sequence[SweepTask],
                     outcomes: Mapping[int, TaskOutcome],
                     fresh: Collection[int],
-                    report: RunReport, on_conflict: str,
+                    report: RunReport,
                     queue_waits: Optional[Mapping[int, float]] = None,
                     staging_roots: Optional[Sequence[Path]] = None,
                     ) -> SweepResult:
@@ -340,7 +338,7 @@ def assemble_result(tasks: Sequence[SweepTask],
     """
     ordered = [outcomes[task.index] for task in tasks]
     rows = rows_from_outcomes(ordered)
-    state = merge_outcome_state(ordered, on_conflict)
+    state = merge_outcome_state(ordered)
     trace_merge: Optional[Dict[str, int]] = None
     for root in sorted({task.trace_store for task in tasks
                         if task.trace_store is not None}):
@@ -392,7 +390,6 @@ def run_sweep(
     tasks: Sequence[SweepTask],
     jobs: int = 1,
     sweep_deadline: Optional[float] = None,
-    on_conflict: str = "keep",
     run_dir: Optional[str] = None,
 ) -> SweepResult:
     """Execute a sweep plan and merge its results.
@@ -413,12 +410,10 @@ def run_sweep(
     tasks = list(tasks)
     journal = None
     if run_dir is not None:
-        journal = SweepJournal.create(
-            run_dir, tasks, options={"on_conflict": on_conflict})
+        journal = SweepJournal.create(run_dir, tasks)
     try:
         return _execute(tasks, {}, jobs=jobs,
-                        sweep_deadline=sweep_deadline,
-                        on_conflict=on_conflict, journal=journal)
+                        sweep_deadline=sweep_deadline, journal=journal)
     finally:
         if journal is not None:
             journal.close()
@@ -428,7 +423,6 @@ def resume_sweep(
     run_dir: str,
     jobs: int = 1,
     sweep_deadline: Optional[float] = None,
-    on_conflict: Optional[str] = None,
 ) -> SweepResult:
     """Resume a journaled sweep after a crash (or verify a finished one).
 
@@ -451,9 +445,6 @@ def resume_sweep(
         prior = {index: outcome
                  for index, outcome in scan.outcomes().items()
                  if outcome.ok}
-        options = scan.plan_record().get("options") or {}
-        if on_conflict is None:
-            on_conflict = str(options.get("on_conflict", "keep"))
         bus = current_bus()
         bus.emit(SWEEP_RESUME, str(Path(run_dir)), len(prior),
                  len(tasks) - len(prior), scan.quarantined_lines)
@@ -465,8 +456,7 @@ def resume_sweep(
             bus.metrics.counter("sweep.journal.quarantined").inc(
                 scan.quarantined_lines)
         return _execute(tasks, prior, jobs=jobs,
-                        sweep_deadline=sweep_deadline,
-                        on_conflict=on_conflict, journal=journal)
+                        sweep_deadline=sweep_deadline, journal=journal)
     finally:
         journal.close()
 
@@ -476,7 +466,6 @@ def _execute(
     prior: Dict[int, TaskOutcome],
     jobs: int,
     sweep_deadline: Optional[float],
-    on_conflict: str,
     journal: Optional[SweepJournal],
 ) -> SweepResult:
     """Run the tasks not covered by ``prior`` and merge everything."""
@@ -512,7 +501,7 @@ def _execute(
                        total_wall=_time.perf_counter() - t0)
 
     result = assemble_result(tasks, outcomes, queue_waits, report,
-                             on_conflict, queue_waits=queue_waits)
+                             queue_waits=queue_waits)
     if journal is not None:
         journal.merged(result.trace_merge)
     bus = current_bus()

@@ -38,7 +38,8 @@ from ..reliability.ledger import FallbackEvent
 from ..reliability.retry import NO_RETRY, RetryPolicy
 from ..reliability.watchdog import WatchdogConfig
 from ..timing.simulator import KernelResult
-from ..timing.tracecache import scoped_trace_cache
+from ..timing.tracecache import TraceCache
+from ..tracestore import TraceStore
 
 
 def _transient_names(retry: RetryPolicy) -> List[str]:
@@ -267,20 +268,16 @@ def run_task(task: SweepTask,
 
     cache = None
     if task.trace_store is not None:
-        from ..timing.tracecache import TraceCache
-        from ..tracestore import TraceStore
-
         if stage_dir is not None:
             staged = TraceStore(task.trace_store, write_root=stage_dir)
         else:
             staged = TraceStore(task.trace_store).stage(task.index)
         cache = TraceCache(backing_store=staged)
 
-    with scoped_trace_cache(cache):
-        ev = evaluate(
-            lambda: workload_factory(task.workload, task.size, **kwargs)(),
-            task.method, gpu, task.photon, task.pka, task.watchdog,
-            retry=task.retry, keep_state=True)
+    ev = evaluate(
+        lambda: workload_factory(task.workload, task.size, **kwargs)(),
+        task.method, gpu, task.photon, task.pka, task.watchdog,
+        retry=task.retry, keep_state=True, trace_cache=cache)
 
     out = TaskOutcome(index=task.index, workload=task.workload,
                       size=task.size, method=task.method,

@@ -11,7 +11,7 @@ synthesized crash outcome, whoever the client is:
 
 * ``jobs >= 1`` schedules tasks over a ``ProcessPoolExecutor`` (fork
   where available, else spawn) whose workers start from
-  :func:`worker_init`: fresh silent bus, no inherited trace cache;
+  :func:`worker_init`: a fresh silent bus;
 * a SIGKILLed/OOM-killed worker breaks the whole pool and fails every
   future it held.  Those tasks are *suspects*, not culprits: the tier
   rebuilds the pool, holds new submissions back and retries the
@@ -49,7 +49,6 @@ from typing import Deque, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
 from ..obs import reset_default_bus
-from ..timing.tracecache import set_default_trace_cache
 from .tasks import SweepTask, TaskOutcome, run_task
 
 
@@ -60,12 +59,10 @@ def worker_init() -> None:
     any open file sinks — concurrent writes from several processes
     would interleave garbage into the parent's trace.  Workers observe
     nothing by default; the parent re-emits their telemetry after the
-    merge.  The inherited default trace cache is dropped too: each task
-    installs its own staged, store-backed cache from
-    ``SweepTask.trace_store``.
+    merge.  Nothing else is process-wide (a task's trace cache is a
+    value :func:`run_task` builds and hands to its methodology).
     """
     reset_default_bus()
-    set_default_trace_cache(None)
 
 
 @dataclass(eq=False)

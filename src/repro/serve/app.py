@@ -47,7 +47,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from pathlib import Path
 
-from ..durable import durable_replace
+from ..durable import canonical_json, durable_replace
 from ..harness.tables import comparison_table
 from ..obs import SERVE_DEDUP, SERVE_QUEUE, SERVE_REQUEST, current_bus
 from ..parallel import MergedState, plan_sweep, rows_from_outcomes
@@ -257,8 +257,6 @@ class PhotonServer:
         survivors = []
         replayed = 0
         for raw in records:
-            if not isinstance(raw, dict):
-                continue
             try:
                 request = normalize_request(
                     raw, op=str(raw.get("op", "run")))
@@ -276,25 +274,21 @@ class PhotonServer:
                 self._count("replayed")
             else:
                 survivors.append(raw)
-        payload = b"".join(
-            (json.dumps(raw, sort_keys=True, separators=(",", ":"))
-             + "\n").encode("utf-8")
-            for raw in survivors)
+        payload = b"".join(canonical_json(raw) + b"\n"
+                           for raw in survivors)
         durable_replace(payload, Path(state_dir) / PENDING_NAME,
                         site="serve.pending")
         return replayed
 
-    async def run(self, install_signals: bool = True,
-                  announce=None) -> Dict[str, object]:
+    async def run(self, announce=None) -> Dict[str, object]:
         """Serve until SIGTERM/SIGINT, then drain; returns final stats."""
         await self.replay_pending()
         await self.start()
         if announce is not None:
             announce(self.host, self.port)
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(sig, self.begin_drain)
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(sig, self.begin_drain)
         await self.drain.draining.wait()
         return await self.drain_and_stop()
 

@@ -20,11 +20,10 @@ request survives the power loss that may well follow a SIGTERM.
 from __future__ import annotations
 
 import asyncio
-import json
 from pathlib import Path
 from typing import BinaryIO, Dict, Optional
 
-from ..durable import durable_append
+from ..durable import canonical_json, durable_append, parse_record
 
 #: journal of requests shed during drain, one canonical JSON per line
 PENDING_NAME = "pending.jsonl"
@@ -75,10 +74,8 @@ class DrainController:
             if self._handle is None:
                 self.state_dir.mkdir(parents=True, exist_ok=True)
                 self._handle = open(path, "ab")
-            line = json.dumps(request, sort_keys=True,
-                              separators=(",", ":")) + "\n"
-            durable_append(self._handle, line.encode("utf-8"), path,
-                           site="serve.pending")
+            durable_append(self._handle, canonical_json(request) + b"\n",
+                           path, site="serve.pending")
         except OSError:
             return False
         self.journaled += 1
@@ -99,13 +96,9 @@ def read_pending(state_dir) -> list:
     try:
         with open(path, "rb") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    requests.append(json.loads(line.decode("utf-8")))
-                except (ValueError, UnicodeDecodeError):
-                    continue   # torn tail from a mid-append crash
+                request = parse_record(line)
+                if request is not None:   # else blank, or a torn tail
+                    requests.append(request)
     except OSError:
         return []
     return requests

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..core.config import PhotonConfig
+from ..durable import canonical_json
 from ..errors import ConfigError, WorkloadError
 from ..harness.defaults import EVAL_PHOTON, GPU_PRESET_NAMES
 from ..harness.runner import (
@@ -230,8 +230,7 @@ def request_key(task: SweepTask) -> str:
         "watchdog": (dataclasses.asdict(task.watchdog)
                      if task.watchdog is not None else None),
     }
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    key = hashlib.sha256(canonical_json(body)).hexdigest()
     while len(_REQUEST_KEYS) >= _TRACE_KEYS_MAX:
         _REQUEST_KEYS.pop(next(iter(_REQUEST_KEYS)))
     _REQUEST_KEYS[_key_memo(task)] = key

@@ -112,13 +112,12 @@ class AdmissionQueue:
         self.running -= 1
         self._sem.release()
 
-    async def wait_idle(self, timeout: Optional[float] = None,
-                        poll: float = 0.02) -> bool:
+    async def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Wait until nothing is running (drain helper)."""
         loop = asyncio.get_running_loop()
         deadline = None if timeout is None else loop.time() + timeout
         while self.running > 0:
             if deadline is not None and loop.time() >= deadline:
                 return False
-            await asyncio.sleep(poll)
+            await asyncio.sleep(0.02)
         return True

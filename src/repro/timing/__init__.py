@@ -1,15 +1,10 @@
 """Cycle-approximate GPU timing model (the MGPUSim substitute)."""
 
 from .caches import Cache, Dram, MemoryHierarchy
-from .engine import DetailedEngine, EngineListener, EngineResult
+from .engine import DetailedEngine, EngineResult
 from .fastmodel import FastModelResult, schedule_only
 from .probes import BBProbe, WarpProbe, ipc_over_time
-from .tracecache import (
-    TraceCache,
-    current_trace_cache,
-    scoped_trace_cache,
-    set_default_trace_cache,
-)
+from .tracecache import TraceCache
 from .simulator import (
     AppResult,
     KernelResult,
@@ -23,18 +18,14 @@ __all__ = [
     "Cache",
     "DetailedEngine",
     "Dram",
-    "EngineListener",
     "EngineResult",
     "FastModelResult",
     "KernelResult",
     "MemoryHierarchy",
     "TraceCache",
     "WarpProbe",
-    "current_trace_cache",
     "ipc_over_time",
     "schedule_only",
-    "scoped_trace_cache",
-    "set_default_trace_cache",
     "simulate_app_detailed",
     "simulate_kernel_detailed",
 ]

@@ -43,21 +43,22 @@ hot loop pays nothing by default and allocates no event objects.  Runs
 are timed under the ``timing`` span and counted in ``engine.{runs,insts}``
 and ``engine.batch.{runs,scalar_rounds,scalar_insts}`` (rounds, members).
 
-Sampling methodologies still hook in through :class:`EngineListener`:
-:meth:`DetailedEngine.attach` subscribes a listener's overridden hooks
-to the bus for the duration of :meth:`DetailedEngine.run` (the
-compatibility shim).  Listeners may call
+Sampling methodologies observe a run through
+:meth:`DetailedEngine.subscribe`: a handler registered for an event type
+is subscribed to the engine's bus when :meth:`DetailedEngine.run` starts
+and released when it returns or raises, so nothing an engine wired
+outlives its run.  A handler may call
 :meth:`DetailedEngine.request_stop` to halt dispatch of further
 workgroups — the engine then drains resident warps and reports the state
 needed to continue with a fast model (undispatched warps, per-CU slot
 release times).
 
-Attach-order contract: listeners (and any direct bus subscribers) are
-delivered every event in subscription order, and :meth:`attach`
-subscribes hooks in attach order — so two listeners attached to the
-same engine observe byte-identical event sequences, and a listener
-attached first always sees an event before one attached later.
-Attaching the same listener twice is a :class:`~repro.errors.ConfigError`.
+Registration-order contract: a channel delivers every event to its
+subscribers in subscription order, and :meth:`run` subscribes handlers
+in registration order — so two observers registered on the same engine
+see byte-identical event sequences, and one registered first always sees
+an event before one registered later.  Registering the same handler for
+the same event twice is a :class:`~repro.errors.ConfigError`.
 
 The bar for any change to the loop is *bitwise*:
 ``tests/test_timing_golden.py`` replays corpora recorded from the two
@@ -72,6 +73,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config.gpu_configs import GpuConfig
 from ..errors import ConfigError, SimulationStalled, TimingError
+from ..functional.batch import PackProvider
 from ..functional.kernel import Kernel
 from ..functional.trace import WarpTrace
 from ..isa.opcodes import OpClass, Opcode
@@ -86,6 +88,7 @@ from ..obs import (
     ENGINE_WARP_RETIRE,
     ENGINE_WG_DISPATCH,
     EventBus,
+    EventType,
     current_bus,
 )
 from ..reliability.watchdog import WatchdogConfig
@@ -113,31 +116,6 @@ _IS_SCALAR_PORT = [
 
 #: dense latency-table accumulator width (opcode ids are small ints)
 _N_CODES = max(op.value for op in Opcode) + 1
-
-
-class EngineListener:
-    """Observer interface for sampling methodologies.  All hooks no-op.
-
-    Listeners are legacy-compatible bus subscribers: when attached, each
-    hook a subclass actually overrides is subscribed to the matching
-    :mod:`repro.obs` channel (``engine.warp_dispatch``, ``engine.bb``,
-    ``engine.warp_retire``) for the duration of the run.  Hooks left as
-    the base no-ops are never subscribed, so they cost nothing.
-    """
-
-    def bind(self, engine: "DetailedEngine") -> None:
-        """Called when attached; gives access to :meth:`request_stop`."""
-
-    def on_warp_dispatched(self, warp_id: int, time: float) -> None:
-        """A warp was scheduled onto a CU at ``time``."""
-
-    def on_bb_complete(self, warp_id: int, bb_pc: int, start: float,
-                       end: float) -> None:
-        """A dynamic basic block ran from ``start`` to ``end``."""
-
-    def on_warp_retired(self, warp_id: int, dispatch: float,
-                        retire: float) -> None:
-        """A warp finished all its instructions."""
 
 
 class EngineResult:
@@ -190,25 +168,16 @@ class DetailedEngine:
         self.kernel = kernel
         self.config = config
         self.hierarchy = hierarchy or MemoryHierarchy(config)
-        if trace_provider is None:
-            from .tracecache import current_trace_cache
-
-            cache = current_trace_cache()
-            if cache is not None:
-                # a scoped/default TraceCache (possibly store-backed via
-                # --trace-store) serves traces without re-emulation
-                trace_provider = cache.provider(kernel)
-            else:
-                from ..functional.batch import PackProvider
-
-                trace_provider = PackProvider(kernel)
-        self.trace_provider = trace_provider
+        # execution-driven unless the caller serves traces: each warp is
+        # functionally emulated (in chunks) when it is first dispatched
+        self.trace_provider = (trace_provider if trace_provider is not None
+                               else PackProvider(kernel))
         self.ipc_bucket = ipc_bucket
         self.collect_latency = collect_latency
         self.start_time = start_time
         self.watchdog = watchdog
         self.bus = bus if bus is not None else current_bus()
-        self._listeners: List[EngineListener] = []
+        self._subscriptions: List[Tuple[EventType, Callable]] = []
         self._stop_requested = False
         self._abort_requested = False
         self._result: Optional[EngineResult] = None
@@ -218,38 +187,20 @@ class DetailedEngine:
         self._wg_queue: List[Tuple[int, List[int]]] = []
         self._wg_next = 0
 
-    def attach(self, listener: EngineListener) -> None:
-        """Attach a sampling listener before :meth:`run`.
+    def subscribe(self, event_type: EventType, handler: Callable) -> None:
+        """Deliver ``event_type`` to ``handler`` for the span of :meth:`run`.
 
-        ``bind`` is called exactly once, here; during :meth:`run` the
-        listener's overridden hooks are subscribed to the engine's bus
-        in attach order, which fixes event-delivery order: listeners
-        attached earlier see every event before listeners attached
-        later.  Attaching the same listener twice raises
-        :class:`~repro.errors.ConfigError` (it would double-deliver
-        every event).
+        Handlers reach the engine's bus in registration order when the
+        run starts — which fixes delivery order: one registered earlier
+        sees every event before one registered later — and leave it
+        when the run returns or raises.  The same handler for the same
+        event twice raises :class:`~repro.errors.ConfigError` (it would
+        be delivered every event twice).
         """
-        if any(existing is listener for existing in self._listeners):
+        if (event_type, handler) in self._subscriptions:
             raise ConfigError(
-                f"listener {listener!r} is already attached")
-        listener.bind(self)
-        self._listeners.append(listener)
-
-    def _shim_subscriptions(self) -> List[Tuple[object, Callable]]:
-        """(event type, handler) pairs for every overridden hook, in
-        attach order — the EngineListener compatibility shim."""
-        base = EngineListener
-        subs: List[Tuple[object, Callable]] = []
-        for listener in self._listeners:
-            cls = type(listener)
-            if cls.on_warp_dispatched is not base.on_warp_dispatched:
-                subs.append((ENGINE_WARP_DISPATCH,
-                             listener.on_warp_dispatched))
-            if cls.on_bb_complete is not base.on_bb_complete:
-                subs.append((ENGINE_BB, listener.on_bb_complete))
-            if cls.on_warp_retired is not base.on_warp_retired:
-                subs.append((ENGINE_WARP_RETIRE, listener.on_warp_retired))
-        return subs
+                f"{handler!r} is already subscribed to {event_type.name}")
+        self._subscriptions.append((event_type, handler))
 
     def request_stop(self) -> None:
         """Stop dispatching further workgroups (resident warps drain).
@@ -293,19 +244,17 @@ class DetailedEngine:
     def run(self) -> EngineResult:
         """Run the kernel; returns the (possibly stopped-early) result.
 
-        Legacy listeners are subscribed to the engine's bus for the
-        duration of the run (the :class:`EngineListener` shim) and
-        detached afterwards, even on error.
+        Handlers registered through :meth:`subscribe` are on the
+        engine's bus for exactly this call, even when it raises.
         """
         bus = self.bus
-        shims = self._shim_subscriptions()
-        for etype, fn in shims:
+        for etype, fn in self._subscriptions:
             bus.subscribe(etype, fn)
         try:
             with bus.metrics.span("timing"):
                 return self._replay()
         finally:
-            for etype, fn in shims:
+            for etype, fn in self._subscriptions:
                 bus.unsubscribe(etype, fn)
 
     def _replay(self) -> EngineResult:

@@ -1,18 +1,21 @@
-"""Measurement listeners for the detailed engine.
+"""Measurement probes for the detailed engine.
 
 These probes are used by the observation-figure reproductions (Figures
 1–4 of the paper) and by the tests; the sampling methodologies have their
-own listeners in :mod:`repro.core` and :mod:`repro.baselines`.
+own monitors in :mod:`repro.core` and :mod:`repro.baselines`.  Like
+those, a probe is a plain class whose ``watch(engine)`` names the events
+it consumes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .engine import EngineListener
+from ..obs import ENGINE_BB, ENGINE_WARP_RETIRE
+from .engine import DetailedEngine
 
 
-class BBProbe(EngineListener):
+class BBProbe:
     """Records every dynamic basic-block execution.
 
     ``records[bb_pc]`` is a list of ``(issue_time, end_time)`` tuples in
@@ -25,6 +28,9 @@ class BBProbe(EngineListener):
     def __init__(self, track_pcs: Optional[set] = None):
         self.track_pcs = track_pcs
         self.records: Dict[int, List[Tuple[float, float]]] = {}
+
+    def watch(self, engine: DetailedEngine) -> None:
+        engine.subscribe(ENGINE_BB, self.on_bb_complete)
 
     def on_bb_complete(self, warp_id: int, bb_pc: int, start: float,
                        end: float) -> None:
@@ -50,11 +56,14 @@ class BBProbe(EngineListener):
         return [e - s for s, e in self.records.get(bb_pc, [])]
 
 
-class WarpProbe(EngineListener):
+class WarpProbe:
     """Records per-warp (issue, retired) times — data behind Figure 4."""
 
     def __init__(self) -> None:
         self.times: List[Tuple[int, float, float]] = []
+
+    def watch(self, engine: DetailedEngine) -> None:
+        engine.subscribe(ENGINE_WARP_RETIRE, self.on_warp_retired)
 
     def on_warp_retired(self, warp_id: int, dispatch: float,
                         retire: float) -> None:

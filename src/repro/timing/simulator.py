@@ -2,15 +2,19 @@
 
 :class:`Methodology` is what Photon, the baselines and full detail have
 in common: one cache hierarchy kept warm across an application's
-launches (as an execution-driven simulator would), one watchdog and one
-bus that reach *every* engine and *every* CONTROL profiling pass the
-methodology starts, and the application loop.  A methodology implements
+launches (as an execution-driven simulator would), one watchdog, one
+bus and one optional trace cache that reach *every* engine (and, the
+first two, *every* CONTROL profiling pass) the methodology starts, and
+the application loop.  A methodology implements
 :meth:`~Methodology.simulate_kernel`; everything else is inherited.
 
-:func:`simulate_kernel_detailed` runs one kernel start-to-finish in
-detailed mode and returns a :class:`KernelResult`; :class:`FullDetail`
-is that run as a methodology — the baseline every other one is compared
-against — and :func:`simulate_app_detailed` its application loop.
+:meth:`Methodology.engine` is the one place a detailed run is wired:
+observers register on the engine it returns
+(:meth:`~repro.timing.engine.DetailedEngine.subscribe`), traces come
+from the methodology's trace cache.  :class:`FullDetail` is the
+methodology that runs every instruction in detail — the baseline every
+other one is compared against; :func:`simulate_kernel_detailed` and
+:func:`simulate_app_detailed` are its one-call forms.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from ..obs import EventBus, current_bus
 from ..reliability.ledger import FallbackEvent
 from ..reliability.watchdog import WatchdogConfig
 from .caches import MemoryHierarchy
-from .engine import DetailedEngine, EngineListener
+from .engine import DetailedEngine
+from .tracecache import TraceCache
 
 
 @dataclass
@@ -96,47 +101,14 @@ class AppResult:
         return [event for k in self.kernels for event in k.errors]
 
 
-def simulate_kernel_detailed(
-    kernel: Kernel,
-    config: GpuConfig,
-    hierarchy: Optional[MemoryHierarchy] = None,
-    listeners: Optional[List[EngineListener]] = None,
-    ipc_bucket: Optional[float] = None,
-    watchdog: Optional[WatchdogConfig] = None,
-    bus: Optional[EventBus] = None,
-) -> KernelResult:
-    """Run ``kernel`` fully in detailed mode."""
-    start = _time.perf_counter()
-    engine = DetailedEngine(kernel, config, hierarchy=hierarchy,
-                            ipc_bucket=ipc_bucket, watchdog=watchdog,
-                            bus=bus)
-    for listener in listeners or ():
-        engine.attach(listener)
-    res = engine.run()
-    wall = _time.perf_counter() - start
-    result = KernelResult(
-        kernel_name=kernel.name,
-        sim_time=res.end_time,
-        wall_seconds=wall,
-        n_insts=res.n_insts,
-        mode="full",
-        detail_insts=res.n_insts,
-    )
-    result.meta["mem_stats"] = res.mem_stats
-    result.meta["warp_times"] = res.warp_times
-    if res.ipc_series is not None:
-        result.meta["ipc_series"] = res.ipc_series
-        result.meta["ipc_bucket"] = res.ipc_bucket
-    return result
-
-
 class Methodology:
     """One simulation methodology: shared state plus the application loop.
 
     Subclasses implement :meth:`simulate_kernel` and start detailed
     engines and CONTROL profiling passes only through :meth:`engine` and
     :meth:`control_traces`, so the watchdog budgets and the bus bound
-    every phase of every methodology by construction.
+    every phase of every methodology, and ``trace_cache`` (say, one
+    backed by ``--trace-store``) serves every engine, by construction.
     """
 
     #: label of the :class:`AppResult` when the caller names none
@@ -144,18 +116,22 @@ class Methodology:
 
     def __init__(self, gpu_config: GpuConfig,
                  watchdog: Optional[WatchdogConfig] = None,
-                 bus: Optional[EventBus] = None):
+                 bus: Optional[EventBus] = None,
+                 trace_cache: Optional[TraceCache] = None):
         self.gpu_config = gpu_config
         self.watchdog = watchdog
         self.bus = bus if bus is not None else current_bus()
+        self.trace_cache = trace_cache
         self.hierarchy = MemoryHierarchy(gpu_config)
 
     def engine(self, kernel: Kernel, **options) -> DetailedEngine:
-        """A detailed engine over the shared hierarchy, budgeted."""
-        return DetailedEngine(kernel, self.gpu_config,
-                              hierarchy=self.hierarchy,
-                              watchdog=self.watchdog, bus=self.bus,
-                              **options)
+        """A detailed engine over the shared hierarchy, budgeted, fed
+        by the trace cache; observers ``subscribe`` on what it returns."""
+        cache = self.trace_cache
+        return DetailedEngine(
+            kernel, self.gpu_config, hierarchy=self.hierarchy,
+            trace_provider=None if cache is None else cache.provider(kernel),
+            watchdog=self.watchdog, bus=self.bus, **options)
 
     def control_traces(self, kernel: Kernel,
                        warp_ids: Iterable[int]) -> Dict[int, ControlTrace]:
@@ -182,10 +158,39 @@ class FullDetail(Methodology):
 
     name = "full"
 
-    def simulate_kernel(self, kernel: Kernel) -> KernelResult:
-        return simulate_kernel_detailed(
-            kernel, self.gpu_config, hierarchy=self.hierarchy,
-            watchdog=self.watchdog, bus=self.bus)
+    def simulate_kernel(self, kernel: Kernel,
+                        ipc_bucket: Optional[float] = None) -> KernelResult:
+        start = _time.perf_counter()
+        res = self.engine(kernel, ipc_bucket=ipc_bucket).run()
+        result = KernelResult(
+            kernel_name=kernel.name,
+            sim_time=res.end_time,
+            wall_seconds=_time.perf_counter() - start,
+            n_insts=res.n_insts,
+            mode="full",
+            detail_insts=res.n_insts,
+        )
+        result.meta["mem_stats"] = res.mem_stats
+        result.meta["warp_times"] = res.warp_times
+        if res.ipc_series is not None:
+            result.meta["ipc_series"] = res.ipc_series
+            result.meta["ipc_bucket"] = res.ipc_bucket
+        return result
+
+
+def simulate_kernel_detailed(
+    kernel: Kernel,
+    config: GpuConfig,
+    hierarchy: Optional[MemoryHierarchy] = None,
+    ipc_bucket: Optional[float] = None,
+    watchdog: Optional[WatchdogConfig] = None,
+    bus: Optional[EventBus] = None,
+) -> KernelResult:
+    """Run ``kernel`` fully in detailed mode."""
+    full = FullDetail(config, watchdog=watchdog, bus=bus)
+    if hierarchy is not None:
+        full.hierarchy = hierarchy
+    return full.simulate_kernel(kernel, ipc_bucket=ipc_bucket)
 
 
 def simulate_app_detailed(

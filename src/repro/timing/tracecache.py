@@ -7,13 +7,15 @@ is functionally emulated at dispatch — but repeated timing runs of the
 same kernel (design-space sweeps, ablations, repeated benches) re-pay
 that cost every time.
 
-:class:`TraceCache` memoises FULL-mode warp traces per (program
-fingerprint, grid, warp), turning the engine into a trace-driven
-simulator on second and later runs.  Traces are microarchitecture
-independent (they contain opcode classes, dependencies and line
-addresses — no timing), so a cache can be safely shared across GPU
-configurations; this is the same observation that makes Photon's
-offline analysis reusable (§6.3).
+:class:`TraceCache` memoises FULL-mode warp traces per (content key,
+warp), turning the engine into a trace-driven simulator on second and
+later runs.  The content key (:func:`repro.tracestore.trace_key`:
+program digest, input-data digest, grid) is the only key there is, in
+memory and on disk, so two launches of one program over different
+inputs never alias.  Traces are microarchitecture independent (they
+contain opcode classes, dependencies and line addresses — no timing),
+so a cache can be safely shared across GPU configurations; this is the
+same observation that makes Photon's offline analysis reusable (§6.3).
 
 With a ``backing_store`` (:class:`~repro.tracestore.TraceStore`) the
 cache survives the process: misses first consult the store's bundle
@@ -24,23 +26,27 @@ traffic is published on the obs bus (``tracestore.hit`` /
 (``tracestore.*`` counters) so ``--metrics`` reports warm-start
 effectiveness.
 
-A process-wide *default* cache mirrors the default-bus pattern:
-:func:`scoped_trace_cache` installs a cache that every
-:class:`~repro.timing.engine.DetailedEngine` constructed without an
-explicit ``trace_provider`` consults — which is how ``--trace-store``
-reaches Photon's and the baselines' internal engines without threading
-a parameter through every call site.
+A cache is a value handed to whoever wires engines: a
+:class:`~repro.timing.simulator.Methodology` holds one (``trace_cache=``)
+and turns it into the ``trace_provider`` of every engine it starts —
+which is how ``--trace-store`` reaches the internal engines of all ten
+methods.  There is no process-wide default.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 
-from ..functional.batch import DEFAULT_CHUNK, PackProvider
-from ..functional.executor import FunctionalExecutor
+from ..functional.batch import PackProvider
 from ..functional.kernel import Kernel
 from ..functional.trace import WarpTrace
+from ..obs import (
+    TRACESTORE_HIT,
+    TRACESTORE_MISS,
+    TRACESTORE_WRITE,
+    current_bus,
+)
+from ..tracestore import TraceKey, trace_key
 
 
 class TraceCache:
@@ -51,39 +57,21 @@ class TraceCache:
     max_traces:
         In-memory entry cap (store-bound writes are not capped).
     backing_store:
-        Optional :class:`~repro.tracestore.TraceStore`.  When present,
-        in-memory keys switch from the fast process-local program
-        fingerprint to the store's stable content key, which also
-        covers the input data — so two same-program launches with
-        different inputs never alias.
-    batch_chunk:
-        Misses are filled through a
-        :class:`~repro.functional.batch.PackProvider` in chunks of this
-        many consecutive warps (cold-run speedup; chunking bounds
-        wasted work when a detector stops the engine early).  Warps
-        already cached in memory or available in the backing store are
-        never re-emulated by a fill.
+        Optional :class:`~repro.tracestore.TraceStore`: misses consult
+        its bundle for the kernel first, and emulated traces queue for
+        :meth:`flush`.
     """
 
-    def __init__(self, max_traces: int = 1 << 20, backing_store=None,
-                 batch_chunk: int = DEFAULT_CHUNK):
-        self._traces: Dict[Tuple, WarpTrace] = {}
-        self._executors: Dict[Tuple, FunctionalExecutor] = {}
+    def __init__(self, max_traces: int = 1 << 20, backing_store=None):
+        self._traces: Dict[Tuple[TraceKey, int], WarpTrace] = {}
         self.max_traces = max_traces
         self.backing_store = backing_store
-        self.batch_chunk = max(1, int(batch_chunk))
-        self._views: Dict[Tuple, object] = {}       # kernel key -> KernelTraces
-        self._pending: Dict[Tuple, Tuple[Kernel, Dict[int, WarpTrace]]] = {}
+        self._views: Dict[TraceKey, object] = {}    # -> KernelTraces
+        self._pending: Dict[TraceKey,
+                            Tuple[Kernel, Dict[int, WarpTrace]]] = {}
         self.hits = 0          # in-memory hits
         self.store_hits = 0    # served from the backing store
         self.misses = 0        # functionally emulated
-
-    def _kernel_key(self, kernel: Kernel) -> Tuple:
-        if self.backing_store is not None:
-            key = self.backing_store.key_for(kernel)
-            return (key.program, key.data, key.n_warps, key.wg_size,
-                    key.warp_size)
-        return (kernel.program.fingerprint, kernel.n_warps, kernel.wg_size)
 
     def provider(self, kernel: Kernel):
         """A ``trace_provider`` for :class:`DetailedEngine`.
@@ -94,13 +82,10 @@ class TraceCache:
             engine = DetailedEngine(kernel, gpu,
                                     trace_provider=cache.provider(kernel))
         """
-        from ..obs import (TRACESTORE_HIT, TRACESTORE_MISS, current_bus)
-
-        kernel_key = self._kernel_key(kernel)
-        executor = self._executors.get(kernel_key)
-        if executor is None:
-            executor = FunctionalExecutor(kernel)
-            self._executors[kernel_key] = executor
+        bus = current_bus()
+        metrics = bus.metrics
+        with metrics.span("trace_io"):
+            kernel_key = trace_key(kernel)
 
         store = self.backing_store
         view = None
@@ -108,20 +93,10 @@ class TraceCache:
         if store is not None:
             view = self._views.get(kernel_key)
             if view is None:
-                from ..tracestore import TraceKey
-
-                key = TraceKey(program=kernel_key[0], data=kernel_key[1],
-                               n_warps=kernel_key[2], wg_size=kernel_key[3],
-                               warp_size=kernel_key[4])
-                view = store.open_kernel(kernel, key=key)
+                view = store.open_kernel(kernel, key=kernel_key)
                 self._views[kernel_key] = view
-            entry = self._pending.get(kernel_key)
-            if entry is None:
-                entry = self._pending[kernel_key] = (kernel, {})
-            pending = entry[1]
+            pending = self._pending.setdefault(kernel_key, (kernel, {}))[1]
 
-        bus = current_bus()
-        metrics = bus.metrics
         c_hit = metrics.counter("tracestore.hits")
         c_store_hit = metrics.counter("tracestore.store_hits")
         c_miss = metrics.counter("tracestore.misses")
@@ -134,12 +109,12 @@ class TraceCache:
         # an earlier fill (or a CONTROL fast-forward — see
         # Kernel.path_memo) starts pre-partitioned
         emulate = PackProvider(
-            kernel, chunk=self.batch_chunk, executor=executor,
-            have=lambda w: (kernel_key + (w,) in self._traces
+            kernel,
+            have=lambda w: ((kernel_key, w) in self._traces
                             or (view is not None and view.has(w))))
 
         def provide(warp_id: int) -> WarpTrace:
-            key = kernel_key + (warp_id,)
+            key = (kernel_key, warp_id)
             trace = self._traces.get(key)
             if trace is not None:
                 self.hits += 1
@@ -183,19 +158,12 @@ class TraceCache:
         if self.backing_store is None or not self._pending:
             self._pending.clear()
             return 0
-        from ..obs import TRACESTORE_WRITE, current_bus
-
         bus = current_bus()
         write_channel = bus.channel(TRACESTORE_WRITE)
         written = 0
-        for kernel_key, (kernel, traces) in sorted(self._pending.items()):
+        for key, (kernel, traces) in sorted(self._pending.items()):
             if not traces:
                 continue
-            from ..tracestore import TraceKey
-
-            key = TraceKey(program=kernel_key[0], data=kernel_key[1],
-                           n_warps=kernel_key[2], wg_size=kernel_key[3],
-                           warp_size=kernel_key[4])
             added = self.backing_store.put_kernel(kernel, traces, key=key)
             written += added
             if write_channel.subscribers:
@@ -212,35 +180,5 @@ class TraceCache:
     def clear(self) -> None:
         """Drop all cached traces (keeps counters)."""
         self._traces.clear()
-        self._executors.clear()
         self._views.clear()
         self._pending.clear()
-
-
-# -- process-wide default cache (mirrors the obs default-bus pattern) ------
-
-_default_cache: Optional[TraceCache] = None
-
-
-def current_trace_cache() -> Optional[TraceCache]:
-    """The cache engines consult when built without a ``trace_provider``."""
-    return _default_cache
-
-
-def set_default_trace_cache(
-        cache: Optional[TraceCache]) -> Optional[TraceCache]:
-    """Install ``cache`` as the process default; returns the previous one."""
-    global _default_cache
-    previous = _default_cache
-    _default_cache = cache
-    return previous
-
-
-@contextmanager
-def scoped_trace_cache(cache: Optional[TraceCache]):
-    """Temporarily install ``cache`` as the default trace cache."""
-    previous = set_default_trace_cache(cache)
-    try:
-        yield cache
-    finally:
-        set_default_trace_cache(previous)

@@ -110,7 +110,7 @@ def kernel_data_digest(kernel: Kernel) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TraceKey:
     """Content address of one trace bundle (all warps of one launch)."""
 

@@ -54,12 +54,16 @@ deterministic regardless of worker scheduling.
 from __future__ import annotations
 
 import hashlib
-import json
 import shutil
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..durable import durable_replace
+from ..durable import (
+    canonical_json,
+    durable_replace,
+    parse_record,
+    payload_checksum,
+)
 from ..functional.kernel import Kernel
 from ..functional.trace import WarpTrace
 from .format import (
@@ -78,13 +82,6 @@ from .format import (
 )
 
 _STAGING_DIR = "staging"
-
-
-def _header_checksum(header: Dict[str, object]) -> str:
-    """Checksum over the canonical header minus its own ``checksum``."""
-    body = {k: v for k, v in header.items() if k != "checksum"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _span(name: str):
@@ -166,9 +163,8 @@ def _parse_bundle(raw: bytes, expect_key: Optional[TraceKey]) -> _BundleData:
     if newline < 0:
         data.quarantined += 1
         return data
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
+    header = parse_record(raw[:newline])
+    if header is None:
         data.quarantined += 1
         return data
     entries, paths = header.get("entries"), header.get("paths")
@@ -177,7 +173,7 @@ def _parse_bundle(raw: bytes, expect_key: Optional[TraceKey]) -> _BundleData:
         return data
     if (header.get("format") != FORMAT_NAME
             or header.get("version") != FORMAT_VERSION
-            or header.get("checksum") != _header_checksum(header)):
+            or header.get("checksum") != payload_checksum(header)):
         # unreadable or future-format bundle: every entry is a miss
         data.quarantined += len(entries) or 1
         return data
@@ -247,10 +243,8 @@ def _write_bundle(path: Path, key: TraceKey, paths: Dict[str, bytes],
                            path=index[sha])
                     for warp, (sha, blob) in sorted(lines.items())],
     }
-    header["checksum"] = _header_checksum(header)
-    payload = (json.dumps(header, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-               + b"\n" + b"".join(parts))
+    header["checksum"] = payload_checksum(header)
+    payload = canonical_json(header) + b"\n" + b"".join(parts)
     path.parent.mkdir(parents=True, exist_ok=True)
     durable_replace(payload, path, site="tracestore.bundle")
 

@@ -1,4 +1,4 @@
-"""BB/warp sampling detectors attached to a real engine."""
+"""BB/warp sampling detectors watching a real engine."""
 
 import dataclasses
 
@@ -29,7 +29,7 @@ def test_warp_detector_armed_and_switches(tiny_gpu, fast_photon_config):
     detector = WarpSamplingDetector(analysis, fast_photon_config)
     assert detector.armed
     engine = DetailedEngine(kernel, tiny_gpu)
-    engine.attach(detector)
+    detector.watch(engine)
     res = engine.run()
     assert detector.switched
     assert res.stopped
@@ -44,7 +44,7 @@ def test_bb_detector_switches_and_builds_table(tiny_gpu, fast_photon_config):
     analysis = analysis_of(kernel, config)
     detector = BBSamplingDetector(analysis, config, warp_capacity=160)
     engine = DetailedEngine(kernel, tiny_gpu)
-    engine.attach(detector)
+    detector.watch(engine)
     engine.run()
     assert detector.switched
     assert detector.stable_rate >= config.stable_bb_rate
@@ -64,7 +64,7 @@ def test_bb_detector_retire_gate_blocks_early_switch(
     analysis = analysis_of(kernel, config)
     detector = BBSamplingDetector(analysis, config, warp_capacity=10 ** 9)
     engine = DetailedEngine(kernel, tiny_gpu)
-    engine.attach(detector)
+    detector.watch(engine)
     res = engine.run()
     assert not detector.switched
     assert not res.stopped

@@ -21,9 +21,11 @@ from repro.parallel import SweepTask, plan_sweep, run_task
 from repro.reliability import FaultPlan, FaultSpec
 from repro.reliability.watchdog import WatchdogConfig
 from repro.serve.protocol import ProtocolError, normalize_request
+from repro.timing import TraceCache
 from repro.timing.simulator import AppResult
+from repro.tracestore import TraceStore
 
-from conftest import make_vecadd
+from conftest import make_loop_kernel, make_vecadd
 
 
 def _relu():
@@ -49,6 +51,35 @@ def test_instruction_budget_bounds_the_profiling_pass(method):
     with pytest.raises(BudgetExceeded, match="executor"):
         simulate_method(_relu(), method, EVAL_R9NANO, EVAL_PHOTON,
                         watchdog=WatchdogConfig(max_instructions=5))
+
+
+# ----------------------------------- the trace cache reaches every method
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_trace_cache_feeds_every_engine_of_every_method(
+        method, tmp_path, tiny_gpu, fast_photon_config):
+    """A store warmed through ``simulate_method(trace_cache=)`` serves a
+    later run of the same method entirely: nothing is emulated again,
+    whichever engines the methodology starts and wherever they stop,
+    and the result is the cache-less run's, bitwise."""
+    def run(**kwargs):
+        # 700 warps x 6 trips: Photon, PKA and TBPoint stop early
+        kernel = make_loop_kernel(n_warps=700, trips_of=lambda w: 6)
+        result = simulate_method(kernel, method, tiny_gpu,
+                                 fast_photon_config, **kwargs)
+        return (result.sim_time, result.n_insts, result.detail_insts,
+                result.mode)
+
+    reference = run()
+    store = TraceStore(tmp_path)
+    warmer = TraceCache(backing_store=store)
+    assert run(trace_cache=warmer) == reference
+    assert warmer.misses > 0 and warmer.flush() == warmer.misses
+    replayer = TraceCache(backing_store=store)
+    assert run(trace_cache=replayer) == reference
+    assert replayer.misses == 0
+    assert replayer.store_hits == warmer.misses
 
 
 def test_task_budget_bounds_a_baseline_method():

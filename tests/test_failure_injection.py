@@ -27,13 +27,14 @@ from repro.errors import (
 from repro.functional import FunctionalExecutor, GlobalMemory, Kernel
 from repro.harness import run_methods_kernel
 from repro.isa import KernelBuilder, MemAddr, s, v
+from repro.obs import ENGINE_BB, ENGINE_WARP_RETIRE, EventBus
 from repro.reliability import (
     FaultPlan,
     FaultSpec,
     RetryPolicy,
     WatchdogConfig,
 )
-from repro.timing import DetailedEngine, EngineListener
+from repro.timing import DetailedEngine, WarpProbe
 
 from conftest import make_loop_kernel, make_vecadd
 
@@ -117,18 +118,21 @@ def test_partial_final_workgroup(tiny_gpu):
     assert len(result.warp_times) == 7
 
 
-class _ExplodingListener(EngineListener):
-    def on_bb_complete(self, warp_id, bb_pc, start, end):
-        raise RuntimeError("listener bug")
-
-
 def test_listener_exceptions_propagate(tiny_gpu):
-    """A buggy methodology listener must not be silently swallowed."""
+    """A buggy methodology handler must not be silently swallowed —
+    and must not leave itself (or its neighbours) on the bus."""
+    def exploding(warp_id, bb_pc, start, end):
+        raise RuntimeError("handler bug")
+
     kernel = make_vecadd(n_warps=4)
-    engine = DetailedEngine(kernel, tiny_gpu)
-    engine.attach(_ExplodingListener())
-    with pytest.raises(RuntimeError, match="listener bug"):
+    engine = DetailedEngine(kernel, tiny_gpu, bus=EventBus())
+    probe = WarpProbe()
+    probe.watch(engine)
+    engine.subscribe(ENGINE_BB, exploding)
+    with pytest.raises(RuntimeError, match="handler bug"):
         engine.run()
+    assert not engine.bus.channel(ENGINE_BB).active
+    assert not engine.bus.channel(ENGINE_WARP_RETIRE).active
 
 
 def test_photon_config_frozen():

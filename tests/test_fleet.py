@@ -73,14 +73,14 @@ def _store_digest(root):
 def test_fleet_init_writes_loadable_manifest(tmp_path):
     tasks = _plan(("fir", "relu"))
     fleet_init(tmp_path / "fleet", tasks)
-    loaded, options = load_manifest(tmp_path / "fleet")
+    loaded = load_manifest(tmp_path / "fleet")
     assert [t.to_dict() for t in loaded] == [t.to_dict() for t in tasks]
-    assert options == {}
 
 
 def test_manifest_with_retired_functional_key_loads(tmp_path):
     """A manifest written while tasks still serialized the
-    functional-batching switch loads as the same plan."""
+    functional-batching switch, and the manifest a merge-conflict
+    option, loads as the same plan."""
     import json
 
     from repro.core.persist import payload_checksum
@@ -92,9 +92,10 @@ def test_manifest_with_retired_functional_key_loads(tmp_path):
     del body["checksum"]
     for task in body["tasks"]:
         task["photon"]["batched" + "_functional"] = False
+    body["options"] = {"on_" + "conflict": "keep"}
     body["checksum"] = payload_checksum(body)
     manifest.write_text(json.dumps(body, sort_keys=True))
-    loaded, _options = load_manifest(tmp_path / "fleet")
+    loaded = load_manifest(tmp_path / "fleet")
     assert [t.to_dict() for t in loaded] == [t.to_dict() for t in tasks]
 
 
@@ -453,7 +454,7 @@ def _seeded_fleet_schedule(tmp_path, seed):
     store = tmp_path / "store"
     fleet = fleet_init(tmp_path / "fleet",
                        _plan(("fir", "relu"), trace_store=str(store)))
-    n_tasks = len(load_manifest(fleet)[0])
+    n_tasks = len(load_manifest(fleet))
     clock = [100.0]
     for index in range(n_tasks):  # dead hosts left expired leases
         if rng.random() < 0.3:

@@ -1,10 +1,10 @@
 """Every layer emits through the bus: engine, executor, detectors,
 reliability, and the sweep scheduler, observed end to end.
 
-Also covers the legacy-listener compatibility contract: an
-``EngineListener`` attached with :meth:`DetailedEngine.attach` and a
-plain function subscribed to the corresponding bus channel must observe
-identical event sequences.
+Also covers the run-scoped subscription contract: an observer
+registered with :meth:`DetailedEngine.subscribe` and a plain function
+subscribed straight to the corresponding bus channel must observe
+identical event sequences, and the former leaves the bus with the run.
 """
 
 import dataclasses
@@ -79,7 +79,7 @@ def test_engine_waitcnt_events(tiny_gpu):
     assert warps == list(range(8))
 
 
-def test_legacy_listener_and_subscriber_see_identical_sequences(
+def test_run_scoped_and_direct_subscribers_see_identical_sequences(
         tiny_gpu):
     bus = EventBus()
     direct = []
@@ -91,8 +91,8 @@ def test_legacy_listener_and_subscriber_see_identical_sequences(
     warp_probe = WarpProbe()
     kernel = make_loop_kernel(n_warps=8, trips_of=lambda w: 4)
     engine = DetailedEngine(kernel, tiny_gpu, bus=bus)
-    engine.attach(probe)
-    engine.attach(warp_probe)
+    probe.watch(engine)
+    warp_probe.watch(engine)
     engine.run()
     bb_stream = [e[1:] for e in direct if e[0] == "bb"]
     # per-pc bb streams match exactly, in delivery order
@@ -100,19 +100,28 @@ def test_legacy_listener_and_subscriber_see_identical_sequences(
         assert [(t0, t1) for _, p, t0, t1 in bb_stream
                 if p == pc] == times
     assert sum(len(t) for t in probe.records.values()) == len(bb_stream)
-    # the retire stream matches the legacy probe tuple for tuple
+    # the retire stream matches the probe's tuple for tuple
     assert [(w, d, r) for _, w, d, r in
             (e for e in direct if e[0] == "retire")] == warp_probe.times
 
 
-def test_listener_shim_unsubscribes_after_run(tiny_gpu):
+def test_subscriptions_leave_the_bus_with_the_run(tiny_gpu):
+    """Registered, not yet subscribed; subscribed for the run; gone after
+    — and a bystander subscribed straight to the bus is left alone."""
     bus = EventBus()
-    probe = BBProbe()
+    bystander = bus.subscribe(ENGINE_WARP_RETIRE, lambda *args: None)
+    probe, warp_probe = BBProbe(), WarpProbe()
     engine = DetailedEngine(make_vecadd(n_warps=4), tiny_gpu, bus=bus)
-    engine.attach(probe)
-    engine.run()
+    probe.watch(engine)
+    warp_probe.watch(engine)
     assert not bus.channel(ENGINE_BB).active
-    assert not bus.channel(ENGINE_WARP_RETIRE).active
+    seen_during = []
+    engine.subscribe(ENGINE_WARP_RETIRE, lambda *args: seen_during.append(
+        list(bus.channel(ENGINE_WARP_RETIRE).subscribers)))
+    engine.run()
+    assert seen_during[0][:2] == [bystander, warp_probe.on_warp_retired]
+    assert not bus.channel(ENGINE_BB).active
+    assert bus.channel(ENGINE_WARP_RETIRE).subscribers == [bystander]
 
 
 def test_per_instruction_stream_only_when_subscribed(tiny_gpu):
@@ -157,7 +166,7 @@ def test_detector_switch_event(tiny_gpu, fast_photon_config):
                               BBVProjector(fast_photon_config.bbv_dim))
     detector = WarpSamplingDetector(analysis, fast_photon_config)
     engine = DetailedEngine(kernel, tiny_gpu, bus=bus)
-    engine.attach(detector)
+    detector.watch(engine)
     engine.run()
     assert detector.switched
     assert len(sink.events) == 1
@@ -274,13 +283,14 @@ def test_parallel_sweep_keeps_parent_trace_clean(tiny_gpu):
 def test_metrics_phase_names_are_pinned(tiny_gpu, tmp_path):
     """``--metrics`` reports these phase names; renaming them breaks
     every dashboard and CI grep downstream, so the set is pinned here."""
-    from repro.timing import TraceCache, scoped_trace_cache
+    from repro.timing import TraceCache
     from repro.tracestore import TraceStore
 
     with scoped_bus() as bus:
         cache = TraceCache(backing_store=TraceStore(tmp_path))
-        with scoped_trace_cache(cache):
-            DetailedEngine(make_vecadd(n_warps=4), tiny_gpu).run()
+        kernel = make_vecadd(n_warps=4)
+        DetailedEngine(kernel, tiny_gpu,
+                       trace_provider=cache.provider(kernel)).run()
         cache.flush()
         phases = bus.metrics.phases()
     assert set(phases) == {"functional", "timing", "trace_io"}

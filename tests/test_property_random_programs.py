@@ -26,8 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import R9_NANO
 from repro.functional import FunctionalExecutor, PackProvider
-from repro.timing import DetailedEngine, TraceCache, scoped_trace_cache
-from repro.timing.simulator import simulate_kernel_detailed
+from repro.timing import DetailedEngine, TraceCache
+from repro.timing.simulator import FullDetail, simulate_kernel_detailed
 from repro.tracestore import TraceStore
 
 from conftest import random_kernel_factory
@@ -115,11 +115,14 @@ def _run_exec(factory):
     return simulate_kernel_detailed(factory(), GPU)
 
 
+def _run_cached(factory, cache):
+    return FullDetail(GPU, trace_cache=cache).simulate_kernel(factory())
+
+
 def _run_memcache(factory):
     cache = TraceCache()
-    with scoped_trace_cache(cache):
-        simulate_kernel_detailed(factory(), GPU)           # populate
-        result = simulate_kernel_detailed(factory(), GPU)  # replay
+    _run_cached(factory, cache)           # populate
+    result = _run_cached(factory, cache)  # replay
     assert cache.hits > 0
     return result
 
@@ -127,12 +130,10 @@ def _run_memcache(factory):
 def _run_store(factory, tmp):
     store = TraceStore(tmp)
     warmer = TraceCache(backing_store=store)
-    with scoped_trace_cache(warmer):
-        simulate_kernel_detailed(factory(), GPU)
+    _run_cached(factory, warmer)
     assert warmer.flush() > 0
     replayer = TraceCache(backing_store=store)
-    with scoped_trace_cache(replayer):
-        result = simulate_kernel_detailed(factory(), GPU)
+    result = _run_cached(factory, replayer)
     assert replayer.misses == 0, "warm run re-emulated a warp"
     assert replayer.store_hits > 0
     return result
@@ -276,8 +277,7 @@ def test_partially_populated_store_matches(factory):
         store.put_kernel(kernel, partial, key=key)
 
         cache = TraceCache(backing_store=store)
-        with scoped_trace_cache(cache):
-            result = simulate_kernel_detailed(factory(), GPU)
+        result = _run_cached(factory, cache)
         assert cache.store_hits == len(partial)
         assert cache.misses == kernel.n_warps - len(partial)
         _assert_identical(reference, result, "partial store")

@@ -46,8 +46,7 @@ def _outcome(index, ok=True):
 def _journal_bytes(tmp_path, n_outcomes=2):
     """A real small journal's raw bytes (plan + scheduled/done pairs)."""
     run_dir = tmp_path / "run"
-    journal = SweepJournal.create(run_dir, _tiny_plan(),
-                                  options={"on_conflict": "keep"})
+    journal = SweepJournal.create(run_dir, _tiny_plan())
     tasks = _tiny_plan()
     for task in tasks[:n_outcomes]:
         journal.task_scheduled(task)

@@ -174,7 +174,8 @@ def test_resume_of_journal_with_retired_functional_key(tmp_path, value):
     """Run directories journaled while ``PhotonConfig`` still carried
     the functional-batching switch — on or off — resume to the golden
     table: the interpreter the switch selected is gone, and both
-    settings always produced identical results."""
+    settings always produced identical results.  So does the plan
+    record's retired ``options`` (it only ever said "keep")."""
     from repro.parallel.journal import decode_line, encode_record
 
     golden = run_sweep(_plan(), run_dir=str(tmp_path / "golden"))
@@ -182,6 +183,8 @@ def test_resume_of_journal_with_retired_functional_key(tmp_path, value):
         keepends=True)
     plan = decode_line(lines[0])
     del plan["checksum"]
+    assert "options" not in plan
+    plan["options"] = {"on_" + "conflict": "keep"}
     for task in plan["tasks"]:
         assert RETIRED_FUNCTIONAL_KEY not in task["photon"]
         task["photon"][RETIRED_FUNCTIONAL_KEY] = value

@@ -54,8 +54,14 @@ from repro.functional import GlobalMemory, Kernel
 from repro.functional.batch import PackProvider, WarpPackExecutor
 from repro.isa import KernelBuilder, s, v
 from repro.isa.opcodes import OpClass
-from repro.obs import ENGINE_BB, ENGINE_INST, EventBus
-from repro.timing import DetailedEngine, EngineListener
+from repro.obs import (
+    ENGINE_BB,
+    ENGINE_INST,
+    ENGINE_WARP_DISPATCH,
+    ENGINE_WARP_RETIRE,
+    EventBus,
+)
+from repro.timing import DetailedEngine
 
 from conftest import LIGHT_CHANNELS, timing_kernel_factory
 
@@ -383,15 +389,20 @@ def test_timing_batched_accounting_surfaces():
     prop()
 
 
-# -- attach-order regression pin --------------------------------------------
+# -- registration-order regression pin --------------------------------------
 
 
-class _Recorder(EngineListener):
-    """Records every callback into a shared journal, tagged by name."""
+class _Recorder:
+    """Records every delivery into a shared journal, tagged by name."""
 
     def __init__(self, tag, journal):
         self.tag = tag
         self.journal = journal
+
+    def watch(self, engine):
+        engine.subscribe(ENGINE_WARP_DISPATCH, self.on_warp_dispatched)
+        engine.subscribe(ENGINE_BB, self.on_bb_complete)
+        engine.subscribe(ENGINE_WARP_RETIRE, self.on_warp_retired)
 
     def on_warp_dispatched(self, warp_id, t):
         self.journal.append((self.tag, "dispatch", warp_id, t))
@@ -403,18 +414,18 @@ class _Recorder(EngineListener):
         self.journal.append((self.tag, "retire", warp_id, dispatch, retire))
 
 
-def _listener_journal():
+def _observer_journal():
     journal = []
-    engine = DetailedEngine(_attach_order_kernel(), GPU, bus=EventBus())
-    # attach order is part of the observable contract: listener "a"
-    # must see every event before listener "b" does
-    engine.attach(_Recorder("a", journal))
-    engine.attach(_Recorder("b", journal))
+    engine = DetailedEngine(_order_kernel(), GPU, bus=EventBus())
+    # registration order is part of the observable contract: observer
+    # "a" must see every event before observer "b" does
+    _Recorder("a", journal).watch(engine)
+    _Recorder("b", journal).watch(engine)
     engine.run()
     return journal
 
 
-def _attach_order_kernel():
+def _order_kernel():
     b = KernelBuilder("attach_order")
     b.v_lane(v(0))
     b.s_mul(s(3), s(0), 64)
@@ -433,12 +444,12 @@ def _attach_order_kernel():
 
 
 def test_attach_order_pinned_across_engines():
-    """Two listeners attached a-then-b: every event reaches "a" and then
-    "b", back to back, and a second engine built the same way delivers
-    the identical interleaved journal."""
-    journal = _listener_journal()
+    """Two observers registered a-then-b: every event reaches "a" and
+    then "b", back to back, and a second engine built the same way
+    delivers the identical interleaved journal."""
+    journal = _observer_journal()
     assert journal, "journal must not be empty"
-    assert _listener_journal() == journal
+    assert _observer_journal() == journal
     assert len(journal) % 2 == 0
     for first, second in zip(journal[0::2], journal[1::2]):
         assert first[0] == "a" and second[0] == "b"

@@ -9,8 +9,13 @@ from repro.config import R9_NANO
 from repro.errors import ConfigError
 from repro.functional import FunctionalExecutor
 from repro.functional.batch import WarpPackExecutor
-from repro.obs import ENGINE_WARP_RETIRE, EventBus
-from repro.timing import BBProbe, DetailedEngine, EngineListener, WarpProbe
+from repro.obs import (
+    ENGINE_BB,
+    ENGINE_WARP_DISPATCH,
+    ENGINE_WARP_RETIRE,
+    EventBus,
+)
+from repro.timing import BBProbe, DetailedEngine, WarpProbe
 
 from conftest import make_barrier_kernel, make_loop_kernel, make_vecadd
 
@@ -45,7 +50,7 @@ def test_barrier_synchronises_workgroup(tiny_gpu):
     kernel = make_barrier_kernel(n_warps=8, wg_size=4)
     probe = BBProbe()
     engine = DetailedEngine(kernel, tiny_gpu)
-    engine.attach(probe)
+    probe.watch(engine)
     res = engine.run()
     assert len(res.warp_times) == 8
     # the barrier splits the program into 2 blocks; both were observed
@@ -94,7 +99,7 @@ def test_latency_table_collected(tiny_gpu):
     assert res.latency_table[Opcode.V_LOAD.value] >= tiny_gpu.l1_lat
 
 
-class _StopAfter(EngineListener):
+class _StopAfter:
     """Requests a dispatch stop after N warp retirements."""
 
     def __init__(self, n):
@@ -102,8 +107,9 @@ class _StopAfter(EngineListener):
         self.engine = None
         self.seen = 0
 
-    def bind(self, engine):
+    def watch(self, engine):
         self.engine = engine
+        engine.subscribe(ENGINE_WARP_RETIRE, self.on_warp_retired)
 
     def on_warp_retired(self, warp_id, dispatch, retire):
         self.seen += 1
@@ -115,7 +121,7 @@ def test_stop_reports_undispatched_and_slots(tiny_gpu):
     kernel = make_loop_kernel(n_warps=400, trips_of=lambda w: 8)
     engine = DetailedEngine(kernel, tiny_gpu)
     stopper = _StopAfter(5)
-    engine.attach(stopper)
+    stopper.watch(engine)
     res = engine.run()
     assert res.stopped
     assert res.undispatched  # something was left to predict
@@ -139,7 +145,7 @@ def test_times_are_builtin_floats(tiny_gpu):
     with scoped_bus() as bus:
         sink = bus.add_sink(MemorySink())
         engine = DetailedEngine(kernel, tiny_gpu)
-        engine.attach(_StopAfter(5))
+        _StopAfter(5).watch(engine)
         res = engine.run()
     times = [res.end_time, res.stop_time]
     for pair in res.warp_times.values():
@@ -158,21 +164,22 @@ def test_stop_with_everything_dispatched(tiny_gpu):
     kernel = make_vecadd(n_warps=4)  # fits entirely on the GPU
     engine = DetailedEngine(kernel, tiny_gpu)
     stopper = _StopAfter(1)
-    engine.attach(stopper)
+    stopper.watch(engine)
     res = engine.run()
     assert res.stopped
     assert res.undispatched == []
     assert len(res.warp_times) == 4
 
 
-class _AbortAfter(EngineListener):
+class _AbortAfter:
     def __init__(self, n):
         self.n = n
         self.engine = None
         self.seen = 0
 
-    def bind(self, engine):
+    def watch(self, engine):
         self.engine = engine
+        engine.subscribe(ENGINE_WARP_RETIRE, self.on_warp_retired)
 
     def on_warp_retired(self, warp_id, dispatch, retire):
         self.seen += 1
@@ -183,7 +190,7 @@ class _AbortAfter(EngineListener):
 def test_abort_terminates_early(tiny_gpu):
     kernel = make_loop_kernel(n_warps=400, trips_of=lambda w: 8)
     engine = DetailedEngine(kernel, tiny_gpu)
-    engine.attach(_AbortAfter(3))
+    _AbortAfter(3).watch(engine)
     res = engine.run()
     assert res.stopped
     assert len(res.warp_times) < 400
@@ -194,8 +201,8 @@ def test_probes_capture_bb_and_warp_events(tiny_gpu):
     bb_probe = BBProbe()
     warp_probe = WarpProbe()
     engine = DetailedEngine(kernel, tiny_gpu)
-    engine.attach(bb_probe)
-    engine.attach(warp_probe)
+    bb_probe.watch(engine)
+    warp_probe.watch(engine)
     res = engine.run()
     assert len(warp_probe.times) == 8
     loop_pc = kernel.program.blocks[1].pc
@@ -229,14 +236,19 @@ def test_cp_dispatch_staggering(tiny_gpu):
     assert dispatch_times[-1] > 0.0  # staggered, not all at cycle 0
 
 
-# ------------------------------------------------ listener semantics
+# ------------------------------------------------ observer semantics
 
 
-class _Recorder(EngineListener):
-    """Records every hook invocation as a tuple, in delivery order."""
+class _Recorder:
+    """Records every delivery as a tuple, in delivery order."""
 
     def __init__(self):
         self.events = []
+
+    def watch(self, engine):
+        engine.subscribe(ENGINE_WARP_DISPATCH, self.on_warp_dispatched)
+        engine.subscribe(ENGINE_BB, self.on_bb_complete)
+        engine.subscribe(ENGINE_WARP_RETIRE, self.on_warp_retired)
 
     def on_warp_dispatched(self, warp_id, t):
         self.events.append(("dispatch", warp_id, t))
@@ -249,12 +261,13 @@ class _Recorder(EngineListener):
 
 
 def test_two_listeners_observe_identical_sequences(tiny_gpu):
-    """The attach-order contract: every listener sees the same stream."""
+    """The registration-order contract: every observer sees the same
+    stream."""
     kernel = make_loop_kernel(n_warps=8, trips_of=lambda w: 3)
     first, second = _Recorder(), _Recorder()
     engine = DetailedEngine(kernel, tiny_gpu)
-    engine.attach(first)
-    engine.attach(second)
+    first.watch(engine)
+    second.watch(engine)
     engine.run()
     assert first.events
     assert first.events == second.events
@@ -264,9 +277,10 @@ def test_two_listeners_observe_identical_sequences(tiny_gpu):
 def test_duplicate_attach_rejected(tiny_gpu):
     engine = DetailedEngine(make_vecadd(n_warps=4), tiny_gpu)
     probe = BBProbe()
-    engine.attach(probe)
-    with pytest.raises(ConfigError, match="already attached"):
-        engine.attach(probe)
+    probe.watch(engine)
+    with pytest.raises(ConfigError, match="already subscribed"):
+        probe.watch(engine)
+    BBProbe().watch(engine)   # another probe's handler is another pair
 
 
 def test_listener_sequences_repeat_across_runs(tiny_gpu):
@@ -276,7 +290,7 @@ def test_listener_sequences_repeat_across_runs(tiny_gpu):
         kernel = make_loop_kernel(n_warps=8, trips_of=lambda w: 3)
         recorder = _Recorder()
         engine = DetailedEngine(kernel, tiny_gpu)
-        engine.attach(recorder)
+        recorder.watch(engine)
         engine.run()
         streams.append(recorder.events)
     assert streams[0] == streams[1]

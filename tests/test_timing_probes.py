@@ -20,7 +20,7 @@ def test_bb_probe_filtering(tiny_gpu):
     loop_pc = kernel.program.blocks[1].pc
     probe = BBProbe(track_pcs={loop_pc})
     engine = DetailedEngine(kernel, tiny_gpu)
-    engine.attach(probe)
+    probe.watch(engine)
     engine.run()
     assert set(probe.records) == {loop_pc}
     assert len(probe.exec_times(loop_pc)) == 8 * 3
@@ -41,7 +41,7 @@ def test_warp_probe_ordering(tiny_gpu):
     kernel = make_loop_kernel(n_warps=12, trips_of=lambda w: 2)
     probe = WarpProbe()
     engine = DetailedEngine(kernel, tiny_gpu)
-    engine.attach(probe)
+    probe.watch(engine)
     engine.run()
     retires = [r for _, _, r in probe.times]
     assert retires == sorted(retires)  # recorded in retirement order

@@ -14,6 +14,9 @@ def test_cache_hits_on_second_run(tiny_gpu):
     first = DetailedEngine(kernel, tiny_gpu,
                            trace_provider=cache.provider(kernel)).run()
     assert cache.misses == 8 and cache.hits == 0
+    # the key covers the memory image, which the run's stores changed:
+    # a replay launches a freshly built kernel, as a store-backed one does
+    kernel = make_vecadd(n_warps=8)
     second = DetailedEngine(kernel, tiny_gpu,
                             trace_provider=cache.provider(kernel)).run()
     assert cache.hits == 8
@@ -41,6 +44,7 @@ def test_cache_shared_across_gpu_configs(tiny_gpu):
     res_a = DetailedEngine(
         kernel, tiny_gpu, trace_provider=cache.provider(kernel)).run()
     slow = dataclasses.replace(tiny_gpu, dram_lat=2000, name="slow")
+    kernel = make_vecadd(n_warps=16)
     res_b = DetailedEngine(
         kernel, slow, trace_provider=cache.provider(kernel)).run()
     assert cache.hits == 16
@@ -116,19 +120,47 @@ def test_backing_store_shared_across_gpu_configs(tiny_gpu, tmp_path):
     assert res_b.end_time > res_a.end_time  # timing still config-driven
 
 
-def test_default_cache_wires_into_engine(tiny_gpu):
-    """Engines built without a trace_provider consult the scoped cache."""
-    from repro.timing import current_trace_cache, scoped_trace_cache
+def test_methodology_cache_wires_into_engines(tiny_gpu):
+    """Every engine a methodology starts is fed by the cache it holds;
+    an engine built without a ``trace_provider`` consults none."""
+    from repro.timing.simulator import FullDetail
 
-    assert current_trace_cache() is None
     cache = TraceCache()
-    with scoped_trace_cache(cache):
-        assert current_trace_cache() is cache
-        kernel = make_vecadd(n_warps=4)
-        DetailedEngine(kernel, tiny_gpu).run()
-        DetailedEngine(kernel, tiny_gpu).run()
+    full = FullDetail(tiny_gpu, trace_cache=cache)
+    first = full.simulate_kernel(make_vecadd(n_warps=4))
+    assert cache.misses == 4 and cache.hits == 0
+    DetailedEngine(make_vecadd(n_warps=4), tiny_gpu).run()
+    assert cache.misses == 4 and cache.hits == 0
+    full.hierarchy.reset_timing()
+    second = full.simulate_kernel(make_vecadd(n_warps=4))
     assert cache.misses == 4 and cache.hits == 4
-    assert current_trace_cache() is None
+    assert second.meta["warp_times"].keys() == first.meta["warp_times"].keys()
+
+
+def test_same_program_different_data_never_alias():
+    """Two spmv launches built from different seeds share a program (and
+    so ``Program.fingerprint``) but not a trace: the second run through
+    a shared store-less cache equals its own cold run bitwise."""
+    from repro.harness.defaults import EVAL_R9NANO
+    from repro.timing.simulator import FullDetail
+    from repro.workloads.base import REGISTRY
+
+    build = REGISTRY["spmv"]
+    assert (build(64, seed=1).program.fingerprint
+            == build(64, seed=2).program.fingerprint)
+    cold = FullDetail(EVAL_R9NANO).simulate_kernel(build(64, seed=2))
+
+    cache = TraceCache()
+    FullDetail(EVAL_R9NANO, trace_cache=cache).simulate_kernel(
+        build(64, seed=1))
+    hits_before = cache.hits
+    shared = FullDetail(EVAL_R9NANO, trace_cache=cache).simulate_kernel(
+        build(64, seed=2))
+    assert cache.hits == hits_before == 0
+    assert (shared.sim_time, shared.n_insts) == (cold.sim_time,
+                                                 cold.n_insts)
+    assert shared.meta["warp_times"] == cold.meta["warp_times"]
+    assert shared.meta["mem_stats"] == cold.meta["mem_stats"]
 
 
 def test_store_events_on_bus(tiny_gpu, tmp_path):

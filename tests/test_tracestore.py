@@ -21,7 +21,7 @@ import pytest
 from conftest import make_loop_kernel, make_vecadd
 from repro.config import R9_NANO
 from repro.functional import FunctionalExecutor
-from repro.timing import DetailedEngine, TraceCache, scoped_trace_cache
+from repro.timing import DetailedEngine, TraceCache
 from repro.tracestore import (
     FORMAT_VERSION,
     TraceStore,
@@ -37,7 +37,7 @@ from repro.tracestore.format import (
     encode_path,
     mem_positions,
 )
-from repro.tracestore.store import _header_checksum
+from repro.durable import payload_checksum
 
 GPU = R9_NANO.scaled(4)
 
@@ -263,7 +263,7 @@ def _split_bundle(path):
 
 def _write_header(path, header, body):
     header = dict(header)
-    header["checksum"] = _header_checksum(header)
+    header["checksum"] = payload_checksum(header)
     path.write_bytes(json.dumps(header, sort_keys=True,
                                 separators=(",", ":")).encode()
                      + b"\n" + body)
@@ -341,8 +341,9 @@ def test_corruption_never_fails_the_run(tmp_path):
     path.write_bytes(b"not a bundle at all")
 
     cache = TraceCache(backing_store=TraceStore(tmp_path))
-    with scoped_trace_cache(cache):
-        result = DetailedEngine(make_vecadd(n_warps=4), GPU).run()
+    kernel = make_vecadd(n_warps=4)
+    result = DetailedEngine(kernel, GPU,
+                            trace_provider=cache.provider(kernel)).run()
     assert cache.store_hits == 0
     assert cache.misses == 4
     assert result.end_time == reference.end_time
@@ -609,9 +610,9 @@ def test_golden_fixture_replays_bit_identically():
     reference = DetailedEngine(make_vecadd(n_warps=4, wg_size=2),
                                GPU).run()
     cache = TraceCache(backing_store=TraceStore(FIXTURE_DIR))
-    with scoped_trace_cache(cache):
-        result = DetailedEngine(make_vecadd(n_warps=4, wg_size=2),
-                                GPU).run()
+    kernel = make_vecadd(n_warps=4, wg_size=2)
+    result = DetailedEngine(kernel, GPU,
+                            trace_provider=cache.provider(kernel)).run()
     assert cache.store_hits == 4
     assert cache.misses == 0
     assert result.end_time == reference.end_time
