@@ -11,7 +11,7 @@ from .config import PhotonConfig
 from .detectors import BBSamplingDetector, WarpSamplingDetector
 from .interval import IntervalModel, default_latency
 from .kerneldb import KernelDB, KernelPrediction, KernelRecord
-from .lsq import RollingSlope, StabilityDetector, least_squares_fit
+from .lsq import StabilityDetector, least_squares_fit
 from .online import OnlineAnalysis, analyze_kernel, select_sample
 from .persist import (
     load_analysis_store,
@@ -33,7 +33,6 @@ __all__ = [
     "OnlineAnalysis",
     "Photon",
     "PhotonConfig",
-    "RollingSlope",
     "StabilityDetector",
     "WarpSamplingDetector",
     "analyze_kernel",

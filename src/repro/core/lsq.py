@@ -15,7 +15,6 @@ mean over the previous ``n`` by less than the same threshold ``δ``.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Tuple
 
 
@@ -39,127 +38,141 @@ def least_squares_fit(xs, ys) -> Tuple[float, float]:
     return a, b
 
 
-class RollingSlope:
-    """O(1)-update least-squares slope over a sliding window."""
-
-    def __init__(self, window: int):
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        self.window = window
-        self._pts: deque = deque()
-        self._sx = 0.0
-        self._sy = 0.0
-        self._sxy = 0.0
-        self._sxx = 0.0
-
-    def add(self, x: float, y: float) -> None:
-        """Insert an observation, evicting the oldest beyond the window."""
-        self._pts.append((x, y))
-        self._sx += x
-        self._sy += y
-        self._sxy += x * y
-        self._sxx += x * x
-        if len(self._pts) > self.window:
-            ox, oy = self._pts.popleft()
-            self._sx -= ox
-            self._sy -= oy
-            self._sxy -= ox * oy
-            self._sxx -= ox * ox
-
-    @property
-    def count(self) -> int:
-        return len(self._pts)
-
-    @property
-    def full(self) -> bool:
-        return len(self._pts) == self.window
-
-    def slope(self) -> Optional[float]:
-        """Current window slope, or None if undefined (degenerate x)."""
-        n = len(self._pts)
-        if n < 2:
-            return None
-        denom = self._sxx - self._sx * self._sx / n
-        if abs(denom) < 1e-12:
-            return None
-        return (self._sxy - self._sx * self._sy / n) / denom
+def observations_needed(window: int, mean_check: bool) -> int:
+    """Observations before a stream *can* be judged stable: one full
+    window for the slope, a second one behind it for the mean guard."""
+    return window * (2 if mean_check else 1)
 
 
 class StabilityDetector:
     """Photon's per-stream stability criterion.
 
-    Feed ``(issue, retired)`` pairs with :meth:`add`; :meth:`is_stable`
-    reports whether the last ``window`` observations have a least-squares
-    slope within ``delta`` of one AND (optionally) the mean execution
-    duration over the last ``window`` differs from the previous
-    ``window``'s by less than ``delta`` relative — the local-optimum
-    guard from Sections 4.1/4.2.
+    Feed ``(issue, retired)`` pairs to :attr:`observe` (``add`` is the
+    same function): it returns whether the last ``window`` observations
+    have a least-squares slope within ``delta`` of one AND (optionally)
+    the mean execution duration over the last ``window`` differs from
+    the previous ``window``'s by less than ``mean_delta`` relative — the
+    local-optimum guard from Sections 4.1/4.2 — and ``False``, without
+    a slope, until ``need`` observations have arrived.
+
+    ``observe`` runs once per basic block of a detailed simulation, so
+    it is one closure over local floats.  One ring of ``2 * window``
+    points backs both windows: the point one window old leaves the
+    slope sums and moves from the recent duration sum to the older one,
+    the point two windows old leaves that and its cell is reused.  Each
+    sum is updated add-first, subtract-second, so results depend on the
+    stream alone (``tests/golden/lsq_verdicts.json`` pins the last bit).
     """
 
     def __init__(self, window: int, delta: float, mean_check: bool = True,
                  mean_delta: Optional[float] = None):
-        self._slope = RollingSlope(window)
+        if window < 2:
+            raise ValueError("window must be >= 2")
         self.window = window
         self.delta = delta
         self.mean_check = mean_check
         # threshold for the window-mean drift guard; defaults to the slope
         # threshold (the paper uses one delta), but may be calibrated
         # separately for substrates with noisier steady states
-        self.mean_delta = delta if mean_delta is None else mean_delta
-        self._recent: deque = deque()  # last n durations
-        self._older: deque = deque()  # previous n durations
-        self._recent_sum = 0.0
-        self._older_sum = 0.0
-        self.observations = 0
+        self.mean_delta = mean_delta = (
+            delta if mean_delta is None else mean_delta)
+        self.need = need = observations_needed(window, mean_check)
 
-    def add(self, issue: float, retired: float) -> None:
-        """Record one execution's (issue, retired) times."""
-        self._slope.add(issue, retired)
-        self.observations += 1
-        duration = retired - issue
-        self._recent.append(duration)
-        self._recent_sum += duration
-        if len(self._recent) > self.window:
-            moved = self._recent.popleft()
-            self._recent_sum -= moved
-            self._older.append(moved)
-            self._older_sum += moved
-            if len(self._older) > self.window:
-                self._older_sum -= self._older.popleft()
+        size = 2 * window
+        span = float(window)
+        xs, ys = [], []  # the ring: grows to ``size`` points, then wraps
+        n = 0
+        sx = sy = sxy = sxx = 0.0
+        recent = older = 0.0  # duration sums: last window, the one before
+        stable = False
+
+        def observe(issue: float, retired: float) -> bool:
+            nonlocal n, sx, sy, sxy, sxx, recent, older, stable
+            pos = n % size
+            sx += issue
+            sy += retired
+            sxy += issue * retired
+            sxx += issue * issue
+            recent += retired - issue
+            if n >= window:
+                # one window old; in a full ring a negative index wraps
+                ox = xs[pos - window]
+                oy = ys[pos - window]
+                sx -= ox
+                sy -= oy
+                sxy -= ox * oy
+                sxx -= ox * ox
+                moved = oy - ox
+                recent -= moved
+                older += moved
+                if n >= size:
+                    older -= ys[pos] - xs[pos]
+            if n < size:
+                xs.append(issue)
+                ys.append(retired)
+            else:
+                xs[pos] = issue
+                ys[pos] = retired
+            n += 1
+            if n < need:
+                return False
+            # the criterion, comparisons in place of abs() / max() calls
+            stable = False
+            denom = sxx - sx * sx / span
+            if (denom >= 1e-12 or denom <= -1e-12) and (
+                    -delta < (sxy - sx * sy / span) / denom - 1.0 < delta):
+                stable = True
+                if mean_check:
+                    recent_mean = recent / span
+                    older_mean = older / span
+                    drift = recent_mean - older_mean
+                    if drift < 0.0:
+                        drift = -drift
+                    if recent_mean < 0.0:
+                        recent_mean = -recent_mean
+                    if older_mean < 0.0:
+                        older_mean = -older_mean
+                    scale = (recent_mean if recent_mean > older_mean
+                             else older_mean)
+                    if scale < 1e-12:
+                        scale = 1e-12
+                    stable = drift / scale < mean_delta
+            return stable
+
+        self.observe = self.add = observe
+        self._state = lambda: (n, sx, sy, sxy, sxx, recent, stable)
+
+    @property
+    def observations(self) -> int:
+        return self._state()[0]
 
     @property
     def ready(self) -> bool:
         """True once enough observations exist to judge stability."""
-        if not self._slope.full:
-            return False
-        if self.mean_check and len(self._older) < self.window:
-            return False
-        return True
+        return self.observations >= self.need
 
     def is_stable(self) -> bool:
-        """Apply the paper's criterion to the current windows."""
-        if not self.ready:
-            return False
-        a = self._slope.slope()
-        if a is None or abs(a - 1.0) >= self.delta:
-            return False
-        if self.mean_check:
-            recent_mean = self._recent_sum / len(self._recent)
-            older_mean = self._older_sum / len(self._older)
-            scale = max(abs(recent_mean), abs(older_mean), 1e-12)
-            if abs(recent_mean - older_mean) / scale >= self.mean_delta:
-                return False
-        return True
+        """The verdict of the latest observation."""
+        return self._state()[-1]
 
     def mean_duration(self) -> float:
         """Mean execution duration over the most recent window.
 
         This is the predictor used once a stream is declared stable.
         """
-        if not self._recent:
+        n, *_, recent, _ = self._state()
+        if not n:
             raise ValueError("no observations")
-        return self._recent_sum / len(self._recent)
+        return recent / min(n, self.window)
 
     def slope(self) -> Optional[float]:
-        """Expose the current slope (for diagnostics and figures)."""
-        return self._slope.slope()
+        """Least-squares slope over the most recent window, or None
+        while undefined (fewer than two points, degenerate x)."""
+        n, sx, sy, sxy, sxx, _, _ = self._state()
+        n = min(n, self.window)
+        if n < 2:
+            return None
+        denom = sxx - sx * sx / n
+        if abs(denom) < 1e-12:
+            return None
+        return (sxy - sx * sy / n) / denom

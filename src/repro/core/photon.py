@@ -360,33 +360,27 @@ class Photon(Methodology):
         allow: Dict[str, bool],
     ) -> KernelResult:
         engine = self.engine(kernel, collect_latency=True)
-        bb_detector = None
-        warp_detector = None
-        if allow["bb"]:
-            capacity = (self.gpu_config.n_cu
-                        * self.gpu_config.max_warps_per_cu)
-            bb_detector = BBSamplingDetector(analysis, self.config,
-                                             warp_capacity=capacity,
+        capacity = self.gpu_config.n_cu * self.gpu_config.max_warps_per_cu
+        bb_detector = BBSamplingDetector(analysis, self.config,
+                                         warp_capacity=capacity,
+                                         fault_plan=self.fault_plan)
+        warp_detector = WarpSamplingDetector(analysis, self.config,
                                              fault_plan=self.fault_plan)
-            bb_detector.watch(engine)
+        # a detector that cannot fire on this kernel subscribes nothing
+        # (``watch`` returns False): the run is then the full-detail one
+        bb_listens = allow["bb"] and bb_detector.watch(engine)
         if allow["warp"]:
-            warp_detector = WarpSamplingDetector(analysis, self.config,
-                                                 fault_plan=self.fault_plan)
-            if warp_detector.armed:
-                warp_detector.watch(engine)
+            warp_detector.watch(engine)
 
         detailed = engine.run()
         self.interval_model.update(detailed.latency_table)
 
-        warp_switched = warp_detector is not None and warp_detector.switched
-        bb_switched = bb_detector is not None and bb_detector.switched
-
         if detailed.stopped and detailed.undispatched:
             remaining = detailed.undispatched
-            if warp_switched:
+            if warp_detector.switched:
                 return self._finish_warp_sampling(
                     kernel, analysis, detailed, warp_detector, remaining)
-            if bb_switched:
+            if bb_detector.switched:
                 return self._finish_bb_sampling(
                     kernel, analysis, detailed, bb_detector, remaining)
 
@@ -399,8 +393,10 @@ class Photon(Methodology):
             mode="full",
             detail_insts=detailed.n_insts,
         )
-        if bb_detector is not None:
+        if bb_listens:
             result.meta["stable_bb_rate"] = bb_detector.stable_rate
+        elif allow["bb"]:
+            result.meta["bb_detector"] = "cannot_fire"
         return result
 
     def _finish_warp_sampling(self, kernel, analysis, detailed,

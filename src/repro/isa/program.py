@@ -12,7 +12,7 @@ first instruction, exactly as SimPoint-style BBVs do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..errors import IsaError
 from .instructions import Instruction, validate_instruction
@@ -112,6 +112,28 @@ class Program:
                 for inst in self.instructions
             ))
             self._fingerprint = cached
+        return cached
+
+    @property
+    def once_per_warp_pcs(self) -> FrozenSet[int]:
+        """PCs of the blocks a warp executes at most once.
+
+        A warp has one program counter, and only a branch whose target
+        is not ahead of it moves that counter backwards: a block
+        outside every backward-branch span ``[target, branch]`` cannot
+        be reached a second time.  (Data-dependent trip counts do not
+        matter — a block inside a span is simply not in this set.)
+        """
+        cached = getattr(self, "_once_per_warp_pcs", None)
+        if cached is None:
+            spans = [(inst.target, i)
+                     for i, inst in enumerate(self.instructions)
+                     if inst.target is not None and inst.target <= i]
+            cached = frozenset(
+                block.pc for block in self.blocks
+                if not any(target <= block.pc <= branch
+                           for target, branch in spans))
+            self._once_per_warp_pcs = cached
         return cached
 
     def block_at(self, pc: int) -> BasicBlock:

@@ -48,6 +48,7 @@ from .chrome import to_chrome_trace
 from .events import (
     ALL_TYPES,
     CORE_KINDS,
+    DETECTOR_ELIDED,
     DETECTOR_SWITCH,
     ENGINE_BARRIER,
     ENGINE_BB,
@@ -97,6 +98,7 @@ __all__ = [
     "ChromeTraceSink",
     "Counter",
     "CountingSink",
+    "DETECTOR_ELIDED",
     "DETECTOR_SWITCH",
     "ENGINE_BARRIER",
     "ENGINE_BB",

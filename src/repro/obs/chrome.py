@@ -104,6 +104,12 @@ def to_chrome_trace(events: Iterable[Dict],
             out.append(_instant("control", "detector",
                                 f"switch→{ev['level']}", note(ev["t"]),
                                 {"kernel": ev.get("kernel")}))
+        elif kind == "detector.elided":
+            out.append(_instant("control", "detector",
+                                f"{ev['level']} elided", last_t,
+                                {"kernel": ev.get("kernel"),
+                                 "reachable": ev.get("reachable"),
+                                 "need": ev.get("need")}))
         elif kind == "reliability.fallback":
             out.append(_instant(
                 "control", "fallback",

@@ -130,6 +130,12 @@ TRACESTORE_EVICT = EventType(
 DETECTOR_SWITCH = EventType(
     "detector.switch", ("kernel", "level", "t"),
     "A sampling detector declared stability and stopped dispatch.")
+DETECTOR_ELIDED = EventType(
+    "detector.elided", ("kernel", "level", "reachable", "need"),
+    "A detector that provably cannot fire was not subscribed: for "
+    "'bb', `reachable` is the instruction share of the blocks that can "
+    "fill a window and `need` is stable_bb_rate; for 'warp', the "
+    "kernel's warps and the observations a verdict needs.")
 
 # -- reliability -----------------------------------------------------------
 
@@ -206,6 +212,7 @@ ALL_TYPES: Dict[str, EventType] = {
         ENGINE_STALL, ENGINE_INST, EXEC_WARP, EXEC_BATCH,
         EXEC_BATCH_FALLBACK, TRACESTORE_HIT, TRACESTORE_MISS,
         TRACESTORE_WRITE, TRACESTORE_EVICT, DETECTOR_SWITCH,
+        DETECTOR_ELIDED,
         RELIABILITY_FALLBACK, RELIABILITY_FAULT, RELIABILITY_WATCHDOG,
         RELIABILITY_RETRY, PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME,
         SWEEP_FLEET, SERVE_REQUEST, SERVE_DEDUP, SERVE_QUEUE,
@@ -226,6 +233,7 @@ CORE_KINDS = tuple(
     t.name for t in (
         ENGINE_KERNEL, EXEC_BATCH, EXEC_BATCH_FALLBACK,
         TRACESTORE_WRITE, TRACESTORE_EVICT, DETECTOR_SWITCH,
+        DETECTOR_ELIDED,
         RELIABILITY_FALLBACK, RELIABILITY_FAULT, RELIABILITY_WATCHDOG,
         RELIABILITY_RETRY, PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME,
         SWEEP_FLEET, SERVE_REQUEST, SERVE_DEDUP, SERVE_QUEUE,

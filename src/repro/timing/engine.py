@@ -299,6 +299,8 @@ class DetailedEngine:
         if not waitcnt_subs:
             lat_of[_CLS_WAITCNT] = lat_branch
 
+        # memory opcodes only: a fixed-latency class would read ``lat_of``
+        # back, and the common member path stays free of accounting
         collect_latency = self.collect_latency
         if collect_latency:
             lat_sum = [0.0] * _N_CODES
@@ -442,7 +444,7 @@ class DetailedEngine:
         n_insts = 0
         # one test per member while nobody counts instructions (read
         # once, like has_bb: subscribe before the run)
-        accounted = bool(inst_subs) or bucket is not None or collect_latency
+        accounted = bool(inst_subs) or bucket is not None
         end_time = 0.0
         aborted = False
 
@@ -505,9 +507,17 @@ class DetailedEngine:
                                                         issue)
                         else:
                             retire = issue + 1.0
+                        if collect_latency:
+                            code = code_l[s][i]
+                            lat_sum[code] += retire - issue
+                            lat_cnt[code] += 1
                     elif cls == _CLS_SCALAR_MEM:
                         retire = scalar_access(cu_l[s], mem_l[s][i][0],
                                                issue)
+                        if collect_latency:
+                            code = code_l[s][i]
+                            lat_sum[code] += retire - issue
+                            lat_cnt[code] += 1
                     elif cls == _CLS_WAITCNT:
                         retire = issue + lat_branch
                         for fn in waitcnt_subs:
@@ -586,10 +596,6 @@ class DetailedEngine:
                                 fn(warp_l[s], cls, issue, retire)
                         if bucket is not None:
                             _bump(ipc_series, int(retire // bucket))
-                        if collect_latency:
-                            code = code_l[s][i]
-                            lat_sum[code] += retire - issue
-                            lat_cnt[code] += 1
 
                     i += 1
                     cur_l[s] = i

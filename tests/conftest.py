@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,16 @@ def fast_photon_config():
         bb_window=32, warp_window=16, min_sample_warps=4,
         mean_delta=0.3, bb_retire_gate_fraction=0.1,
     )
+
+
+def write_golden(path, records: dict) -> None:
+    """Write a golden JSON file, one record per line: a changed case is
+    a one-line diff (the re-record entry points of the golden suites)."""
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("{\n" + ",\n".join(
+        f"{json.dumps(key)}: {json.dumps(rec, sort_keys=True)}"
+        for key, rec in records.items()) + "\n}\n")
+    print(f"wrote {len(records)} records to {path}")
 
 
 def request_stop_after_bbs(engine, n: int) -> None:
@@ -230,6 +242,18 @@ class RandomSource:
         self.integers = rng.randint
         self.choice = rng.choice
         self.booleans = lambda: rng.random() < 0.5
+
+
+class DrawSource:
+    """Hypothesis' ``draw`` behind the same interface (the property
+    suites call the generators below from ``@st.composite``)."""
+
+    def __init__(self, draw):
+        from hypothesis import strategies as st
+
+        self.integers = lambda lo, hi: draw(st.integers(lo, hi))
+        self.choice = lambda seq: draw(st.sampled_from(seq))
+        self.booleans = lambda: draw(st.booleans())
 
 
 def random_kernel_factory(src):

@@ -90,3 +90,28 @@ def test_interval_time_close_to_detailed_single_warp(tiny_gpu):
     predicted = sum(model.bb_time(prog, blk) for blk in prog.blocks)
     assert predicted == pytest.approx(detailed, rel=1.0)
     assert predicted > 0
+
+
+def test_empty_table_reads_configured_fixed_latencies():
+    """The engine's latency table holds memory opcodes only; for every
+    fixed-latency opcode the model must fall back to exactly what the
+    engine charges (``lat_of`` in ``timing/engine.py``)."""
+    from repro.harness.defaults import EVAL_MI100, EVAL_R9NANO
+    from repro.isa.instructions import Instruction
+    from repro.isa.opcodes import OpClass, op_class
+
+    for gpu in (EVAL_R9NANO, EVAL_MI100):
+        charged = {
+            OpClass.SCALAR_ALU: gpu.scalar_alu_lat,
+            OpClass.VECTOR_ALU: gpu.vector_alu_lat,
+            OpClass.LDS: gpu.lds_lat,
+            OpClass.BRANCH: gpu.branch_lat,
+            OpClass.WAITCNT: gpu.branch_lat,
+        }
+        model = IntervalModel(gpu)
+        fixed = [op for op in Opcode if op_class(op) in charged]
+        assert len(fixed) > 40
+        for op in fixed:
+            latency = model.latency_of(Instruction(opcode=op))
+            assert latency == float(charged[op_class(op)]), op
+            assert isinstance(latency, float)

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import RollingSlope, StabilityDetector, least_squares_fit
+from repro.core import StabilityDetector, least_squares_fit
 
 
 def test_exact_fit_recovery():
@@ -40,9 +40,14 @@ def test_property_fit_recovers_noiseless_line(a, b, xs):
     assert fit_a == pytest.approx(a, abs=1e-4, rel=1e-4)
 
 
+def _slope_only(window):
+    """A detector used for its rolling slope alone."""
+    return StabilityDetector(window, delta=0.03, mean_check=False)
+
+
 def test_rolling_slope_matches_batch():
     window = 8
-    roll = RollingSlope(window)
+    roll = _slope_only(window)
     points = [(float(i), 1.5 * i + (i % 3)) for i in range(30)]
     for x, y in points:
         roll.add(x, y)
@@ -52,24 +57,28 @@ def test_rolling_slope_matches_batch():
 
 
 def test_rolling_slope_window_eviction():
-    roll = RollingSlope(4)
+    roll = _slope_only(4)
     for i in range(100):
         roll.add(float(i), float(2 * i))
-    assert roll.count == 4
-    assert roll.full
+    assert roll.observations == 100
+    assert roll.ready
+    # only the last four points remain in the sums: slope and mean
+    # duration are theirs (x = 96..99, duration = x)
     assert roll.slope() == pytest.approx(2.0)
+    assert roll.mean_duration() == pytest.approx(97.5)
 
 
 def test_rolling_slope_degenerate_returns_none():
-    roll = RollingSlope(4)
+    roll = _slope_only(4)
     for _ in range(4):
         roll.add(5.0, 1.0)
     assert roll.slope() is None
+    assert not roll.is_stable()
 
 
 def test_rolling_slope_rejects_tiny_window():
     with pytest.raises(ValueError):
-        RollingSlope(1)
+        StabilityDetector(1, delta=0.03)
 
 
 def _feed_stable(detector, count, start=0.0, duration=10.0, step=5.0):

@@ -189,3 +189,96 @@ def test_waitcnt_split_executes_consistently():
     fine = FunctionalExecutor(finer).run_warp_control(0)
     assert fine.n_insts == coarse.n_insts
     assert len(fine.bb_seq) > len(coarse.bb_seq)
+
+
+# -- once-per-warp classification (what detector elision rests on) ---------
+
+
+def _once(fn):
+    prog = build(fn)
+    return prog, sorted(prog.once_per_warp_pcs)
+
+
+def test_once_per_warp_straight_line():
+    def body(b):
+        b.v_lane(v(0))
+        b.s_barrier()           # ends a block without a branch
+        b.v_add(v(0), v(0), 1.0)
+        b.s_endpgm()
+
+    prog, once = _once(body)
+    assert once == [blk.pc for blk in prog.blocks] == [0, 2]
+
+
+def test_once_per_warp_loop_header_body_exit():
+    def body(b):
+        b.s_mov(s(3), 0)            # 0: header, once
+        b.label("loop")
+        b.s_add(s(3), s(3), 1)      # 1: body, repeats
+        b.s_cmp_lt(s(3), 4)
+        b.s_cbranch_scc1("loop")
+        b.v_lane(v(0))              # 4: exit, once
+        b.s_endpgm()
+
+    prog, once = _once(body)
+    assert [blk.pc for blk in prog.blocks] == [0, 1, 4]
+    assert once == [0, 4]
+
+
+def test_once_per_warp_single_block_self_loop():
+    def body(b):
+        b.label("spin")
+        b.s_cbranch_scc1("spin")    # 0: target == branch
+        b.s_endpgm()
+
+    _, once = _once(body)
+    assert once == [1]
+
+
+def test_once_per_warp_nested_loops():
+    def body(b):
+        b.s_mov(s(3), 0)            # 0: once
+        b.label("outer")
+        b.s_mov(s(4), 0)            # 1: outer only — still repeats
+        b.label("inner")
+        b.s_add(s(4), s(4), 1)      # 2: inner
+        b.s_cmp_lt(s(4), 3)
+        b.s_cbranch_scc1("inner")
+        b.s_add(s(3), s(3), 1)      # 5: between the two back edges
+        b.s_cmp_lt(s(3), 2)
+        b.s_cbranch_scc1("outer")
+        b.s_endpgm()                # 8: once
+
+    prog, once = _once(body)
+    assert [blk.pc for blk in prog.blocks] == [0, 1, 2, 5, 8]
+    assert once == [0, 8]
+
+
+def test_once_per_warp_forward_branch_over_a_block():
+    def body(b):
+        b.s_cmp_lt(s(0), 4)
+        b.s_cbranch_scc0("join")    # forward: spans nothing
+        b.v_lane(v(0))              # 2: skipped by some warps, never twice
+        b.label("join")
+        b.v_add(v(0), v(0), 1.0)    # 3
+        b.s_endpgm()
+
+    prog, once = _once(body)
+    assert once == [blk.pc for blk in prog.blocks] == [0, 2, 3]
+
+
+def test_once_per_warp_forward_branch_inside_a_loop_repeats():
+    def body(b):
+        b.s_mov(s(3), 0)            # 0: once
+        b.label("loop")
+        b.s_cmp_lt(s(0), 4)         # 1
+        b.s_cbranch_scc0("skip")
+        b.v_lane(v(0))              # 3: inside the span
+        b.label("skip")
+        b.s_add(s(3), s(3), 1)      # 4
+        b.s_cmp_lt(s(3), 4)
+        b.s_cbranch_scc1("loop")
+        b.s_endpgm()                # 7: once
+
+    _, once = _once(body)
+    assert once == [0, 7]

@@ -15,6 +15,8 @@ from repro.core import Photon
 from repro.errors import BudgetExceeded, InjectedFault
 from repro.functional import FunctionalExecutor
 from repro.obs import (
+    CORE_KINDS,
+    DETECTOR_ELIDED,
     DETECTOR_SWITCH,
     ENGINE_BB,
     ENGINE_INST,
@@ -175,6 +177,32 @@ def test_detector_switch_event(tiny_gpu, fast_photon_config):
     assert switch.fields["kernel"] == "loopy"
     assert switch.fields["t"] == detector.switch_time
     assert bus.metrics.counter("detector.warp_switches").value == 1
+
+
+def test_detector_elided_event_and_counters(tiny_gpu, fast_photon_config):
+    """Pinned vocabulary of a detector that does not listen: one cold
+    ``detector.elided`` event per level with what it could reach and
+    what it needs, ``detector.{bb,warp}_elided`` counters, and the
+    verdict on the result in place of a stable rate."""
+    bus = EventBus()
+    sink = bus.add_sink(MemorySink(), kinds=[DETECTOR_ELIDED.name])
+    # 16 warps, no loop: fewer observations than either verdict needs
+    result = Photon(tiny_gpu, fast_photon_config, bus=bus).simulate_kernel(
+        make_vecadd(n_warps=16))
+    assert [e.fields for e in sink.events] == [
+        {"kernel": "vecadd", "level": "bb", "reachable": 0,
+         "need": fast_photon_config.stable_bb_rate},
+        {"kernel": "vecadd", "level": "warp", "reachable": 16,
+         "need": 2 * fast_photon_config.warp_window},
+    ]
+    counters = bus.metrics.snapshot()["counters"]
+    assert {name: value for name, value in counters.items()
+            if name.startswith("detector.")} == {
+        "detector.bb_elided": 1, "detector.warp_elided": 1}
+    assert result.mode == "full"
+    assert result.meta["bb_detector"] == "cannot_fire"
+    assert "stable_bb_rate" not in result.meta
+    assert DETECTOR_ELIDED.name in CORE_KINDS
 
 
 # ------------------------------------------------------------ reliability

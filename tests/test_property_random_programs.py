@@ -18,7 +18,6 @@ and checks cross-cutting invariants of the whole stack:
 
 import random
 import tempfile
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from repro.timing import DetailedEngine, TraceCache
 from repro.timing.simulator import FullDetail, simulate_kernel_detailed
 from repro.tracestore import TraceStore
 
-from conftest import random_kernel_factory
+from conftest import DrawSource, random_kernel_factory
 
 GPU = R9_NANO.scaled(4)
 
@@ -39,10 +38,7 @@ GPU = R9_NANO.scaled(4)
 def random_kernel_factories(draw):
     """Hypothesis draws behind ``conftest.random_kernel_factory`` (the
     golden corpus feeds the same generator from ``random.Random``)."""
-    return random_kernel_factory(SimpleNamespace(
-        integers=lambda lo, hi: draw(st.integers(lo, hi)),
-        booleans=lambda: draw(st.booleans()),
-        choice=lambda seq: draw(st.sampled_from(seq))))
+    return random_kernel_factory(DrawSource(draw))
 
 
 def random_kernels():

@@ -31,9 +31,10 @@ traces it checks:
   not yet dispatched, drains the resident ones and lists their retire
   times per CU in ``cu_slot_free``;
 * **accounting surfaces** — ``ipc_series`` is the histogram of retire
-  (for barriers, release) times and ``latency_table`` the per-opcode
-  mean of ``retire - issue``, both recomputed from the event log in
-  emission order, so they must match to the bit.
+  (for barriers, release) times and ``latency_table`` the mean of
+  ``retire - issue`` per *memory* opcode (the fixed-latency classes
+  are not accounted), both recomputed from the event log in emission
+  order, so they must match to the bit.
 
 The lanes keep the names they had when this file compared numpy-
 batched rounds with member-by-member replay; what that comparison
@@ -44,7 +45,6 @@ properties at 200 examples in the nightly job.
 
 import dataclasses
 from collections import Counter, defaultdict
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,7 +63,7 @@ from repro.obs import (
 )
 from repro.timing import DetailedEngine
 
-from conftest import LIGHT_CHANNELS, timing_kernel_factory
+from conftest import LIGHT_CHANNELS, DrawSource, timing_kernel_factory
 
 GPU = R9_NANO.scaled(4)
 # 8 resident slots: most generated grids still have workgroups queued
@@ -78,10 +78,7 @@ _SCALAR_PORT = {OpClass.SCALAR_ALU, OpClass.SCALAR_MEM, OpClass.BRANCH,
 def timing_kernel_factories(draw):
     """Hypothesis draws behind ``conftest.timing_kernel_factory`` (the
     golden corpus feeds the same generator from ``random.Random``)."""
-    return timing_kernel_factory(SimpleNamespace(
-        integers=lambda lo, hi: draw(st.integers(lo, hi)),
-        booleans=lambda: draw(st.booleans()),
-        choice=lambda seq: draw(st.sampled_from(seq))))
+    return timing_kernel_factory(DrawSource(draw))
 
 
 # -- one observed run --------------------------------------------------------
@@ -266,7 +263,7 @@ def _check_accounting(result, log, traces, counted_at):
     for w, cls, t0, t1 in _events(log, "engine.inst"):
         code = traces[w].opcode[cursor[w]]
         cursor[w] += 1
-        if cls not in (OpClass.BARRIER, OpClass.END):
+        if cls in (OpClass.VECTOR_MEM, OpClass.SCALAR_MEM):
             lat_sum[code] += t1 - t0
             lat_cnt[code] += 1
     assert result.latency_table == {

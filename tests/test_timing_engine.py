@@ -92,9 +92,9 @@ def test_latency_table_collected(tiny_gpu):
 
     kernel = make_vecadd(n_warps=8)
     _, res = run(kernel, tiny_gpu, collect_latency=True)
-    assert res.latency_table
-    assert res.latency_table[Opcode.V_ADD.value] == pytest.approx(
-        tiny_gpu.vector_alu_lat)
+    # memory opcodes only: a fixed-latency class would read the
+    # configuration back, which the interval model already falls back to
+    assert Opcode.V_ADD.value not in res.latency_table
     # memory latencies at least the L1 hit latency
     assert res.latency_table[Opcode.V_LOAD.value] >= tiny_gpu.l1_lat
 
