@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.durable import RecordLog  # noqa: E402
 from repro.harness.tables import comparison_table  # noqa: E402
 from repro.parallel import (  # noqa: E402
     JOURNAL_NAME,
@@ -62,7 +63,6 @@ from repro.parallel import (  # noqa: E402
     plan_sweep,
     resume_sweep,
     run_sweep,
-    scan_journal,
 )
 from repro.parallel.fleet import HOSTS_DIR  # noqa: E402
 from repro.parallel.journal import REC_DONE, REC_FAILED  # noqa: E402
@@ -120,7 +120,7 @@ def _resume_or_restart(run_dir: Path, trace_store: Path):
 
 
 def _count_outcomes(journal: Path) -> int:
-    scan = scan_journal(journal)
+    scan = RecordLog(journal, "sweep.journal").scan()
     return sum(1 for r in scan.records
                if r.get("rec") in (REC_DONE, REC_FAILED))
 

@@ -16,7 +16,6 @@ from .online import OnlineAnalysis, analyze_kernel, select_sample
 from .persist import (
     load_analysis_store,
     load_kernel_db,
-    payload_checksum,
     save_analysis_store,
     save_kernel_db,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "least_squares_fit",
     "load_analysis_store",
     "load_kernel_db",
-    "payload_checksum",
     "save_analysis_store",
     "save_kernel_db",
     "select_sample",

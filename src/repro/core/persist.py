@@ -14,12 +14,12 @@ configuration) skips re-analysis:
 
 Robustness (format version 2):
 
-* writes are atomic **and durable** — the payload goes through
-  :func:`repro.durable.durable_replace` (temp file + fsync +
+* the payload is one sealed record written with
+  :func:`repro.durable.write_sealed` (temp file + fsync +
   ``os.replace`` + directory fsync), so a crash or power loss mid-write
   never leaves a truncated store behind *and* a completed save survives
   the platters losing their cache;
-* the payload carries a SHA-256 ``checksum`` over its canonical JSON
+* the seal's SHA-256 ``checksum`` covers the payload's canonical JSON
   encoding; a mismatch (bit rot, concurrent writer) raises
   :class:`~repro.errors.SamplingError` instead of silently feeding bad
   analyses into a simulation;
@@ -37,13 +37,12 @@ then merges the decoded stores deterministically
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from ..durable import durable_replace, payload_checksum
+from ..durable import read_record, read_sealed, write_sealed
 from ..errors import SamplingError
 from .kerneldb import KernelDB, KernelRecord
 from .online import OnlineAnalysis
@@ -52,12 +51,6 @@ from .photon import AnalysisStore
 PathLike = Union[str, Path]
 _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
-
-
-def _write_atomic(payload: dict, path: PathLike) -> None:
-    payload["checksum"] = payload_checksum(payload)
-    durable_replace(json.dumps(payload).encode("utf-8"), path,
-                    site="persist.store")
 
 
 def analysis_store_payload(store: AnalysisStore) -> dict:
@@ -127,7 +120,7 @@ def analysis_store_from_payload(payload: dict) -> AnalysisStore:
 
 def save_analysis_store(store: AnalysisStore, path: PathLike) -> None:
     """Atomically write the analysis store to ``path`` as JSON."""
-    _write_atomic(analysis_store_payload(store), path)
+    write_sealed(path, analysis_store_payload(store), site="persist.store")
 
 
 def load_analysis_store(path: PathLike) -> AnalysisStore:
@@ -192,7 +185,7 @@ def kernel_db_from_payload(payload: dict) -> KernelDB:
 
 def save_kernel_db(db: KernelDB, path: PathLike) -> None:
     """Atomically write the kernel database to ``path`` as JSON."""
-    _write_atomic(kernel_db_payload(db), path)
+    write_sealed(path, kernel_db_payload(db), site="persist.store")
 
 
 def load_kernel_db(path: PathLike) -> KernelDB:
@@ -206,22 +199,20 @@ def load_kernel_db(path: PathLike) -> KernelDB:
 
 
 def _read(path: PathLike) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SamplingError(f"cannot load {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SamplingError(f"{path}: expected a JSON object at top level")
+    payload = read_sealed(path)
+    if payload is None:
+        # version 1 predates the seal; it is the one unsealed store read
+        payload = read_record(path)
+        if payload is None:
+            raise SamplingError(
+                f"cannot load {path}: missing, unreadable or not a JSON "
+                f"object")
+        if payload.get("version") != 1:
+            raise SamplingError(
+                f"{path}: checksum mismatch — store is corrupt")
     version = payload.get("version")
     if version not in _SUPPORTED_VERSIONS:
         raise SamplingError(
             f"{path}: unsupported format version {version!r} "
             f"(supported: {_SUPPORTED_VERSIONS})")
-    if version >= 2:
-        recorded = payload.get("checksum")
-        actual = payload_checksum(payload)
-        if recorded != actual:
-            raise SamplingError(
-                f"{path}: checksum mismatch (file says {recorded!r}, "
-                f"payload hashes to {actual!r}) — store is corrupt")
     return payload

@@ -1,4 +1,4 @@
-"""Crash-durable file primitives shared by every persistence layer.
+"""Crash-durable files and the one record format every writer shares.
 
 ``core.persist`` and ``tracestore.store`` both used the classic
 "temp file + ``os.replace``" idiom, which protects readers from torn
@@ -11,16 +11,20 @@ closes that gap once, for every writer:
   ``os.replace``, ``fsync(dir)``.  After it returns, the new content
   survives power loss; if it raises (or the process dies), the target
   still holds its previous complete content.
-* :func:`durable_append` — append + flush + ``fsync(fd)`` for
-  write-ahead logs (the sweep journal).  A crash mid-append leaves a
-  torn *tail*, which journal readers quarantine.
+* :func:`durable_append` — append + flush + ``fsync(fd)``.  A crash
+  mid-append leaves a torn *tail*, which :class:`RecordLog` quarantines.
 * :func:`fsync_dir` — directory-entry durability for renames/creates.
 
-It also defines, once, the JSON those records are written in and read
-back with (trace-bundle headers, the sweep journal, fleet manifests /
-leases / markers, serve's pending journal): :func:`canonical_json`,
-:func:`payload_checksum` over it, and the never-raising readers
-:func:`parse_record` / :func:`read_record`.
+It also defines the one record format every durable file uses (store
+files, trace-bundle headers, sweep / fleet journals, fleet records,
+serve's pending journal):
+
+* :func:`seal` / :func:`unseal` — the :func:`canonical_json` of a
+  record plus its SHA-256 ``checksum``; ``unseal`` never raises.
+  :func:`write_sealed` / :func:`read_sealed` do one record per file.
+* :class:`RecordLog` — an append-only log of sealed lines: valid-prefix
+  :meth:`~RecordLog.scan`, and :meth:`~RecordLog.recover` (tail to
+  ``<stem>.quarantined``) before the first append.
 
 Every durable write passes through the filesystem fault layer
 (:mod:`repro.reliability.fsfaults`), so tests can deterministically
@@ -33,8 +37,9 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Optional, Union
+from typing import BinaryIO, Dict, Iterable, List, Optional, Union
 
 from .reliability.fsfaults import arm_fs_write
 
@@ -69,10 +74,9 @@ def parse_record(raw: bytes) -> Optional[dict]:
 def read_record(path: PathLike) -> Optional[dict]:
     """:func:`parse_record` of a whole file; None when it cannot be read."""
     try:
-        raw = Path(path).read_bytes()
+        return parse_record(Path(path).read_bytes())
     except OSError:
         return None
-    return parse_record(raw)
 
 
 def fsync_dir(path: PathLike) -> None:
@@ -145,3 +149,124 @@ def durable_append(handle: BinaryIO, data: bytes, path: PathLike,
         raise failure
     os.fsync(handle.fileno())
     return len(data)
+
+
+# ------------------------------------------------------------ sealed records
+
+
+def seal(record: Dict[str, object]) -> bytes:
+    """``record`` plus its ``checksum``, as canonical JSON."""
+    body = {k: v for k, v in record.items() if k != "checksum"}
+    body["checksum"] = payload_checksum(body)
+    return canonical_json(body)
+
+
+def unseal(raw: bytes) -> Optional[dict]:
+    """The record :func:`seal` wrote, ``checksum`` included; None when
+    ``raw`` is torn, not a JSON object or fails its checksum."""
+    record = parse_record(raw)
+    if record is None or record.get("checksum") != payload_checksum(record):
+        return None
+    return record
+
+
+def write_sealed(path: PathLike, record: Dict[str, object],
+                 site: str) -> None:
+    """Durably replace ``path`` with the sealed ``record``."""
+    durable_replace(seal(record), path, site=site)
+
+
+def read_sealed(path: PathLike) -> Optional[dict]:
+    """:func:`unseal` of a whole file; None when it cannot be read."""
+    try:
+        return unseal(Path(path).read_bytes())
+    except OSError:
+        return None
+
+
+# --------------------------------------------------------------- record log
+
+
+@dataclass
+class LogScan:
+    """The valid prefix of a :class:`RecordLog` plus its tail."""
+
+    records: List[Dict[str, object]]
+    valid_bytes: int        # offset just past the last valid line
+    quarantined_bytes: int  # tail bytes after the valid prefix
+    quarantined_lines: int  # (partial) lines inside the tail
+
+
+class RecordLog:
+    """Single-writer append-only log of sealed JSONL records; every
+    append is fsync'd (:func:`durable_append` at ``site``).  Reads stop
+    at the first torn, unparsable or checksum-failing line."""
+
+    def __init__(self, path: PathLike, site: str):
+        self.path = Path(path)
+        self.site = site
+        self._handle: Optional[BinaryIO] = None
+
+    def scan(self) -> LogScan:
+        """The log's valid prefix; never raises (missing file: empty)."""
+        try:
+            raw = self.path.read_bytes()
+        except OSError:
+            return LogScan([], 0, 0, 0)
+        records: List[Dict[str, object]] = []
+        offset = 0
+        while (newline := raw.find(b"\n", offset)) >= 0:
+            record = unseal(raw[offset:newline])
+            if record is None:
+                break
+            records.append(record)
+            offset = newline + 1
+        tail = raw[offset:]
+        lines = tail.count(b"\n") + (bool(tail) and not tail.endswith(b"\n"))
+        return LogScan(records, offset, len(tail), lines)
+
+    def recover(self) -> LogScan:
+        """Make the log appendable: move the tail to
+        ``<stem>.quarantined``, truncate the log back to its valid
+        prefix (both fsync'd) and open it for appends; returns the scan.
+        """
+        self.close()
+        scan = self.scan()
+        if scan.quarantined_bytes:
+            tail = self.path.read_bytes()[scan.valid_bytes:]
+            with open(self.path.with_suffix(".quarantined"),
+                      "ab") as quarantine:
+                quarantine.write(tail)
+                quarantine.flush()
+                os.fsync(quarantine.fileno())
+            with open(self.path, "r+b") as log:
+                log.truncate(scan.valid_bytes)
+                log.flush()
+                os.fsync(log.fileno())
+            fsync_dir(self.path.parent)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        created = not self.path.exists()
+        self._handle = open(self.path, "ab")
+        if created:   # the log's directory entry must survive
+            fsync_dir(self.path.parent)
+        return scan
+
+    def append(self, record: Dict[str, object]) -> int:
+        """Durably append one sealed record; returns the bytes written.
+        The first append recovers the log, so a record never lands
+        behind a torn tail."""
+        if self._handle is None:
+            self.recover()
+        return durable_append(self._handle, seal(record) + b"\n",
+                              self.path, site=self.site)
+
+    def rewrite(self, records: Iterable[Dict[str, object]]) -> None:
+        """Durably replace the whole log with ``records``."""
+        self.close()
+        durable_replace(b"".join(seal(r) + b"\n" for r in records),
+                        self.path, site=self.site)
+
+    def close(self) -> None:
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()

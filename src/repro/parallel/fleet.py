@@ -16,11 +16,12 @@ fleet-dir/
   staging/<host>/task-<idx>/      staged trace-store bundles
 ```
 
-**Lease protocol.**  A claim is a :func:`repro.durable.durable_replace`
+**Lease protocol.**  A claim is a :func:`repro.durable.write_sealed`
 of the task's lease record — owner id, a random nonce, a generation
 counter, and a heartbeat deadline — followed by a read-back: because
 ``os.replace`` is atomic, the lease file always holds exactly one
-complete claim, and whoever the read-back names is the owner.  A
+complete claim, and whoever the read-back names is the owner (a lease
+that fails its checksum reads back as no lease at all).  A
 claimant that reads back someone else's nonce lost the race and
 re-queues.  Expired leases (heartbeat deadline in the past) are
 claimed at ``generation + 1`` — a **steal**: stragglers and dead hosts
@@ -75,12 +76,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..durable import (
-    canonical_json,
-    durable_replace,
-    payload_checksum,
-    read_record,
-)
+from ..durable import read_sealed, write_sealed
 from ..errors import ConfigError, SamplingError
 from ..obs import SWEEP_FLEET, current_bus
 from .journal import JOURNAL_NAME, SweepJournal, scan_journal
@@ -145,14 +141,11 @@ def fleet_init(fleet_dir: PathLike, tasks: Sequence[SweepTask]) -> Path:
     (fleet_dir / LEASES_DIR).mkdir(exist_ok=True)
     (fleet_dir / HOSTS_DIR).mkdir(exist_ok=True)
     (fleet_dir / STAGING_DIR).mkdir(exist_ok=True)
-    body: Dict[str, object] = {
+    write_sealed(manifest, {
         "format": _MANIFEST_FORMAT,
         "version": _MANIFEST_VERSION,
         "tasks": [task.to_dict() for task in tasks],
-    }
-    body["checksum"] = payload_checksum(body)
-    durable_replace(canonical_json(body, allow_nan=False), manifest,
-                    site="fleet.manifest")
+    }, site="fleet.manifest")
     return fleet_dir
 
 
@@ -163,8 +156,8 @@ def load_manifest(fleet_dir: PathLike) -> List[SweepTask]:
         raise SamplingError(
             f"{manifest}: no fleet manifest; initialize the fleet "
             f"first (repro sweep ... --fleet-dir D --fleet-init)")
-    body = read_record(manifest)
-    if body is None or body.get("checksum") != payload_checksum(body):
+    body = read_sealed(manifest)
+    if body is None:
         raise SamplingError(
             f"{manifest}: unreadable manifest or checksum mismatch")
     if (body.get("format") != _MANIFEST_FORMAT
@@ -188,8 +181,8 @@ def _task_dir(fleet_dir: Path, index: int) -> Path:
 
 
 def read_lease(fleet_dir: PathLike, index: int) -> Optional[Dict[str, object]]:
-    """The current (complete) lease record for a task, or None."""
-    return read_record(_task_dir(Path(fleet_dir), index) / LEASE_NAME)
+    """The current (complete, verified) lease record for a task, or None."""
+    return read_sealed(_task_dir(Path(fleet_dir), index) / LEASE_NAME)
 
 
 def write_lease(fleet_dir: PathLike, index: int, owner: str,
@@ -211,14 +204,13 @@ def write_lease(fleet_dir: PathLike, index: int, owner: str,
     }
     path = _task_dir(Path(fleet_dir), index)
     path.mkdir(parents=True, exist_ok=True)
-    durable_replace(canonical_json(record), path / LEASE_NAME,
-                    site="fleet.lease")
+    write_sealed(path / LEASE_NAME, record, site="fleet.lease")
     return nonce
 
 
 def read_done(fleet_dir: PathLike, index: int) -> Optional[Dict[str, object]]:
-    """The completion marker for a task, or None."""
-    return read_record(_task_dir(Path(fleet_dir), index) / DONE_NAME)
+    """The (verified) completion marker for a task, or None."""
+    return read_sealed(_task_dir(Path(fleet_dir), index) / DONE_NAME)
 
 
 def write_done(fleet_dir: PathLike, index: int, host: str,
@@ -227,8 +219,7 @@ def write_done(fleet_dir: PathLike, index: int, host: str,
               "stolen": stolen}
     path = _task_dir(Path(fleet_dir), index)
     path.mkdir(parents=True, exist_ok=True)
-    durable_replace(canonical_json(record), path / DONE_NAME,
-                    site="fleet.done")
+    write_sealed(path / DONE_NAME, record, site="fleet.done")
 
 
 @dataclass

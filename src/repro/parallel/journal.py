@@ -30,34 +30,23 @@ Record taxonomy (field ``rec``):
     canonical store.  Resuming a ``merged`` journal replays everything
     and re-runs nothing.
 
-Integrity model: every record carries a SHA-256 ``checksum`` over its
-canonical JSON encoding.  :func:`scan_journal` replays the longest
-valid prefix and stops at the first torn or corrupt line — everything
-after it is the *quarantined tail* (a crash mid-append, a truncated
-file, bit rot).  :meth:`SweepJournal.resume` moves the tail bytes to
-``journal.quarantined`` and truncates the journal back to its valid
-prefix before appending, so one interrupted append never poisons the
-log.  Because the deterministic task-order merge is order-independent,
-a resumed sweep's rows, merged stores and trace bundles are
-bitwise-identical to an uninterrupted run — the invariant the chaos
-harness (``scripts/chaos_sweep.py``) proves from arbitrary kill
-points.
+Integrity model: the journal is a :class:`repro.durable.RecordLog` —
+sealed records, valid-prefix reads (:func:`scan_journal` stops at the
+first torn or corrupt line; the rest is the *quarantined tail*), and
+:meth:`SweepJournal.resume` moves that tail to ``journal.quarantined``
+before appending.  Because the deterministic task-order merge is
+order-independent, a resumed sweep's rows, merged stores and trace
+bundles are bitwise-identical to an uninterrupted run — the invariant
+the chaos harness (``scripts/chaos_sweep.py``) proves from arbitrary
+kill points.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..durable import (
-    canonical_json,
-    durable_append,
-    fsync_dir,
-    parse_record,
-    payload_checksum,
-)
+from ..durable import LogScan, RecordLog
 from ..errors import ConfigError, SamplingError
 from ..obs import SWEEP_JOURNAL, current_bus
 from .tasks import SweepTask, TaskOutcome
@@ -79,29 +68,8 @@ REC_FAILED = "failed"
 REC_MERGED = "merged"
 
 
-def encode_record(record: Dict[str, object]) -> bytes:
-    """One checksummed JSONL line for ``record`` (excluding checksum)."""
-    body = dict(record)
-    body["checksum"] = payload_checksum(body)
-    return canonical_json(body) + b"\n"
-
-
-def decode_line(line: bytes) -> Optional[Dict[str, object]]:
-    """Parse and verify one journal line; None if torn or corrupt."""
-    record = parse_record(line)
-    if record is None or record.get("checksum") != payload_checksum(record):
-        return None
-    return record
-
-
-@dataclass
-class JournalScan:
-    """The valid prefix of a journal plus quarantined-tail accounting."""
-
-    records: List[Dict[str, object]]
-    valid_bytes: int        # offset just past the last valid line
-    quarantined_bytes: int  # tail bytes after the valid prefix
-    quarantined_lines: int  # (partial) lines inside the tail
+class JournalScan(LogScan):
+    """A journal's valid prefix, read as a sweep: plan, tasks, outcomes."""
 
     @property
     def complete(self) -> bool:
@@ -146,39 +114,15 @@ class JournalScan:
 
 def scan_journal(path: PathLike) -> JournalScan:
     """Replay the longest valid prefix of a journal; never raises.
-
-    Scanning stops at the first line that is torn (no trailing
-    newline), unparsable, or fails its checksum — valid-prefix
-    semantics.  A missing file scans as an empty journal.
-    """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return JournalScan([], 0, 0, 0)
-    records: List[Dict[str, object]] = []
-    offset = 0
-    while True:
-        newline = raw.find(b"\n", offset)
-        if newline < 0:
-            break
-        record = decode_line(raw[offset:newline])
-        if record is None:
-            break
-        records.append(record)
-        offset = newline + 1
-    tail = raw[offset:]
-    lines = tail.count(b"\n")
-    if tail and not tail.endswith(b"\n"):
-        lines += 1
-    return JournalScan(records, offset, len(tail), lines)
+    A missing file scans as an empty journal."""
+    return JournalScan(**vars(RecordLog(path, "sweep.journal").scan()))
 
 
-class SweepJournal:
+class SweepJournal(RecordLog):
     """Single-writer append-only WAL for one sweep run directory."""
 
-    def __init__(self, path: Path, handle):
-        self.path = path
-        self._handle = handle
+    def __init__(self, run_dir: PathLike):
+        super().__init__(Path(run_dir) / JOURNAL_NAME, "sweep.journal")
         self.records_written = 0
 
     @classmethod
@@ -189,16 +133,11 @@ class SweepJournal:
         Refuses to overwrite an existing journal — a run directory
         holds exactly one sweep's history; resume it or pick a new one.
         """
-        run_dir = Path(run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        path = run_dir / JOURNAL_NAME
-        if path.exists():
+        journal = cls(run_dir)
+        if journal.path.exists():
             raise ConfigError(
-                f"{path} already exists; resume it with --resume or "
-                f"choose a fresh --run-dir")
-        handle = open(path, "ab")
-        fsync_dir(run_dir)  # the journal's directory entry must survive
-        journal = cls(path, handle)
+                f"{journal.path} already exists; resume it with --resume "
+                f"or choose a fresh --run-dir")
         journal.append({
             "rec": REC_PLAN,
             "version": _FORMAT_VERSION,
@@ -211,12 +150,13 @@ class SweepJournal:
                                                 JournalScan]:
         """Reopen a journal for appending after a crash.
 
-        Scans the valid prefix, moves any quarantined tail bytes to
-        ``journal.quarantined`` and truncates the journal back to the
-        prefix, so subsequent appends extend a consistent log.
+        Checks the valid prefix holds a supported plan before touching
+        the file, then recovers it (tail to ``journal.quarantined``,
+        journal truncated to the prefix), so subsequent appends extend
+        a consistent log.
         """
-        run_dir = Path(run_dir)
-        path = run_dir / JOURNAL_NAME
+        journal = cls(run_dir)
+        path = journal.path
         scan = scan_journal(path)
         plan = scan.plan_record()
         if plan is None:
@@ -228,34 +168,20 @@ class SweepJournal:
                 f"{path}: unsupported journal version "
                 f"{plan.get('version')!r} "
                 f"(supported: {_SUPPORTED_VERSIONS})")
-        if scan.quarantined_bytes:
-            raw = path.read_bytes()
-            tail = raw[scan.valid_bytes:]
-            quarantine = run_dir / QUARANTINE_NAME
-            with open(quarantine, "ab") as qhandle:
-                qhandle.write(tail)
-                qhandle.flush()
-                os.fsync(qhandle.fileno())
-            with open(path, "r+b") as jhandle:
-                jhandle.truncate(scan.valid_bytes)
-                jhandle.flush()
-                os.fsync(jhandle.fileno())
-            fsync_dir(run_dir)
-        handle = open(path, "ab")
-        return cls(path, handle), scan
+        journal.recover()
+        return journal, scan
 
     # -- appends -----------------------------------------------------------
 
-    def append(self, record: Dict[str, object]) -> None:
-        """Durably append one record (checksummed, fsync'd)."""
-        data = encode_record(record)
-        written = durable_append(self._handle, data, self.path,
-                                 site="sweep.journal")
+    def append(self, record: Dict[str, object]) -> int:
+        """Durably append one record (sealed, fsync'd)."""
+        written = super().append(record)
         self.records_written += 1
         bus = current_bus()
         bus.emit(SWEEP_JOURNAL, record.get("rec", "?"),
                  record.get("index", -1), written)
         bus.metrics.counter("sweep.journal.records").inc()
+        return written
 
     def task_scheduled(self, task: SweepTask) -> None:
         self.append({"rec": REC_SCHEDULED, "index": task.index})
@@ -269,10 +195,3 @@ class SweepJournal:
 
     def merged(self, trace_merge: Optional[Dict[str, int]]) -> None:
         self.append({"rec": REC_MERGED, "trace_merge": trace_merge})
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None

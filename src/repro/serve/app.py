@@ -45,21 +45,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from pathlib import Path
-
-from ..durable import canonical_json, durable_replace
 from ..harness.tables import comparison_table
 from ..obs import SERVE_DEDUP, SERVE_QUEUE, SERVE_REQUEST, current_bus
 from ..parallel import MergedState, plan_sweep, rows_from_outcomes
 from ..parallel.tier import ExecutionTier
 from ..tracestore import TraceStore
 from .dedup import SingleFlight
-from .lifecycle import (
-    PENDING_NAME,
-    DrainController,
-    Drained,
-    read_pending,
-)
+from .lifecycle import DrainController, Drained
 from .protocol import (
     ProtocolError,
     ServeRequest,
@@ -240,23 +232,20 @@ class PhotonServer:
         the quota gates, the result cache, single-flight and the
         admission queue — so the shed work lands back in the result
         cache and the analysis/kernel stores before traffic arrives.
-        Records that fail to parse are dropped (a malformed line must
-        not wedge every restart); records the gates reject are
-        re-journaled for the next restart.  The journal is then
-        truncated with the same durability contract it was written
-        under (:func:`repro.durable.durable_replace`), so a replayed
-        request is never replayed again after a later crash.  Returns
-        the number of successfully replayed requests.
+        Only the journal's valid prefix is replayed; a torn tail moves
+        to ``pending.quarantined`` (:meth:`RecordLog.recover`).
+        Requests that fail to normalize are dropped (one must not wedge
+        every restart); records the gates reject are re-journaled, and
+        the journal is rewritten durably (:meth:`RecordLog.rewrite`), so
+        a replayed request is never replayed again after a later crash.
+        Returns the number of successfully replayed requests.
         """
-        state_dir = self.config.state_dir
-        if state_dir is None:
-            return 0
-        records = read_pending(state_dir)
-        if not records:
+        log = self.drain.log
+        if log is None:
             return 0
         survivors = []
         replayed = 0
-        for raw in records:
+        for raw in log.recover().records:
             try:
                 request = normalize_request(
                     raw, op=str(raw.get("op", "run")))
@@ -274,10 +263,7 @@ class PhotonServer:
                 self._count("replayed")
             else:
                 survivors.append(raw)
-        payload = b"".join(canonical_json(raw) + b"\n"
-                           for raw in survivors)
-        durable_replace(payload, Path(state_dir) / PENDING_NAME,
-                        site="serve.pending")
+        log.rewrite(survivors)
         return replayed
 
     async def run(self, announce=None) -> Dict[str, object]:

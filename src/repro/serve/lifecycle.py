@@ -12,20 +12,21 @@ SIGTERM (or SIGINT) flips the server into *draining*:
    directory — and answered 503 with ``"journaled": true``, so an
    operator (or the restarted server) can replay exactly what was shed.
 
-The journal uses :func:`repro.durable.durable_append` (write + flush +
-fsync), the same durability contract as the sweep journal: a journaled
-request survives the power loss that may well follow a SIGTERM.
+The journal is a :class:`repro.durable.RecordLog`, the same sealed,
+fsync'd, valid-prefix log as the sweep journal: a journaled request
+survives the power loss that may well follow a SIGTERM, and a torn tail
+left by a crash moves to ``pending.quarantined`` before the next append.
 """
 
 from __future__ import annotations
 
 import asyncio
 from pathlib import Path
-from typing import BinaryIO, Dict, Optional
+from typing import Dict, Optional
 
-from ..durable import canonical_json, durable_append, parse_record
+from ..durable import RecordLog
 
-#: journal of requests shed during drain, one canonical JSON per line
+#: journal of requests shed during drain, one sealed record per line
 PENDING_NAME = "pending.jsonl"
 
 
@@ -41,10 +42,10 @@ class DrainController:
     """Drain state plus the shed-request journal."""
 
     def __init__(self, state_dir: Optional[str] = None):
-        self.state_dir = Path(state_dir) if state_dir else None
+        self.log = (RecordLog(Path(state_dir) / PENDING_NAME,
+                              "serve.pending") if state_dir else None)
         self.journaled = 0
         self._event: Optional[asyncio.Event] = None
-        self._handle: Optional[BinaryIO] = None
 
     @property
     def draining(self) -> asyncio.Event:
@@ -67,38 +68,15 @@ class DrainController:
         Failures to journal are deliberately not fatal mid-drain — the
         request is still answered 503, just without the journaled flag.
         """
-        if self.state_dir is None:
+        if self.log is None:
             return False
         try:
-            path = self.state_dir / PENDING_NAME
-            if self._handle is None:
-                self.state_dir.mkdir(parents=True, exist_ok=True)
-                self._handle = open(path, "ab")
-            durable_append(self._handle, canonical_json(request) + b"\n",
-                           path, site="serve.pending")
+            self.log.append(request)
         except OSError:
             return False
         self.journaled += 1
         return True
 
     def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
-
-
-def read_pending(state_dir) -> list:
-    """Load journaled requests from a drain (best-effort, never raises)."""
-    path = Path(state_dir) / PENDING_NAME
-    requests = []
-    try:
-        with open(path, "rb") as handle:
-            for line in handle:
-                request = parse_record(line)
-                if request is not None:   # else blank, or a torn tail
-                    requests.append(request)
-    except OSError:
-        return []
-    return requests
+        if self.log is not None:
+            self.log.close()

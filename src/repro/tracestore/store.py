@@ -58,12 +58,7 @@ import shutil
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..durable import (
-    canonical_json,
-    durable_replace,
-    parse_record,
-    payload_checksum,
-)
+from ..durable import durable_replace, parse_record, seal, unseal
 from ..functional.kernel import Kernel
 from ..functional.trace import WarpTrace
 from .format import (
@@ -163,18 +158,21 @@ def _parse_bundle(raw: bytes, expect_key: Optional[TraceKey]) -> _BundleData:
     if newline < 0:
         data.quarantined += 1
         return data
-    header = parse_record(raw[:newline])
+    header = unseal(raw[:newline])
     if header is None:
-        data.quarantined += 1
+        # a header that still parses but fails its checksum loses every
+        # entry it names; a torn one counts once
+        entries = (parse_record(raw[:newline]) or {}).get("entries")
+        data.quarantined += (len(entries) if isinstance(entries, list)
+                             else 0) or 1
         return data
     entries, paths = header.get("entries"), header.get("paths")
     if not isinstance(entries, list) or not isinstance(paths, list):
         data.quarantined += 1
         return data
     if (header.get("format") != FORMAT_NAME
-            or header.get("version") != FORMAT_VERSION
-            or header.get("checksum") != payload_checksum(header)):
-        # unreadable or future-format bundle: every entry is a miss
+            or header.get("version") != FORMAT_VERSION):
+        # future-format bundle: every entry is a miss
         data.quarantined += len(entries) or 1
         return data
     try:
@@ -243,8 +241,7 @@ def _write_bundle(path: Path, key: TraceKey, paths: Dict[str, bytes],
                            path=index[sha])
                     for warp, (sha, blob) in sorted(lines.items())],
     }
-    header["checksum"] = payload_checksum(header)
-    payload = canonical_json(header) + b"\n" + b"".join(parts)
+    payload = seal(header) + b"\n" + b"".join(parts)
     path.parent.mkdir(parents=True, exist_ok=True)
     durable_replace(payload, path, site="tracestore.bundle")
 

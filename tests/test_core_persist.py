@@ -115,7 +115,7 @@ def test_empty_stores_roundtrip(tmp_path):
 # -- format v2 hardening ------------------------------------------------------
 
 def test_saved_payload_carries_valid_checksum(populated, tmp_path):
-    from repro.core import payload_checksum
+    from repro.durable import payload_checksum
 
     store, _ = populated
     path = tmp_path / "store.json"
@@ -126,7 +126,7 @@ def test_saved_payload_carries_valid_checksum(populated, tmp_path):
 
 
 def test_checksum_is_order_independent():
-    from repro.core import payload_checksum
+    from repro.durable import payload_checksum
 
     a = {"version": 2, "entries": [1, 2], "n": 3}
     b = {"n": 3, "entries": [1, 2], "version": 2}
@@ -145,7 +145,7 @@ def test_tampered_payload_rejected(populated, tmp_path):
 
 
 def test_corrupt_entry_quarantined_not_fatal(populated, tmp_path):
-    from repro.core import payload_checksum
+    from repro.durable import payload_checksum
 
     store, _ = populated
     path = tmp_path / "store.json"
@@ -161,7 +161,7 @@ def test_corrupt_entry_quarantined_not_fatal(populated, tmp_path):
 
 
 def test_corrupt_db_record_quarantined(populated, tmp_path):
-    from repro.core import payload_checksum
+    from repro.durable import payload_checksum
 
     _, db = populated
     path = tmp_path / "db.json"

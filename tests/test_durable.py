@@ -13,7 +13,15 @@ import json
 
 import pytest
 
-from repro.durable import durable_append, durable_replace, fsync_dir
+from repro.durable import (
+    RecordLog,
+    durable_append,
+    durable_replace,
+    fsync_dir,
+    read_sealed,
+    seal,
+    write_sealed,
+)
 from repro.errors import ConfigError, DiskFault, InjectedFault
 from repro.obs import RELIABILITY_RETRY, MemorySink, scoped_bus
 from repro.reliability import (
@@ -35,21 +43,57 @@ def test_durable_replace_writes_and_replaces(tmp_path):
     durable_replace(b"second", target)
     assert target.read_bytes() == b"second"
     assert list(tmp_path.iterdir()) == [target]  # no temp litter
+    # a sealed record round-trips through the same replace
+    record = {"b": [1, 2.5], "a": "x"}
+    write_sealed(target, record, site="test.site")
+    assert target.read_bytes() == seal(record)
+    loaded = read_sealed(target)
+    assert loaded.pop("checksum") and loaded == record
+    assert list(tmp_path.iterdir()) == [target]
 
 
-@pytest.mark.parametrize("mode", FS_FAULT_MODES)
-def test_durable_replace_failures_keep_previous_content(tmp_path, mode):
-    target = tmp_path / "state.json"
-    durable_replace(b"previous complete content", target)
-    plan = FsFaultPlan(FsFaultSpec(site="test.site", mode=mode))
+def _append_record(path, value, site):
+    log = RecordLog(path, site)
+    try:
+        log.append({"value": value})
+    finally:
+        log.close()
+
+
+#: writer -> (file name, fault site, write(path, value, site), read(path)):
+#: what a reader sees is the last complete write, whatever the fault did
+WRITERS = {
+    "replace": ("state.json", "test.site",
+                lambda path, value, site: durable_replace(
+                    value.encode(), path, site=site),
+                lambda path: path.read_bytes().decode()),
+    "write_sealed": ("state.json", "test.site",
+                     lambda path, value, site: write_sealed(
+                         path, {"value": value}, site=site),
+                     lambda path: read_sealed(path)["value"]),
+    "record_log": ("pending.jsonl", "serve.pending", _append_record,
+                   lambda path: RecordLog(path, "serve.pending")
+                   .scan().records[-1]["value"]),
+}
+
+
+@pytest.mark.parametrize("mode,writer", [
+    pytest.param(mode, writer,
+                 id=mode if writer == "replace" else f"{mode}-{writer}")
+    for writer in WRITERS for mode in FS_FAULT_MODES])
+def test_durable_replace_failures_keep_previous_content(tmp_path, mode,
+                                                        writer):
+    name, site, write, read = WRITERS[writer]
+    target = tmp_path / name
+    write(target, "previous complete content", "fs.setup")
+    plan = FsFaultPlan(FsFaultSpec(site=site, mode=mode))
     expected = DiskFault if mode == "torn" else OSError
     with scoped_fs_faults(plan):
         with pytest.raises(expected):
-            durable_replace(b"new content that dies", target,
-                            site="test.site")
-    assert plan.fired == [("test.site", mode, "state.json")]
+            write(target, "new content that dies", site)
+    assert plan.fired == [(site, mode, name)]
     # all-or-nothing: old content intact, temp file cleaned up
-    assert target.read_bytes() == b"previous complete content"
+    assert read(target) == "previous complete content"
     assert list(tmp_path.iterdir()) == [target]
 
 

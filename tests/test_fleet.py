@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.durable import write_sealed
 from repro.errors import ConfigError, SamplingError
 from repro.harness.tables import comparison_table
 from repro.parallel import (
@@ -51,6 +52,14 @@ from repro.reliability import FsFaultPlan, FsFaultSpec, scoped_fs_faults
 from repro.tracestore import TraceStore
 
 SIZES = (64,)
+
+
+def _flip(path, old, new):
+    """Rewrite one value in a sealed file in place: still JSON, but its
+    checksum no longer verifies (bit rot)."""
+    raw = path.read_bytes()
+    assert old in raw
+    path.write_bytes(raw.replace(old, new, 1))
 
 
 def _plan(workloads=("fir",), **kwargs):
@@ -83,7 +92,7 @@ def test_manifest_with_retired_functional_key_loads(tmp_path):
     option, loads as the same plan."""
     import json
 
-    from repro.core.persist import payload_checksum
+    from repro.durable import payload_checksum
 
     tasks = _plan()
     fleet_init(tmp_path / "fleet", tasks)
@@ -118,6 +127,10 @@ def test_load_manifest_missing_and_corrupt(tmp_path):
     manifest.write_bytes(manifest.read_bytes()[:-20] + b"xxxxx")
     with pytest.raises(SamplingError):
         load_manifest(tmp_path / "fleet")
+    fleet_init(tmp_path / "flipped", _plan())
+    _flip(tmp_path / "flipped" / MANIFEST_NAME, b'"seed":7', b'"seed":8')
+    with pytest.raises(SamplingError, match="checksum"):
+        load_manifest(tmp_path / "flipped")
 
 
 # ------------------------------------------------------- lease protocol
@@ -140,6 +153,10 @@ def test_fresh_claim_runs_and_marks_done(tmp_path):
     # a completed task is never claimable again, by anyone
     assert _worker(fleet, "beta")._claimable(0) is None
     w.close()
+    # a done marker that fails its checksum is no marker
+    _flip(fleet / "leases" / "task-00000000" / "done.json",
+          b'"alpha"', b'"alphb"')
+    assert read_done(fleet, 0) is None
 
 
 def test_live_foreign_lease_is_refused(tmp_path):
@@ -311,9 +328,14 @@ def test_unreadable_lease_never_blocks_the_fleet(tmp_path):
     write_lease(fleet, 0, "ghost", deadline=1e12)
     lease_path.write_bytes(b"\x00 not json \xff")
     assert w._claimable(0) == (0, False)
+    # ...and so does a flipped value byte: the checksum fails
+    write_lease(fleet, 0, "ghost", deadline=1e12)
+    _flip(lease_path, b'"ghost"', b'"ghosu"')
+    assert read_lease(fleet, 0) is None
+    assert w._claimable(0) == (0, False)
     # a well-formed record with mangled fields is stolen outright
-    lease_path.write_text(json.dumps({"owner": "ghost",
-                                      "deadline": "whenever"}))
+    write_sealed(lease_path, {"owner": "ghost", "deadline": "whenever"},
+                 site="fleet.lease")
     assert w._claimable(0) == (1, True)
     w.close()
 

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.durable import RecordLog
 from repro.obs import SERVE_REQUEST
 from repro.parallel.tasks import SweepTask, run_task
 from repro.parallel.tier import _crash_outcome
@@ -23,7 +24,16 @@ from repro.serve import (
     ServeHTTPError,
     deterministic_result,
 )
-from repro.serve.lifecycle import read_pending
+from repro.serve.lifecycle import PENDING_NAME, DrainController
+
+
+def _pending_log(state_dir):
+    return RecordLog(state_dir / PENDING_NAME, "serve.pending")
+
+
+def read_pending(state_dir):
+    """The drain journal's valid prefix."""
+    return _pending_log(state_dir).scan().records
 
 
 def serve_test(config=None):
@@ -448,10 +458,10 @@ async def test_streaming_failure_emits_error_line_not_http_head(server,
 # -- restart replay (pending.jsonl) ----------------------------------------
 
 def _write_pending(tmp_path, records):
-    import json
-
-    path = tmp_path / "pending.jsonl"
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    log = _pending_log(tmp_path)
+    for record in records:
+        log.append(record)
+    log.close()
 
 
 def test_replay_pending_serves_journaled_work_and_truncates(tmp_path):
@@ -509,6 +519,44 @@ def test_replay_pending_with_retired_functional_key(tmp_path):
 
     asyncio.run(body())
     assert read_pending(tmp_path) == []
+
+
+def test_torn_pending_tail_is_quarantined_before_the_next_drain(tmp_path):
+    """A crash mid-append leaves a torn tail; replay moves it aside, so
+    the next drain's request lands on a clean line and reads back."""
+    torn = b'{"op":"ping","key":"to'
+    (tmp_path / PENDING_NAME).write_bytes(torn)
+
+    async def body():
+        server = PhotonServer(ServeConfig(
+            port=0, jobs=0, queue_limit=8, state_dir=str(tmp_path)))
+        assert await server.replay_pending() == 0
+        drain = DrainController(str(tmp_path))   # the next drain
+        assert drain.journal({"op": "ping", "key": "after"})
+        drain.close()
+
+    asyncio.run(body())
+    assert [r["key"] for r in read_pending(tmp_path)] == ["after"]
+    assert (tmp_path / "pending.quarantined").read_bytes() == torn
+
+
+def test_flipped_pending_record_is_not_replayed(tmp_path):
+    """A value byte flipped on disk still parses as JSON, but fails its
+    checksum: the record is quarantined, not served."""
+    _write_pending(tmp_path, [{"op": "ping", "delay_ms": 0, "key": "p1"}])
+    path = tmp_path / PENDING_NAME
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"key":"p1"', b'"key":"p2"'))
+
+    async def body():
+        server = PhotonServer(ServeConfig(
+            port=0, jobs=0, queue_limit=8, state_dir=str(tmp_path)))
+        assert await server.replay_pending() == 0
+        assert server.counts["replayed"] == 0
+
+    asyncio.run(body())
+    assert read_pending(tmp_path) == []
+    assert b'"key":"p2"' in (tmp_path / "pending.quarantined").read_bytes()
 
 
 def test_replay_pending_without_state_dir_is_a_noop():

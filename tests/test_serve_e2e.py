@@ -22,9 +22,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.durable import RecordLog
 from repro.parallel.tasks import SweepTask, run_task
 from repro.serve import ServeClient, deterministic_result
-from repro.serve.lifecycle import read_pending
+from repro.serve.lifecycle import PENDING_NAME
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -159,7 +160,8 @@ def test_e2e_sigterm_mid_request_finishes_inflight(tmp_path):
         out, err = server.proc.communicate(timeout=60)
         assert server.proc.returncode == 0
         if journaled:
-            pending = read_pending(state)
+            pending = RecordLog(state / PENDING_NAME,
+                                "serve.pending").scan().records
             assert [p.get("key") for p in pending] == ["queued"]
     finally:
         server.kill()

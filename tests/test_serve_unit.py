@@ -8,10 +8,10 @@ under its own ``asyncio.run``.
 """
 
 import asyncio
-import json
 
 import pytest
 
+from repro.durable import RecordLog
 from repro.errors import ConfigError
 from repro.serve import (
     AdmissionQueue,
@@ -23,7 +23,12 @@ from repro.serve import (
     normalize_request,
     request_key,
 )
-from repro.serve.lifecycle import DrainController, read_pending
+from repro.serve.lifecycle import PENDING_NAME, DrainController
+
+
+def read_pending(state_dir):
+    """The drain journal's valid prefix."""
+    return RecordLog(state_dir / PENDING_NAME, "serve.pending").scan().records
 
 
 # -- token buckets ----------------------------------------------------------
@@ -285,10 +290,12 @@ def test_drain_journal_without_state_dir_is_nonfatal(tmp_path):
 
 
 def test_read_pending_skips_torn_tail(tmp_path):
-    path = tmp_path / "pending.jsonl"
-    path.write_text(json.dumps({"op": "ping"}) + "\n"
-                    + '{"op": "run", "work')  # torn mid-append
-    assert read_pending(tmp_path) == [{"op": "ping"}]
+    log = RecordLog(tmp_path / PENDING_NAME, "serve.pending")
+    log.append({"op": "ping"})
+    log.close()
+    with open(tmp_path / PENDING_NAME, "ab") as handle:
+        handle.write(b'{"op": "run", "work')  # torn mid-append
+    assert [p["op"] for p in read_pending(tmp_path)] == ["ping"]
 
 
 # -- protocol ---------------------------------------------------------------

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.durable import seal, unseal
 from repro.errors import ConfigError, SamplingError
 from repro.parallel import (
     JOURNAL_NAME,
@@ -25,9 +26,15 @@ from repro.parallel.journal import (
     REC_DONE,
     REC_MERGED,
     REC_PLAN,
-    decode_line,
-    encode_record,
 )
+
+
+def encode_record(record):
+    """One journal line: the sealed record plus its newline."""
+    return seal(record) + b"\n"
+
+
+decode_line = unseal
 
 
 def _tiny_plan(**kwargs):

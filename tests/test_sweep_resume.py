@@ -113,16 +113,13 @@ def test_failed_tasks_rerun_on_resume(tmp_path):
     run_dir = tmp_path / "failed"
     run_dir.mkdir()
     # rewrite one done record as a failure of the same task
-    from repro.parallel.journal import (
-        REC_DONE,
-        decode_line,
-        encode_record,
-    )
+    from repro.durable import seal, unseal
+    from repro.parallel.journal import REC_DONE
 
     out_lines = []
     flipped = False
     for line in raw.splitlines():
-        record = decode_line(line)
+        record = unseal(line)
         assert record is not None
         if not flipped and record["rec"] == REC_DONE:
             outcome = dict(record["outcome"])
@@ -132,8 +129,7 @@ def test_failed_tasks_rerun_on_resume(tmp_path):
             record = {"rec": "failed", "index": record["index"],
                       "outcome": outcome}
             flipped = True
-        out_lines.append(encode_record(
-            {k: v for k, v in record.items() if k != "checksum"}))
+        out_lines.append(seal(record) + b"\n")
     assert flipped
     (run_dir / JOURNAL_NAME).write_bytes(b"".join(out_lines))
     resumed = resume_sweep(str(run_dir))
@@ -145,12 +141,12 @@ def test_resume_of_journal_with_retired_config_key(tmp_path):
     """A run directory journaled before a ``PhotonConfig`` field was
     retired (the timing engine's on/off switch went with its second
     loop) still resumes: the key is dropped on read."""
-    from repro.parallel.journal import decode_line, encode_record
+    from repro.durable import seal, unseal
 
     golden = run_sweep(_plan(), run_dir=str(tmp_path / "golden"))
     lines = (tmp_path / "golden" / JOURNAL_NAME).read_bytes().splitlines(
         keepends=True)
-    plan = decode_line(lines[0])
+    plan = unseal(lines[0])
     del plan["checksum"]
     for task in plan["tasks"]:
         task["photon"]["retired_switch"] = True
@@ -158,7 +154,7 @@ def test_resume_of_journal_with_retired_config_key(tmp_path):
     run_dir.mkdir()
     # the plan and the first outcome: one replayed task, the rest re-run
     (run_dir / JOURNAL_NAME).write_bytes(
-        encode_record(plan) + b"".join(lines[1:3]))
+        seal(plan) + b"\n" + b"".join(lines[1:3]))
     resumed = resume_sweep(str(run_dir))
     assert _det(resumed) == _det(golden)
     assert resumed.replayed == 1
@@ -176,12 +172,12 @@ def test_resume_of_journal_with_retired_functional_key(tmp_path, value):
     table: the interpreter the switch selected is gone, and both
     settings always produced identical results.  So does the plan
     record's retired ``options`` (it only ever said "keep")."""
-    from repro.parallel.journal import decode_line, encode_record
+    from repro.durable import seal, unseal
 
     golden = run_sweep(_plan(), run_dir=str(tmp_path / "golden"))
     lines = (tmp_path / "golden" / JOURNAL_NAME).read_bytes().splitlines(
         keepends=True)
-    plan = decode_line(lines[0])
+    plan = unseal(lines[0])
     del plan["checksum"]
     assert "options" not in plan
     plan["options"] = {"on_" + "conflict": "keep"}
@@ -191,7 +187,7 @@ def test_resume_of_journal_with_retired_functional_key(tmp_path, value):
     run_dir = tmp_path / "old"
     run_dir.mkdir()
     (run_dir / JOURNAL_NAME).write_bytes(
-        encode_record(plan) + b"".join(lines[1:3]))
+        seal(plan) + b"\n" + b"".join(lines[1:3]))
     resumed = resume_sweep(str(run_dir))
     assert _det(resumed) == _det(golden)
     assert resumed.replayed == 1
