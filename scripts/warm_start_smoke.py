@@ -12,8 +12,9 @@ exits non-zero, so CI fails loudly if the store silently stops
 matching keys, replay drifts from emulation, or bundles go back to one
 column set per warp.
 
-Unlike scripts/bench_sweep.py this checks only *correctness* of the
-warm path, not its speed, so it is safe on the slowest CI runner.
+It checks only *correctness* of the warm path, not its speed, so it
+is safe on the slowest CI runner; PhotonBench's
+``parallel.warm_speedup`` tracks the speed.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ from .defaults import (
     EVAL_PHOTON,
     EVAL_R9NANO,
     QUICK_SIZES,
-    SWEEP_SIZES,
 )
 from .metrics import (
     Comparison,
@@ -16,13 +15,11 @@ from .metrics import (
 )
 from .runner import (
     LEVEL_METHODS,
-    measure_online_offline,
     run_methods_app,
     run_methods_kernel,
-    sweep_sizes,
     workload_factory,
 )
-from .tables import comparison_table, format_table, series_table
+from .tables import comparison_table, format_table
 
 __all__ = [
     "Comparison",
@@ -31,17 +28,13 @@ __all__ = [
     "EVAL_R9NANO",
     "LEVEL_METHODS",
     "QUICK_SIZES",
-    "SWEEP_SIZES",
     "compare_apps",
     "compare_kernels",
     "comparison_table",
     "format_table",
-    "measure_online_offline",
     "run_methods_app",
     "run_methods_kernel",
-    "series_table",
     "sim_time_error",
-    "sweep_sizes",
     "wall_speedup",
     "workload_factory",
 ]

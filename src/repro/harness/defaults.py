@@ -44,7 +44,7 @@ def resolve_gpu(name: str) -> GpuConfig:
                           f"{', '.join(GPU_PRESETS)}") from None
 
 
-# Photon configuration used throughout the benchmarks
+# Photon configuration used throughout the evaluation
 EVAL_PHOTON = PhotonConfig(
     bb_window=2048,  # paper default
     warp_window=512,  # paper: 1024; halved with the ~8x smaller grids
@@ -52,18 +52,8 @@ EVAL_PHOTON = PhotonConfig(
     mean_delta=0.2,  # substrate calibration (see PhotonConfig docs)
 )
 
-# problem sizes (warps) per single-kernel workload for the Figure 13/14/15
-# sweeps; the largest sizes keep one full-detailed run under ~1 minute
-SWEEP_SIZES = {
-    "relu": (4096, 8192, 16384),
-    "fir": (2048, 4096, 8192),
-    "sc": (2048, 4096, 8192),
-    "aes": (1024, 2048, 4096),
-    "spmv": (2048, 4096, 8192),
-    "mm": (576, 1024, 2304),
-}
-
-# smaller sizes for quick smoke benchmarks / CI
+# problem sizes (warps) per single-kernel workload: a sweep's default and
+# the sizes tests/test_paper_claims.py checks the paper's claims at
 QUICK_SIZES = {
     "relu": (2048,),
     "fir": (2048,),

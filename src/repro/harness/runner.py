@@ -25,7 +25,6 @@ and message — the remaining methods still run and report.  Pass
 
 from __future__ import annotations
 
-import time as _time
 from typing import (
     Callable,
     Dict,
@@ -288,55 +287,3 @@ def run_methods_app(factory: AppFactory, workload: str,
     out.update((ev.method, ev.result) for ev in (full, *sampled)
                if ev.result is not None)
     return out
-
-
-def sweep_sizes(
-    workload: str,
-    sizes: Iterable[int],
-    gpu: Optional[GpuConfig] = None,
-    methods: Sequence[str] = ("pka", "photon"),
-    photon_config: Optional[PhotonConfig] = None,
-    watchdog: Optional[WatchdogConfig] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
-    isolate: bool = True,
-    **workload_kwargs,
-) -> List[Comparison]:
-    """Sweep a single-kernel workload over problem sizes (Figure 13/14).
-
-    A size whose kernel cannot even be built contributes one failed row
-    (method ``"build"``) instead of aborting the remaining sizes.
-    """
-    rows: List[Comparison] = []
-    for size in sizes:
-        rows.extend(run_methods_kernel(
-            lambda size=size: workload_factory(
-                workload, size, **workload_kwargs)(),
-            workload, size, gpu=gpu, methods=methods,
-            photon_config=photon_config, watchdog=watchdog,
-            fault_plan=fault_plan, retry=retry, isolate=isolate))
-    return rows
-
-
-def measure_online_offline(
-    factory: AppFactory,
-    gpu: Optional[GpuConfig] = None,
-    photon_config: Optional[PhotonConfig] = None,
-) -> Dict[str, float]:
-    """Section 6.3: wall time of online Photon vs offline (reused
-    analysis).  Returns wall seconds for both and the store hit count."""
-    gpu = gpu or EVAL_R9NANO
-    photon_config = photon_config or EVAL_PHOTON
-    store = AnalysisStore()
-    t0 = _time.perf_counter()
-    Photon(gpu, photon_config, analysis_store=store).simulate_app(factory())
-    online_wall = _time.perf_counter() - t0
-    t0 = _time.perf_counter()
-    Photon(gpu, photon_config, analysis_store=store).simulate_app(factory())
-    offline_wall = _time.perf_counter() - t0
-    return {
-        "online_wall": online_wall,
-        "offline_wall": offline_wall,
-        "store_entries": float(sum(1 for _ in store.items())),
-        "store_hits": float(store.hits),
-    }

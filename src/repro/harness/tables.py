@@ -1,8 +1,8 @@
-"""Plain-text table formatting for benchmark output.
+"""Plain-text table formatting for comparison rows.
 
-The benches print the same rows/series the paper's figures plot; these
-helpers keep the output aligned and diff-friendly (EXPERIMENTS.md embeds
-them directly).
+``repro run`` / ``app`` / ``sweep`` print the rows the paper's figures
+plot; these helpers keep the output aligned and diff-friendly
+(EXPERIMENTS.md embeds them directly).
 """
 
 from __future__ import annotations
@@ -71,12 +71,3 @@ def comparison_table(rows: Iterable[Comparison],
             cells.append(row.error_class or "ok")
         body.append(cells)
     return format_table(headers, body)
-
-
-def series_table(name: str, xs: Sequence[float],
-                 ys: Sequence[float], x_label: str = "x",
-                 y_label: str = "y") -> str:
-    """Two-column series (the data behind a line/scatter figure)."""
-    headers = (x_label, y_label)
-    return f"# {name}\n" + format_table(
-        headers, [(float(x), float(y)) for x, y in zip(xs, ys)])

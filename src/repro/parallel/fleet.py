@@ -60,8 +60,8 @@ coordinator itself is idempotent: kill it mid-merge and re-running
 folds whatever staging is left.
 
 See ``docs/parallel.md`` ("Multi-host fleets") for the operational
-guide and ``scripts/bench_sweep.py --fleet-sim K`` for the
-simulated-fleet scaling bench.
+guide and ``scripts/fleet_smoke.py --hosts K`` for the K-worker
+efficiency gate.
 """
 
 from __future__ import annotations

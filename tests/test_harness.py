@@ -9,10 +9,8 @@ from repro.harness import (
     LEVEL_METHODS,
     comparison_table,
     format_table,
-    measure_online_offline,
     run_methods_app,
     run_methods_kernel,
-    series_table,
     sim_time_error,
     wall_speedup,
     workload_factory,
@@ -87,19 +85,6 @@ def test_run_methods_app(tiny_gpu, fast_photon_config):
     assert len(out["rows"]) == 2
 
 
-def test_measure_online_offline(tiny_gpu, fast_photon_config):
-    def factory():
-        app = Application("app")
-        app.launch(make_vecadd(n_warps=16))
-        return app
-
-    stats = measure_online_offline(factory, gpu=tiny_gpu,
-                                   photon_config=fast_photon_config)
-    assert stats["store_entries"] == 1.0
-    assert stats["store_hits"] >= 1.0
-    assert stats["online_wall"] > 0 and stats["offline_wall"] > 0
-
-
 def test_format_table_alignment():
     text = format_table(("a", "bb"), [(1, 2.5), (10, 3.25)])
     lines = text.splitlines()
@@ -117,21 +102,12 @@ def test_comparison_table_renders(tiny_gpu, fast_photon_config):
     assert "vecadd" in text and "photon" in text and "err_%" in text
 
 
-def test_series_table_renders():
-    text = series_table("ipc", [0, 1, 2], [3.0, 4.0, 5.0],
-                        x_label="t", y_label="ipc")
-    assert text.startswith("# ipc")
-    assert "4.00" in text
-
-
 def test_sweep_isolates_unbuildable_size(tiny_gpu, fast_photon_config):
     """A size whose kernel cannot be built yields one failed 'build' row
     and the remaining sizes still produce real data."""
-    from repro.harness import sweep_sizes
-
-    rows = sweep_sizes("relu", [0, 32], gpu=tiny_gpu,
-                       methods=("photon",),
-                       photon_config=fast_photon_config)
+    rows = [row for size in (0, 32) for row in run_methods_kernel(
+        workload_factory("relu", size), "relu", size, gpu=tiny_gpu,
+        methods=("photon",), photon_config=fast_photon_config)]
     assert rows[0].method == "build" and not rows[0].ok
     assert rows[0].error_class == "WorkloadError"
     good = [r for r in rows if r.size == 32]

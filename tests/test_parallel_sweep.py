@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ConfigError, SamplingError
 from repro.harness.defaults import EVAL_PHOTON, QUICK_SIZES
-from repro.harness.runner import sweep_sizes
+from repro.harness.runner import run_methods_kernel, workload_factory
 from repro.harness.tables import comparison_table
 from repro.parallel import (
     FULL_METHOD,
@@ -94,11 +94,13 @@ _HARNESS_CELLS = [
 
 
 def test_inline_sweep_matches_serial_harness():
-    """sweep_sizes == run_sweep(jobs=1) == run_sweep(jobs=2), failure
-    cells included: one evaluator and one row builder behind all three."""
+    """run_methods_kernel per size == run_sweep(jobs=1) ==
+    run_sweep(jobs=2), failure cells included: one evaluator and one row
+    builder behind all three."""
     for sizes, methods, watchdog, failed in _HARNESS_CELLS:
-        serial = sweep_sizes("relu", sizes, methods=methods,
-                             photon_config=EVAL_PHOTON, watchdog=watchdog)
+        serial = [row for size in sizes for row in run_methods_kernel(
+            workload_factory("relu", size), "relu", size, methods=methods,
+            photon_config=EVAL_PHOTON, watchdog=watchdog)]
         assert [r.method for r in serial if not r.ok] == failed
         tasks = plan_sweep(["relu"], sizes=sizes, methods=methods,
                            watchdog=watchdog)
