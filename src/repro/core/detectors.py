@@ -46,25 +46,27 @@ class _Detector:
                                  self.config.mean_delta)
 
     def _switch(self, time: float) -> None:
+        engine = self._engine
+        # name the launch: a store hit serves an earlier launch's analysis
+        name = (engine.kernel.name if engine is not None
+                else self.analysis.kernel_name)
         if self.fault_plan is not None:
             # a misfire here models the detector erroring exactly when it
             # decides to switch, mid detailed run
-            self.fault_plan.arm(f"detector.{self.level}",
-                                kernel=self.analysis.kernel_name,
+            self.fault_plan.arm(f"detector.{self.level}", kernel=name,
                                 level=self.level)
         self.switched = True
         self.switch_time = time
-        if self._engine is not None:
-            bus = self._engine.bus
-            bus.emit(DETECTOR_SWITCH, self.analysis.kernel_name, self.level,
-                     time)
-            bus.metrics.counter(f"detector.{self.level}_switches").inc()
-            self._engine.request_stop()
+        if engine is not None:
+            engine.bus.emit(DETECTOR_SWITCH, name, self.level, time)
+            engine.bus.metrics.counter(
+                f"detector.{self.level}_switches").inc()
+            engine.request_stop()
 
     def _elide(self, engine: DetailedEngine, reachable: float,
                need: float) -> bool:
         """Record that this detector does not listen to ``engine``."""
-        engine.bus.emit(DETECTOR_ELIDED, self.analysis.kernel_name,
+        engine.bus.emit(DETECTOR_ELIDED, engine.kernel.name,
                         self.level, reachable, need)
         engine.bus.metrics.counter(f"detector.{self.level}_elided").inc()
         return False

@@ -16,6 +16,7 @@ warps in fast-forward mode and derives from their control traces:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -34,7 +35,7 @@ from .config import PhotonConfig
 class OnlineAnalysis:
     """Everything the sampling levels need, derived from the sample."""
 
-    kernel_name: str
+    kernel_name: str   # the launch analysed (a store hit serves others)
     n_warps: int
     sample_warp_ids: List[int]
     sample_insts: int  # dynamic instructions across the sample
@@ -62,6 +63,26 @@ def select_sample(n_warps: int, fraction: float, minimum: int) -> List[int]:
         return list(range(n_warps))
     step = n_warps / count
     return sorted({int(i * step) for i in range(count)})
+
+
+def analysis_key(kernel: Kernel, config: PhotonConfig) -> str:
+    """sha256 of what :func:`analyze_kernel` reads: program, grid, step
+    cap, the control slice's registers in each sample warp and, with an
+    ``s_load`` on the slice, memory — not pointers the slice ignores."""
+    executor = FunctionalExecutor(kernel)
+    program = kernel.program
+    cut = program.control_slice
+    sample = select_sample(kernel.n_warps, config.sample_fraction,
+                           config.min_sample_warps)
+    digest = hashlib.sha256(repr((
+        program.fingerprint, kernel.n_warps, kernel.wg_size,
+        executor.max_steps, config.bbv_dim, config.gpu_bbv_clusters, sample,
+        [[row[r] for r in cut.sregs]
+         for row in map(executor.initial_sregs, sample)],
+    )).encode("utf-8"))
+    if cut.loads:
+        digest.update(kernel.memory.image())
+    return digest.hexdigest()
 
 
 def analyze_kernel(

@@ -12,7 +12,9 @@ configuration) skips re-analysis:
 * :class:`KernelDB` — kernel records including simulated time and IPC
   (microarchitecture *specific*: reuse only on the same GPU config).
 
-Robustness (format version 2):
+Analysis stores are format 3, keyed by :func:`~.online.analysis_key`;
+versions 1 and 2 (process-local keys) are refused.  Robustness (since
+format version 2):
 
 * the payload is one sealed record written with
   :func:`repro.durable.write_sealed` (temp file + fsync +
@@ -25,7 +27,7 @@ Robustness (format version 2):
   analyses into a simulation;
 * individually corrupt *entries* are quarantined: the loader skips them,
   counts them on ``store.quarantined`` / ``db.quarantined``, and keeps
-  every healthy entry.  Version-1 files (no checksum) still load.
+  every healthy entry.  Version-1 kernel dbs (no checksum) still load.
 
 The payload codecs (:func:`analysis_store_payload` /
 :func:`analysis_store_from_payload` and the kernel-db pair) are exposed
@@ -49,8 +51,8 @@ from .online import OnlineAnalysis
 from .photon import AnalysisStore
 
 PathLike = Union[str, Path]
-_FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+_STORE_VERSION = 3
+_DB_VERSION = 2
 
 
 def analysis_store_payload(store: AnalysisStore) -> dict:
@@ -58,7 +60,7 @@ def analysis_store_payload(store: AnalysisStore) -> dict:
     entries = []
     for key, analysis in store.items():
         entries.append({
-            "key": list(key),
+            "key": key,
             "kernel_name": analysis.kernel_name,
             "n_warps": analysis.n_warps,
             "sample_warp_ids": list(analysis.sample_warp_ids),
@@ -76,16 +78,21 @@ def analysis_store_payload(store: AnalysisStore) -> dict:
             "dominant_rate": analysis.dominant_rate,
             "gpu_bbv": analysis.gpu_bbv.tolist(),
         })
-    return {"version": _FORMAT_VERSION, "entries": entries}
+    return {"version": _STORE_VERSION, "entries": entries}
 
 
 def analysis_store_from_payload(payload: dict) -> AnalysisStore:
     """Decode a payload produced by :func:`analysis_store_payload`.
 
     Corrupt individual entries are skipped and counted on the returned
-    store's ``quarantined`` attribute; a structurally broken payload
-    raises :class:`SamplingError`.
+    store's ``quarantined`` attribute; a structurally broken payload or
+    one older than version 3 raises :class:`SamplingError`.
     """
+    version = payload.get("version")
+    if version in (1, 2):
+        raise SamplingError(
+            f"analysis store version {version} keys are process-local "
+            f"hashes; discard it and re-analyse")
     entries = payload.get("entries")
     if not isinstance(entries, list):
         raise SamplingError("analysis-store payload has no entry list")
@@ -110,11 +117,9 @@ def analysis_store_from_payload(payload: dict) -> AnalysisStore:
                 dominant_rate=entry["dominant_rate"],
                 gpu_bbv=np.asarray(entry["gpu_bbv"], dtype=float),
             )
-            key = tuple(entry["key"])
+            store.insert(entry["key"], analysis)  # a list key: TypeError
         except (KeyError, TypeError, ValueError, AttributeError):
             store.quarantined += 1
-            continue
-        store.insert(key, analysis)
     return store
 
 
@@ -128,15 +133,15 @@ def load_analysis_store(path: PathLike) -> AnalysisStore:
 
     Corrupt individual entries are skipped and counted on the returned
     store's ``quarantined`` attribute; a corrupt *file* (bad JSON, wrong
-    version, checksum mismatch) raises :class:`SamplingError`.
+    or pre-3 version, checksum mismatch) raises :class:`SamplingError`.
     """
-    return analysis_store_from_payload(_read(path))
+    return analysis_store_from_payload(_read(path, (1, 2, _STORE_VERSION)))
 
 
 def kernel_db_payload(db: KernelDB) -> dict:
     """Encode a kernel database as a JSON-safe payload dict."""
     return {
-        "version": _FORMAT_VERSION,
+        "version": _DB_VERSION,
         "distance_threshold": db.distance_threshold,
         "n_cu": db.n_cu,
         "records": [
@@ -195,10 +200,10 @@ def load_kernel_db(path: PathLike) -> KernelDB:
     db's ``quarantined`` attribute; a corrupt *file* raises
     :class:`SamplingError`.
     """
-    return kernel_db_from_payload(_read(path))
+    return kernel_db_from_payload(_read(path, (1, _DB_VERSION)))
 
 
-def _read(path: PathLike) -> dict:
+def _read(path: PathLike, versions: tuple) -> dict:
     payload = read_sealed(path)
     if payload is None:
         # version 1 predates the seal; it is the one unsealed store read
@@ -211,8 +216,8 @@ def _read(path: PathLike) -> dict:
             raise SamplingError(
                 f"{path}: checksum mismatch — store is corrupt")
     version = payload.get("version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version not in versions:
         raise SamplingError(
             f"{path}: unsupported format version {version!r} "
-            f"(supported: {_SUPPORTED_VERSIONS})")
+            f"(supported: {versions})")
     return payload

@@ -33,8 +33,8 @@ trusted or fatal.
 
 The controller also supports the paper's online/offline trade-off
 (Section 6.3): online-analysis results are microarchitecture-agnostic
-and can be cached in an :class:`AnalysisStore` keyed by program
-fingerprint and grid, skipping re-analysis on later runs.
+and are cached in an :class:`AnalysisStore` keyed by what the analysis
+reads, so a repeated launch is analysed once, with the same result.
 """
 
 from __future__ import annotations
@@ -59,9 +59,7 @@ from .config import PhotonConfig
 from .detectors import BBSamplingDetector, WarpSamplingDetector
 from .interval import IntervalModel
 from .kerneldb import KernelDB, KernelRecord, MergeStats
-from .online import OnlineAnalysis, analyze_kernel
-
-StoreKey = Tuple[int, int, int]
+from .online import OnlineAnalysis, analysis_key, analyze_kernel
 
 #: recoverable error classes the degradation ladder absorbs
 _RECOVERABLE = (SamplingError, TimingError)
@@ -71,49 +69,38 @@ class AnalysisStore:
     """Cache of online-analysis results for offline reuse (§6.3)."""
 
     def __init__(self) -> None:
-        self._entries: Dict[StoreKey, OnlineAnalysis] = {}
+        self._entries: Dict[str, OnlineAnalysis] = {}
         self.hits = 0
         self.misses = 0
         self.quarantined = 0  # entries dropped as corrupt
 
-    @staticmethod
-    def key_of(kernel: Kernel) -> StoreKey:
-        return (kernel.program.fingerprint, kernel.n_warps, kernel.wg_size)
-
-    def get(self, kernel: Kernel) -> Optional[OnlineAnalysis]:
-        entry = self._entries.get(self.key_of(kernel))
+    def get(self, key: str) -> Optional[OnlineAnalysis]:
+        entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
         else:
             self.hits += 1
         return entry
 
-    def put(self, kernel: Kernel, analysis: OnlineAnalysis) -> None:
-        self._entries[self.key_of(kernel)] = analysis
+    def insert(self, key: str, analysis: OnlineAnalysis) -> None:
+        self._entries[key] = analysis
 
-    def insert(self, key: StoreKey, analysis: OnlineAnalysis) -> None:
-        """Insert under an explicit key (used by the persistence loader)."""
-        self._entries[tuple(key)] = analysis
-
-    def items(self) -> Iterator[Tuple[StoreKey, OnlineAnalysis]]:
+    def items(self) -> Iterator[Tuple[str, OnlineAnalysis]]:
         """Iterate ``(key, analysis)`` pairs (the public accessor)."""
         return iter(self._entries.items())
 
-    def discard(self, kernel: Kernel) -> bool:
-        """Quarantine the entry for ``kernel``; True if one was dropped."""
-        if self._entries.pop(self.key_of(kernel), None) is not None:
+    def discard(self, key: str) -> None:
+        """Quarantine the entry under ``key``."""
+        if self._entries.pop(key, None) is not None:
             self.quarantined += 1
-            return True
-        return False
 
     def merge(self, other: "AnalysisStore",
               on_conflict: str = "keep") -> MergeStats:
         """Fold ``other``'s entries into this store, deterministically.
 
-        Online analyses are deterministic functions of (program, grid,
-        Photon config), so two workers that analysed the same kernel
-        should hold byte-identical entries — those count as
-        ``duplicates`` and are skipped.  A same-key entry with
+        An online analysis is a function of its key, so two workers
+        that analysed the same content hold equal entries — those count
+        as ``duplicates`` and are skipped.  A same-key entry with
         *different* content is a ``conflict``; resolution follows
         ``on_conflict``:
 
@@ -155,11 +142,11 @@ class AnalysisStore:
 
 
 def _analyses_equal(a: OnlineAnalysis, b: OnlineAnalysis) -> bool:
-    """Full-content equality of two online analyses (numpy-aware)."""
+    """Content equality of two online analyses (numpy-aware); which
+    launch was analysed (``kernel_name``) is a label, not content."""
     if a is b:
         return True
-    return (a.kernel_name == b.kernel_name
-            and a.n_warps == b.n_warps
+    return (a.n_warps == b.n_warps
             and list(a.sample_warp_ids) == list(b.sample_warp_ids)
             and a.sample_insts == b.sample_insts
             and a.mean_insts_per_warp == b.mean_insts_per_warp
@@ -178,7 +165,8 @@ class Photon(Methodology):
 
     One instance carries warm state across an application's kernels: the
     cache hierarchy, the kernel database, the instruction-latency table
-    feeding the interval model, and (optionally) an analysis store.
+    feeding the interval model, and an analysis store (the one given,
+    or a private one), so a repeated launch is analysed once.
     ``watchdog`` bounds every internal simulation loop; ``fault_plan``
     deterministically injects failures (tests use it to prove the
     degradation paths).
@@ -217,7 +205,8 @@ class Photon(Methodology):
             self.kernel_db = KernelDB(self.config.kernel_distance,
                                       gpu_config.n_cu)
         self.interval_model = IntervalModel(gpu_config)
-        self.analysis_store = analysis_store
+        self.analysis_store = (analysis_store if analysis_store is not None
+                               else AnalysisStore())
         self.fault_plan = fault_plan
 
     # -- public API --------------------------------------------------------------
@@ -330,30 +319,31 @@ class Photon(Methodology):
 
     def _get_analysis(self, kernel: Kernel,
                       ledger: List[FallbackEvent]) -> OnlineAnalysis:
-        if self.analysis_store is not None:
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.arm("analysis.store",
-                                        kernel=kernel.name, level="store")
-                cached = self.analysis_store.get(kernel)
-            except _RECOVERABLE as exc:
-                # corrupt cached entry: quarantine it and re-analyse
-                self.analysis_store.discard(kernel)
-                self._record_fallback(ledger, FallbackEvent(
-                    kernel=kernel.name,
-                    from_level="store",
-                    to_level="analysis",
-                    error=type(exc).__name__,
-                    message=str(exc),
-                ))
-            else:
-                if cached is not None:
-                    return cached
-        analysis = analyze_kernel(kernel, self.config, self.projector,
-                                  watchdog=self.watchdog, bus=self.bus)
-        if self.analysis_store is not None:
-            self.analysis_store.put(kernel, analysis)
-        return analysis
+        store = self.analysis_store
+        key = analysis_key(kernel, self.config)
+        try:
+            if self.fault_plan is not None:
+                self.fault_plan.arm("analysis.store",
+                                    kernel=kernel.name, level="store")
+            cached = store.get(key)
+        except _RECOVERABLE as exc:
+            # corrupt cached entry: quarantine it and re-analyse
+            store.discard(key)
+            self._record_fallback(ledger, FallbackEvent(
+                kernel=kernel.name,
+                from_level="store",
+                to_level="analysis",
+                error=type(exc).__name__,
+                message=str(exc),
+            ))
+            cached = None
+        self.bus.metrics.counter("analysis.store_misses" if cached is None
+                                 else "analysis.store_hits").inc()
+        if cached is None:
+            cached = analyze_kernel(kernel, self.config, self.projector,
+                                    watchdog=self.watchdog, bus=self.bus)
+            store.insert(key, cached)
+        return cached
 
     def _simulate_intra_kernel(
         self, kernel: Kernel, analysis: OnlineAnalysis,

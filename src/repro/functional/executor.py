@@ -16,10 +16,10 @@ Two modes are offered, both by that driver:
   :class:`~repro.functional.trace.WarpTrace` the detailed timing model
   consumes (dependencies + coalesced cache lines).
 * CONTROL (:meth:`FunctionalExecutor.run_warp_control`) is the same
-  driver with the vector side off.  Control flow in GCN-style kernels
-  depends only on scalar state, which depends only on scalar registers
-  and scalar loads, so vector / LDS / barrier / waitcnt instructions
-  are counted and skipped.  It records the basic-block sequence and the
+  driver on the program's control slice.  Control flow in GCN-style
+  kernels depends only on scalar registers and scalar loads, so every
+  instruction off the slice (the vector side, scalar address math) is
+  counted and skipped.  It records the basic-block sequence and the
   instruction count.  This is the cheap fast-forward mode Photon uses
   for online analysis and for warps whose timing is predicted rather
   than simulated.
@@ -47,6 +47,7 @@ Fills over many warps (path-memo grouping, chunked providers, the
 from __future__ import annotations
 
 import time as _time
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,7 +142,7 @@ _K_BRANCH = 4
 _K_CBR1 = 5
 _K_CBR0 = 6
 _K_END = 7
-# kinds from here on never touch scalar state: CONTROL counts and skips
+# kinds from here on never touch scalar state (never on the control slice)
 _K_VECTOR_SIDE = 8
 _K_VBIN = 8
 _K_VMAC = 9
@@ -229,10 +230,12 @@ class _StaticInfo:
     """Pre-resolved per-instruction metadata (dependency keys, class)."""
 
     __slots__ = ("reads", "writes", "opclass", "opcode_id", "is_leader",
-                 "kind", "fn", "dst_idx", "src_spec", "target", "is_mem",
-                 "mem_base", "mem_index", "mem_scale", "mem_offset")
+                 "off_slice", "kind", "fn", "dst_idx", "src_spec", "target",
+                 "is_mem", "mem_base", "mem_index", "mem_scale", "mem_offset")
 
-    def __init__(self, inst: Instruction):
+    def __init__(self, inst: Instruction, is_leader: bool, off_slice: bool):
+        self.is_leader = is_leader
+        self.off_slice = off_slice   # CONTROL counts it and skips it
         reads: List[object] = []
         for reg in inst.reads():
             if isinstance(reg, SReg):
@@ -260,7 +263,6 @@ class _StaticInfo:
         self.writes = tuple(writes)
         self.opclass = int(inst.op_class)
         self.opcode_id = op.value
-        self.is_leader = False  # filled in by the executor
         self.kind, self.fn = _kind_of(op)
         self.is_mem = self.kind in (_K_VLOAD, _K_VSTORE, _K_SLOAD)
         self.dst_idx = inst.dst.index if hasattr(inst.dst, "index") else -1
@@ -283,6 +285,10 @@ class _StaticInfo:
                           else -1)
         self.mem_scale = mem.scale if mem is not None else 1
         self.mem_offset = mem.offset if mem is not None else 0
+
+
+#: static tables by program (weak; a table refers to no program or kernel)
+_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class _Batch:
@@ -373,13 +379,13 @@ class FunctionalExecutor:
         self.watchdog = watchdog
         self.fault_plan = fault_plan
         self.bus = bus if bus is not None else current_bus()
-        leaders = {b.start for b in self.program.blocks}
-        self._static = [
-            _StaticInfo(inst) for inst in self.program.instructions
-        ]
-        for pc in leaders:
-            self._static[pc].is_leader = True
-        self._leaders = leaders
+        self._static = _TABLES.get(self.program)
+        if self._static is None:
+            leaders = {b.start for b in self.program.blocks}
+            on_slice = self.program.control_slice.pcs
+            self._static = _TABLES[self.program] = [
+                _StaticInfo(inst, pc in leaders, pc not in on_slice)
+                for pc, inst in enumerate(self.program.instructions)]
 
     def watchdog_for(self, label: str):
         """Armed watchdog for one guarded run, or None when the
@@ -396,7 +402,7 @@ class FunctionalExecutor:
 
     # -- register-file setup --------------------------------------------------
 
-    def _init_sregs(self, warp_id: int) -> List[float]:
+    def initial_sregs(self, warp_id: int) -> List[float]:
         kernel = self.kernel
         sregs = [0.0] * N_SREGS
         sregs[SREG_WARP_ID] = float(warp_id)
@@ -481,7 +487,7 @@ class FunctionalExecutor:
             members, rows = [], []
             for warp_id in warp_ids:
                 try:
-                    rows.append(self._init_sregs(warp_id))
+                    rows.append(self.initial_sregs(warp_id))
                     members.append(warp_id)
                 except ExecutionError as exc:
                     errors[warp_id] = exc
@@ -543,7 +549,7 @@ class FunctionalExecutor:
                     if info.is_leader:
                         t_bb.append((pc, dyn) if full else pc)
                     kind = info.kind
-                    if not full and kind >= _K_VECTOR_SIDE:
+                    if not full and info.off_slice:
                         dyn += 1
                         pc += 1
                         continue

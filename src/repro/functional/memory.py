@@ -77,6 +77,10 @@ class GlobalMemory:
         except KeyError:
             raise MemoryFault(f"no buffer named {name!r}") from None
 
+    def image(self) -> np.ndarray:
+        """View of every allocated word (what a device access can read)."""
+        return self._data[: self._next_free]
+
     def view(self, name: str) -> np.ndarray:
         """Writable numpy view of buffer ``name`` (host-side access)."""
         base, size = self._buffers[name]

@@ -11,12 +11,33 @@ first instruction, exactly as SimPoint-style BBVs do.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from ..errors import IsaError
 from .instructions import Instruction, validate_instruction
-from .opcodes import OpClass, Opcode, ends_basic_block, is_branch, op_class
+from .opcodes import OpClass, Opcode, SReg, VReg, ends_basic_block, op_class
+
+
+class ControlSlice(NamedTuple):
+    """What decides a CONTROL result (:attr:`Program.control_slice`)."""
+    pcs: FrozenSet[int]       # instructions CONTROL executes
+    sregs: Tuple[int, ...]    # scalar registers they read
+    loads: bool               # an s_load is on it: memory matters
+
+
+def _decides_control(inst: Instruction, needed: set) -> bool:
+    """``inst`` branches, ends, loads, sets ``scc``, can fault (a vector
+    operand, a non-scalar destination) or writes a register in
+    ``needed``."""
+    op = inst.opcode
+    cls = op_class(op)
+    if cls is not OpClass.SCALAR_ALU or op.name.startswith("S_EXEC"):
+        return cls in (OpClass.SCALAR_MEM, OpClass.BRANCH, OpClass.END)
+    return (op.name.startswith("S_CMP") or not isinstance(inst.dst, SReg)
+            or any(isinstance(x, VReg) for x in inst.srcs)
+            or inst.dst.index in needed)
 
 
 @dataclass(frozen=True)
@@ -99,19 +120,38 @@ class Program:
         return blocks
 
     @property
-    def fingerprint(self) -> int:
-        """Stable identity of the instruction stream (not the name).
-
-        Used to key offline analysis reuse: two launches of the same
-        binary share a fingerprint even if their grids differ.
-        """
+    def fingerprint(self) -> str:
+        """sha256 hex of the instructions (opcodes, operands, targets,
+        addressing) and ``split_on_waitcnt`` — not the name.  Stable
+        across processes, so it can key persisted analyses."""
         cached = getattr(self, "_fingerprint", None)
         if cached is None:
-            cached = hash(tuple(
-                (inst.opcode.value, inst.target)
-                for inst in self.instructions
-            ))
+            text = repr((self.split_on_waitcnt, [
+                (inst.opcode.name, inst.dst, inst.srcs, inst.target,
+                 inst.mem) for inst in self.instructions]))
+            cached = hashlib.sha256(text.encode("utf-8")).hexdigest()
             self._fingerprint = cached
+        return cached
+
+    @property
+    def control_slice(self) -> ControlSlice:
+        """What a CONTROL pass executes: the flow-insensitive backward
+        closure, over scalar-side instructions, of the branches, every
+        ``s_load`` and every scalar instruction that can fault."""
+        cached = getattr(self, "_control_slice", None)
+        if cached is None:
+            pcs, needed, grew = set(), set(), True
+            while grew:
+                grew = False
+                for pc, inst in enumerate(self.instructions):
+                    if pc not in pcs and _decides_control(inst, needed):
+                        pcs.add(pc)
+                        needed.update(r.index for r in inst.reads()
+                                      if isinstance(r, SReg))
+                        grew = True
+            cached = self._control_slice = ControlSlice(
+                frozenset(pcs), tuple(sorted(needed)),
+                any(i.opcode is Opcode.S_LOAD for i in self.instructions))
         return cached
 
     @property

@@ -9,11 +9,9 @@ register dependencies and cache-line numbers, so one bundle serves
 every GPU configuration (the same observation that lets Photon reuse
 its offline analysis across configs, §6.3).
 
-``Program.fingerprint`` cannot key a *disk* store: it is built on
-Python ``hash()``, which is process-randomised for strings and, before
-3.12, undefined for ``None``-bearing tuples across runs.  The digests
-here are sha256 over a canonical text encoding — stable across
-processes, platforms and Python versions.
+The digests here are sha256 over a canonical text encoding — stable
+across processes, platforms and Python versions — that also covers
+:data:`FORMAT_VERSION`, so a format change renames every bundle.
 
 A warp trace serialises to two little-endian binary blobs (section
 sizes up front, then flat numpy arrays), split where the interpreter
@@ -67,9 +65,8 @@ def _operand(op) -> object:
 def program_digest(program: Program) -> str:
     """sha256 over a canonical encoding of the instruction stream.
 
-    Unlike :attr:`Program.fingerprint` this is stable across processes
-    and Python versions, and it covers operands and addressing (the
-    in-memory fingerprint only hashes opcodes and branch targets).
+    Stable across processes and Python versions; it covers operands,
+    addressing and the trace-format version.
     """
     parts: List[object] = [FORMAT_VERSION, bool(program.split_on_waitcnt)]
     for inst in program.instructions:
@@ -99,7 +96,7 @@ def kernel_data_digest(kernel: Kernel) -> str:
     """
     h = hashlib.sha256()
     mem = kernel.memory
-    h.update(mem._data[: mem._next_free].tobytes())
+    h.update(mem.image().tobytes())
     for name in sorted(mem._buffers):
         base, size = mem._buffers[name]
         h.update(f"{name}:{base}:{size};".encode("utf-8"))

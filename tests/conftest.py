@@ -256,7 +256,7 @@ class DrawSource:
         self.booleans = lambda: draw(st.booleans())
 
 
-def random_kernel_factory(src):
+def random_kernel_factory(src, scalar_chains=False):
     """A zero-arg factory building a random well-formed kernel.
 
     ``src`` supplies ``integers(lo, hi)``, ``booleans()`` and
@@ -266,6 +266,13 @@ def random_kernel_factory(src):
     loops and memory traffic.  Returning a *factory* lets one example
     run the same launch several times from identical initial state —
     an execution-driven run applies the kernel's stores to its arena.
+
+    ``scalar_chains`` (extra draws, so off for the recorded golden
+    corpus) mixes scalar chains on and off the control slice: memory
+    goes through a base register computed by scalar address math no
+    branch reads, loop bounds may come from a per-warp chain a branch
+    does read, and loop bodies may feed slice registers into off-slice
+    ones.
     """
     n_warps = src.integers(1, 12)
     wg_size = src.choice((1, 2, 4))
@@ -279,6 +286,13 @@ def random_kernel_factory(src):
                 for _ in range(n_loops + 1)]
     b.v_mov(v(1), 0.0)
     b.s_mov(s(5), 1)
+    base = s(4)
+    if scalar_chains:
+        base, delta = s(6), src.integers(1, 9)
+        b.s_add(base, s(4), delta)
+        b.s_mul(s(12), s(0), delta)    # read by nothing but the vector side
+        b.s_sub(base, base, delta)
+        b.v_add(v(1), v(1), s(12))
     _emit_ops(b, segments[0])
 
     # optional warp-divergent scalar branch: s0 is the warp id, so warps
@@ -311,17 +325,26 @@ def random_kernel_factory(src):
     for loop_idx in range(n_loops):
         trips = src.integers(1, 5)
         counter = s(8 + loop_idx)
+        if scalar_chains and src.booleans():
+            # a per-warp bound in 1..4: a scalar chain on the slice
+            trips = s(10 + loop_idx)
+            b.s_and(trips, s(0), 3)
+            b.s_add(trips, trips, 1)
         b.s_mov(counter, 0)
         b.label(f"loop{loop_idx}")
         _emit_ops(b, segments[loop_idx + 1])
+        if scalar_chains and src.booleans():
+            # a slice register feeding an off-slice chain
+            b.s_add(s(13), counter, s(12))
+            b.v_add(v(1), v(1), s(13))
         if src.booleans():
-            b.v_load(v(2), MemAddr(base=s(4), index=v(0)))
+            b.v_load(v(2), MemAddr(base=base, index=v(0)))
             b.s_waitcnt()
         b.s_add(counter, counter, 1)
         b.s_cmp_lt(counter, trips)
         b.s_cbranch_scc1(f"loop{loop_idx}")
     if src.booleans():
-        b.v_store(v(1), MemAddr(base=s(4), index=v(0)))
+        b.v_store(v(1), MemAddr(base=base, index=v(0)))
     b.s_endpgm()
     return _one_buffer_factory(b.build(), n_warps, wg_size, "random")
 

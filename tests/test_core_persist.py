@@ -121,7 +121,8 @@ def test_saved_payload_carries_valid_checksum(populated, tmp_path):
     path = tmp_path / "store.json"
     save_analysis_store(store, path)
     payload = json.loads(path.read_text())
-    assert payload["version"] == 2
+    assert payload["version"] == 3
+    assert all(isinstance(e["key"], str) for e in payload["entries"])
     assert payload["checksum"] == payload_checksum(payload)
 
 
@@ -177,16 +178,37 @@ def test_corrupt_db_record_quarantined(populated, tmp_path):
 
 
 def test_version1_files_still_load(populated, tmp_path):
-    """Backwards compatibility: v1 has no checksum and must not need one."""
+    """Backwards compatibility: a v1 kernel db has no checksum and must
+    not need one (kernel-db payloads are unchanged since v2)."""
+    _, db = populated
+    path = tmp_path / "db.json"
+    save_kernel_db(db, path)
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 2
+    payload["version"] = 1
+    del payload["checksum"]
+    path.write_text(json.dumps(payload))
+    loaded = load_kernel_db(path)
+    assert len(loaded) == len(db)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_pre_v3_analysis_stores_refused(populated, tmp_path, version):
+    """v1 / v2 keys were a process-local hash that ignored launch
+    arguments: such a store is refused, not trusted."""
+    from repro.durable import payload_checksum
+
     store, _ = populated
     path = tmp_path / "store.json"
     save_analysis_store(store, path)
     payload = json.loads(path.read_text())
-    payload["version"] = 1
+    payload["version"] = version
     del payload["checksum"]
+    if version == 2:
+        payload["checksum"] = payload_checksum(payload)
     path.write_text(json.dumps(payload))
-    loaded = load_analysis_store(path)
-    assert len(loaded) == len(store)
+    with pytest.raises(SamplingError, match="process-local.*re-analyse"):
+        load_analysis_store(path)
 
 
 def test_save_is_atomic_no_tmp_left_behind(populated, tmp_path):

@@ -56,7 +56,7 @@ def test_scalar_preset_registers():
         b.s_endpgm()
 
     ex, kernel, mem, _ = run_single(body)
-    sregs = ex._init_sregs(warp_id=3)
+    sregs = ex.initial_sregs(warp_id=3)
     assert sregs[0] == 3.0  # warp id
     assert sregs[1] == 1.0  # workgroup id (wg_size=2)
     assert sregs[2] == 1.0  # warp within workgroup

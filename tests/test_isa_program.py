@@ -119,6 +119,12 @@ def test_fingerprint_stable_and_name_independent():
 
     assert build(body3).fingerprint != p1.fingerprint
 
+    def body4(b):   # same opcodes and targets, another operand
+        b.v_mov(v(0), 2.0)
+        b.s_endpgm()
+
+    assert build(body4).fingerprint != build(body3).fingerprint
+
 
 def test_static_instruction_mix_counts():
     def body(b):
@@ -169,9 +175,10 @@ def test_waitcnt_split_option():
     split = with_waitcnt_blocks(prog)
     assert split.num_blocks == 2
     assert [blk.pc for blk in split.blocks] == [0, 2]
-    # instruction stream identical
+    # instruction stream identical, but the blocks (so every analysis
+    # built on them) differ: the two must never share an analysis key
     assert split.instructions == prog.instructions
-    assert split.fingerprint == prog.fingerprint
+    assert split.fingerprint != prog.fingerprint
 
 
 def test_waitcnt_split_executes_consistently():

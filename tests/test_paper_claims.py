@@ -383,20 +383,22 @@ def test_fig17_kernel_sampling_is_the_most_accurate_level(vgg16):
     assert rows["kernel-sampling"].error_pct <= rows["photon"].error_pct + 5.0
 
 
-def test_sec63_offline_analysis_is_reused():
+def test_sec63_offline_analysis_is_reused(vgg16):
     """A second run over a warm AnalysisStore takes every kernel's
-    analysis from the store and is not slower (paper: 4.19 h -> 3.76 h
-    on VGG-16)."""
+    analysis from the store, is not slower (paper: 4.19 h -> 3.76 h
+    on VGG-16) and equals a run without a store bit for bit."""
     store = AnalysisStore()
-    walls = []
+    walls, runs = [], []
     for _ in range(2):
         start = time.perf_counter()
-        Photon(EVAL_R9NANO, EVAL_PHOTON,
-               analysis_store=store).simulate_app(APP_BUILDERS["vgg16"]())
+        runs.append(Photon(EVAL_R9NANO, EVAL_PHOTON, analysis_store=store)
+                    .simulate_app(APP_BUILDERS["vgg16"]()))
         walls.append(time.perf_counter() - start)
     online_wall, offline_wall = walls
     assert store.hits >= len(store)
     assert offline_wall <= online_wall * 1.10
+    plain = [(k.sim_time, k.n_insts, k.mode) for k in vgg16["photon"].kernels]
+    assert [(k.sim_time, k.n_insts, k.mode) for k in runs[-1].kernels] == plain
 
 
 # ------------------------------------------------------------- ablations

@@ -37,8 +37,10 @@ GPU = R9_NANO.scaled(4)
 @st.composite
 def random_kernel_factories(draw):
     """Hypothesis draws behind ``conftest.random_kernel_factory`` (the
-    golden corpus feeds the same generator from ``random.Random``)."""
-    return random_kernel_factory(DrawSource(draw))
+    golden corpus feeds the same generator from ``random.Random``),
+    with and without scalar chains on and off the control slice."""
+    return random_kernel_factory(DrawSource(draw),
+                                 scalar_chains=draw(st.booleans()))
 
 
 def random_kernels():
