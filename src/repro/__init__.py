@@ -35,7 +35,6 @@ from .reliability import (
     FaultPlan,
     FaultSpec,
     FallbackEvent,
-    RetryPolicy,
     WatchdogConfig,
 )
 from .timing import simulate_app_detailed, simulate_kernel_detailed
@@ -62,7 +61,6 @@ __all__ = [
     "PkaConfig",
     "R9_NANO",
     "ReproError",
-    "RetryPolicy",
     "SimulationStalled",
     "WatchdogConfig",
     "simulate_app_detailed",

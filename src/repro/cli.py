@@ -431,7 +431,21 @@ def _trace_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_trace_store_budget(args: argparse.Namespace) -> None:
+    """``--trace-store-max-mb`` needs a store and a budget >= 0 (0
+    evicts every bundle)."""
+    budget = args.trace_store_max_mb
+    if budget is None:
+        return
+    if args.trace_store is None:
+        raise ConfigError("--trace-store-max-mb needs --trace-store DIR")
+    if not budget >= 0:   # NaN fails too
+        raise ConfigError(
+            f"--trace-store-max-mb must be >= 0, got {budget!r}")
+
+
 def _run(args: argparse.Namespace) -> int:
+    _check_trace_store_budget(args)
     watchdog = _watchdog_from(args)
     obs = _ObsSession(args.trace_out)
     cache = None

@@ -94,29 +94,19 @@ class AnalysisStore:
         if self._entries.pop(key, None) is not None:
             self.quarantined += 1
 
-    def merge(self, other: "AnalysisStore",
-              on_conflict: str = "keep") -> MergeStats:
+    def merge(self, other: "AnalysisStore") -> MergeStats:
         """Fold ``other``'s entries into this store, deterministically.
 
         An online analysis is a function of its key, so two workers
         that analysed the same content hold equal entries — those count
         as ``duplicates`` and are skipped.  A same-key entry with
-        *different* content is a ``conflict``; resolution follows
-        ``on_conflict``:
-
-        * ``"keep"`` (default) — the existing entry wins.  Merging in
-          task order makes the result independent of worker scheduling.
-        * ``"replace"`` — the incoming entry wins.
-        * ``"error"`` — raise :class:`SamplingError` (strict mode for
-          determinism audits).
+        *different* content counts as a ``conflict`` and the existing
+        entry wins, so merging in task order makes the result
+        independent of worker scheduling.
 
         ``other``'s quarantine count is carried over; hit/miss counters
         are left untouched (they describe this store's own traffic).
         """
-        if on_conflict not in ("keep", "replace", "error"):
-            raise ConfigError(
-                f"on_conflict must be 'keep', 'replace' or 'error', "
-                f"got {on_conflict!r}")
         stats = MergeStats()
         for key, analysis in other.items():
             existing = self._entries.get(key)
@@ -127,13 +117,6 @@ class AnalysisStore:
                 stats.duplicates += 1
             else:
                 stats.conflicts += 1
-                if on_conflict == "error":
-                    raise SamplingError(
-                        f"analysis-store merge conflict for key {key}: "
-                        f"entries differ for kernel "
-                        f"{analysis.kernel_name!r}")
-                if on_conflict == "replace":
-                    self._entries[key] = analysis
         self.quarantined += other.quarantined
         return stats
 

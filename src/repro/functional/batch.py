@@ -45,7 +45,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from ..errors import ExecutionError
 from ..obs import EXEC_BATCH, EXEC_BATCH_FALLBACK, EventBus
 from ..reliability.watchdog import WatchdogConfig
-from .executor import DEFAULT_MAX_STEPS, FunctionalExecutor
+from .executor import FunctionalExecutor
 from .kernel import Kernel
 from .trace import ControlTrace, WarpTrace
 
@@ -74,13 +74,11 @@ class WarpPackExecutor:
     """
 
     def __init__(self, kernel: Kernel,
-                 max_steps: int = DEFAULT_MAX_STEPS,
                  watchdog: Optional[WatchdogConfig] = None,
                  bus: Optional[EventBus] = None,
                  executor: Optional[FunctionalExecutor] = None):
         if executor is None:
-            executor = FunctionalExecutor(
-                kernel, max_steps=max_steps, watchdog=watchdog, bus=bus)
+            executor = FunctionalExecutor(kernel, watchdog=watchdog, bus=bus)
         self.executor = executor
         self.kernel = executor.kernel
         self.bus = bus if bus is not None else executor.bus

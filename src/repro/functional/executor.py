@@ -71,6 +71,8 @@ from .trace import ControlTrace, WarpTrace
 N_SREGS = 32
 N_VREGS = 32
 LDS_WORDS = 4096
+#: per-warp step cap (runaway-loop guard); ``kernel.meta["max_steps"]``
+#: overrides it for one kernel
 DEFAULT_MAX_STEPS = 2_000_000
 
 
@@ -369,13 +371,13 @@ class _Batch:
 class FunctionalExecutor:
     """Interprets warps of one kernel."""
 
-    def __init__(self, kernel: Kernel, max_steps: int = DEFAULT_MAX_STEPS,
+    def __init__(self, kernel: Kernel,
                  watchdog: Optional[WatchdogConfig] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  bus: Optional[EventBus] = None):
         self.kernel = kernel
         self.program = kernel.program
-        self.max_steps = int(kernel.meta.get("max_steps", max_steps))
+        self.max_steps = int(kernel.meta.get("max_steps", DEFAULT_MAX_STEPS))
         self.watchdog = watchdog
         self.fault_plan = fault_plan
         self.bus = bus if bus is not None else current_bus()

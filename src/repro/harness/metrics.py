@@ -138,10 +138,8 @@ class Evaluation:
     error: str = ""
     stage: str = "run"     # "build" (workload construction) | "run"
                            # | "pool" (synthesized: worker pool crashed)
-    attempts: int = 1
-    backoff_total: float = 0.0  # retry backoff seconds slept
-    # the winning attempt's AnalysisStore / KernelDB, when a worker
-    # asked to keep them for the deterministic merge
+    # the run's AnalysisStore / KernelDB, when a worker asked to keep
+    # them for the deterministic merge
     analysis_store: object = None
     kernel_db: object = None
 

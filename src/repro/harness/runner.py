@@ -15,12 +15,13 @@ fleet workers and the server through
 :func:`repro.harness.metrics.cell_rows`.
 
 Isolation: one misbehaving method (or one bad problem size) must never
-poison a whole evaluation.  Every evaluation is wrapped in a bounded
-:class:`~repro.reliability.RetryPolicy` (transient watchdog trips get a
-second attempt) and, failing that, collapses into a *failed*
+poison a whole evaluation.  A :class:`~repro.errors.ReproError` raised
+while building or simulating collapses into a *failed*
 :class:`~repro.harness.metrics.Comparison` row carrying the error class
-and message — the remaining methods still run and report.  Pass
-``isolate=False`` to get fail-fast behaviour.
+and message — the remaining methods still run and report.  Every
+evaluation runs once: its result is a pure function of (workload, seed,
+configuration), so the way to re-run a failed one is ``repro sweep
+--resume``, which re-runs failed tasks.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from ..core.photon import AnalysisStore, Photon
 from ..errors import ReproError, WorkloadError
 from ..functional.kernel import Application, Kernel
 from ..reliability.faults import FaultPlan
-from ..reliability.retry import NO_RETRY, RetryPolicy
 from ..reliability.watchdog import WatchdogConfig
 from ..timing.simulator import (
     AppResult,
@@ -189,51 +189,36 @@ def evaluate(
     pka_config: Optional[PkaConfig] = None,
     watchdog: Optional[WatchdogConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
-    isolate: bool = True,
     keep_state: bool = False,
     trace_cache: Optional[TraceCache] = None,
 ) -> Evaluation:
     """Evaluate ``method`` on what ``factory`` builds — the one step.
 
-    Every attempt starts from scratch: a freshly built target, a new
-    simulator and (``keep_state``, for workers that ship it back) a new
-    analysis store and kernel database; ``trace_cache`` alone is shared
-    across attempts (traces are deterministic, so whatever a failed
-    attempt emulated is still right).  A :class:`ReproError` comes back
-    as a failed :class:`Evaluation` tagged with the stage it struck in —
-    ``build`` (inside ``factory``) or ``run`` — unless ``isolate`` is
-    off; an unknown method name always raises.
+    Runs once, from scratch: a freshly built target, a new simulator
+    and (``keep_state``, for workers that ship it back) a new analysis
+    store and kernel database.  A :class:`ReproError` comes back as a
+    failed :class:`Evaluation` tagged with the stage it struck in —
+    ``build`` (inside ``factory``) or ``run``; an unknown method name
+    always raises.
     """
     check_methods([method], baseline=True)
     gpu = gpu or EVAL_R9NANO
     photon_config = photon_config or EVAL_PHOTON
     stage = "build"
-
-    def attempt():
-        nonlocal stage
-        stage = "build"
+    try:
         target = factory()
         stage = "run"
         store = db = None
         if keep_state:
             store = AnalysisStore()
             db = KernelDB(photon_config.kernel_distance, gpu.n_cu)
-        return simulate_method(target, method, gpu, photon_config,
-                               pka_config, watchdog, fault_plan,
-                               store, db, trace_cache), store, db
-
-    try:
-        (result, store, db), attempts, backoff = (
-            retry or NO_RETRY).run_logged(attempt)
+        result = simulate_method(target, method, gpu, photon_config,
+                                 pka_config, watchdog, fault_plan,
+                                 store, db, trace_cache)
     except ReproError as exc:
-        if not isolate:
-            raise
         return Evaluation(method, error_class=type(exc).__name__,
                           error=str(exc), stage=stage)
-    return Evaluation(method, result, attempts=attempts,
-                      backoff_total=backoff, analysis_store=store,
-                      kernel_db=db)
+    return Evaluation(method, result, analysis_store=store, kernel_db=db)
 
 
 def _evaluate_cell(factory: Callable[[], Union[Kernel, Application]],
@@ -259,12 +244,11 @@ def run_methods_kernel(factory: KernelFactory, workload: str, size: int,
 
     ``methods`` may contain any name of :func:`all_methods`; ``options``
     are :func:`evaluate`'s (``photon_config``, ``pka_config``,
-    ``watchdog``, ``fault_plan``, ``retry``, ``isolate``,
-    ``trace_cache``).  Unknown
-    method names always raise :class:`WorkloadError` (a typo is a caller
-    bug, not a sweep casualty); failures *inside* a known method become
-    failed rows when ``isolate`` is on, and a kernel that cannot even be
-    built becomes one failed ``build`` row.
+    ``watchdog``, ``fault_plan``, ``trace_cache``).  Unknown method
+    names always raise :class:`WorkloadError` (a typo is a caller bug,
+    not a sweep casualty); failures *inside* a known method become
+    failed rows, and a kernel that cannot even be built becomes one
+    failed ``build`` row.
     """
     return cell_rows(workload, size, *_evaluate_cell(
         factory, methods, gpu=gpu, **options))

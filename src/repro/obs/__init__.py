@@ -68,7 +68,6 @@ from .events import (
     PARALLEL_TASK,
     RELIABILITY_FALLBACK,
     RELIABILITY_FAULT,
-    RELIABILITY_RETRY,
     RELIABILITY_WATCHDOG,
     SERVE_DEDUP,
     SERVE_QUEUE,
@@ -122,7 +121,6 @@ __all__ = [
     "PARALLEL_TASK",
     "RELIABILITY_FALLBACK",
     "RELIABILITY_FAULT",
-    "RELIABILITY_RETRY",
     "RELIABILITY_WATCHDOG",
     "SERVE_DEDUP",
     "SERVE_QUEUE",

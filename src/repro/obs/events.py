@@ -149,10 +149,6 @@ RELIABILITY_FAULT = EventType(
 RELIABILITY_WATCHDOG = EventType(
     "reliability.watchdog", ("label", "unit", "ticks", "reason"),
     "A watchdog budget tripped (the guarded loop is about to raise).")
-RELIABILITY_RETRY = EventType(
-    "reliability.retry", ("attempt", "backoff", "error"),
-    "A RetryPolicy absorbed a transient failure and is about to re-run "
-    "after `backoff` seconds of (deterministically jittered) delay.")
 
 # -- parallel sweeps (host-monotonic clock) --------------------------------
 
@@ -214,8 +210,8 @@ ALL_TYPES: Dict[str, EventType] = {
         TRACESTORE_WRITE, TRACESTORE_EVICT, DETECTOR_SWITCH,
         DETECTOR_ELIDED,
         RELIABILITY_FALLBACK, RELIABILITY_FAULT, RELIABILITY_WATCHDOG,
-        RELIABILITY_RETRY, PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME,
-        SWEEP_FLEET, SERVE_REQUEST, SERVE_DEDUP, SERVE_QUEUE,
+        PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME, SWEEP_FLEET,
+        SERVE_REQUEST, SERVE_DEDUP, SERVE_QUEUE,
     )
 }
 
@@ -235,7 +231,7 @@ CORE_KINDS = tuple(
         TRACESTORE_WRITE, TRACESTORE_EVICT, DETECTOR_SWITCH,
         DETECTOR_ELIDED,
         RELIABILITY_FALLBACK, RELIABILITY_FAULT, RELIABILITY_WATCHDOG,
-        RELIABILITY_RETRY, PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME,
-        SWEEP_FLEET, SERVE_REQUEST, SERVE_DEDUP, SERVE_QUEUE,
+        PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME, SWEEP_FLEET,
+        SERVE_REQUEST, SERVE_DEDUP, SERVE_QUEUE,
     )
 )

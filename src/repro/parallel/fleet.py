@@ -38,10 +38,8 @@ loses at most its in-flight task — which its expired lease hands to a
 survivor.  The journaled step itself (``scheduled`` record → run →
 outcome record) is the scheduler's ``run_journaled``, shared with
 single-host sweeps.  A restarted host resumes its own journal
-(quarantining any torn tail) and continues claiming.  In-task transient
-failures retry through the task's own
-:class:`~repro.reliability.retry.RetryPolicy`, exactly as in
-single-host sweeps.
+(quarantining any torn tail) and continues claiming.  A task that fails
+in-task is a failed outcome, exactly as in single-host sweeps.
 
 **Coordinator.**  :func:`fleet_coordinate` waits until every task is
 covered (a done marker or a journaled outcome on some host), re-runs
@@ -530,7 +528,6 @@ def _coordinator_rerun(fleet_dir: Path, missing: List[SweepTask],
 
 def fleet_coordinate(
     fleet_dir: PathLike,
-    wait: bool = True,
     timeout: Optional[float] = None,
     poll_interval: float = 0.05,
     grace: float = 2.0,
@@ -550,9 +547,6 @@ def fleet_coordinate(
     expired leases dead hosts left) and runs them inline, journaled
     into its own host WAL.  A fleet with zero workers therefore still
     completes; it just runs serially on the coordinator.
-
-    ``wait=False`` skips the polling phase entirely: the coordinator
-    immediately self-runs whatever is uncovered and unleased.
 
     Idempotent: coordinate, crash, coordinate again — replayed journal
     prefixes and first-write-wins staging folds give the identical
@@ -583,7 +577,7 @@ def fleet_coordinate(
 
     progressed_at = _time.monotonic()
     seen_covered = -1
-    while wait:
+    while True:
         covered = covered_indices()
         missing_now = [t for t in tasks if t.index not in covered]
         if not missing_now:
@@ -619,8 +613,7 @@ def fleet_coordinate(
         # or its lease expires (next rerun steals it) — so poll,
         # bounded by the caller's timeout.
         still = [t.index for t in missing if t.index not in newly]
-        if not wait or (deadline is not None
-                        and _time.monotonic() > deadline):
+        if deadline is not None and _time.monotonic() > deadline:
             raise SamplingError(
                 f"fleet incomplete: tasks {still} are leased by live "
                 f"workers that have not journaled an outcome; re-run "

@@ -74,7 +74,6 @@ from ..harness.defaults import EVAL_PHOTON, QUICK_SIZES, resolve_gpu
 from ..harness.metrics import Comparison, cell_rows
 from ..harness.runner import FULL_METHOD, check_methods, check_workloads
 from ..obs import PARALLEL_TASK, SWEEP_RESUME, current_bus
-from ..reliability.retry import NO_RETRY, RetryPolicy
 from ..reliability.watchdog import WatchdogConfig
 from ..tracestore import TraceStore
 from .journal import SweepJournal
@@ -116,7 +115,6 @@ def plan_sweep(
     photon_config: Optional[PhotonConfig] = None,
     pka_config: Optional[PkaConfig] = None,
     watchdog: Optional[WatchdogConfig] = None,
-    retry: Optional[RetryPolicy] = None,
     shard: Tuple[int, int] = (0, 1),
     trace_store: Optional[str] = None,
 ) -> List[SweepTask]:
@@ -141,7 +139,6 @@ def plan_sweep(
         raise ConfigError(
             f"shard must be (i, n) with 0 <= i < n, got {shard!r}")
     photon_config = photon_config or EVAL_PHOTON
-    retry = retry or NO_RETRY
     tasks: List[SweepTask] = []
     cell_id = 0
     for workload in workloads:
@@ -152,8 +149,7 @@ def plan_sweep(
                         index=len(tasks), workload=workload, size=size,
                         method=method, gpu=gpu, seed=seed,
                         photon=photon_config, pka=pka_config,
-                        watchdog=watchdog, retry=retry,
-                        trace_store=trace_store))
+                        watchdog=watchdog, trace_store=trace_store))
             cell_id += 1
     return tasks
 
@@ -202,7 +198,6 @@ class SweepResult:
             "db_merge": self.db_merge.to_dict(),
             "trace_merge": self.trace_merge,
             "tracestore": self.tracestore_totals(),
-            "backoff_total": self.report.backoff_seconds,
             "store_entries": len(self.store),
             "kernel_records": (len(self.kernel_db)
                                if self.kernel_db is not None else 0),
@@ -356,8 +351,6 @@ def assemble_result(tasks: Sequence[SweepTask],
             queue_wait=waits.get(outcome.index, 0.0),
             task_wall=outcome.task_wall,
             sim_wall=outcome.wall_seconds,
-            attempts=outcome.attempts,
-            backoff_total=outcome.backoff_total,
             fallbacks=len(outcome.fallbacks),
             status=outcome.status,
             error_class=outcome.error_class,

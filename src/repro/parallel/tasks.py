@@ -2,7 +2,7 @@
 
 A :class:`SweepTask` names everything one evaluation cell-method needs —
 workload, problem size, method, GPU preset, data seed, Photon/PKA
-configuration, watchdog budgets and retry policy — as plain values, so
+configuration and watchdog budgets — as plain values, so
 a task can be pickled to a pool worker, serialized to JSON for audit,
 or executed inline: :func:`run_task` is the single code path for all
 three.  The baseline run of a cell is itself a task (``method="full"``),
@@ -24,38 +24,29 @@ import dataclasses
 import os
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple
 
-from .. import errors as _errors
 from ..core.config import PhotonConfig
 from ..core.persist import analysis_store_payload, kernel_db_payload
 from ..baselines.pka import PkaConfig
-from ..errors import ConfigError, ReproError
 from ..harness.defaults import EVAL_PHOTON, resolve_gpu
 from ..harness.metrics import Evaluation
 from ..harness.runner import FULL_METHOD, evaluate, workload_factory
 from ..reliability.ledger import FallbackEvent
-from ..reliability.retry import NO_RETRY, RetryPolicy
 from ..reliability.watchdog import WatchdogConfig
 from ..timing.simulator import KernelResult
 from ..timing.tracecache import TraceCache
 from ..tracestore import TraceStore
 
 
-def _transient_names(retry: RetryPolicy) -> List[str]:
-    return [cls.__name__ for cls in retry.transient]
+def _known(cls, data: Dict[str, object]) -> Dict[str, object]:
+    """``data`` without the keys ``cls`` (a dataclass) has no field for.
 
-
-def _transient_from_names(names: List[str]) -> Tuple[Type[ReproError], ...]:
-    classes = []
-    for name in names:
-        cls = getattr(_errors, name, None)
-        if cls is None or not (isinstance(cls, type)
-                               and issubclass(cls, ReproError)):
-            raise ConfigError(
-                f"unknown transient error class {name!r} in task payload")
-        classes.append(cls)
-    return tuple(classes)
+    Journals and fleet manifests outlive fields: a retired one (a
+    task's ``retry`` block, an outcome's ``attempts``, a PhotonConfig
+    switch) is dropped on read instead of failing the resume."""
+    known = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in data.items() if k in known}
 
 
 @dataclass(frozen=True)
@@ -71,7 +62,6 @@ class SweepTask:
     photon: PhotonConfig = EVAL_PHOTON
     pka: Optional[PkaConfig] = None
     watchdog: Optional[WatchdogConfig] = None
-    retry: RetryPolicy = NO_RETRY
     # persistent warp-trace store root (None = execution-driven).  The
     # worker reads the canonical bundles and stages its own writes under
     # staging/task-<index>; the scheduler merges them in task order.
@@ -95,35 +85,12 @@ class SweepTask:
                     if self.pka is not None else None),
             "watchdog": (dataclasses.asdict(self.watchdog)
                          if self.watchdog is not None else None),
-            "retry": {"max_attempts": self.retry.max_attempts,
-                      "transient": _transient_names(self.retry),
-                      "backoff_base": self.retry.backoff_base,
-                      "backoff_factor": self.retry.backoff_factor,
-                      "backoff_max": self.retry.backoff_max,
-                      "jitter": self.retry.jitter,
-                      "seed": self.retry.seed},
             "trace_store": self.trace_store,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SweepTask":
-        retry_data = data.get("retry") or {}
-        retry = RetryPolicy(
-            max_attempts=int(retry_data.get("max_attempts", 1)),
-            transient=_transient_from_names(
-                list(retry_data.get("transient", []))),
-            backoff_base=float(retry_data.get("backoff_base", 0.0)),
-            backoff_factor=float(retry_data.get("backoff_factor", 2.0)),
-            backoff_max=float(retry_data.get("backoff_max", 30.0)),
-            jitter=float(retry_data.get("jitter", 0.1)),
-            seed=int(retry_data.get("seed", 0)),
-        )
-        # journals and fleet manifests outlive PhotonConfig fields: a
-        # retired field (the switches that selected the second timing
-        # loop and the per-warp interpreter, say) is dropped on read
-        # instead of failing the resume
-        known = {f.name for f in dataclasses.fields(PhotonConfig)}
-        photon = {k: v for k, v in data["photon"].items() if k in known}
+        """Rebuild a task; keys of retired fields are ignored."""
         return cls(
             index=int(data["index"]),
             workload=str(data["workload"]),
@@ -132,12 +99,11 @@ class SweepTask:
             gpu=str(data.get("gpu", "r9nano")),
             seed=(int(data["seed"]) if data.get("seed") is not None
                   else None),
-            photon=PhotonConfig(**photon),
+            photon=PhotonConfig(**_known(PhotonConfig, data["photon"])),
             pka=(PkaConfig(**data["pka"])
                  if data.get("pka") is not None else None),
             watchdog=(WatchdogConfig(**data["watchdog"])
                       if data.get("watchdog") is not None else None),
-            retry=retry,
             trace_store=(str(data["trace_store"])
                          if data.get("trace_store") is not None else None),
         )
@@ -174,8 +140,6 @@ class TaskOutcome:
     trace_misses: int = 0      # functionally emulated
     trace_writes: int = 0      # newly persisted warps (flush)
     # telemetry raw material
-    attempts: int = 1
-    backoff_total: float = 0.0  # retry backoff seconds slept
     worker: int = 0
     started: float = 0.0   # time.monotonic() at worker pickup
     task_wall: float = 0.0
@@ -230,8 +194,6 @@ class TaskOutcome:
             "trace_store_hits": self.trace_store_hits,
             "trace_misses": self.trace_misses,
             "trace_writes": self.trace_writes,
-            "attempts": self.attempts,
-            "backoff_total": self.backoff_total,
             "worker": self.worker,
             "started": self.started,
             "task_wall": self.task_wall,
@@ -241,8 +203,8 @@ class TaskOutcome:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TaskOutcome":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        """Rebuild an outcome; keys of retired fields are ignored."""
+        return cls(**_known(cls, data))
 
 
 def run_task(task: SweepTask,
@@ -277,14 +239,13 @@ def run_task(task: SweepTask,
     ev = evaluate(
         lambda: workload_factory(task.workload, task.size, **kwargs)(),
         task.method, gpu, task.photon, task.pka, task.watchdog,
-        retry=task.retry, keep_state=True, trace_cache=cache)
+        keep_state=True, trace_cache=cache)
 
     out = TaskOutcome(index=task.index, workload=task.workload,
                       size=task.size, method=task.method,
-                      worker=os.getpid(), started=started,
-                      attempts=ev.attempts, backoff_total=ev.backoff_total)
+                      worker=os.getpid(), started=started)
     if cache is not None:
-        # persist even failed attempts: traces are deterministic, so
+        # persist even a failed run's traces: they are deterministic, so
         # anything emulated is worth sharing with later tasks
         out.trace_writes = cache.flush()
         out.trace_hits = cache.hits

@@ -2,10 +2,10 @@
 
 Every executed :class:`~repro.parallel.tasks.SweepTask` yields one
 :class:`TaskTelemetry` sample — how long the task waited in the queue,
-how long it ran, on which worker, how many retry attempts it consumed
-and how many degradation fallbacks its result absorbed.  The scheduler
-folds the samples into a :class:`RunReport`: the structured,
-JSON-dumpable observability record a sweep previously lacked entirely.
+how long it ran, on which worker and how many degradation fallbacks its
+result absorbed.  The scheduler folds the samples into a
+:class:`RunReport`: the structured, JSON-dumpable observability record
+a sweep previously lacked entirely.
 
 Wall-clock conventions: ``queue_wait`` is measured against
 ``time.monotonic`` stamps taken in the parent (submit) and the worker
@@ -32,18 +32,12 @@ class TaskTelemetry:
     queue_wait: float = 0.0  # seconds between submit and worker pickup
     task_wall: float = 0.0   # wall seconds spent inside the worker
     sim_wall: float = 0.0    # wall seconds the simulator itself reported
-    attempts: int = 1        # retry-policy attempts consumed
-    backoff_total: float = 0.0  # retry backoff seconds slept in the task
     fallbacks: int = 0       # degradation-ledger length of the result
     status: str = "ok"       # "ok" | "error"
     error_class: str = ""    # exception class name when status == "error"
     replayed: bool = False   # True = served from a sweep journal, not run
     host: str = ""           # fleet host id ("" outside multi-host mode)
     stolen: bool = False     # True = claimed over an expired fleet lease
-
-    @property
-    def retries(self) -> int:
-        return max(0, self.attempts - 1)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -55,9 +49,6 @@ class TaskTelemetry:
             "queue_wait": self.queue_wait,
             "task_wall": self.task_wall,
             "sim_wall": self.sim_wall,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "backoff_total": self.backoff_total,
             "fallbacks": self.fallbacks,
             "status": self.status,
             "error_class": self.error_class,
@@ -84,15 +75,6 @@ class RunReport:
     def busy_seconds(self) -> float:
         """Total worker-occupied seconds across all tasks."""
         return sum(t.task_wall for t in self.tasks)
-
-    @property
-    def retries(self) -> int:
-        return sum(t.retries for t in self.tasks)
-
-    @property
-    def backoff_seconds(self) -> float:
-        """Total retry backoff slept across all tasks."""
-        return sum(t.backoff_total for t in self.tasks)
 
     @property
     def replayed(self) -> int:
@@ -168,8 +150,6 @@ class RunReport:
             "total_wall": self.total_wall,
             "busy_seconds": self.busy_seconds,
             "utilization": self.utilization(),
-            "retries": self.retries,
-            "backoff_seconds": self.backoff_seconds,
             "replayed": self.replayed,
             "fallbacks": self.fallbacks,
             "failed": self.failed,
@@ -190,7 +170,7 @@ class RunReport:
              f"busy {self.busy_seconds:.2f}s, "
              f"utilization {self.utilization() * 100.0:.0f}%"),
             (f"queue wait: mean {self.mean_queue_wait:.3f}s, "
-             f"max {self.max_queue_wait:.3f}s; retries {self.retries}; "
+             f"max {self.max_queue_wait:.3f}s; "
              f"fallbacks {self.fallbacks}; failed {self.failed}"),
         ]
         if self.replayed:

@@ -13,8 +13,13 @@ The reliability layer gives the simulation stack three guarantees:
 * **graceful degradation** — the Photon controller falls back
   level-by-level (``bb → warp → kernel → full``) on recoverable errors
   and records each step as a :class:`FallbackEvent` in the result's
-  error ledger; the evaluation harness isolates per-method failures
-  behind a :class:`RetryPolicy`.
+  error ledger.
+
+What the ladder and the watchdogs cannot absorb has one recovery path:
+the evaluation harness isolates the failure into a *failed* table row
+(error class and message), and ``repro sweep --resume`` re-runs failed
+tasks.  Every simulated quantity is a pure function of (workload, seed,
+configuration), so a re-run is all an in-place retry would have been.
 
 See ``docs/robustness.md`` for the full knob reference.
 """
@@ -28,11 +33,9 @@ from .fsfaults import (
     scoped_fs_faults,
 )
 from .ledger import FALLBACK_CHAIN, FallbackEvent
-from .retry import DEFAULT_RETRY, NO_RETRY, RetryPolicy
 from .watchdog import Watchdog, WatchdogConfig
 
 __all__ = [
-    "DEFAULT_RETRY",
     "FALLBACK_CHAIN",
     "FS_FAULT_MODES",
     "FaultPlan",
@@ -40,8 +43,6 @@ __all__ = [
     "FallbackEvent",
     "FsFaultPlan",
     "FsFaultSpec",
-    "NO_RETRY",
-    "RetryPolicy",
     "Watchdog",
     "WatchdogConfig",
     "current_fs_faults",

@@ -55,11 +55,11 @@ class ProtocolError(ConfigError):
     """A malformed or unserveable request (HTTP 400)."""
 
 
-#: outcome fields that vary run to run (host timing, pid, retries) —
-#: everything else is a pure function of the request key
+#: outcome fields that vary run to run (host timing, pid) — everything
+#: else is a pure function of the request key
 _NONDETERMINISTIC_FIELDS = frozenset((
     "index", "wall_seconds", "task_wall", "started", "worker",
-    "attempts", "backoff_total", "store_payload", "kerneldb_payload",
+    "store_payload", "kerneldb_payload",
     "trace_hits", "trace_store_hits", "trace_misses", "trace_writes",
     "host", "stolen",
 ))
@@ -240,7 +240,7 @@ def request_key(task: SweepTask) -> str:
 def deterministic_result(outcome: TaskOutcome) -> Dict[str, object]:
     """The bitwise-reproducible projection of a task outcome.
 
-    Strips host timing, worker pids, retry counts and transported
+    Strips host timing, worker pids and transported
     store payloads: what remains is a pure function of the request
     key, so every response for one key — cached, deduped, or freshly
     executed on any machine — is byte-identical JSON.

@@ -74,6 +74,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..config.gpu_configs import GpuConfig
 from ..errors import ConfigError, SimulationStalled, TimingError
 from ..functional.batch import PackProvider
+from ..functional.executor import FunctionalExecutor
 from ..functional.kernel import Kernel
 from ..functional.trace import WarpTrace
 from ..isa.opcodes import OpClass, Opcode
@@ -156,7 +157,6 @@ class DetailedEngine:
         trace_provider: Optional[TraceProvider] = None,
         ipc_bucket: Optional[float] = None,
         collect_latency: bool = False,
-        start_time: float = 0.0,
         watchdog: Optional[WatchdogConfig] = None,
         bus: Optional[EventBus] = None,
     ):
@@ -168,22 +168,24 @@ class DetailedEngine:
         self.kernel = kernel
         self.config = config
         self.hierarchy = hierarchy or MemoryHierarchy(config)
+        self.bus = bus if bus is not None else current_bus()
         # execution-driven unless the caller serves traces: each warp is
-        # functionally emulated (in chunks) when it is first dispatched
-        self.trace_provider = (trace_provider if trace_provider is not None
-                               else PackProvider(kernel))
+        # functionally emulated (in chunks) when it is first dispatched,
+        # accounted on this engine's bus
+        self.trace_provider = (
+            trace_provider if trace_provider is not None
+            else PackProvider(kernel, executor=FunctionalExecutor(
+                kernel, bus=self.bus)))
         self.ipc_bucket = ipc_bucket
         self.collect_latency = collect_latency
-        self.start_time = start_time
         self.watchdog = watchdog
-        self.bus = bus if bus is not None else current_bus()
         self._subscriptions: List[Tuple[EventType, Callable]] = []
         self._stop_requested = False
         self._abort_requested = False
         self._result: Optional[EngineResult] = None
         self._resident: set = set()       # slots holding a live warp
         self._stop_snapshot: frozenset = frozenset()
-        self._now: float = start_time
+        self._now: float = 0.0
         self._wg_queue: List[Tuple[int, List[int]]] = []
         self._wg_next = 0
 
@@ -272,7 +274,6 @@ class DetailedEngine:
         # float(n) is exact, and float + float is the interpreter's fast add
         interval = float(config.issue_interval)
         lat_branch = float(config.branch_lat)
-        start = self.start_time
         is_scalar_port = _IS_SCALAR_PORT
 
         wg_subs = bus.channel(ENGINE_WG_DISPATCH).subscribers
@@ -308,7 +309,7 @@ class DetailedEngine:
 
         # issue ports: scalar port of CU c is c; SIMD s of CU c is
         # n_cu + c * spc + s
-        port_free = [float(start)] * (n_cu + n_cu * spc)
+        port_free = [0.0] * (n_cu + n_cu * spc)
 
         self._wg_queue = [
             (wg, list(kernel.warps_in_workgroup(wg)))
@@ -423,7 +424,7 @@ class DetailedEngine:
         # the command processor dispatches one workgroup every
         # cp_dispatch_interval cycles, staggering the start-up burst
         cp_interval = config.cp_dispatch_interval
-        cp_time = start
+        cp_time = 0.0
         progress = True
         while progress:
             progress = False
@@ -458,7 +459,7 @@ class DetailedEngine:
             if members is None:
                 continue  # stale entry: same-time bucket already drained
             self._now = t
-            if wd is not None and t > start:
+            if wd is not None and t > 0.0:
                 wd.note_progress()  # round times strictly increase
 
             # a round can refill its own timestamp (END dispatch, zero
@@ -636,7 +637,7 @@ class DetailedEngine:
                 for code, count in enumerate(lat_cnt) if count
             }
         result.mem_stats = hierarchy.stats()
-        bus.emit(ENGINE_KERNEL, kernel.name, start, result.end_time,
+        bus.emit(ENGINE_KERNEL, kernel.name, 0.0, result.end_time,
                  n_insts, result.stopped)
         metrics.counter("engine.runs").inc()
         metrics.counter("engine.insts").inc(n_insts)

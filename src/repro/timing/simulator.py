@@ -130,7 +130,8 @@ class Methodology:
         cache = self.trace_cache
         return DetailedEngine(
             kernel, self.gpu_config, hierarchy=self.hierarchy,
-            trace_provider=None if cache is None else cache.provider(kernel),
+            trace_provider=(None if cache is None
+                            else cache.provider(kernel, bus=self.bus)),
             watchdog=self.watchdog, bus=self.bus, **options)
 
     def control_traces(self, kernel: Kernel,

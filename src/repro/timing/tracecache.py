@@ -38,43 +38,47 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..functional.batch import PackProvider
+from ..functional.executor import FunctionalExecutor
 from ..functional.kernel import Kernel
 from ..functional.trace import WarpTrace
 from ..obs import (
     TRACESTORE_HIT,
     TRACESTORE_MISS,
     TRACESTORE_WRITE,
+    EventBus,
     current_bus,
 )
 from ..tracestore import TraceKey, trace_key
+
+#: in-memory entry cap of one cache (store-bound writes are not capped)
+MAX_TRACES = 1 << 20
 
 
 class TraceCache:
     """Memoises functional warp traces across engine runs.
 
-    Parameters
-    ----------
-    max_traces:
-        In-memory entry cap (store-bound writes are not capped).
-    backing_store:
-        Optional :class:`~repro.tracestore.TraceStore`: misses consult
-        its bundle for the kernel first, and emulated traces queue for
-        :meth:`flush`.
+    ``backing_store``, an optional :class:`~repro.tracestore.TraceStore`:
+    misses consult its bundle for the kernel first, and emulated traces
+    queue for :meth:`flush`.  At most :data:`MAX_TRACES` traces are held
+    in memory.
     """
 
-    def __init__(self, max_traces: int = 1 << 20, backing_store=None):
+    def __init__(self, backing_store=None):
         self._traces: Dict[Tuple[TraceKey, int], WarpTrace] = {}
-        self.max_traces = max_traces
         self.backing_store = backing_store
         self._views: Dict[TraceKey, object] = {}    # -> KernelTraces
-        self._pending: Dict[TraceKey,
-                            Tuple[Kernel, Dict[int, WarpTrace]]] = {}
+        # queued misses per kernel, with the bus of the run that
+        # emulated them (their write is accounted there)
+        self._pending: Dict[TraceKey, Tuple[Kernel, Dict[int, WarpTrace],
+                                            EventBus]] = {}
         self.hits = 0          # in-memory hits
         self.store_hits = 0    # served from the backing store
         self.misses = 0        # functionally emulated
 
-    def provider(self, kernel: Kernel):
-        """A ``trace_provider`` for :class:`DetailedEngine`.
+    def provider(self, kernel: Kernel, bus: Optional[EventBus] = None):
+        """A ``trace_provider`` for :class:`DetailedEngine`, accounting
+        its traffic and emulation on ``bus`` (default: the current bus;
+        a :class:`~repro.timing.simulator.Methodology` passes its own).
 
         Usage::
 
@@ -82,20 +86,23 @@ class TraceCache:
             engine = DetailedEngine(kernel, gpu,
                                     trace_provider=cache.provider(kernel))
         """
-        bus = current_bus()
+        bus = bus if bus is not None else current_bus()
         metrics = bus.metrics
-        with metrics.span("trace_io"):
-            kernel_key = trace_key(kernel)
-
+        span = metrics.span
         store = self.backing_store
         view = None
         pending: Optional[Dict[int, WarpTrace]] = None
-        if store is not None:
-            view = self._views.get(kernel_key)
-            if view is None:
-                view = store.open_kernel(kernel, key=kernel_key)
-                self._views[kernel_key] = view
-            pending = self._pending.setdefault(kernel_key, (kernel, {}))[1]
+        # the store's reads and writes are timed here, as ``trace_io``
+        # on the run's bus; the store itself knows no bus
+        with span("trace_io"):
+            kernel_key = trace_key(kernel)
+            if store is not None:
+                view = self._views.get(kernel_key)
+                if view is None:
+                    view = store.open_kernel(kernel, key=kernel_key)
+                    self._views[kernel_key] = view
+                pending = self._pending.setdefault(
+                    kernel_key, (kernel, {}, bus))[1]
 
         c_hit = metrics.counter("tracestore.hits")
         c_store_hit = metrics.counter("tracestore.store_hits")
@@ -109,7 +116,7 @@ class TraceCache:
         # an earlier fill (or a CONTROL fast-forward — see
         # Kernel.path_memo) starts pre-partitioned
         emulate = PackProvider(
-            kernel,
+            kernel, executor=FunctionalExecutor(kernel, bus=bus),
             have=lambda w: ((kernel_key, w) in self._traces
                             or (view is not None and view.has(w))))
 
@@ -122,14 +129,15 @@ class TraceCache:
                 if hit_channel.subscribers:
                     hit_channel.publish(warp_id, "memory")
                 return trace
-            if view is not None:
-                trace = view.get(warp_id)
+            if view is not None and view.has(warp_id):
+                with span("trace_io"):
+                    trace = view.get(warp_id)
                 if trace is not None:
                     self.store_hits += 1
                     c_store_hit.inc()
                     if hit_channel.subscribers:
                         hit_channel.publish(warp_id, "store")
-                    if len(self._traces) < self.max_traces:
+                    if len(self._traces) < MAX_TRACES:
                         self._traces[key] = trace
                     return trace
             # misses count at serve time, so a speculative fill of a
@@ -140,7 +148,7 @@ class TraceCache:
             c_miss.inc()
             if miss_channel.subscribers:
                 miss_channel.publish(warp_id)
-            if len(self._traces) < self.max_traces:
+            if len(self._traces) < MAX_TRACES:
                 self._traces[key] = trace
             if pending is not None:
                 pending[warp_id] = trace
@@ -151,26 +159,28 @@ class TraceCache:
     def flush(self) -> int:
         """Persist queued misses to the backing store; returns warps written.
 
-        A no-op without a backing store.  Emits one ``tracestore.write``
-        event per touched bundle and bumps the ``tracestore.writes``
-        counter with the number of newly persisted warps.
+        A no-op without a backing store.  Each touched bundle emits one
+        ``tracestore.write`` event and bumps the ``tracestore.writes``
+        counter by its newly persisted warps, on the bus of the
+        provider that emulated them.
         """
         if self.backing_store is None or not self._pending:
             self._pending.clear()
             return 0
-        bus = current_bus()
-        write_channel = bus.channel(TRACESTORE_WRITE)
         written = 0
-        for key, (kernel, traces) in sorted(self._pending.items()):
+        for key, (kernel, traces, bus) in sorted(self._pending.items()):
             if not traces:
                 continue
-            added = self.backing_store.put_kernel(kernel, traces, key=key)
+            with bus.metrics.span("trace_io"):
+                added = self.backing_store.put_kernel(kernel, traces,
+                                                      key=key)
             written += added
+            write_channel = bus.channel(TRACESTORE_WRITE)
             if write_channel.subscribers:
                 write_channel.publish(key.bundle_name, added,
                                       self.backing_store.quarantined)
-        if written:
-            bus.metrics.counter("tracestore.writes").inc(written)
+            if added:
+                bus.metrics.counter("tracestore.writes").inc(added)
         self._pending.clear()
         return written
 

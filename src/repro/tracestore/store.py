@@ -80,7 +80,8 @@ _STAGING_DIR = "staging"
 
 
 def _span(name: str):
-    """Span timer on the current bus (trace I/O shows up in --metrics)."""
+    """Span timer on the current bus, for the staged merge (a trace
+    cache times its own reads and writes on its run's bus)."""
     from ..obs import current_bus
 
     return current_bus().metrics.span(name)
@@ -297,11 +298,10 @@ class KernelTraces:
             return None
         sha, blob = entry
         try:
-            with _span("trace_io"):
-                path = data.columns.get(sha)
-                if path is None:
-                    path = data.columns[sha] = decode_path(data.paths[sha])
-                trace = decode_lines(warp_id, path, blob)
+            path = data.columns.get(sha)
+            if path is None:
+                path = data.columns[sha] = decode_path(data.paths[sha])
+            trace = decode_lines(warp_id, path, blob)
         except TraceFormatError:
             # checksums passed but a blob is structurally bad (format
             # drift): quarantine this entry, treat as a miss
@@ -340,8 +340,7 @@ class TraceStore:
     # -- keying ------------------------------------------------------------
 
     def key_for(self, kernel: Kernel) -> TraceKey:
-        with _span("trace_io"):
-            return trace_key(kernel)
+        return trace_key(kernel)
 
     # -- read path ---------------------------------------------------------
 
@@ -351,9 +350,8 @@ class TraceStore:
         if key is None:
             key = self.key_for(kernel)
         path = self.root / key.bundle_name
-        with _span("trace_io"):
-            data = (_read_bundle_cached(path, key) if path.exists()
-                    else _BundleData())
+        data = (_read_bundle_cached(path, key) if path.exists()
+                else _BundleData())
         if data.lines or data.quarantined:
             self.reads += 1
         self.quarantined += data.quarantined
@@ -374,21 +372,19 @@ class TraceStore:
         if key is None:
             key = self.key_for(kernel)
         path = self.write_root / key.bundle_name
-        with _span("trace_io"):
-            existing = (_read_bundle(path, key) if path.exists()
-                        else _BundleData())
-            paths, lines = dict(existing.paths), dict(existing.lines)
-            shared: Dict[tuple, Tuple[str, List[int]]] = {}
-            added = 0
-            for warp_id, trace in traces.items():
-                if warp_id in lines:
-                    continue
-                sha, mem_pos = _path_of(trace, shared, paths)
-                lines[warp_id] = (sha, encode_lines(trace.mem_lines, mem_pos))
-                added += 1
-            if added or existing.quarantined:
-                _write_bundle(path, key, paths, lines)
+        existing = (_read_bundle(path, key) if path.exists()
+                    else _BundleData())
+        paths, lines = dict(existing.paths), dict(existing.lines)
+        shared: Dict[tuple, Tuple[str, List[int]]] = {}
+        added = 0
+        for warp_id, trace in traces.items():
+            if warp_id in lines:
+                continue
+            sha, mem_pos = _path_of(trace, shared, paths)
+            lines[warp_id] = (sha, encode_lines(trace.mem_lines, mem_pos))
+            added += 1
         if added or existing.quarantined:
+            _write_bundle(path, key, paths, lines)
             self.writes += 1
         return added
 

@@ -180,6 +180,35 @@ def test_run_trace_store_max_mb_evicts(capsys, tmp_path):
     assert "counter tracestore.evictions" in evicting.err
 
 
+def test_trace_store_max_mb_negative_is_rejected(capsys, tmp_path):
+    """A negative budget would evict every bundle: exit 2, one line,
+    before anything runs or is evicted."""
+    store = tmp_path / "traces"
+    argv = ["run", "relu", "--size", "64", "--methods", "photon",
+            "--trace-store", str(store)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    bundles = sorted(store.glob("*.trc"))
+    assert bundles
+    for command in (argv, ["sweep", "relu", "--sizes", "64",
+                           "--trace-store", str(store)]):
+        assert main(command + ["--trace-store-max-mb", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and ">= 0" in err
+        assert err.count("\n") == 1
+    assert sorted(store.glob("*.trc")) == bundles
+
+
+def test_trace_store_max_mb_needs_a_store(capsys):
+    """Without --trace-store the budget has nothing to bound: exit 2
+    rather than silently ignoring it."""
+    assert main(["run", "relu", "--size", "64", "--methods", "photon",
+                 "--trace-store-max-mb", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "--trace-store DIR" in err
+    assert err.count("\n") == 1
+
+
 def test_run_without_trace_store_writes_nothing(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "relu", "--size", "256",

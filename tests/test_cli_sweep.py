@@ -81,9 +81,8 @@ def test_sweep_jobs_flag_parses_and_runs(capsys):
 
 
 def test_sweep_json_surfaces_tracestore_counters(capsys, tmp_path):
-    """--json carries the per-sweep trace cache/store totals and the
-    retry backoff sum, so operators see warm-start effectiveness
-    without scraping stderr."""
+    """--json carries the per-sweep trace cache/store totals, so
+    operators see warm-start effectiveness without scraping stderr."""
     store = tmp_path / "traces"
     args = ["sweep", "relu", "--sizes", "256", "--methods", "photon",
             "--json", "-", "--trace-store", str(store)]
@@ -93,7 +92,6 @@ def test_sweep_json_surfaces_tracestore_counters(capsys, tmp_path):
     assert set(totals) == {"hits", "store_hits", "misses", "writes"}
     assert totals["misses"] > 0          # nothing cached yet
     assert totals["writes"] > 0          # traces persisted for next run
-    assert cold["backoff_total"] == 0.0  # no retries happened
 
     assert main(args) == 0               # warm: replay from the store
     warm = json.loads(capsys.readouterr().out)

@@ -1,15 +1,12 @@
-"""Durable-write primitives, filesystem fault injection, retry backoff.
+"""Durable-write primitives and filesystem fault injection.
 
 ``durable_replace`` must be all-or-nothing across every injected
 failure mode — the target keeps its previous complete content and no
 temp litter survives.  ``durable_append`` must model a crash as exactly
-the flushed partial tail.  Retry backoff must be a pure function of
-(policy, attempt) so sweeps stay reproducible down to their retry
-schedule.
+the flushed partial tail.
 """
 
 import errno
-import json
 
 import pytest
 
@@ -22,13 +19,11 @@ from repro.durable import (
     seal,
     write_sealed,
 )
-from repro.errors import ConfigError, DiskFault, InjectedFault
-from repro.obs import RELIABILITY_RETRY, MemorySink, scoped_bus
+from repro.errors import ConfigError, DiskFault
 from repro.reliability import (
     FS_FAULT_MODES,
     FsFaultPlan,
     FsFaultSpec,
-    RetryPolicy,
     current_fs_faults,
     scoped_fs_faults,
 )
@@ -208,81 +203,3 @@ def test_persist_and_tracestore_write_through_fault_sites(tmp_path):
     assert not (tmp_path / "store.json").exists()
     assert not list((tmp_path / "traces").glob("*.trc"))
 
-
-# ----------------------------------------------------- retry backoff
-
-
-def test_backoff_schedule_is_deterministic():
-    policy = RetryPolicy(max_attempts=5, backoff_base=0.5, seed=42)
-    schedule = [policy.backoff_for(k) for k in range(1, 5)]
-    again = [RetryPolicy(max_attempts=5, backoff_base=0.5,
-                         seed=42).backoff_for(k) for k in range(1, 5)]
-    assert schedule == again
-    # exponential growth shape within the jitter envelope
-    for k, delay in enumerate(schedule, start=1):
-        nominal = min(30.0, 0.5 * 2.0 ** (k - 1))
-        assert nominal * 0.9 <= delay <= nominal * 1.1
-    # a different seed gives a different (but still valid) schedule
-    other = [RetryPolicy(max_attempts=5, backoff_base=0.5,
-                         seed=7).backoff_for(k) for k in range(1, 5)]
-    assert other != schedule
-
-
-def test_backoff_respects_cap_and_zero_base():
-    assert RetryPolicy(backoff_base=0.0).backoff_for(10) == 0.0
-    capped = RetryPolicy(backoff_base=10.0, backoff_max=12.0,
-                         jitter=0.0)
-    assert capped.backoff_for(5) == 12.0
-
-
-def test_retry_emits_reliability_retry_events():
-    calls = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) < 3:
-            raise InjectedFault("transient blip")
-        return "ok"
-
-    policy = RetryPolicy(max_attempts=3, transient=(InjectedFault,),
-                         backoff_base=0.0)
-    with scoped_bus() as bus:
-        sink = MemorySink()
-        bus.add_sink(sink, kinds=[RELIABILITY_RETRY.name])
-        result, attempts, backoff = policy.run_logged(flaky)
-        events = sink.of_kind(RELIABILITY_RETRY.name)
-        assert bus.metrics.counter("reliability.retries").value == 2
-    assert (result, attempts, backoff) == ("ok", 3, 0.0)
-    assert [e.fields["attempt"] for e in events] == [1, 2]
-    assert all(e.fields["error"] == "InjectedFault" for e in events)
-    assert all(e.fields["backoff"] == 0.0 for e in events)
-
-
-def test_retry_backoff_total_reaches_sweep_outcome():
-    """backoff_total flows task → outcome → telemetry → report JSON."""
-    from repro.parallel import plan_sweep, run_sweep
-
-    tasks = plan_sweep(["fir"], sizes=(64,), methods=("photon",),
-                       seed=7,
-                       retry=RetryPolicy(max_attempts=2,
-                                         backoff_base=0.0))
-    result = run_sweep(tasks)
-    for telemetry in result.report.tasks:
-        assert telemetry.backoff_total == 0.0
-        assert telemetry.replayed is False
-    payload = json.loads(json.dumps(result.to_dict()))
-    assert payload["telemetry"]["backoff_seconds"] == 0.0
-    assert payload["telemetry"]["replayed"] == 0
-
-
-def test_retry_policy_serialization_round_trips_backoff():
-    from repro.parallel import SweepTask, plan_sweep
-
-    policy = RetryPolicy(max_attempts=3, backoff_base=0.25,
-                         backoff_factor=3.0, backoff_max=9.0,
-                         jitter=0.2, seed=11)
-    task = plan_sweep(["fir"], sizes=(64,), methods=("photon",),
-                      retry=policy)[0]
-    restored = SweepTask.from_dict(task.to_dict()).retry
-    assert restored == policy
-    assert restored.backoff_for(2) == policy.backoff_for(2)

@@ -31,7 +31,6 @@ from repro.obs import ENGINE_BB, ENGINE_WARP_RETIRE, EventBus
 from repro.reliability import (
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     WatchdogConfig,
 )
 from repro.timing import DetailedEngine, WarpProbe
@@ -340,18 +339,6 @@ def test_harness_isolates_failing_method(tiny_gpu, fast_photon_config):
     assert rows[0].ok and rows[2].ok
 
 
-def test_harness_retry_recovers_transient_fault(tiny_gpu,
-                                                fast_photon_config):
-    plan = FaultPlan(FaultSpec(site="harness.method", kernel="photon",
-                               error=BudgetExceeded))
-    rows = run_methods_kernel(
-        lambda: make_vecadd(n_warps=16), "vecadd", 16, gpu=tiny_gpu,
-        methods=("photon",), photon_config=fast_photon_config,
-        fault_plan=plan, retry=RetryPolicy(max_attempts=2))
-    assert all(row.ok for row in rows)
-    assert len(plan.fired) == 1  # first attempt fired, retry passed
-
-
 def test_harness_full_baseline_failure_fails_all_rows(tiny_gpu,
                                                       fast_photon_config):
     rows = run_methods_kernel(
@@ -361,11 +348,3 @@ def test_harness_full_baseline_failure_fails_all_rows(tiny_gpu,
     assert [r.method for r in rows] == ["full", "photon"]
     assert all(r.error_class == "BudgetExceeded" for r in rows)
 
-
-def test_harness_isolate_off_propagates(tiny_gpu, fast_photon_config):
-    plan = FaultPlan(FaultSpec(site="harness.method", kernel="photon"))
-    with pytest.raises(InjectedFault):
-        run_methods_kernel(
-            lambda: make_vecadd(n_warps=16), "vecadd", 16, gpu=tiny_gpu,
-            methods=("photon",), photon_config=fast_photon_config,
-            fault_plan=plan, isolate=False)

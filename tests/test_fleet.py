@@ -53,6 +53,10 @@ from repro.tracestore import TraceStore
 
 SIZES = (64,)
 
+#: a journal prefix, a fleet manifest and a host WAL recorded while
+#: tasks carried an in-task retry block, with the table they produced
+RETRY_ERA = Path(__file__).parent / "golden" / "retry_era_records.json"
+
 
 def _flip(path, old, new):
     """Rewrite one value in a sealed file in place: still JSON, but its
@@ -106,6 +110,28 @@ def test_manifest_with_retired_functional_key_loads(tmp_path):
     manifest.write_text(json.dumps(body, sort_keys=True))
     loaded = load_manifest(tmp_path / "fleet")
     assert [t.to_dict() for t in loaded] == [t.to_dict() for t in tasks]
+
+
+def test_retry_era_fleet_coordinates_to_its_table(tmp_path):
+    """A fleet whose manifest and host WAL were written while tasks
+    carried an in-task retry block and outcomes ``attempts`` /
+    ``backoff_total`` (``tests/golden/retry_era_records.json``)
+    coordinates to the table recorded with it, byte for byte: task 0
+    replays from host w1's old outcome, the rest run from the old task
+    records."""
+    era = json.loads(RETRY_ERA.read_text())
+    fleet = tmp_path / "fleet"
+    (fleet / "hosts" / "w1").mkdir(parents=True)
+    (fleet / MANIFEST_NAME).write_text(era["fleet_manifest"])
+    (fleet / "hosts" / "w1" / JOURNAL_NAME).write_text(
+        "".join(line + "\n" for line in era["host_journal"]))
+    spec = era["plan"]
+    assert load_manifest(fleet) == plan_sweep(
+        spec["workloads"], sizes=spec["sizes"], methods=spec["methods"],
+        seed=spec["seed"])
+    result = fleet_coordinate(fleet, grace=0.05)
+    assert _det(result) == era["table"]
+    assert result.replayed == 1
 
 
 def test_fleet_init_refuses_reuse(tmp_path):

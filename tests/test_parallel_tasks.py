@@ -2,22 +2,20 @@
 
 import pytest
 
-from repro.errors import BudgetExceeded, ConfigError, WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.parallel.tasks import (
     FULL_METHOD,
     SweepTask,
     TaskOutcome,
     run_task,
 )
-from repro.reliability.retry import DEFAULT_RETRY, NO_RETRY, RetryPolicy
 from repro.reliability.watchdog import WatchdogConfig
 
 
 def test_task_round_trips_through_dict():
     task = SweepTask(index=3, workload="relu", size=512, method="photon",
                      gpu="mi100", seed=11,
-                     watchdog=WatchdogConfig(max_events=1000),
-                     retry=DEFAULT_RETRY)
+                     watchdog=WatchdogConfig(max_events=1000))
     clone = SweepTask.from_dict(task.to_dict())
     assert clone == task
 
@@ -25,18 +23,20 @@ def test_task_round_trips_through_dict():
 def test_task_dict_is_json_safe():
     import json
 
-    task = SweepTask(index=0, workload="fir", size=128, method="pka",
-                     retry=DEFAULT_RETRY)
+    task = SweepTask(index=0, workload="fir", size=128, method="pka")
     payload = json.dumps(task.to_dict(), allow_nan=False)
     assert SweepTask.from_dict(json.loads(payload)) == task
 
 
-def test_task_from_dict_rejects_unknown_transient():
+def test_task_from_dict_drops_retired_keys():
+    # journals and fleet manifests written before a field was retired
+    # still load: the task's old in-task retry block (even one naming
+    # no real error class) and retired PhotonConfig switches are dropped
     task = SweepTask(index=0, workload="relu", size=64, method="photon")
     data = task.to_dict()
-    data["retry"]["transient"] = ["NotAnError"]
-    with pytest.raises(ConfigError):
-        SweepTask.from_dict(data)
+    data["retry"] = {"max_attempts": 3, "transient": ["NotAnError"]}
+    data["photon"] = {**data["photon"], "retired_switch": True}
+    assert SweepTask.from_dict(data) == task
 
 
 def test_run_task_full_and_photon():
@@ -85,21 +85,6 @@ def test_outcome_round_trips_through_dict():
                              method="photon"))
     clone = TaskOutcome.from_dict(out.to_dict())
     assert clone == out
-
-
-def test_retry_reports_attempts():
-    calls = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) < 2:
-            raise BudgetExceeded("transient")
-        return "ok"
-
-    value, attempts = RetryPolicy(max_attempts=3).run_with_attempts(flaky)
-    assert value == "ok" and attempts == 2
-    value, attempts = NO_RETRY.run_with_attempts(lambda: 5)
-    assert value == 5 and attempts == 1
 
 
 def test_watchdog_per_task_splits_deadline():

@@ -1,4 +1,4 @@
-"""Unit tests for repro.reliability: watchdogs, fault plans, retries."""
+"""Unit tests for repro.reliability: watchdogs, fault plans, the ledger."""
 
 import pytest
 
@@ -11,13 +11,10 @@ from repro.errors import (
     SimulationStalled,
 )
 from repro.reliability import (
-    DEFAULT_RETRY,
     FALLBACK_CHAIN,
     FallbackEvent,
     FaultPlan,
     FaultSpec,
-    NO_RETRY,
-    RetryPolicy,
     WatchdogConfig,
 )
 
@@ -122,48 +119,6 @@ def test_fault_custom_error_and_message():
     plan.add(FaultSpec(site="s", error=BudgetExceeded, message="boom"))
     with pytest.raises(BudgetExceeded, match="boom"):
         plan.arm("s")
-
-
-# -- RetryPolicy --------------------------------------------------------------
-
-def test_retry_retries_transient_only():
-    calls = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) == 1:
-            raise BudgetExceeded("transient")
-        return "ok"
-
-    assert RetryPolicy(max_attempts=2).run(flaky) == "ok"
-    assert len(calls) == 2
-
-
-def test_retry_gives_up_after_max_attempts():
-    def always():
-        raise SimulationStalled("stuck")
-
-    with pytest.raises(SimulationStalled):
-        RetryPolicy(max_attempts=3).run(always)
-
-
-def test_retry_does_not_mask_nontransient():
-    calls = []
-
-    def bad():
-        calls.append(1)
-        raise SamplingError("logic bug")
-
-    with pytest.raises(SamplingError):
-        RetryPolicy(max_attempts=5).run(bad)
-    assert len(calls) == 1
-
-
-def test_retry_constants():
-    assert NO_RETRY.max_attempts == 1
-    assert DEFAULT_RETRY.max_attempts == 2
-    with pytest.raises(ConfigError):
-        RetryPolicy(max_attempts=0)
 
 
 # -- ledger -------------------------------------------------------------------

@@ -350,24 +350,23 @@ def test_request_key_is_stable_and_content_addressed():
 
 def test_request_key_ignores_performance_only_settings():
     """Settings that cannot change a result must not split the result
-    cache: where traces are read from, the retry policy, the task's
-    position in a plan — and the retired functional-batching switch,
-    which ``request_key`` used to hash although both of its values
-    produced bitwise-identical results."""
+    cache: where traces are read from, the task's position in a plan —
+    and the retired functional-batching switch, which ``request_key``
+    used to hash although both of its values produced bitwise-identical
+    results, and the retired in-task retry block."""
     import dataclasses
 
     from repro.parallel.tasks import SweepTask
-    from repro.reliability.retry import RetryPolicy
 
     base = normalize_request({"workload": "relu", "size": 128},
                              op="run").task()
     key = request_key(base)
     assert request_key(dataclasses.replace(
-        base, index=9, trace_store="/somewhere/else",
-        retry=RetryPolicy(max_attempts=3))) == key
+        base, index=9, trace_store="/somewhere/else")) == key
     for value in (True, False):
         payload = base.to_dict()
         payload["photon"]["batched" + "_functional"] = value
+        payload["retry"] = {"max_attempts": 3}
         assert request_key(SweepTask.from_dict(payload)) == key
     assert all("batch" not in f.name
                for f in dataclasses.fields(type(base.photon)))
@@ -380,7 +379,7 @@ def test_deterministic_result_strips_host_variance():
                      method="photon", gpu="r9nano")
     outcome = run_task(task)
     result = deterministic_result(outcome)
-    for name in ("wall_seconds", "worker", "started", "attempts",
+    for name in ("wall_seconds", "worker", "started", "task_wall",
                  "index", "store_payload", "trace_hits"):
         assert name not in result
     assert result["status"] == "ok"

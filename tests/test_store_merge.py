@@ -13,7 +13,7 @@ from repro.core.persist import (
     kernel_db_from_payload,
     kernel_db_payload,
 )
-from repro.errors import ConfigError, SamplingError
+from repro.errors import SamplingError
 
 from conftest import make_loop_kernel, make_vecadd
 
@@ -71,28 +71,9 @@ def test_merge_conflict_keep_prefers_existing():
     mine = _analysis("a", rate=0.5)
     theirs = _analysis("a", rate=0.9)
     target = _store([(KEY_A, mine)])
-    stats = target.merge(_store([(KEY_A, theirs)]))  # default "keep"
+    stats = target.merge(_store([(KEY_A, theirs)]))
     assert stats.conflicts == 1
     assert dict(target.items())[KEY_A].dominant_rate == 0.5
-
-
-def test_merge_conflict_replace_prefers_incoming():
-    target = _store([(KEY_A, _analysis("a", rate=0.5))])
-    target.merge(_store([(KEY_A, _analysis("a", rate=0.9))]),
-                 on_conflict="replace")
-    assert dict(target.items())[KEY_A].dominant_rate == 0.9
-
-
-def test_merge_conflict_error_raises():
-    target = _store([(KEY_A, _analysis("a", rate=0.5))])
-    with pytest.raises(SamplingError, match="merge conflict"):
-        target.merge(_store([(KEY_A, _analysis("a", rate=0.9))]),
-                     on_conflict="error")
-
-
-def test_merge_rejects_unknown_conflict_rule():
-    with pytest.raises(ConfigError):
-        AnalysisStore().merge(AnalysisStore(), on_conflict="panic")
 
 
 def test_merge_carries_quarantine_not_traffic_counters():

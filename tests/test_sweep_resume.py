@@ -10,6 +10,7 @@ version lives in ``scripts/chaos_sweep.py`` (nightly chaos lane).
 """
 
 import hashlib
+import json
 import os
 import signal
 import subprocess
@@ -31,6 +32,10 @@ from repro.parallel import (
 from repro.reliability import FsFaultPlan, FsFaultSpec, scoped_fs_faults
 
 SIZES = (64,)
+
+#: a journal prefix, a fleet manifest and a host WAL recorded while
+#: tasks carried an in-task retry block, with the table they produced
+RETRY_ERA = Path(__file__).parent / "golden" / "retry_era_records.json"
 
 
 def _plan(**kwargs):
@@ -158,6 +163,28 @@ def test_resume_of_journal_with_retired_config_key(tmp_path):
     resumed = resume_sweep(str(run_dir))
     assert _det(resumed) == _det(golden)
     assert resumed.replayed == 1
+
+
+def test_retry_era_journal_resumes_to_its_table(tmp_path):
+    """A run directory journaled while tasks carried an in-task retry
+    block and outcomes ``attempts`` / ``backoff_total``
+    (``tests/golden/retry_era_records.json``: the plan and the first
+    cell's outcomes) resumes to the table recorded with it, byte for
+    byte — the first cell replayed from its old outcomes, the second
+    run from its old task records."""
+    era = json.loads(RETRY_ERA.read_text())
+    run_dir = tmp_path / "old"
+    run_dir.mkdir()
+    (run_dir / JOURNAL_NAME).write_text(
+        "".join(line + "\n" for line in era["journal"]))
+    spec = era["plan"]
+    assert scan_journal(run_dir / JOURNAL_NAME).tasks() == plan_sweep(
+        spec["workloads"], sizes=spec["sizes"], methods=spec["methods"],
+        seed=spec["seed"])
+    resumed = resume_sweep(str(run_dir))
+    assert _det(resumed) == era["table"]
+    assert resumed.replayed == 2
+    assert _det(resume_sweep(str(run_dir))) == era["table"]
 
 
 #: the PhotonConfig field that selected the per-warp interpreter; spelled

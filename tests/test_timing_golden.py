@@ -8,7 +8,7 @@ watchdog trips the exception class, its message and the
 
 * **Heap-loop corpus** (``CASES`` x ``KERNELS``), recorded from the
   retired heap loop (``DetailedEngine._run`` at commit 1ea305a): armed
-  watchdogs, a fractional start time, fractional latencies.
+  watchdogs and fractional latencies.
 * **Numpy-round corpus**, recorded at commit fba0e44 from the retired
   ``timing/batch.py`` while its vectorized rounds really executed:
   nbody@512, kmeans@1024 and blackscholes@512 on the evaluation GPU at
@@ -116,8 +116,6 @@ _QUIET = WatchdogConfig(max_events=10**9, stall_events=10**6)
 CASES["watchdog-armed-quiet"] = ({"watchdog": _QUIET}, {}, None)
 CASES["watchdog-armed-quiet-stop"] = (
     {"watchdog": _QUIET, **_ACCOUNTING}, {}, 9)
-CASES["start-time"] = ({"start_time": 0.5}, {}, None)
-CASES["start-time-stop"] = ({"start_time": 0.5, **_ACCOUNTING}, {}, 9)
 # non-dyadic values: every add rounds, so the order of operations shows
 for _field, _value in (("issue_interval", 1.3), ("scalar_alu_lat", 1.1),
                        ("vector_alu_lat", 4.7), ("branch_lat", 1.3),

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.timing.tracecache
 from repro.timing import DetailedEngine
 from repro.timing.tracecache import TraceCache
 
@@ -51,8 +52,9 @@ def test_cache_shared_across_gpu_configs(tiny_gpu):
     assert res_b.end_time > res_a.end_time  # timing still config-driven
 
 
-def test_cache_capacity_cap(tiny_gpu):
-    cache = TraceCache(max_traces=2)
+def test_cache_capacity_cap(tiny_gpu, monkeypatch):
+    monkeypatch.setattr(repro.timing.tracecache, "MAX_TRACES", 2)
+    cache = TraceCache()
     kernel = make_vecadd(n_warps=8)
     DetailedEngine(kernel, tiny_gpu,
                    trace_provider=cache.provider(kernel)).run()
@@ -197,3 +199,33 @@ def test_store_events_on_bus(tiny_gpu, tmp_path):
         assert counters["tracestore.misses"] == 4
         assert counters["tracestore.writes"] == 4
         assert counters["tracestore.store_hits"] == 4
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_run_accounts_on_the_methodology_bus(tiny_gpu, tmp_path, cached):
+    """A methodology given its own bus gets all of its run's accounting
+    — emulation, trace traffic, the store write — and the current bus
+    none of it, with or without a trace cache."""
+    from repro.obs import EventBus, scoped_bus
+    from repro.timing.simulator import FullDetail
+    from repro.tracestore import TraceStore
+
+    private = EventBus()
+    cache = (TraceCache(backing_store=TraceStore(tmp_path)) if cached
+             else None)
+    with scoped_bus() as default:
+        FullDetail(tiny_gpu, bus=private, trace_cache=cache
+                   ).simulate_kernel(make_vecadd(n_warps=8))
+        if cached:
+            assert cache.flush() == 8
+        assert default.metrics.snapshot()["counters"] == {}
+        assert not default.metrics.phases()
+    counters = private.metrics.snapshot()["counters"]
+    assert counters["engine.runs"] == 1
+    assert counters["exec.batch.batched_warps"] == 8
+    phases = set(private.metrics.phases())
+    assert {"timing", "functional"} <= phases
+    if cached:
+        assert counters["tracestore.misses"] == 8
+        assert counters["tracestore.writes"] == 8
+        assert "trace_io" in phases
