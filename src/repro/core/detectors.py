@@ -14,7 +14,9 @@ emits one ``detector.elided`` event, and the run is the full-detail run
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from ..isa.program import Program
 from ..obs import (DETECTOR_ELIDED, DETECTOR_SWITCH, ENGINE_BB,
@@ -81,6 +83,11 @@ class BBSamplingDetector(_Detector):
     weighted by the online-analysis distribution, so blocks that have not
     yet appeared in detailed mode still count against the threshold — is
     compared against ``stable_bb_rate`` (95%).
+
+    No switch can happen before ``retire_gate`` warps have retired, so
+    until then blocks wait, and are judged in one replay when the gate
+    opens or the state is read; the result is, to the last bit, that of
+    judging each block on arrival, as the detector does past the gate.
     """
 
     level = "bb"
@@ -91,14 +98,20 @@ class BBSamplingDetector(_Detector):
         super().__init__(analysis, config, fault_plan)
         self._detectors: Dict[int, StabilityDetector] = {}
         self._stable: Dict[int, bool] = {}
-        #: current instruction share of the stable basic-block types
-        self.stable_rate = 0.0
+        self._stable_rate = 0.0
         capacity = warp_capacity if warp_capacity else analysis.n_warps
         self.retire_gate = min(
             capacity,
             max(1, int(analysis.n_warps * config.bb_retire_gate_fraction)),
         )
         self._retired = 0
+        self._pending: List[float] = []  # flat (pc, start, end) triples
+
+    @property
+    def stable_rate(self) -> float:
+        """Current instruction share of the stable basic-block types."""
+        self._settle()
+        return self._stable_rate
 
     def reachable_share(self, program: Program) -> float:
         """Instruction share of the block types that can ever be judged.
@@ -130,27 +143,63 @@ class BBSamplingDetector(_Detector):
     def on_warp_retired(self, warp_id: int, dispatch: float,
                         retire: float) -> None:
         self._retired += 1
-        if (not self.switched and self._retired >= self.retire_gate
-                and self.stable_rate >= self.config.stable_bb_rate):
-            self._switch(retire)
+        if self._retired >= self.retire_gate:
+            self._settle()  # the gate is open: judge what waited for it
+            if (not self.switched
+                    and self._stable_rate >= self.config.stable_bb_rate):
+                self._switch(retire)
 
     def on_bb_complete(self, warp_id: int, bb_pc: int, start: float,
                        end: float) -> None:
-        if self.switched:
+        if self._retired < self.retire_gate:
+            self._pending.extend((bb_pc, start, end))
+        elif not self.switched and self._flip(
+                bb_pc, self._block(bb_pc).observe(start, end)) and (
+                self._stable_rate >= self.config.stable_bb_rate):
+            self._switch(end)
+
+    def _block(self, pc: int) -> StabilityDetector:
+        return self._detectors.get(pc) or self._detectors.setdefault(
+            pc, self._stream(self.config.bb_window))
+
+    def _flip(self, pc: int, now_stable: bool) -> bool:
+        """Record block type ``pc``'s verdict; whether it became stable."""
+        if now_stable == self._stable.get(pc, False):
+            return False
+        self._stable[pc] = now_stable
+        share = self.analysis.bb_share.get(pc, 0.0)
+        self._stable_rate += share if now_stable else -share
+        return now_stable
+
+    def _settle(self) -> None:
+        """Judge the waiting observations in one replay."""
+        pending = self._pending
+        if not pending:
             return
-        detector = self._detectors.get(bb_pc)
-        if detector is None:
-            detector = self._stream(self.config.bb_window)
-            self._detectors[bb_pc] = detector
-            self._stable[bb_pc] = False
-        now_stable = detector.observe(start, end)
-        if now_stable != self._stable[bb_pc]:
-            self._stable[bb_pc] = now_stable
-            share = self.analysis.bb_share.get(bb_pc, 0.0)
-            self.stable_rate += share if now_stable else -share
-            if (now_stable and self._retired >= self.retire_gate
-                    and self.stable_rate >= self.config.stable_bb_rate):
-                self._switch(end)
+        self._pending = []
+        if self._engine is not None:
+            counter = self._engine.bus.metrics.counter
+            counter("detector.bb_replays").inc()
+            counter("detector.bb_replayed_obs").inc(len(pending) // 3)
+        events = np.fromiter(pending, float, len(pending)).reshape(-1, 3)
+        del pending  # its boxed floats are most of a replay's memory
+        flips = []  # (event index, pc, verdict) of every verdict change
+        _, first = np.unique(events[:, 0], return_index=True)
+        for row in np.sort(first).tolist():  # in order of appearance
+            pc = int(events[row, 0])
+            rows = np.flatnonzero(events[:, 0] == pc)
+            detector, x, y = self._block(pc), events[rows, 1], events[rows, 2]
+            # below 64 points, a loop of ``observe`` costs less
+            verdicts = (detector.observe_many(x, y) if len(rows) >= 64 else
+                        np.array(list(map(detector.observe, x.tolist(),
+                                          y.tolist()))))
+            was = np.concatenate(([self._stable.get(pc, False)],
+                                  verdicts[:-1]))
+            flips += [(rows[k], pc, verdicts[k])
+                      for k in np.flatnonzero(verdicts != was).tolist()]
+        # no switch before the gate: only the rate's summation order counts
+        for _, pc, now_stable in sorted(flips):
+            self._flip(pc, bool(now_stable))
 
     def bb_time_table(self) -> Dict[int, float]:
         """Mean execution time per sufficiently-observed block type.
@@ -158,6 +207,7 @@ class BBSamplingDetector(_Detector):
         Blocks with fewer than ``rare_bb_min_samples`` observations are
         omitted; the controller predicts those with the interval model.
         """
+        self._settle()
         table = {}
         for pc, detector in self._detectors.items():
             if detector.observations >= self.config.rare_bb_min_samples:

@@ -21,13 +21,16 @@ scalar read or write costs several times more; ``docs/performance.md``).
 * Per resident-warp *slot*, parallel lists: the instruction cursor, the
   trace's ``opclass`` / ``dep`` / ``mem_lines`` / ``opcode`` columns
   (the trace's own lists, nothing copied or converted), the CU (also
-  its scalar issue port), the SIMD issue port, and the dispatch /
-  basic-block bookkeeping.
+  its scalar issue port), the SIMD issue port, the dispatch bookkeeping
+  and, while ``engine.bb`` has subscribers, the open block's pc and
+  start and the path's block map — the slot then reads a copy of the
+  class column with ``cls + _N_CLASSES`` at each block's first
+  instruction, built once per distinct path.
 * A plain list of port-free times, one cell per issue port.
 * A per-class latency list: ``lat_of[cls] >= 0`` is a fixed latency
   (the configuration's exact value, fractional or not); a negative cell
-  sends the member to the stateful handlers (memory, barrier, end, and
-  waitcnt while it has a subscriber).
+  sends the member to the stateful handlers (a marked block start, then
+  memory, barrier, end, and waitcnt while it has a subscriber).
 * **One ``array('d')`` of retire times per slot** — 8 bytes per
   instruction, where a list of floats costs 32, times resident warps x
   trace length.  The row is one cell longer than the trace and that cell
@@ -109,11 +112,12 @@ _CLS_END = int(OpClass.END)
 _N_CLASSES = max(int(cls) for cls in OpClass) + 1
 
 #: op classes that issue through the CU's scalar port, indexable by class
+#: (and by a block start's marked class, ``cls + _N_CLASSES``)
 _IS_SCALAR_PORT = [
     cls in (_CLS_SCALAR_ALU, _CLS_SCALAR_MEM, _CLS_BRANCH, _CLS_BARRIER,
             _CLS_WAITCNT, _CLS_END)
     for cls in range(_N_CLASSES)
-]
+] * 2
 
 #: dense latency-table accumulator width (opcode ids are small ints)
 _N_CODES = max(op.value for op in Opcode) + 1
@@ -258,6 +262,8 @@ class DetailedEngine:
         finally:
             for etype, fn in self._subscriptions:
                 bus.unsubscribe(etype, fn)
+            # an observer usually holds its engine: drop the cycle here
+            self._subscriptions = []
 
     def _replay(self) -> EngineResult:
         """The engine's one loop (see the module docstring)."""
@@ -290,9 +296,9 @@ class DetailedEngine:
         self.live_ipc_series = ipc_series
 
         # per-class latency: the configuration's exact values (a
-        # fractional latency stays fractional); stateful classes are
-        # negative and go to the handlers below
-        lat_of = [-1.0] * _N_CLASSES
+        # fractional latency stays fractional); stateful classes and
+        # marked block starts are negative and go to the handlers below
+        lat_of = [-1.0] * (2 * _N_CLASSES)
         lat_of[_CLS_SCALAR_ALU] = float(config.scalar_alu_lat)
         lat_of[_CLS_VECTOR_ALU] = float(config.vector_alu_lat)
         lat_of[_CLS_LDS] = float(config.lds_lat)
@@ -334,12 +340,12 @@ class DetailedEngine:
         warp_l = [0] * n_slots
         wg_l = [0] * n_slots
         disp_l = [0.0] * n_slots
-        bbptr_l = [0] * n_slots            # basic-block events only:
-        bbpc_l = [-1] * n_slots
-        bbstart_l = [0.0] * n_slots
-        bbpcs_l: List[list] = [None] * n_slots
-        bbstarts_l: List[list] = [None] * n_slots
-        nba_l = [-1] * n_slots             # next bb boundary (or -1)
+        bbpc_l = [-1] * n_slots            # basic-block events only:
+        bbstart_l = [0.0] * n_slots        # the open block and its start,
+        bbat_l: List[dict] = [None] * n_slots  # block start -> block pc
+        # per distinct path: the class column with block starts marked,
+        # and its block map (the key objects are kept alive with them)
+        marked: Dict[Tuple[int, int], tuple] = {}
 
         free_slot_ids: List[List[int]] = [[] for _ in range(n_cu)]
         free_slots = [config.max_warps_per_cu] * n_cu
@@ -396,7 +402,20 @@ class DetailedEngine:
                     # n cells plus the never-written 0.0 that dep -1 reads
                     ret_l[s] = array("d", bytes(8 * (n + 1)))
                 cur_l[s] = 0
-                cls_l[s] = trace.opclass
+                if has_bb:
+                    key = (id(trace.opclass), id(trace.bb_seq))
+                    path = marked.get(key)
+                    if path is None:
+                        col = list(trace.opclass)
+                        for _, at in trace.bb_seq:
+                            col[at] += _N_CLASSES
+                        path = marked[key] = (
+                            col, {at: pc for pc, at in trace.bb_seq},
+                            trace.opclass, trace.bb_seq)
+                    cls_l[s], bbat_l[s] = path[0], path[1]
+                    bbpc_l[s] = -1
+                else:
+                    cls_l[s] = trace.opclass
                 dep_l[s] = trace.dep
                 mem_l[s] = trace.mem_lines
                 code_l[s] = trace.opcode
@@ -406,14 +425,6 @@ class DetailedEngine:
                 wg_l[s] = wg_id
                 disp_l[s] = time
                 resident.add(s)
-                if has_bb:
-                    bbptr_l[s] = 0
-                    bbpc_l[s] = -1
-                    bbstart_l[s] = time
-                    bbpcs_l[s] = [pc for pc, _ in trace.bb_seq]
-                    starts = [at for _, at in trace.bb_seq]
-                    bbstarts_l[s] = starts
-                    nba_l[s] = starts[0] if starts else -1
                 push(time, s)
                 if dispatch_subs:
                     for fn in dispatch_subs:
@@ -485,108 +496,107 @@ class DetailedEngine:
                             fn(warp_l[s], t, issue - t,
                                "scalar" if is_scalar_port[cls] else "simd")
 
-                    if has_bb and i == nba_l[s]:
-                        if bbpc_l[s] >= 0:
-                            for fn in bb_subs:
-                                fn(warp_l[s], bbpc_l[s], bbstart_l[s],
-                                   issue)
-                        ptr = bbptr_l[s]
-                        bbpc_l[s] = bbpcs_l[s][ptr]
-                        bbstart_l[s] = issue
-                        ptr += 1
-                        bbptr_l[s] = ptr
-                        starts = bbstarts_l[s]
-                        nba_l[s] = starts[ptr] if ptr < len(starts) else -1
-
                     lat = lat_of[cls]
                     if lat >= 0.0:
                         retire = issue + lat
-                    elif cls == _CLS_VECTOR_MEM:
-                        lines = mem_l[s][i]
-                        if lines:
-                            retire = vector_access_many(cu_l[s], lines,
-                                                        issue)
-                        else:
-                            retire = issue + 1.0
-                        if collect_latency:
-                            code = code_l[s][i]
-                            lat_sum[code] += retire - issue
-                            lat_cnt[code] += 1
-                    elif cls == _CLS_SCALAR_MEM:
-                        retire = scalar_access(cu_l[s], mem_l[s][i][0],
-                                               issue)
-                        if collect_latency:
-                            code = code_l[s][i]
-                            lat_sum[code] += retire - issue
-                            lat_cnt[code] += 1
-                    elif cls == _CLS_WAITCNT:
-                        retire = issue + lat_branch
-                        for fn in waitcnt_subs:
-                            fn(warp_l[s], issue)
-                    elif cls == _CLS_BARRIER:
-                        wg = wg_l[s]
-                        state = barrier_state.setdefault(wg, [0, 0.0, []])
-                        state[0] += 1
-                        if issue > state[1]:
-                            state[1] = issue
-                        n_insts += 1
-                        if inst_subs:
-                            for fn in inst_subs:
-                                fn(warp_l[s], cls, issue, issue)
-                        if state[0] < wg_sizes[wg]:
-                            state[2].append(s)
-                            continue  # parked until the last arrival
-                        release = state[1] + 1
-                        del barrier_state[wg]
-                        if barrier_subs:
-                            for fn in barrier_subs:
-                                fn(wg, release, wg_sizes[wg])
-                        arrived = state[2] + [s]
-                        if bucket is not None:
-                            idx = int(release // bucket)
-                            for _ in arrived:
-                                _bump(ipc_series, idx)
-                        for other in arrived:
-                            oi = cur_l[other]
-                            row = ret_l[other]
-                            row[oi] = release
-                            oi += 1
-                            cur_l[other] = oi
-                            ready = release + 1
-                            dep_ready = row[dep_l[other][oi]]
-                            if dep_ready > ready:
-                                ready = dep_ready
-                            push(ready, other)
-                        continue
-                    elif cls == _CLS_END:
-                        retire = issue  # nothing follows: no row write
-                        n_insts += 1
-                        if inst_subs:
-                            for fn in inst_subs:
-                                fn(warp_l[s], cls, issue, retire)
-                        if bucket is not None:
-                            _bump(ipc_series, int(retire // bucket))
-                        result.warp_times[warp_l[s]] = (disp_l[s], retire)
-                        if retire > end_time:
-                            end_time = retire
-                        if has_bb and bbpc_l[s] >= 0:
-                            for fn in bb_subs:
-                                fn(warp_l[s], bbpc_l[s], bbstart_l[s],
-                                   retire)
-                        if retire_subs:
-                            for fn in retire_subs:
-                                fn(warp_l[s], disp_l[s], retire)
-                        cu = cu_l[s]
-                        free_slots[cu] += 1
-                        resident.discard(s)
-                        free_slot_ids[cu].append(s)
-                        if s in self._stop_snapshot:
-                            result.cu_slot_free.setdefault(
-                                cu, []).append(retire)
-                        dispatch_wg(cu, retire)
-                        continue
-                    else:  # pragma: no cover - defensive
-                        raise TimingError(f"unknown op class {cls}")
+                    else:
+                        if cls >= _N_CLASSES:  # a block starts here
+                            if bbpc_l[s] >= 0:
+                                for fn in bb_subs:
+                                    fn(warp_l[s], bbpc_l[s], bbstart_l[s],
+                                       issue)
+                            bbpc_l[s] = bbat_l[s][i]
+                            bbstart_l[s] = issue
+                            cls -= _N_CLASSES
+                            lat = lat_of[cls]
+                        if lat >= 0.0:
+                            retire = issue + lat
+                        elif cls == _CLS_VECTOR_MEM:
+                            lines = mem_l[s][i]
+                            if lines:
+                                retire = vector_access_many(cu_l[s], lines,
+                                                            issue)
+                            else:
+                                retire = issue + 1.0
+                            if collect_latency:
+                                code = code_l[s][i]
+                                lat_sum[code] += retire - issue
+                                lat_cnt[code] += 1
+                        elif cls == _CLS_SCALAR_MEM:
+                            retire = scalar_access(cu_l[s], mem_l[s][i][0],
+                                                   issue)
+                            if collect_latency:
+                                code = code_l[s][i]
+                                lat_sum[code] += retire - issue
+                                lat_cnt[code] += 1
+                        elif cls == _CLS_WAITCNT:
+                            retire = issue + lat_branch
+                            for fn in waitcnt_subs:
+                                fn(warp_l[s], issue)
+                        elif cls == _CLS_BARRIER:
+                            wg = wg_l[s]
+                            state = barrier_state.setdefault(wg, [0, 0.0, []])
+                            state[0] += 1
+                            if issue > state[1]:
+                                state[1] = issue
+                            n_insts += 1
+                            if inst_subs:
+                                for fn in inst_subs:
+                                    fn(warp_l[s], cls, issue, issue)
+                            if state[0] < wg_sizes[wg]:
+                                state[2].append(s)
+                                continue  # parked until the last arrival
+                            release = state[1] + 1
+                            del barrier_state[wg]
+                            if barrier_subs:
+                                for fn in barrier_subs:
+                                    fn(wg, release, wg_sizes[wg])
+                            arrived = state[2] + [s]
+                            if bucket is not None:
+                                idx = int(release // bucket)
+                                for _ in arrived:
+                                    _bump(ipc_series, idx)
+                            for other in arrived:
+                                oi = cur_l[other]
+                                row = ret_l[other]
+                                row[oi] = release
+                                oi += 1
+                                cur_l[other] = oi
+                                ready = release + 1
+                                dep_ready = row[dep_l[other][oi]]
+                                if dep_ready > ready:
+                                    ready = dep_ready
+                                push(ready, other)
+                            continue
+                        elif cls == _CLS_END:
+                            retire = issue  # nothing follows: no row write
+                            n_insts += 1
+                            if inst_subs:
+                                for fn in inst_subs:
+                                    fn(warp_l[s], cls, issue, retire)
+                            if bucket is not None:
+                                _bump(ipc_series, int(retire // bucket))
+                            result.warp_times[warp_l[s]] = (disp_l[s], retire)
+                            if retire > end_time:
+                                end_time = retire
+                            if has_bb and bbpc_l[s] >= 0:
+                                for fn in bb_subs:
+                                    fn(warp_l[s], bbpc_l[s], bbstart_l[s],
+                                       retire)
+                            if retire_subs:
+                                for fn in retire_subs:
+                                    fn(warp_l[s], disp_l[s], retire)
+                            cu = cu_l[s]
+                            free_slots[cu] += 1
+                            resident.discard(s)
+                            free_slot_ids[cu].append(s)
+                            if s in self._stop_snapshot:
+                                result.cu_slot_free.setdefault(
+                                    cu, []).append(retire)
+                            dispatch_wg(cu, retire)
+                            continue
+                        else:  # pragma: no cover - defensive
+                            raise TimingError(f"unknown op class {cls}")
 
                     row = ret_l[s]
                     row[i] = retire

@@ -1,6 +1,7 @@
 """Least-squares fitting and the rolling stability detector."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,3 +167,108 @@ def test_property_constant_duration_is_stable(duration, step, window):
     _feed_stable(det, 2 * window, duration=duration, step=step)
     assert det.is_stable()
     assert det.mean_duration() == pytest.approx(duration)
+
+
+# --------------------------------------------- observe_many == observe
+
+
+def _stream(rng, n):
+    """A stream mixing what the engine reports: steady and ramping
+    durations, bursts issued at one timestamp (zero x-variance), level
+    shifts, whole-cycle clocks, and signed zeros."""
+    t, out = rng.choice((0.0, -0.0, 0.7)), []
+    level, ramp, burst = 100.0, 0.0, 0
+    for _ in range(n):
+        if burst:
+            burst -= 1
+        else:
+            if rng.random() < 0.02:
+                burst = rng.randint(2, 80)
+            t += rng.choice((1.0, 2.0, rng.uniform(0.5, 1.5)))
+        if rng.random() < 0.01:
+            level *= rng.choice((0.8, 1.25))
+        if rng.random() < 0.01:
+            ramp = rng.choice((0.0, 0.1))
+        retired = t + level + ramp * t + rng.choice(
+            (0.0, -0.0, rng.uniform(-1.0, 1.0), float(rng.randint(-3, 3))))
+        issue = -0.0 if rng.random() < 0.01 else t
+        out.append((issue, -0.0 if rng.random() < 0.01 else retired))
+    return out
+
+
+def _views(det):
+    try:
+        mean = repr(det.mean_duration())
+    except ValueError:
+        mean = "no observations"
+    return (det.observations, det.is_stable(), repr(det.slope()), mean)
+
+
+@st.composite
+def _chunked_streams(draw):
+    window = draw(st.sampled_from((2, 3, 64, 2048)))
+    mean_check = draw(st.booleans())
+    mean_delta = draw(st.sampled_from((None, 0.2)))
+    n = draw(st.integers(0, 2 * window + 2 * window * draw(st.booleans())
+                         + 40))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=10)))
+    batched = draw(st.lists(st.booleans(), min_size=len(cuts) + 1,
+                            max_size=len(cuts) + 1))
+    return window, mean_check, mean_delta, n, seed, cuts, batched
+
+
+def _check_chunking(case):
+    """Any chunking of a stream into ``observe`` / ``observe_many``
+    calls (empty batches included) gives ``observe``'s verdicts and
+    leaves every view where ``observe`` alone does, to the last bit."""
+    window, mean_check, mean_delta, n, seed, cuts, batched = case
+    points = _stream(random.Random(seed), n)
+    alone = StabilityDetector(window, 0.03, mean_check, mean_delta)
+    chunked = StabilityDetector(window, 0.03, mean_check, mean_delta)
+    expected = [alone.observe(x, y) for x, y in points]
+    got = []
+    for lo, hi, batch in zip([0] + cuts, cuts + [n], batched):
+        chunk = points[lo:hi]
+        if batch:
+            verdicts = chunked.observe_many([x for x, _ in chunk],
+                                            [y for _, y in chunk])
+            assert len(verdicts) == len(chunk)
+            got += verdicts.tolist()
+        else:
+            got += [chunked.observe(x, y) for x, y in chunk]
+        assert _views(chunked) == _views(
+            _replayed(window, mean_check, mean_delta, points[:hi]))
+    assert got == expected
+    assert _views(chunked) == _views(alone)
+
+
+def _replayed(window, mean_check, mean_delta, points):
+    det = StabilityDetector(window, 0.03, mean_check, mean_delta)
+    for x, y in points:
+        det.observe(x, y)
+    return det
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_chunked_streams())
+def test_property_batches_equal_observe(case):
+    _check_chunking(case)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None)
+@given(case=_chunked_streams())
+def test_property_batches_equal_observe_many_streams(case):
+    _check_chunking(case)
+
+
+def test_observe_many_empty_and_signed_zero():
+    det = StabilityDetector(2, 0.03)
+    assert det.observe_many([], []).tolist() == []
+    assert _views(det) == (0, False, "None", "no observations")
+    ref = StabilityDetector(2, 0.03)
+    points = [(-0.0, -0.0), (1.0, 2.0), (-0.0, 0.0), (3.0, 4.0), (4.0, 5.0)]
+    expected = [ref.observe(x, y) for x, y in points]
+    assert det.observe_many(*zip(*points)).tolist() == expected
+    assert _views(det) == _views(ref)

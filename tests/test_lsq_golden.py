@@ -94,17 +94,31 @@ def _length(window: int) -> int:
 
 
 def run_case(stream: str, window: int, mean_check: bool,
-             mean_delta) -> dict:
+             mean_delta, cuts=None) -> dict:
+    """The record of one case, fed point by point through ``observe`` —
+    or, with ``cuts``, through ``observe_many`` in the batches between
+    them (and between the checkpoints, whose views it reads)."""
     n = _length(window)
     points = STREAMS[stream](random.Random(f"{stream}/{window}"), n)
     det = StabilityDetector(window, DELTA, mean_check, mean_delta)
     checkpoints = {n // 5, n // 3, n // 2, (3 * n) // 4, n - 1}
     verdicts = bytearray()
     marks = {}
-    for i, (issue, retired) in enumerate(points):
-        verdicts.append(det.observe(issue, retired))
-        if i in checkpoints:
-            marks[str(i)] = [repr(det.slope()), repr(det.mean_duration())]
+    if cuts is None:
+        for i, (issue, retired) in enumerate(points):
+            verdicts.append(det.observe(issue, retired))
+            if i in checkpoints:
+                marks[str(i)] = [repr(det.slope()),
+                                 repr(det.mean_duration())]
+    else:
+        ends = sorted(set(cuts) | {i + 1 for i in checkpoints})
+        for lo, hi in zip([0] + ends, ends):
+            batch = points[lo:hi]
+            verdicts.extend(det.observe_many([x for x, _ in batch],
+                                             [y for _, y in batch]))
+            if hi - 1 in checkpoints:
+                marks[str(hi - 1)] = [repr(det.slope()),
+                                      repr(det.mean_duration())]
     return {
         "n": n,
         "stable": sum(verdicts),
@@ -134,6 +148,34 @@ def test_verdicts_replay(stream, golden):
     for key, case in all_cases():
         if case[0] == stream:
             assert run_case(*case) == golden[key], key
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_batched_verdicts_replay(stream, golden):
+    """``observe_many`` over every golden stream — in one batch per
+    checkpoint, and cut at random points besides — reproduces the
+    record ``observe`` made."""
+    rng = random.Random(stream)
+    for key, case in all_cases():
+        if case[0] == stream:
+            n = _length(case[1])
+            assert run_case(*case, cuts=()) == golden[key], key
+            cuts = rng.sample(range(n + 1), rng.randint(1, 12))
+            assert run_case(*case, cuts=cuts) == golden[key], (key, cuts)
+
+
+def test_one_batch_is_the_whole_stream(golden):
+    """A single ``observe_many`` call over a whole golden stream."""
+    for key, (stream, window, mean_check, mean_delta) in all_cases():
+        n = _length(window)
+        points = STREAMS[stream](random.Random(f"{stream}/{window}"), n)
+        det = StabilityDetector(window, DELTA, mean_check, mean_delta)
+        verdicts = det.observe_many(*zip(*points))
+        rec = golden[key]
+        assert hashlib.sha256(bytes(verdicts)).hexdigest() == (
+            rec["verdicts_sha256"]), key
+        assert [repr(det.slope()), repr(det.mean_duration())] == (
+            rec["checkpoints"][str(n - 1)]), key
 
 
 def test_views_agree_with_observe():

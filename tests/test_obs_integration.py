@@ -8,6 +8,8 @@ identical event sequences, and the former leaves the bus with the run.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -126,6 +128,32 @@ def test_subscriptions_leave_the_bus_with_the_run(tiny_gpu):
     assert bus.channel(ENGINE_WARP_RETIRE).subscribers == [bystander]
 
 
+def test_engine_keeps_no_observer_after_the_run(tiny_gpu,
+                                               fast_photon_config):
+    """Gone after the run means the engine drops its observers too: a
+    detector holds its engine, so an engine that still held the
+    detector's handlers would keep itself — traces, caches — alive
+    until a full garbage collection."""
+    from repro.core import BBVProjector, analyze_kernel
+    from repro.core.detectors import BBSamplingDetector
+
+    kernel = make_loop_kernel(n_warps=64, trips_of=lambda w: 1 + w % 5)
+    detector = BBSamplingDetector(
+        analyze_kernel(kernel, fast_photon_config,
+                       BBVProjector(fast_photon_config.bbv_dim)),
+        fast_photon_config)
+    engine = DetailedEngine(kernel, tiny_gpu, bus=EventBus())
+    assert detector.watch(engine)
+    engine.run()
+    freed = weakref.ref(engine)
+    gc.disable()
+    try:
+        del engine, detector
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_per_instruction_stream_only_when_subscribed(tiny_gpu):
     bus = EventBus()
     sink = bus.add_sink(MemorySink(), kinds=[ENGINE_INST.name])
@@ -203,6 +231,68 @@ def test_detector_elided_event_and_counters(tiny_gpu, fast_photon_config):
     assert result.meta["bb_detector"] == "cannot_fire"
     assert "stable_bb_rate" not in result.meta
     assert DETECTOR_ELIDED.name in CORE_KINDS
+
+
+def _replayed_run(gpu, config, kernel):
+    """Run ``kernel`` under a listening BB detector; the detector, the
+    bus counters, and how many blocks completed before the gate."""
+    from repro.core import BBVProjector, analyze_kernel
+    from repro.core.detectors import BBSamplingDetector
+
+    bus = EventBus()
+    analysis = analyze_kernel(kernel, config, BBVProjector(config.bbv_dim))
+    detector = BBSamplingDetector(
+        analysis, config, warp_capacity=gpu.n_cu * gpu.max_warps_per_cu)
+    engine = DetailedEngine(kernel, gpu, bus=bus)
+    assert detector.watch(engine)
+    seen = {"retired": 0, "before_gate": 0}
+
+    def on_bb(warp, pc, start, end):
+        seen["before_gate"] += seen["retired"] < detector.retire_gate
+
+    def on_retire(warp, dispatch, retire):
+        seen["retired"] += 1
+
+    engine.subscribe(ENGINE_BB, on_bb)
+    engine.subscribe(ENGINE_WARP_RETIRE, on_retire)
+    engine.run()
+    counters = bus.metrics.snapshot()["counters"]
+    return detector, counters, seen["before_gate"]
+
+
+def test_detector_replay_counters(tiny_gpu, fast_photon_config):
+    """``detector.bb_replays`` / ``detector.bb_replayed_obs``: the blocks
+    that complete before the retire gate are judged in one replay when
+    it opens.  The uniform loop kernel of the Photon golden, with the
+    gate at the GPU's warp capacity, switches exactly there — so every
+    observation its switch rests on was judged in that replay."""
+    config = dataclasses.replace(fast_photon_config,
+                                 bb_retire_gate_fraction=0.3)
+    kernel = make_loop_kernel(n_warps=700, trips_of=lambda w: 6)
+    detector, counters, before_gate = _replayed_run(tiny_gpu, config,
+                                                    kernel)
+    assert detector.retire_gate == tiny_gpu.n_cu * tiny_gpu.max_warps_per_cu
+    assert detector.switched
+    assert counters["detector.bb_switches"] == 1
+    assert counters["detector.bb_replays"] == 1
+    assert counters["detector.bb_replayed_obs"] == before_gate > 0
+    assert sum(d.observations for d in detector._detectors.values()) == (
+        before_gate)
+
+
+def test_detector_replay_then_judges_on_arrival(tiny_gpu,
+                                                fast_photon_config):
+    """Past the gate each block is judged as it completes: on the
+    irregular loop of the Photon golden the switch comes after it, and
+    only the pre-gate blocks were replayed."""
+    kernel = make_loop_kernel(n_warps=500, trips_of=lambda w: 1 + w % 7)
+    detector, counters, before_gate = _replayed_run(
+        tiny_gpu, fast_photon_config, kernel)
+    assert detector.switched
+    assert counters["detector.bb_replays"] == 1
+    assert counters["detector.bb_replayed_obs"] == before_gate > 0
+    assert sum(d.observations for d in detector._detectors.values()) > (
+        before_gate)
 
 
 # ------------------------------------------------------------ reliability

@@ -14,7 +14,10 @@ instruction counts and the blocks the interval model predicted — for
 Recorded at commit b395508, before the detector and the latency table
 were touched: a change to the apparatus Photon adds to a detailed run
 (what listens, how a verdict is computed, what the engine accounts)
-must replay all of it bit for bit.
+must replay all of it bit for bit.  Each record also pins what the
+basic-block detector decided — its ``stable_rate`` (``repr``) and
+``switch_time`` once the run is over — recorded at commit 0f60bac,
+before its pre-gate observations were judged in one batch.
 
 ``PYTHONPATH=src:tests python tests/test_photon_golden.py`` rewrites the
 file from the current code (only after an intended model change).
@@ -23,12 +26,15 @@ file from the current code (only after an intended model change).
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.config import R9_NANO
 from repro.core import Photon, PhotonConfig
+from repro.core import photon as photon_module
+from repro.core.detectors import BBSamplingDetector
 from repro.functional import GlobalMemory, Kernel
 from repro.harness.defaults import EVAL_PHOTON, EVAL_R9NANO
 from repro.harness.runner import workload_factory
@@ -121,24 +127,38 @@ SMALL = {
 }
 
 
-def _record(result) -> dict:
+def _record(gpu, config, kernel) -> dict:
+    """Simulate ``kernel`` with Photon; what it returned and what its
+    basic-block detector decided."""
+    made = []
+
+    class Recorded(BBSamplingDetector):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with mock.patch.object(photon_module, "BBSamplingDetector", Recorded):
+        result = Photon(gpu, config).simulate_kernel(kernel)
+    (detector,) = made
     return {
         "mode": result.mode,
         "sim_time": repr(result.sim_time),
         "n_insts": result.n_insts,
         "detail_insts": result.detail_insts,
         "rare_bbs": sorted(result.meta.get("rare_bbs", ())),
+        "stable_bb_rate": repr(detector.stable_rate),
+        "bb_switch_time": repr(detector.switch_time),
     }
 
 
 def run_cell(workload: str, size: int) -> dict:
     kernel = workload_factory(workload, size, seed=SEED)()
-    return _record(Photon(EVAL_R9NANO, EVAL_PHOTON).simulate_kernel(kernel))
+    return _record(EVAL_R9NANO, EVAL_PHOTON, kernel)
 
 
 def run_small(name: str) -> dict:
     factory, _ = SMALL[name]
-    return _record(Photon(FAST_GPU, FAST_PHOTON).simulate_kernel(factory()))
+    return _record(FAST_GPU, FAST_PHOTON, factory())
 
 
 @pytest.fixture(scope="module")
