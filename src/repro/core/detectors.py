@@ -14,7 +14,7 @@ emits one ``detector.elided`` event, and the run is the full-detail run
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -82,12 +82,10 @@ class BBSamplingDetector(_Detector):
     dynamic instructions belonging to currently-stable block types —
     weighted by the online-analysis distribution, so blocks that have not
     yet appeared in detailed mode still count against the threshold — is
-    compared against ``stable_bb_rate`` (95%).
-
-    No switch can happen before ``retire_gate`` warps have retired, so
-    until then blocks wait, and are judged in one replay when the gate
-    opens or the state is read; the result is, to the last bit, that of
-    judging each block on arrival, as the detector does past the gate.
+    compared against ``stable_bb_rate`` (95%).  No switch can happen before
+    ``retire_gate`` warps have retired: until then blocks wait, to be judged
+    in one replay when the gate opens or the state is read, to the last bit
+    as if judged on arrival.
     """
 
     level = "bb"
@@ -105,7 +103,7 @@ class BBSamplingDetector(_Detector):
             max(1, int(analysis.n_warps * config.bb_retire_gate_fraction)),
         )
         self._retired = 0
-        self._pending: List[float] = []  # flat (pc, start, end) triples
+        self._pending = []  # flat (pc, start, end) triples
 
     @property
     def stable_rate(self) -> float:
@@ -143,11 +141,9 @@ class BBSamplingDetector(_Detector):
     def on_warp_retired(self, warp_id: int, dispatch: float,
                         retire: float) -> None:
         self._retired += 1
-        if self._retired >= self.retire_gate:
-            self._settle()  # the gate is open: judge what waited for it
-            if (not self.switched
-                    and self._stable_rate >= self.config.stable_bb_rate):
-                self._switch(retire)
+        if (not self.switched and self._retired >= self.retire_gate
+                and self.stable_rate >= self.config.stable_bb_rate):
+            self._switch(retire)
 
     def on_bb_complete(self, warp_id: int, bb_pc: int, start: float,
                        end: float) -> None:
@@ -173,32 +169,23 @@ class BBSamplingDetector(_Detector):
 
     def _settle(self) -> None:
         """Judge the waiting observations in one replay."""
-        pending = self._pending
-        if not pending:
+        if not self._pending:
             return
-        self._pending = []
+        events, self._pending = np.array(self._pending).reshape(-1, 3), []
         if self._engine is not None:
             counter = self._engine.bus.metrics.counter
             counter("detector.bb_replays").inc()
-            counter("detector.bb_replayed_obs").inc(len(pending) // 3)
-        events = np.fromiter(pending, float, len(pending)).reshape(-1, 3)
-        del pending  # its boxed floats are most of a replay's memory
+            counter("detector.bb_replayed_obs").inc(len(events))
+        order = np.argsort(events[:, 0], kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(events[order, 0])) + 1)
         flips = []  # (event index, pc, verdict) of every verdict change
-        _, first = np.unique(events[:, 0], return_index=True)
-        for row in np.sort(first).tolist():  # in order of appearance
-            pc = int(events[row, 0])
-            rows = np.flatnonzero(events[:, 0] == pc)
-            detector, x, y = self._block(pc), events[rows, 1], events[rows, 2]
-            # below 64 points, a loop of ``observe`` costs less
-            verdicts = (detector.observe_many(x, y) if len(rows) >= 64 else
-                        np.array(list(map(detector.observe, x.tolist(),
-                                          y.tolist()))))
-            was = np.concatenate(([self._stable.get(pc, False)],
-                                  verdicts[:-1]))
-            flips += [(rows[k], pc, verdicts[k])
-                      for k in np.flatnonzero(verdicts != was).tolist()]
-        # no switch before the gate: only the rate's summation order counts
-        for _, pc, now_stable in sorted(flips):
+        for rows in sorted(groups, key=lambda g: g[0]):  # as they appeared
+            pc = int(events[rows[0], 0])
+            verdicts = self._block(pc).observe_many(*events[rows, 1:].T)
+            was = np.append(self._stable.get(pc, False), verdicts[:-1])
+            changed = np.flatnonzero(verdicts != was).tolist()
+            flips += [(rows[k], pc, verdicts[k]) for k in changed]
+        for _, pc, now_stable in sorted(flips):  # the rate sums in order
             self._flip(pc, bool(now_stable))
 
     def bb_time_table(self) -> Dict[int, float]:

@@ -64,8 +64,7 @@ class StabilityDetector:
     the point two windows old leaves that and its cell is reused.  Each
     sum is updated add-first, subtract-second, so results depend on the
     stream alone (``tests/golden/lsq_verdicts.json`` pins the last bit).
-    :attr:`observe_many` returns the verdicts of a batch of pairs and
-    leaves the detector, to the last bit, where ``observe`` would.
+    :attr:`observe_many` judges a batch, bit for bit as ``observe`` would.
     """
 
     def __init__(self, window: int, delta: float, mean_check: bool = True,
@@ -144,52 +143,39 @@ class StabilityDetector:
             return stable
 
         def observe_many(issues, retireds) -> np.ndarray:
-            # each sum is one sequential accumulate over the terms
-            # ``observe`` adds and subtracts (a - b == a + -b in IEEE)
             nonlocal n, sx, sy, sxy, sxx, recent, older, stable
-            x = np.asarray(issues, dtype=float)
-            y = np.asarray(retireds, dtype=float)
+            x, y = np.asarray(issues, float), np.asarray(retireds, float)
             m = len(x)
             if not m:
                 return np.zeros(0, dtype=bool)
-            # zeros for points before the stream (a zero term leaves a
-            # sum as it is), the ring oldest first, then the batch: point
-            # ``n + k`` of the stream is ``hx[size + k]``
+            # point ``n + k`` is ``hx[size + k]``; zeros: before the stream
             pos, pad = n % size, np.zeros(max(0, size - n))
             hx = np.concatenate((pad, xs[pos:] + xs[:pos], x))
             hy = np.concatenate((pad, ys[pos:] + ys[:pos], y))
-            ox = hx[size - window:size - window + m]  # one window old
-            oy = hy[size - window:size - window + m]
+            ox, oy = hx[size - window:][:m], hy[size - window:][:m]
             moved = oy - ox
-            run = (_running(sx, x, -ox), _running(sy, y, -oy),
-                   _running(sxy, x * y, -(ox * oy)),
-                   _running(sxx, x * x, -(ox * ox)),
-                   _running(recent, y - x, -moved),
-                   _running(older, moved, -(hy[:m] - hx[:m])))
-            sx_, sy_, sxy_, sxx_, recent_, older_ = run
-            # ``observe``'s criterion in its order of operations; abs()
-            # and max() for its comparisons change no verdict (they differ
-            # on signed zeros and NaNs only)
-            with np.errstate(all="ignore"):
+            # each sum: a sequential accumulate of observe's terms (a-b == a+-b)
+            terms = np.empty((6, 2 * m + 1))
+            terms[:, 0] = sx, sy, sxy, sxx, recent, older
+            terms[:, 1::2] = x, y, x * y, x * x, y - x, moved
+            terms[:, 2::2] = (-ox, -oy, -(ox * oy), -(ox * ox), -moved,
+                              -(hy[:m] - hx[:m]))
+            sx_, sy_, sxy_, sxx_, recent_, older_ = run = np.add.accumulate(
+                terms, axis=1, out=terms)[:, 2::2]
+            with np.errstate(all="ignore"):  # ``observe``'s criterion
                 denom = sxx_ - sx_ * sx_ / span
                 dev = (sxy_ - sx_ * sy_ / span) / denom - 1.0
-                verdicts = ((np.abs(denom) >= 1e-12) & (-delta < dev)
-                            & (dev < delta))
+                verdicts = (abs(denom) >= 1e-12) & (abs(dev) < delta)
                 if mean_check:
                     recent_, older_ = recent_ / span, older_ / span
-                    scale = np.maximum(np.maximum(
-                        np.abs(recent_), np.abs(older_)), 1e-12)
-                    verdicts &= (np.abs(recent_ - older_) / scale
-                                 < mean_delta)
+                    scale = np.maximum(abs(recent_), abs(older_)).clip(1e-12)
+                    verdicts &= abs(recent_ - older_) / scale < mean_delta
             verdicts[:max(0, need - n - 1)] = False
             n += m
-            sx, sy, sxy, sxx, recent, older = (float(r[-1]) for r in run)
-            if n >= need:
-                stable = bool(verdicts[-1])
-            cut = size - n % size if n > size else 0  # point g: cell g % size
-            for ring, points in ((xs, hx), (ys, hy)):
-                tail = points[-min(n, size):].tolist()
-                ring[:] = tail[cut:] + tail[:cut]
+            sx, sy, sxy, sxx, recent, older = run[:, -1].tolist()
+            stable = bool(verdicts[-1]) if n >= need else stable
+            for ring, points in ((xs, hx), (ys, hy)):  # point g: cell g % size
+                ring[:] = np.roll(points[-min(n, size):], n).tolist()
             return verdicts
 
         self.observe = self.add = observe
@@ -230,12 +216,3 @@ class StabilityDetector:
         if abs(denom) < 1e-12:
             return None
         return (sxy - sx * sy / n) / denom
-
-
-def _running(start: float, adds, subs) -> np.ndarray:
-    """A running sum after each row, which adds ``adds[k]`` then
-    ``subs[k]``.  A zero term is a no-op: from +0.0 a sum never reaches
-    -0.0."""
-    terms = np.empty(2 * len(adds) + 1)
-    terms[0], terms[1::2], terms[2::2] = start, adds, subs
-    return np.add.accumulate(terms, out=terms)[2::2].copy()

@@ -22,10 +22,9 @@ scalar read or write costs several times more; ``docs/performance.md``).
   trace's ``opclass`` / ``dep`` / ``mem_lines`` / ``opcode`` columns
   (the trace's own lists, nothing copied or converted), the CU (also
   its scalar issue port), the SIMD issue port, the dispatch bookkeeping
-  and, while ``engine.bb`` has subscribers, the open block's pc and
-  start and the path's block map — the slot then reads a copy of the
-  class column with ``cls + _N_CLASSES`` at each block's first
-  instruction, built once per distinct path.
+  and, while ``engine.bb`` has subscribers, the open block's pc, start
+  and the path's block map; the class column then reads
+  ``cls + _N_CLASSES`` at a block's first instruction.
 * A plain list of port-free times, one cell per issue port.
 * A per-class latency list: ``lat_of[cls] >= 0`` is a fixed latency
   (the configuration's exact value, fractional or not); a negative cell
@@ -112,7 +111,7 @@ _CLS_END = int(OpClass.END)
 _N_CLASSES = max(int(cls) for cls in OpClass) + 1
 
 #: op classes that issue through the CU's scalar port, indexable by class
-#: (and by a block start's marked class, ``cls + _N_CLASSES``)
+#: (and by a block start's ``cls + _N_CLASSES``)
 _IS_SCALAR_PORT = [
     cls in (_CLS_SCALAR_ALU, _CLS_SCALAR_MEM, _CLS_BRANCH, _CLS_BARRIER,
             _CLS_WAITCNT, _CLS_END)
@@ -262,8 +261,7 @@ class DetailedEngine:
         finally:
             for etype, fn in self._subscriptions:
                 bus.unsubscribe(etype, fn)
-            # an observer usually holds its engine: drop the cycle here
-            self._subscriptions = []
+            self._subscriptions = []  # an observer holds its engine
 
     def _replay(self) -> EngineResult:
         """The engine's one loop (see the module docstring)."""
@@ -343,9 +341,7 @@ class DetailedEngine:
         bbpc_l = [-1] * n_slots            # basic-block events only:
         bbstart_l = [0.0] * n_slots        # the open block and its start,
         bbat_l: List[dict] = [None] * n_slots  # block start -> block pc
-        # per distinct path: the class column with block starts marked,
-        # and its block map (the key objects are kept alive with them)
-        marked: Dict[Tuple[int, int], tuple] = {}
+        marked: Dict[tuple, tuple] = {}    # per distinct path, see dispatch
 
         free_slot_ids: List[List[int]] = [[] for _ in range(n_cu)]
         free_slots = [config.max_warps_per_cu] * n_cu
@@ -402,20 +398,17 @@ class DetailedEngine:
                     # n cells plus the never-written 0.0 that dep -1 reads
                     ret_l[s] = array("d", bytes(8 * (n + 1)))
                 cur_l[s] = 0
-                if has_bb:
-                    key = (id(trace.opclass), id(trace.bb_seq))
-                    path = marked.get(key)
-                    if path is None:
+                cls_l[s] = trace.opclass
+                if has_bb:  # the entry keeps its id-keyed lists alive
+                    key = id(trace.opclass), id(trace.bb_seq)
+                    if key not in marked:
                         col = list(trace.opclass)
                         for _, at in trace.bb_seq:
                             col[at] += _N_CLASSES
-                        path = marked[key] = (
-                            col, {at: pc for pc, at in trace.bb_seq},
-                            trace.opclass, trace.bb_seq)
-                    cls_l[s], bbat_l[s] = path[0], path[1]
+                        marked[key] = (col, {a: pc for pc, a in trace.bb_seq},
+                                       trace.opclass, trace.bb_seq)
+                    cls_l[s], bbat_l[s] = marked[key][:2]
                     bbpc_l[s] = -1
-                else:
-                    cls_l[s] = trace.opclass
                 dep_l[s] = trace.dep
                 mem_l[s] = trace.mem_lines
                 code_l[s] = trace.opcode
