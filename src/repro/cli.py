@@ -260,7 +260,8 @@ def _add_cell_flags(sub: argparse.ArgumentParser,
 def _add_watchdog_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--deadline-seconds", type=float, default=None, metavar="S",
-        help="abort any single simulation after S wall-clock seconds")
+        help="abort each method's evaluation (every engine run and "
+             "functional pass it starts) after S wall-clock seconds")
     sub.add_argument(
         "--max-events", type=int, default=None, metavar="N",
         help="abort any single detailed simulation after N engine events")

@@ -89,6 +89,13 @@ class GpuConfig:
                 f"n_cu={self.n_cu} not divisible by "
                 f"cus_per_l1_group={self.cus_per_l1_group}"
             )
+        # the engine reads a negative per-class latency as "send to the
+        # stateful handlers"; fractional values are legal
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith(("_lat", "_service", "_interval")) \
+                    and value < 0:
+                raise ConfigError(f"{f.name} must be >= 0, got {value!r}")
 
     def scaled(self, n_cu: int) -> "GpuConfig":
         """Same microarchitecture with ``n_cu`` compute units.
@@ -137,13 +144,3 @@ MI100 = GpuConfig(
     dram_gb=32,
 )
 
-
-def preset(name: str) -> GpuConfig:
-    """Look up a configuration preset by name (``r9nano`` or ``mi100``)."""
-    presets = {"r9nano": R9_NANO, "mi100": MI100}
-    try:
-        return presets[name.lower()]
-    except KeyError:
-        raise ConfigError(
-            f"unknown GPU preset {name!r}; choose from {sorted(presets)}"
-        ) from None

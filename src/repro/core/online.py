@@ -25,8 +25,6 @@ import numpy as np
 from ..functional.batch import control_traces
 from ..functional.executor import FunctionalExecutor
 from ..functional.kernel import Kernel
-from ..obs import EventBus
-from ..reliability.watchdog import WatchdogConfig
 from .bbv import BBVProjector, gpu_bbv, warp_type_key
 from .config import PhotonConfig
 
@@ -89,11 +87,10 @@ def analyze_kernel(
     kernel: Kernel,
     config: PhotonConfig,
     projector: BBVProjector,
-    watchdog: "WatchdogConfig | None" = None,
-    bus: "EventBus | None" = None,
+    executor: "FunctionalExecutor | None" = None,
 ) -> OnlineAnalysis:
-    """Run the online analysis for one kernel launch."""
-    executor = FunctionalExecutor(kernel, watchdog=watchdog, bus=bus)
+    """Run the online analysis for one kernel launch (its CONTROL fill
+    on ``executor``, by default a fresh one on the current bus)."""
     sample = select_sample(
         kernel.n_warps, config.sample_fraction, config.min_sample_warps
     )

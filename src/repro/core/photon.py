@@ -324,7 +324,7 @@ class Photon(Methodology):
                                  else "analysis.store_hits").inc()
         if cached is None:
             cached = analyze_kernel(kernel, self.config, self.projector,
-                                    watchdog=self.watchdog, bus=self.bus)
+                                    executor=self.executor(kernel))
             store.insert(key, cached)
         return cached
 

@@ -44,11 +44,11 @@ class ReliabilityError(ReproError):
 
 
 class BudgetExceeded(ReliabilityError):
-    """A watchdog budget was exhausted (events, instructions, deadline)."""
+    """A watchdog budget was exhausted (events, deadline)."""
 
 
 class SimulationStalled(ReliabilityError):
-    """The simulation stopped making progress (spin loop / deadlock)."""
+    """The simulation stopped making progress (barrier deadlock)."""
 
 
 class InjectedFault(SamplingError):

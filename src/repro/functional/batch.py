@@ -16,15 +16,12 @@ hand it* and accounts for the result:
   with later FULL fills instead of being re-derived.  A stale memo entry
   is only a hint: it costs one mid-batch split.
 * **When a fill runs as singletons.**  Fault plans arm per memory
-  instruction of a warp, and ``max_instructions`` /
-  ``stall_instructions`` are budgets of one warp's run; neither has a
-  batch-wise meaning.  A fill under either runs every warp as its own
-  batch of one, each with its own
-  ``executor(<kernel> warp <id>)`` watchdog — one local decision in
-  :meth:`WarpPackExecutor._fill`, counted as
-  ``exec.batch.singleton.{fault_plan,instruction_budget}``.  Deadline
-  and event budgets batch fine (one ``warppack(...)`` watchdog per
-  fill).  There is no switch: nothing else selects singletons.
+  instruction of a warp, which has no batch-wise meaning, so a fill
+  under a fault plan runs every warp as its own batch of one — one
+  local decision in :meth:`WarpPackExecutor._fill`, counted as
+  ``exec.batch.singleton.fault_plan``.  There is no switch: nothing
+  else selects singletons.  A fill is one run of the interpreter, so
+  it checks the deadline through one watchdog whatever its batches.
 * **Faults.**  The driver isolates a faulting warp by bisection and
   never re-executes the others, so a fill returns traces for every warp
   that finished plus, in :attr:`PackFill.fallback`, the stored
@@ -44,7 +41,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..errors import ExecutionError
 from ..obs import EXEC_BATCH, EXEC_BATCH_FALLBACK, EventBus
-from ..reliability.watchdog import WatchdogConfig
 from .executor import FunctionalExecutor
 from .kernel import Kernel
 from .trace import ControlTrace, WarpTrace
@@ -70,15 +66,14 @@ class WarpPackExecutor:
     """Fills: path-memo grouping, the singleton decision, accounting.
 
     Wraps (or builds) the :class:`FunctionalExecutor` whose interpreter,
-    watchdog configuration and fault plan the fills use.
+    deadline and fault plan the fills use.
     """
 
     def __init__(self, kernel: Kernel,
-                 watchdog: Optional[WatchdogConfig] = None,
                  bus: Optional[EventBus] = None,
                  executor: Optional[FunctionalExecutor] = None):
         if executor is None:
-            executor = FunctionalExecutor(kernel, watchdog=watchdog, bus=bus)
+            executor = FunctionalExecutor(kernel, bus=bus)
         self.executor = executor
         self.kernel = executor.kernel
         self.bus = bus if bus is not None else executor.bus
@@ -97,18 +92,10 @@ class WarpPackExecutor:
         with metrics.span("functional"):
             t0 = _time.perf_counter()
             ids = [int(w) for w in warp_ids]
-            limits = executor.watchdog
-            if executor.fault_plan is not None:
-                singleton = "fault_plan"
-            elif limits is not None and (
-                    limits.max_instructions is not None
-                    or limits.stall_instructions is not None):
-                singleton = "instruction_budget"
-            else:
-                singleton = None
-            if singleton is not None:
-                metrics.counter(f"exec.batch.singleton.{singleton}").inc()
-                batches = [([w], executor.warp_watchdog(w)) for w in ids]
+            singleton = executor.fault_plan is not None
+            if singleton:
+                metrics.counter("exec.batch.singleton.fault_plan").inc()
+                batches = [[w] for w in ids]
             else:
                 unknown: List[int] = []
                 known: Dict[object, List[int]] = {}
@@ -122,12 +109,10 @@ class WarpPackExecutor:
                 if known:
                     metrics.counter("exec.batch.ctrl_reused").inc(
                         len(ids) - len(unknown))
-                wd = executor.watchdog_for(
-                    f"warppack({self.kernel.name!r} x{len(ids)} warps)")
-                batches = [(group, wd)
-                           for group in [unknown, *known.values()] if group]
+                batches = [group for group in [unknown, *known.values()]
+                           if group]
             traces, errors, groups = executor.run_batches(batches, full)
-            if singleton is None and len(ids) > 1:
+            if not singleton and len(ids) > 1:
                 # warps that finished together took one path: record it
                 # (a warp that ran alone says nothing about grouping)
                 for group in groups:
@@ -179,8 +164,6 @@ class WarpPackExecutor:
 
 
 def control_traces(kernel: Kernel, warp_ids: Iterable[int],
-                   watchdog: Optional[WatchdogConfig] = None,
-                   bus: Optional[EventBus] = None,
                    executor: Optional[FunctionalExecutor] = None,
                    ) -> Dict[int, ControlTrace]:
     """CONTROL traces for ``warp_ids`` in one fill.
@@ -189,11 +172,8 @@ def control_traces(kernel: Kernel, warp_ids: Iterable[int],
     analysis and bb-sampling finish, PKA profiling, and the TBPoint /
     inter-kernel baselines.
     """
-    if executor is None:
-        executor = FunctionalExecutor(kernel, watchdog=watchdog, bus=bus)
-    return WarpPackExecutor(
-        kernel, bus=bus, executor=executor).run_warps_control(
-            list(warp_ids))
+    return WarpPackExecutor(kernel, executor=executor).run_warps_control(
+        list(warp_ids))
 
 
 class PackProvider:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import time as _time
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from ..isa.instructions import Instruction
 from ..isa.opcodes import Opcode, SReg, VReg
 from ..obs import EXEC_WARP, EventBus, current_bus
 from ..reliability.faults import FaultPlan
-from ..reliability.watchdog import WatchdogConfig
+from ..reliability.watchdog import Watchdog, WatchdogConfig, deadline_of
 from .kernel import (
     FIRST_ARG_SREG,
     Kernel,
@@ -307,11 +307,9 @@ class _Batch:
 
     __slots__ = ("pc", "steps", "dyn", "last_mem_dyn", "members", "sregs",
                  "scc", "vregs", "lds", "vcc", "exec_mask", "exec_all",
-                 "cols", "bb_seq", "mem_rows", "last_writer", "wd",
-                 "wd_seen")
+                 "cols", "bb_seq", "mem_rows", "last_writer")
 
-    def __init__(self, members: np.ndarray, sregs: np.ndarray, wd,
-                 n_static: int):
+    def __init__(self, members: np.ndarray, sregs: np.ndarray):
         self.pc = 0
         self.steps = 0
         self.dyn = 0
@@ -325,8 +323,6 @@ class _Batch:
         self.bb_seq: list = []
         self.mem_rows: list = []
         self.last_writer: Dict[object, int] = {}
-        self.wd = wd
-        self.wd_seen = bytearray(n_static) if wd is not None else None
 
     def take(self, sel: np.ndarray, pc: int, share: bool) -> "_Batch":
         """The members at positions ``sel``, resuming at ``pc``.
@@ -363,22 +359,28 @@ class _Batch:
             child.cols = tuple(list(col) for col in self.cols)
             child.bb_seq = list(self.bb_seq)
             child.last_writer = dict(self.last_writer)
-        child.wd = self.wd
-        child.wd_seen = self.wd_seen
         return child
 
 
 class FunctionalExecutor:
-    """Interprets warps of one kernel."""
+    """Interprets warps of one kernel.
+
+    Every run checks ``deadline`` (a ``time.monotonic()`` instant: a
+    methodology's, so that one instant bounds its whole evaluation);
+    without one, the executor opens its own window of ``watchdog``'s
+    ``deadline_seconds``.
+    """
 
     def __init__(self, kernel: Kernel,
                  watchdog: Optional[WatchdogConfig] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 bus: Optional[EventBus] = None):
+                 bus: Optional[EventBus] = None,
+                 deadline: Optional[float] = None):
         self.kernel = kernel
         self.program = kernel.program
         self.max_steps = int(kernel.meta.get("max_steps", DEFAULT_MAX_STEPS))
-        self.watchdog = watchdog
+        self.deadline = deadline if deadline is not None \
+            else deadline_of(watchdog)
         self.fault_plan = fault_plan
         self.bus = bus if bus is not None else current_bus()
         self._static = _TABLES.get(self.program)
@@ -388,19 +390,6 @@ class FunctionalExecutor:
             self._static = _TABLES[self.program] = [
                 _StaticInfo(inst, pc in leaders, pc not in on_slice)
                 for pc, inst in enumerate(self.program.instructions)]
-
-    def watchdog_for(self, label: str):
-        """Armed watchdog for one guarded run, or None when the
-        configuration sets no limit."""
-        if self.watchdog is None:
-            return None
-        wd = self.watchdog.for_executor(label)
-        return wd if wd.armed else None
-
-    def warp_watchdog(self, warp_id: int):
-        """The watchdog of a warp that runs as its own batch of one."""
-        return self.watchdog_for(
-            f"executor({self.kernel.name!r} warp {warp_id})")
 
     # -- register-file setup --------------------------------------------------
 
@@ -434,8 +423,7 @@ class FunctionalExecutor:
         with self.bus.metrics.span("functional"):
             warp_subs = self.bus.channel(EXEC_WARP).subscribers
             t_start = _time.perf_counter() if warp_subs else 0.0
-            traces, errors, _groups = self.run_batches(
-                [([warp_id], self.warp_watchdog(warp_id))], full)
+            traces, errors, _groups = self.run_batches([[warp_id]], full)
             if errors:
                 raise errors[warp_id]
             trace = traces[warp_id]
@@ -448,19 +436,18 @@ class FunctionalExecutor:
 
     # -- the interpreter ----------------------------------------------------
 
-    def run_batches(self, batches: Sequence[Tuple[Sequence[int], object]],
-                    full: bool):
+    def run_batches(self, batches: Sequence[Sequence[int]], full: bool):
         """Execute ``batches`` in lockstep with split-on-divergence.
 
-        ``batches`` is a list of ``(warp ids, watchdog or None)``.  Warps
-        of one batch advance together — **one numpy dispatch per
-        instruction for the whole batch** — for as long as their dynamic
-        paths coincide.  A scalar branch with mixed outcomes splits the
-        batch and each side continues independently, so path groups
-        share every dispatch up to their divergence point.  An
-        :class:`ExecutionError` bisects the batch at the faulting
-        instruction (see the module docstring); a batch of one records
-        it.  Batches run in the order given, each to completion.
+        ``batches`` is a list of lists of warp ids.  Warps of one batch
+        advance together — **one numpy dispatch per instruction for the
+        whole batch** — for as long as their dynamic paths coincide.  A
+        scalar branch with mixed outcomes splits the batch and each side
+        continues independently, so path groups share every dispatch up
+        to their divergence point.  An :class:`ExecutionError` bisects
+        the batch at the faulting instruction (see the module
+        docstring); a batch of one records it.  Batches run in the order
+        given, each to completion, under one watchdog.
 
         ``full`` selects FULL mode; otherwise the vector side is off
         (CONTROL).  Returns ``(traces, errors, groups)``: per-warp
@@ -485,7 +472,7 @@ class FunctionalExecutor:
         errors: Dict[int, ExecutionError] = {}
         groups: List[List[int]] = []
         stack: List[_Batch] = []
-        for warp_ids, wd in reversed(batches):
+        for warp_ids in reversed(batches):
             members, rows = [], []
             for warp_id in warp_ids:
                 try:
@@ -496,8 +483,14 @@ class FunctionalExecutor:
             if members:
                 stack.append(_Batch(
                     np.asarray(members, dtype=np.int64),
-                    np.array(rows, dtype=np.float64).T.copy(),
-                    wd, len(static)))
+                    np.array(rows, dtype=np.float64).T.copy()))
+        # one watchdog per run, ticked once per lockstep dispatch
+        wd = None
+        if self.deadline is not None:
+            wd = Watchdog(
+                f"executor({kernel.name!r} {'full' if full else 'control'}"
+                f", {sum(map(len, batches))} warps)", "instructions",
+                deadline=self.deadline)
 
         while stack:
             batch = stack.pop()
@@ -517,7 +510,6 @@ class FunctionalExecutor:
             mem_rows = batch.mem_rows
             last_writer = batch.last_writer
             lw_get = last_writer.get
-            wd, wd_seen = batch.wd, batch.wd_seen
             pc, steps, dyn = batch.pc, batch.steps, batch.dyn
             last_mem_dyn = batch.last_mem_dyn
             row_ids = np.arange(n)[:, None]           # LDS row selector
@@ -544,9 +536,6 @@ class FunctionalExecutor:
                         break
                     info = static[pc]
                     if wd is not None:
-                        if not wd_seen[pc]:
-                            wd_seen[pc] = 1
-                            wd.note_progress()
                         wd.tick()
                     if info.is_leader:
                         t_bb.append((pc, dyn) if full else pc)

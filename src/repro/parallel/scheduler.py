@@ -392,7 +392,8 @@ def run_sweep(
     tasks to an :class:`~repro.parallel.tier.ExecutionTier`, keeping at
     most ``jobs * WINDOW_PER_JOB`` in flight (the bounded work queue).
     ``sweep_deadline`` splits a whole-sweep wall-clock budget into
-    per-task watchdog deadlines via :meth:`WatchdogConfig.per_task`.
+    per-task watchdog deadlines via :meth:`WatchdogConfig.per_task`;
+    each bounds its whole task (one instant per evaluation).
 
     ``run_dir`` makes the sweep crash-safe: the plan and every task
     outcome are journaled (fsync'd write-ahead log) so a killed run

@@ -44,7 +44,8 @@ def _known(cls, data: Dict[str, object]) -> Dict[str, object]:
 
     Journals and fleet manifests outlive fields: a retired one (a
     task's ``retry`` block, an outcome's ``attempts``, a PhotonConfig
-    switch) is dropped on read instead of failing the resume."""
+    switch, a WatchdogConfig knob) is dropped on read instead of failing
+    the resume."""
     known = {f.name for f in dataclasses.fields(cls)}
     return {k: v for k, v in data.items() if k in known}
 
@@ -102,7 +103,8 @@ class SweepTask:
             photon=PhotonConfig(**_known(PhotonConfig, data["photon"])),
             pka=(PkaConfig(**data["pka"])
                  if data.get("pka") is not None else None),
-            watchdog=(WatchdogConfig(**data["watchdog"])
+            watchdog=(WatchdogConfig(**_known(WatchdogConfig,
+                                              data["watchdog"]))
                       if data.get("watchdog") is not None else None),
             trace_store=(str(data["trace_store"])
                          if data.get("trace_store") is not None else None),

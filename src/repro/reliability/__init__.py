@@ -2,9 +2,9 @@
 
 The reliability layer gives the simulation stack three guarantees:
 
-* **bounded execution** — :class:`WatchdogConfig` budgets (events,
-  instructions, wall-clock deadline, stall detection) enforced inside
-  the detailed engine and the functional executor;
+* **bounded execution** — :class:`WatchdogConfig` budgets (one
+  wall-clock deadline per evaluation, events per engine run) enforced
+  inside the detailed engine and the functional executor;
 * **provable recovery** — :class:`FaultPlan` injects deterministic
   faults at named sites so every degradation path can be exercised by
   tests, and :class:`FsFaultPlan` extends the same idea to the

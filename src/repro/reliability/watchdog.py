@@ -1,25 +1,21 @@
 """Bounded execution for the simulation stack.
 
-A :class:`WatchdogConfig` describes budgets; each simulation loop that
-honours it (the detailed timing engine, the functional executor) creates
-one disposable :class:`Watchdog` per run and ticks it once per unit of
-work.  Budgets map onto typed errors:
+A :class:`WatchdogConfig` holds two budgets, both
+:class:`~repro.errors.BudgetExceeded` when exhausted:
 
-* ``max_events`` / ``max_instructions`` / ``deadline_seconds`` →
-  :class:`~repro.errors.BudgetExceeded`;
-* progress-stall detection (``stall_events`` / ``stall_instructions``) →
-  :class:`~repro.errors.SimulationStalled`.
+* ``deadline_seconds`` bounds one *evaluation*.  A
+  :class:`~repro.timing.simulator.Methodology` fixes the instant when it
+  is constructed (:func:`deadline_of`), and every loop it starts — each
+  detailed-engine run, each CONTROL fill, each FULL fill — checks that
+  same instant when it starts and every :data:`POLL_INTERVAL` ticks
+  after that.  An engine or executor built without a methodology opens
+  its own window.
+* ``max_events`` bounds one detailed-engine run.
 
-"Progress" is loop-specific: the event engine reports progress whenever
-simulated time advances (thousands of events at a frozen timestamp mean
-a causality bug or a barrier deadlock); the functional executor reports
-progress the first time each *static* instruction is reached (a warp
-that keeps spinning through already-visited code without terminating is
-a runaway loop).  Stall thresholds must therefore exceed the largest
-legitimate burst of progress-free work — they default to off.
-
-The wall clock is only polled every ``check_interval`` ticks so an armed
-watchdog costs one integer compare per tick on the hot path.
+Two guards need no configuration: the executor's ``max_steps`` cap
+(a runaway loop is an :class:`~repro.errors.ExecutionError` of its
+warp) and the engine's barrier-deadlock check
+(:class:`~repro.errors.SimulationStalled`).
 """
 
 from __future__ import annotations
@@ -30,53 +26,36 @@ import time as _time
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import BudgetExceeded, ConfigError, SimulationStalled
+from ..errors import BudgetExceeded, ConfigError
 from ..obs import RELIABILITY_WATCHDOG, current_bus
+
+#: ticks between two wall-clock polls of a deadline
+POLL_INTERVAL = 4096
 
 
 @dataclass(frozen=True)
 class WatchdogConfig:
-    """Budgets for one simulation run.  ``None`` disables a limit."""
+    """Budgets of one evaluation.  ``None`` disables a limit."""
 
     # detailed engine: scheduled events processed in one kernel run
     max_events: Optional[int] = None
-    # functional executor: dynamic instructions interpreted per warp
-    max_instructions: Optional[int] = None
-    # host wall-clock deadline per guarded loop, in seconds
+    # host wall-clock budget of one evaluation, in seconds
     deadline_seconds: Optional[float] = None
-    # engine stall: events processed without simulated time advancing
-    stall_events: Optional[int] = None
-    # executor stall: instructions since a new static pc was first reached
-    stall_instructions: Optional[int] = None
-    # how many ticks between wall-clock polls
-    check_interval: int = 4096
 
     def __post_init__(self) -> None:
-        for name in ("max_events", "max_instructions", "deadline_seconds",
-                     "stall_events", "stall_instructions"):
+        for name in ("max_events", "deadline_seconds"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value!r}")
-        if self.check_interval < 1:
-            raise ConfigError(
-                f"check_interval must be >= 1, got {self.check_interval!r}")
-
-    def for_engine(self, label: str) -> "Watchdog":
-        """Watchdog instance guarding one detailed-engine run."""
-        return Watchdog(budget=self.max_events,
-                        deadline_seconds=self.deadline_seconds,
-                        stall_ticks=self.stall_events,
-                        check_interval=self.check_interval,
-                        unit="events", label=label)
 
     def per_task(self, n_tasks: int, jobs: int = 1) -> "WatchdogConfig":
         """Split the wall-clock deadline across a sweep's tasks.
 
         A sweep-level deadline becomes a per-task budget by dividing it
         over the longest task chain any single worker executes
-        (``ceil(n_tasks / jobs)``).  Event/instruction budgets are
-        already per-run and pass through unchanged; a config with no
-        deadline is returned as-is.
+        (``ceil(n_tasks / jobs)``).  The event budget is already per
+        run and passes through unchanged; a config with no deadline is
+        returned as-is.
         """
         if n_tasks < 1:
             raise ConfigError(f"n_tasks must be >= 1, got {n_tasks!r}")
@@ -88,46 +67,31 @@ class WatchdogConfig:
         return dataclasses.replace(
             self, deadline_seconds=self.deadline_seconds / chain)
 
-    def for_executor(self, label: str) -> "Watchdog":
-        """Watchdog instance guarding one functional warp run."""
-        return Watchdog(budget=self.max_instructions,
-                        deadline_seconds=self.deadline_seconds,
-                        stall_ticks=self.stall_instructions,
-                        check_interval=self.check_interval,
-                        unit="instructions", label=label)
+
+def deadline_of(watchdog: Optional[WatchdogConfig]) -> Optional[float]:
+    """The ``time.monotonic()`` instant a deadline window opened now
+    closes, or None when ``watchdog`` sets no deadline."""
+    if watchdog is None or watchdog.deadline_seconds is None:
+        return None
+    return _time.monotonic() + watchdog.deadline_seconds
 
 
 class Watchdog:
-    """Mutable per-run budget tracker.  Create via :class:`WatchdogConfig`."""
+    """The budget of one guarded loop: a tick counter checked against an
+    event budget and polled against a deadline instant."""
 
-    __slots__ = ("budget", "deadline", "stall_ticks", "check_interval",
-                 "unit", "label", "ticks", "last_progress", "_next_poll",
-                 "_t0")
+    __slots__ = ("label", "unit", "deadline", "budget", "ticks",
+                 "_next_poll")
 
-    def __init__(self, budget: Optional[int], deadline_seconds:
-                 Optional[float], stall_ticks: Optional[int],
-                 check_interval: int, unit: str, label: str):
-        self.budget = budget
-        self.stall_ticks = stall_ticks
-        self.check_interval = check_interval
-        self.unit = unit
+    def __init__(self, label: str, unit: str,
+                 deadline: Optional[float] = None,
+                 budget: Optional[int] = None):
         self.label = label
+        self.unit = unit
+        self.deadline = deadline
+        self.budget = budget
         self.ticks = 0
-        self.last_progress = 0
-        self._t0 = _time.monotonic()
-        self.deadline = (self._t0 + deadline_seconds
-                         if deadline_seconds is not None else None)
-        self._next_poll = check_interval
-
-    @property
-    def armed(self) -> bool:
-        """Whether any limit is actually configured."""
-        return (self.budget is not None or self.deadline is not None
-                or self.stall_ticks is not None)
-
-    def note_progress(self) -> None:
-        """Record that the guarded loop made forward progress."""
-        self.last_progress = self.ticks
+        self._next_poll = 1     # the first tick polls the deadline
 
     def _trip(self, reason: str) -> None:
         """Announce an imminent trip on the observability bus.
@@ -150,18 +114,11 @@ class Watchdog:
             raise BudgetExceeded(
                 f"{self.label}: exceeded budget of {self.budget} "
                 f"{self.unit}")
-        if (self.stall_ticks is not None
-                and self.ticks - self.last_progress > self.stall_ticks):
-            self._trip("stall")
-            raise SimulationStalled(
-                f"{self.label}: no progress in the last "
-                f"{self.ticks - self.last_progress} {self.unit} "
-                f"(stall threshold {self.stall_ticks})")
         if self.deadline is not None and self.ticks >= self._next_poll:
-            self._next_poll = self.ticks + self.check_interval
-            if _time.monotonic() > self.deadline:
+            self._next_poll = self.ticks + POLL_INTERVAL
+            late = _time.monotonic() - self.deadline
+            if late > 0:
                 self._trip("deadline")
                 raise BudgetExceeded(
-                    f"{self.label}: wall-clock deadline of "
-                    f"{self.deadline - self._t0:.3f}s exceeded after "
-                    f"{self.ticks} {self.unit}")
+                    f"{self.label}: wall-clock deadline passed "
+                    f"{late:.3f}s ago, after {self.ticks} {self.unit}")

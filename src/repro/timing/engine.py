@@ -94,7 +94,7 @@ from ..obs import (
     EventType,
     current_bus,
 )
-from ..reliability.watchdog import WatchdogConfig
+from ..reliability.watchdog import Watchdog, WatchdogConfig, deadline_of
 from .caches import MemoryHierarchy
 
 TraceProvider = Callable[[int], WarpTrace]
@@ -162,6 +162,7 @@ class DetailedEngine:
         collect_latency: bool = False,
         watchdog: Optional[WatchdogConfig] = None,
         bus: Optional[EventBus] = None,
+        deadline: Optional[float] = None,
     ):
         if kernel.wg_size > config.max_warps_per_cu:
             raise ConfigError(
@@ -172,16 +173,21 @@ class DetailedEngine:
         self.config = config
         self.hierarchy = hierarchy or MemoryHierarchy(config)
         self.bus = bus if bus is not None else current_bus()
+        # a methodology's instant bounds its whole evaluation; an engine
+        # built on its own opens its own window
+        self.deadline = deadline if deadline is not None \
+            else deadline_of(watchdog)
+        self.max_events = watchdog.max_events if watchdog is not None \
+            else None
         # execution-driven unless the caller serves traces: each warp is
         # functionally emulated (in chunks) when it is first dispatched,
         # accounted on this engine's bus
         self.trace_provider = (
             trace_provider if trace_provider is not None
             else PackProvider(kernel, executor=FunctionalExecutor(
-                kernel, bus=self.bus)))
+                kernel, bus=self.bus, deadline=self.deadline)))
         self.ipc_bucket = ipc_bucket
         self.collect_latency = collect_latency
-        self.watchdog = watchdog
         self._subscriptions: List[Tuple[EventType, Callable]] = []
         self._stop_requested = False
         self._abort_requested = False
@@ -437,13 +443,11 @@ class DetailedEngine:
                     cp_time += cp_interval
                     progress = True
 
-        # an armed watchdog ticks once per member, between member
-        # effects, and notes progress once per new timestamp
+        # an armed watchdog ticks once per member, between member effects
         wd = None
-        if self.watchdog is not None:
-            wd = self.watchdog.for_engine(f"engine({kernel.name})")
-            if not wd.armed:
-                wd = None
+        if self.max_events is not None or self.deadline is not None:
+            wd = Watchdog(f"engine({kernel.name})", "events",
+                          deadline=self.deadline, budget=self.max_events)
         vector_access_many = hierarchy.vector_access_many
         scalar_access = hierarchy.scalar_access
         n_insts = 0
@@ -463,8 +467,6 @@ class DetailedEngine:
             if members is None:
                 continue  # stale entry: same-time bucket already drained
             self._now = t
-            if wd is not None and t > 0.0:
-                wd.note_progress()  # round times strictly increase
 
             # a round can refill its own timestamp (END dispatch, zero
             # issue_interval): re-pop until the bucket stays empty

@@ -2,10 +2,11 @@
 
 :class:`Methodology` is what Photon, the baselines and full detail have
 in common: one cache hierarchy kept warm across an application's
-launches (as an execution-driven simulator would), one watchdog, one
-bus and one optional trace cache that reach *every* engine (and, the
-first two, *every* CONTROL profiling pass) the methodology starts, and
-the application loop.  A methodology implements
+launches (as an execution-driven simulator would), one watchdog — its
+deadline one instant for the whole evaluation — one bus and one
+optional trace cache that reach *every* engine (and, the first two,
+*every* functional fill) the methodology starts, and the application
+loop.  A methodology implements
 :meth:`~Methodology.simulate_kernel`; everything else is inherited.
 
 :meth:`Methodology.engine` is the one place a detailed run is wired:
@@ -25,11 +26,12 @@ from typing import Dict, Iterable, List, Optional
 
 from ..config.gpu_configs import GpuConfig
 from ..functional.batch import control_traces
+from ..functional.executor import FunctionalExecutor
 from ..functional.kernel import Application, Kernel
 from ..functional.trace import ControlTrace
 from ..obs import EventBus, current_bus
 from ..reliability.ledger import FallbackEvent
-from ..reliability.watchdog import WatchdogConfig
+from ..reliability.watchdog import WatchdogConfig, deadline_of
 from .caches import MemoryHierarchy
 from .engine import DetailedEngine
 from .tracecache import TraceCache
@@ -105,10 +107,13 @@ class Methodology:
     """One simulation methodology: shared state plus the application loop.
 
     Subclasses implement :meth:`simulate_kernel` and start detailed
-    engines and CONTROL profiling passes only through :meth:`engine` and
-    :meth:`control_traces`, so the watchdog budgets and the bus bound
-    every phase of every methodology, and ``trace_cache`` (say, one
-    backed by ``--trace-store``) serves every engine, by construction.
+    engines and functional passes only through :meth:`engine`,
+    :meth:`executor` and :meth:`control_traces`, so the watchdog budgets
+    and the bus bound every phase of every methodology, and
+    ``trace_cache`` (say, one backed by ``--trace-store``) serves every
+    engine, by construction.  The wall-clock deadline is one instant,
+    fixed here at construction: every engine run and every fill of the
+    evaluation checks that same instant.
     """
 
     #: label of the :class:`AppResult` when the caller names none
@@ -120,6 +125,7 @@ class Methodology:
                  trace_cache: Optional[TraceCache] = None):
         self.gpu_config = gpu_config
         self.watchdog = watchdog
+        self.deadline = deadline_of(watchdog)
         self.bus = bus if bus is not None else current_bus()
         self.trace_cache = trace_cache
         self.hierarchy = MemoryHierarchy(gpu_config)
@@ -130,15 +136,21 @@ class Methodology:
         cache = self.trace_cache
         return DetailedEngine(
             kernel, self.gpu_config, hierarchy=self.hierarchy,
-            trace_provider=(None if cache is None
-                            else cache.provider(kernel, bus=self.bus)),
-            watchdog=self.watchdog, bus=self.bus, **options)
+            trace_provider=(None if cache is None else cache.provider(
+                kernel, bus=self.bus, deadline=self.deadline)),
+            watchdog=self.watchdog, bus=self.bus, deadline=self.deadline,
+            **options)
+
+    def executor(self, kernel: Kernel) -> FunctionalExecutor:
+        """A functional executor on the bus, bounded by the deadline."""
+        return FunctionalExecutor(kernel, bus=self.bus,
+                                  deadline=self.deadline)
 
     def control_traces(self, kernel: Kernel,
                        warp_ids: Iterable[int]) -> Dict[int, ControlTrace]:
         """A CONTROL fast-forward of ``warp_ids``, budgeted."""
-        return control_traces(kernel, warp_ids, watchdog=self.watchdog,
-                              bus=self.bus)
+        return control_traces(kernel, warp_ids,
+                              executor=self.executor(kernel))
 
     def simulate_kernel(self, kernel: Kernel) -> KernelResult:
         raise NotImplementedError

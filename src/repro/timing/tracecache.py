@@ -75,10 +75,12 @@ class TraceCache:
         self.store_hits = 0    # served from the backing store
         self.misses = 0        # functionally emulated
 
-    def provider(self, kernel: Kernel, bus: Optional[EventBus] = None):
+    def provider(self, kernel: Kernel, bus: Optional[EventBus] = None,
+                 deadline: Optional[float] = None):
         """A ``trace_provider`` for :class:`DetailedEngine`, accounting
         its traffic and emulation on ``bus`` (default: the current bus;
-        a :class:`~repro.timing.simulator.Methodology` passes its own).
+        a :class:`~repro.timing.simulator.Methodology` passes its own,
+        and its ``deadline`` instant, which every emulating fill checks).
 
         Usage::
 
@@ -116,7 +118,8 @@ class TraceCache:
         # an earlier fill (or a CONTROL fast-forward — see
         # Kernel.path_memo) starts pre-partitioned
         emulate = PackProvider(
-            kernel, executor=FunctionalExecutor(kernel, bus=bus),
+            kernel, executor=FunctionalExecutor(kernel, bus=bus,
+                                                deadline=deadline),
             have=lambda w: ((kernel_key, w) in self._traces
                             or (view is not None and view.has(w))))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,24 @@ def write_golden(path, records: dict) -> None:
         f"{json.dumps(key)}: {json.dumps(rec, sort_keys=True)}"
         for key, rec in records.items()) + "\n}\n")
     print(f"wrote {len(records)} records to {path}")
+
+
+def old_records(name: str):
+    """``(records, plan)``: a run's records written with fields since
+    retired (``tests/golden/<name>.json``: a journal prefix, a fleet
+    manifest, a host WAL and the table they produced), and the sweep
+    plan its ``plan`` entry describes, planned today."""
+    from repro.parallel import plan_sweep
+    from repro.reliability import WatchdogConfig
+
+    path = Path(__file__).parent / "golden" / f"{name}.json"
+    records = json.loads(path.read_text())
+    spec = records["plan"]
+    watchdog = spec.get("watchdog")
+    return records, plan_sweep(
+        spec["workloads"], sizes=spec["sizes"], methods=spec["methods"],
+        seed=spec["seed"],
+        watchdog=WatchdogConfig(**watchdog) if watchdog else None)
 
 
 def request_stop_after_bbs(engine, n: int) -> None:

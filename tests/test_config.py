@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.config import GpuConfig, MI100, R9_NANO, preset
+from repro.config import GpuConfig, MI100, R9_NANO
+from repro.harness.defaults import EVAL_R9NANO, resolve_gpu
 from repro.core import PhotonConfig
 from repro.errors import ConfigError
 
@@ -26,10 +27,13 @@ def test_table1_mi100():
 
 
 def test_preset_lookup():
-    assert preset("r9nano") is R9_NANO
-    assert preset("MI100") is MI100
-    with pytest.raises(ConfigError):
-        preset("h100")
+    """One preset table: ``r9nano`` names the scaled evaluation GPU, the
+    ``full-`` prefix the unscaled Table 1 machine."""
+    assert resolve_gpu("r9nano") is EVAL_R9NANO
+    assert resolve_gpu("full-r9nano") is R9_NANO
+    assert resolve_gpu("full-mi100") is MI100
+    with pytest.raises(ConfigError, match="unknown GPU preset 'h100'"):
+        resolve_gpu("h100")
 
 
 def test_cache_geometry_sets():
@@ -58,6 +62,23 @@ def test_invalid_configs_rejected():
         dataclasses.replace(R9_NANO, n_cu=0)
     with pytest.raises(ConfigError):
         dataclasses.replace(R9_NANO, n_cu=6)  # not divisible by group
+
+
+@pytest.mark.parametrize("field", [
+    "scalar_alu_lat", "vector_alu_lat", "branch_lat", "lds_lat", "l1_lat",
+    "l2_lat", "dram_lat", "l1_service", "l2_service", "dram_service",
+    "issue_interval", "cp_dispatch_interval"])
+def test_negative_latency_or_interval_rejected(field):
+    """A negative per-class latency would read as "send to the stateful
+    handlers" and fail mid-run; it is a ConfigError at construction.
+    Zero and fractional values stay legal."""
+    import dataclasses
+
+    with pytest.raises(ConfigError, match=f"{field} must be >= 0, got -1"):
+        dataclasses.replace(EVAL_R9NANO, **{field: -1})
+    for value in (0, 1.3):
+        assert getattr(dataclasses.replace(EVAL_R9NANO, **{field: value}),
+                       field) == value
 
 
 def test_photon_config_defaults_match_paper():

@@ -2,6 +2,8 @@
 evaluate step and the one row builder behind ``repro run``, ``repro
 app``, sweeps, fleets and the server."""
 
+import time
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -19,7 +21,7 @@ from repro.harness.runner import (
 )
 from repro.parallel import SweepTask, plan_sweep, run_task
 from repro.reliability import FaultPlan, FaultSpec
-from repro.reliability.watchdog import WatchdogConfig
+from repro.reliability.watchdog import Watchdog, WatchdogConfig
 from repro.serve.protocol import ProtocolError, normalize_request
 from repro.timing import TraceCache
 from repro.timing.simulator import AppResult
@@ -44,13 +46,50 @@ def test_event_budget_bounds_every_methodology(method):
                         watchdog=WatchdogConfig(max_events=10))
 
 
-@pytest.mark.parametrize("method", ["pka", "sieve", "gtpin"])
-def test_instruction_budget_bounds_the_profiling_pass(method):
-    """relu runs 10 instructions a warp: a per-warp budget of 5 trips
-    the up-front CONTROL profile these baselines charge themselves."""
-    with pytest.raises(BudgetExceeded, match="executor"):
+def _record_loops(monkeypatch, delay=0.0):
+    """Labels of the watchdogs opened from now on, each loop started
+    ``delay`` seconds late."""
+    opened = []
+    start = Watchdog.__init__
+
+    def late(self, *args, **kwargs):
+        time.sleep(delay)
+        start(self, *args, **kwargs)
+        opened.append(self.label)
+
+    monkeypatch.setattr(Watchdog, "__init__", late)
+    return opened
+
+
+@pytest.mark.parametrize(
+    "method", ["pka", "tbpoint", "sieve", "gtpin", "photon", FULL_METHOD])
+def test_expired_deadline_trips_the_first_loop(method, monkeypatch):
+    """A deadline that has passed before anything ran trips the first
+    loop the method starts, when it starts: the up-front CONTROL
+    profile or analysis of the sampled methods, the first FULL fill of
+    the others."""
+    opened = _record_loops(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="deadline") as trip:
         simulate_method(_relu(), method, EVAL_R9NANO, EVAL_PHOTON,
-                        watchdog=WatchdogConfig(max_instructions=5))
+                        watchdog=WatchdogConfig(deadline_seconds=1e-9))
+    (first,) = opened
+    assert str(trip.value).startswith(f"{first}: ")
+    profiles = method in ("pka", "sieve", "gtpin", "photon")
+    assert first.startswith(
+        "executor('relu' control" if profiles else "executor('relu' full")
+
+
+def test_one_deadline_bounds_the_whole_evaluation(monkeypatch):
+    """The methodology fixes one instant for its evaluation.  Each loop
+    of a Photon relu@256 run starts 0.3 s late: the first starts inside
+    a 0.5 s deadline, the second after it, and trips — a window per loop
+    would have let every loop finish."""
+    opened = _record_loops(monkeypatch, delay=0.3)
+    with pytest.raises(BudgetExceeded, match="deadline") as trip:
+        simulate_method(_relu(), "photon", EVAL_R9NANO, EVAL_PHOTON,
+                        watchdog=WatchdogConfig(deadline_seconds=0.5))
+    assert len(opened) == 2
+    assert str(trip.value).startswith(f"{opened[1]}: ")
 
 
 # ----------------------------------- the trace cache reaches every method

@@ -25,6 +25,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.functional import FunctionalExecutor, GlobalMemory, Kernel
+from repro.functional.kernel import SREG_WARP_IN_WG
 from repro.harness import run_methods_kernel
 from repro.isa import KernelBuilder, MemAddr, s, v
 from repro.obs import ENGINE_BB, ENGINE_WARP_RETIRE, EventBus
@@ -275,20 +276,33 @@ def _spin_kernel():
                   meta={"max_steps": 10**9})
 
 
-def test_infinite_kernel_raises_simulation_stalled():
-    """The satellite acceptance case: spin loop → typed error, no hang."""
-    wd = WatchdogConfig(stall_instructions=64)
-    executor = FunctionalExecutor(_spin_kernel(), watchdog=wd)
-    with pytest.raises(SimulationStalled):
-        executor.run_warp_control(0)
-    with pytest.raises(SimulationStalled):
-        FunctionalExecutor(_spin_kernel(), watchdog=wd).run_warp_full(0)
+def test_infinite_kernel_raises_simulation_stalled(tiny_gpu):
+    """A kernel that would wait forever → typed error, no hang: the first
+    warp of each workgroup skips the barrier its partner parks at."""
+    b = KernelBuilder("skip_barrier")
+    b.s_cmp_eq(s(SREG_WARP_IN_WG), 0)
+    b.s_cbranch_scc1("done")
+    b.s_barrier()
+    b.label("done")
+    b.s_endpgm()
+    kernel = Kernel(program=b.build(), n_warps=4, wg_size=2,
+                    memory=GlobalMemory(64))
+    with pytest.raises(SimulationStalled, match="barrier deadlock"):
+        DetailedEngine(kernel, tiny_gpu).run()
 
 
-def test_instruction_budget_raises_budget_exceeded():
-    wd = WatchdogConfig(max_instructions=50)
-    with pytest.raises(BudgetExceeded):
-        FunctionalExecutor(_spin_kernel(), watchdog=wd).run_warp_control(0)
+def test_infinite_kernel_is_bounded():
+    """Spin loop → typed error, no hang: the ``max_steps`` cap makes it
+    its warp's ExecutionError, and where the cap is out of reach the
+    deadline raises BudgetExceeded."""
+    capped = _spin_kernel()
+    capped.meta["max_steps"] = 64
+    with pytest.raises(ExecutionError, match="exceeded 64 steps"):
+        FunctionalExecutor(capped).run_warp_control(0)
+    wd = WatchdogConfig(deadline_seconds=0.05)
+    for mode in ("run_warp_control", "run_warp_full"):
+        with pytest.raises(BudgetExceeded, match="deadline"):
+            getattr(FunctionalExecutor(_spin_kernel(), watchdog=wd), mode)(0)
 
 
 def test_engine_event_budget(tiny_gpu):
@@ -299,7 +313,7 @@ def test_engine_event_budget(tiny_gpu):
 
 
 def test_wall_deadline_trips(tiny_gpu):
-    wd = WatchdogConfig(deadline_seconds=1e-4, check_interval=1)
+    wd = WatchdogConfig(deadline_seconds=1e-4)
     with pytest.raises(BudgetExceeded):
         FunctionalExecutor(_spin_kernel(), watchdog=wd).run_warp_control(0)
 
@@ -308,8 +322,7 @@ def test_watchdog_does_not_disturb_results(tiny_gpu, fast_photon_config):
     """Generous budgets must leave the simulation bit-identical."""
     baseline = Photon(tiny_gpu, fast_photon_config).simulate_kernel(
         make_vecadd(n_warps=32))
-    wd = WatchdogConfig(max_events=10**9, max_instructions=10**9,
-                        stall_instructions=10**6)
+    wd = WatchdogConfig(max_events=10**9, deadline_seconds=3600.0)
     guarded = Photon(tiny_gpu, fast_photon_config,
                      watchdog=wd).simulate_kernel(make_vecadd(n_warps=32))
     assert guarded.sim_time == baseline.sim_time

@@ -11,6 +11,8 @@ property-tested in ``test_property_random_programs.py``.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -219,7 +221,6 @@ EXEC_BATCH_COUNTERS = {
     "exec.batch.groups", "exec.batch.batched_warps",
     "exec.batch.fallbacks", "exec.batch.ctrl_reused",
     "exec.batch.singleton.fault_plan",
-    "exec.batch.singleton.instruction_budget",
 }
 
 
@@ -238,42 +239,40 @@ def _fill_counters(mode="full", **executor_kwargs):
 
 
 def test_singleton_fill_reasons():
-    """The one decision: a fault plan or a per-warp instruction / stall
-    budget runs every warp as its own batch; everything else batches."""
+    """The one decision: a fault plan runs every warp as its own batch;
+    everything else — watchdog budgets included — batches."""
     for kwargs in ({}, {"watchdog": WatchdogConfig(deadline_seconds=10.0)},
                    {"watchdog": WatchdogConfig(max_events=5)}):
         fill, counters = _fill_counters(**kwargs)
         assert fill.group_sizes == [4, 4]
         assert counters == {"exec.batch.groups": 2,
                             "exec.batch.batched_warps": 8}
-    for reason, kwargs in (
-            ("instruction_budget",
-             {"watchdog": WatchdogConfig(max_instructions=100)}),
-            ("instruction_budget",
-             {"watchdog": WatchdogConfig(stall_instructions=50)}),
-            ("fault_plan", {"fault_plan": FaultPlan()}),
-            ("fault_plan",
-             {"fault_plan": FaultPlan(),
-              "watchdog": WatchdogConfig(max_instructions=100)})):
+    for kwargs in ({"fault_plan": FaultPlan()},
+                   {"fault_plan": FaultPlan(),
+                    "watchdog": WatchdogConfig(deadline_seconds=10.0)}):
         for mode in ("full", "control"):
             fill, counters = _fill_counters(mode, **kwargs)
             assert fill.group_sizes == [1] * 8
-            assert counters == {f"exec.batch.singleton.{reason}": 1,
+            assert counters == {"exec.batch.singleton.fault_plan": 1,
                                 "exec.batch.groups": 8,
                                 "exec.batch.batched_warps": 8}
 
 
-def test_singleton_fill_has_per_warp_watchdogs():
-    """Each singleton gets its own instruction budget and its own label;
-    the trip names the first warp that exceeds it and stops the fill."""
+def test_fill_checks_the_deadline_through_one_watchdog():
+    """A fill is one loop: however its warps split, one watchdog checks
+    the executor's deadline instant, first at its first dispatch."""
     kernel = make_loop_kernel(8, trips_of=lambda w: 1 + 3 * w)
+    ahead = FunctionalExecutor(kernel, deadline=time.monotonic() + 3600)
+    assert control_traces(kernel, range(8), executor=ahead) \
+        == control_traces(kernel, range(8))
     with scoped_bus() as bus:
         sink = bus.add_sink(MemorySink())
-        with pytest.raises(BudgetExceeded, match="'loopy' warp 3"):
-            control_traces(kernel, range(8),
-                           watchdog=WatchdogConfig(max_instructions=45))
+        passed = FunctionalExecutor(kernel, deadline=time.monotonic() - 1)
+        with pytest.raises(BudgetExceeded,
+                           match=r"executor\('loopy' control, 8 warps\)"):
+            control_traces(kernel, range(8), executor=passed)
     (trip,) = sink.of_kind("reliability.watchdog")
-    assert trip.fields["ticks"] == 46
+    assert (trip.fields["ticks"], trip.fields["reason"]) == (1, "deadline")
 
 
 def test_singleton_fill_arms_fault_plan_per_warp_instruction():

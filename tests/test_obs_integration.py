@@ -31,7 +31,7 @@ from repro.obs import (
     scoped_bus,
 )
 from repro.parallel import plan_sweep, run_sweep
-from repro.reliability import FaultPlan, FaultSpec, WatchdogConfig
+from repro.reliability import FaultPlan, FaultSpec, Watchdog
 from repro.timing import BBProbe, DetailedEngine, WarpProbe
 
 from conftest import make_barrier_kernel, make_loop_kernel, make_vecadd
@@ -301,7 +301,7 @@ def test_detector_replay_then_judges_on_arrival(tiny_gpu,
 def test_watchdog_trip_emits_event():
     with scoped_bus() as bus:
         sink = bus.add_sink(MemorySink())
-        dog = WatchdogConfig(max_events=5).for_engine("engine:test")
+        dog = Watchdog("engine:test", "events", budget=5)
         dog.tick(5)
         with pytest.raises(BudgetExceeded):
             dog.tick(1)

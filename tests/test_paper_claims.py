@@ -13,6 +13,7 @@ regenerated with ``repro sweep`` / ``repro app`` (EXPERIMENTS.md,
 
 import dataclasses
 import functools
+import gc
 import time
 from types import SimpleNamespace
 
@@ -384,21 +385,35 @@ def test_fig17_kernel_sampling_is_the_most_accurate_level(vgg16):
 
 
 def test_sec63_offline_analysis_is_reused(vgg16):
-    """A second run over a warm AnalysisStore takes every kernel's
-    analysis from the store, is not slower (paper: 4.19 h -> 3.76 h
-    on VGG-16) and equals a run without a store bit for bit."""
+    """A run over a warm AnalysisStore takes every kernel's analysis
+    from the store, is not slower (paper: 4.19 h -> 3.76 h on VGG-16)
+    and equals a run without a store bit for bit.  Online (a fresh
+    store; the first one warms ``store``) and offline runs alternate
+    three times, each timed with the cyclic collector paused, and the
+    best of each side is compared: one collector pause or scheduler
+    hiccup cannot decide the verdict."""
+    def timed(analysis_store):
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            result = Photon(EVAL_R9NANO, EVAL_PHOTON,
+                            analysis_store=analysis_store).simulate_app(
+                                APP_BUILDERS["vgg16"]())
+            return time.perf_counter() - start, result
+        finally:
+            gc.enable()
+
     store = AnalysisStore()
-    walls, runs = [], []
-    for _ in range(2):
-        start = time.perf_counter()
-        runs.append(Photon(EVAL_R9NANO, EVAL_PHOTON, analysis_store=store)
-                    .simulate_app(APP_BUILDERS["vgg16"]()))
-        walls.append(time.perf_counter() - start)
-    online_wall, offline_wall = walls
+    online, offline = [], []
+    for i in range(3):
+        online.append(timed(store if i == 0 else AnalysisStore())[0])
+        wall, last = timed(store)
+        offline.append(wall)
     assert store.hits >= len(store)
-    assert offline_wall <= online_wall * 1.10
+    assert min(offline) <= min(online) * 1.10
     plain = [(k.sim_time, k.n_insts, k.mode) for k in vgg16["photon"].kernels]
-    assert [(k.sim_time, k.n_insts, k.mode) for k in runs[-1].kernels] == plain
+    assert [(k.sim_time, k.n_insts, k.mode) for k in last.kernels] == plain
 
 
 # ------------------------------------------------------------- ablations

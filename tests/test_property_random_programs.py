@@ -200,7 +200,6 @@ def _composition_invariance(factory, seed) -> bool:
     for label, batches in compositions.items():
         kernel = factory()
         executor = FunctionalExecutor(kernel)
-        batches = [(batch, None) for batch in batches]
         ctrl, ctrl_errors, _ = executor.run_batches(batches, full=False)
         full, full_errors, groups = executor.run_batches(batches, full=True)
         assert not ctrl_errors and not full_errors, label

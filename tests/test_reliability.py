@@ -1,5 +1,8 @@
 """Unit tests for repro.reliability: watchdogs, fault plans, the ledger."""
 
+import dataclasses
+import time
+
 import pytest
 
 from repro.errors import (
@@ -15,8 +18,15 @@ from repro.reliability import (
     FallbackEvent,
     FaultPlan,
     FaultSpec,
+    Watchdog,
     WatchdogConfig,
 )
+from repro.config import R9_NANO
+from repro.functional import FunctionalExecutor
+from repro.reliability.watchdog import POLL_INTERVAL, deadline_of
+from repro.timing import DetailedEngine
+
+from conftest import make_vecadd
 
 
 # -- WatchdogConfig / Watchdog ------------------------------------------------
@@ -33,49 +43,53 @@ def test_watchdog_config_validation():
         WatchdogConfig(max_events=0)
     with pytest.raises(ConfigError, match="deadline_seconds"):
         WatchdogConfig(deadline_seconds=-1.0)
-    with pytest.raises(ConfigError, match="stall_instructions"):
-        WatchdogConfig(stall_instructions=-5)
-    with pytest.raises(ConfigError, match="check_interval"):
-        WatchdogConfig(check_interval=0)
+    assert [f.name for f in dataclasses.fields(WatchdogConfig)] == [
+        "max_events", "deadline_seconds"]
 
 
 def test_unconfigured_watchdog_is_unarmed():
-    wd = WatchdogConfig().for_engine("e")
-    assert not wd.armed
+    wd = Watchdog("e", "events")
     wd.tick(10**6)  # never raises
+    assert deadline_of(None) is None
+    assert deadline_of(WatchdogConfig(max_events=5)) is None
 
 
 def test_budget_trips_exactly_past_limit():
-    wd = WatchdogConfig(max_events=5).for_engine("e")
-    assert wd.armed
+    wd = Watchdog("e", "events", budget=5)
     wd.tick(5)
     with pytest.raises(BudgetExceeded, match="e: exceeded budget"):
         wd.tick()
 
 
-def test_stall_resets_on_progress():
-    wd = WatchdogConfig(stall_events=10).for_engine("e")
-    for _ in range(5):
-        wd.tick(9)
-        wd.note_progress()
-    wd.tick(10)
-    with pytest.raises(SimulationStalled):
-        wd.tick()
-
-
 def test_deadline_polled_on_interval():
-    wd = WatchdogConfig(deadline_seconds=1e-6,
-                        check_interval=100).for_executor("x")
-    wd.tick(99)  # below the poll interval: deadline not yet checked
+    """A loop checks the deadline when it starts (its first tick) and
+    every ``POLL_INTERVAL`` ticks after that."""
+    wd = Watchdog("x", "instructions", deadline=time.monotonic() + 3600)
+    wd.tick()
+    wd.deadline = time.monotonic() - 1.0    # the instant has passed
+    wd.tick(POLL_INTERVAL - 1)  # below the poll interval: not checked
+    with pytest.raises(BudgetExceeded, match="x: wall-clock deadline"):
+        wd.tick()
+    expired = Watchdog("y", "events", deadline=time.monotonic() - 1.0)
     with pytest.raises(BudgetExceeded, match="deadline"):
-        wd.tick(100)
+        expired.tick()
 
 
 def test_engine_and_executor_use_their_own_budgets():
-    cfg = WatchdogConfig(max_events=1, max_instructions=50)
-    assert cfg.for_engine("e").budget == 1
-    assert cfg.for_executor("x").budget == 50
-    assert cfg.for_executor("x").unit == "instructions"
+    """``max_events`` bounds an engine run; a functional run has only
+    the deadline.  Built without a methodology, each opens its own
+    deadline window."""
+    kernel = make_vecadd(n_warps=4)
+    cfg = WatchdogConfig(max_events=1, deadline_seconds=60.0)
+    before = time.monotonic()
+    engine = DetailedEngine(kernel, R9_NANO.scaled(4), watchdog=cfg)
+    executor = FunctionalExecutor(kernel, watchdog=cfg)
+    assert engine.max_events == 1
+    for deadline in (engine.deadline, executor.deadline):
+        assert before + 60.0 <= deadline <= time.monotonic() + 60.0
+    assert executor.run_warp_full(0).n_insts > 0
+    with pytest.raises(BudgetExceeded, match="engine"):
+        engine.run()
 
 
 # -- FaultSpec / FaultPlan ----------------------------------------------------

@@ -109,10 +109,7 @@ CASES = {}
 for _budget in (1, 17, 100, 333):
     CASES[f"watchdog-max-events-{_budget}"] = (
         {"watchdog": WatchdogConfig(max_events=_budget)}, {}, None)
-for _stall in (1, 3):
-    CASES[f"watchdog-stall-events-{_stall}"] = (
-        {"watchdog": WatchdogConfig(stall_events=_stall)}, {}, None)
-_QUIET = WatchdogConfig(max_events=10**9, stall_events=10**6)
+_QUIET = WatchdogConfig(max_events=10**9)
 CASES["watchdog-armed-quiet"] = ({"watchdog": _QUIET}, {}, None)
 CASES["watchdog-armed-quiet-stop"] = (
     {"watchdog": _QUIET, **_ACCOUNTING}, {}, 9)
@@ -281,7 +278,6 @@ def test_golden_trips_and_survivors_both_present(golden):
     some do not; a kernel-list edit that loses either side shows here."""
     tripped = {key for key, record in golden.items() if "error" in record}
     assert any(key.startswith("watchdog-max-events") for key in tripped)
-    assert any(key.startswith("watchdog-stall-events") for key in tripped)
     assert not any(key.startswith("watchdog-armed-quiet") for key in tripped)
     assert any(golden[key]["result"]["undispatched"]
                for key in golden if key.endswith("-stop/mixed"))
