@@ -53,13 +53,14 @@ DEFAULT_CHUNK = 256
 class PackFill:
     """Result of one fill: traces, stored errors and accounting."""
 
-    __slots__ = ("traces", "fallback", "group_sizes", "wall")
+    __slots__ = ("traces", "fallback", "group_sizes", "wall", "distinct")
 
-    def __init__(self, traces, fallback, group_sizes, wall):
+    def __init__(self, traces, fallback, group_sizes, wall, distinct):
         self.traces = traces          # Dict[int, WarpTrace|ControlTrace]
         self.fallback = fallback      # Dict[int, ExecutionError]
         self.group_sizes = group_sizes
         self.wall = wall
+        self.distinct = distinct      # distinct memory records (FULL)
 
 
 class WarpPackExecutor:
@@ -111,7 +112,9 @@ class WarpPackExecutor:
                         len(ids) - len(unknown))
                 batches = [group for group in [unknown, *known.values()]
                            if group]
-            traces, errors, groups = executor.run_batches(batches, full)
+            records: dict = {}   # the fill's interned memory records
+            traces, errors, groups = executor.run_batches(
+                batches, full, records)
             if not singleton and len(ids) > 1:
                 # warps that finished together took one path: record it
                 # (a warp that ran alone says nothing about grouping)
@@ -120,7 +123,7 @@ class WarpPackExecutor:
                     for w in group:
                         self.kernel.path_memo[w] = token
             fill = PackFill(traces, errors, [len(g) for g in groups],
-                            _time.perf_counter() - t0)
+                            _time.perf_counter() - t0, len(records))
         self._publish(fill, "full" if full else "control")
         return fill
 
@@ -149,6 +152,11 @@ class WarpPackExecutor:
         n_batched = len(fill.traces)
         metrics.counter("exec.batch.groups").inc(len(fill.group_sizes))
         metrics.counter("exec.batch.batched_warps").inc(n_batched)
+        if mode == "full":
+            metrics.counter("exec.batch.mem_records").inc(
+                sum(len(t.mem_lines) for t in fill.traces.values()))
+            metrics.counter("exec.batch.mem_records_distinct").inc(
+                fill.distinct)
         channel = bus.channel(EXEC_BATCH)
         if channel.subscribers:
             channel.publish(self.kernel.name, mode, n_batched,

@@ -200,15 +200,16 @@ def _scalar_operands(spec, sregs) -> list:
 _LINE_SENTINEL = np.int64(2 ** 62)  # beyond any legal line number
 
 
-def _batch_mem_lines(addrs: np.ndarray,
-                     mask: Optional[np.ndarray]) -> List[tuple]:
+def _batch_mem_lines(addrs: np.ndarray, mask: Optional[np.ndarray],
+                     intern) -> List[tuple]:
     """Per-warp coalesced line tuples for a ``(n, warp_size)`` plane.
 
     Models coalescing — lanes hitting the same 64-byte line produce one
     memory transaction — as :func:`~repro.functional.memory.lines_of`
     does for one warp (sorted unique line numbers as a tuple of ints;
     ``()`` when a warp has no active lane), with the sort/unique
-    reduction running once over the whole plane.
+    reduction running once over the whole plane.  ``intern`` (a dict's
+    ``setdefault``) makes equal records one object.
     """
     lines = addrs.astype(np.int64) // WORDS_PER_LINE
     if mask is not None:
@@ -223,7 +224,8 @@ def _batch_mem_lines(addrs: np.ndarray,
     out: List[tuple] = []
     pos = 0
     for count in fresh.sum(axis=1).tolist():
-        out.append(tuple(flat[pos:pos + count]))
+        rec = tuple(flat[pos:pos + count])
+        out.append(intern(rec, rec))
         pos += count
     return out
 
@@ -293,14 +295,31 @@ class _StaticInfo:
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+def _static_table(program) -> tuple:
+    """``(per-instruction _StaticInfo, vector registers and LDS words a
+    FULL batch allocates per warp)``: only vector-side instructions reach
+    ``vregs`` (their vector operands, destination and address index),
+    and only DS instructions the LDS."""
+    leaders = {b.start for b in program.blocks}
+    on_slice = program.control_slice.pcs
+    static = [_StaticInfo(inst, pc in leaders, pc not in on_slice)
+              for pc, inst in enumerate(program.instructions)]
+    named = [max(i.dst_idx, i.mem_index,
+                 *(x for tag, x in i.src_spec if tag == "v"))
+             for i in static if i.kind >= _K_VECTOR_SIDE]
+    uses_lds = any(i.kind in (_K_DSREAD, _K_DSWRITE) for i in static)
+    return (static, min(max(named, default=-1) + 1, N_VREGS),
+            LDS_WORDS if uses_lds else 0)
+
+
 class _Batch:
     """Warps advancing in lockstep: stacked state plus shared history.
 
     Scalar state is ``sregs (N_SREGS, n)`` / ``scc (n,)``; the vector
-    side (``vregs (N_VREGS, n, warp_size)``, ``lds (n, LDS_WORDS)``,
-    ``vcc`` / ``exec_mask (n, warp_size)``) is allocated when a FULL run
-    first picks the batch up and stays ``None`` in CONTROL.  ``cols`` are
-    the trace columns every member shares (static index, class, opcode,
+    side (``vregs`` / ``lds`` sized by ``_static_table``, ``vcc`` /
+    ``exec_mask (n, warp_size)``) is allocated when a FULL run first
+    picks the batch up and stays ``None`` in CONTROL.  ``cols`` are the
+    trace columns every member shares (static index, class, opcode,
     dependency, is-store); ``mem_rows`` holds ``(dyn, per-member line
     tuples)`` for the memory instructions.
     """
@@ -383,13 +402,10 @@ class FunctionalExecutor:
             else deadline_of(watchdog)
         self.fault_plan = fault_plan
         self.bus = bus if bus is not None else current_bus()
-        self._static = _TABLES.get(self.program)
-        if self._static is None:
-            leaders = {b.start for b in self.program.blocks}
-            on_slice = self.program.control_slice.pcs
-            self._static = _TABLES[self.program] = [
-                _StaticInfo(inst, pc in leaders, pc not in on_slice)
-                for pc, inst in enumerate(self.program.instructions)]
+        table = _TABLES.get(self.program)
+        if table is None:
+            table = _TABLES[self.program] = _static_table(self.program)
+        self._static, self._n_vregs, self._lds_words = table
 
     # -- register-file setup --------------------------------------------------
 
@@ -436,7 +452,8 @@ class FunctionalExecutor:
 
     # -- the interpreter ----------------------------------------------------
 
-    def run_batches(self, batches: Sequence[Sequence[int]], full: bool):
+    def run_batches(self, batches: Sequence[Sequence[int]], full: bool,
+                    records: Optional[dict] = None):
         """Execute ``batches`` in lockstep with split-on-divergence.
 
         ``batches`` is a list of lists of warp ids.  Warps of one batch
@@ -456,6 +473,9 @@ class FunctionalExecutor:
         finished leaves as lists of warp ids (warps of one leaf took
         an identical dynamic path).  Watchdog trips and injected faults
         propagate.
+
+        FULL memory records are interned in ``records`` (a caller's dict
+        to count them, else a fresh one): one tuple per distinct record.
         """
         kernel = self.kernel
         static = self._static
@@ -467,6 +487,7 @@ class FunctionalExecutor:
         # a CONTROL pass is not an emulation and never armed them
         plan = self.fault_plan if full else None
         lane_ids = np.arange(warp_size, dtype=np.float64)
+        intern = (records if records is not None else {}).setdefault
 
         traces: Dict[int, object] = {}
         errors: Dict[int, ExecutionError] = {}
@@ -497,9 +518,9 @@ class FunctionalExecutor:
             members = batch.members
             n = len(members)
             if full and batch.vregs is None:
-                batch.vregs = np.zeros((N_VREGS, n, warp_size),
+                batch.vregs = np.zeros((self._n_vregs, n, warp_size),
                                        dtype=np.float64)
-                batch.lds = np.zeros((n, LDS_WORDS), dtype=np.float64)
+                batch.lds = np.zeros((n, self._lds_words), dtype=np.float64)
                 batch.vcc = np.zeros((n, warp_size), dtype=bool)
                 batch.exec_mask = np.ones((n, warp_size), dtype=bool)
             sregs, scc = batch.sregs, batch.scc
@@ -580,8 +601,8 @@ class FunctionalExecutor:
                                      + info.mem_offset)
                             sregs[info.dst_idx] = read_gather(addrs)
                             if full:
-                                mem_rec = [(line,) for line in
-                                           (addrs // WORDS_PER_LINE).tolist()]
+                                mem_rec = _batch_mem_lines(addrs[:, None],
+                                                           None, intern)
                                 last_mem_dyn = dyn
                         elif kind == _K_BRANCH:
                             next_pc = info.target
@@ -599,38 +620,26 @@ class FunctionalExecutor:
                             groups.append(group)
                             if not full:
                                 for warp_id in group:
-                                    trace = ControlTrace(warp_id=warp_id)
-                                    trace.bb_seq = list(t_bb)
-                                    trace.n_insts = dyn + 1
-                                    traces[warp_id] = trace
+                                    traces[warp_id] = ControlTrace(
+                                        warp_id, list(t_bb), dyn + 1)
                                 break
                             t_static.append(pc)
                             t_class.append(info.opclass)
                             t_opcode.append(info.opcode_id)
                             t_dep.append(dep)
                             t_store.append(False)
-                            # the END row never records memory (its entry
-                            # is None).  Every warp of the leaf references
-                            # the SAME column list objects (only mem_lines
-                            # is per-warp) — columns are immutable once
-                            # built, and downstream id()-keyed conversion
-                            # caches (the timing engine's per-trace pools)
-                            # rely on the sharing
-                            mem_template: List[Optional[tuple]] = \
-                                [None] * len(t_static)
-                            for j, warp_id in enumerate(group):
-                                mem = list(mem_template)
-                                for pos, per_warp in mem_rows:
-                                    mem[pos] = per_warp[j]
-                                trace = WarpTrace(warp_id=warp_id)
-                                trace.static_idx = t_static
-                                trace.opclass = t_class
-                                trace.opcode = t_opcode
-                                trace.dep = t_dep
-                                trace.mem_lines = mem
-                                trace.is_store = t_store
-                                trace.bb_seq = t_bb
-                                traces[warp_id] = trace
+                            # every warp of the leaf references the SAME
+                            # column list objects (only mem_lines is
+                            # per-warp): the engine's marked class columns
+                            # and the store's path blobs key on identity
+                            t_mem_pos = [pos for pos, _ in mem_rows]
+                            per_warp = (map(list, zip(*[
+                                recs for _, recs in mem_rows]))
+                                if mem_rows else ([] for _ in group))
+                            for warp_id, mem in zip(group, per_warp):
+                                traces[warp_id] = WarpTrace(
+                                    warp_id, t_static, t_class, t_opcode,
+                                    t_dep, mem, t_store, t_bb, t_mem_pos)
                             break
                     elif kind == _K_VBIN:
                         result = info.fn(val(spec[0]), val(spec[1]))
@@ -664,14 +673,15 @@ class FunctionalExecutor:
                             else:
                                 vregs[info.dst_idx] = read_gather(
                                     addrs.ravel()).reshape(n, warp_size)
-                            mem_rec = _batch_mem_lines(addrs, None)
+                            mem_rec = _batch_mem_lines(addrs, None, intern)
                         else:
                             flat = addrs[exec_mask]
                             if flat.size and store:
                                 write_scatter(flat, reg[exec_mask])
                             elif flat.size:
                                 reg[exec_mask] = read_gather(flat)
-                            mem_rec = _batch_mem_lines(addrs, exec_mask)
+                            mem_rec = _batch_mem_lines(addrs, exec_mask,
+                                                       intern)
                         last_mem_dyn = dyn
                     elif kind == _K_VFMA:
                         result = (np.asarray(val(spec[0])) * val(spec[1])

@@ -19,12 +19,14 @@ scalars, and a list subscript is the cheapest way to reach one (a numpy
 scalar read or write costs several times more; ``docs/performance.md``).
 
 * Per resident-warp *slot*, parallel lists: the instruction cursor, the
-  trace's ``opclass`` / ``dep`` / ``mem_lines`` / ``opcode`` columns
-  (the trace's own lists, nothing copied or converted), the CU (also
-  its scalar issue port), the SIMD issue port, the dispatch bookkeeping
-  and, while ``engine.bb`` has subscribers, the open block's pc, start
-  and the path's block map; the class column then reads
-  ``cls + _N_CLASSES`` at a block's first instruction.
+  trace's ``opclass`` / ``dep`` / ``mem_lines`` / ``opcode`` lists (its
+  own, nothing copied or converted), a cursor into ``mem_lines`` (one
+  record per memory instruction, in issue order; a warp that ends with
+  one left, or runs out, is a ``TimingError``), the CU (also its scalar
+  issue port), the SIMD issue port, the dispatch bookkeeping and, while
+  ``engine.bb`` has subscribers, the open block's pc, start and the
+  path's block map; the class column then reads ``cls + _N_CLASSES``
+  at a block's first instruction.
 * A plain list of port-free times, one cell per issue port.
 * A per-class latency list: ``lat_of[cls] >= 0`` is a fixed latency
   (the configuration's exact value, fractional or not); a negative cell
@@ -137,16 +139,6 @@ class EngineResult:
         self.stopped: bool = False
         self.stop_time: float = 0.0
         self.mem_stats: Dict[str, int] = {}
-
-    @property
-    def n_warps_detailed(self) -> int:
-        return len(self.warp_times)
-
-    def ipc(self) -> float:
-        """Mean IPC over the detailed portion."""
-        if self.end_time <= 0:
-            return 0.0
-        return self.n_insts / self.end_time
 
 
 class DetailedEngine:
@@ -336,7 +328,8 @@ class DetailedEngine:
         cur_l = [0] * n_slots              # instruction cursor
         cls_l: List[list] = [None] * n_slots   # trace opclass column
         dep_l: List[list] = [None] * n_slots   # trace dep column (raw)
-        mem_l: List[list] = [None] * n_slots   # trace mem_lines column
+        mem_l: List[list] = [None] * n_slots   # trace mem_lines records
+        mcur_l = [0] * n_slots             # next memory record
         code_l: List[list] = [None] * n_slots  # trace opcode column
         ret_l: List[array] = [None] * n_slots  # retire row, see docstring
         cu_l = [0] * n_slots               # CU == its scalar issue port
@@ -403,7 +396,7 @@ class DetailedEngine:
                 if row is None or len(row) <= n:
                     # n cells plus the never-written 0.0 that dep -1 reads
                     ret_l[s] = array("d", bytes(8 * (n + 1)))
-                cur_l[s] = 0
+                cur_l[s] = mcur_l[s] = 0
                 cls_l[s] = trace.opclass
                 if has_bb:  # the entry keeps its id-keyed lists alive
                     key = id(trace.opclass), id(trace.bb_seq)
@@ -506,20 +499,23 @@ class DetailedEngine:
                             lat = lat_of[cls]
                         if lat >= 0.0:
                             retire = issue + lat
-                        elif cls == _CLS_VECTOR_MEM:
-                            lines = mem_l[s][i]
-                            if lines:
+                        elif cls == _CLS_VECTOR_MEM or cls == _CLS_SCALAR_MEM:
+                            m = mcur_l[s]
+                            mcur_l[s] = m + 1
+                            try:
+                                lines = mem_l[s][m]
+                            except IndexError:
+                                raise TimingError(
+                                    f"warp {warp_l[s]} of {kernel.name!r} "
+                                    f"has only {m} memory records") from None
+                            if cls == _CLS_SCALAR_MEM:
+                                retire = scalar_access(cu_l[s], lines[0],
+                                                       issue)
+                            elif lines:
                                 retire = vector_access_many(cu_l[s], lines,
                                                             issue)
                             else:
                                 retire = issue + 1.0
-                            if collect_latency:
-                                code = code_l[s][i]
-                                lat_sum[code] += retire - issue
-                                lat_cnt[code] += 1
-                        elif cls == _CLS_SCALAR_MEM:
-                            retire = scalar_access(cu_l[s], mem_l[s][i][0],
-                                                   issue)
                             if collect_latency:
                                 code = code_l[s][i]
                                 lat_sum[code] += retire - issue
@@ -564,6 +560,11 @@ class DetailedEngine:
                                 push(ready, other)
                             continue
                         elif cls == _CLS_END:
+                            if mcur_l[s] != len(mem_l[s]):
+                                raise TimingError(
+                                    f"warp {warp_l[s]} of {kernel.name!r} "
+                                    f"ended with {len(mem_l[s])} memory "
+                                    f"records for {mcur_l[s]} accesses")
                             retire = issue  # nothing follows: no row write
                             n_insts += 1
                             if inst_subs:

@@ -15,15 +15,13 @@ across processes, platforms and Python versions — that also covers
 
 A warp trace serialises to two little-endian binary blobs (section
 sizes up front, then flat numpy arrays), split where the interpreter
-splits it: the *path blob* holds every column the warps of one path
-group share by reference (static index, class, opcode, dependency,
-is-store, basic-block sequence) plus the positions of the memory
-instructions, and is stored once per distinct path; the *line blob*
-holds only what is per-warp — the cache lines touched at those
-positions.  ``mem_lines`` is ternary per instruction — ``None`` (not a
-memory op), ``()`` (memory op with no active lanes), or a tuple of
-line numbers — so a line blob is (line count per memory position, flat
-lines) and the common non-memory instruction costs nothing.
+splits it — the same split :class:`~repro.functional.trace.WarpTrace`
+has in memory: the *path blob* holds every column the warps of one
+path group share by reference (static index, class, opcode,
+dependency, is-store, basic-block sequence, memory positions) and is
+stored once per distinct path; the *line blob* holds only what is
+per-warp — ``mem_lines``, one record per memory instruction, as (line
+count per record, flat lines).
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -170,18 +168,7 @@ class TraceFormatError(ValueError):
     """A trace blob or bundle failed structural validation."""
 
 
-#: a decoded path blob: what every warp of one path group shares, as a
-#: line-less trace (``warp_id`` -1), and the dynamic indices whose
-#: ``mem_lines`` is not None
-DecodedPath = Tuple[WarpTrace, List[int]]
-
-
-def mem_positions(mem_lines: Sequence[Optional[tuple]]) -> List[int]:
-    """Dynamic indices of the memory instructions of one trace."""
-    return [i for i, rec in enumerate(mem_lines) if rec is not None]
-
-
-def encode_path(trace: WarpTrace, mem_pos: Sequence[int]) -> bytes:
+def encode_path(trace: WarpTrace) -> bytes:
     """Serialise the path-shared columns of ``trace`` to a path blob."""
     sections = (
         np.asarray(trace.static_idx, dtype="<i4"),
@@ -189,11 +176,11 @@ def encode_path(trace: WarpTrace, mem_pos: Sequence[int]) -> bytes:
         np.asarray(trace.opcode, dtype="<i4"),
         np.asarray(trace.dep, dtype="<i4"),
         np.asarray(trace.is_store, dtype="<u1"),
-        np.asarray(mem_pos, dtype="<u4"),
+        np.asarray(trace.mem_pos, dtype="<u4"),
         np.asarray([pc for pc, _ in trace.bb_seq], dtype="<i4"),
         np.asarray([start for _, start in trace.bb_seq], dtype="<u4"),
     )
-    head = _PATH_COUNTS.pack(len(trace.opclass), len(mem_pos),
+    head = _PATH_COUNTS.pack(len(trace.opclass), len(trace.mem_pos),
                              len(trace.bb_seq))
     return head + b"".join(a.tobytes() for a in sections)
 
@@ -208,8 +195,9 @@ def _sections(blob, offset: int, *shape: Tuple[str, int]) -> List[list]:
     return out
 
 
-def decode_path(blob) -> DecodedPath:
-    """Rebuild the shared columns from :func:`encode_path` output.
+def decode_path(blob) -> WarpTrace:
+    """Rebuild the shared columns from :func:`encode_path` output, as a
+    record-less trace (``warp_id`` -1).
 
     Raises :class:`TraceFormatError` on any structural mismatch (the
     store turns that into a per-entry quarantine, never a failed run).
@@ -230,44 +218,40 @@ def decode_path(blob) -> DecodedPath:
     if mem_pos and (mem_pos[-1] >= n or sorted(set(mem_pos)) != mem_pos):
         raise TraceFormatError("memory positions out of range or order")
     return WarpTrace(-1, static_idx, opclass, opcode, dep, [], is_store,
-                     list(zip(bb_pc, bb_start))), mem_pos
+                     list(zip(bb_pc, bb_start)), mem_pos)
 
 
-def encode_lines(mem_lines: Sequence[Optional[tuple]],
-                 mem_pos: Sequence[int]) -> bytes:
-    """Serialise one warp's cache lines at ``mem_pos`` to a line blob."""
-    recs = [mem_lines[p] for p in mem_pos]
-    flat = list(chain.from_iterable(recs))
-    return (_LINE_COUNTS.pack(len(recs), len(flat))
-            + np.asarray([len(r) for r in recs], dtype="<u4").tobytes()
+def encode_lines(mem_lines: Sequence[tuple]) -> bytes:
+    """Serialise one warp's memory records to a line blob."""
+    flat = list(chain.from_iterable(mem_lines))
+    return (_LINE_COUNTS.pack(len(mem_lines), len(flat))
+            + np.asarray([len(r) for r in mem_lines], dtype="<u4").tobytes()
             + np.asarray(flat, dtype="<i8").tobytes())
 
 
-def decode_lines(warp_id: int, path: DecodedPath, blob) -> WarpTrace:
+def decode_lines(warp_id: int, path: WarpTrace, blob) -> WarpTrace:
     """Rebuild a :class:`WarpTrace` over ``path``'s column lists (shared
     by reference, as a fresh fill does) from :func:`encode_lines` output.
 
-    Raises :class:`TraceFormatError` on any structural mismatch.
+    Raises :class:`TraceFormatError` on any structural mismatch, among
+    them a record count other than the path's memory-position count.
     """
-    columns, mem_pos = path
     if len(blob) < _LINE_COUNTS.size:
         raise TraceFormatError("line blob shorter than its count header")
     n_mem, total_lines = _LINE_COUNTS.unpack_from(blob, 0)
     expected = _LINE_COUNTS.size + n_mem * 4 + total_lines * 8
-    if len(blob) != expected or n_mem != len(mem_pos):
+    if len(blob) != expected or n_mem != len(path.mem_pos):
         raise TraceFormatError(
             f"line blob length {len(blob)} != expected {expected}, or "
-            f"{n_mem} memory positions != the path's {len(mem_pos)}")
+            f"{n_mem} memory records != the path's "
+            f"{len(path.mem_pos)} memory positions")
     counts, vals = _sections(blob, _LINE_COUNTS.size,
                              ("<u4", n_mem), ("<i8", total_lines))
-    mem_lines: List[Optional[Tuple[int, ...]]] = [None] * columns.n_insts
-    pos = 0
-    for i, cnt in zip(mem_pos, counts):
-        mem_lines[i] = tuple(vals[pos:pos + cnt])
-        pos += cnt
-    if pos != total_lines:
+    ends = list(accumulate(counts))
+    if (ends[-1] if ends else 0) != total_lines:
         raise TraceFormatError("memory-line section not fully consumed")
-    return replace(columns, warp_id=warp_id, mem_lines=mem_lines)
+    return replace(path, warp_id=warp_id, mem_lines=[
+        tuple(vals[a:b]) for a, b in zip([0] + ends, ends)])
 
 
 def blob_checksum(blob) -> str:

@@ -65,14 +65,12 @@ from .format import (
     FORMAT_NAME,
     FORMAT_VERSION,
     TraceFormatError,
-    DecodedPath,
     TraceKey,
     blob_checksum,
     decode_lines,
     decode_path,
     encode_lines,
     encode_path,
-    mem_positions,
     trace_key,
 )
 
@@ -105,7 +103,7 @@ class _BundleData:
         self.lines: Dict[int, Tuple[str, bytes]] = {}
         self.quarantined = 0
         self.header_key: Optional[TraceKey] = None
-        self.columns: Dict[str, DecodedPath] = {}
+        self.columns: Dict[str, WarpTrace] = {}
         self.decoded: Dict[int, WarpTrace] = {}
 
 
@@ -247,27 +245,23 @@ def _write_bundle(path: Path, key: TraceKey, paths: Dict[str, bytes],
     durable_replace(payload, path, site="tracestore.bundle")
 
 
-def _path_of(trace: WarpTrace, shared: Dict[tuple, Tuple[str, List[int]]],
-             paths: Dict[str, bytes]) -> Tuple[str, List[int]]:
-    """``(path sha256, memory positions)`` of ``trace``; a new path's
-    blob lands in ``paths``.
+def _path_of(trace: WarpTrace, shared: Dict[tuple, str],
+             paths: Dict[str, bytes]) -> str:
+    """The path sha256 of ``trace``; a new path's blob lands in ``paths``.
 
-    The warps of one path group carry the *same* column list objects, so
-    within one fill a path is found by identity (``shared``) and encoded
-    once; across fills the sha256 finds it.
+    The warps of one path group carry the *same* column list objects
+    (``mem_pos`` included), so within one fill a path is found by
+    identity (``shared``) and encoded once; across fills by sha256.
     """
-    mem = trace.mem_lines
     ident = tuple(map(id, (trace.static_idx, trace.opclass, trace.opcode,
-                           trace.dep, trace.is_store, trace.bb_seq)))
-    found = shared.get(ident)
-    # same columns must also mean same memory positions (C-speed check)
-    if (found is None or len(mem) - mem.count(None) != len(found[1])
-            or None in [mem[p] for p in found[1]]):
-        mem_pos = mem_positions(mem)
-        blob = encode_path(trace, mem_pos)
-        found = shared[ident] = (blob_checksum(blob), mem_pos)
-        paths.setdefault(found[0], blob)
-    return found
+                           trace.dep, trace.is_store, trace.bb_seq,
+                           trace.mem_pos)))
+    sha = shared.get(ident)
+    if sha is None:
+        blob = encode_path(trace)
+        sha = shared[ident] = blob_checksum(blob)
+        paths.setdefault(sha, blob)
+    return sha
 
 
 class KernelTraces:
@@ -375,13 +369,13 @@ class TraceStore:
         existing = (_read_bundle(path, key) if path.exists()
                     else _BundleData())
         paths, lines = dict(existing.paths), dict(existing.lines)
-        shared: Dict[tuple, Tuple[str, List[int]]] = {}
+        shared: Dict[tuple, str] = {}
         added = 0
         for warp_id, trace in traces.items():
             if warp_id in lines:
                 continue
-            sha, mem_pos = _path_of(trace, shared, paths)
-            lines[warp_id] = (sha, encode_lines(trace.mem_lines, mem_pos))
+            lines[warp_id] = (_path_of(trace, shared, paths),
+                              encode_lines(trace.mem_lines))
             added += 1
         if added or existing.quarantined:
             _write_bundle(path, key, paths, lines)

@@ -144,6 +144,88 @@ def test_same_path_traces_share_column_objects():
     assert traces[2].mem_lines is not traces[7].mem_lines
 
 
+# -- what a trace holds -------------------------------------------------------
+
+
+def test_one_fill_holds_one_tuple_per_distinct_record():
+    """Warps of one fill that touch the same lines hold the same tuple
+    object (the fill interns its records); positions are path-shared."""
+    from repro.workloads import REGISTRY
+
+    kernel = REGISTRY["mm"](64)
+    with scoped_bus() as bus:
+        fill = WarpPackExecutor(kernel).fill_full(range(kernel.n_warps))
+        counters = bus.metrics.snapshot()["counters"]
+    first = {}
+    n_records = 0
+    for trace in fill.traces.values():
+        assert len(trace.mem_lines) == len(trace.mem_pos)
+        for rec in trace.mem_lines:
+            assert first.setdefault(rec, rec) is rec
+            n_records += 1
+    assert counters["exec.batch.mem_records"] == n_records
+    assert counters["exec.batch.mem_records_distinct"] == len(first) \
+        < n_records / 2
+
+
+def _split_states(monkeypatch, kernel):
+    """(vector register count, LDS) of every FULL batch a fill splits."""
+    from repro.functional import executor as executor_mod
+
+    seen = []
+    take = executor_mod._Batch.take
+
+    def spy(self, sel, pc, share):
+        seen.append((len(self.vregs), self.lds))
+        return take(self, sel, pc, share)
+
+    monkeypatch.setattr(executor_mod._Batch, "take", spy)
+    WarpPackExecutor(kernel).fill_full(range(kernel.n_warps))
+    return seen
+
+
+def test_full_batch_state_is_sized_to_the_program(monkeypatch):
+    """A FULL batch holds the vector registers its program names (the
+    split kernel names v0 and v1) and no LDS when it has no DS
+    instruction, so a divergent split copies only those."""
+    kernel = make_split_kernel(n_warps=8, threshold=4)
+    assert not any(inst.opcode.name.startswith("DS_")
+                   for inst in kernel.program.instructions)
+    seen = _split_states(monkeypatch, kernel)
+    assert seen and all(n == 2 and lds.size == 0 for n, lds in seen)
+
+
+def test_full_fill_peak_is_records_and_paths_not_instructions():
+    """A FULL fill's peak heap is its path's shared columns, one record
+    per memory instruction of each warp and the per-warp batch state —
+    not one slot per instruction of each warp: a ``None`` per
+    non-memory instruction alone would exceed the bound."""
+    import tracemalloc
+
+    n_warps = 128
+    kernel = make_loop_kernel(n_warps=n_warps, trips_of=lambda w: 500)
+    pack = WarpPackExecutor(kernel)
+    tracemalloc.start()
+    try:
+        fill = pack.fill_full(range(n_warps))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fill.group_sizes == [n_warps]
+    n_insts = fill.traces[0].n_insts
+    assert n_insts >= 1000
+    n_records = sum(len(t.mem_lines) for t in fill.traces.values())
+    assert n_records <= 2 * n_warps
+    # per path instruction: five shared columns, a dependency int and
+    # the block sequence; per warp: its two named registers and one
+    # instruction's numpy temporaries, 16 planes of warp_size doubles
+    plane = 8 * kernel.warp_size
+    bound = (128 * n_insts + 256 * n_records
+             + 16 * plane * n_warps + 64 * 1024)
+    assert 8 * n_insts * n_warps > bound
+    assert peak <= bound
+
+
 # -- fault = split -----------------------------------------------------------
 
 
@@ -221,6 +303,7 @@ EXEC_BATCH_COUNTERS = {
     "exec.batch.groups", "exec.batch.batched_warps",
     "exec.batch.fallbacks", "exec.batch.ctrl_reused",
     "exec.batch.singleton.fault_plan",
+    "exec.batch.mem_records", "exec.batch.mem_records_distinct",
 }
 
 
@@ -246,16 +329,21 @@ def test_singleton_fill_reasons():
         fill, counters = _fill_counters(**kwargs)
         assert fill.group_sizes == [4, 4]
         assert counters == {"exec.batch.groups": 2,
-                            "exec.batch.batched_warps": 8}
+                            "exec.batch.batched_warps": 8,
+                            "exec.batch.mem_records": 8,
+                            "exec.batch.mem_records_distinct": 8}
     for kwargs in ({"fault_plan": FaultPlan()},
                    {"fault_plan": FaultPlan(),
                     "watchdog": WatchdogConfig(deadline_seconds=10.0)}):
         for mode in ("full", "control"):
             fill, counters = _fill_counters(mode, **kwargs)
             assert fill.group_sizes == [1] * 8
+            records = ({"exec.batch.mem_records": 8,
+                        "exec.batch.mem_records_distinct": 8}
+                       if mode == "full" else {})
             assert counters == {"exec.batch.singleton.fault_plan": 1,
                                 "exec.batch.groups": 8,
-                                "exec.batch.batched_warps": 8}
+                                "exec.batch.batched_warps": 8, **records}
 
 
 def test_fill_checks_the_deadline_through_one_watchdog():
@@ -404,7 +492,7 @@ def test_trace_cache_raises_stored_error_uncounted():
 def test_end_row_shape_pinned():
     """``s_endpgm`` appends a full trace row then stops.
 
-    The END handler writes a dependency entry with ``mem_lines`` None
+    The END handler writes a dependency entry with no memory record
     and ``is_store`` False, and breaks *before* the last-writer update;
     the final row is part of the bitwise contract.
     """
@@ -415,11 +503,12 @@ def test_end_row_shape_pinned():
     batched = WarpPackExecutor(kernel).run_warps_full(range(4))[1]
     for trace in (per_warp, batched):
         assert trace.static_idx[-1] == end_idx
-        assert trace.mem_lines[-1] is None
+        assert trace.mem_pos[-1] < trace.n_insts - 1
         assert trace.is_store[-1] is False
         assert -1 <= trace.dep[-1] < trace.n_insts - 1
-        # parallel arrays all cover the END row
+        # parallel arrays all cover the END row; one record per
+        # memory instruction
         assert (len(trace.opclass) == len(trace.opcode) == len(trace.dep)
-                == len(trace.mem_lines) == len(trace.is_store)
-                == trace.n_insts)
+                == len(trace.is_store) == trace.n_insts)
+        assert len(trace.mem_lines) == len(trace.mem_pos)
     assert per_warp == batched

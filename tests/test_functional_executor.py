@@ -81,8 +81,8 @@ def test_exec_mask_limits_store():
     assert list(out[:4]) == [7.0] * 4
     assert not out[4:].any()
     # masked store touches exactly one line
-    store_lines = [m for m, cls in zip(trace.mem_lines, trace.opclass)
-                   if cls == int(OpClass.VECTOR_MEM)][0]
+    store_lines = [m for m, p in zip(trace.mem_lines, trace.mem_pos)
+                   if trace.opclass[p] == int(OpClass.VECTOR_MEM)][0]
     assert len(store_lines) == 1
 
 
@@ -215,8 +215,8 @@ def test_bad_arg_register_rejected():
 def test_gather_records_coalesced_lines():
     kernel = make_vecadd(n_warps=1)
     trace = FunctionalExecutor(kernel).run_warp_full(0)
-    loads = [m for m, cls in zip(trace.mem_lines, trace.opclass)
-             if cls == int(OpClass.VECTOR_MEM) and m]
+    loads = [m for m, p in zip(trace.mem_lines, trace.mem_pos)
+             if trace.opclass[p] == int(OpClass.VECTOR_MEM) and m]
     # 64 consecutive words -> exactly 8 lines per access
     assert all(len(lines) == 8 for lines in loads)
 

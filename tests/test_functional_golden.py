@@ -168,9 +168,20 @@ def _sha(value) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
 
 
+def _positional(trace):
+    """The corpus's view of ``mem_lines``: one entry per instruction,
+    None where no memory instruction issued."""
+    assert len(trace.mem_pos) == len(trace.mem_lines)
+    view = [None] * trace.n_insts
+    for pos, lines in zip(trace.mem_pos, trace.mem_lines):
+        view[pos] = lines
+    return view
+
+
 def _full_record(trace):
     assert trace.n_insts == len(trace.dep)
-    return [_sha(getattr(trace, column)) for column in TRACE_COLUMNS]
+    return [_sha(_positional(trace) if column == "mem_lines"
+                 else getattr(trace, column)) for column in TRACE_COLUMNS]
 
 
 def _control_record(trace):

@@ -161,7 +161,8 @@ def _check_cache_accounting(result, traces):
     vector_lines = scalar_loads = 0
     for w in result.warp_times:
         trace = traces[w]
-        for cls, lines in zip(trace.opclass, trace.mem_lines):
+        for pos, lines in zip(trace.mem_pos, trace.mem_lines):
+            cls = trace.opclass[pos]
             if cls == OpClass.VECTOR_MEM and lines:
                 vector_lines += len(lines)
             elif cls == OpClass.SCALAR_MEM:

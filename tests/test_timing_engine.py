@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from repro.config import R9_NANO
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TimingError
 from repro.functional import FunctionalExecutor
 from repro.functional.batch import WarpPackExecutor
 from repro.obs import (
@@ -294,6 +294,25 @@ def test_listener_sequences_repeat_across_runs(tiny_gpu):
         engine.run()
         streams.append(recorder.events)
     assert streams[0] == streams[1]
+
+
+@pytest.mark.parametrize("extra, match", [
+    (1, r"warp 2 of 'vecadd' ended with 4 memory records for 3 accesses"),
+    (-1, r"warp 2 of 'vecadd' has only 2 memory records"),
+], ids=["one-too-many", "one-too-few"])
+def test_engine_checks_each_warps_record_count(tiny_gpu, extra, match):
+    """A warp reads its records through a cursor; one record more than
+    its memory instructions, or one fewer, is a TimingError, not a
+    silently shifted cache access."""
+    kernel = make_vecadd(n_warps=4)
+    traces = WarpPackExecutor(kernel).run_warps_full(range(4))
+    good = traces[2].mem_lines
+    assert len(good) == 3
+    records = good + [good[-1]] if extra > 0 else good[:-1]
+    traces[2] = dataclasses.replace(traces[2], mem_lines=records)
+    with pytest.raises(TimingError, match=match):
+        DetailedEngine(kernel, tiny_gpu,
+                       trace_provider=traces.__getitem__).run()
 
 
 def test_retire_rows_stay_packed():

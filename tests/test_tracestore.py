@@ -35,7 +35,6 @@ from repro.tracestore.format import (
     decode_path,
     encode_lines,
     encode_path,
-    mem_positions,
 )
 from repro.durable import payload_checksum
 
@@ -48,10 +47,9 @@ FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures" / "tracestore"
 
 def _roundtrip(trace, warp_id=None):
     """One trace through a path blob and a line blob and back."""
-    mem_pos = mem_positions(trace.mem_lines)
-    path = decode_path(encode_path(trace, mem_pos))
+    path = decode_path(encode_path(trace))
     return decode_lines(trace.warp_id if warp_id is None else warp_id,
-                        path, encode_lines(trace.mem_lines, mem_pos))
+                        path, encode_lines(trace.mem_lines))
 
 
 def test_codec_roundtrip_real_traces():
@@ -68,18 +66,19 @@ def test_codec_one_path_blob_serves_every_warp_of_the_group():
 
     kernel = make_vecadd(n_warps=4)
     traces = WarpPackExecutor(kernel).run_warps_full(range(4))
-    mem_pos = mem_positions(traces[0].mem_lines)
-    path = decode_path(encode_path(traces[0], mem_pos))
-    blobs = [encode_lines(traces[w].mem_lines, mem_pos) for w in range(4)]
+    path = decode_path(encode_path(traces[0]))
+    blobs = [encode_lines(traces[w].mem_lines) for w in range(4)]
     assert len(set(blobs)) == 4
     for warp in range(4):
         clone = decode_lines(warp, path, blobs[warp])
         assert clone == traces[warp]
-        assert clone.opclass is path[0].opclass   # shared, not copied
+        assert clone.opclass is path.opclass   # shared, not copied
+        assert clone.mem_pos is path.mem_pos
 
 
 def test_codec_distinguishes_none_from_empty_mem():
-    """None (not a memory op) and () (no active lanes) must round-trip."""
+    """No record (not a memory op: absent from ``mem_pos``) and ``()``
+    (a memory op with no active lanes) must round-trip."""
     from repro.functional.trace import WarpTrace
 
     trace = WarpTrace(
@@ -88,21 +87,21 @@ def test_codec_distinguishes_none_from_empty_mem():
         opclass=[1, 2, 3],
         opcode=[10, 11, 12],
         dep=[-1, 0, 1],
-        mem_lines=[None, (), (7, 8, 9)],
+        mem_lines=[(), (7, 8, 9)],
         is_store=[False, False, True],
         bb_seq=[(0, 0)],
+        mem_pos=[1, 2],
     )
     clone = _roundtrip(trace)
     assert clone == trace
-    assert clone.mem_lines[0] is None
-    assert clone.mem_lines[1] == ()
+    assert clone.mem_pos == [1, 2]
+    assert clone.mem_lines[0] == ()
 
 
 def test_codec_rejects_truncated_blob():
     trace = FunctionalExecutor(make_vecadd(n_warps=1)).run_warp_full(0)
-    mem_pos = mem_positions(trace.mem_lines)
-    path_blob = encode_path(trace, mem_pos)
-    line_blob = encode_lines(trace.mem_lines, mem_pos)
+    path_blob = encode_path(trace)
+    line_blob = encode_lines(trace.mem_lines)
     for cut in (3, len(path_blob) - 2):
         with pytest.raises(TraceFormatError):
             decode_path(path_blob[:-cut])
@@ -115,11 +114,27 @@ def test_codec_rejects_truncated_blob():
 def test_codec_rejects_line_blob_of_another_path():
     """A line blob only decodes against a path with as many memory
     positions — a mismatched pairing is a format error, not a trace."""
+    import dataclasses
+
     trace = FunctionalExecutor(make_vecadd(n_warps=1)).run_warp_full(0)
-    mem_pos = mem_positions(trace.mem_lines)
-    path = decode_path(encode_path(trace, mem_pos[:-1]))
+    path = decode_path(encode_path(
+        dataclasses.replace(trace, mem_pos=trace.mem_pos[:-1])))
     with pytest.raises(TraceFormatError):
-        decode_lines(0, path, encode_lines(trace.mem_lines, mem_pos))
+        decode_lines(0, path, encode_lines(trace.mem_lines))
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many",
+                                               "one-too-few"])
+def test_codec_rejects_record_count_off_by_one(extra):
+    """A line blob holding one record more or one fewer than its path
+    has memory positions is a format error (the store quarantines it)."""
+    trace = FunctionalExecutor(make_vecadd(n_warps=1)).run_warp_full(0)
+    path = decode_path(encode_path(trace))
+    records = (trace.mem_lines + [(99,)] if extra > 0
+               else trace.mem_lines[:-1])
+    assert len(records) == len(path.mem_pos) + extra
+    with pytest.raises(TraceFormatError, match="memory records"):
+        decode_lines(0, path, encode_lines(records))
 
 
 # -- stable content keys ----------------------------------------------------
@@ -407,7 +422,7 @@ def test_merge_staged_empty_store(tmp_path):
 # -- path blobs: sharing, quarantine granularity, merges --------------------
 
 _SHARED_COLUMNS = ("static_idx", "opclass", "opcode", "dep", "is_store",
-                   "bb_seq")
+                   "bb_seq", "mem_pos")
 
 
 def _two_path_kernel(n_warps=8):
@@ -478,8 +493,10 @@ def test_same_columns_different_memory_positions_get_own_paths(tmp_path):
     kernel = make_vecadd(n_warps=2)
     cols = dict(static_idx=[0, 1], opclass=[1, 2], opcode=[10, 11],
                 dep=[-1, 0], is_store=[False, False], bb_seq=[(0, 0)])
-    traces = {0: WarpTrace(warp_id=0, mem_lines=[(5,), None], **cols),
-              1: WarpTrace(warp_id=1, mem_lines=[None, (6,)], **cols)}
+    traces = {0: WarpTrace(warp_id=0, mem_lines=[(5,)], mem_pos=[0],
+                           **cols),
+              1: WarpTrace(warp_id=1, mem_lines=[(6,)], mem_pos=[1],
+                           **cols)}
     store = TraceStore(tmp_path)
     store.put_kernel(kernel, traces)
     view = TraceStore(tmp_path).open_kernel(make_vecadd(n_warps=2))
@@ -632,3 +649,34 @@ def test_golden_fixture_survives_corruption(tmp_path):
     view = TraceStore(work).open_kernel(make_vecadd(n_warps=4, wg_size=2))
     assert view.quarantined == 1
     assert view.n_available == 3
+
+
+#: sha256 of the bundle ``put_kernel`` writes for one whole-grid fill,
+#: recorded while ``mem_lines`` still held a slot per instruction: the
+#: in-memory layout of a trace never moves a stored byte
+PINNED_BUNDLES = {
+    ("spmv", 64):
+        "89112f83305c692749e49dcb4ad48c9f0f5e3d8ab986aeea304dacc7acef0d27",
+    ("mm", 64):
+        "cc26d93a77e5869bdd1b3796b2f4507c4b02d35d5b4d427b3ddd176b521ac843",
+    ("relu", 128):
+        "3fc3865e3fd5a6cb1c63a7130c4232079286b82d193597592b7eaee63a5acc60",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_BUNDLES),
+                         ids=lambda cell: f"{cell[0]}@{cell[1]}")
+def test_put_kernel_bundle_bytes_are_pinned(tmp_path, cell):
+    import hashlib
+
+    from repro.workloads import REGISTRY
+
+    name, size = cell
+    kernel = REGISTRY[name](size)
+    traces = _put(TraceStore(tmp_path), kernel)
+    assert len(traces) == kernel.n_warps
+    header, _body = _split_bundle(_bundle_path(tmp_path))
+    if name == "spmv":   # divergent: many paths, each with its positions
+        assert len(header["paths"]) > 8
+    digest = hashlib.sha256(_bundle_path(tmp_path).read_bytes()).hexdigest()
+    assert digest == PINNED_BUNDLES[cell]
