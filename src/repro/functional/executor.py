@@ -296,10 +296,9 @@ _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _static_table(program) -> tuple:
-    """``(per-instruction _StaticInfo, vector registers and LDS words a
-    FULL batch allocates per warp)``: only vector-side instructions reach
-    ``vregs`` (their vector operands, destination and address index),
-    and only DS instructions the LDS."""
+    """``(per-instruction _StaticInfo, vector registers, LDS words)``: a
+    FULL batch's per-warp state.  Only vector-side instructions reach
+    ``vregs`` (vector operands, destination, address index)."""
     leaders = {b.start for b in program.blocks}
     on_slice = program.control_slice.pcs
     static = [_StaticInfo(inst, pc in leaders, pc not in on_slice)
@@ -601,8 +600,11 @@ class FunctionalExecutor:
                                      + info.mem_offset)
                             sregs[info.dst_idx] = read_gather(addrs)
                             if full:
-                                mem_rec = _batch_mem_lines(addrs[:, None],
-                                                           None, intern)
+                                mem_rec = []
+                                for line in (addrs
+                                             // WORDS_PER_LINE).tolist():
+                                    rec = (line,)
+                                    mem_rec.append(intern(rec, rec))
                                 last_mem_dyn = dyn
                         elif kind == _K_BRANCH:
                             next_pc = info.target

@@ -38,8 +38,7 @@ class WarpTrace:
     ``mem_lines``   the sorted cache lines it touched (``()``: no lane)
 
     Warps of one path group share every list but ``mem_lines`` (the
-    store's path / line blob split); warps of one fill share equal
-    records.
+    store's path / line blob split); one fill shares equal records.
     """
 
     warp_id: int

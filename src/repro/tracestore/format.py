@@ -196,8 +196,7 @@ def _sections(blob, offset: int, *shape: Tuple[str, int]) -> List[list]:
 
 
 def decode_path(blob) -> WarpTrace:
-    """Rebuild the shared columns from :func:`encode_path` output, as a
-    record-less trace (``warp_id`` -1).
+    """Rebuild a record-less trace (``warp_id`` -1) from a path blob.
 
     Raises :class:`TraceFormatError` on any structural mismatch (the
     store turns that into a per-entry quarantine, never a failed run).
@@ -233,8 +232,8 @@ def decode_lines(warp_id: int, path: WarpTrace, blob) -> WarpTrace:
     """Rebuild a :class:`WarpTrace` over ``path``'s column lists (shared
     by reference, as a fresh fill does) from :func:`encode_lines` output.
 
-    Raises :class:`TraceFormatError` on any structural mismatch, among
-    them a record count other than the path's memory-position count.
+    Raises :class:`TraceFormatError` on any structural mismatch (a
+    record count other than the path's memory positions included).
     """
     if len(blob) < _LINE_COUNTS.size:
         raise TraceFormatError("line blob shorter than its count header")

@@ -29,6 +29,7 @@ from repro.reliability.watchdog import WatchdogConfig
 from repro.timing import TraceCache
 
 from conftest import (
+    make_barrier_kernel,
     make_faulting_kernel,
     make_inplace_faulting_kernel,
     make_loop_kernel,
@@ -168,31 +169,29 @@ def test_one_fill_holds_one_tuple_per_distinct_record():
         < n_records / 2
 
 
-def _split_states(monkeypatch, kernel):
-    """(vector register count, LDS) of every FULL batch a fill splits."""
+def test_full_batch_state_is_sized_to_the_program(monkeypatch):
+    """A FULL batch holds the vector registers its program names (the
+    split kernel names v0 and v1) and no LDS when it has no DS
+    instruction, so a divergent split copies only those."""
     from repro.functional import executor as executor_mod
 
     seen = []
     take = executor_mod._Batch.take
 
     def spy(self, sel, pc, share):
-        seen.append((len(self.vregs), self.lds))
+        seen.append((len(self.vregs), self.lds.size))
         return take(self, sel, pc, share)
 
     monkeypatch.setattr(executor_mod._Batch, "take", spy)
-    WarpPackExecutor(kernel).fill_full(range(kernel.n_warps))
-    return seen
-
-
-def test_full_batch_state_is_sized_to_the_program(monkeypatch):
-    """A FULL batch holds the vector registers its program names (the
-    split kernel names v0 and v1) and no LDS when it has no DS
-    instruction, so a divergent split copies only those."""
     kernel = make_split_kernel(n_warps=8, threshold=4)
     assert not any(inst.opcode.name.startswith("DS_")
                    for inst in kernel.program.instructions)
-    seen = _split_states(monkeypatch, kernel)
-    assert seen and all(n == 2 and lds.size == 0 for n, lds in seen)
+    WarpPackExecutor(kernel).fill_full(range(kernel.n_warps))
+    assert seen and set(seen) == {(2, 0)}
+    # v0..v2 and an LDS row per warp where the program has DS
+    barrier = FunctionalExecutor(make_barrier_kernel())
+    assert barrier._n_vregs == 3
+    assert barrier._lds_words == executor_mod.LDS_WORDS
 
 
 def test_full_fill_peak_is_records_and_paths_not_instructions():
