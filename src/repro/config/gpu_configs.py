@@ -84,6 +84,17 @@ class GpuConfig:
             raise ConfigError("max_warps_per_cu must be positive")
         if self.simd_per_cu <= 0:
             raise ConfigError("simd_per_cu must be positive")
+        # divisors of the timing model: zero would divide by zero in it
+        for name in ("cus_per_l1_group", "l2_banks", "dram_channels"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got "
+                                  f"{getattr(self, name)!r}")
+        for name in ("l1v", "l1i", "l1k", "l2"):
+            geometry = getattr(self, name)
+            if geometry.assoc <= 0 or geometry.line_bytes <= 0:
+                raise ConfigError(
+                    f"{name} assoc and line_bytes must be positive, got "
+                    f"{geometry}")
         if self.n_cu % self.cus_per_l1_group:
             raise ConfigError(
                 f"n_cu={self.n_cu} not divisible by "

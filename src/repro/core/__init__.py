@@ -13,12 +13,6 @@ from .interval import IntervalModel, default_latency
 from .kerneldb import KernelDB, KernelPrediction, KernelRecord
 from .lsq import StabilityDetector, least_squares_fit
 from .online import OnlineAnalysis, analyze_kernel, select_sample
-from .persist import (
-    load_analysis_store,
-    load_kernel_db,
-    save_analysis_store,
-    save_kernel_db,
-)
 from .photon import AnalysisStore, Photon
 
 __all__ = [
@@ -40,10 +34,6 @@ __all__ = [
     "default_latency",
     "gpu_bbv",
     "least_squares_fit",
-    "load_analysis_store",
-    "load_kernel_db",
-    "save_analysis_store",
-    "save_kernel_db",
     "select_sample",
     "warp_type_key",
 ]

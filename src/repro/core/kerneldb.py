@@ -21,32 +21,11 @@ matched kernel's IPC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from ..errors import SamplingError
 from .bbv import bbv_distance
-
-
-@dataclass
-class MergeStats:
-    """Outcome of merging one store/db into another (see ``merge``)."""
-
-    added: int = 0       # entries newly inserted into the target
-    duplicates: int = 0  # entries identical to one already present
-    conflicts: int = 0   # same key, different content (resolution applied)
-
-    def update(self, other: "MergeStats") -> "MergeStats":
-        """Accumulate another merge's counters into this one."""
-        self.added += other.added
-        self.duplicates += other.duplicates
-        self.conflicts += other.conflicts
-        return self
-
-    def to_dict(self) -> dict:
-        return {"added": self.added, "duplicates": self.duplicates,
-                "conflicts": self.conflicts}
 
 
 @dataclass
@@ -66,12 +45,6 @@ class KernelRecord:
             return 0.0
         return self.total_insts / self.sim_time
 
-    def identity(self) -> Tuple:
-        """Hashable full-content key (used to deduplicate on merge)."""
-        return (self.name, self.n_warps, self.total_insts,
-                self.sample_insts, self.sim_time,
-                self.gpu_bbv.tobytes(), self.gpu_bbv.shape)
-
 
 @dataclass
 class KernelPrediction:
@@ -88,7 +61,6 @@ class KernelDB:
     def __init__(self, distance_threshold: float, n_cu: int):
         self.distance_threshold = distance_threshold
         self.n_cu = n_cu
-        self.quarantined = 0  # corrupt records skipped by the loader
         self._records: List[KernelRecord] = []
 
     def __len__(self) -> int:
@@ -97,40 +69,6 @@ class KernelDB:
     def add(self, record: KernelRecord) -> None:
         """Record a simulated kernel for future matches."""
         self._records.append(record)
-
-    def records(self) -> List[KernelRecord]:
-        """All records, in insertion order (public read accessor)."""
-        return list(self._records)
-
-    def merge(self, other: "KernelDB") -> MergeStats:
-        """Append ``other``'s records, skipping exact duplicates.
-
-        Records are microarchitecture *specific*, so the two databases
-        must agree on ``distance_threshold`` and ``n_cu`` — merging
-        across GPU configurations raises :class:`SamplingError` (the
-        conflict rule).  Insertion order is preserved (self's records
-        first, then other's in their original order), which keeps
-        :meth:`lookup` tie-breaking deterministic after a merge.
-        """
-        if (self.distance_threshold != other.distance_threshold
-                or self.n_cu != other.n_cu):
-            raise SamplingError(
-                f"cannot merge kernel databases with different parameters: "
-                f"(threshold={self.distance_threshold}, n_cu={self.n_cu}) "
-                f"vs (threshold={other.distance_threshold}, "
-                f"n_cu={other.n_cu})")
-        stats = MergeStats()
-        seen = {record.identity() for record in self._records}
-        for record in other._records:
-            key = record.identity()
-            if key in seen:
-                stats.duplicates += 1
-                continue
-            seen.add(key)
-            self._records.append(record)
-            stats.added += 1
-        self.quarantined += other.quarantined
-        return stats
 
     def lookup(
         self,

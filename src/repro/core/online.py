@@ -52,6 +52,48 @@ class OnlineAnalysis:
     def n_types(self) -> int:
         return len(self.type_counts)
 
+    def to_record(self) -> Dict[str, object]:
+        """The analysis as JSON-safe content — dicts as ``[key, value]``
+        lists, so a decoded one iterates in this one's order; the launch
+        label ``kernel_name`` is left out."""
+        return {
+            "n_warps": self.n_warps,
+            "sample_warp_ids": list(self.sample_warp_ids),
+            "sample_insts": self.sample_insts,
+            "mean_insts_per_warp": self.mean_insts_per_warp,
+            "bb_share": list(map(list, self.bb_share.items())),
+            "type_counts": list(map(list, self.type_counts.items())),
+            "type_bb_seq": [[key, list(seq)]
+                            for key, seq in self.type_bb_seq.items()],
+            "type_insts": list(map(list, self.type_insts.items())),
+            "dominant_type": self.dominant_type,
+            "dominant_rate": self.dominant_rate,
+            "gpu_bbv": self.gpu_bbv.tolist(),
+        }
+
+    @classmethod
+    def from_record(cls, record: Dict[str, object],
+                    kernel_name: str) -> "OnlineAnalysis":
+        """Decode :meth:`to_record` for the launch ``kernel_name``;
+        raises ``KeyError`` / ``TypeError`` / ``ValueError`` when
+        ``record`` is malformed."""
+        return cls(
+            kernel_name=kernel_name,
+            n_warps=int(record["n_warps"]),
+            sample_warp_ids=[int(w) for w in record["sample_warp_ids"]],
+            sample_insts=int(record["sample_insts"]),
+            mean_insts_per_warp=float(record["mean_insts_per_warp"]),
+            bb_share={int(pc): float(share)
+                      for pc, share in record["bb_share"]},
+            type_counts={int(k): int(n) for k, n in record["type_counts"]},
+            type_bb_seq={int(k): tuple(map(int, seq))
+                         for k, seq in record["type_bb_seq"]},
+            type_insts={int(k): int(n) for k, n in record["type_insts"]},
+            dominant_type=int(record["dominant_type"]),
+            dominant_rate=float(record["dominant_rate"]),
+            gpu_bbv=np.asarray(record["gpu_bbv"], dtype=float),
+        )
+
 
 def select_sample(n_warps: int, fraction: float, minimum: int) -> List[int]:
     """Evenly-spread sample of warp ids (stratified over the grid)."""

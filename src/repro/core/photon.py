@@ -33,19 +33,20 @@ trusted or fatal.
 
 The controller also supports the paper's online/offline trade-off
 (Section 6.3): online-analysis results are microarchitecture-agnostic
-and are cached in an :class:`AnalysisStore` keyed by what the analysis
-reads, so a repeated launch is analysed once, with the same result.
+and are keyed by what the analysis reads (``analysis_key``), so a
+repeated launch is analysed once, with the same result — within a run
+through the :class:`AnalysisStore` memo, across processes through the
+trace store (``--trace-store``), which keeps them beside the kernel's
+bundles.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from ..config.gpu_configs import GpuConfig
-from ..errors import ConfigError, SamplingError, TimingError
+from ..errors import SamplingError, TimingError
 from ..functional.kernel import Kernel
 from ..obs import RELIABILITY_FALLBACK, EventBus
 from ..reliability.faults import FaultPlan
@@ -54,11 +55,12 @@ from ..reliability.watchdog import WatchdogConfig
 from ..timing.fastmodel import schedule_only
 from ..timing.simulator import KernelResult, Methodology
 from ..timing.tracecache import TraceCache
+from ..tracestore import TraceStore
 from .bbv import BBVProjector
 from .config import PhotonConfig
 from .detectors import BBSamplingDetector, WarpSamplingDetector
 from .interval import IntervalModel
-from .kerneldb import KernelDB, KernelRecord, MergeStats
+from .kerneldb import KernelDB, KernelRecord
 from .online import OnlineAnalysis, analysis_key, analyze_kernel
 
 #: recoverable error classes the degradation ladder absorbs
@@ -66,7 +68,8 @@ _RECOVERABLE = (SamplingError, TimingError)
 
 
 class AnalysisStore:
-    """Cache of online-analysis results for offline reuse (§6.3)."""
+    """In-memory memo of online-analysis results for one run (§6.3);
+    across processes they persist in the trace store."""
 
     def __init__(self) -> None:
         self._entries: Dict[str, OnlineAnalysis] = {}
@@ -85,62 +88,13 @@ class AnalysisStore:
     def insert(self, key: str, analysis: OnlineAnalysis) -> None:
         self._entries[key] = analysis
 
-    def items(self) -> Iterator[Tuple[str, OnlineAnalysis]]:
-        """Iterate ``(key, analysis)`` pairs (the public accessor)."""
-        return iter(self._entries.items())
-
     def discard(self, key: str) -> None:
         """Quarantine the entry under ``key``."""
         if self._entries.pop(key, None) is not None:
             self.quarantined += 1
 
-    def merge(self, other: "AnalysisStore") -> MergeStats:
-        """Fold ``other``'s entries into this store, deterministically.
-
-        An online analysis is a function of its key, so two workers
-        that analysed the same content hold equal entries — those count
-        as ``duplicates`` and are skipped.  A same-key entry with
-        *different* content counts as a ``conflict`` and the existing
-        entry wins, so merging in task order makes the result
-        independent of worker scheduling.
-
-        ``other``'s quarantine count is carried over; hit/miss counters
-        are left untouched (they describe this store's own traffic).
-        """
-        stats = MergeStats()
-        for key, analysis in other.items():
-            existing = self._entries.get(key)
-            if existing is None:
-                self._entries[key] = analysis
-                stats.added += 1
-            elif _analyses_equal(existing, analysis):
-                stats.duplicates += 1
-            else:
-                stats.conflicts += 1
-        self.quarantined += other.quarantined
-        return stats
-
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def _analyses_equal(a: OnlineAnalysis, b: OnlineAnalysis) -> bool:
-    """Content equality of two online analyses (numpy-aware); which
-    launch was analysed (``kernel_name``) is a label, not content."""
-    if a is b:
-        return True
-    return (a.n_warps == b.n_warps
-            and list(a.sample_warp_ids) == list(b.sample_warp_ids)
-            and a.sample_insts == b.sample_insts
-            and a.mean_insts_per_warp == b.mean_insts_per_warp
-            and a.bb_share == b.bb_share
-            and a.type_counts == b.type_counts
-            and {k: tuple(v) for k, v in a.type_bb_seq.items()}
-            == {k: tuple(v) for k, v in b.type_bb_seq.items()}
-            and a.type_insts == b.type_insts
-            and a.dominant_type == b.dominant_type
-            and a.dominant_rate == b.dominant_rate
-            and np.array_equal(a.gpu_bbv, b.gpu_bbv))
 
 
 class Photon(Methodology):
@@ -148,8 +102,11 @@ class Photon(Methodology):
 
     One instance carries warm state across an application's kernels: the
     cache hierarchy, the kernel database, the instruction-latency table
-    feeding the interval model, and an analysis store (the one given,
-    or a private one), so a repeated launch is analysed once.
+    feeding the interval model, and an analysis memo (the one given, or
+    a private one), so a repeated launch is analysed once.  With a
+    store-backed ``trace_cache`` a memo miss reads the trace store's
+    analysis of the launch before analysing afresh, and a fresh one is
+    written there.
     ``watchdog`` bounds every internal simulation loop; ``fault_plan``
     deterministically injects failures (tests use it to prove the
     degradation paths).
@@ -164,29 +121,14 @@ class Photon(Methodology):
         analysis_store: Optional[AnalysisStore] = None,
         watchdog: Optional[WatchdogConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
-        kernel_db: Optional[KernelDB] = None,
         bus: Optional[EventBus] = None,
         trace_cache: Optional[TraceCache] = None,
     ):
         super().__init__(gpu_config, watchdog, bus, trace_cache)
         self.config = config or PhotonConfig()
         self.projector = BBVProjector(self.config.bbv_dim)
-        if kernel_db is not None:
-            # injected warm database (offline reuse / parallel sweeps);
-            # must match this simulator's matching parameters or the
-            # similarity queries would be answered under foreign rules
-            if (kernel_db.distance_threshold != self.config.kernel_distance
-                    or kernel_db.n_cu != gpu_config.n_cu):
-                raise ConfigError(
-                    f"kernel_db parameters (threshold="
-                    f"{kernel_db.distance_threshold}, n_cu="
-                    f"{kernel_db.n_cu}) do not match the configuration "
-                    f"(threshold={self.config.kernel_distance}, "
-                    f"n_cu={gpu_config.n_cu})")
-            self.kernel_db = kernel_db
-        else:
-            self.kernel_db = KernelDB(self.config.kernel_distance,
-                                      gpu_config.n_cu)
+        self.kernel_db = KernelDB(self.config.kernel_distance,
+                                  gpu_config.n_cu)
         self.interval_model = IntervalModel(gpu_config)
         self.analysis_store = (analysis_store if analysis_store is not None
                                else AnalysisStore())
@@ -302,16 +244,20 @@ class Photon(Methodology):
 
     def _get_analysis(self, kernel: Kernel,
                       ledger: List[FallbackEvent]) -> OnlineAnalysis:
-        store = self.analysis_store
-        key = analysis_key(kernel, self.config)
+        """The memo's analysis, else the trace store's, else a fresh one
+        (then written to the store)."""
+        memo = self.analysis_store
+        store = (self.trace_cache.backing_store
+                 if self.trace_cache is not None else None)
+        akey = analysis_key(kernel, self.config)
         try:
             if self.fault_plan is not None:
                 self.fault_plan.arm("analysis.store",
                                     kernel=kernel.name, level="store")
-            cached = store.get(key)
+            cached = memo.get(akey)
         except _RECOVERABLE as exc:
             # corrupt cached entry: quarantine it and re-analyse
-            store.discard(key)
+            memo.discard(akey)
             self._record_fallback(ledger, FallbackEvent(
                 kernel=kernel.name,
                 from_level="store",
@@ -320,13 +266,38 @@ class Photon(Methodology):
                 message=str(exc),
             ))
             cached = None
-        self.bus.metrics.counter("analysis.store_misses" if cached is None
-                                 else "analysis.store_hits").inc()
-        if cached is None:
+        metrics = self.bus.metrics
+        metrics.counter("analysis.store_misses" if cached is None
+                        else "analysis.store_hits").inc()
+        if cached is not None:
+            return cached
+        if store is not None:
+            with metrics.span("trace_io"):
+                cached = self._stored_analysis(store, kernel, akey)
+        if cached is not None:
+            metrics.counter("analysis.trace_store_hits").inc()
+        else:
             cached = analyze_kernel(kernel, self.config, self.projector,
                                     executor=self.executor(kernel))
-            store.insert(key, cached)
+            if store is not None:
+                with metrics.span("trace_io"):
+                    store.put_analysis(kernel, akey, cached.to_record())
+        memo.insert(akey, cached)
         return cached
+
+    @staticmethod
+    def _stored_analysis(store: TraceStore, kernel: Kernel,
+                         akey: str) -> Optional[OnlineAnalysis]:
+        """The store's analysis ``akey`` of ``kernel``; a malformed one
+        is quarantined (a miss), as a corrupt one is by the store."""
+        record = store.get_analysis(kernel, akey)
+        if record is None:
+            return None
+        try:
+            return OnlineAnalysis.from_record(record, kernel.name)
+        except (KeyError, TypeError, ValueError):
+            store.quarantined += 1
+            return None
 
     def _simulate_intra_kernel(
         self, kernel: Kernel, analysis: OnlineAnalysis,

@@ -1,8 +1,7 @@
 """Crash-durable files and the one record format every writer shares.
 
-``core.persist`` and ``tracestore.store`` both used the classic
-"temp file + ``os.replace``" idiom, which protects readers from torn
-files but is **not** durable: neither the payload nor the directory
+Store files once used the classic "temp file + ``os.replace``" idiom,
+which protects readers from torn files but is **not** durable: neither the payload nor the directory
 entry was ever fsync'd, so a power loss shortly after the replace could
 silently lose or tear the "atomically written" file.  This module
 closes that gap once, for every writer:
@@ -15,9 +14,9 @@ closes that gap once, for every writer:
   mid-append leaves a torn *tail*, which :class:`RecordLog` quarantines.
 * :func:`fsync_dir` — directory-entry durability for renames/creates.
 
-It also defines the one record format every durable file uses (store
-files, trace-bundle headers, sweep / fleet journals, fleet records,
-serve's pending journal):
+It also defines the one record format every durable file uses
+(trace-bundle headers, stored analyses, sweep / fleet journals, fleet
+records, serve's pending journal):
 
 * :func:`seal` / :func:`unseal` — the :func:`canonical_json` of a
   record plus its SHA-256 ``checksum``; ``unseal`` never raises.

@@ -138,10 +138,6 @@ class Evaluation:
     error: str = ""
     stage: str = "run"     # "build" (workload construction) | "run"
                            # | "pool" (synthesized: worker pool crashed)
-    # the run's AnalysisStore / KernelDB, when a worker asked to keep
-    # them for the deterministic merge
-    analysis_store: object = None
-    kernel_db: object = None
 
     @property
     def ok(self) -> bool:

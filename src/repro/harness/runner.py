@@ -42,8 +42,7 @@ from ..baselines.tbpoint import TBPoint
 from ..baselines.pka import PKA, PkaConfig
 from ..config.gpu_configs import GpuConfig
 from ..core.config import PhotonConfig
-from ..core.kerneldb import KernelDB
-from ..core.photon import AnalysisStore, Photon
+from ..core.photon import Photon
 from ..errors import ReproError, WorkloadError
 from ..functional.kernel import Application, Kernel
 from ..reliability.faults import FaultPlan
@@ -82,19 +81,17 @@ def _shared_only(cls) -> Callable[..., Methodology]:
 
 def _photon_levels(levels: Dict[str, bool]) -> Callable[..., Methodology]:
     """Table entry of Photon restricted to ``levels``."""
-    def build(gpu, shared, photon_config, fault_plan=None,
-              analysis_store=None, kernel_db=None, **_):
+    def build(gpu, shared, photon_config, fault_plan=None, **_):
         return Photon(gpu, photon_config.with_levels(**levels),
-                      fault_plan=fault_plan, analysis_store=analysis_store,
-                      kernel_db=kernel_db, **shared)
+                      fault_plan=fault_plan, **shared)
     return build
 
 
 #: the method table: name → constructor.  Every constructor is called
 #: with the same keywords — ``gpu``, ``shared`` (what every
 #: :class:`Methodology` takes: ``watchdog``, ``trace_cache``),
-#: ``photon_config``, ``pka_config``, ``fault_plan``, ``analysis_store``,
-#: ``kernel_db`` — and takes the ones its methodology has a use for.
+#: ``photon_config``, ``pka_config``, ``fault_plan`` — and takes the
+#: ones its methodology has a use for.
 METHODS: Dict[str, Callable[..., Methodology]] = {
     FULL_METHOD: _shared_only(FullDetail),
     "gtpin": _shared_only(GTPin),
@@ -149,19 +146,15 @@ def simulate_method(target: Union[Kernel, Application], method: str,
                     pka_config: Optional[PkaConfig] = None,
                     watchdog: Optional[WatchdogConfig] = None,
                     fault_plan: Optional[FaultPlan] = None,
-                    analysis_store: Optional[AnalysisStore] = None,
-                    kernel_db: Optional[KernelDB] = None,
                     trace_cache: Optional[TraceCache] = None,
                     ) -> Union[KernelResult, AppResult]:
     """Simulate one kernel or application under one named method.
 
     The one place a method name becomes a simulator: everything it needs
     arrives as arguments, nothing is read from or written to shared
-    state.  ``analysis_store`` and ``kernel_db`` apply to Photon-family
-    methods only; a parallel worker passes fresh instances and ships
-    their contents back for the deterministic merge.  ``trace_cache``
-    serves every detailed engine the method starts (the caller flushes
-    a store-backed one).
+    state.  ``trace_cache`` serves every detailed engine the method
+    starts (the caller flushes a store-backed one); a Photon-family
+    method also keeps its online analyses in that cache's store.
     """
     check_methods([method], baseline=True)
     if fault_plan is not None:
@@ -169,8 +162,7 @@ def simulate_method(target: Union[Kernel, Application], method: str,
     simulator = METHODS[method](
         gpu=gpu, shared=dict(watchdog=watchdog, trace_cache=trace_cache),
         photon_config=photon_config, pka_config=pka_config,
-        fault_plan=fault_plan, analysis_store=analysis_store,
-        kernel_db=kernel_db)
+        fault_plan=fault_plan)
     if isinstance(target, Application):
         return simulator.simulate_app(target, method_name=method)
     return simulator.simulate_kernel(target)
@@ -189,14 +181,12 @@ def evaluate(
     pka_config: Optional[PkaConfig] = None,
     watchdog: Optional[WatchdogConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
-    keep_state: bool = False,
     trace_cache: Optional[TraceCache] = None,
 ) -> Evaluation:
     """Evaluate ``method`` on what ``factory`` builds — the one step.
 
-    Runs once, from scratch: a freshly built target, a new simulator
-    and (``keep_state``, for workers that ship it back) a new analysis
-    store and kernel database.  A :class:`ReproError` comes back as a
+    Runs once, from scratch: a freshly built target and a new
+    simulator.  A :class:`ReproError` comes back as a
     failed :class:`Evaluation` tagged with the stage it struck in —
     ``build`` (inside ``factory``) or ``run``; an unknown method name
     always raises.
@@ -208,17 +198,13 @@ def evaluate(
     try:
         target = factory()
         stage = "run"
-        store = db = None
-        if keep_state:
-            store = AnalysisStore()
-            db = KernelDB(photon_config.kernel_distance, gpu.n_cu)
         result = simulate_method(target, method, gpu, photon_config,
                                  pka_config, watchdog, fault_plan,
-                                 store, db, trace_cache)
+                                 trace_cache)
     except ReproError as exc:
         return Evaluation(method, error_class=type(exc).__name__,
                           error=str(exc), stage=stage)
-    return Evaluation(method, result, analysis_store=store, kernel_db=db)
+    return Evaluation(method, result)
 
 
 def _evaluate_cell(factory: Callable[[], Union[Kernel, Application]],

@@ -6,8 +6,8 @@ them one at a time.  This package decomposes an evaluation into
 self-contained :class:`SweepTask` shards, schedules them over
 ``multiprocessing`` workers with a bounded work queue and per-task
 watchdog budgets, transports results back as serializable payloads,
-deterministically merges per-worker ``AnalysisStore``/``KernelDB``
-state, and reports structured run telemetry.
+folds the workers' staged trace-store writes (traces and online
+analyses) in task order, and reports structured run telemetry.
 
 Parallelism is a pure speed knob: every task goes through the evaluate
 step ``repro run`` uses (:func:`repro.harness.runner.evaluate`) and every
@@ -53,9 +53,7 @@ from .journal import (
     scan_journal,
 )
 from .scheduler import (
-    MergedState,
     SweepResult,
-    merge_outcome_state,
     plan_sweep,
     resume_sweep,
     rows_from_outcomes,
@@ -73,7 +71,6 @@ __all__ = [
     "FleetWorkerReport",
     "JOURNAL_NAME",
     "JournalScan",
-    "MergedState",
     "RunReport",
     "SweepJournal",
     "SweepResult",
@@ -84,7 +81,6 @@ __all__ = [
     "fleet_init",
     "fleet_worker",
     "load_manifest",
-    "merge_outcome_state",
     "plan_sweep",
     "resume_sweep",
     "rows_from_outcomes",

@@ -14,9 +14,9 @@ Then :func:`assemble_result` — shared with the fleet coordinator —
   order through the one row builder,
   :func:`~repro.harness.metrics.cell_rows` (``build`` rows and failure
   isolation included);
-* deterministically merges every worker's ``AnalysisStore`` /
-  ``KernelDB`` contents in task order, so the reusable warm-analysis
-  state survives sharding regardless of worker scheduling;
+* folds every worker's staged trace-store writes — traces and
+  Photon's online analyses — into the store in task order, so the
+  reusable state survives sharding regardless of worker scheduling;
 * emits a :class:`~repro.parallel.telemetry.RunReport`.
 
 Crash safety (DuraSweep): with ``run_dir=D`` every scheduling decision
@@ -46,7 +46,7 @@ import dataclasses
 import itertools
 import time as _time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Collection,
@@ -63,12 +63,6 @@ from typing import (
 
 from ..baselines.pka import PkaConfig
 from ..core.config import PhotonConfig
-from ..core.kerneldb import KernelDB, MergeStats
-from ..core.persist import (
-    analysis_store_from_payload,
-    kernel_db_from_payload,
-)
-from ..core.photon import AnalysisStore
 from ..errors import ConfigError, SamplingError, WorkloadError
 from ..harness.defaults import EVAL_PHOTON, QUICK_SIZES, resolve_gpu
 from ..harness.metrics import Comparison, cell_rows
@@ -160,11 +154,7 @@ class SweepResult:
 
     rows: List[Comparison]
     outcomes: List[TaskOutcome]
-    store: AnalysisStore          # merged warm-analysis state
-    kernel_db: Optional[KernelDB]  # merged kernel records (None if none)
     report: RunReport
-    store_merge: MergeStats = field(default_factory=MergeStats)
-    db_merge: MergeStats = field(default_factory=MergeStats)
     # staged trace-store merge statistics (None when no task used one)
     trace_merge: Optional[Dict[str, int]] = None
     # tasks replayed from a sweep journal instead of re-executed
@@ -186,21 +176,12 @@ class SweepResult:
         return totals
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe run record: rows + telemetry + merge statistics.
-
-        Store *contents* are deliberately not embedded — persist them
-        with :func:`repro.core.persist.save_analysis_store` instead.
-        """
+        """JSON-safe run record: rows + telemetry + merge statistics."""
         return {
             "rows": [row.to_dict() for row in self.rows],
             "telemetry": self.report.to_dict(),
-            "store_merge": self.store_merge.to_dict(),
-            "db_merge": self.db_merge.to_dict(),
             "trace_merge": self.trace_merge,
             "tracestore": self.tracestore_totals(),
-            "store_entries": len(self.store),
-            "kernel_records": (len(self.kernel_db)
-                               if self.kernel_db is not None else 0),
             "replayed": self.replayed,
         }
 
@@ -227,46 +208,6 @@ def rows_from_outcomes(outcomes: Sequence[TaskOutcome]) -> List[Comparison]:
             for row in cell_rows(full.workload, full.size,
                                  full.evaluation(),
                                  [o.evaluation() for o in sampled])]
-
-
-@dataclass
-class MergedState:
-    """Reusable warm-analysis state folded out of task outcomes."""
-
-    store: AnalysisStore = field(default_factory=AnalysisStore)
-    kernel_db: Optional[KernelDB] = None   # None until a payload arrives
-    store_merge: MergeStats = field(default_factory=MergeStats)
-    db_merge: MergeStats = field(default_factory=MergeStats)
-
-    def fold(self, outcome: TaskOutcome) -> None:
-        """Fold one outcome's store / kernel-db payloads in.
-
-        The single per-outcome fold: :func:`merge_outcome_state` loops
-        over it in task order, and a live server absorbs each finished
-        request through it.
-        """
-        if outcome.store_payload is not None:
-            part = analysis_store_from_payload(outcome.store_payload)
-            self.store_merge.update(self.store.merge(part))
-        if outcome.kerneldb_payload is not None:
-            part_db = kernel_db_from_payload(outcome.kerneldb_payload)
-            if self.kernel_db is None:
-                self.kernel_db = part_db
-                self.db_merge.added += len(part_db)
-            else:
-                self.db_merge.update(self.kernel_db.merge(part_db))
-
-
-def merge_outcome_state(outcomes: Sequence[TaskOutcome]) -> MergedState:
-    """Fold worker store/db payloads together, in task order.
-
-    The fold visits outcomes sorted by task index, so the merged state
-    is independent of which worker/host produced which payload when.
-    """
-    state = MergedState()
-    for outcome in sorted(outcomes, key=lambda o: o.index):
-        state.fold(outcome)
-    return state
 
 
 def in_caller(run=run_task):
@@ -321,7 +262,8 @@ def assemble_result(tasks: Sequence[SweepTask],
                     queue_waits: Optional[Mapping[int, float]] = None,
                     staging_roots: Optional[Sequence[Path]] = None,
                     ) -> SweepResult:
-    """Everything after execution: rows, merges, telemetry, the result.
+    """Everything after execution: rows, the trace-store fold,
+    telemetry, the result.
 
     ``outcomes`` covers the plan by task index; ``fresh`` names the
     tasks this call executed (the rest were replayed from a journal)
@@ -333,7 +275,6 @@ def assemble_result(tasks: Sequence[SweepTask],
     """
     ordered = [outcomes[task.index] for task in tasks]
     rows = rows_from_outcomes(ordered)
-    state = merge_outcome_state(ordered)
     trace_merge: Optional[Dict[str, int]] = None
     for root in sorted({task.trace_store for task in tasks
                         if task.trace_store is not None}):
@@ -358,10 +299,8 @@ def assemble_result(tasks: Sequence[SweepTask],
             host=outcome.host,
             stolen=outcome.stolen,
         ))
-    return SweepResult(rows=rows, outcomes=ordered, store=state.store,
-                       kernel_db=state.kernel_db, report=report,
-                       store_merge=state.store_merge,
-                       db_merge=state.db_merge, trace_merge=trace_merge,
+    return SweepResult(rows=rows, outcomes=ordered, report=report,
+                       trace_merge=trace_merge,
                        replayed=len(ordered) - len(fresh))
 
 
@@ -425,7 +364,7 @@ def resume_sweep(
     the original run.  Journaled completed tasks are replayed without
     re-execution; missing and failed ones (a ``stage="pool"`` crash
     outcome included) re-run and are journaled again.  The
-    result — rows, merged stores, merged trace bundles — is
+    result — rows and the merged trace store — is
     bitwise-identical to what the uninterrupted run would have
     produced, because every simulated quantity is deterministic and
     the task-order merge cannot tell a replayed outcome from a fresh

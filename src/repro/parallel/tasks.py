@@ -13,9 +13,10 @@ which keeps shards independent: no task ever waits on another's output.
 process needs: names resolved to a factory and a GPU, the staged trace
 cache, and the :class:`~repro.harness.metrics.Evaluation` packed into a
 :class:`TaskOutcome`, a JSON-safe record carrying either the simulated
-result (plus the worker's analysis-store/kernel-db contents for the
-deterministic merge) or the failure that prevented one, tagged with the
-stage it occurred in (``build`` vs ``run``).
+result or the failure that prevented one, tagged with the stage it
+occurred in (``build`` vs ``run``).  What a worker learns that outlives
+the task — traces and Photon's online analyses — goes to the staged
+trace store, not into the outcome.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import PhotonConfig
-from ..core.persist import analysis_store_payload, kernel_db_payload
 from ..baselines.pka import PkaConfig
 from ..harness.defaults import EVAL_PHOTON, resolve_gpu
 from ..harness.metrics import Evaluation
@@ -131,9 +131,6 @@ class TaskOutcome:
     detail_insts: int = 0
     mode: str = ""
     fallbacks: List[dict] = field(default_factory=list)
-    # worker-local reusable state, shipped back for the merge
-    store_payload: Optional[dict] = None
-    kerneldb_payload: Optional[dict] = None
     # trace-cache traffic of this task (zero without a trace store);
     # counters live on the worker's private bus, so the numbers ride
     # back here for the parent's --json summary
@@ -190,8 +187,6 @@ class TaskOutcome:
             "detail_insts": self.detail_insts,
             "mode": self.mode,
             "fallbacks": list(self.fallbacks),
-            "store_payload": self.store_payload,
-            "kerneldb_payload": self.kerneldb_payload,
             "trace_hits": self.trace_hits,
             "trace_store_hits": self.trace_store_hits,
             "trace_misses": self.trace_misses,
@@ -241,7 +236,7 @@ def run_task(task: SweepTask,
     ev = evaluate(
         lambda: workload_factory(task.workload, task.size, **kwargs)(),
         task.method, gpu, task.photon, task.pka, task.watchdog,
-        keep_state=True, trace_cache=cache)
+        trace_cache=cache)
 
     out = TaskOutcome(index=task.index, workload=task.workload,
                       size=task.size, method=task.method,
@@ -261,10 +256,6 @@ def run_task(task: SweepTask,
         out.detail_insts = result.detail_insts
         out.mode = result.mode
         out.fallbacks = [event.to_dict() for event in result.errors]
-        if len(ev.analysis_store):
-            out.store_payload = analysis_store_payload(ev.analysis_store)
-        if len(ev.kernel_db):
-            out.kerneldb_payload = kernel_db_payload(ev.kernel_db)
     else:
         out.status, out.stage = "error", ev.stage
         out.error_class, out.error = ev.error_class, ev.error

@@ -24,7 +24,7 @@ Instrumented sites (see ``docs/robustness.md``):
     Start of one method's run inside the evaluation harness (the
     ``kernel`` filter matches the *method* name here).
 
-Filesystem sites (``persist.store``, ``tracestore.bundle``,
+Filesystem sites (``tracestore.bundle``, ``tracestore.analysis``,
 ``sweep.journal``) are armed by the durable-write layer through the
 companion :class:`~repro.reliability.fsfaults.FsFaultPlan`, which
 models ENOSPC / short / torn writes rather than raising at a logic

@@ -8,10 +8,10 @@ can die with a partial payload already on disk (a torn write).  This
 module extends the fault-site registry with filesystem sites consulted
 by :func:`repro.durable.durable_replace` / ``durable_append``:
 
-``persist.store``
-    ``core.persist`` writing an analysis-store / kernel-db JSON file.
 ``tracestore.bundle``
     ``tracestore.store`` writing a warp-trace bundle.
+``tracestore.analysis``
+    ``tracestore.store`` writing one online analysis beside a bundle.
 ``sweep.journal``
     ``repro.parallel.journal`` appending a write-ahead record.
 

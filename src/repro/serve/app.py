@@ -11,7 +11,7 @@ One :class:`PhotonServer` owns the whole serving pipeline::
       → single-flight registry (dedup.py)  attach to identical in-flight work
       → admission queue (queue.py)         429 + Retry-After when full
       → execution tier (parallel/tier.py)  ParSweep workers run the task
-      → absorb: result cache, analysis-store merge, trace-store staging fold
+      → absorb: result cache, trace-store staging fold (traces, analyses)
 
 The server is a plain ``asyncio.start_server`` HTTP/1.1 implementation
 (stdlib only — no framework dependency) with persistent connections:
@@ -47,7 +47,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..harness.tables import comparison_table
 from ..obs import SERVE_DEDUP, SERVE_QUEUE, SERVE_REQUEST, current_bus
-from ..parallel import MergedState, plan_sweep, rows_from_outcomes
+from ..parallel import plan_sweep, rows_from_outcomes
 from ..parallel.tier import ExecutionTier
 from ..tracestore import TraceStore
 from .dedup import SingleFlight
@@ -147,7 +147,6 @@ class PhotonServer:
         self.tier = ExecutionTier(jobs=self.config.jobs)
         self.store = (TraceStore(self.config.trace_store)
                       if self.config.trace_store else None)
-        self.warm = MergedState()   # warm state folded from outcomes
         self.results: "OrderedDict[str, Dict]" = OrderedDict()
         self.counts: Dict[str, int] = {name: 0 for name in _COUNTERS}
         # private pool for key hashing and store folds: the loop's
@@ -186,9 +185,6 @@ class PhotonServer:
             "flights": len(self.flights),
             "coalesced": self.flights.coalesced,
             "results_cached": len(self.results),
-            "analysis_entries": len(self.warm.store),
-            "kernel_records": (len(self.warm.kernel_db)
-                               if self.warm.kernel_db is not None else 0),
             "tier": {"jobs": self.tier.jobs,
                      "rebuilds": self.tier.rebuilds},
             "draining": self.drain.is_draining(),
@@ -485,7 +481,7 @@ class PhotonServer:
             # losing workers), not a property of this key — nothing
             # reusable to absorb
             if not _infra_error_outcome(outcome):
-                await self._absorb(outcome, task)
+                await self._absorb(task)
             return deterministic_result(outcome)
 
         return key, work, True
@@ -594,9 +590,9 @@ class PhotonServer:
         while len(self.results) > max(0, self.config.result_cache):
             self.results.popitem(last=False)
 
-    async def _absorb(self, outcome, task) -> None:
-        """Fold one outcome's reusable state into the server's stores."""
-        self.warm.fold(outcome)
+    async def _absorb(self, task) -> None:
+        """Fold one task's staged trace-store writes (traces, online
+        analyses) into the server's store."""
         if self.store is not None:
             # fold only this task's staging directory — other tasks may
             # still be writing theirs (bundle writes are atomic, so

@@ -59,7 +59,6 @@ class ProtocolError(ConfigError):
 #: else is a pure function of the request key
 _NONDETERMINISTIC_FIELDS = frozenset((
     "index", "wall_seconds", "task_wall", "started", "worker",
-    "store_payload", "kerneldb_payload",
     "trace_hits", "trace_store_hits", "trace_misses", "trace_writes",
     "host", "stolen",
 ))
@@ -240,8 +239,7 @@ def request_key(task: SweepTask) -> str:
 def deterministic_result(outcome: TaskOutcome) -> Dict[str, object]:
     """The bitwise-reproducible projection of a task outcome.
 
-    Strips host timing, worker pids and transported
-    store payloads: what remains is a pure function of the request
+    Strips host timing, worker pids and trace-cache traffic: what remains is a pure function of the request
     key, so every response for one key — cached, deduped, or freshly
     executed on any machine — is byte-identical JSON.
     """

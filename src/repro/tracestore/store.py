@@ -16,7 +16,7 @@ across a path group), then one *line blob* per warp (its cache lines)::
 Paths are ordered by sha256 and entries by warp, so a bundle's bytes are
 a pure function of what it holds.
 
-The hardening contract matches ``core.persist`` v2:
+The hardening contract:
 
 * **atomic, durable writes** — bundles go through
   :func:`repro.durable.durable_replace` (temp file + fsync +
@@ -44,11 +44,21 @@ A sweep whose tasks share one store decodes each bundle once, not once
 per task.  Decoded traces are shared object graphs — callers must treat
 them as immutable, which the engine already does.
 
+Beside the bundles the store keeps Photon's online analyses (§6.3:
+they do not depend on the microarchitecture), one sealed JSON file per
+kernel and ``analysis_key``: ``<program>-g<grid>.<analysis key>.ana``,
+the bundle name without its input-data digest, since an analysis key
+already names every input the analysis reads.  The store treats an
+analysis as an opaque record; a corrupt one is quarantined like a
+corrupt bundle (counted, a miss, rewritten by the next put), and it is
+evicted together with its kernel's bundles.
+
 Sweep workers write through :meth:`TraceStore.stage`, which lands
-bundles in ``staging/task-<index>/``; the parent folds staged bundles
-into the canonical root in task order (:meth:`TraceStore.merge_staged`),
-keeping the first-written blob on conflict so merged stores are
-deterministic regardless of worker scheduling.
+bundles and analyses in ``staging/task-<index>/``; the parent folds
+them into the canonical root in task order
+(:meth:`TraceStore.merge_staged`), keeping the first-written blob or
+analysis on conflict so merged stores are deterministic regardless of
+worker scheduling.
 """
 
 from __future__ import annotations
@@ -58,7 +68,13 @@ import shutil
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..durable import durable_replace, parse_record, seal, unseal
+from ..durable import (
+    durable_replace,
+    parse_record,
+    read_sealed,
+    seal,
+    unseal,
+)
 from ..functional.kernel import Kernel
 from ..functional.trace import WarpTrace
 from .format import (
@@ -71,10 +87,26 @@ from .format import (
     decode_path,
     encode_lines,
     encode_path,
+    program_digest,
     trace_key,
 )
 
 _STAGING_DIR = "staging"
+_BUNDLE, _ANALYSIS = ".trc", ".ana"
+
+
+def _analysis_name(kernel: Kernel, analysis_key: str) -> str:
+    """File name of the analysis ``analysis_key`` of ``kernel``: its
+    bundle names' program and grid parts (see :func:`_kernel_of`)."""
+    return (f"{program_digest(kernel.program)[:20]}-g{kernel.n_warps}x"
+            f"{kernel.wg_size}w{kernel.warp_size}.{analysis_key}{_ANALYSIS}")
+
+
+def _kernel_of(name: str) -> str:
+    """The program-and-grid part of a bundle or analysis file name —
+    what eviction removes together."""
+    parts = name.split(".", 1)[0].split("-")
+    return f"{parts[0]}-{parts[-1]}"
 
 
 def _span(name: str):
@@ -382,19 +414,56 @@ class TraceStore:
             self.writes += 1
         return added
 
+    # -- online analyses ------------------------------------------------------
+
+    def get_analysis(self, kernel: Kernel,
+                     analysis_key: str) -> Optional[dict]:
+        """The record stored for ``kernel``'s analysis ``analysis_key``;
+        None when absent or corrupt (counted in ``quarantined``: the
+        caller re-analyses and its put heals the entry)."""
+        path = self.root / _analysis_name(kernel, analysis_key)
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            return None
+        entry = unseal(raw)
+        if entry is None or entry.get("analysis_key") != analysis_key \
+                or not isinstance(entry.get("analysis"), dict):
+            self.quarantined += 1
+            return None
+        return entry["analysis"]
+
+    def put_analysis(self, kernel: Kernel, analysis_key: str,
+                     record: dict) -> bool:
+        """Store ``record`` (a pure function of ``analysis_key``) as
+        ``kernel``'s analysis, through the write root; False when the
+        same entry is already there."""
+        path = self.write_root / _analysis_name(kernel, analysis_key)
+        data = seal({"analysis_key": analysis_key, "analysis": record})
+        try:
+            if path.read_bytes() == data:
+                return False
+        except OSError:
+            pass
+        path.parent.mkdir(parents=True, exist_ok=True)
+        durable_replace(data, path, site="tracestore.analysis")
+        return True
+
     # -- size bounding -------------------------------------------------------
 
     def evict(self, max_mb: Optional[float] = None) -> int:
-        """Delete LRU bundles until the store fits; returns bundles removed.
+        """Delete LRU kernels until the store fits; returns bundles removed.
 
-        The budget is ``max_mb`` (falling back to the instance's
-        ``max_mb``; no-op when both are None).  Bundles are removed
-        oldest-mtime-first — a bundle's mtime is its last (re)write, so
+        A kernel — a program on a grid — goes whole: its bundles (one
+        per input image) and the analyses stored beside them.  The
+        budget is ``max_mb`` (falling back to the instance's ``max_mb``;
+        no-op when both are None).  Kernels are removed
+        oldest-mtime-first — a file's mtime is its last (re)write, so
         kernels still being warmed survive over ones last touched runs
-        ago.  Equal-mtime bundles (coarse-mtime filesystems routinely
-        stamp a whole run identically) tie-break on the bundle key, so
+        ago.  Equal-mtime kernels (coarse-mtime filesystems routinely
+        stamp a whole run identically) tie-break on the file names, so
         eviction order is deterministic across platforms regardless of
-        directory-listing order or bundle size.  Each removal emits a
+        directory-listing order or size.  Each removed bundle emits a
         ``tracestore.evict`` event and bumps the
         ``tracestore.evictions`` counter.
         """
@@ -402,14 +471,18 @@ class TraceStore:
         if limit is None:
             return 0
         budget = int(limit * (1 << 20))
-        bundles: List[Tuple[float, str, int, Path]] = []
-        for path in self.root.glob("*.trc"):
+        kernels: Dict[str, List[Tuple[float, str, int, Path]]] = {}
+        for path in self.root.glob("*"):
+            if path.suffix not in (_BUNDLE, _ANALYSIS):
+                continue
             try:
                 stat = path.stat()
             except OSError:
                 continue
-            bundles.append((stat.st_mtime, path.name, stat.st_size, path))
-        total = sum(size for _mtime, _name, size, _path in bundles)
+            kernels.setdefault(_kernel_of(path.name), []).append(
+                (stat.st_mtime, path.name, stat.st_size, path))
+        total = sum(size for files in kernels.values()
+                    for _mtime, _name, size, _path in files)
         if total <= budget:
             return 0
         from ..obs import TRACESTORE_EVICT, current_bus
@@ -417,17 +490,19 @@ class TraceStore:
         bus = current_bus()
         channel = bus.channel(TRACESTORE_EVICT)
         evicted = 0
-        for _mtime, _name, size, path in sorted(bundles):
+        for files in sorted(kernels.values(), key=max):
             if total <= budget:
                 break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-            if channel.subscribers:
-                channel.publish(path.name, size)
+            for _mtime, name, size, path in sorted(files):
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+                total -= size
+                if path.suffix == _BUNDLE:
+                    evicted += 1
+                    if channel.subscribers:
+                        channel.publish(name, size)
         if evicted:
             self.evicted += evicted
             bus.metrics.counter("tracestore.evictions").inc(evicted)
@@ -457,12 +532,13 @@ class TraceStore:
                      indices: Optional[Iterable[int]] = None,
                      staging_roots: Optional[Iterable[Path]] = None,
                      ) -> Dict[str, int]:
-        """Fold staged worker bundles into the canonical root.
+        """Fold staged worker bundles and analyses into the canonical root.
 
         Staging directories are visited in ascending task order and the
-        first-written blob wins on conflict, so the merged store is
-        byte-deterministic regardless of which worker produced which
-        bundle first.  Staged directories are removed once folded.
+        first-written blob (or intact analysis) wins on conflict, so the
+        merged store is byte-deterministic regardless of which worker
+        produced which bundle first.  Staged directories are removed
+        once folded.
 
         ``indices`` restricts the merge to those task indices (a live
         server folds each task's staging directory as it completes,
@@ -476,7 +552,8 @@ class TraceStore:
         in sorted order makes the multi-host merge deterministic; blobs
         are byte-identical across hosts anyway (traces are pure
         functions of the kernel), so ordering only pins *which* copy is
-        kept, never what it contains.
+        kept, never what it contains.  The returned counts are of
+        bundles and warps; analyses are not counted.
         """
         stats = {"tasks": 0, "bundles": 0, "warps_added": 0,
                  "quarantined": 0}
@@ -493,7 +570,7 @@ class TraceStore:
             if wanted is not None and index not in wanted:
                 continue
             stats["tasks"] += 1
-            for staged_path in sorted(task_dir.glob("*.trc")):
+            for staged_path in sorted(task_dir.glob("*" + _BUNDLE)):
                 with _span("trace_io"):
                     staged = _read_bundle(staged_path, None)
                 stats["quarantined"] += staged.quarantined
@@ -513,6 +590,13 @@ class TraceStore:
                         stats["bundles"] += 1
                         stats["warps_added"] += added
                 self.quarantined += staged.quarantined
+            for staged_path in sorted(task_dir.glob("*" + _ANALYSIS)):
+                canonical = self.root / staged_path.name
+                with _span("trace_io"):
+                    if (read_sealed(canonical) is None
+                            and read_sealed(staged_path) is not None):
+                        durable_replace(staged_path.read_bytes(), canonical,
+                                        site="tracestore.analysis")
             shutil.rmtree(task_dir, ignore_errors=True)
         for staging in cleanup_roots:
             if staging.is_dir() and not any(staging.iterdir()):

@@ -52,18 +52,22 @@ def test_store_equals_analysing_every_launch(app, monkeypatch):
 _SECOND_PROCESS = """
 import json, sys
 from repro.cli import APP_BUILDERS
-from repro.core import (AnalysisStore, Photon, load_analysis_store,
-                        save_analysis_store)
+from repro.core import AnalysisStore, Photon
 from repro.harness.defaults import EVAL_PHOTON, EVAL_R9NANO
+from repro.obs import EventBus
+from repro.timing.tracecache import TraceCache
+from repro.tracestore import TraceStore
 
-path, out, warm = sys.argv[1], sys.argv[2], sys.argv[3] == "warm"
-store = load_analysis_store(path) if warm else AnalysisStore()
+root, out = sys.argv[1], sys.argv[2]
+memo, bus = AnalysisStore(), EventBus()
+cache = TraceCache(backing_store=TraceStore(root))
 app = APP_BUILDERS["resnet18"]()
-result = Photon(EVAL_R9NANO, EVAL_PHOTON, analysis_store=store) \\
-    .simulate_app(app)
-if not warm:
-    save_analysis_store(store, path)
-json.dump({"hits": store.hits, "misses": store.misses,
+result = Photon(EVAL_R9NANO, EVAL_PHOTON, analysis_store=memo, bus=bus,
+                trace_cache=cache).simulate_app(app)
+cache.flush()
+counters = bus.metrics.snapshot()["counters"]
+json.dump({"memo_hits": memo.hits,
+           "stored": counters.get("analysis.trace_store_hits", 0),
            "launches": app.n_kernels,
            "kernels": [[k.kernel_name, k.sim_time, k.n_insts, k.mode]
                        for k in result.kernels]}, open(out, "w"))
@@ -71,20 +75,22 @@ json.dump({"hits": store.hits, "misses": store.misses,
 
 
 def test_saved_store_hits_in_a_second_interpreter(tmp_path):
-    """Keys are stable across processes (and hash seeds): a store saved
-    by one interpreter serves every launch in the next, unchanged."""
-    store = tmp_path / "store.json"
+    """Keys are stable across processes (and hash seeds): the analyses
+    one interpreter leaves in a trace store serve every launch its
+    memo misses in the next, with bit-equal results."""
     runs = []
     for seed, mode in (("1", "cold"), ("2", "warm")):
         out = tmp_path / f"{mode}.json"
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
                    PYTHONHASHSEED=seed)
-        subprocess.run([sys.executable, "-c", _SECOND_PROCESS, str(store),
-                        str(out), mode], check=True, env=env,
-                       cwd=str(REPO_ROOT), timeout=300)
+        subprocess.run([sys.executable, "-c", _SECOND_PROCESS,
+                        str(tmp_path / "ts"), str(out)], check=True,
+                       env=env, cwd=str(REPO_ROOT), timeout=300)
         runs.append(json.loads(out.read_text()))
     cold, warm = runs
-    assert warm["hits"] == warm["launches"] and warm["misses"] == 0
+    assert cold["stored"] == 0
+    assert warm["memo_hits"] == cold["memo_hits"]
+    assert warm["stored"] == warm["launches"] - warm["memo_hits"] > 0
     assert warm["kernels"] == cold["kernels"]
 
 

@@ -31,7 +31,7 @@ def test_sweep_json_to_file(capsys, tmp_path):
     assert main(["sweep", "relu", "--sizes", "256",
                  "--methods", "photon", "--json", str(path)]) == 0
     data = json.loads(path.read_text())
-    assert data["store_merge"]["added"] >= 0
+    assert data["replayed"] == 0 and len(data["rows"]) == 2
     assert "relu" in capsys.readouterr().out  # table still printed
 
 

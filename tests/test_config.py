@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import GpuConfig, MI100, R9_NANO
+from repro.config import CacheGeometry, GpuConfig, MI100, R9_NANO
 from repro.harness.defaults import EVAL_R9NANO, resolve_gpu
 from repro.core import PhotonConfig
 from repro.errors import ConfigError
@@ -62,6 +62,23 @@ def test_invalid_configs_rejected():
         dataclasses.replace(R9_NANO, n_cu=0)
     with pytest.raises(ConfigError):
         dataclasses.replace(R9_NANO, n_cu=6)  # not divisible by group
+
+
+@pytest.mark.parametrize("overrides", [
+    {"cus_per_l1_group": 0}, {"l2_banks": 0}, {"dram_channels": 0},
+    {"l2_banks": -2},
+    {"l1v": CacheGeometry(16 * 1024, 0)},
+    {"l1k": CacheGeometry(16 * 1024, 4, line_bytes=0)},
+    {"l2": CacheGeometry(256 * 1024, 0)},
+    {"l1i": CacheGeometry(32 * 1024, 4, line_bytes=0)}],
+    ids=lambda overrides: next(iter(overrides)))
+def test_zero_divisor_geometry_rejected(overrides):
+    """Geometry the timing model divides by is a ConfigError at
+    construction, not a ZeroDivisionError at the first access."""
+    import dataclasses
+
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        dataclasses.replace(R9_NANO, **overrides)
 
 
 @pytest.mark.parametrize("field", [

@@ -1,129 +1,99 @@
-"""JSON persistence of the analysis store and kernel DB (§6.3)."""
+"""Online analyses persisted in the trace store (§6.3).
+
+Photon keeps each fresh analysis beside its kernel's trace bundle, one
+sealed record per ``analysis_key``; a memo miss in a later run reads it
+back instead of analysing again.  The hardening contract is the
+bundles': checksummed, written atomically, and a corrupt entry is
+quarantined and re-analysed, never trusted or fatal."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.core import (
-    AnalysisStore,
-    KernelDB,
-    KernelRecord,
-    Photon,
-    load_analysis_store,
-    load_kernel_db,
-    save_analysis_store,
-    save_kernel_db,
-)
-from repro.errors import SamplingError
+import repro.core.photon
+from repro.core import AnalysisStore, OnlineAnalysis, Photon
+from repro.core.online import analysis_key
+from repro.errors import DiskFault
+from repro.obs import EventBus
+from repro.reliability import FsFaultPlan, FsFaultSpec, scoped_fs_faults
+from repro.timing.tracecache import TraceCache
+from repro.tracestore import TraceStore
 
 from conftest import make_loop_kernel, make_vecadd
 
 
+def _kernels():
+    return [make_vecadd(n_warps=16),
+            make_loop_kernel(n_warps=16, trips_of=lambda w: 3)]
+
+
+def _run(gpu, config, store, bus=None):
+    """Photon over fresh kernels with a private memo and ``store``."""
+    memo = AnalysisStore()
+    sim = Photon(gpu, config, analysis_store=memo, bus=bus,
+                 trace_cache=TraceCache(backing_store=store))
+    results = [sim.simulate_kernel(kernel) for kernel in _kernels()]
+    return memo, [(r.sim_time, r.n_insts, r.mode) for r in results]
+
+
+def _entry(store, kernel, config):
+    (path,) = store.root.glob(f"*.{analysis_key(kernel, config)}.ana")
+    return path
+
+
 @pytest.fixture
-def populated(tiny_gpu, fast_photon_config):
-    store = AnalysisStore()
-    sim = Photon(tiny_gpu, fast_photon_config, analysis_store=store)
-    sim.simulate_kernel(make_vecadd(n_warps=16))
-    sim.simulate_kernel(make_loop_kernel(n_warps=16, trips_of=lambda w: 3))
-    return store, sim.kernel_db
+def populated(tiny_gpu, fast_photon_config, tmp_path):
+    store = TraceStore(tmp_path / "ts")
+    memo, results = _run(tiny_gpu, fast_photon_config, store)
+    return store, memo, results
 
 
-def test_analysis_store_roundtrip(populated, tmp_path):
-    store, _ = populated
-    path = tmp_path / "store.json"
-    save_analysis_store(store, path)
-    loaded = load_analysis_store(path)
-    assert len(loaded) == len(store) == 2
-    for key, original in store._entries.items():
-        restored = loaded._entries[key]
+def test_analysis_store_roundtrip(populated, fast_photon_config):
+    """Every analysis comes back from the store as it was computed:
+    every field, dict iteration order and bbv bytes included."""
+    store, memo, _ = populated
+    assert len(list(store.root.glob("*.ana"))) == len(memo) == 2
+    reader = TraceStore(store.root)
+    for kernel in _kernels():
+        akey = analysis_key(kernel, fast_photon_config)
+        original = memo._entries[akey]
+        restored = OnlineAnalysis.from_record(
+            reader.get_analysis(kernel, akey), kernel.name)
         assert restored.kernel_name == original.kernel_name
-        assert restored.n_warps == original.n_warps
-        assert restored.bb_share == original.bb_share
-        assert restored.type_counts == original.type_counts
-        assert restored.dominant_rate == original.dominant_rate
-        assert np.allclose(restored.gpu_bbv, original.gpu_bbv)
+        assert restored.to_record() == original.to_record()
+        assert list(restored.bb_share.items()) == \
+            list(original.bb_share.items())
+        assert restored.gpu_bbv.tobytes() == original.gpu_bbv.tobytes()
 
 
 def test_reloaded_store_serves_photon(populated, tiny_gpu,
-                                      fast_photon_config, tmp_path):
-    store, _ = populated
-    path = tmp_path / "store.json"
-    save_analysis_store(store, path)
-    warm = load_analysis_store(path)
-    sim = Photon(tiny_gpu, fast_photon_config, analysis_store=warm)
-    sim.simulate_kernel(make_vecadd(n_warps=16))
-    assert warm.hits == 1 and warm.misses == 0
+                                      fast_photon_config, monkeypatch):
+    """A second Photon over the store analyses nothing and simulates
+    the same results."""
+    store, _, cold = populated
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysed although the store holds it")
+
+    monkeypatch.setattr(repro.core.photon, "analyze_kernel", no_analysis)
+    bus = EventBus()
+    memo, warm = _run(tiny_gpu, fast_photon_config,
+                      TraceStore(store.root), bus=bus)
+    assert warm == cold
+    assert memo.misses == 2 and memo.hits == 0
+    assert bus.metrics.snapshot()["counters"][
+        "analysis.trace_store_hits"] == 2
 
 
-def test_kernel_db_roundtrip(populated, tmp_path):
-    _, db = populated
-    path = tmp_path / "db.json"
-    save_kernel_db(db, path)
-    loaded = load_kernel_db(path)
-    assert len(loaded) == len(db)
-    assert loaded.distance_threshold == db.distance_threshold
-    assert loaded.n_cu == db.n_cu
-    for a, b in zip(db._records, loaded._records):
-        assert a.name == b.name
-        assert a.sim_time == b.sim_time
-        assert np.allclose(a.gpu_bbv, b.gpu_bbv)
+def test_saved_payload_carries_valid_checksum(populated):
+    from repro.durable import unseal
 
-
-def test_reloaded_db_answers_lookups(populated, tmp_path):
-    _, db = populated
-    path = tmp_path / "db.json"
-    save_kernel_db(db, path)
-    loaded = load_kernel_db(path)
-    record = db._records[0]
-    prediction = loaded.lookup(record.gpu_bbv, record.n_warps,
-                               record.sample_insts)
-    assert prediction is not None
-    assert prediction.matched.name == record.name
-
-
-def test_load_missing_file_raises(tmp_path):
-    with pytest.raises(SamplingError):
-        load_analysis_store(tmp_path / "nope.json")
-    with pytest.raises(SamplingError):
-        load_kernel_db(tmp_path / "nope.json")
-
-
-def test_load_corrupt_file_raises(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(SamplingError):
-        load_analysis_store(path)
-
-
-def test_load_wrong_version_raises(tmp_path):
-    path = tmp_path / "future.json"
-    path.write_text(json.dumps({"version": 999, "entries": []}))
-    with pytest.raises(SamplingError):
-        load_analysis_store(path)
-
-
-def test_empty_stores_roundtrip(tmp_path):
-    store_path = tmp_path / "empty_store.json"
-    save_analysis_store(AnalysisStore(), store_path)
-    assert len(load_analysis_store(store_path)) == 0
-    db_path = tmp_path / "empty_db.json"
-    save_kernel_db(KernelDB(0.1, 8), db_path)
-    assert len(load_kernel_db(db_path)) == 0
-
-
-# -- format v2 hardening ------------------------------------------------------
-
-def test_saved_payload_carries_valid_checksum(populated, tmp_path):
-    from repro.durable import payload_checksum
-
-    store, _ = populated
-    path = tmp_path / "store.json"
-    save_analysis_store(store, path)
-    payload = json.loads(path.read_text())
-    assert payload["version"] == 3
-    assert all(isinstance(e["key"], str) for e in payload["entries"])
-    assert payload["checksum"] == payload_checksum(payload)
+    store, memo, _ = populated
+    for path in store.root.glob("*.ana"):
+        entry = unseal(path.read_bytes())
+        assert entry is not None
+        assert path.name.split(".")[1] == entry["analysis_key"]
+        assert entry["analysis_key"] in memo._entries
 
 
 def test_checksum_is_order_independent():
@@ -134,112 +104,72 @@ def test_checksum_is_order_independent():
     assert payload_checksum(a) == payload_checksum(b)
 
 
-def test_tampered_payload_rejected(populated, tmp_path):
-    store, _ = populated
-    path = tmp_path / "store.json"
-    save_analysis_store(store, path)
-    payload = json.loads(path.read_text())
-    payload["entries"][0]["n_warps"] += 1  # silent bit flip
-    path.write_text(json.dumps(payload))
-    with pytest.raises(SamplingError, match="checksum"):
-        load_analysis_store(path)
+def test_tampered_payload_rejected(populated, fast_photon_config):
+    """Still JSON but failing its checksum: quarantined, a miss."""
+    store, _, _ = populated
+    kernel = make_vecadd(n_warps=16)
+    path = _entry(store, kernel, fast_photon_config)
+    entry = json.loads(path.read_text())
+    entry["analysis"]["n_warps"] += 1  # silent bit flip
+    path.write_text(json.dumps(entry))
+    reader = TraceStore(store.root)
+    assert reader.get_analysis(
+        kernel, analysis_key(kernel, fast_photon_config)) is None
+    assert reader.quarantined == 1
 
 
-def test_corrupt_entry_quarantined_not_fatal(populated, tmp_path):
-    from repro.durable import payload_checksum
+def test_corrupt_entry_quarantined_not_fatal(populated, tiny_gpu,
+                                             fast_photon_config):
+    """A sealed entry that does not decode is quarantined, re-analysed
+    to the same result, and healed; the healthy entry still serves."""
+    from repro.durable import seal
 
-    store, _ = populated
-    path = tmp_path / "store.json"
-    save_analysis_store(store, path)
-    payload = json.loads(path.read_text())
-    del payload["entries"][0]["bb_share"]  # break one entry only
-    del payload["checksum"]
-    payload["checksum"] = payload_checksum(payload)
-    path.write_text(json.dumps(payload))
-    loaded = load_analysis_store(path)
-    assert loaded.quarantined == 1
-    assert len(loaded) == len(store) - 1  # the healthy entry survives
-
-
-def test_corrupt_db_record_quarantined(populated, tmp_path):
-    from repro.durable import payload_checksum
-
-    _, db = populated
-    path = tmp_path / "db.json"
-    save_kernel_db(db, path)
-    payload = json.loads(path.read_text())
-    payload["records"][0]["sim_time"] = "not-a-number"
-    del payload["checksum"]
-    payload["checksum"] = payload_checksum(payload)
-    path.write_text(json.dumps(payload))
-    loaded = load_kernel_db(path)
-    assert loaded.quarantined == 1
-    assert len(loaded) == len(db) - 1
+    store, _, cold = populated
+    path = _entry(store, make_vecadd(n_warps=16), fast_photon_config)
+    entry = json.loads(path.read_text())
+    del entry["analysis"]["bb_share"]  # break one entry only
+    path.write_bytes(seal(entry))
+    bus = EventBus()
+    reader = TraceStore(store.root)
+    _, warm = _run(tiny_gpu, fast_photon_config, reader, bus=bus)
+    assert warm == cold
+    assert reader.quarantined == 1
+    assert bus.metrics.snapshot()["counters"][
+        "analysis.trace_store_hits"] == 1
+    assert "bb_share" in json.loads(path.read_text())["analysis"]
 
 
-def test_version1_files_still_load(populated, tmp_path):
-    """Backwards compatibility: a v1 kernel db has no checksum and must
-    not need one (kernel-db payloads are unchanged since v2)."""
-    _, db = populated
-    path = tmp_path / "db.json"
-    save_kernel_db(db, path)
-    payload = json.loads(path.read_text())
-    assert payload["version"] == 2
-    payload["version"] = 1
-    del payload["checksum"]
-    path.write_text(json.dumps(payload))
-    loaded = load_kernel_db(path)
-    assert len(loaded) == len(db)
+def test_save_is_atomic_no_tmp_left_behind(populated, fast_photon_config):
+    """Puts leave no temp files; a torn put keeps the previous entry."""
+    store, _, _ = populated
+    assert list(store.root.rglob("*.tmp")) == []
+    kernel = make_vecadd(n_warps=16)
+    path = _entry(store, kernel, fast_photon_config)
+    before = path.read_bytes()
+    plan = FsFaultPlan(FsFaultSpec(site="tracestore.analysis", mode="torn"))
+    with scoped_fs_faults(plan), pytest.raises(DiskFault):
+        store.put_analysis(kernel,
+                           analysis_key(kernel, fast_photon_config),
+                           {"n_warps": 0})
+    assert path.read_bytes() == before
+    assert list(store.root.rglob("*.tmp")) == []
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_pre_v3_analysis_stores_refused(populated, tmp_path, version):
-    """v1 / v2 keys were a process-local hash that ignored launch
-    arguments: such a store is refused, not trusted."""
-    from repro.durable import payload_checksum
-
-    store, _ = populated
-    path = tmp_path / "store.json"
-    save_analysis_store(store, path)
-    payload = json.loads(path.read_text())
-    payload["version"] = version
-    del payload["checksum"]
-    if version == 2:
-        payload["checksum"] = payload_checksum(payload)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(SamplingError, match="process-local.*re-analyse"):
-        load_analysis_store(path)
+def test_save_overwrites_existing_file(populated, fast_photon_config):
+    """A put replaces a different entry and skips an identical one."""
+    store, _, _ = populated
+    kernel = make_vecadd(n_warps=16)
+    akey = analysis_key(kernel, fast_photon_config)
+    record = {"n_warps": 1, "gpu_bbv": [0.5]}
+    assert store.put_analysis(kernel, akey, record) is True
+    assert store.put_analysis(kernel, akey, record) is False
+    assert store.get_analysis(kernel, akey) == record
 
 
-def test_save_is_atomic_no_tmp_left_behind(populated, tmp_path):
-    store, db = populated
-    store_path = tmp_path / "store.json"
-    db_path = tmp_path / "db.json"
-    save_analysis_store(store, store_path)
-    save_kernel_db(db, db_path)
-    leftovers = [p.name for p in tmp_path.iterdir()
-                 if p.name.endswith(".tmp")]
-    assert leftovers == []
-
-
-def test_save_overwrites_existing_file(populated, tmp_path):
-    store, _ = populated
-    path = tmp_path / "store.json"
-    save_analysis_store(AnalysisStore(), path)
-    save_analysis_store(store, path)  # os.replace over the old file
-    assert len(load_analysis_store(path)) == len(store)
-
-
-def test_non_object_payload_rejected(tmp_path):
-    path = tmp_path / "list.json"
-    path.write_text("[1, 2, 3]")
-    with pytest.raises(SamplingError):
-        load_analysis_store(path)
-
-
-def test_kernel_db_public_records_accessor(populated):
-    _, db = populated
-    records = db.records()
-    assert len(records) == len(db)
-    records.clear()  # a copy: mutating it must not touch the db
-    assert len(db) > 0
+def test_non_object_payload_rejected(populated, fast_photon_config):
+    store, _, _ = populated
+    kernel = make_vecadd(n_warps=16)
+    _entry(store, kernel, fast_photon_config).write_text("[1, 2, 3]")
+    assert store.get_analysis(
+        kernel, analysis_key(kernel, fast_photon_config)) is None
+    assert store.quarantined == 1

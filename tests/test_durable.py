@@ -28,6 +28,8 @@ from repro.reliability import (
     scoped_fs_faults,
 )
 
+from conftest import make_vecadd
+
 # ------------------------------------------------------ durable_replace
 
 
@@ -172,34 +174,36 @@ def test_wildcard_site_matches_everything(tmp_path):
                                    count=99))
     with scoped_fs_faults(plan):
         with pytest.raises(OSError):
-            durable_replace(b"a", tmp_path / "one", site="persist.store")
+            durable_replace(b"a", tmp_path / "one",
+                            site="tracestore.analysis")
         with pytest.raises(OSError):
             durable_replace(b"b", tmp_path / "two",
                             site="tracestore.bundle")
     assert [site for site, _m, _p in plan.fired] == \
-        ["persist.store", "tracestore.bundle"]
+        ["tracestore.analysis", "tracestore.bundle"]
 
 
 def test_persist_and_tracestore_write_through_fault_sites(tmp_path):
-    """The real persistence layers are actually wired to the fault hook."""
-    from repro.core.persist import save_analysis_store
-    from repro.core.photon import AnalysisStore
+    """The trace store's two writers are actually wired to the fault
+    hook: bundles and the analyses stored beside them."""
+    from repro.tracestore import TraceStore
     from repro.tracestore.store import TraceKey, _write_bundle
 
     plan = FsFaultPlan(
-        FsFaultSpec(site="persist.store", mode="torn"),
+        FsFaultSpec(site="tracestore.analysis", mode="torn"),
         FsFaultSpec(site="tracestore.bundle", mode="torn"))
+    key = TraceKey(program="p" * 20, data="d" * 20, n_warps=1,
+                   wg_size=1, warp_size=4)
     with scoped_fs_faults(plan):
         with pytest.raises(DiskFault):
-            save_analysis_store(AnalysisStore(), tmp_path / "store.json")
-        key = TraceKey(program="p" * 20, data="d" * 20, n_warps=1,
-                       wg_size=1, warp_size=4)
+            TraceStore(tmp_path / "traces").put_analysis(
+                make_vecadd(n_warps=4), "a" * 64, {})
         with pytest.raises(DiskFault):
             _write_bundle(tmp_path / "traces" / key.bundle_name, key,
                           {"sha": b"\x00"}, {0: ("sha", b"\x00\x01")})
     assert {site for site, _m, _p in plan.fired} == \
-        {"persist.store", "tracestore.bundle"}
-    # neither layer left a torn target behind
-    assert not (tmp_path / "store.json").exists()
+        {"tracestore.analysis", "tracestore.bundle"}
+    # neither writer left a torn target behind
+    assert not list((tmp_path / "traces").glob("*.ana"))
     assert not list((tmp_path / "traces").glob("*.trc"))
 

@@ -112,11 +112,6 @@ def test_parallel_sweep_is_deterministic():
     inline = run_sweep(tasks, jobs=1)
     pooled = run_sweep(tasks, jobs=2)
     assert _det_table(inline.rows) == _det_table(pooled.rows)
-    # ... and the merged reusable state matches too
-    assert len(pooled.store) == len(inline.store)
-    assert (pooled.kernel_db is None) == (inline.kernel_db is None)
-    if pooled.kernel_db is not None:
-        assert len(pooled.kernel_db) == len(inline.kernel_db)
 
 
 def test_sharded_sweeps_reassemble_the_full_run():
@@ -216,7 +211,8 @@ def test_sweep_result_to_dict_is_json_safe():
     payload = json.dumps(result.to_dict(), allow_nan=False)
     data = json.loads(payload)
     assert len(data["rows"]) == len(result.rows)
-    assert data["store_entries"] == len(result.store)
+    assert set(data) == {"rows", "telemetry", "trace_merge", "tracestore",
+                         "replayed"}
 
 
 # ---------------------------------------------------------------- tracestore

@@ -44,13 +44,10 @@ def test_run_task_full_and_photon():
                               method=FULL_METHOD))
     assert full.ok and full.mode == "full"
     assert full.sim_time > 0 and full.n_insts > 0
-    assert full.store_payload is None  # baselines carry no store
 
     photon = run_task(SweepTask(index=1, workload="relu", size=128,
                                 method="photon"))
     assert photon.ok
-    assert photon.store_payload is not None  # analysed at least 1 kernel
-    assert photon.kerneldb_payload is not None
     result = photon.to_kernel_result()
     assert result.sim_time == photon.sim_time
     assert result.n_insts == photon.n_insts

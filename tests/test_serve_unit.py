@@ -380,7 +380,7 @@ def test_deterministic_result_strips_host_variance():
     outcome = run_task(task)
     result = deterministic_result(outcome)
     for name in ("wall_seconds", "worker", "started", "task_wall",
-                 "index", "store_payload", "trace_hits"):
+                 "index", "trace_misses", "trace_hits"):
         assert name not in result
     assert result["status"] == "ok"
     assert result["sim_time"] == outcome.sim_time

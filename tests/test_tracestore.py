@@ -1,8 +1,8 @@
 """TraceForge: on-disk format, hardening contract, and golden fixture.
 
-Mirrors the ``core.persist`` v2 hardening tests (test_core_persist.py)
-for the warp-trace store: atomic bundles, format versioning, sha256
-checksums, and — the load-bearing property — *per-entry quarantine*: a
+The warp-trace half of the store's hardening contract (the analyses
+stored beside the bundles have theirs in test_core_persist.py): atomic
+bundles, format versioning, sha256 checksums, and — the load-bearing property — *per-entry quarantine*: a
 version bump, a truncated file, or a flipped byte must lose exactly the
 affected entries and never fail the run.
 
@@ -246,6 +246,27 @@ def test_evict_tie_break_is_deterministic(tmp_path):
     assert not first.exists() and survivor.exists()
 
 
+def test_evict_removes_a_kernels_analyses_with_its_bundle(tmp_path):
+    """A kernel's analyses go with its bundle and count against the
+    budget; analyses whose bundle is gone are evicted as well."""
+    import os
+
+    store, old, new = _make_two_bundles(tmp_path)
+    store.put_analysis(make_vecadd(n_warps=4), "a" * 64, {"n": 1})
+    store.put_analysis(make_loop_kernel(n_warps=4), "b" * 64, {"n": 2})
+    (old_analysis,) = tmp_path.glob(f"*.{'a' * 64}.ana")
+    (new_analysis,) = tmp_path.glob(f"*.{'b' * 64}.ana")
+    os.utime(old_analysis, (1_000, 1_000))
+    os.utime(new_analysis, (2_000, 2_000))
+    budget = new.stat().st_size + new_analysis.stat().st_size
+    assert store.evict(max_mb=budget / (1 << 20)) == 1
+    assert not old.exists() and not old_analysis.exists()
+    assert new.exists() and new_analysis.exists()
+    new.unlink()
+    assert store.evict(max_mb=0) == 0   # no bundle left to count
+    assert list(tmp_path.glob("*.ana")) == []
+
+
 def test_evict_uses_instance_budget_and_emits_events(tmp_path):
     from repro.obs import TRACESTORE_EVICT, scoped_bus
 
@@ -262,7 +283,7 @@ def test_evict_uses_instance_budget_and_emits_events(tmp_path):
         assert counters["tracestore.evictions"] == 2
 
 
-# -- hardening contract (mirrors test_core_persist.py) ----------------------
+# -- hardening contract (stored analyses: test_core_persist.py) ------------
 
 def _bundle_path(root) -> pathlib.Path:
     paths = list(pathlib.Path(root).glob("*.trc"))
