@@ -10,7 +10,7 @@ Public API tour
 - :mod:`repro.baselines` — PKA, the comparison baseline.
 - :mod:`repro.workloads` — Table 2 workloads incl. VGG and ResNet.
 - :mod:`repro.harness` — evaluation runners and metrics.
-- :mod:`repro.reliability` — watchdogs, fault injection, degradation.
+- :mod:`repro.reliability` — watchdogs and disk-fault injection.
 
 Quickstart
 ----------
@@ -31,12 +31,7 @@ from .errors import (
 )
 from .functional import Application, GlobalMemory, Kernel
 from .harness import EVAL_MI100, EVAL_PHOTON, EVAL_R9NANO
-from .reliability import (
-    FaultPlan,
-    FaultSpec,
-    FallbackEvent,
-    WatchdogConfig,
-)
+from .reliability import WatchdogConfig
 from .timing import simulate_app_detailed, simulate_kernel_detailed
 
 __version__ = "1.0.0"
@@ -48,9 +43,6 @@ __all__ = [
     "EVAL_MI100",
     "EVAL_PHOTON",
     "EVAL_R9NANO",
-    "FallbackEvent",
-    "FaultPlan",
-    "FaultSpec",
     "GlobalMemory",
     "GpuConfig",
     "Kernel",

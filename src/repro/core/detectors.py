@@ -21,7 +21,6 @@ import numpy as np
 from ..isa.program import Program
 from ..obs import (DETECTOR_ELIDED, DETECTOR_SWITCH, ENGINE_BB,
                    ENGINE_WARP_RETIRE)
-from ..reliability.faults import FaultPlan
 from ..timing.engine import DetailedEngine
 from .config import PhotonConfig
 from .lsq import StabilityDetector, observations_needed
@@ -33,11 +32,9 @@ class _Detector:
 
     level: str
 
-    def __init__(self, analysis: OnlineAnalysis, config: PhotonConfig,
-                 fault_plan: Optional[FaultPlan]):
+    def __init__(self, analysis: OnlineAnalysis, config: PhotonConfig):
         self.analysis = analysis
         self.config = config
-        self.fault_plan = fault_plan
         self._engine: Optional[DetailedEngine] = None
         self.switched = False
         self.switch_time: Optional[float] = None
@@ -49,18 +46,13 @@ class _Detector:
 
     def _switch(self, time: float) -> None:
         engine = self._engine
-        # name the launch: a store hit serves an earlier launch's analysis
-        name = (engine.kernel.name if engine is not None
-                else self.analysis.kernel_name)
-        if self.fault_plan is not None:
-            # a misfire here models the detector erroring exactly when it
-            # decides to switch, mid detailed run
-            self.fault_plan.arm(f"detector.{self.level}", kernel=name,
-                                level=self.level)
         self.switched = True
         self.switch_time = time
         if engine is not None:
-            engine.bus.emit(DETECTOR_SWITCH, name, self.level, time)
+            # name the engine's launch: a store hit serves an earlier
+            # launch's analysis
+            engine.bus.emit(DETECTOR_SWITCH, engine.kernel.name,
+                            self.level, time)
             engine.bus.metrics.counter(
                 f"detector.{self.level}_switches").inc()
             engine.request_stop()
@@ -91,9 +83,8 @@ class BBSamplingDetector(_Detector):
     level = "bb"
 
     def __init__(self, analysis: OnlineAnalysis, config: PhotonConfig,
-                 warp_capacity: Optional[int] = None,
-                 fault_plan: Optional[FaultPlan] = None):
-        super().__init__(analysis, config, fault_plan)
+                 warp_capacity: Optional[int] = None):
+        super().__init__(analysis, config)
         self._detectors: Dict[int, StabilityDetector] = {}
         self._stable: Dict[int, bool] = {}
         self._stable_rate = 0.0
@@ -216,9 +207,8 @@ class WarpSamplingDetector(_Detector):
 
     level = "warp"
 
-    def __init__(self, analysis: OnlineAnalysis, config: PhotonConfig,
-                 fault_plan: Optional[FaultPlan] = None):
-        super().__init__(analysis, config, fault_plan)
+    def __init__(self, analysis: OnlineAnalysis, config: PhotonConfig):
+        super().__init__(analysis, config)
         self._need = observations_needed(config.warp_window,
                                          config.mean_check)
         self.armed = (analysis.dominant_rate >= config.dominant_warp_rate

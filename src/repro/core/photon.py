@@ -20,16 +20,12 @@ Per kernel launch (paper Section 4, Figures 7/10/12):
 5. If no level triggers, Photon **falls back to full detailed
    simulation** — accuracy is never sacrificed to force a speedup.
 
-Graceful degradation (the reliability layer): when a sampling level
-raises a *recoverable* error — a :class:`~repro.errors.SamplingError`
-or :class:`~repro.errors.TimingError` attributed to that level — the
-controller does not abort.  It disables the failed level (and any finer
-level) and re-simulates, walking the chain ``bb → warp → kernel →
-full``; full detailed simulation is the always-correct last resort.
-Every step is recorded as a :class:`~repro.reliability.FallbackEvent`
-in the result's error ledger (``KernelResult.errors``).  Corrupt
-analysis-store entries are quarantined and re-analysed rather than
-trusted or fatal.
+That fallback is the only one: it follows from what the detectors
+observed, never from an error.  An error raised inside any level (a
+:class:`~repro.errors.ReproError` such as an out-of-bounds access of a
+kernel, a timing-model inconsistency or a watchdog trip) propagates out
+of :meth:`Photon.simulate_kernel`; the evaluation harness turns it into
+a failed row, and ``repro sweep --resume`` re-runs that task.
 
 The controller also supports the paper's online/offline trade-off
 (Section 6.3): online-analysis results are microarchitecture-agnostic
@@ -43,14 +39,11 @@ bundles.
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..config.gpu_configs import GpuConfig
-from ..errors import SamplingError, TimingError
 from ..functional.kernel import Kernel
-from ..obs import RELIABILITY_FALLBACK, EventBus
-from ..reliability.faults import FaultPlan
-from ..reliability.ledger import FALLBACK_CHAIN, FallbackEvent
+from ..obs import EventBus
 from ..reliability.watchdog import WatchdogConfig
 from ..timing.fastmodel import schedule_only
 from ..timing.simulator import KernelResult, Methodology
@@ -63,9 +56,6 @@ from .interval import IntervalModel
 from .kerneldb import KernelDB, KernelRecord
 from .online import OnlineAnalysis, analysis_key, analyze_kernel
 
-#: recoverable error classes the degradation ladder absorbs
-_RECOVERABLE = (SamplingError, TimingError)
-
 
 class AnalysisStore:
     """In-memory memo of online-analysis results for one run (§6.3);
@@ -75,7 +65,6 @@ class AnalysisStore:
         self._entries: Dict[str, OnlineAnalysis] = {}
         self.hits = 0
         self.misses = 0
-        self.quarantined = 0  # entries dropped as corrupt
 
     def get(self, key: str) -> Optional[OnlineAnalysis]:
         entry = self._entries.get(key)
@@ -87,11 +76,6 @@ class AnalysisStore:
 
     def insert(self, key: str, analysis: OnlineAnalysis) -> None:
         self._entries[key] = analysis
-
-    def discard(self, key: str) -> None:
-        """Quarantine the entry under ``key``."""
-        if self._entries.pop(key, None) is not None:
-            self.quarantined += 1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -107,9 +91,7 @@ class Photon(Methodology):
     store-backed ``trace_cache`` a memo miss reads the trace store's
     analysis of the launch before analysing afresh, and a fresh one is
     written there.
-    ``watchdog`` bounds every internal simulation loop; ``fault_plan``
-    deterministically injects failures (tests use it to prove the
-    degradation paths).
+    ``watchdog`` bounds every internal simulation loop.
     """
 
     name = "photon"
@@ -120,7 +102,6 @@ class Photon(Methodology):
         config: Optional[PhotonConfig] = None,
         analysis_store: Optional[AnalysisStore] = None,
         watchdog: Optional[WatchdogConfig] = None,
-        fault_plan: Optional[FaultPlan] = None,
         bus: Optional[EventBus] = None,
         trace_cache: Optional[TraceCache] = None,
     ):
@@ -132,83 +113,17 @@ class Photon(Methodology):
         self.interval_model = IntervalModel(gpu_config)
         self.analysis_store = (analysis_store if analysis_store is not None
                                else AnalysisStore())
-        self.fault_plan = fault_plan
 
     # -- public API --------------------------------------------------------------
 
     def simulate_kernel(self, kernel: Kernel) -> KernelResult:
-        """Simulate one kernel launch with sampling; return its result.
-
-        Recoverable failures inside a sampling level degrade to the next
-        level of the chain (ultimately full detailed simulation); each
-        degradation is recorded in the result's error ledger.
-        """
+        """Simulate one kernel launch with sampling; return its result."""
         t0 = _time.perf_counter()
-        ledger: List[FallbackEvent] = []
-        allow = {
-            "kernel": self.config.enable_kernel_sampling,
-            "warp": self.config.enable_warp_sampling,
-            "bb": self.config.enable_bb_sampling,
-        }
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                result = self._attempt_kernel(kernel, allow, ledger)
-                break
-            except _RECOVERABLE as exc:
-                level = getattr(exc, "photon_level", None)
-                if level not in allow or not allow[level]:
-                    raise  # not attributable to a disableable level
-                self._degrade(kernel, level, allow, ledger, exc)
-                # a failed attempt may have half-warmed the cache
-                # hierarchy; reset so the retry is deterministic
-                self.hierarchy.reset_timing()
-        result.errors.extend(ledger)
-        result.wall_seconds = _time.perf_counter() - t0
-        if attempt > 1:
-            result.meta["degraded_attempts"] = attempt
-        return result
+        config = self.config
+        analysis = self._get_analysis(kernel)
 
-    # -- degradation ladder ------------------------------------------------------
-
-    def _record_fallback(self, ledger: List[FallbackEvent],
-                         event: FallbackEvent) -> None:
-        """Append to the ledger and mirror the step onto the bus."""
-        ledger.append(event)
-        self.bus.emit(RELIABILITY_FALLBACK, event.kernel, event.from_level,
-                      event.to_level, event.error)
-        self.bus.metrics.counter("photon.fallbacks").inc()
-
-    def _degrade(self, kernel: Kernel, level: str, allow: Dict[str, bool],
-                 ledger: List[FallbackEvent], exc: Exception) -> None:
-        """Disable ``level`` (and finer levels) after a failure there."""
-        idx = FALLBACK_CHAIN.index(level)
-        for finer in FALLBACK_CHAIN[:idx + 1]:
-            if finer in allow:
-                allow[finer] = False
-        to_level = next(
-            (lv for lv in FALLBACK_CHAIN[idx + 1:-1] if allow.get(lv)),
-            "full")
-        self._record_fallback(ledger, FallbackEvent(
-            kernel=kernel.name,
-            from_level=level,
-            to_level=to_level,
-            error=type(exc).__name__,
-            message=str(exc),
-        ))
-
-    # -- internals ------------------------------------------------------------------
-
-    def _attempt_kernel(self, kernel: Kernel, allow: Dict[str, bool],
-                        ledger: List[FallbackEvent]) -> KernelResult:
-        """One pass through the sampling levels currently allowed."""
-        analysis = self._get_analysis(kernel, ledger)
-
-        if allow["kernel"]:
-            if self.fault_plan is not None:
-                self.fault_plan.arm("level.kernel", kernel=kernel.name,
-                                    level="kernel")
+        result = None
+        if config.enable_kernel_sampling:
             prediction = self.kernel_db.lookup(
                 analysis.gpu_bbv, kernel.n_warps, analysis.sample_insts)
             if prediction is not None:
@@ -229,43 +144,29 @@ class Photon(Methodology):
                     detail_insts=0,
                 )
                 result.meta["matched_kernel"] = prediction.matched.name
-                return result
-
-        result = self._simulate_intra_kernel(kernel, analysis, allow)
-        self.kernel_db.add(KernelRecord(
-            name=kernel.name,
-            gpu_bbv=analysis.gpu_bbv,
-            n_warps=kernel.n_warps,
-            total_insts=float(result.n_insts),
-            sample_insts=analysis.sample_insts,
-            sim_time=result.sim_time,
-        ))
+        if result is None:
+            result = self._simulate_intra_kernel(kernel, analysis)
+            self.kernel_db.add(KernelRecord(
+                name=kernel.name,
+                gpu_bbv=analysis.gpu_bbv,
+                n_warps=kernel.n_warps,
+                total_insts=float(result.n_insts),
+                sample_insts=analysis.sample_insts,
+                sim_time=result.sim_time,
+            ))
+        result.wall_seconds = _time.perf_counter() - t0
         return result
 
-    def _get_analysis(self, kernel: Kernel,
-                      ledger: List[FallbackEvent]) -> OnlineAnalysis:
+    # -- internals ------------------------------------------------------------------
+
+    def _get_analysis(self, kernel: Kernel) -> OnlineAnalysis:
         """The memo's analysis, else the trace store's, else a fresh one
         (then written to the store)."""
         memo = self.analysis_store
         store = (self.trace_cache.backing_store
                  if self.trace_cache is not None else None)
         akey = analysis_key(kernel, self.config)
-        try:
-            if self.fault_plan is not None:
-                self.fault_plan.arm("analysis.store",
-                                    kernel=kernel.name, level="store")
-            cached = memo.get(akey)
-        except _RECOVERABLE as exc:
-            # corrupt cached entry: quarantine it and re-analyse
-            memo.discard(akey)
-            self._record_fallback(ledger, FallbackEvent(
-                kernel=kernel.name,
-                from_level="store",
-                to_level="analysis",
-                error=type(exc).__name__,
-                message=str(exc),
-            ))
-            cached = None
+        cached = memo.get(akey)
         metrics = self.bus.metrics
         metrics.counter("analysis.store_misses" if cached is None
                         else "analysis.store_hits").inc()
@@ -299,21 +200,18 @@ class Photon(Methodology):
             store.quarantined += 1
             return None
 
-    def _simulate_intra_kernel(
-        self, kernel: Kernel, analysis: OnlineAnalysis,
-        allow: Dict[str, bool],
-    ) -> KernelResult:
+    def _simulate_intra_kernel(self, kernel: Kernel,
+                               analysis: OnlineAnalysis) -> KernelResult:
+        config = self.config
         engine = self.engine(kernel, collect_latency=True)
         capacity = self.gpu_config.n_cu * self.gpu_config.max_warps_per_cu
-        bb_detector = BBSamplingDetector(analysis, self.config,
-                                         warp_capacity=capacity,
-                                         fault_plan=self.fault_plan)
-        warp_detector = WarpSamplingDetector(analysis, self.config,
-                                             fault_plan=self.fault_plan)
+        bb_detector = BBSamplingDetector(analysis, config,
+                                         warp_capacity=capacity)
+        warp_detector = WarpSamplingDetector(analysis, config)
         # a detector that cannot fire on this kernel subscribes nothing
         # (``watch`` returns False): the run is then the full-detail one
-        bb_listens = allow["bb"] and bb_detector.watch(engine)
-        if allow["warp"]:
+        bb_listens = config.enable_bb_sampling and bb_detector.watch(engine)
+        if config.enable_warp_sampling:
             warp_detector.watch(engine)
 
         detailed = engine.run()
@@ -339,15 +237,12 @@ class Photon(Methodology):
         )
         if bb_listens:
             result.meta["stable_bb_rate"] = bb_detector.stable_rate
-        elif allow["bb"]:
+        elif config.enable_bb_sampling:
             result.meta["bb_detector"] = "cannot_fire"
         return result
 
     def _finish_warp_sampling(self, kernel, analysis, detailed,
                               detector, remaining) -> KernelResult:
-        if self.fault_plan is not None:
-            self.fault_plan.arm("level.warp", kernel=kernel.name,
-                                level="warp")
         mean = detector.mean_warp_duration()
         durations = {warp_id: mean for warp_id in remaining}
         fast = schedule_only(
@@ -370,8 +265,6 @@ class Photon(Methodology):
 
     def _finish_bb_sampling(self, kernel, analysis, detailed,
                             detector, remaining) -> KernelResult:
-        if self.fault_plan is not None:
-            self.fault_plan.arm("level.bb", kernel=kernel.name, level="bb")
         table = detector.bb_time_table()
         interval_cache: Dict[int, float] = {}
         duration_cache: Dict[Tuple[int, ...], float] = {}

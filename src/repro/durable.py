@@ -70,14 +70,6 @@ def parse_record(raw: bytes) -> Optional[dict]:
     return record if isinstance(record, dict) else None
 
 
-def read_record(path: PathLike) -> Optional[dict]:
-    """:func:`parse_record` of a whole file; None when it cannot be read."""
-    try:
-        return parse_record(Path(path).read_bytes())
-    except OSError:
-        return None
-
-
 def fsync_dir(path: PathLike) -> None:
     """fsync a directory so renames/creates inside it survive power loss.
 

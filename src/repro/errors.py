@@ -51,16 +51,6 @@ class SimulationStalled(ReliabilityError):
     """The simulation stopped making progress (barrier deadlock)."""
 
 
-class InjectedFault(SamplingError):
-    """Deterministic fault raised by a :class:`~repro.reliability.FaultPlan`.
-
-    Subclasses :class:`SamplingError` so that, by default, injected faults
-    exercise the controller's recoverable-degradation paths; a
-    :class:`~repro.reliability.FaultSpec` may substitute any other error
-    class to test unrecoverable routes.
-    """
-
-
 class DiskFault(ReproError):
     """Injected filesystem failure simulating a crash mid-write.
 

@@ -14,21 +14,16 @@ hand it* and accounts for the result:
   rest form one merged batch whose scalar-branch outcomes discover the
   grouping on the fly), so a CONTROL fast-forward's grouping is shared
   with later FULL fills instead of being re-derived.  A stale memo entry
-  is only a hint: it costs one mid-batch split.
-* **When a fill runs as singletons.**  Fault plans arm per memory
-  instruction of a warp, which has no batch-wise meaning, so a fill
-  under a fault plan runs every warp as its own batch of one — one
-  local decision in :meth:`WarpPackExecutor._fill`, counted as
-  ``exec.batch.singleton.fault_plan``.  There is no switch: nothing
-  else selects singletons.  A fill is one run of the interpreter, so
-  it checks the deadline through one watchdog whatever its batches.
+  is only a hint: it costs one mid-batch split.  A fill is one run of
+  the interpreter, so it checks the deadline through one watchdog
+  whatever its batches.
 * **Faults.**  The driver isolates a faulting warp by bisection and
   never re-executes the others, so a fill returns traces for every warp
   that finished plus, in :attr:`PackFill.fallback`, the stored
   per-warp :class:`~repro.errors.ExecutionError` of every warp that did
   not.  Providers raise that error when the warp is requested.
-  Reliability errors (watchdog trips, injected faults) propagate out of
-  the fill: a budget trip must stop the run.
+  Watchdog trips propagate out of the fill: a budget trip must stop
+  the run.
 
 Fills are published on the obs bus as ``exec.batch`` /
 ``exec.batch_fallback`` events with ``exec.batch.*`` counters.
@@ -64,10 +59,10 @@ class PackFill:
 
 
 class WarpPackExecutor:
-    """Fills: path-memo grouping, the singleton decision, accounting.
+    """Fills: path-memo grouping and accounting.
 
-    Wraps (or builds) the :class:`FunctionalExecutor` whose interpreter,
-    deadline and fault plan the fills use.
+    Wraps (or builds) the :class:`FunctionalExecutor` whose interpreter
+    and deadline the fills use.
     """
 
     def __init__(self, kernel: Kernel,
@@ -93,29 +88,24 @@ class WarpPackExecutor:
         with metrics.span("functional"):
             t0 = _time.perf_counter()
             ids = [int(w) for w in warp_ids]
-            singleton = executor.fault_plan is not None
-            if singleton:
-                metrics.counter("exec.batch.singleton.fault_plan").inc()
-                batches = [[w] for w in ids]
-            else:
-                unknown: List[int] = []
-                known: Dict[object, List[int]] = {}
-                memo = self.kernel.path_memo if full else {}
-                for w in ids:
-                    token = memo.get(w)
-                    if token is None:
-                        unknown.append(w)
-                    else:
-                        known.setdefault(token, []).append(w)
-                if known:
-                    metrics.counter("exec.batch.ctrl_reused").inc(
-                        len(ids) - len(unknown))
-                batches = [group for group in [unknown, *known.values()]
-                           if group]
+            unknown: List[int] = []
+            known: Dict[object, List[int]] = {}
+            memo = self.kernel.path_memo if full else {}
+            for w in ids:
+                token = memo.get(w)
+                if token is None:
+                    unknown.append(w)
+                else:
+                    known.setdefault(token, []).append(w)
+            if known:
+                metrics.counter("exec.batch.ctrl_reused").inc(
+                    len(ids) - len(unknown))
+            batches = [group for group in [unknown, *known.values()]
+                       if group]
             records: dict = {}   # the fill's interned memory records
             traces, errors, groups = executor.run_batches(
                 batches, full, records)
-            if not singleton and len(ids) > 1:
+            if len(ids) > 1:
                 # warps that finished together took one path: record it
                 # (a warp that ran alone says nothing about grouping)
                 for group in groups:

@@ -29,9 +29,8 @@ writes and operands are validated before a destination is touched, so
 when an instruction faults the batch state is exactly the state before
 that instruction.  The driver bisects the batch there and retries each
 half; only a batch of one ever keeps the error, which therefore names
-one warp, and no warp is ever executed twice.  Reliability errors
-(watchdog trips, injected faults) are not faults of the program: they
-propagate and stop the run.
+one warp, and no warp is ever executed twice.  Watchdog trips are not
+faults of the program: they propagate and stop the run.
 
 Warps are architecturally independent in all supplied workloads (each
 writes disjoint outputs), so interpretation order does not change
@@ -56,7 +55,6 @@ from ..errors import ExecutionError
 from ..isa.instructions import Instruction
 from ..isa.opcodes import Opcode, SReg, VReg
 from ..obs import EXEC_WARP, EventBus, current_bus
-from ..reliability.faults import FaultPlan
 from ..reliability.watchdog import Watchdog, WatchdogConfig, deadline_of
 from .kernel import (
     FIRST_ARG_SREG,
@@ -235,7 +233,7 @@ class _StaticInfo:
 
     __slots__ = ("reads", "writes", "opclass", "opcode_id", "is_leader",
                  "off_slice", "kind", "fn", "dst_idx", "src_spec", "target",
-                 "is_mem", "mem_base", "mem_index", "mem_scale", "mem_offset")
+                 "mem_base", "mem_index", "mem_scale", "mem_offset")
 
     def __init__(self, inst: Instruction, is_leader: bool, off_slice: bool):
         self.is_leader = is_leader
@@ -268,7 +266,6 @@ class _StaticInfo:
         self.opclass = int(inst.op_class)
         self.opcode_id = op.value
         self.kind, self.fn = _kind_of(op)
-        self.is_mem = self.kind in (_K_VLOAD, _K_VSTORE, _K_SLOAD)
         self.dst_idx = inst.dst.index if hasattr(inst.dst, "index") else -1
         # operand spec: ("s", idx) scalar reg, ("v", idx) vector reg,
         # ("i", value) immediate — avoids isinstance checks per execution
@@ -391,7 +388,6 @@ class FunctionalExecutor:
 
     def __init__(self, kernel: Kernel,
                  watchdog: Optional[WatchdogConfig] = None,
-                 fault_plan: Optional[FaultPlan] = None,
                  bus: Optional[EventBus] = None,
                  deadline: Optional[float] = None):
         self.kernel = kernel
@@ -399,7 +395,6 @@ class FunctionalExecutor:
         self.max_steps = int(kernel.meta.get("max_steps", DEFAULT_MAX_STEPS))
         self.deadline = deadline if deadline is not None \
             else deadline_of(watchdog)
-        self.fault_plan = fault_plan
         self.bus = bus if bus is not None else current_bus()
         table = _TABLES.get(self.program)
         if table is None:
@@ -470,8 +465,7 @@ class FunctionalExecutor:
         :class:`WarpTrace` / :class:`ControlTrace`, the per-warp
         ``ExecutionError`` of every warp that has no trace, and the
         finished leaves as lists of warp ids (warps of one leaf took
-        an identical dynamic path).  Watchdog trips and injected faults
-        propagate.
+        an identical dynamic path).  Watchdog trips propagate.
 
         FULL memory records are interned in ``records`` (a caller's dict
         to count them, else a fresh one): one tuple per distinct record.
@@ -482,9 +476,6 @@ class FunctionalExecutor:
         read_gather = kernel.memory.read_gather
         write_scatter = kernel.memory.write_scatter
         max_steps = self.max_steps
-        # fault plans arm per memory instruction of an emulated warp;
-        # a CONTROL pass is not an emulation and never armed them
-        plan = self.fault_plan if full else None
         lane_ids = np.arange(warp_size, dtype=np.float64)
         intern = (records if records is not None else {}).setdefault
 
@@ -510,7 +501,7 @@ class FunctionalExecutor:
             wd = Watchdog(
                 f"executor({kernel.name!r} {'full' if full else 'control'}"
                 f", {sum(map(len, batches))} warps)", "instructions",
-                deadline=self.deadline)
+                deadline=self.deadline, bus=self.bus)
 
         while stack:
             batch = stack.pop()
@@ -564,9 +555,6 @@ class FunctionalExecutor:
                         dyn += 1
                         pc += 1
                         continue
-                    if plan is not None and info.is_mem:
-                        plan.arm("executor.memory", kernel=kernel.name)
-
                     next_pc = pc + 1
                     spec = info.src_spec
                     if full:

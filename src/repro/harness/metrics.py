@@ -63,7 +63,9 @@ class Comparison:
     detail_fraction: float = 1.0
     error: str = ""        # message of the failure that produced this row
     error_class: str = ""  # exception class name; "" means success
-    fallbacks: int = 0     # error-ledger length of the producing result
+    # always 0 (no result degrades); PhotonBench reads it and recorded
+    # rows carry it, so only a ``benchmark`` change may retire it
+    fallbacks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -220,7 +222,6 @@ def compare_kernels(workload: str, size: int, method: str,
         sampled_wall=sampled.wall_seconds,
         mode=sampled.mode,
         detail_fraction=sampled.detail_fraction,
-        fallbacks=len(sampled.errors),
     )
 
 
@@ -242,5 +243,4 @@ def compare_apps(workload: str, method: str, full: AppResult,
         sampled_wall=sampled.wall_seconds,
         mode=dominant,
         detail_fraction=detail / total if total else 1.0,
-        fallbacks=len(sampled.errors),
     )

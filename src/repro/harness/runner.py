@@ -45,7 +45,6 @@ from ..core.config import PhotonConfig
 from ..core.photon import Photon
 from ..errors import ReproError, WorkloadError
 from ..functional.kernel import Application, Kernel
-from ..reliability.faults import FaultPlan
 from ..reliability.watchdog import WatchdogConfig
 from ..timing.simulator import (
     AppResult,
@@ -79,19 +78,18 @@ def _shared_only(cls) -> Callable[..., Methodology]:
     return lambda gpu, shared, **_: cls(gpu, **shared)
 
 
-def _photon_levels(levels: Dict[str, bool]) -> Callable[..., Methodology]:
+def _photon_ablation(levels: Dict[str, bool]) -> Callable[..., Methodology]:
     """Table entry of Photon restricted to ``levels``."""
-    def build(gpu, shared, photon_config, fault_plan=None, **_):
-        return Photon(gpu, photon_config.with_levels(**levels),
-                      fault_plan=fault_plan, **shared)
+    def build(gpu, shared, photon_config, **_):
+        return Photon(gpu, photon_config.with_levels(**levels), **shared)
     return build
 
 
 #: the method table: name → constructor.  Every constructor is called
 #: with the same keywords — ``gpu``, ``shared`` (what every
 #: :class:`Methodology` takes: ``watchdog``, ``trace_cache``),
-#: ``photon_config``, ``pka_config``, ``fault_plan`` — and takes the
-#: ones its methodology has a use for.
+#: ``photon_config``, ``pka_config`` — and takes the ones its
+#: methodology has a use for.
 METHODS: Dict[str, Callable[..., Methodology]] = {
     FULL_METHOD: _shared_only(FullDetail),
     "gtpin": _shared_only(GTPin),
@@ -99,7 +97,7 @@ METHODS: Dict[str, Callable[..., Methodology]] = {
         gpu, pka_config, **shared),
     "sieve": _shared_only(Sieve),
     "tbpoint": _shared_only(TBPoint),
-    **{name: _photon_levels(LEVEL_METHODS[name])
+    **{name: _photon_ablation(LEVEL_METHODS[name])
        for name in sorted(LEVEL_METHODS)},
 }
 
@@ -145,7 +143,6 @@ def simulate_method(target: Union[Kernel, Application], method: str,
                     gpu: GpuConfig, photon_config: PhotonConfig,
                     pka_config: Optional[PkaConfig] = None,
                     watchdog: Optional[WatchdogConfig] = None,
-                    fault_plan: Optional[FaultPlan] = None,
                     trace_cache: Optional[TraceCache] = None,
                     ) -> Union[KernelResult, AppResult]:
     """Simulate one kernel or application under one named method.
@@ -157,12 +154,9 @@ def simulate_method(target: Union[Kernel, Application], method: str,
     method also keeps its online analyses in that cache's store.
     """
     check_methods([method], baseline=True)
-    if fault_plan is not None:
-        fault_plan.arm("harness.method", kernel=method)
     simulator = METHODS[method](
         gpu=gpu, shared=dict(watchdog=watchdog, trace_cache=trace_cache),
-        photon_config=photon_config, pka_config=pka_config,
-        fault_plan=fault_plan)
+        photon_config=photon_config, pka_config=pka_config)
     if isinstance(target, Application):
         return simulator.simulate_app(target, method_name=method)
     return simulator.simulate_kernel(target)
@@ -180,7 +174,6 @@ def evaluate(
     photon_config: Optional[PhotonConfig] = None,
     pka_config: Optional[PkaConfig] = None,
     watchdog: Optional[WatchdogConfig] = None,
-    fault_plan: Optional[FaultPlan] = None,
     trace_cache: Optional[TraceCache] = None,
 ) -> Evaluation:
     """Evaluate ``method`` on what ``factory`` builds — the one step.
@@ -199,8 +192,7 @@ def evaluate(
         target = factory()
         stage = "run"
         result = simulate_method(target, method, gpu, photon_config,
-                                 pka_config, watchdog, fault_plan,
-                                 trace_cache)
+                                 pka_config, watchdog, trace_cache)
     except ReproError as exc:
         return Evaluation(method, error_class=type(exc).__name__,
                           error=str(exc), stage=stage)
@@ -209,17 +201,16 @@ def evaluate(
 
 def _evaluate_cell(factory: Callable[[], Union[Kernel, Application]],
                    methods: Sequence[str],
-                   fault_plan: Optional[FaultPlan] = None,
                    **options) -> Tuple[Evaluation, List[Evaluation]]:
     """Full detail, then each of ``methods`` (not run when there is no
-    baseline to compare them against).  ``fault_plan`` targets the
-    sampled methods only; ``options`` are :func:`evaluate`'s."""
+    baseline to compare them against).  ``options`` are
+    :func:`evaluate`'s."""
     check_methods(methods)
     full = evaluate(factory, FULL_METHOD, **options)
     if not full.ok:
         return full, [Evaluation(method) for method in methods]
-    return full, [evaluate(factory, method, fault_plan=fault_plan,
-                           **options) for method in methods]
+    return full, [evaluate(factory, method, **options)
+                  for method in methods]
 
 
 def run_methods_kernel(factory: KernelFactory, workload: str, size: int,
@@ -230,11 +221,11 @@ def run_methods_kernel(factory: KernelFactory, workload: str, size: int,
 
     ``methods`` may contain any name of :func:`all_methods`; ``options``
     are :func:`evaluate`'s (``photon_config``, ``pka_config``,
-    ``watchdog``, ``fault_plan``, ``trace_cache``).  Unknown method
-    names always raise :class:`WorkloadError` (a typo is a caller bug,
-    not a sweep casualty); failures *inside* a known method become
-    failed rows, and a kernel that cannot even be built becomes one
-    failed ``build`` row.
+    ``watchdog``, ``trace_cache``).  Unknown method names always raise
+    :class:`WorkloadError` (a typo is a caller bug, not a sweep
+    casualty); failures *inside* a known method become failed rows, and
+    a kernel that cannot even be built becomes one failed ``build``
+    row.
     """
     return cell_rows(workload, size, *_evaluate_cell(
         factory, methods, gpu=gpu, **options))

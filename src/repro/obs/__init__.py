@@ -1,8 +1,8 @@
 """SimScope: the unified observability layer (``repro.obs``).
 
 One typed event bus + metrics registry is how the stack is watched:
-engine observers, the :class:`~repro.reliability.FallbackEvent` ledger
-and :class:`~repro.parallel.TaskTelemetry` all travel over it.  Every
+engine observers, reliability events and
+:class:`~repro.parallel.TaskTelemetry` all travel over it.  Every
 layer emits through the bus:
 
 * the detailed engine publishes kernel/warp/basic-block spans plus
@@ -13,8 +13,8 @@ layer emits through the bus:
   monitors and the probes are themselves bus subscribers, registered
   per run through :meth:`DetailedEngine.subscribe
   <repro.timing.engine.DetailedEngine.subscribe>`;
-* the reliability layer re-emits fallbacks, injected faults and
-  watchdog trips; the sweep scheduler re-emits task telemetry — so one
+* the reliability layer emits injected disk faults and watchdog
+  trips; the sweep scheduler re-emits task telemetry — so one
   trace interleaves all of them.
 
 Sinks are pluggable: :class:`MemorySink` (tests), :class:`CountingSink`
@@ -40,7 +40,6 @@ from .bus import (
     EventBus,
     Sink,
     current_bus,
-    reset_default_bus,
     scoped_bus,
     set_default_bus,
 )
@@ -66,7 +65,6 @@ from .events import (
     EventType,
     HOT_KINDS,
     PARALLEL_TASK,
-    RELIABILITY_FALLBACK,
     RELIABILITY_FAULT,
     RELIABILITY_WATCHDOG,
     SERVE_DEDUP,
@@ -119,7 +117,6 @@ __all__ = [
     "MemorySink",
     "MetricsRegistry",
     "PARALLEL_TASK",
-    "RELIABILITY_FALLBACK",
     "RELIABILITY_FAULT",
     "RELIABILITY_WATCHDOG",
     "SERVE_DEDUP",
@@ -136,7 +133,6 @@ __all__ = [
     "Timer",
     "current_bus",
     "open_trace",
-    "reset_default_bus",
     "scoped_bus",
     "set_default_bus",
     "sink_for_path",

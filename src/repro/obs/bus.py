@@ -16,17 +16,18 @@ Design constraints, in priority order:
    records (with a global monotone ``seq``) only for sink-backed
    subscriptions.
 
-There is one process-wide *default bus* so that deeply nested layers
-(watchdogs, fault plans) can emit without threading a bus handle
-through every constructor; :func:`set_default_bus` swaps it (parallel
-sweep workers get a fresh one so inherited file sinks never see
-cross-process writes) and :func:`scoped_bus` is the test-friendly
-context-manager form.
+There is one process-wide *default bus*: what a methodology, engine or
+executor built without a bus uses.  :func:`set_default_bus` swaps it and
+:func:`scoped_bus` is the test-friendly context-manager form.  A forked
+child starts on a fresh silent bus (:func:`_fresh_bus_after_fork`), so
+a sink inherited from the parent — an open trace file, say — never sees
+the child's writes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .events import ALL_TYPES, Event, EventType
@@ -190,9 +191,14 @@ def set_default_bus(bus: EventBus) -> EventBus:
     return previous
 
 
-def reset_default_bus() -> EventBus:
-    """Install a fresh silent bus (used by pool-worker initialisers)."""
-    return set_default_bus(EventBus())
+def _fresh_bus_after_fork() -> None:
+    """Give a forked child a pristine default bus: pool workers observe
+    nothing by default (the parent re-emits their telemetry)."""
+    set_default_bus(EventBus())
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_bus_after_fork)
 
 
 @contextlib.contextmanager

@@ -4,8 +4,8 @@ Converts a stream of flat event dicts (the JSONL structured-trace
 format) into the Chrome Trace Event JSON format.  Spans carry the
 simulated-cycle clock directly as their ``ts``/``dur`` (one cycle = one
 trace microsecond, purely a display convention); instantaneous control
-events with no simulated timestamp of their own (fallbacks, faults,
-watchdog trips) are pinned to the most recent simulated time seen in
+events with no simulated timestamp of their own (faults, watchdog
+trips) are pinned to the most recent simulated time seen in
 the stream, which — because events are recorded in emission order —
 interleaves them correctly with the kernel/warp/block timeline.
 
@@ -17,7 +17,7 @@ Timeline layout (``pid`` groups → ``tid`` rows):
 * ``stalls`` — per-warp issue-port stall spans;
 * ``inst`` — per-warp instruction spans (only with ``--trace`` full
   fidelity);
-* ``control`` — detector switches, fallbacks, faults, watchdog trips;
+* ``control`` — detector switches, faults, watchdog trips;
 * ``sweep`` — per-worker task spans on the host-monotonic clock.
 """
 
@@ -110,11 +110,6 @@ def to_chrome_trace(events: Iterable[Dict],
                                 {"kernel": ev.get("kernel"),
                                  "reachable": ev.get("reachable"),
                                  "need": ev.get("need")}))
-        elif kind == "reliability.fallback":
-            out.append(_instant(
-                "control", "fallback",
-                f"{ev['from_level']}→{ev['to_level']}", last_t,
-                {"kernel": ev.get("kernel"), "error": ev.get("error")}))
         elif kind == "reliability.fault":
             out.append(_instant("control", "fault",
                                 f"fault@{ev['site']}", last_t,

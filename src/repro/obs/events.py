@@ -16,7 +16,7 @@ Kinds are namespaced by the layer that produces them:
 ``detector.*``
     Photon's online switch detectors.
 ``reliability.*``
-    Fallbacks, injected faults, and watchdog trips.
+    Injected disk faults and watchdog trips.
 ``parallel.*``
     Sweep-scheduler task telemetry.  Times are host-monotonic seconds.
 
@@ -139,13 +139,9 @@ DETECTOR_ELIDED = EventType(
 
 # -- reliability -----------------------------------------------------------
 
-RELIABILITY_FALLBACK = EventType(
-    "reliability.fallback",
-    ("kernel", "from_level", "to_level", "error"),
-    "The controller degraded a sampling level (mirrors FallbackEvent).")
 RELIABILITY_FAULT = EventType(
     "reliability.fault", ("site", "error", "kernel"),
-    "A FaultPlan spec fired at an instrumented site.")
+    "An FsFaultPlan spec fired at a durable-write site.")
 RELIABILITY_WATCHDOG = EventType(
     "reliability.watchdog", ("label", "unit", "ticks", "reason"),
     "A watchdog budget tripped (the guarded loop is about to raise).")
@@ -208,8 +204,7 @@ ALL_TYPES: Dict[str, EventType] = {
         ENGINE_STALL, ENGINE_INST, EXEC_WARP, EXEC_BATCH,
         EXEC_BATCH_FALLBACK, TRACESTORE_HIT, TRACESTORE_MISS,
         TRACESTORE_WRITE, TRACESTORE_EVICT, DETECTOR_SWITCH,
-        DETECTOR_ELIDED,
-        RELIABILITY_FALLBACK, RELIABILITY_FAULT, RELIABILITY_WATCHDOG,
+        DETECTOR_ELIDED, RELIABILITY_FAULT, RELIABILITY_WATCHDOG,
         PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME, SWEEP_FLEET,
         SERVE_REQUEST, SERVE_DEDUP, SERVE_QUEUE,
     )
@@ -229,8 +224,7 @@ CORE_KINDS = tuple(
     t.name for t in (
         ENGINE_KERNEL, EXEC_BATCH, EXEC_BATCH_FALLBACK,
         TRACESTORE_WRITE, TRACESTORE_EVICT, DETECTOR_SWITCH,
-        DETECTOR_ELIDED,
-        RELIABILITY_FALLBACK, RELIABILITY_FAULT, RELIABILITY_WATCHDOG,
+        DETECTOR_ELIDED, RELIABILITY_FAULT, RELIABILITY_WATCHDOG,
         PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME, SWEEP_FLEET,
         SERVE_REQUEST, SERVE_DEDUP, SERVE_QUEUE,
     )

@@ -62,7 +62,7 @@ from .scheduler import (
 from ..harness.runner import FULL_METHOD
 from .tasks import SweepTask, TaskOutcome, run_task
 from .telemetry import RunReport, TaskTelemetry
-from .tier import ExecutionTier, worker_init
+from .tier import ExecutionTier
 
 __all__ = [
     "ExecutionTier",
@@ -87,5 +87,4 @@ __all__ = [
     "run_sweep",
     "run_task",
     "scan_journal",
-    "worker_init",
 ]

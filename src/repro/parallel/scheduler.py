@@ -292,7 +292,6 @@ def assemble_result(tasks: Sequence[SweepTask],
             queue_wait=waits.get(outcome.index, 0.0),
             task_wall=outcome.task_wall,
             sim_wall=outcome.wall_seconds,
-            fallbacks=len(outcome.fallbacks),
             status=outcome.status,
             error_class=outcome.error_class,
             replayed=outcome.index not in fresh,

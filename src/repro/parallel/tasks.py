@@ -32,7 +32,6 @@ from ..baselines.pka import PkaConfig
 from ..harness.defaults import EVAL_PHOTON, resolve_gpu
 from ..harness.metrics import Evaluation
 from ..harness.runner import FULL_METHOD, evaluate, workload_factory
-from ..reliability.ledger import FallbackEvent
 from ..reliability.watchdog import WatchdogConfig
 from ..timing.simulator import KernelResult
 from ..timing.tracecache import TraceCache
@@ -74,20 +73,7 @@ class SweepTask:
         return (self.workload, self.size)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "index": self.index,
-            "workload": self.workload,
-            "size": self.size,
-            "method": self.method,
-            "gpu": self.gpu,
-            "seed": self.seed,
-            "photon": dataclasses.asdict(self.photon),
-            "pka": (dataclasses.asdict(self.pka)
-                    if self.pka is not None else None),
-            "watchdog": (dataclasses.asdict(self.watchdog)
-                         if self.watchdog is not None else None),
-            "trace_store": self.trace_store,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SweepTask":
@@ -130,6 +116,9 @@ class TaskOutcome:
     n_insts: int = 0
     detail_insts: int = 0
     mode: str = ""
+    # always empty (no result degrades); PhotonBench reads it and
+    # journals and serve responses carry it, so only a ``benchmark``
+    # change may retire it
     fallbacks: List[dict] = field(default_factory=list)
     # trace-cache traffic of this task (zero without a trace store);
     # counters live on the worker's private bus, so the numbers ride
@@ -152,7 +141,7 @@ class TaskOutcome:
 
     def to_kernel_result(self) -> KernelResult:
         """Rebuild the result object this outcome transported."""
-        result = KernelResult(
+        return KernelResult(
             kernel_name=f"{self.workload}-{self.size}",
             sim_time=self.sim_time,
             wall_seconds=self.wall_seconds,
@@ -160,9 +149,6 @@ class TaskOutcome:
             mode=self.mode,
             detail_insts=self.detail_insts,
         )
-        result.errors.extend(FallbackEvent.from_dict(d)
-                             for d in self.fallbacks)
-        return result
 
     def evaluation(self) -> Evaluation:
         """This outcome as the evaluate step's product (what
@@ -172,31 +158,7 @@ class TaskOutcome:
                           self.error_class, self.error, self.stage)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "index": self.index,
-            "workload": self.workload,
-            "size": self.size,
-            "method": self.method,
-            "status": self.status,
-            "stage": self.stage,
-            "error_class": self.error_class,
-            "error": self.error,
-            "sim_time": self.sim_time,
-            "wall_seconds": self.wall_seconds,
-            "n_insts": self.n_insts,
-            "detail_insts": self.detail_insts,
-            "mode": self.mode,
-            "fallbacks": list(self.fallbacks),
-            "trace_hits": self.trace_hits,
-            "trace_store_hits": self.trace_store_hits,
-            "trace_misses": self.trace_misses,
-            "trace_writes": self.trace_writes,
-            "worker": self.worker,
-            "started": self.started,
-            "task_wall": self.task_wall,
-            "host": self.host,
-            "stolen": self.stolen,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TaskOutcome":
@@ -255,7 +217,6 @@ def run_task(task: SweepTask,
         out.n_insts = result.n_insts
         out.detail_insts = result.detail_insts
         out.mode = result.mode
-        out.fallbacks = [event.to_dict() for event in result.errors]
     else:
         out.status, out.stage = "error", ev.stage
         out.error_class, out.error = ev.error_class, ev.error

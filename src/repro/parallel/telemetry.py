@@ -2,10 +2,9 @@
 
 Every executed :class:`~repro.parallel.tasks.SweepTask` yields one
 :class:`TaskTelemetry` sample — how long the task waited in the queue,
-how long it ran, on which worker and how many degradation fallbacks its
-result absorbed.  The scheduler folds the samples into a
-:class:`RunReport`: the structured, JSON-dumpable observability record
-a sweep previously lacked entirely.
+how long it ran, on which worker and how it ended.  The scheduler folds
+the samples into a :class:`RunReport`: the structured, JSON-dumpable
+observability record a sweep previously lacked entirely.
 
 Wall-clock conventions: ``queue_wait`` is measured against
 ``time.monotonic`` stamps taken in the parent (submit) and the worker
@@ -32,7 +31,6 @@ class TaskTelemetry:
     queue_wait: float = 0.0  # seconds between submit and worker pickup
     task_wall: float = 0.0   # wall seconds spent inside the worker
     sim_wall: float = 0.0    # wall seconds the simulator itself reported
-    fallbacks: int = 0       # degradation-ledger length of the result
     status: str = "ok"       # "ok" | "error"
     error_class: str = ""    # exception class name when status == "error"
     replayed: bool = False   # True = served from a sweep journal, not run
@@ -49,7 +47,6 @@ class TaskTelemetry:
             "queue_wait": self.queue_wait,
             "task_wall": self.task_wall,
             "sim_wall": self.sim_wall,
-            "fallbacks": self.fallbacks,
             "status": self.status,
             "error_class": self.error_class,
             "replayed": self.replayed,
@@ -80,10 +77,6 @@ class RunReport:
     def replayed(self) -> int:
         """Tasks served from a sweep journal instead of re-executed."""
         return sum(1 for t in self.tasks if t.replayed)
-
-    @property
-    def fallbacks(self) -> int:
-        return sum(t.fallbacks for t in self.tasks)
 
     @property
     def failed(self) -> int:
@@ -151,7 +144,6 @@ class RunReport:
             "busy_seconds": self.busy_seconds,
             "utilization": self.utilization(),
             "replayed": self.replayed,
-            "fallbacks": self.fallbacks,
             "failed": self.failed,
             "mean_queue_wait": self.mean_queue_wait,
             "max_queue_wait": self.max_queue_wait,
@@ -170,8 +162,7 @@ class RunReport:
              f"busy {self.busy_seconds:.2f}s, "
              f"utilization {self.utilization() * 100.0:.0f}%"),
             (f"queue wait: mean {self.mean_queue_wait:.3f}s, "
-             f"max {self.max_queue_wait:.3f}s; "
-             f"fallbacks {self.fallbacks}; failed {self.failed}"),
+             f"max {self.max_queue_wait:.3f}s; failed {self.failed}"),
         ]
         if self.replayed:
             lines.append(

@@ -10,8 +10,8 @@ The blocking sweep window waits on those futures, ``run_sync`` is
 synthesized crash outcome, whoever the client is:
 
 * ``jobs >= 1`` schedules tasks over a ``ProcessPoolExecutor`` (fork
-  where available, else spawn) whose workers start from
-  :func:`worker_init`: a fresh silent bus;
+  where available, else spawn) whose workers start on a fresh silent
+  bus (:mod:`repro.obs.bus` installs one in every forked child);
 * a SIGKILLed/OOM-killed worker breaks the whole pool and fails every
   future it held.  Those tasks are *suspects*, not culprits: the tier
   rebuilds the pool, holds new submissions back and retries the
@@ -48,21 +48,7 @@ from functools import partial
 from typing import Deque, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
-from ..obs import reset_default_bus
 from .tasks import SweepTask, TaskOutcome, run_task
-
-
-def worker_init() -> None:
-    """Give each pool worker a pristine default bus.
-
-    A fork-started worker inherits the parent's default bus, including
-    any open file sinks — concurrent writes from several processes
-    would interleave garbage into the parent's trace.  Workers observe
-    nothing by default; the parent re-emits their telemetry after the
-    merge.  Nothing else is process-wide (a task's trace cache is a
-    value :func:`run_task` builds and hands to its methodology).
-    """
-    reset_default_bus()
 
 
 @dataclass(eq=False)
@@ -118,8 +104,7 @@ class ExecutionTier:
             else:
                 ctx = multiprocessing.get_context(self.mp_context)
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs, mp_context=ctx,
-                    initializer=worker_init)
+                    max_workers=self.jobs, mp_context=ctx)
         return self._pool
 
     def _release_retired(self, wait: bool = False) -> None:

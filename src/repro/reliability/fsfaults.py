@@ -1,12 +1,11 @@
 """Deterministic filesystem fault injection for the durability layer.
 
-:class:`FaultPlan` (``repro.reliability.faults``) injects *logic*
-failures — an exception at a named site.  Durable-write code needs a
-richer failure model: a disk can fill up (``ENOSPC``), land only a
-prefix of the payload before failing (a short write), or the process
-can die with a partial payload already on disk (a torn write).  This
-module extends the fault-site registry with filesystem sites consulted
-by :func:`repro.durable.durable_replace` / ``durable_append``:
+Durable-write code must survive a disk that fills up (``ENOSPC``),
+lands only a prefix of the payload before failing (a short write), or
+a process that dies with a partial payload already on disk (a torn
+write).  This module injects those failures at the filesystem sites
+consulted by :func:`repro.durable.durable_replace` /
+``durable_append``:
 
 ``tracestore.bundle``
     ``tracestore.store`` writing a warp-trace bundle.
@@ -16,8 +15,7 @@ by :func:`repro.durable.durable_replace` / ``durable_append``:
     ``repro.parallel.journal`` appending a write-ahead record.
 
 An :class:`FsFaultSpec` names a site (or ``"*"``), a ``mode`` and the
-arrival (``at``/``count``) it fires on, mirroring ``FaultSpec``
-semantics.  Modes:
+arrival (``at``/``count``) it fires on.  Modes:
 
 ``enospc``
     No bytes land; ``OSError(ENOSPC)`` is raised (full disk).

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import BudgetExceeded, ConfigError
-from ..obs import RELIABILITY_WATCHDOG, current_bus
+from ..obs import RELIABILITY_WATCHDOG, EventBus
 
 #: ticks between two wall-clock polls of a deadline
 POLL_INTERVAL = 4096
@@ -78,33 +78,33 @@ def deadline_of(watchdog: Optional[WatchdogConfig]) -> Optional[float]:
 
 class Watchdog:
     """The budget of one guarded loop: a tick counter checked against an
-    event budget and polled against a deadline instant."""
+    event budget and polled against a deadline instant.  A trip is
+    announced on ``bus`` — the bus of the engine or executor whose loop
+    it guards — or nowhere without one."""
 
-    __slots__ = ("label", "unit", "deadline", "budget", "ticks",
+    __slots__ = ("label", "unit", "deadline", "budget", "bus", "ticks",
                  "_next_poll")
 
     def __init__(self, label: str, unit: str,
                  deadline: Optional[float] = None,
-                 budget: Optional[int] = None):
+                 budget: Optional[int] = None,
+                 bus: Optional[EventBus] = None):
         self.label = label
         self.unit = unit
         self.deadline = deadline
         self.budget = budget
+        self.bus = bus
         self.ticks = 0
         self._next_poll = 1     # the first tick polls the deadline
 
     def _trip(self, reason: str) -> None:
-        """Announce an imminent trip on the observability bus.
-
-        Runs only on the raise path, so the hot loop never pays for it;
-        the event lands on the *current* default bus because frozen
-        WatchdogConfig instances cross process boundaries and cannot
-        carry a bus reference.
-        """
-        bus = current_bus()
-        bus.emit(RELIABILITY_WATCHDOG, self.label, self.unit, self.ticks,
-                 reason)
-        bus.metrics.counter("watchdog.trips").inc()
+        """Announce an imminent trip (the raise path only, so the hot
+        loop never pays for it)."""
+        bus = self.bus
+        if bus is not None:
+            bus.emit(RELIABILITY_WATCHDOG, self.label, self.unit,
+                     self.ticks, reason)
+            bus.metrics.counter("watchdog.trips").inc()
 
     def tick(self, n: int = 1) -> None:
         """Account ``n`` units of work; raise when a budget is exhausted."""

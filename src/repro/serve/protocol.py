@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 from ..core.config import PhotonConfig
 from ..durable import canonical_json
 from ..errors import ConfigError, WorkloadError
-from ..harness.defaults import EVAL_PHOTON, GPU_PRESET_NAMES
+from ..harness.defaults import EVAL_PHOTON, GPU_PRESET_NAMES, QUICK_SIZES
 from ..harness.runner import (
     check_methods,
     check_workloads,
@@ -53,6 +53,14 @@ from ..tracestore.format import TraceKey, trace_key
 
 class ProtocolError(ConfigError):
     """A malformed or unserveable request (HTTP 400)."""
+
+
+#: longest ping delay: a delayed ping holds an admission slot while it
+#: sleeps, so an unbounded one could pin a slot until drain
+MAX_PING_DELAY_MS = 60_000
+
+#: most tasks (baselines included) one sweep request may plan
+MAX_SWEEP_TASKS = 4096
 
 
 #: outcome fields that vary run to run (host timing, pid) — everything
@@ -101,7 +109,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _int_field(data: Dict, name: str, default=None,
-               minimum: Optional[int] = None):
+               minimum: Optional[int] = None,
+               maximum: Optional[int] = None):
     value = data.get(name, default)
     if value is default and default is None:
         return None
@@ -112,6 +121,9 @@ def _int_field(data: Dict, name: str, default=None,
                             f"got {data.get(name)!r}") from None
     if minimum is not None and value < minimum:
         raise ProtocolError(f"field {name!r} must be >= {minimum}, "
+                            f"got {value}")
+    if maximum is not None and value > maximum:
+        raise ProtocolError(f"field {name!r} must be <= {maximum}, "
                             f"got {value}")
     return value
 
@@ -130,7 +142,8 @@ def normalize_request(data: object, op: Optional[str] = None) -> ServeRequest:
     stream = bool(data.get("stream", False))
 
     if op == "ping":
-        delay = _int_field(data, "delay_ms", 0, minimum=0)
+        delay = _int_field(data, "delay_ms", 0, minimum=0,
+                           maximum=MAX_PING_DELAY_MS)
         return ServeRequest(op="ping", tenant=tenant, stream=stream,
                             delay_ms=delay, key=str(data.get("key", "")))
 
@@ -146,12 +159,20 @@ def normalize_request(data: object, op: Optional[str] = None) -> ServeRequest:
                  "sweep needs a non-empty 'workloads' list")
         workloads = tuple(str(w) for w in workloads)
         sizes = data.get("sizes")
+        methods = tuple(data.get("methods") or ("photon",))
         if sizes is not None:
             _require(isinstance(sizes, (list, tuple)) and sizes,
                      "'sizes' must be a non-empty list when given")
+        # what plan_sweep would plan: a baseline + each method per cell
+        n_tasks = (1 + len(methods)) * sum(
+            len(sizes if sizes is not None else QUICK_SIZES.get(w, ()))
+            for w in workloads)
+        _require(n_tasks <= MAX_SWEEP_TASKS,
+                 f"sweep plans {n_tasks} tasks; a request may plan at "
+                 f"most {MAX_SWEEP_TASKS}")
+        if sizes is not None:
             sizes = tuple(_int_field({"s": s}, "s", minimum=1)
                           for s in sizes)
-        methods = tuple(data.get("methods") or ("photon",))
     try:
         check_workloads(workloads)
         # a run request is one task, which may be the baseline itself

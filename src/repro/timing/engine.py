@@ -440,7 +440,8 @@ class DetailedEngine:
         wd = None
         if self.max_events is not None or self.deadline is not None:
             wd = Watchdog(f"engine({kernel.name})", "events",
-                          deadline=self.deadline, budget=self.max_events)
+                          deadline=self.deadline, budget=self.max_events,
+                          bus=self.bus)
         vector_access_many = hierarchy.vector_access_many
         scalar_access = hierarchy.scalar_access
         n_insts = 0

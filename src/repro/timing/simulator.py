@@ -30,7 +30,6 @@ from ..functional.executor import FunctionalExecutor
 from ..functional.kernel import Application, Kernel
 from ..functional.trace import ControlTrace
 from ..obs import EventBus, current_bus
-from ..reliability.ledger import FallbackEvent
 from ..reliability.watchdog import WatchdogConfig, deadline_of
 from .caches import MemoryHierarchy
 from .engine import DetailedEngine
@@ -48,8 +47,6 @@ class KernelResult:
     mode: str  # "full", "bb", "warp", "kernel", "pka", ...
     detail_insts: int = 0  # instructions actually simulated in detail
     meta: Dict[str, object] = field(default_factory=dict)
-    # error ledger: every fallback/recovery absorbed producing this result
-    errors: List[FallbackEvent] = field(default_factory=list)
 
     @property
     def detail_fraction(self) -> float:
@@ -57,11 +54,6 @@ class KernelResult:
         if self.n_insts == 0:
             return 0.0
         return self.detail_insts / self.n_insts
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any sampling level had to fall back for this kernel."""
-        return bool(self.errors)
 
 
 @dataclass
@@ -96,11 +88,6 @@ class AppResult:
         for k in self.kernels:
             counts[k.mode] = counts.get(k.mode, 0) + 1
         return counts
-
-    @property
-    def errors(self) -> List[FallbackEvent]:
-        """Aggregated error ledger across every kernel of the app."""
-        return [event for k in self.kernels for event in k.errors]
 
 
 class Methodology:

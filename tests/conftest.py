@@ -64,6 +64,17 @@ def old_records(name: str):
         watchdog=WatchdogConfig(**watchdog) if watchdog else None)
 
 
+def fail_method(monkeypatch, method: str, error: Exception) -> None:
+    """Make ``method``'s entry of the method table raise ``error`` when
+    the evaluation builds its simulator (a ``run``-stage failure)."""
+    from repro.harness import runner
+
+    def build(*args, **kwargs):
+        raise error
+
+    monkeypatch.setitem(runner.METHODS, method, build)
+
+
 def request_stop_after_bbs(engine, n: int) -> None:
     """``engine.request_stop()`` from inside the ``n``-th basic-block
     event of the run."""

@@ -67,7 +67,7 @@ def _result_fields(result):
     meta = {k: v for k, v in result.meta.items()
             if k not in ("stable_bb_rate", "bb_detector")}
     return (result.kernel_name, result.mode, repr(result.sim_time),
-            result.n_insts, result.detail_insts, result.errors, meta)
+            result.n_insts, result.detail_insts, meta)
 
 
 def _assert_elision_sound(factory, gpu, config):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.cli import build_parser, main
-from repro.errors import BudgetExceeded, WorkloadError
+from repro.errors import BudgetExceeded, SamplingError, WorkloadError
 from repro.functional import Application
 from repro.harness.defaults import EVAL_PHOTON, EVAL_R9NANO
 from repro.harness.runner import (
@@ -20,14 +20,13 @@ from repro.harness.runner import (
     workload_factory,
 )
 from repro.parallel import SweepTask, plan_sweep, run_task
-from repro.reliability import FaultPlan, FaultSpec
 from repro.reliability.watchdog import Watchdog, WatchdogConfig
 from repro.serve.protocol import ProtocolError, normalize_request
 from repro.timing import TraceCache
 from repro.timing.simulator import AppResult
 from repro.tracestore import TraceStore
 
-from conftest import make_loop_kernel, make_vecadd
+from conftest import fail_method, make_loop_kernel, make_vecadd
 
 
 def _relu():
@@ -210,12 +209,11 @@ def _twice():
     return app
 
 
-def test_run_methods_app_dict(tiny_gpu, fast_photon_config):
-    plan = FaultPlan(FaultSpec(site="harness.method", kernel="pka"))
+def test_run_methods_app_dict(tiny_gpu, fast_photon_config, monkeypatch):
+    fail_method(monkeypatch, "pka", SamplingError("pka: no stable window"))
     out = run_methods_app(_twice, "twice", gpu=tiny_gpu,
                           methods=("photon", "pka", "sieve"),
-                          photon_config=fast_photon_config,
-                          fault_plan=plan)
+                          photon_config=fast_photon_config)
     assert list(out) == ["rows", "full", "photon", "sieve"]  # no "pka"
     assert all(isinstance(out[m], AppResult)
                for m in ("full", "photon", "sieve"))

@@ -3,40 +3,38 @@
 Every failure mode a downstream user can trigger — bad grids, runaway
 kernels, out-of-bounds traffic, corrupted persisted state, misbehaving
 listeners — must raise a typed ReproError (never a bare KeyError or a
-silent wrong answer).  The SimGuard section below injects deterministic
-faults with a FaultPlan and proves each edge of the degradation chain
-``bb → warp → kernel → full``.
+silent wrong answer).  Inside Photon such an error propagates, whatever
+the sampling level, and the harness turns it into a failed row.
 """
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.core import AnalysisStore, Photon, PhotonConfig
+import repro.core.photon
+from repro.core import Photon, PhotonConfig
 from repro.errors import (
     BudgetExceeded,
     ConfigError,
     ExecutionError,
-    InjectedFault,
     MemoryFault,
     ReproError,
+    SamplingError,
     SimulationStalled,
+    TimingError,
     WorkloadError,
 )
 from repro.functional import FunctionalExecutor, GlobalMemory, Kernel
 from repro.functional.kernel import SREG_WARP_IN_WG
 from repro.harness import run_methods_kernel
+from repro.harness.runner import evaluate
 from repro.isa import KernelBuilder, MemAddr, s, v
 from repro.obs import ENGINE_BB, ENGINE_WARP_RETIRE, EventBus
-from repro.reliability import (
-    FaultPlan,
-    FaultSpec,
-    WatchdogConfig,
-)
+from repro.reliability import WatchdogConfig
 from repro.timing import DetailedEngine, WarpProbe
 
-from conftest import make_loop_kernel, make_vecadd
+from conftest import (fail_method, make_faulting_kernel, make_loop_kernel,
+                      make_vecadd)
 
 
 def test_all_errors_are_repro_errors():
@@ -157,111 +155,58 @@ def test_memory_arena_isolation():
 
 
 # ---------------------------------------------------------------------------
-# SimGuard: deterministic fault injection and graceful degradation
+# Real errors inside Photon: one recovery path, the failed row
 # ---------------------------------------------------------------------------
 
-def _irregular_kernel():
-    """No dominant warp type: the BB detector wins the switch race."""
-    return make_loop_kernel(n_warps=500, trips_of=lambda w: 1 + w % 7)
+def _oob_sload_kernel():
+    """Every warp's scalar load is out of bounds: the online analysis
+    (CONTROL runs ``s_load``) faults before any detailed run."""
+    mem = GlobalMemory(128)
+    mem.alloc("small", 8)
+    b = KernelBuilder("oob")
+    b.s_load(s(5), MemAddr(base=s(4), offset=10_000))
+    b.s_endpgm()
+    return Kernel(program=b.build(), n_warps=2, wg_size=1, memory=mem,
+                  args=lambda w: {4: 0})
 
 
-def _uniform_kernel():
-    """One warp type: the warp detector wins the switch race."""
-    return make_loop_kernel(n_warps=700, trips_of=lambda w: 6)
+#: phase -> (kernel, error class, message) of the failed row every
+#: Photon level gives; the rows are those of the revision before the
+#: degradation ladder was deleted: only an injected fault ever entered it
+REAL_ERRORS = {
+    "analysis": (_oob_sload_kernel, "MemoryFault",
+                 "gather out of bounds: [10000, 10000] vs 8 allocated"),
+    "detailed": (lambda: make_faulting_kernel(n_warps=6, bad_warp=2),
+                 "MemoryFault",
+                 "scatter out of bounds: [1920, 1983] vs 384 allocated"),
+}
 
 
-def _edges(result):
-    return [(e.from_level, e.to_level) for e in result.errors]
+@pytest.mark.parametrize("method", ["photon", "bb-sampling",
+                                    "warp-sampling", "kernel-sampling"])
+@pytest.mark.parametrize("phase", sorted(REAL_ERRORS))
+def test_real_error_in_photon_is_a_failed_row(tiny_gpu, fast_photon_config,
+                                              phase, method):
+    factory, error_class, message = REAL_ERRORS[phase]
+    with pytest.raises(MemoryFault):
+        Photon(tiny_gpu, fast_photon_config).simulate_kernel(factory())
+    ev = evaluate(factory, method, tiny_gpu, fast_photon_config)
+    assert (ev.ok, ev.error_class, ev.error, ev.stage) == (
+        False, error_class, message, "run")
 
 
-def test_bb_fault_degrades_to_warp(tiny_gpu, fast_photon_config):
-    plan = FaultPlan(FaultSpec(site="level.bb"))
-    photon = Photon(tiny_gpu, fast_photon_config, fault_plan=plan)
-    result = photon.simulate_kernel(_irregular_kernel())
-    assert ("bb", "warp") in _edges(result)
-    assert result.degraded
-    assert result.sim_time > 0
-    assert ("level.bb", "InjectedFault", "loopy") in plan.fired
+def test_unrecoverable_fault_propagates(tiny_gpu, fast_photon_config,
+                                        monkeypatch):
+    """An error raised inside a sampling level — here the warp level's
+    scheduler-only model — leaves ``simulate_kernel`` unchanged."""
+    def broken(*args, **kwargs):
+        raise TimingError("schedule_only: causality violated")
 
-
-def test_warp_fault_degrades_to_kernel(tiny_gpu, fast_photon_config):
-    plan = FaultPlan(FaultSpec(site="level.warp"))
-    photon = Photon(tiny_gpu, fast_photon_config, fault_plan=plan)
-    result = photon.simulate_kernel(_uniform_kernel())
-    assert _edges(result) == [("warp", "kernel")]
-    assert result.sim_time > 0
-
-
-def test_kernel_fault_degrades_to_full(tiny_gpu, fast_photon_config):
-    # fire on the second pass through kernel-sampling: the first launch
-    # populates the KernelDB, the second would normally hit it
-    plan = FaultPlan(FaultSpec(site="level.kernel", at=2))
-    photon = Photon(tiny_gpu, fast_photon_config, fault_plan=plan)
-    first = photon.simulate_kernel(make_vecadd(n_warps=32))
-    assert not first.degraded
-    second = photon.simulate_kernel(make_vecadd(n_warps=32))
-    assert _edges(second) == [("kernel", "full")]
-    assert second.mode == "full"
-    assert second.sim_time > 0
-
-
-def test_cascade_ends_in_full_detailed(tiny_gpu, fast_photon_config):
-    """Faults at every reachable level walk the whole chain to full."""
-    plan = FaultPlan(FaultSpec(site="level.warp"),
-                     FaultSpec(site="level.kernel", at=2))
-    photon = Photon(tiny_gpu, fast_photon_config, fault_plan=plan)
-    result = photon.simulate_kernel(_uniform_kernel())
-    assert _edges(result) == [("warp", "kernel"), ("kernel", "full")]
-    assert result.mode == "full"
-    assert result.meta["degraded_attempts"] == 3
-    assert result.sim_time > 0
-
-
-def test_detector_misfire_is_recovered(tiny_gpu, fast_photon_config):
-    plan = FaultPlan(FaultSpec(site="detector.warp"))
-    photon = Photon(tiny_gpu, fast_photon_config, fault_plan=plan)
-    result = photon.simulate_kernel(_uniform_kernel())
-    assert _edges(result) == [("warp", "kernel")]
-    assert plan.fired[0][0] == "detector.warp"
-
-
-def test_bb_detector_misfire_is_recovered(tiny_gpu, fast_photon_config):
-    plan = FaultPlan(FaultSpec(site="detector.bb"))
-    photon = Photon(tiny_gpu, fast_photon_config, fault_plan=plan)
-    result = photon.simulate_kernel(_irregular_kernel())
-    assert ("bb", "warp") in _edges(result)
-
-
-def test_corrupted_store_entry_is_quarantined(tiny_gpu,
-                                              fast_photon_config):
-    store = AnalysisStore()
-    Photon(tiny_gpu, fast_photon_config,
-           analysis_store=store).simulate_kernel(make_vecadd(n_warps=16))
-    assert len(store) == 1 and store.quarantined == 0
-
-    plan = FaultPlan(FaultSpec(site="analysis.store"))
-    photon = Photon(tiny_gpu, fast_photon_config, analysis_store=store,
-                    fault_plan=plan)
-    result = photon.simulate_kernel(make_vecadd(n_warps=16))
-    assert store.quarantined == 1
-    assert ("store", "analysis") in _edges(result)
-    assert len(store) == 1  # re-analysed and re-cached
-    assert result.sim_time > 0
-
-
-def test_unrecoverable_fault_propagates(tiny_gpu, fast_photon_config):
-    """A BudgetExceeded inside a level is not ladder-recoverable."""
-    plan = FaultPlan(FaultSpec(site="level.warp", error=BudgetExceeded))
-    photon = Photon(tiny_gpu, fast_photon_config, fault_plan=plan)
-    with pytest.raises(BudgetExceeded):
-        photon.simulate_kernel(_uniform_kernel())
-
-
-def test_executor_memory_fault_site():
-    plan = FaultPlan(FaultSpec(site="executor.memory"))
-    executor = FunctionalExecutor(make_vecadd(n_warps=2), fault_plan=plan)
-    with pytest.raises(InjectedFault):
-        executor.run_warp_full(0)
+    monkeypatch.setattr(repro.core.photon, "schedule_only", broken)
+    photon = Photon(tiny_gpu, fast_photon_config)
+    with pytest.raises(TimingError, match="causality violated"):
+        photon.simulate_kernel(
+            make_loop_kernel(n_warps=700, trips_of=lambda w: 6))
 
 
 # -- watchdog ----------------------------------------------------------------
@@ -330,7 +275,7 @@ def test_watchdog_does_not_disturb_results(tiny_gpu, fast_photon_config):
 
 
 def test_watchdog_trip_in_photon_propagates(tiny_gpu, fast_photon_config):
-    """Budget trips are not absorbed by the degradation ladder."""
+    """Budget trips propagate out of Photon."""
     wd = WatchdogConfig(max_events=10)
     photon = Photon(tiny_gpu, fast_photon_config, watchdog=wd)
     with pytest.raises(BudgetExceeded):
@@ -339,15 +284,16 @@ def test_watchdog_trip_in_photon_propagates(tiny_gpu, fast_photon_config):
 
 # -- harness isolation -------------------------------------------------------
 
-def test_harness_isolates_failing_method(tiny_gpu, fast_photon_config):
-    plan = FaultPlan(FaultSpec(site="harness.method", kernel="pka"))
+def test_harness_isolates_failing_method(tiny_gpu, fast_photon_config,
+                                         monkeypatch):
+    fail_method(monkeypatch, "pka", SamplingError("pka: no stable window"))
     rows = run_methods_kernel(
         lambda: make_vecadd(n_warps=16), "vecadd", 16, gpu=tiny_gpu,
-        methods=("pka", "photon"), photon_config=fast_photon_config,
-        fault_plan=plan)
+        methods=("pka", "photon"), photon_config=fast_photon_config)
     assert [r.method for r in rows] == ["full", "pka", "photon"]
     failed = rows[1]
-    assert failed.error_class == "InjectedFault" and not failed.ok
+    assert failed.error_class == "SamplingError" and not failed.ok
+    assert failed.error == "pka: no stable window"
     assert math.isnan(failed.error_pct) and math.isnan(failed.speedup)
     assert rows[0].ok and rows[2].ok
 

@@ -1,8 +1,8 @@
 """WarpPack: fills of many warps through the one interpreter.
 
 Covers path grouping and the path memo, fault = split (a faulting warp
-is isolated, nobody is re-executed), when a fill runs as singletons,
-the ``exec.batch`` observability surface, the chunked engine provider,
+is isolated, nobody is re-executed), that every fill batches, the
+``exec.batch`` observability surface, the chunked engine provider,
 and the TraceCache fill accounting.  Equality with the retired per-warp
 loops is replayed from ``tests/golden/functional_traces.json``
 (``test_functional_golden.py``); batch-composition invariance is
@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import BudgetExceeded, InjectedFault, MemoryFault
+from repro.errors import BudgetExceeded, MemoryFault
 from repro.functional import (
     FunctionalExecutor,
     PackProvider,
@@ -24,7 +24,6 @@ from repro.functional import (
     control_traces,
 )
 from repro.obs import EXEC_BATCH, EXEC_BATCH_FALLBACK, MemorySink, scoped_bus
-from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.watchdog import WatchdogConfig
 from repro.timing import TraceCache
 
@@ -295,13 +294,12 @@ def test_fallback_trace_matches_per_warp():
         assert fill.traces[warp] == reference.run_warp_full(warp)
 
 
-# -- when a fill runs as singletons ------------------------------------------
+# -- every fill batches ------------------------------------------------------
 
 #: every ``exec.batch.*`` counter the fills may bump (docs/observability.md)
 EXEC_BATCH_COUNTERS = {
     "exec.batch.groups", "exec.batch.batched_warps",
     "exec.batch.fallbacks", "exec.batch.ctrl_reused",
-    "exec.batch.singleton.fault_plan",
     "exec.batch.mem_records", "exec.batch.mem_records_distinct",
 }
 
@@ -320,28 +318,18 @@ def _fill_counters(mode="full", **executor_kwargs):
     return fill, counters
 
 
-def test_singleton_fill_reasons():
-    """The one decision: a fault plan runs every warp as its own batch;
-    everything else — watchdog budgets included — batches."""
+def test_no_fill_runs_as_singletons():
+    """Every fill batches, watchdog budgets or not: the split kernel's
+    eight warps finish as its two path groups."""
     for kwargs in ({}, {"watchdog": WatchdogConfig(deadline_seconds=10.0)},
                    {"watchdog": WatchdogConfig(max_events=5)}):
-        fill, counters = _fill_counters(**kwargs)
-        assert fill.group_sizes == [4, 4]
-        assert counters == {"exec.batch.groups": 2,
-                            "exec.batch.batched_warps": 8,
-                            "exec.batch.mem_records": 8,
-                            "exec.batch.mem_records_distinct": 8}
-    for kwargs in ({"fault_plan": FaultPlan()},
-                   {"fault_plan": FaultPlan(),
-                    "watchdog": WatchdogConfig(deadline_seconds=10.0)}):
         for mode in ("full", "control"):
             fill, counters = _fill_counters(mode, **kwargs)
-            assert fill.group_sizes == [1] * 8
+            assert fill.group_sizes == [4, 4]
             records = ({"exec.batch.mem_records": 8,
                         "exec.batch.mem_records_distinct": 8}
                        if mode == "full" else {})
-            assert counters == {"exec.batch.singleton.fault_plan": 1,
-                                "exec.batch.groups": 8,
+            assert counters == {"exec.batch.groups": 2,
                                 "exec.batch.batched_warps": 8, **records}
 
 
@@ -360,20 +348,6 @@ def test_fill_checks_the_deadline_through_one_watchdog():
             control_traces(kernel, range(8), executor=passed)
     (trip,) = sink.of_kind("reliability.watchdog")
     assert (trip.fields["ticks"], trip.fields["reason"]) == (1, "deadline")
-
-
-def test_singleton_fill_arms_fault_plan_per_warp_instruction():
-    """vecadd touches memory three times per warp: the 5th arming is
-    warp 1's second access, exactly as when warps run one at a time."""
-    plan = FaultPlan(FaultSpec(site="executor.memory", at=5))
-    kernel = make_vecadd(n_warps=4)
-    pack = WarpPackExecutor(
-        kernel, executor=FunctionalExecutor(kernel, fault_plan=plan))
-    pack.fill_control(range(4))       # CONTROL never arms the plan
-    assert plan.specs[0].hits == 0
-    with pytest.raises(InjectedFault):
-        pack.fill_full(range(4))
-    assert plan.specs[0].hits == 5
 
 
 def test_control_traces_batched_equals_per_warp():

@@ -35,7 +35,6 @@ from repro.functional import (
 )
 from repro.isa import KernelBuilder, MemAddr, s, v
 from repro.obs import MemorySink, scoped_bus
-from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.watchdog import WatchdogConfig
 from repro.workloads import REGISTRY
 
@@ -156,10 +155,6 @@ CASES["ladder/bad-arg-register"] = _plain(_bad_arg)
 for _op in ("s_mov", "s_add", "s_cmp"):
     CASES[f"ladder/vector-operand-{_op}"] = _plain(
         lambda o=_op: _vector_in_scalar(o))
-for _at in (1, 2, 5):
-    CASES[f"ladder/fault-plan-at-{_at}"] = lambda at=_at: (
-        make_vecadd(n_warps=4),
-        {"fault_plan": FaultPlan(FaultSpec(site="executor.memory", at=at))})
 CASES["ladder/watchdog-quiet"] = lambda: (
     _trips_kernel(), {"watchdog": WatchdogConfig(deadline_seconds=3600.0)})
 
@@ -223,8 +218,7 @@ def run_case(name: str) -> dict:
 
 def run_case_batched(name: str) -> dict:
     """The same case through whole-grid fills.  Errors come back as the
-    per-warp stored errors of the fill; a watchdog trip or an injected
-    fault stops a fill, so those cases are replayed per warp only."""
+    per-warp stored errors of the fill."""
     kernel, kwargs = CASES[name]()
     pack = WarpPackExecutor(kernel,
                             executor=FunctionalExecutor(kernel, **kwargs))
@@ -261,9 +255,7 @@ def test_golden_replay(case, golden):
     assert run_case(case) == golden[case]
 
 
-@pytest.mark.parametrize(
-    "case", sorted(name for name in CASES
-                   if not name.startswith("ladder/fault-plan")))
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_replay_batched(case, golden):
     expected = {key: golden[case][key]
                 for key in ("control", "full", "arena")}

@@ -16,7 +16,7 @@ from repro.harness import (
     workload_factory,
 )
 
-from conftest import make_vecadd
+from conftest import fail_method, make_vecadd
 
 
 def test_metric_formulas():
@@ -116,36 +116,32 @@ def test_sweep_isolates_unbuildable_size(tiny_gpu, fast_photon_config):
 
 
 def test_run_methods_app_isolates_failing_method(tiny_gpu,
-                                                 fast_photon_config):
-    from repro.reliability import FaultPlan, FaultSpec
-
+                                                 fast_photon_config,
+                                                 monkeypatch):
     def factory():
         app = Application("twice")
         app.launch(make_vecadd(n_warps=16))
         return app
 
-    plan = FaultPlan(FaultSpec(site="harness.method", kernel="pka"))
+    fail_method(monkeypatch, "pka", SamplingError("pka: no stable window"))
     out = run_methods_app(factory, "twice", gpu=tiny_gpu,
                           methods=("photon", "pka"),
-                          photon_config=fast_photon_config,
-                          fault_plan=plan)
+                          photon_config=fast_photon_config)
     assert "photon" in out and "pka" not in out
     by_method = {r.method: r for r in out["rows"]}
     assert by_method["photon"].ok
-    assert by_method["pka"].error_class == "InjectedFault"
+    assert by_method["pka"].error_class == "SamplingError"
 
 
 def test_comparison_table_adds_status_column_on_failure(tiny_gpu,
-                                                        fast_photon_config):
-    from repro.reliability import FaultPlan, FaultSpec
-
-    plan = FaultPlan(FaultSpec(site="harness.method", kernel="pka"))
+                                                        fast_photon_config,
+                                                        monkeypatch):
+    fail_method(monkeypatch, "pka", SamplingError("pka: no stable window"))
     rows = run_methods_kernel(
         lambda: make_vecadd(n_warps=16), "vecadd", 16, gpu=tiny_gpu,
-        methods=("pka", "photon"), photon_config=fast_photon_config,
-        fault_plan=plan)
+        methods=("pka", "photon"), photon_config=fast_photon_config)
     text = comparison_table(rows)
-    assert "status" in text and "InjectedFault" in text and "ok" in text
+    assert "status" in text and "SamplingError" in text and "ok" in text
     # successful sweeps keep the original column set
     clean = run_methods_kernel(
         lambda: make_vecadd(n_warps=16), "vecadd", 16, gpu=tiny_gpu,

@@ -1,5 +1,5 @@
-"""Serialization round-trips for rows and ledger events (satellite:
-process-boundary transport and CLI JSON output)."""
+"""Serialization round-trips for rows (process-boundary transport and
+CLI JSON output)."""
 
 import json
 import math
@@ -8,7 +8,6 @@ import pytest
 
 from repro.harness.metrics import Comparison, failed_row
 from repro.harness.tables import comparison_table
-from repro.reliability.ledger import FallbackEvent
 
 
 def _ok_row():
@@ -54,15 +53,6 @@ def test_to_dict_carries_derived_metrics_for_json_consumers():
     assert data["speedup"] == pytest.approx(4.0)
     # derived keys must not confuse from_dict
     assert Comparison.from_dict(data) == _ok_row()
-
-
-def test_fallback_event_roundtrip():
-    event = FallbackEvent(kernel="vecadd", from_level="bb",
-                          to_level="warp", error="SamplingError",
-                          message="detector diverged")
-    clone = FallbackEvent.from_dict(
-        json.loads(json.dumps(event.to_dict())))
-    assert clone == event
 
 
 def test_deterministic_table_drops_host_wall_columns():

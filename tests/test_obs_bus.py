@@ -290,8 +290,8 @@ def test_chrome_trace_spans_and_instants():
          "t": 0.0, "n_warps": 4},
         {"kind": "engine.bb", "seq": 2, "warp": 3, "pc": 0x20,
          "t0": 1.0, "t1": 4.0},
-        {"kind": "reliability.fallback", "seq": 3, "kernel": "k",
-         "from_level": "bb", "to_level": "warp", "error": "Boom"},
+        {"kind": "reliability.fault", "seq": 3, "site": "sweep.journal",
+         "error": "fs.torn", "kernel": "journal.jsonl"},
         {"kind": "engine.kernel", "seq": 4, "kernel": "k", "t0": 0.0,
          "t1": 9.0, "n_insts": 42, "stopped": False},
     ]
@@ -299,10 +299,10 @@ def test_chrome_trace_spans_and_instants():
     records = doc["traceEvents"]
     names = {e["name"] for e in records}
     assert "bb@32" in names and "k" in names
-    # the clock-less fallback instant is pinned to the last seen time
-    fallback = next(e for e in records if e["name"] == "bb→warp")
-    assert fallback["ph"] == "i"
-    assert fallback["ts"] == 4.0
+    # the clock-less fault instant is pinned to the last seen time
+    fault = next(e for e in records if e["name"] == "fault@sweep.journal")
+    assert fault["ph"] == "i"
+    assert fault["ts"] == 4.0
     # per-process metadata present for Perfetto grouping
     assert any(e["ph"] == "M" for e in records)
 

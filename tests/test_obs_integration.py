@@ -9,13 +9,17 @@ identical event sequences, and the former leaves the bus with the run.
 
 import dataclasses
 import gc
+import json
+import time
 import weakref
 
 import pytest
 
 from repro.core import Photon
-from repro.errors import BudgetExceeded, InjectedFault
+from repro.durable import durable_replace
+from repro.errors import BudgetExceeded
 from repro.functional import FunctionalExecutor
+from repro.harness.defaults import EVAL_R9NANO
 from repro.obs import (
     CORE_KINDS,
     DETECTOR_ELIDED,
@@ -27,12 +31,16 @@ from repro.obs import (
     EXEC_WARP,
     PARALLEL_TASK,
     EventBus,
+    JsonlSink,
     MemorySink,
     scoped_bus,
 )
 from repro.parallel import plan_sweep, run_sweep
-from repro.reliability import FaultPlan, FaultSpec, Watchdog
-from repro.timing import BBProbe, DetailedEngine, WarpProbe
+from repro.reliability import (FsFaultPlan, FsFaultSpec, Watchdog,
+                               WatchdogConfig, scoped_fs_faults)
+from repro.timing import (BBProbe, DetailedEngine, WarpProbe,
+                          simulate_kernel_detailed)
+from repro.workloads import build_relu
 
 from conftest import make_barrier_kernel, make_loop_kernel, make_vecadd
 
@@ -299,68 +307,71 @@ def test_detector_replay_then_judges_on_arrival(tiny_gpu,
 
 
 def test_watchdog_trip_emits_event():
-    with scoped_bus() as bus:
-        sink = bus.add_sink(MemorySink())
-        dog = Watchdog("engine:test", "events", budget=5)
-        dog.tick(5)
-        with pytest.raises(BudgetExceeded):
-            dog.tick(1)
-        assert [e.kind for e in sink.events] == ["reliability.watchdog"]
-        trip = sink.events[0]
-        assert trip.fields == {"label": "engine:test", "unit": "events",
-                               "ticks": 6, "reason": "budget"}
-        assert bus.metrics.counter("watchdog.trips").value == 1
-
-
-def test_fault_fire_emits_event():
-    with scoped_bus() as bus:
-        sink = bus.add_sink(MemorySink())
-        plan = FaultPlan(FaultSpec(site="level.bb"))
-        with pytest.raises(InjectedFault):
-            plan.arm("level.bb", kernel="k1", level="bb")
-        assert [e.kind for e in sink.events] == ["reliability.fault"]
-        assert sink.events[0].fields == {"site": "level.bb",
-                                         "error": "InjectedFault",
-                                         "kernel": "k1"}
-
-
-def test_degradation_mirrors_ledger_on_bus(tiny_gpu, fast_photon_config):
     bus = EventBus()
     sink = bus.add_sink(MemorySink())
-    plan = FaultPlan(FaultSpec(site="level.warp"))
-    photon = Photon(tiny_gpu, fast_photon_config, fault_plan=plan,
-                    bus=bus)
-    kernel = make_loop_kernel(n_warps=700, trips_of=lambda w: 6)
-    result = photon.simulate_kernel(kernel)
-    assert result.degraded
-    fallbacks = sink.of_kind("reliability.fallback")
-    assert [(e.fields["from_level"], e.fields["to_level"])
-            for e in fallbacks] == [
-        (ev.from_level, ev.to_level) for ev in result.errors]
-    # the injected fault that caused the fallback is interleaved before
-    faults = sink.of_kind("reliability.fault")
-    assert faults == []  # plan events go to the *default* bus
-    assert bus.metrics.counter("photon.fallbacks").value == len(
-        result.errors)
+    dog = Watchdog("engine:test", "events", budget=5, bus=bus)
+    dog.tick(5)
+    with pytest.raises(BudgetExceeded):
+        dog.tick(1)
+    assert [e.kind for e in sink.events] == ["reliability.watchdog"]
+    trip = sink.events[0]
+    assert trip.fields == {"label": "engine:test", "unit": "events",
+                           "ticks": 6, "reason": "budget"}
+    assert bus.metrics.counter("watchdog.trips").value == 1
+
+
+def test_watchdog_trip_lands_on_the_runs_bus():
+    """A trip is announced on the bus of the run it stops — an engine's
+    and a fill's alike — and nothing reaches the default bus."""
+    run_bus = EventBus()
+    run_trips = run_bus.add_sink(MemorySink(),
+                                 kinds=["reliability.watchdog"])
+    with scoped_bus() as default:
+        default_trips = default.add_sink(MemorySink(),
+                                         kinds=["reliability.watchdog"])
+        with pytest.raises(BudgetExceeded):
+            simulate_kernel_detailed(
+                build_relu(256), EVAL_R9NANO,
+                watchdog=WatchdogConfig(max_events=10), bus=run_bus)
+        with pytest.raises(BudgetExceeded):
+            FunctionalExecutor(make_vecadd(n_warps=4), bus=run_bus,
+                               deadline=time.monotonic() - 1.0
+                               ).run_warp_control(0)
+    assert [e.fields["label"] for e in run_trips.events] == [
+        "engine(relu)", "executor('vecadd' control, 1 warps)"]
+    assert run_bus.metrics.counter("watchdog.trips").value == 2
+    assert default_trips.events == []
+    assert "watchdog.trips" not in default.metrics.snapshot()["counters"]
+
+
+def test_fault_fire_emits_event(tmp_path):
+    with scoped_bus() as bus:
+        sink = bus.add_sink(MemorySink())
+        plan = FsFaultPlan(FsFaultSpec(site="sweep.journal", mode="enospc"))
+        with scoped_fs_faults(plan), pytest.raises(OSError):
+            durable_replace(b"{}", tmp_path / "journal.jsonl",
+                            site="sweep.journal")
+        assert [e.kind for e in sink.events] == ["reliability.fault"]
+        assert sink.events[0].fields == {"site": "sweep.journal",
+                                         "error": "fs.enospc",
+                                         "kernel": "journal.jsonl"}
 
 
 def test_full_photon_run_under_scoped_bus(tiny_gpu, fast_photon_config):
-    """One scoped bus observes engine, detector, fault and fallback."""
+    """One scoped bus observes the engine and the detectors of a Photon
+    built inside it."""
     with scoped_bus() as bus:
         sink = bus.add_sink(MemorySink())
-        plan = FaultPlan(FaultSpec(site="level.warp"))
-        photon = Photon(tiny_gpu, fast_photon_config, fault_plan=plan)
+        photon = Photon(tiny_gpu, fast_photon_config)
         kernel = make_loop_kernel(n_warps=700, trips_of=lambda w: 6)
         result = photon.simulate_kernel(kernel)
         kinds = sink.kinds()
-        assert kinds["reliability.fault"] == 1
-        assert kinds["reliability.fallback"] == len(result.errors) >= 1
-        assert kinds["engine.kernel"] >= 2  # failed attempt + retry
+        assert result.mode == "warp"
+        assert kinds["engine.kernel"] == 1
         assert kinds["detector.switch"] >= 1
-        # stream order: the fault precedes the fallback it caused
         order = [e.kind for e in sink.events]
-        assert (order.index("reliability.fault")
-                < order.index("reliability.fallback"))
+        assert (order.index("detector.switch")
+                < order.index("engine.kernel"))
 
 
 # ------------------------------------------------------------ parallel
@@ -381,6 +392,21 @@ def test_sweep_emits_task_events(tiny_gpu):
             assert (event.fields["t1"] - event.fields["t0"]
                     == pytest.approx(telemetry.task_wall))
         assert bus.metrics.counter("sweep.tasks").value == len(tasks)
+
+
+def test_forked_workers_write_nothing_to_the_parents_trace(tmp_path):
+    """A forked worker starts on a fresh silent bus: the parent's open
+    trace file receives the parent's events only."""
+    path = tmp_path / "trace.jsonl"
+    with scoped_bus() as bus:
+        sink = bus.add_sink(JsonlSink(path))
+        tasks = plan_sweep(["relu"], sizes=(256,), methods=("photon",))
+        run_sweep(tasks, jobs=2)
+        bus.remove_sink(sink)
+        sink.close()
+    kinds = [json.loads(line)["kind"]
+             for line in path.read_text().splitlines()]
+    assert kinds == ["parallel.task"] * len(tasks)
 
 
 def test_parallel_sweep_keeps_parent_trace_clean(tiny_gpu):

@@ -1,4 +1,4 @@
-"""Unit tests for repro.reliability: watchdogs, fault plans, the ledger."""
+"""Unit tests for repro.reliability: watchdogs and their budgets."""
 
 import dataclasses
 import time
@@ -8,19 +8,10 @@ import pytest
 from repro.errors import (
     BudgetExceeded,
     ConfigError,
-    InjectedFault,
     ReproError,
-    SamplingError,
     SimulationStalled,
 )
-from repro.reliability import (
-    FALLBACK_CHAIN,
-    FallbackEvent,
-    FaultPlan,
-    FaultSpec,
-    Watchdog,
-    WatchdogConfig,
-)
+from repro.reliability import Watchdog, WatchdogConfig
 from repro.config import R9_NANO
 from repro.functional import FunctionalExecutor
 from repro.reliability.watchdog import POLL_INTERVAL, deadline_of
@@ -34,8 +25,6 @@ from conftest import make_vecadd
 def test_error_taxonomy():
     assert issubclass(BudgetExceeded, ReproError)
     assert issubclass(SimulationStalled, ReproError)
-    # injected faults are recoverable by the degradation ladder
-    assert issubclass(InjectedFault, SamplingError)
 
 
 def test_watchdog_config_validation():
@@ -90,61 +79,3 @@ def test_engine_and_executor_use_their_own_budgets():
     assert executor.run_warp_full(0).n_insts > 0
     with pytest.raises(BudgetExceeded, match="engine"):
         engine.run()
-
-
-# -- FaultSpec / FaultPlan ----------------------------------------------------
-
-def test_fault_fires_on_nth_arming():
-    plan = FaultPlan(FaultSpec(site="s", at=3))
-    plan.arm("s")
-    plan.arm("s")
-    with pytest.raises(InjectedFault):
-        plan.arm("s")
-    plan.arm("s")  # window of one: exhausted again
-    assert plan.fired == [("s", "InjectedFault", None)]
-
-
-def test_fault_count_window():
-    plan = FaultPlan(FaultSpec(site="s", count=2))
-    for _ in range(2):
-        with pytest.raises(InjectedFault):
-            plan.arm("s")
-    plan.arm("s")
-    assert len(plan.fired) == 2
-
-
-def test_fault_kernel_filter_and_level_attribution():
-    plan = FaultPlan(FaultSpec(site="s", kernel="k1", level="warp"))
-    plan.arm("s", kernel="other")  # no match
-    with pytest.raises(InjectedFault) as info:
-        plan.arm("s", kernel="k1", level="bb")
-    assert info.value.photon_level == "warp"  # spec override wins
-
-
-def test_fault_site_level_default():
-    plan = FaultPlan(FaultSpec(site="s"))
-    with pytest.raises(InjectedFault) as info:
-        plan.arm("s", level="kernel")
-    assert info.value.photon_level == "kernel"
-
-
-def test_fault_custom_error_and_message():
-    plan = FaultPlan()
-    plan.add(FaultSpec(site="s", error=BudgetExceeded, message="boom"))
-    with pytest.raises(BudgetExceeded, match="boom"):
-        plan.arm("s")
-
-
-# -- ledger -------------------------------------------------------------------
-
-def test_fallback_chain_order():
-    assert FALLBACK_CHAIN == ("bb", "warp", "kernel", "full")
-
-
-def test_fallback_event_serialises():
-    event = FallbackEvent(kernel="k", from_level="bb", to_level="warp",
-                          error="InjectedFault", message="m")
-    assert event.to_dict() == {
-        "kernel": "k", "from_level": "bb", "to_level": "warp",
-        "error": "InjectedFault", "message": "m",
-    }

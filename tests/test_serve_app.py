@@ -105,6 +105,20 @@ async def test_malformed_requests_get_400(server, client):
 
 
 @serve_test()
+async def test_oversized_ping_and_sweep_get_400(server, client):
+    """A ping delayed past a minute and a sweep planning more than 4096
+    tasks are refused before admission: no slot is taken."""
+    big_sweep = {"workloads": ["relu"], "sizes": list(range(1, 2050))}
+    for path, body in [("/v1/ping", {"delay_ms": 60_001}),
+                       ("/v1/sweep", big_sweep)]:
+        status, _headers, payload = await call(client.post, path, body)
+        assert status == 400 and "error" in payload, (path, payload)
+    stats = await call(client.stats)
+    assert stats["queue"]["running"] == 0
+    assert stats["counts"]["executions"] == 0
+
+
+@serve_test()
 async def test_run_roundtrip_matches_direct_execution(server, client):
     """A served result is bitwise the direct run_task result."""
     served = await call(client.run, "relu", 128, "photon")

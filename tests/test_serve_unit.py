@@ -318,6 +318,35 @@ def test_normalize_rejects_bad_requests():
             normalize_request(body)
 
 
+def test_ping_delay_is_bounded():
+    """A delayed ping sleeps holding an admission slot: a minute at
+    most, or one request could pin a slot until drain."""
+    assert normalize_request(
+        {"op": "ping", "delay_ms": 60_000}).delay_ms == 60_000
+    for delay in (60_001, 10**9):
+        with pytest.raises(ProtocolError, match="<= 60000"):
+            normalize_request({"op": "ping", "delay_ms": delay})
+
+
+def test_sweep_plan_size_is_bounded():
+    """A sweep may plan 4096 tasks (a baseline and each method per
+    cell), counted before any size is parsed."""
+    def sweep(n_sizes, methods=("photon",), workloads=("relu",)):
+        return {"op": "sweep", "workloads": list(workloads),
+                "sizes": list(range(1, n_sizes + 1)),
+                "methods": list(methods)}
+
+    assert len(normalize_request(sweep(2048)).sizes) == 2048
+    for body in (sweep(2049), sweep(1366, methods=("photon", "pka")),
+                 sweep(1025, workloads=("relu", "fir"))):
+        with pytest.raises(ProtocolError, match="at most 4096"):
+            normalize_request(body)
+    # default sizes count too: relu plans one cell
+    many = {"op": "sweep", "workloads": ["relu"] * 2049}
+    with pytest.raises(ProtocolError, match="plans 4098 tasks"):
+        normalize_request(many)
+
+
 def test_normalize_defaults_and_tenant():
     request = normalize_request({"workload": "relu"}, op="run")
     assert request.op == "run"
