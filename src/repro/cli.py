@@ -55,7 +55,6 @@ from .harness.runner import (
     workload_factory,
 )
 from .harness.tables import comparison_table
-from .parallel import plan_sweep, resume_sweep, run_sweep
 from .reliability.watchdog import WatchdogConfig
 from .timing.tracecache import TraceCache
 from .tracestore import TraceStore
@@ -507,6 +506,8 @@ def _run_sweep(args: argparse.Namespace,
             f"pick one fleet role, not {' + '.join(roles)}")
     if roles:
         return _run_fleet(args, watchdog, obs)
+    from .parallel import resume_sweep, run_sweep
+
     if args.resume_dir is not None:
         if args.workloads:
             raise ConfigError(
@@ -546,6 +547,8 @@ def _plan_from_args(args: argparse.Namespace,
         raise ConfigError(
             "sweep needs workload names (only --resume DIR, --worker and "
             "--coordinate take the plan from disk)")
+    from .parallel import plan_sweep
+
     return plan_sweep(
         args.workloads, sizes=args.sizes,
         methods=tuple(args.methods), gpu=args.gpu, seed=args.seed,

@@ -1,5 +1,11 @@
 """Command-line interface."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import APP_BUILDERS, build_parser, main
@@ -96,8 +102,6 @@ def test_watchdog_trip_isolated_into_table(capsys):
 
 
 def test_run_trace_then_export(capsys, tmp_path):
-    import json
-
     trace = tmp_path / "run.jsonl"
     chrome = tmp_path / "run.json"
     assert main(["run", "relu", "--size", "256",
@@ -215,3 +219,48 @@ def test_run_without_trace_store_writes_nothing(capsys, tmp_path, monkeypatch):
                  "--methods", "photon"]) == 0
     capsys.readouterr()
     assert not list(tmp_path.glob("**/*.trc"))
+
+
+# the sweep, fleet and serve layers and the stdlib stacks they pull in;
+# a simulation process calls none of them
+ORCHESTRATION_MODULES = ("repro.parallel", "repro.serve", "asyncio",
+                         "concurrent.futures", "multiprocessing", "socket",
+                         "ssl")
+
+_SIMULATION_PROCESS = """
+import contextlib, io, json, sys
+import repro.cli
+import repro.functional
+import repro.harness.runner
+import repro.workloads
+from repro.workloads import build_pagerank
+
+trace, chrome = sys.argv[1], sys.argv[2]
+repro.cli.APP_BUILDERS["pr-1024"] = lambda: build_pagerank(128, iterations=2)
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["run", "relu", "--size", "64", "--trace", trace],
+                 ["app", "pr-1024", "--methods", "photon"],
+                 ["list"],
+                 ["trace", "export", trace, chrome]):
+        codes.append(repro.cli.main(argv))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_simulation_path_loads_no_orchestration_layer(tmp_path):
+    """``repro run`` / ``app`` / ``list`` / ``trace export`` and the
+    simulator packages leave the sweep, fleet and serve layers (and
+    asyncio, sockets, process pools) unimported in a fresh
+    interpreter."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIMULATION_PROCESS,
+         str(tmp_path / "t.jsonl"), str(tmp_path / "t.json")],
+        check=True, capture_output=True, text=True, env=env,
+        cwd=str(tmp_path), timeout=300)
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0, 0]
+    assert set(ORCHESTRATION_MODULES).isdisjoint(report["modules"])
