@@ -14,6 +14,7 @@ geometry is preserved.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -101,11 +102,15 @@ class GpuConfig:
                 f"cus_per_l1_group={self.cus_per_l1_group}"
             )
         # the engine reads a negative per-class latency as "send to the
-        # stateful handlers"; fractional values are legal
+        # stateful handlers", and a NaN or infinite one as no class at
+        # all; fractional values are legal
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.name.endswith(("_lat", "_service", "_interval")) \
-                    and value < 0:
+            if not f.name.endswith(("_lat", "_service", "_interval")):
+                continue
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if value < 0:
                 raise ConfigError(f"{f.name} must be >= 0, got {value!r}")
 
     def scaled(self, n_cu: int) -> "GpuConfig":

@@ -8,6 +8,8 @@ between parameters are what matter for reproducing behaviour.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -62,6 +64,11 @@ class PhotonConfig:
     enable_bb_sampling: bool = True
 
     def __post_init__(self) -> None:
+        # a NaN passes every one-sided comparison below
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not 0 < self.sample_fraction <= 1:
             raise ConfigError(
                 f"sample_fraction must be in (0, 1], "
@@ -112,8 +119,6 @@ class PhotonConfig:
     def with_levels(self, kernel: bool = True, warp: bool = True,
                     bb: bool = True) -> "PhotonConfig":
         """Copy with a subset of sampling levels enabled (ablations)."""
-        import dataclasses
-
         return dataclasses.replace(
             self,
             enable_kernel_sampling=kernel,

@@ -9,7 +9,8 @@ ablations), :func:`check_methods` the one validator of their names,
 kernel/application (same seed, hence identical workload and data, so no
 method benefits from another's warm state — the paper runs each
 configuration separately too).  ``repro run`` / ``repro app`` call it
-through :func:`run_methods_kernel` / :func:`run_methods_app`; sweeps,
+through :func:`run_methods_kernel` / :func:`run_methods_app`, which run
+a cell's evaluations side by side in forked children; sweeps,
 fleet workers and the server through
 :func:`repro.parallel.tasks.run_task`; all of them build their rows with
 :func:`repro.harness.metrics.cell_rows`.
@@ -26,7 +27,11 @@ configuration), so the way to re-run a failed one is ``repro sweep
 
 from __future__ import annotations
 
+import functools
+import os
+import tempfile
 from typing import (
+    BinaryIO,
     Callable,
     Dict,
     Iterable,
@@ -45,6 +50,7 @@ from ..core.config import PhotonConfig
 from ..core.photon import Photon
 from ..errors import ReproError, WorkloadError
 from ..functional.kernel import Application, Kernel
+from ..obs import EventBus, EventType, current_bus, set_default_bus
 from ..reliability.watchdog import WatchdogConfig
 from ..timing.simulator import (
     AppResult,
@@ -55,6 +61,7 @@ from ..timing.simulator import (
 from ..timing.tracecache import TraceCache
 from ..workloads.base import REGISTRY
 from .defaults import EVAL_PHOTON, EVAL_R9NANO
+from .forked import ChildDied, run_forked
 from .metrics import Comparison, Evaluation, cell_rows
 
 KernelFactory = Callable[[], Kernel]
@@ -199,18 +206,91 @@ def evaluate(
     return Evaluation(method, result)
 
 
+def _evaluate_relayed(factory: Callable[[], Union[Kernel, Application]],
+                      method: str, kinds: List[EventType],
+                      log: Optional[BinaryIO],
+                      options: Dict[str, object]) -> tuple:
+    """:func:`evaluate` in a forked child, with what the caller must see
+    of it: the events of ``kinds`` (what the caller's bus listens to),
+    written to ``log``, and the metrics."""
+    bus = EventBus()
+    if log is not None:
+        bus.record(kinds, log)
+    set_default_bus(bus)
+    evaluation = evaluate(factory, method, **options)
+    if log is not None:
+        log.flush()
+    return evaluation, bus.metrics.snapshot()
+
+
 def _evaluate_cell(factory: Callable[[], Union[Kernel, Application]],
                    methods: Sequence[str],
                    **options) -> Tuple[Evaluation, List[Evaluation]]:
     """Full detail, then each of ``methods`` (not run when there is no
     baseline to compare them against).  ``options`` are
-    :func:`evaluate`'s."""
+    :func:`evaluate`'s.
+
+    The evaluations run side by side in forked children
+    (:func:`_evaluate_forked`), except where :func:`os.fork` does not
+    exist, and with a ``trace_cache``: each method replays the traces
+    the ones before it emulated, so those run here, one after another.
+    """
     check_methods(methods)
-    full = evaluate(factory, FULL_METHOD, **options)
+    if hasattr(os, "fork") and options.get("trace_cache") is None:
+        full, *evaluations = _evaluate_forked(
+            factory, [FULL_METHOD, *methods], options)
+    else:
+        full = evaluate(factory, FULL_METHOD, **options)
+        evaluations = [evaluate(factory, method, **options)
+                       for method in methods] if full.ok else []
     if not full.ok:
         return full, [Evaluation(method) for method in methods]
-    return full, [evaluate(factory, method, **options)
-                  for method in methods]
+    return full, evaluations
+
+
+def _baseline_failed(index: int, outcome: object) -> bool:
+    return index == 0 and (isinstance(outcome, ChildDied)
+                           or not outcome[0].ok)
+
+
+def _evaluate_forked(factory: Callable[[], Union[Kernel, Application]],
+                     names: List[str],
+                     options: Dict[str, object]) -> List[Evaluation]:
+    """``names`` evaluated side by side, one forked child each
+    (:func:`~repro.harness.forked.run_forked`, at most one per CPU).
+
+    The caller's bus then sees each child's events and metrics in
+    method order, as if the evaluations had run here.  Once full detail
+    (the first name) fails, the other children are killed and nothing
+    of theirs is seen, nor returned.
+    """
+    caller = current_bus()
+    kinds = caller.listened_kinds()
+    logs = [tempfile.TemporaryFile() if kinds else None for _ in names]
+    try:
+        outcomes = run_forked(
+            [functools.partial(_evaluate_relayed, factory, name, kinds, log,
+                               options) for name, log in zip(names, logs)],
+            _baseline_failed)
+        evaluations = []
+        for name, log, outcome in zip(names, logs, outcomes):
+            if outcome is None:    # not run: full detail failed
+                break
+            if isinstance(outcome, ChildDied):
+                evaluations.append(Evaluation(
+                    name, error_class="ChildProcessError",
+                    error=f"{name}: evaluation process {outcome.describe()}"))
+                continue
+            evaluation, metrics = outcome
+            if log is not None:
+                caller.replay(log)
+            caller.metrics.merge(metrics)
+            evaluations.append(evaluation)
+        return evaluations
+    finally:
+        for log in logs:
+            if log is not None:
+                log.close()
 
 
 def run_methods_kernel(factory: KernelFactory, workload: str, size: int,
@@ -226,6 +306,15 @@ def run_methods_kernel(factory: KernelFactory, workload: str, size: int,
     casualty); failures *inside* a known method become failed rows, and
     a kernel that cannot even be built becomes one failed ``build``
     row.
+
+    Full detail and each method run side by side, each in a forked
+    child, at most one per CPU; each row's wall time (hence its
+    ``speedup``) is timed while the others run.  An exception other
+    than a :class:`ReproError` is raised here with the child's
+    traceback; a child killed by a signal is a failed
+    ``ChildProcessError`` row.  With a ``trace_cache`` they run in this
+    process, one after another, so every method replays the traces the
+    ones before it emulated or read.
     """
     return cell_rows(workload, size, *_evaluate_cell(
         factory, methods, gpu=gpu, **options))

@@ -21,14 +21,19 @@ executor built without a bus uses.  :func:`set_default_bus` swaps it and
 :func:`scoped_bus` is the test-friendly context-manager form.  A forked
 child starts on a fresh silent bus (:func:`_fresh_bus_after_fork`), so
 a sink inherited from the parent — an open trace file, say — never sees
-the child's writes.
+the child's writes.  A child whose events should reach its parent's
+sinks records them to a file instead (:meth:`EventBus.record`, on the
+kinds :meth:`EventBus.listened_kinds` of the parent's bus) and the
+parent publishes them again with :meth:`EventBus.replay`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+import pickle
+from typing import BinaryIO, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .events import ALL_TYPES, Event, EventType
 from .metrics import MetricsRegistry
@@ -124,6 +129,36 @@ class EventBus:
         if channel is not None and channel.subscribers:
             channel.publish(*args)
 
+    # -- relaying another process's events -----------------------------------
+
+    def listened_kinds(self) -> List[EventType]:
+        """The event kinds that have at least one subscriber."""
+        return [channel.etype for channel in self._channels.values()
+                if channel.subscribers]
+
+    def record(self, kinds: Iterable[EventType], log: BinaryIO) -> None:
+        """Write every publish of ``kinds`` on this bus to ``log`` as it
+        happens, one pickled ``(kind name, args)`` pair each, so a long
+        run's events are held on disk, not in memory."""
+        pickler = pickle.Pickler(log, pickle.HIGHEST_PROTOCOL)
+        # no memo: the writer would keep every object written alive,
+        # and the reader every object read
+        pickler.fast = True
+        for etype in kinds:
+            self.channel(etype).subscribers.append(
+                functools.partial(_log_publish, pickler, etype.name))
+
+    def replay(self, log: BinaryIO) -> None:
+        """Publish what :meth:`record` wrote to ``log``, in its order."""
+        log.seek(0)
+        load = pickle.Unpickler(log).load
+        while True:
+            try:
+                name, args = load()
+            except EOFError:
+                return
+            self._channels[name].publish(*args)
+
     # -- sinks --------------------------------------------------------------
 
     def add_sink(self, sink: Sink,
@@ -171,6 +206,10 @@ class EventBus:
                 for kind, n in sink.counts.items():
                     counts[kind] = counts.get(kind, 0) + n
         return counts
+
+
+def _log_publish(pickler: pickle.Pickler, name: str, *args) -> None:
+    pickler.dump((name, args))
 
 
 # -- process-wide default bus ----------------------------------------------

@@ -142,5 +142,15 @@ class MetricsRegistry:
                        for name, t in sorted(self._timers.items())},
         }
 
+    def merge(self, snapshot: Dict[str, object]) -> None:
+        """Add another registry's :meth:`snapshot` into this one: counts
+        and timed seconds accumulate as if its work had run here."""
+        for name, value in snapshot["counters"].items():
+            self.counter(name).inc(value)
+        for name, timed in snapshot["timers"].items():
+            timer = self.timer(name)
+            timer.total += timed["total"]
+            timer.count += timed["count"]
+
     def __len__(self) -> int:
         return len(self._counters) + len(self._timers)

@@ -98,6 +98,25 @@ def test_negative_latency_or_interval_rejected(field):
                        field) == value
 
 
+_LATENCY_FIELDS = [
+    "scalar_alu_lat", "vector_alu_lat", "branch_lat", "lds_lat", "l1_lat",
+    "l2_lat", "dram_lat", "l1_service", "l2_service", "dram_service",
+    "issue_interval", "cp_dispatch_interval"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("field", _LATENCY_FIELDS)
+def test_non_finite_latency_or_interval_rejected(field, value):
+    """A NaN passes ``< 0``, and a NaN or infinite latency matches no
+    op class in the engine (a mid-run ``TimingError``); both are a
+    ConfigError at construction."""
+    import dataclasses
+
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        dataclasses.replace(EVAL_R9NANO, **{field: value})
+
+
 def test_photon_config_defaults_match_paper():
     cfg = PhotonConfig()
     assert cfg.sample_fraction == 0.01
@@ -136,6 +155,20 @@ def test_photon_config_validation():
 ])
 def test_photon_config_errors_name_the_field(field, value):
     with pytest.raises(ConfigError, match=field):
+        PhotonConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("field", [
+    "sample_fraction", "min_sample_warps", "bb_window", "stable_bb_rate",
+    "bb_retire_gate_fraction", "warp_window", "dominant_warp_rate",
+    "delta", "mean_delta", "bbv_dim", "gpu_bbv_clusters",
+    "kernel_distance", "rare_bb_min_samples"])
+def test_photon_config_rejects_non_finite_values(field, value):
+    """``kernel_distance=nan`` used to pass (``nan < 0`` is False);
+    every numeric knob now rejects NaN and both infinities by name."""
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
         PhotonConfig(**{field: value})
 
 
