@@ -7,7 +7,7 @@ journal append, ENOSPC mid-bundle-write — must, after
 ``repro sweep --resume``, produce a deterministic comparison table and
 a trace-store content digest bitwise-identical to an uninterrupted run.
 
-Four trial families, all seeded and reproducible:
+Three trial families, all seeded and reproducible:
 
 * **process-kill trials** — launch ``python -m repro sweep ... --run-dir
   --jobs 2`` as a real subprocess (own session), wait until the journal
@@ -21,12 +21,6 @@ Four trial families, all seeded and reproducible:
   ``sweep.journal`` append or ``tracestore.bundle`` write tears,
   shorts, or hits ENOSPC; treat the raised error as the crash and
   resume.
-* **fleet trials** — initialize a multi-host fleet
-  (``repro.parallel.fleet``), launch two real worker subprocesses with
-  short leases, SIGKILL one of them mid-lease (the survivor must steal
-  its task), and optionally crash the coordinator mid-merge with an
-  injected ``tracestore.bundle`` fault before re-coordinating — the
-  merged result must still equal golden.
 * **golden** — the uninterrupted reference run every family is
   compared against, bit for bit.
 
@@ -58,13 +52,10 @@ from repro.durable import RecordLog  # noqa: E402
 from repro.harness.tables import comparison_table  # noqa: E402
 from repro.parallel import (  # noqa: E402
     JOURNAL_NAME,
-    fleet_coordinate,
-    fleet_init,
     plan_sweep,
     resume_sweep,
     run_sweep,
 )
-from repro.parallel.fleet import HOSTS_DIR  # noqa: E402
 from repro.parallel.journal import REC_DONE, REC_FAILED  # noqa: E402
 from repro.errors import SamplingError  # noqa: E402
 from repro.reliability import (  # noqa: E402
@@ -235,95 +226,6 @@ def fs_fault_trial(tmp: Path, seed: int, golden_table: str,
     return ""
 
 
-def _spawn_fleet_worker(fleet_dir: Path, host: str,
-                        lease_seconds: float) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent
-                            / "src")
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "sweep",
-         "--fleet-dir", str(fleet_dir), "--worker",
-         "--host-id", host, "--lease-seconds", str(lease_seconds)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-
-def fleet_trial(tmp: Path, seed: int, golden_table: str,
-                golden_store: Dict[str, str]) -> str:
-    """One seeded fleet-chaos trial; returns "" or a failure message.
-
-    Launches two real worker subprocesses over a shared fleet
-    directory, SIGKILLs one after it has journaled a seeded number of
-    outcomes (its expired lease hands the in-flight task to the
-    survivor), then coordinates — on odd treatments, first under an
-    injected ``tracestore.bundle`` fault so the merge itself crashes
-    and has to be re-run.  The final merged table and store digest
-    must equal golden regardless.
-    """
-    rng = random.Random(2000 + seed)
-    fleet_dir = tmp / f"fleet-{seed}"
-    store = tmp / f"fleet-{seed}-store"
-    fleet_init(fleet_dir, _plan(str(store)))
-    hosts = [f"chaos-w{i}" for i in (1, 2)]
-    kill_after = rng.randrange(1, 3)   # journaled outcomes on victim
-    victim = rng.choice(hosts)
-    crash_merge = bool(rng.randrange(2))
-    workers = {host: _spawn_fleet_worker(fleet_dir, host,
-                                         lease_seconds=1.0)
-               for host in hosts}
-    victim_journal = fleet_dir / HOSTS_DIR / victim / JOURNAL_NAME
-    killed = "exited first"
-    deadline = time.monotonic() + SUBPROCESS_TIMEOUT_S
-    try:
-        while (workers[victim].poll() is None
-                and time.monotonic() < deadline):
-            if _count_outcomes(victim_journal) >= kill_after:
-                workers[victim].send_signal(signal.SIGKILL)
-                killed = f"{victim}@{kill_after}"
-                break
-            time.sleep(POLL_S)
-
-        merge_crash = None
-        if crash_merge:
-            plan = FsFaultPlan(FsFaultSpec(
-                site="tracestore.bundle", mode=rng.choice(
-                    ["torn", "short", "enospc"]),
-                at=rng.randrange(1, 3), fraction=rng.random()))
-            try:
-                with scoped_fs_faults(plan):
-                    fleet_coordinate(fleet_dir, grace=30.0,
-                                     timeout=SUBPROCESS_TIMEOUT_S)
-            except BaseException as exc:
-                merge_crash = type(exc).__name__
-            if not plan.fired:
-                merge_crash = "no-fire"
-        result = fleet_coordinate(fleet_dir, grace=30.0,
-                                  timeout=SUBPROCESS_TIMEOUT_S)
-        for proc in workers.values():
-            proc.wait(timeout=SUBPROCESS_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return f"fleet seed {seed}: worker subprocess hung"
-    finally:
-        for proc in workers.values():
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-    table = comparison_table(result.rows, deterministic=True)
-    if table != golden_table:
-        return (f"fleet seed {seed} (kill {killed}, "
-                f"merge_crash={merge_crash}): merged table diverged"
-                f"\n--- golden ---\n{golden_table}"
-                f"\n--- fleet ---\n{table}")
-    digest = store_digest(store)
-    if digest != golden_store:
-        return (f"fleet seed {seed} (kill {killed}, "
-                f"merge_crash={merge_crash}): trace-store digest "
-                f"diverged: {sorted(digest)} vs {sorted(golden_store)}")
-    print(f"  fleet seed {seed}: kill {killed}, "
-          f"merge_crash={merge_crash}, steals={result.report.steals} "
-          f"-> identical")
-    return ""
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kill-points", type=int, default=20,
@@ -331,17 +233,11 @@ def main() -> int:
                         help="seeded process-kill trials (default 20)")
     parser.add_argument("--fs-faults", type=int, default=6, metavar="N",
                         help="seeded filesystem-fault trials (default 6)")
-    parser.add_argument("--fleet-trials", type=int, default=6,
-                        metavar="N",
-                        help="seeded multi-host fleet trials "
-                             "(default 6)")
     parser.add_argument("--smoke", action="store_true",
-                        help="fast-lane subset: 2 kill + 2 fs + 1 "
-                             "fleet trial")
+                        help="fast-lane subset: 2 kill + 2 fs trials")
     args = parser.parse_args()
     n_kill = 2 if args.smoke else args.kill_points
     n_fs = 2 if args.smoke else args.fs_faults
-    n_fleet = 1 if args.smoke else args.fleet_trials
 
     failures: List[str] = []
     tmp = Path(tempfile.mkdtemp(prefix="chaos-sweep-"))
@@ -361,12 +257,6 @@ def main() -> int:
                                      golden_store)
             if message:
                 failures.append(message)
-        print(f"fleet trials: {n_fleet}")
-        for seed in range(n_fleet):
-            message = fleet_trial(tmp, seed, golden_table,
-                                  golden_store)
-            if message:
-                failures.append(message)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -375,8 +265,8 @@ def main() -> int:
         for message in failures:
             print(f"  {message}")
         return 1
-    print(f"\nchaos_sweep OK: {n_kill} kill + {n_fs} fs-fault + "
-          f"{n_fleet} fleet trials, zero divergence")
+    print(f"\nchaos_sweep OK: {n_kill} kill + {n_fs} fs-fault "
+          f"trials, zero divergence")
     return 0
 
 

@@ -31,10 +31,11 @@ class Retired(NamedTuple):
 CODE = ("src", "tests", "docs", "README.md", ".github")
 CODE_SCRIPTS = CODE + ("scripts",)
 EVERYWHERE = CODE_SCRIPTS + ("examples",)
-#: recorded run dirs and fleet fixtures carry retired keys on purpose:
-#: they prove those records still load
-RETRY_ERA = "tests/golden/retry_era_records.json"
-SIX_KNOB = "tests/golden/six_knob_watchdog_records.json"
+#: recorded run dirs carry retired keys on purpose: they prove those
+#: records still load
+GOLDEN = "tests/golden"
+RETRY_ERA = f"{GOLDEN}/retry_era_records.json"
+SIX_KNOB = f"{GOLDEN}/six_knob_watchdog_records.json"
 
 RETIRED = (
     # the paper's claims live in tests/test_paper_claims.py; figure rows
@@ -144,6 +145,13 @@ RETIRED = (
             "a pool-worker initializer is back (see docs/parallel.md: "
             "repro.obs.bus gives every forked child a fresh bus)"),
     # recorded journals keep the class name as an error string
+    # one host runs a sweep; machines split a plan with --shard I/N
+    Retired(r"fleet_ini[t]|fleet_worke[r]|fleet_coordinat[e]|FleetWorke[r]"
+            r"|SWEEP_FLEE[T]|staging_root[s]|host_row[s]|fleet_smok[e]"
+            r"|fleet-trial[s]|fleet-di[r]",
+            EVERYWHERE, (GOLDEN,), "Retire the multi-host fleet",
+            "the multi-host fleet is back (see docs/parallel.md, "
+            "'CLI': --shard I/N with --run-dir / --resume)"),
     Retired(r"InjectedFaul[t]",
             ("src", "docs"), (), "Delete the error ladder and its fault "
             "plan",

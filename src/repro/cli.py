@@ -11,9 +11,6 @@ scripts:
     python -m repro sweep relu --jobs 4 --shard 0/2 --json results.json
     python -m repro sweep relu fir --jobs 4 --run-dir runs/nightly
     python -m repro sweep --resume runs/nightly --jobs 4
-    python -m repro sweep relu fir --fleet-dir /mnt/fleet --fleet-init
-    python -m repro sweep --fleet-dir /mnt/fleet --worker
-    python -m repro sweep --fleet-dir /mnt/fleet --coordinate
     python -m repro run relu --trace relu.jsonl --metrics
     python -m repro trace export relu.jsonl relu.json
     python -m repro serve --jobs 4 --trace-store traces/
@@ -31,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError, ReproError
@@ -136,46 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resume the journaled sweep in DIR: replay "
                             "completed tasks, re-run missing/failed "
                             "ones; ignores workloads/planning flags")
-    sweep.add_argument("--fleet-dir", default=None, metavar="DIR",
-                       dest="fleet_dir",
-                       help="shared fleet directory for multi-host "
-                            "sweeps; combine with --fleet-init, "
-                            "--worker or --coordinate "
-                            "(docs/parallel.md, Multi-host fleets)")
-    sweep.add_argument("--fleet-init", action="store_true",
-                       dest="fleet_init",
-                       help="plan the sweep and write the fleet "
-                            "manifest to --fleet-dir, without running "
-                            "anything")
-    sweep.add_argument("--worker", action="store_true",
-                       dest="fleet_worker",
-                       help="run as one fleet worker: claim leased "
-                            "tasks from --fleet-dir until the plan is "
-                            "complete (the plan comes from the "
-                            "manifest; no workload arguments)")
-    sweep.add_argument("--coordinate", action="store_true",
-                       dest="fleet_coordinate",
-                       help="coordinate the fleet in --fleet-dir: wait "
-                            "for workers, run anything left over, and "
-                            "merge the bitwise-deterministic result "
-                            "(re-run after a crash to resume the merge)")
-    sweep.add_argument("--host-id", default=None, metavar="H",
-                       dest="fleet_host",
-                       help="fleet host id (default: hostname-pid)")
-    sweep.add_argument("--lease-seconds", type=float, default=30.0,
-                       metavar="S", dest="lease_seconds",
-                       help="heartbeat lease duration; an unrefreshed "
-                            "lease older than this is stolen "
-                            "(default 30)")
-    sweep.add_argument("--fleet-timeout", type=float, default=None,
-                       metavar="S", dest="fleet_timeout",
-                       help="coordinator: give up waiting for live "
-                            "workers after S seconds (default: wait)")
-    sweep.add_argument("--fleet-grace", type=float, default=2.0,
-                       metavar="S", dest="fleet_grace",
-                       help="coordinator: seconds of fleet silence (no "
-                            "live leases, no progress) before running "
-                            "remaining tasks itself (default 2)")
     _add_watchdog_flags(sweep)
     _add_obs_flags(sweep)
 
@@ -491,22 +447,7 @@ def _run(args: argparse.Namespace) -> int:
 def _run_sweep(args: argparse.Namespace,
                watchdog: Optional[WatchdogConfig],
                obs: _ObsSession) -> int:
-    roles = [name for name, flag in (
-        ("--fleet-init", args.fleet_init),
-        ("--worker", args.fleet_worker),
-        ("--coordinate", args.fleet_coordinate)) if flag]
-    if roles and args.fleet_dir is None:
-        raise ConfigError(f"{roles[0]} requires --fleet-dir DIR")
-    if args.fleet_dir is not None and not roles:
-        raise ConfigError(
-            "--fleet-dir needs a role: --fleet-init, --worker or "
-            "--coordinate")
-    if len(roles) > 1:
-        raise ConfigError(
-            f"pick one fleet role, not {' + '.join(roles)}")
-    if roles:
-        return _run_fleet(args, watchdog, obs)
-    from .parallel import resume_sweep, run_sweep
+    from .parallel import plan_sweep, resume_sweep, run_sweep
 
     if args.resume_dir is not None:
         if args.workloads:
@@ -515,15 +456,20 @@ def _run_sweep(args: argparse.Namespace,
                 "workload arguments (and other planning flags)")
         result = resume_sweep(args.resume_dir, jobs=args.jobs,
                               sweep_deadline=args.sweep_deadline)
+    elif not args.workloads:
+        raise ConfigError(
+            "sweep needs workload names (only --resume DIR takes the "
+            "plan from disk)")
     else:
-        result = run_sweep(_plan_from_args(args, watchdog), jobs=args.jobs,
+        tasks = plan_sweep(
+            args.workloads, sizes=args.sizes,
+            methods=tuple(args.methods), gpu=args.gpu, seed=args.seed,
+            photon_config=EVAL_PHOTON, watchdog=watchdog,
+            shard=_parse_shard(args.shard),
+            trace_store=args.trace_store)
+        result = run_sweep(tasks, jobs=args.jobs,
                            sweep_deadline=args.sweep_deadline,
                            run_dir=args.run_dir)
-    return _emit_sweep_result(args, result, obs)
-
-
-def _emit_sweep_result(args: argparse.Namespace, result,
-                       obs: _ObsSession) -> int:
     if args.json_out != "-":
         print(comparison_table(result.rows))
         print()
@@ -538,62 +484,6 @@ def _emit_sweep_result(args: argparse.Namespace, result,
             with open(args.json_out, "w") as handle:
                 handle.write(payload + "\n")
     return 0
-
-
-def _plan_from_args(args: argparse.Namespace,
-                    watchdog: Optional[WatchdogConfig]):
-    """The plan the sweep's planning flags describe (run and fleet-init)."""
-    if not args.workloads:
-        raise ConfigError(
-            "sweep needs workload names (only --resume DIR, --worker and "
-            "--coordinate take the plan from disk)")
-    from .parallel import plan_sweep
-
-    return plan_sweep(
-        args.workloads, sizes=args.sizes,
-        methods=tuple(args.methods), gpu=args.gpu, seed=args.seed,
-        photon_config=EVAL_PHOTON, watchdog=watchdog,
-        shard=_parse_shard(args.shard),
-        trace_store=args.trace_store)
-
-
-def _run_fleet(args: argparse.Namespace,
-               watchdog: Optional[WatchdogConfig],
-               obs: _ObsSession) -> int:
-    from .parallel import fleet_coordinate as _coordinate
-    from .parallel import fleet_init, fleet_worker
-    from .parallel.fleet import MANIFEST_NAME
-
-    manifest = Path(args.fleet_dir) / MANIFEST_NAME
-    if args.fleet_init:
-        fleet_init(args.fleet_dir, _plan_from_args(args, watchdog))
-        print(f"fleet initialized: {manifest}")
-        return 0
-    if args.fleet_worker:
-        if args.workloads:
-            raise ConfigError(
-                "--worker takes the plan from the fleet manifest; "
-                "drop the workload arguments")
-        report = fleet_worker(args.fleet_dir, host=args.fleet_host,
-                              lease_seconds=args.lease_seconds,
-                              max_wait=args.fleet_timeout)
-        print(f"fleet worker {report.host}: ran {report.ran} "
-              f"(stolen {report.stolen}, lost races "
-              f"{report.lost_races}, failed {report.failed})")
-        return 0
-    # --coordinate: plan-and-init first when the manifest is absent and
-    # workloads were given, so one command can bootstrap a whole fleet
-    if not manifest.exists() and args.workloads:
-        fleet_init(args.fleet_dir, _plan_from_args(args, watchdog))
-    elif manifest.exists() and args.workloads:
-        raise ConfigError(
-            "--coordinate takes the plan from the existing fleet "
-            "manifest; drop the workload arguments")
-    result = _coordinate(args.fleet_dir, timeout=args.fleet_timeout,
-                         grace=args.fleet_grace,
-                         coordinator_host=(args.fleet_host
-                                           or "coordinator"))
-    return _emit_sweep_result(args, result, obs)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests

@@ -15,8 +15,8 @@ closes that gap once, for every writer:
 * :func:`fsync_dir` — directory-entry durability for renames/creates.
 
 It also defines the one record format every durable file uses
-(trace-bundle headers, stored analyses, sweep / fleet journals, fleet
-records, serve's pending journal):
+(trace-bundle headers, stored analyses, sweep journals, serve's
+pending journal):
 
 * :func:`seal` / :func:`unseal` — the :func:`canonical_json` of a
   record plus its SHA-256 ``checksum``; ``unseal`` never raises.

@@ -10,8 +10,8 @@ kernel/application (same seed, hence identical workload and data, so no
 method benefits from another's warm state — the paper runs each
 configuration separately too).  ``repro run`` / ``repro app`` call it
 through :func:`run_methods_kernel` / :func:`run_methods_app`, which run
-a cell's evaluations side by side in forked children; sweeps,
-fleet workers and the server through
+a cell's evaluations side by side in forked children; sweeps and the
+server through
 :func:`repro.parallel.tasks.run_task`; all of them build their rows with
 :func:`repro.harness.metrics.cell_rows`.
 

@@ -70,7 +70,6 @@ from .events import (
     SERVE_DEDUP,
     SERVE_QUEUE,
     SERVE_REQUEST,
-    SWEEP_FLEET,
     SWEEP_JOURNAL,
     SWEEP_RESUME,
     TRACESTORE_EVICT,
@@ -122,7 +121,6 @@ __all__ = [
     "SERVE_DEDUP",
     "SERVE_QUEUE",
     "SERVE_REQUEST",
-    "SWEEP_FLEET",
     "SWEEP_JOURNAL",
     "SWEEP_RESUME",
     "Sink",

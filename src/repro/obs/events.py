@@ -185,16 +185,6 @@ SWEEP_RESUME = EventType(
     "straight from the journal, `rerun` missing/failed tasks were "
     "re-planned, `quarantined` torn tail lines were set aside.")
 
-# -- multi-host fleets (FleetSweep) ----------------------------------------
-
-SWEEP_FLEET = EventType(
-    "sweep.fleet", ("host", "action", "index", "detail"),
-    "Fleet lease-protocol transition on one host: 'claim' (fresh "
-    "lease, detail = generation), 'steal' (claimed over an expired "
-    "lease), 'done'/'failed' (task executed and journaled), or "
-    "'merge' (coordinator folded all hosts; index -1, detail = host "
-    "count).")
-
 #: every event type, by name
 ALL_TYPES: Dict[str, EventType] = {
     t.name: t
@@ -205,7 +195,7 @@ ALL_TYPES: Dict[str, EventType] = {
         EXEC_BATCH_FALLBACK, TRACESTORE_HIT, TRACESTORE_MISS,
         TRACESTORE_WRITE, TRACESTORE_EVICT, DETECTOR_SWITCH,
         DETECTOR_ELIDED, RELIABILITY_FAULT, RELIABILITY_WATCHDOG,
-        PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME, SWEEP_FLEET,
+        PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME,
         SERVE_REQUEST, SERVE_DEDUP, SERVE_QUEUE,
     )
 }
@@ -225,7 +215,7 @@ CORE_KINDS = tuple(
         ENGINE_KERNEL, EXEC_BATCH, EXEC_BATCH_FALLBACK,
         TRACESTORE_WRITE, TRACESTORE_EVICT, DETECTOR_SWITCH,
         DETECTOR_ELIDED, RELIABILITY_FAULT, RELIABILITY_WATCHDOG,
-        PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME, SWEEP_FLEET,
+        PARALLEL_TASK, SWEEP_JOURNAL, SWEEP_RESUME,
         SERVE_REQUEST, SERVE_DEDUP, SERVE_QUEUE,
     )
 )

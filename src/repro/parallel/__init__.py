@@ -21,12 +21,6 @@ plan and every outcome to a fsync'd write-ahead log, and
 replayed — the merged result is bitwise-identical to an uninterrupted
 run (``docs/durability.md``).
 
-Past one host, :mod:`repro.parallel.fleet` coordinates N machines over
-a shared directory: workers pull tasks from a lease-based queue
-(expired leases are stolen), journal to per-host WALs, and
-:func:`fleet_coordinate` merges everything into the same
-bitwise-identical result (``docs/parallel.md``, "Multi-host fleets").
-
 Typical use::
 
     from repro.parallel import plan_sweep, run_sweep
@@ -38,14 +32,6 @@ Typical use::
     print(result.report.summary())
 """
 
-from .fleet import (
-    FleetWorker,
-    FleetWorkerReport,
-    fleet_coordinate,
-    fleet_init,
-    fleet_worker,
-    load_manifest,
-)
 from .journal import (
     JOURNAL_NAME,
     JournalScan,
@@ -67,8 +53,6 @@ from .tier import ExecutionTier
 __all__ = [
     "ExecutionTier",
     "FULL_METHOD",
-    "FleetWorker",
-    "FleetWorkerReport",
     "JOURNAL_NAME",
     "JournalScan",
     "RunReport",
@@ -77,10 +61,6 @@ __all__ = [
     "SweepTask",
     "TaskOutcome",
     "TaskTelemetry",
-    "fleet_coordinate",
-    "fleet_init",
-    "fleet_worker",
-    "load_manifest",
     "plan_sweep",
     "resume_sweep",
     "rows_from_outcomes",

@@ -8,7 +8,7 @@ inline (``jobs=1``, the in-caller reference path) or as a thin client
 of the one pool owner, :class:`~repro.parallel.tier.ExecutionTier`: it
 keeps a bounded window of tasks submitted and journals around them;
 worker processes, broken pools and crash outcomes are the tier's.
-Then :func:`assemble_result` — shared with the fleet coordinator —
+Then :func:`assemble_result` —
 
 * reassembles :class:`~repro.harness.metrics.Comparison` rows in plan
   order through the one row builder,
@@ -229,8 +229,8 @@ def run_journaled(tasks: Iterable[SweepTask], submit,
     """Journal ``scheduled`` → run → journal the outcome, for every task.
 
     The one journaled-run step, shared by the inline loop
-    (``submit=in_caller()``), the pool client (``submit=tier.submit``, a
-    wider ``window``) and a fleet worker's claimed task.  At most
+    (``submit=in_caller()``) and the pool client (``submit=tier.submit``,
+    a wider ``window``).  At most
     ``window`` tasks are in flight; the rest wait here, in the parent —
     constant memory regardless of plan size.  Yields ``(outcome,
     queue_wait)`` in completion order, each already journaled; an
@@ -260,7 +260,6 @@ def assemble_result(tasks: Sequence[SweepTask],
                     fresh: Collection[int],
                     report: RunReport,
                     queue_waits: Optional[Mapping[int, float]] = None,
-                    staging_roots: Optional[Sequence[Path]] = None,
                     ) -> SweepResult:
     """Everything after execution: rows, the trace-store fold,
     telemetry, the result.
@@ -269,16 +268,14 @@ def assemble_result(tasks: Sequence[SweepTask],
     tasks this call executed (the rest were replayed from a journal)
     and ``queue_waits`` how long each of those sat submitted before it
     started; ``report`` is the header the per-task samples are appended
-    to; ``staging_roots`` points the trace-store fold at a fleet's
-    per-host staging trees instead of each store's own.  Shared by
-    :func:`run_sweep` / :func:`resume_sweep` and the fleet coordinator.
+    to.  Shared by :func:`run_sweep` and :func:`resume_sweep`.
     """
     ordered = [outcomes[task.index] for task in tasks]
     rows = rows_from_outcomes(ordered)
     trace_merge: Optional[Dict[str, int]] = None
     for root in sorted({task.trace_store for task in tasks
                         if task.trace_store is not None}):
-        part = TraceStore(root).merge_staged(staging_roots=staging_roots)
+        part = TraceStore(root).merge_staged()
         trace_merge = (part if trace_merge is None else
                        {key: trace_merge[key] + part[key] for key in part})
     waits = queue_waits or {}
@@ -295,8 +292,6 @@ def assemble_result(tasks: Sequence[SweepTask],
             status=outcome.status,
             error_class=outcome.error_class,
             replayed=outcome.index not in fresh,
-            host=outcome.host,
-            stolen=outcome.stolen,
         ))
     return SweepResult(rows=rows, outcomes=ordered, report=report,
                        trace_merge=trace_merge,

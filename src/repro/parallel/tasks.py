@@ -41,10 +41,10 @@ from ..tracestore import TraceStore
 def _known(cls, data: Dict[str, object]) -> Dict[str, object]:
     """``data`` without the keys ``cls`` (a dataclass) has no field for.
 
-    Journals and fleet manifests outlive fields: a retired one (a
-    task's ``retry`` block, an outcome's ``attempts``, a PhotonConfig
-    switch, a WatchdogConfig knob) is dropped on read instead of failing
-    the resume."""
+    Journals outlive fields: a retired one (a task's ``retry`` block,
+    an outcome's ``attempts`` or ``host``, a PhotonConfig switch, a
+    WatchdogConfig knob) is dropped on read instead of failing the
+    resume."""
     known = {f.name for f in dataclasses.fields(cls)}
     return {k: v for k, v in data.items() if k in known}
 
@@ -131,9 +131,6 @@ class TaskOutcome:
     worker: int = 0
     started: float = 0.0   # time.monotonic() at worker pickup
     task_wall: float = 0.0
-    # fleet provenance ("" / False outside multi-host mode)
-    host: str = ""         # fleet host id that executed this task
-    stolen: bool = False   # True = claimed over another host's expired lease
 
     @property
     def ok(self) -> bool:
@@ -166,8 +163,7 @@ class TaskOutcome:
         return cls(**_known(cls, data))
 
 
-def run_task(task: SweepTask,
-             stage_dir: Optional[str] = None) -> TaskOutcome:
+def run_task(task: SweepTask) -> TaskOutcome:
     """Execute one sweep shard; never raises for in-sweep failures.
 
     Workload-construction errors come back as ``stage="build"``
@@ -175,12 +171,8 @@ def run_task(task: SweepTask,
     exception class and one-line message.  An *unknown method or GPU
     name* does raise (:class:`~repro.errors.WorkloadError` /
     :class:`~repro.errors.ConfigError`): a typo is a caller bug, not a
-    sweep casualty.
-
-    ``stage_dir`` overrides where trace-store writes are staged: the
-    default is the store's own ``staging/task-<index>`` (single-host
-    sweeps); fleet workers pass ``<fleet>/staging/<host>/task-<index>``
-    so hosts never write into each other's staging directories.
+    sweep casualty.  Trace-store writes are staged under the store's
+    own ``staging/task-<index>``.
     """
     started = _time.monotonic()
     t0 = _time.perf_counter()
@@ -189,11 +181,8 @@ def run_task(task: SweepTask,
 
     cache = None
     if task.trace_store is not None:
-        if stage_dir is not None:
-            staged = TraceStore(task.trace_store, write_root=stage_dir)
-        else:
-            staged = TraceStore(task.trace_store).stage(task.index)
-        cache = TraceCache(backing_store=staged)
+        cache = TraceCache(
+            backing_store=TraceStore(task.trace_store).stage(task.index))
 
     ev = evaluate(
         lambda: workload_factory(task.workload, task.size, **kwargs)(),

@@ -34,8 +34,6 @@ class TaskTelemetry:
     status: str = "ok"       # "ok" | "error"
     error_class: str = ""    # exception class name when status == "error"
     replayed: bool = False   # True = served from a sweep journal, not run
-    host: str = ""           # fleet host id ("" outside multi-host mode)
-    stolen: bool = False     # True = claimed over an expired fleet lease
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -50,8 +48,6 @@ class TaskTelemetry:
             "status": self.status,
             "error_class": self.error_class,
             "replayed": self.replayed,
-            "host": self.host,
-            "stolen": self.stolen,
         }
 
 
@@ -60,7 +56,7 @@ class RunReport:
     """Aggregated telemetry for one sweep run."""
 
     jobs: int
-    mp_context: str = "inline"  # "inline", "fork", "spawn", ...
+    mp_context: str = "inline"  # "inline", "fork" or "spawn"
     total_wall: float = 0.0     # end-to-end scheduler wall time
     tasks: List[TaskTelemetry] = field(default_factory=list)
 
@@ -83,16 +79,6 @@ class RunReport:
         return sum(1 for t in self.tasks if t.status != "ok")
 
     @property
-    def steals(self) -> int:
-        """Tasks claimed over another host's expired fleet lease."""
-        return sum(1 for t in self.tasks if t.stolen)
-
-    @property
-    def hosts(self) -> int:
-        """Distinct fleet hosts that executed tasks (0 = single-host)."""
-        return len({t.host for t in self.tasks if t.host})
-
-    @property
     def max_queue_wait(self) -> float:
         return max((t.queue_wait for t in self.tasks), default=0.0)
 
@@ -108,26 +94,6 @@ class RunReport:
         for t in self.tasks:
             busy[t.worker] = busy.get(t.worker, 0.0) + t.task_wall
         return busy
-
-    def host_rows(self) -> List[Dict[str, object]]:
-        """Per-fleet-host aggregates, hosts in sorted order.
-
-        Empty outside multi-host mode; each row carries the host's task
-        count, steals, failures and busy seconds — the raw material for
-        the coordinator's per-host telemetry table.
-        """
-        by_host: Dict[str, Dict[str, object]] = {}
-        for t in self.tasks:
-            if not t.host:
-                continue
-            row = by_host.setdefault(t.host, {
-                "host": t.host, "tasks": 0, "stolen": 0,
-                "failed": 0, "busy_seconds": 0.0})
-            row["tasks"] += 1
-            row["stolen"] += int(t.stolen)
-            row["failed"] += int(t.status != "ok")
-            row["busy_seconds"] += t.task_wall
-        return [by_host[host] for host in sorted(by_host)]
 
     def utilization(self) -> float:
         """Fraction of the worker pool's capacity that was busy."""
@@ -149,8 +115,6 @@ class RunReport:
             "max_queue_wait": self.max_queue_wait,
             "worker_busy": {str(pid): busy
                             for pid, busy in self.worker_busy().items()},
-            "steals": self.steals,
-            "hosts": self.host_rows(),
             "tasks": [t.to_dict() for t in self.tasks],
         }
 
@@ -168,11 +132,4 @@ class RunReport:
             lines.append(
                 f"resume: {self.replayed} tasks replayed from the "
                 f"journal, {self.n_tasks - self.replayed} re-run")
-        if self.hosts:
-            per_host = ", ".join(
-                f"{row['host']}={row['tasks']}"
-                for row in self.host_rows())
-            lines.append(
-                f"fleet: {self.hosts} hosts ({per_host}); "
-                f"steals {self.steals}")
         return "\n".join(lines)

@@ -68,7 +68,6 @@ MAX_SWEEP_TASKS = 4096
 _NONDETERMINISTIC_FIELDS = frozenset((
     "index", "wall_seconds", "task_wall", "started", "worker",
     "trace_hits", "trace_store_hits", "trace_misses", "trace_writes",
-    "host", "stolen",
 ))
 
 

@@ -66,7 +66,7 @@ from __future__ import annotations
 import hashlib
 import shutil
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..durable import (
     durable_replace,
@@ -515,22 +515,22 @@ class TraceStore:
         staged = self.root / _STAGING_DIR / f"task-{task_index:08d}"
         return TraceStore(self.root, write_root=staged)
 
-    @staticmethod
-    def _staged_dirs_in(staging: Path) -> Iterator[Tuple[int, Path]]:
+    def _staged_dirs(self) -> List[Tuple[int, Path]]:
+        """``(task index, directory)`` of every staged task, by index."""
+        staging = self.root / _STAGING_DIR
         if not staging.is_dir():
-            return
-        for entry in sorted(staging.iterdir()):
+            return []
+        found = []
+        for entry in staging.iterdir():
             if not entry.is_dir():
                 continue
             try:
-                index = int(entry.name.split("-", 1)[1])
+                found.append((int(entry.name.split("-", 1)[1]), entry))
             except (IndexError, ValueError):
                 continue
-            yield index, entry
+        return sorted(found)
 
-    def merge_staged(self,
-                     indices: Optional[Iterable[int]] = None,
-                     staging_roots: Optional[Iterable[Path]] = None,
+    def merge_staged(self, indices: Optional[Iterable[int]] = None,
                      ) -> Dict[str, int]:
         """Fold staged worker bundles and analyses into the canonical root.
 
@@ -543,30 +543,14 @@ class TraceStore:
         ``indices`` restricts the merge to those task indices (a live
         server folds each task's staging directory as it completes,
         without touching directories other tasks are still writing);
-        ``None`` folds everything, the sweep-scheduler behaviour.
-
-        ``staging_roots`` merges from external staging layouts instead
-        of the store's own ``staging/`` — each root holds ``task-*``
-        subdirectories (a fleet's per-host ``staging/<host>``).  Roots
-        are folded in the given order per task index, so passing hosts
-        in sorted order makes the multi-host merge deterministic; blobs
-        are byte-identical across hosts anyway (traces are pure
-        functions of the kernel), so ordering only pins *which* copy is
-        kept, never what it contains.  The returned counts are of
-        bundles and warps; analyses are not counted.
+        ``None`` folds everything, the sweep-scheduler behaviour.  The
+        returned counts are of bundles and warps; analyses are not
+        counted.
         """
         stats = {"tasks": 0, "bundles": 0, "warps_added": 0,
                  "quarantined": 0}
         wanted = None if indices is None else set(indices)
-        cleanup_roots = ([self.root / _STAGING_DIR] if staging_roots is None
-                         else [Path(root) for root in staging_roots])
-        entries = [
-            (index, position, task_dir)
-            for position, root in enumerate(cleanup_roots)
-            for index, task_dir in self._staged_dirs_in(root)
-        ]
-        entries.sort(key=lambda item: (item[0], item[1]))
-        for index, _position, task_dir in entries:
+        for index, task_dir in self._staged_dirs():
             if wanted is not None and index not in wanted:
                 continue
             stats["tasks"] += 1
@@ -598,9 +582,9 @@ class TraceStore:
                         durable_replace(staged_path.read_bytes(), canonical,
                                         site="tracestore.analysis")
             shutil.rmtree(task_dir, ignore_errors=True)
-        for staging in cleanup_roots:
-            if staging.is_dir() and not any(staging.iterdir()):
-                shutil.rmtree(staging, ignore_errors=True)
+        staging = self.root / _STAGING_DIR
+        if staging.is_dir() and not any(staging.iterdir()):
+            shutil.rmtree(staging, ignore_errors=True)
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -48,8 +48,9 @@ def write_golden(path, records: dict) -> None:
 
 def old_records(name: str):
     """``(records, plan)``: a run's records written with fields since
-    retired (``tests/golden/<name>.json``: a journal prefix, a fleet
-    manifest, a host WAL and the table they produced), and the sweep
+    retired (``tests/golden/<name>.json``: a journal prefix and the
+    table it produced; the ``fleet_manifest`` / ``host_journal`` entries
+    are inert records of the retired multi-host fleet), and the sweep
     plan its ``plan`` entry describes, planned today."""
     from repro.parallel import plan_sweep
     from repro.reliability import WatchdogConfig

@@ -221,7 +221,7 @@ def test_run_without_trace_store_writes_nothing(capsys, tmp_path, monkeypatch):
     assert not list(tmp_path.glob("**/*.trc"))
 
 
-# the sweep, fleet and serve layers and the stdlib stacks they pull in;
+# the sweep and serve layers and the stdlib stacks they pull in;
 # a simulation process calls none of them
 ORCHESTRATION_MODULES = ("repro.parallel", "repro.serve", "asyncio",
                          "concurrent.futures", "multiprocessing", "socket",
@@ -251,7 +251,7 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 
 def test_simulation_path_loads_no_orchestration_layer(tmp_path):
     """``repro run`` / ``app`` / ``list`` / ``trace export`` and the
-    simulator packages leave the sweep, fleet and serve layers (and
+    simulator packages leave the sweep and serve layers (and
     asyncio, sockets, process pools) unimported in a fresh
     interpreter."""
     root = pathlib.Path(__file__).resolve().parent.parent

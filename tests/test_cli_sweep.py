@@ -141,3 +141,18 @@ def test_tracing_does_not_perturb_results(capsys, tmp_path):
     assert _det_rows(plain) == _det_rows(traced)
     assert traced["obs"]["trace"] == str(trace)
     assert trace.read_text().strip()  # the trace itself is non-empty
+
+
+def test_multi_host_flags_are_gone(capsys, tmp_path):
+    # one host runs a sweep: the retired fleet roles fail at argument
+    # parsing, and the JSON record has no per-host telemetry
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "relu", "--fleet" + "-dir", str(tmp_path),
+              "--worker"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["sweep", "relu", "--sizes", "64", "--json", "-"]) == 0
+    telemetry = json.loads(capsys.readouterr().out)["telemetry"]
+    assert "steals" not in telemetry and "hosts" not in telemetry
+    assert all("host" not in task and "stolen" not in task
+               for task in telemetry["tasks"])

@@ -1,6 +1,6 @@
 """One evaluation path: the method table, its one validator, the one
 evaluate step and the one row builder behind ``repro run``, ``repro
-app``, sweeps, fleets and the server."""
+app``, sweeps and the server."""
 
 import time
 

@@ -579,24 +579,17 @@ def test_structurally_bad_path_blob_quarantines_on_get(tmp_path):
     assert view.get(0) == traces[0]
 
 
-@pytest.mark.parametrize("external", [False, True])
-def test_merge_staged_carries_path_blobs_deterministically(tmp_path,
-                                                           external):
-    """Own staging and ``staging_roots``: whichever task ran first, the
-    merged bundle holds each path once and the same bytes."""
+def test_merge_staged_carries_path_blobs_deterministically(tmp_path):
+    """Whichever task ran first, the merged bundle holds each path once
+    and the same bytes."""
     digests = []
     for order in ((1, 3), (3, 1)):
         root = tmp_path / f"store-{order[0]}"
         store = TraceStore(root)
-        hosts = [tmp_path / f"ext-{order[0]}" / h for h in ("a", "b")]
-        for n, index in enumerate(order):
-            staged = (TraceStore(root, write_root=hosts[n] /
-                                 f"task-{index:08d}")
-                      if external else store.stage(index))
-            _put(staged, _two_path_kernel(),
+        for index in order:
+            _put(store.stage(index), _two_path_kernel(),
                  range(0, 6) if index == 1 else range(2, 8))
-        stats = store.merge_staged(
-            staging_roots=hosts if external else None)
+        stats = store.merge_staged()
         assert stats["tasks"] == 2 and stats["warps_added"] == 8
         assert stats["quarantined"] == 0
         header, _body = _split_bundle(_bundle_path(root))
