@@ -210,16 +210,14 @@ def rows_from_outcomes(outcomes: Sequence[TaskOutcome]) -> List[Comparison]:
                                  [o.evaluation() for o in sampled])]
 
 
-def in_caller(run=run_task):
-    """A ``submit`` that runs the task right here, in the caller: the
-    inline backend of :func:`run_journaled`.  Same shape as
-    :meth:`ExecutionTier.submit`, but the future comes back resolved and
-    whatever ``run`` raises propagates at once."""
-    def submit(task: SweepTask) -> Future:
-        future: Future = Future()
-        future.set_result(run(task))
-        return future
-    return submit
+def in_caller(task: SweepTask) -> Future:
+    """Run the task right here, in the caller: the inline ``submit`` of
+    :func:`run_journaled`.  Same shape as :meth:`ExecutionTier.submit`,
+    but the future comes back resolved and whatever :func:`run_task`
+    raises propagates at once."""
+    future: Future = Future()
+    future.set_result(run_task(task))
+    return future
 
 
 def run_journaled(tasks: Iterable[SweepTask], submit,
@@ -229,7 +227,7 @@ def run_journaled(tasks: Iterable[SweepTask], submit,
     """Journal ``scheduled`` → run → journal the outcome, for every task.
 
     The one journaled-run step, shared by the inline loop
-    (``submit=in_caller()``) and the pool client (``submit=tier.submit``,
+    (``submit=in_caller``) and the pool client (``submit=tier.submit``,
     a wider ``window``).  At most
     ``window`` tasks are in flight; the rest wait here, in the parent —
     constant memory regardless of plan size.  Yields ``(outcome,
@@ -408,7 +406,7 @@ def _execute(
     # the inline loop is the in-caller reference path; anything wider
     # is a bounded window over the one pool owner
     if jobs == 1 or len(pending) <= 1:
-        tier, submit, window, backend = None, in_caller(), 1, "inline"
+        tier, submit, window, backend = None, in_caller, 1, "inline"
     else:
         tier = ExecutionTier(jobs)
         submit, window = tier.submit, jobs * WINDOW_PER_JOB
