@@ -56,8 +56,8 @@ class _InterKernelSampler(Methodology):
         self._strata: Dict[Tuple, _Stratum] = {}
 
     def _profile_insts(self, kernel: Kernel) -> int:
-        traces = self.control_traces(kernel, range(kernel.n_warps))
-        return sum(trace.n_insts for trace in traces.values())
+        return sum(trace.n_insts for _, trace in
+                   self.control_traces(kernel, range(kernel.n_warps)))
 
     def _key(self, kernel: Kernel, total_insts: int) -> Tuple:
         raise NotImplementedError

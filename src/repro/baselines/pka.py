@@ -200,9 +200,7 @@ class PKA(Methodology):
             block_hist[block.pc] = hist
         mix = np.zeros(n_ops)
         total = 0
-        traces = self.control_traces(kernel, range(kernel.n_warps))
-        for warp_id in range(kernel.n_warps):
-            trace = traces[warp_id]
+        for _, trace in self.control_traces(kernel, range(kernel.n_warps)):
             total += trace.n_insts
             for pc, count in trace.bb_counts().items():
                 mix += count * block_hist[pc]

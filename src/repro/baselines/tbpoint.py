@@ -139,7 +139,7 @@ class TBPoint(Methodology):
         )
         predicted_insts = sum(
             trace.n_insts
-            for trace in self.control_traces(kernel, remaining).values())
+            for _, trace in self.control_traces(kernel, remaining))
         result = KernelResult(
             kernel_name=kernel.name,
             sim_time=max(detailed.end_time, fast.end_time),

@@ -64,11 +64,19 @@ class PhotonConfig:
     enable_bb_sampling: bool = True
 
     def __post_init__(self) -> None:
-        # a NaN passes every one-sided comparison below
+        # a NaN passes every one-sided comparison below; a fractional
+        # count passes them too and fails later as a bare TypeError
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, int)):
+                raise ConfigError(
+                    f"{f.name} must be an int, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ConfigError(
+                    f"{f.name} must be a bool, got {value!r}")
         if not 0 < self.sample_fraction <= 1:
             raise ConfigError(
                 f"sample_fraction must be in (0, 1], "

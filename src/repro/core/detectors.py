@@ -14,6 +14,7 @@ emits one ``detector.elided`` event, and the run is the full-detail run
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Optional
 
 import numpy as np
@@ -25,6 +26,13 @@ from ..timing.engine import DetailedEngine
 from .config import PhotonConfig
 from .lsq import StabilityDetector, observations_needed
 from .online import OnlineAnalysis
+
+#: pre-gate block observations held before they are judged: the buffer
+#: is replayed whenever it fills, so its size bounds the detector's
+#: memory whatever the grid (192 KiB), and changes no verdict.  A replay
+#: also reworks each block type's window and holds six float64 sums per
+#: observation: a smaller buffer costs CPU, a larger one transient memory
+PENDING_CAPACITY = 8192
 
 
 class _Detector:
@@ -75,9 +83,10 @@ class BBSamplingDetector(_Detector):
     weighted by the online-analysis distribution, so blocks that have not
     yet appeared in detailed mode still count against the threshold — is
     compared against ``stable_bb_rate`` (95%).  No switch can happen before
-    ``retire_gate`` warps have retired: until then blocks wait, to be judged
-    in one replay when the gate opens or the state is read, to the last bit
-    as if judged on arrival.
+    ``retire_gate`` warps have retired: until then blocks wait in a buffer
+    of :data:`PENDING_CAPACITY` observations, judged in one replay whenever
+    it fills, the gate opens or the state is read, to the last bit as if
+    judged on arrival.
     """
 
     level = "bb"
@@ -94,7 +103,7 @@ class BBSamplingDetector(_Detector):
             max(1, int(analysis.n_warps * config.bb_retire_gate_fraction)),
         )
         self._retired = 0
-        self._pending = []  # flat (pc, start, end) triples
+        self._pending = array("d")  # flat (pc, start, end) triples
 
     @property
     def stable_rate(self) -> float:
@@ -139,7 +148,10 @@ class BBSamplingDetector(_Detector):
     def on_bb_complete(self, warp_id: int, bb_pc: int, start: float,
                        end: float) -> None:
         if self._retired < self.retire_gate:
-            self._pending.extend((bb_pc, start, end))
+            pending = self._pending
+            pending.fromlist([bb_pc, start, end])  # faster than extend
+            if len(pending) >= 3 * PENDING_CAPACITY:
+                self._settle()
         elif not self.switched and self._flip(
                 bb_pc, self._block(bb_pc).observe(start, end)) and (
                 self._stable_rate >= self.config.stable_bb_rate):
@@ -162,7 +174,8 @@ class BBSamplingDetector(_Detector):
         """Judge the waiting observations in one replay."""
         if not self._pending:
             return
-        events, self._pending = np.array(self._pending).reshape(-1, 3), []
+        events = np.frombuffer(self._pending).reshape(-1, 3)
+        self._pending = array("d")
         if self._engine is not None:
             counter = self._engine.bus.metrics.counter
             counter("detector.bb_replays").inc()

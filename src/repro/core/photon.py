@@ -269,8 +269,6 @@ class Photon(Methodology):
         interval_cache: Dict[int, float] = {}
         duration_cache: Dict[Tuple[int, ...], float] = {}
         program = kernel.program
-        # fast-forward the remaining warps in one CONTROL fill
-        traces = self.control_traces(kernel, remaining)
 
         def bb_time(pc: int) -> float:
             known = table.get(pc)
@@ -285,8 +283,8 @@ class Photon(Methodology):
 
         durations: Dict[int, float] = {}
         predicted_insts = 0
-        for warp_id in remaining:
-            trace = traces[warp_id]
+        # fast-forward the remaining warps, folding each fill as it comes
+        for warp_id, trace in self.control_traces(kernel, remaining):
             predicted_insts += trace.n_insts
             seq = tuple(trace.bb_seq)
             duration = duration_cache.get(seq)

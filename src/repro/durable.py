@@ -20,7 +20,7 @@ pending journal):
 
 * :func:`seal` / :func:`unseal` — the :func:`canonical_json` of a
   record plus its SHA-256 ``checksum``; ``unseal`` never raises.
-  :func:`write_sealed` / :func:`read_sealed` do one record per file.
+  :func:`read_sealed` reads a file that holds one sealed record.
 * :class:`RecordLog` — an append-only log of sealed lines: valid-prefix
   :meth:`~RecordLog.scan`, and :meth:`~RecordLog.recover` (tail to
   ``<stem>.quarantined``) before the first append.
@@ -159,12 +159,6 @@ def unseal(raw: bytes) -> Optional[dict]:
     if record is None or record.get("checksum") != payload_checksum(record):
         return None
     return record
-
-
-def write_sealed(path: PathLike, record: Dict[str, object],
-                 site: str) -> None:
-    """Durably replace ``path`` with the sealed ``record``."""
-    durable_replace(seal(record), path, site=site)
 
 
 def read_sealed(path: PathLike) -> Optional[dict]:

@@ -164,11 +164,9 @@ class WarpPackExecutor:
 def control_traces(kernel: Kernel, warp_ids: Iterable[int],
                    executor: Optional[FunctionalExecutor] = None,
                    ) -> Dict[int, ControlTrace]:
-    """CONTROL traces for ``warp_ids`` in one fill.
-
-    The single fast-forward entry point shared by Photon's online
-    analysis and bb-sampling finish, PKA profiling, and the TBPoint /
-    inter-kernel baselines.
+    """CONTROL traces for ``warp_ids`` in one fill (Photon's online
+    analysis sample).  A methodology's fast-forward streams bounded fills
+    instead (:meth:`repro.timing.simulator.Methodology.control_traces`).
     """
     return WarpPackExecutor(kernel, executor=executor).run_warps_control(
         list(warp_ids))

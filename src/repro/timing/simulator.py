@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..config.gpu_configs import GpuConfig
-from ..functional.batch import control_traces
+from ..functional.batch import WarpPackExecutor
 from ..functional.executor import FunctionalExecutor
 from ..functional.kernel import Application, Kernel
 from ..functional.trace import ControlTrace
@@ -34,6 +35,10 @@ from ..reliability.watchdog import WatchdogConfig, deadline_of
 from .caches import MemoryHierarchy
 from .engine import DetailedEngine
 from .tracecache import TraceCache
+
+#: warps per CONTROL fill of a fast-forward: bounds the traces held at
+#: once, whatever the grid
+CONTROL_FILL_WARPS = 2048
 
 
 @dataclass
@@ -133,11 +138,18 @@ class Methodology:
         return FunctionalExecutor(kernel, bus=self.bus,
                                   deadline=self.deadline)
 
-    def control_traces(self, kernel: Kernel,
-                       warp_ids: Iterable[int]) -> Dict[int, ControlTrace]:
-        """A CONTROL fast-forward of ``warp_ids``, budgeted."""
-        return control_traces(kernel, warp_ids,
-                              executor=self.executor(kernel))
+    def control_traces(self, kernel: Kernel, warp_ids: Iterable[int],
+                       ) -> Iterator[Tuple[int, ControlTrace]]:
+        """A CONTROL fast-forward of ``warp_ids``, budgeted: ``(warp_id,
+        trace)`` in ``warp_ids`` order, from fills of at most
+        :data:`CONTROL_FILL_WARPS` warps, so a caller that folds them as
+        they arrive holds one fill's traces, not the grid's."""
+        pack = WarpPackExecutor(kernel, executor=self.executor(kernel))
+        ids = iter(warp_ids)
+        while chunk := list(islice(ids, CONTROL_FILL_WARPS)):
+            traces = pack.run_warps_control(chunk)
+            for warp_id in chunk:
+                yield warp_id, traces[warp_id]
 
     def simulate_kernel(self, kernel: Kernel) -> KernelResult:
         raise NotImplementedError

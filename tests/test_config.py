@@ -172,6 +172,29 @@ def test_photon_config_rejects_non_finite_values(field, value):
         PhotonConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("bb_window", 100.5), ("warp_window", 100.5), ("bbv_dim", 3.5),
+    ("gpu_bbv_clusters", 2.5), ("rare_bb_min_samples", 1.5),
+    ("min_sample_warps", 2.5), ("bb_window", 2048.0), ("bb_window", True),
+    ("warp_window", "512")])
+def test_photon_config_rejects_non_int_counts(field, value):
+    """A fractional window or dimension passed the range checks and
+    raised a bare ``TypeError`` in the first Photon run (outside
+    ``evaluate``'s failed-row isolation); a fractional sample count was
+    silently accepted.  Every count is an ``int`` at construction."""
+    with pytest.raises(ConfigError, match=f"{field} must be an int"):
+        PhotonConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("enable_bb_sampling", "no"), ("enable_warp_sampling", 0),
+    ("enable_kernel_sampling", None), ("mean_check", 1.0)])
+def test_photon_config_rejects_non_bool_switches(field, value):
+    """``enable_bb_sampling='no'`` read as on; a switch is a ``bool``."""
+    with pytest.raises(ConfigError, match=f"{field} must be a bool"):
+        PhotonConfig(**{field: value})
+
+
 def test_photon_config_boundary_values_accepted():
     PhotonConfig(sample_fraction=1.0, bb_retire_gate_fraction=0.0,
                  mean_delta=None, kernel_distance=0.0,

@@ -17,7 +17,6 @@ from repro.durable import (
     fsync_dir,
     read_sealed,
     seal,
-    write_sealed,
 )
 from repro.errors import ConfigError, DiskFault
 from repro.reliability import (
@@ -42,7 +41,7 @@ def test_durable_replace_writes_and_replaces(tmp_path):
     assert list(tmp_path.iterdir()) == [target]  # no temp litter
     # a sealed record round-trips through the same replace
     record = {"b": [1, 2.5], "a": "x"}
-    write_sealed(target, record, site="test.site")
+    durable_replace(seal(record), target, site="test.site")
     assert target.read_bytes() == seal(record)
     loaded = read_sealed(target)
     assert loaded.pop("checksum") and loaded == record
@@ -64,10 +63,6 @@ WRITERS = {
                 lambda path, value, site: durable_replace(
                     value.encode(), path, site=site),
                 lambda path: path.read_bytes().decode()),
-    "write_sealed": ("state.json", "test.site",
-                     lambda path, value, site: write_sealed(
-                         path, {"value": value}, site=site),
-                     lambda path: read_sealed(path)["value"]),
     "record_log": ("pending.jsonl", "serve.pending", _append_record,
                    lambda path: RecordLog(path, "serve.pending")
                    .scan().records[-1]["value"]),
