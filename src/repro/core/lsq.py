@@ -142,24 +142,39 @@ class StabilityDetector:
                     stable = drift / scale < mean_delta
             return stable
 
+        def past(ring: list, lo: int, count: int) -> list:
+            """Points ``lo .. lo + count - 1`` (``< n``) out of ``ring``;
+            0.0 for a point before the stream."""
+            pad = [0.0] * min(count, max(0, -lo))
+            cell, rest = (lo + len(pad)) % size, count - len(pad)
+            return (pad + ring[cell:cell + rest]
+                    + ring[:max(0, cell + rest - size)])
+
         def observe_many(issues, retireds) -> np.ndarray:
             nonlocal n, sx, sy, sxy, sxx, recent, older, stable
             x, y = np.asarray(issues, float), np.asarray(retireds, float)
             m = len(x)
             if not m:
                 return np.zeros(0, dtype=bool)
-            # point ``n + k`` is ``hx[size + k]``; zeros: before the stream
-            pos, pad = n % size, np.zeros(max(0, size - n))
-            hx = np.concatenate((pad, xs[pos:] + xs[:pos], x))
-            hy = np.concatenate((pad, ys[pos:] + ys[:pos], y))
-            ox, oy = hx[size - window:][:m], hy[size - window:][:m]
+            # observation k drops point n + k - window from the slope
+            # sums and point n + k - size from the older sum: the ring
+            # holds the first min(m, window) / min(m, size), the batch
+            # the rest
+            ox = np.concatenate((past(xs, n - window, min(m, window)),
+                                 x[:max(0, m - window)]))
+            oy = np.concatenate((past(ys, n - window, min(m, window)),
+                                 y[:max(0, m - window)]))
+            gx = np.concatenate((past(xs, n - size, min(m, size)),
+                                 x[:max(0, m - size)]))
+            gy = np.concatenate((past(ys, n - size, min(m, size)),
+                                 y[:max(0, m - size)]))
             moved = oy - ox
             # each sum: a sequential accumulate of observe's terms (a-b == a+-b)
             terms = np.empty((6, 2 * m + 1))
             terms[:, 0] = sx, sy, sxy, sxx, recent, older
             terms[:, 1::2] = x, y, x * y, x * x, y - x, moved
             terms[:, 2::2] = (-ox, -oy, -(ox * oy), -(ox * ox), -moved,
-                              -(hy[:m] - hx[:m]))
+                              -(gy - gx))
             sx_, sy_, sxy_, sxx_, recent_, older_ = run = np.add.accumulate(
                 terms, axis=1, out=terms)[:, 2::2]
             with np.errstate(all="ignore"):  # ``observe``'s criterion
@@ -174,8 +189,16 @@ class StabilityDetector:
             n += m
             sx, sy, sxy, sxx, recent, older = run[:, -1].tolist()
             stable = bool(verdicts[-1]) if n >= need else stable
-            for ring, points in ((xs, hx), (ys, hy)):  # point g: cell g % size
-                ring[:] = np.roll(points[-min(n, size):], n).tolist()
+            # the last min(m, size) points replace theirs: point g, cell
+            # g % size (a growing ring first gets the cells it reaches)
+            keep = min(m, size)
+            cell = (n - keep) % size
+            head = min(keep, size - cell)
+            for ring, points in ((xs, x), (ys, y)):
+                new = points[m - keep:].tolist()
+                ring.extend([0.0] * (min(n, size) - len(ring)))
+                ring[cell:cell + head] = new[:head]
+                ring[:keep - head] = new[head:]
             return verdicts
 
         self.observe = self.add = observe

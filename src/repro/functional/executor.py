@@ -199,15 +199,17 @@ _LINE_SENTINEL = np.int64(2 ** 62)  # beyond any legal line number
 
 
 def _batch_mem_lines(addrs: np.ndarray, mask: Optional[np.ndarray],
-                     intern) -> List[tuple]:
+                     records: dict, share) -> List[tuple]:
     """Per-warp coalesced line tuples for a ``(n, warp_size)`` plane.
 
     Models coalescing — lanes hitting the same 64-byte line produce one
     memory transaction — as :func:`~repro.functional.memory.lines_of`
     does for one warp (sorted unique line numbers as a tuple of ints;
     ``()`` when a warp has no active lane), with the sort/unique
-    reduction running once over the whole plane.  ``intern`` (a dict's
-    ``setdefault``) makes equal records one object.
+    reduction running once over the whole plane.  ``records`` (the
+    fill's dict) makes equal records one object; a record new to it
+    takes its line numbers from ``share`` (the fill's line pool's
+    ``setdefault``), so the fill holds one int per distinct line.
     """
     lines = addrs.astype(np.int64) // WORDS_PER_LINE
     if mask is not None:
@@ -220,10 +222,15 @@ def _batch_mem_lines(addrs: np.ndarray, mask: Optional[np.ndarray],
         fresh &= srt != _LINE_SENTINEL
     flat = srt[fresh].tolist()          # python ints in one C pass
     out: List[tuple] = []
+    known = records.get
     pos = 0
     for count in fresh.sum(axis=1).tolist():
         rec = tuple(flat[pos:pos + count])
-        out.append(intern(rec, rec))
+        got = known(rec)
+        if got is None:
+            got = tuple(map(share, rec, rec))
+            records[got] = got
+        out.append(got)
         pos += count
     return out
 
@@ -469,6 +476,8 @@ class FunctionalExecutor:
 
         FULL memory records are interned in ``records`` (a caller's dict
         to count them, else a fresh one): one tuple per distinct record.
+        A record new to it takes its line numbers from a pool kept for
+        this call, so the call's records hold one int per distinct line.
         """
         kernel = self.kernel
         static = self._static
@@ -477,7 +486,8 @@ class FunctionalExecutor:
         write_scatter = kernel.memory.write_scatter
         max_steps = self.max_steps
         lane_ids = np.arange(warp_size, dtype=np.float64)
-        intern = (records if records is not None else {}).setdefault
+        records = records if records is not None else {}
+        share = {}.setdefault     # this call's line numbers, one int each
 
         traces: Dict[int, object] = {}
         errors: Dict[int, ExecutionError] = {}
@@ -591,8 +601,11 @@ class FunctionalExecutor:
                                 mem_rec = []
                                 for line in (addrs
                                              // WORDS_PER_LINE).tolist():
-                                    rec = (line,)
-                                    mem_rec.append(intern(rec, rec))
+                                    rec = records.get((line,))
+                                    if rec is None:
+                                        rec = (share(line, line),)
+                                        records[rec] = rec
+                                    mem_rec.append(rec)
                                 last_mem_dyn = dyn
                         elif kind == _K_BRANCH:
                             next_pc = info.target
@@ -663,7 +676,8 @@ class FunctionalExecutor:
                             else:
                                 vregs[info.dst_idx] = read_gather(
                                     addrs.ravel()).reshape(n, warp_size)
-                            mem_rec = _batch_mem_lines(addrs, None, intern)
+                            mem_rec = _batch_mem_lines(addrs, None, records,
+                                                       share)
                         else:
                             flat = addrs[exec_mask]
                             if flat.size and store:
@@ -671,7 +685,7 @@ class FunctionalExecutor:
                             elif flat.size:
                                 reg[exec_mask] = read_gather(flat)
                             mem_rec = _batch_mem_lines(addrs, exec_mask,
-                                                       intern)
+                                                       records, share)
                         last_mem_dyn = dyn
                     elif kind == _K_VFMA:
                         result = (np.asarray(val(spec[0])) * val(spec[1])

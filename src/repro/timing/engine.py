@@ -32,12 +32,18 @@ scalar read or write costs several times more; ``docs/performance.md``).
   (the configuration's exact value, fractional or not); a negative cell
   sends the member to the stateful handlers (a marked block start, then
   memory, barrier, end, and waitcnt while it has a subscriber).
-* **One ``array('d')`` of retire times per slot** — 8 bytes per
-  instruction, where a list of floats costs 32, times resident warps x
-  trace length.  The row is one cell longer than the trace and that cell
-  is never written, so a dependency of ``-1`` ("none") reads 0.0 through
-  the negative index and the ready time needs no branch (simulated time
-  is never negative).  A slot keeps a row that fits.
+* **One ``array('d')`` retire ring per slot.**  No instruction reads
+  a retire time further back than its path's longest dependency
+  distance, so instruction ``i`` writes cell ``i & (K - 1)``, where
+  ``K`` is the smallest power of two above that distance: cell
+  ``d mod K`` is next overwritten by instruction ``d + K``, and every
+  reader ``j`` of ``d`` issues before it (``j - d < K``).  The slot
+  reads its path's dependency column remapped the same way, computed
+  once per distinct column while a resident slot uses it.  The ring
+  is one cell longer than ``K`` and that cell is never written, so a
+  dependency of ``-1`` ("none") reads 0.0 through the negative index
+  and the ready time needs no branch (simulated time is never
+  negative).  A slot keeps a ring that fits.
 
 All instrumentation flows through the :mod:`repro.obs` event bus:
 workgroup-dispatch, warp-dispatch, basic-block, barrier, waitcnt,
@@ -327,11 +333,13 @@ class DetailedEngine:
         # per-slot state, one parallel list per field
         cur_l = [0] * n_slots              # instruction cursor
         cls_l: List[list] = [None] * n_slots   # trace opclass column
-        dep_l: List[list] = [None] * n_slots   # trace dep column (raw)
+        dep_l: List[list] = [None] * n_slots   # dep column, ring cells
+        mask_l = [0] * n_slots             # ring size - 1
+        ring_l: List[list] = [None] * n_slots  # the slot's rings entry
         mem_l: List[list] = [None] * n_slots   # trace mem_lines records
         mcur_l = [0] * n_slots             # next memory record
         code_l: List[list] = [None] * n_slots  # trace opcode column
-        ret_l: List[array] = [None] * n_slots  # retire row, see docstring
+        ret_l: List[array] = [None] * n_slots  # retire ring, see docstring
         cu_l = [0] * n_slots               # CU == its scalar issue port
         vport_l = [0] * n_slots            # the slot's SIMD issue port
         warp_l = [0] * n_slots
@@ -341,6 +349,8 @@ class DetailedEngine:
         bbstart_l = [0.0] * n_slots        # the open block and its start,
         bbat_l: List[dict] = [None] * n_slots  # block start -> block pc
         marked: Dict[tuple, tuple] = {}    # per distinct path, see dispatch
+        # id(dep column) -> [ring column, mask, resident users, column]
+        rings: Dict[int, list] = {}
 
         free_slot_ids: List[List[int]] = [[] for _ in range(n_cu)]
         free_slots = [config.max_warps_per_cu] * n_cu
@@ -391,11 +401,18 @@ class DetailedEngine:
                 else:
                     s = next_slot
                     next_slot += 1
-                n = trace.n_insts
+                ring = rings.get(id(trace.dep))
+                if ring is None:  # the entry keeps its id-keyed column
+                    ring = rings[id(trace.dep)] = [
+                        *_ring_column(trace.dep), 0, trace.dep]
+                ring[2] += 1
+                ring_l[s] = ring
+                dep_l[s] = ring[0]
+                mask = mask_l[s] = ring[1]
                 row = ret_l[s]
-                if row is None or len(row) <= n:
-                    # n cells plus the never-written 0.0 that dep -1 reads
-                    ret_l[s] = array("d", bytes(8 * (n + 1)))
+                if row is None or len(row) <= mask + 1:
+                    # K cells plus the never-written 0.0 that dep -1 reads
+                    ret_l[s] = array("d", bytes(8 * (mask + 2)))
                 cur_l[s] = mcur_l[s] = 0
                 cls_l[s] = trace.opclass
                 if has_bb:  # the entry keeps its id-keyed lists alive
@@ -408,7 +425,6 @@ class DetailedEngine:
                                        trace.opclass, trace.bb_seq)
                     cls_l[s], bbat_l[s] = marked[key][:2]
                     bbpc_l[s] = -1
-                dep_l[s] = trace.dep
                 mem_l[s] = trace.mem_lines
                 code_l[s] = trace.opcode
                 cu_l[s] = cu
@@ -551,7 +567,7 @@ class DetailedEngine:
                             for other in arrived:
                                 oi = cur_l[other]
                                 row = ret_l[other]
-                                row[oi] = release
+                                row[oi & mask_l[other]] = release
                                 oi += 1
                                 cur_l[other] = oi
                                 ready = release + 1
@@ -583,6 +599,10 @@ class DetailedEngine:
                             if retire_subs:
                                 for fn in retire_subs:
                                     fn(warp_l[s], disp_l[s], retire)
+                            ring = ring_l[s]
+                            ring[2] -= 1
+                            if not ring[2]:
+                                del rings[id(ring[3])]
                             cu = cu_l[s]
                             free_slots[cu] += 1
                             resident.discard(s)
@@ -596,7 +616,7 @@ class DetailedEngine:
                             raise TimingError(f"unknown op class {cls}")
 
                     row = ret_l[s]
-                    row[i] = retire
+                    row[i & mask_l[s]] = retire
                     n_insts += 1
                     if accounted:
                         if inst_subs:
@@ -654,6 +674,18 @@ class DetailedEngine:
         self._resident = set()
         self._stop_snapshot = frozenset()
         return result
+
+
+def _ring_column(dep: List[int]) -> Tuple[List[int], int]:
+    """``(ring column, K - 1)`` for one dependency column: ``K`` is the
+    smallest power of two above the longest distance ``i - dep[i]``,
+    and each dependency becomes its ring cell (``-1`` stays ``-1``)."""
+    far = 0
+    for i, d in enumerate(dep):
+        if d >= 0 and i - d > far:
+            far = i - d
+    mask = (1 << far.bit_length()) - 1
+    return [d & mask if d >= 0 else -1 for d in dep], mask
 
 
 def _bump(series: List[int], idx: int) -> None:

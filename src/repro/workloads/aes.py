@@ -22,7 +22,13 @@ from ..functional.memory import GlobalMemory
 from ..isa.builder import KernelBuilder
 from ..isa.instructions import MemAddr
 from ..isa.opcodes import s, v
-from .base import WARP_SIZE, check_n_warps, default_rng, register
+from .base import (
+    WARP_SIZE,
+    alloc_drawn,
+    check_n_warps,
+    default_rng,
+    register,
+)
 
 ROUNDS = 10
 TTABLE_WORDS = 256
@@ -84,16 +90,13 @@ def build_aes(
             + ROUNDS * STATE_WORDS + 512
         )
     rng = default_rng(seed)
-    ttable = memory.alloc(
-        "aes_t", rng.integers(0, 1 << 24, TTABLE_WORDS).astype(np.float64))
-    round_keys = memory.alloc(
-        "aes_rk",
-        rng.integers(0, 1 << 24, ROUNDS * STATE_WORDS).astype(np.float64))
-    inputs = [
-        memory.alloc(f"aes_in{word}",
-                     rng.integers(0, 1 << 24, n).astype(np.float64))
-        for word in range(STATE_WORDS)
-    ]
+    def draw(count: int) -> np.ndarray:
+        return rng.integers(0, 1 << 24, count)
+
+    ttable = alloc_drawn(memory, "aes_t", TTABLE_WORDS, draw)
+    round_keys = alloc_drawn(memory, "aes_rk", ROUNDS * STATE_WORDS, draw)
+    inputs = [alloc_drawn(memory, f"aes_in{word}", n, draw)
+              for word in range(STATE_WORDS)]
     outputs = [
         memory.alloc(f"aes_out{word}", n) for word in range(STATE_WORDS)
     ]

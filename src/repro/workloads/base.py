@@ -57,3 +57,29 @@ def emit_global_index(builder: KernelBuilder, dst_vreg: int = 0,
 def default_rng(seed: int) -> np.random.Generator:
     """Deterministic per-workload random generator."""
     return np.random.default_rng(seed)
+
+
+#: words per call of :func:`alloc_drawn` (a 512 KB temporary)
+DRAW_CHUNK = 1 << 16
+
+
+def alloc_normal(memory: GlobalMemory, name: str, size: int,
+                 rng: np.random.Generator) -> int:
+    """Allocate ``size`` words as ``name`` and draw standard normals into
+    them in place: the words ``rng.standard_normal(size)`` would give."""
+    base = memory.alloc(name, size)
+    rng.standard_normal(out=memory.view(name))
+    return base
+
+
+def alloc_drawn(memory: GlobalMemory, name: str, size: int,
+                draw: Callable[[int], np.ndarray]) -> int:
+    """Allocate ``size`` words as ``name`` and fill them from
+    ``draw(count)`` calls of at most :data:`DRAW_CHUNK` words: the
+    words of one ``draw(size)`` for draws that buffer nothing between
+    calls (``rng.integers``, ``rng.uniform``)."""
+    base = memory.alloc(name, size)
+    view = memory.view(name)
+    for lo in range(0, size, DRAW_CHUNK):
+        view[lo:lo + DRAW_CHUNK] = draw(min(DRAW_CHUNK, size - lo))
+    return base

@@ -27,8 +27,14 @@ from ..functional.memory import GlobalMemory
 from ..isa.builder import KernelBuilder
 from ..isa.instructions import MemAddr
 from ..isa.opcodes import s, v
-from .base import WARP_SIZE, check_n_warps, default_rng, emit_global_index, \
-    register
+from .base import (
+    WARP_SIZE,
+    alloc_drawn,
+    check_n_warps,
+    default_rng,
+    emit_global_index,
+    register,
+)
 
 DEFAULT_ITERS = 64
 
@@ -99,8 +105,10 @@ def build_blackscholes(
     if memory is None:
         memory = GlobalMemory(capacity_words=3 * n + 64)
     rng = default_rng(seed)
-    spot = memory.alloc("bs_spot", rng.uniform(10.0, 100.0, n))
-    strike = memory.alloc("bs_strike", rng.uniform(10.0, 100.0, n))
+    spot = alloc_drawn(memory, "bs_spot", n,
+                       lambda count: rng.uniform(10.0, 100.0, count))
+    strike = alloc_drawn(memory, "bs_strike", n,
+                         lambda count: rng.uniform(10.0, 100.0, count))
     out = memory.alloc("bs_out", n)
     program = build_blackscholes_program(n_iters).build()
     return Kernel(

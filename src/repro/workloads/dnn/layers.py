@@ -27,7 +27,7 @@ from ...functional.memory import GlobalMemory
 from ...isa.builder import KernelBuilder
 from ...isa.instructions import MemAddr
 from ...isa.opcodes import s, v
-from ..base import WARP_SIZE, default_rng
+from ..base import WARP_SIZE, alloc_normal, default_rng
 
 # conv/dense argument registers (shared program)
 _IN, _W, _OUT = 4, 5, 6
@@ -171,12 +171,11 @@ class LayerFactory:
         self.wg_size = wg_size
         self.max_act_words = max_act_words
         self._acts = [
-            memory.alloc(f"dnn_act{i}",
-                         rng.standard_normal(max_act_words + 1024))
+            alloc_normal(memory, f"dnn_act{i}", max_act_words + 1024, rng)
             for i in range(3)
         ]
-        self._weights = memory.alloc(
-            "dnn_weights", rng.standard_normal(max_weight_words))
+        self._weights = alloc_normal(memory, "dnn_weights",
+                                     max_weight_words, rng)
         self.max_weight_words = max_weight_words
         self._conv = build_conv_program().build()
         self._pool = build_pool_program().build()

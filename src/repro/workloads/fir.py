@@ -17,6 +17,7 @@ from ..isa.instructions import MemAddr
 from ..isa.opcodes import s, v
 from .base import (
     WARP_SIZE,
+    alloc_normal,
     check_n_warps,
     default_rng,
     emit_global_index,
@@ -66,8 +67,8 @@ def build_fir(
     if memory is None:
         memory = GlobalMemory(capacity_words=2 * n + n_taps + 128)
     rng = default_rng(seed)
-    coeff = memory.alloc("fir_h", rng.standard_normal(n_taps))
-    x = memory.alloc("fir_x", rng.standard_normal(n + n_taps))
+    coeff = alloc_normal(memory, "fir_h", n_taps, rng)
+    x = alloc_normal(memory, "fir_x", n + n_taps, rng)
     y = memory.alloc("fir_y", n)
     program = build_fir_program().build()
     return Kernel(

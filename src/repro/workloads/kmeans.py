@@ -21,7 +21,13 @@ from ..functional.memory import GlobalMemory
 from ..isa.builder import KernelBuilder
 from ..isa.instructions import MemAddr
 from ..isa.opcodes import s, v
-from .base import WARP_SIZE, check_n_warps, default_rng, register
+from .base import (
+    WARP_SIZE,
+    alloc_normal,
+    check_n_warps,
+    default_rng,
+    register,
+)
 
 DEFAULT_CLUSTERS = 32
 _BIG = 1e30
@@ -87,10 +93,10 @@ def build_kmeans(
     if memory is None:
         memory = GlobalMemory(capacity_words=3 * n + 2 * WARP_SIZE + 64)
     rng = default_rng(seed)
-    px = memory.alloc("kmeans_px", rng.standard_normal(n))
-    py = memory.alloc("kmeans_py", rng.standard_normal(n))
-    cx = memory.alloc("kmeans_cx", rng.standard_normal(WARP_SIZE))
-    cy = memory.alloc("kmeans_cy", rng.standard_normal(WARP_SIZE))
+    px = alloc_normal(memory, "kmeans_px", n, rng)
+    py = alloc_normal(memory, "kmeans_py", n, rng)
+    cx = alloc_normal(memory, "kmeans_cx", WARP_SIZE, rng)
+    cy = alloc_normal(memory, "kmeans_cy", WARP_SIZE, rng)
     out = memory.alloc("kmeans_out", n)
     program = build_kmeans_program(n_clusters).build()
     return Kernel(

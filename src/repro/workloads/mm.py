@@ -23,7 +23,13 @@ from ..functional.memory import GlobalMemory
 from ..isa.builder import KernelBuilder
 from ..isa.instructions import MemAddr
 from ..isa.opcodes import s, v
-from .base import WARP_SIZE, check_n_warps, default_rng, register
+from .base import (
+    WARP_SIZE,
+    alloc_normal,
+    check_n_warps,
+    default_rng,
+    register,
+)
 
 TILE = 16  # K-tile staged in LDS per barrier epoch
 
@@ -116,8 +122,8 @@ def build_mm(
     if memory is None:
         memory = GlobalMemory(capacity_words=3 * n * n + 256)
     rng = default_rng(seed)
-    a = memory.alloc("mm_a", rng.standard_normal(n * k_dim))
-    b_buf = memory.alloc("mm_b", rng.standard_normal(k_dim * n))
+    a = alloc_normal(memory, "mm_a", n * k_dim, rng)
+    b_buf = alloc_normal(memory, "mm_b", k_dim * n, rng)
     c = memory.alloc("mm_c", n * n)
     program = build_mm_program(wg_size).build()
 

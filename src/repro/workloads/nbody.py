@@ -27,7 +27,13 @@ from ..isa.builder import KernelBuilder
 from ..isa.instructions import MemAddr
 from ..isa.opcodes import s, v
 from ..errors import WorkloadError
-from .base import WARP_SIZE, check_n_warps, default_rng, register
+from .base import (
+    WARP_SIZE,
+    alloc_normal,
+    check_n_warps,
+    default_rng,
+    register,
+)
 
 DEFAULT_TILES = 4
 SOFTENING = 0.5
@@ -96,7 +102,7 @@ def build_nbody(
     if memory is None:
         memory = GlobalMemory(capacity_words=2 * n + 64)
     rng = default_rng(seed)
-    x = memory.alloc("nbody_x", rng.standard_normal(n))
+    x = alloc_normal(memory, "nbody_x", n, rng)
     out = memory.alloc("nbody_out", n)
     program = build_nbody_program(n_tiles).build()
     return Kernel(

@@ -21,7 +21,7 @@ from ..functional.memory import GlobalMemory
 from ..isa.builder import KernelBuilder
 from ..isa.instructions import MemAddr
 from ..isa.opcodes import s, v
-from .base import WARP_SIZE, default_rng
+from .base import WARP_SIZE, alloc_drawn, default_rng
 from .spmv import make_row_lengths
 
 DAMPING = 0.85
@@ -91,18 +91,21 @@ def build_pagerank(
     if memory is None:
         memory = GlobalMemory(
             capacity_words=n_edges + 5 * n_nodes + 256)
-    sources = rng.integers(0, n_nodes, n_edges).astype(np.float64)
-    out_degree = np.bincount(sources.astype(np.int64),
-                             minlength=n_nodes).astype(np.float64)
-    out_degree[out_degree == 0] = 1.0
-
     base_rowptr = memory.alloc("pr_rowptr", rowptr.astype(np.float64))
-    base_src = memory.alloc("pr_src", sources)
+    degree = np.zeros(n_nodes, dtype=np.int64)
+
+    def draw_sources(count: int) -> np.ndarray:
+        sources = rng.integers(0, n_nodes, count)
+        degree[:] += np.bincount(sources, minlength=n_nodes)
+        return sources
+
+    base_src = alloc_drawn(memory, "pr_src", n_edges, draw_sources)
+    out_degree = degree.astype(np.float64)
+    out_degree[out_degree == 0] = 1.0
     base_invdeg = memory.alloc("pr_invdeg", 1.0 / out_degree)
-    base_rank = [
-        memory.alloc("pr_rank0", np.full(n_nodes, 1.0 / n_nodes)),
-        memory.alloc("pr_rank1", n_nodes),
-    ]
+    base_rank = [memory.alloc("pr_rank0", n_nodes),
+                 memory.alloc("pr_rank1", n_nodes)]
+    memory.view("pr_rank0").fill(1.0 / n_nodes)
     program = build_pagerank_program().build()
     base_term = (1.0 - DAMPING) / n_nodes
 

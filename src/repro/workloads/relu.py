@@ -18,6 +18,7 @@ from ..isa.instructions import MemAddr
 from ..isa.opcodes import s, v
 from .base import (
     WARP_SIZE,
+    alloc_normal,
     check_n_warps,
     default_rng,
     emit_global_index,
@@ -56,7 +57,7 @@ def build_relu(
     if memory is None:
         memory = GlobalMemory(capacity_words=2 * n + 64)
     rng = default_rng(seed)
-    x = memory.alloc("relu_x", rng.standard_normal(n))
+    x = alloc_normal(memory, "relu_x", n, rng)
     y = memory.alloc("relu_y", n)
     program = build_relu_program().build()
     return Kernel(

@@ -16,7 +16,13 @@ from ..functional.memory import GlobalMemory
 from ..isa.builder import KernelBuilder
 from ..isa.instructions import MemAddr
 from ..isa.opcodes import s, v
-from .base import WARP_SIZE, check_n_warps, default_rng, register
+from .base import (
+    WARP_SIZE,
+    alloc_normal,
+    check_n_warps,
+    default_rng,
+    register,
+)
 
 DEFAULT_MASK = 3
 
@@ -77,8 +83,8 @@ def build_sc(
     if memory is None:
         memory = GlobalMemory(capacity_words=2 * n + pad + mask_size ** 2 + 192)
     rng = default_rng(seed)
-    mask = memory.alloc("sc_mask", rng.standard_normal(mask_size ** 2))
-    image = memory.alloc("sc_in", rng.standard_normal(n + pad))
+    mask = alloc_normal(memory, "sc_mask", mask_size ** 2, rng)
+    image = alloc_normal(memory, "sc_in", n + pad, rng)
     out = memory.alloc("sc_out", n)
     program = build_sc_program().build()
     return Kernel(

@@ -24,7 +24,14 @@ from ..functional.memory import GlobalMemory
 from ..isa.builder import KernelBuilder
 from ..isa.instructions import MemAddr
 from ..isa.opcodes import s, v
-from .base import WARP_SIZE, check_n_warps, default_rng, register
+from .base import (
+    WARP_SIZE,
+    alloc_drawn,
+    alloc_normal,
+    check_n_warps,
+    default_rng,
+    register,
+)
 
 
 def build_spmv_program() -> KernelBuilder:
@@ -92,11 +99,11 @@ def build_spmv(
     if memory is None:
         memory = GlobalMemory(capacity_words=2 * nnz + n_cols
                               + 2 * n_warps + 256)
-    colidx = rng.integers(0, n_cols, nnz).astype(np.float64)
     base_rowptr = memory.alloc("spmv_rowptr", rowptr.astype(np.float64))
-    base_colidx = memory.alloc("spmv_colidx", colidx)
-    base_vals = memory.alloc("spmv_vals", rng.standard_normal(nnz))
-    base_x = memory.alloc("spmv_x", rng.standard_normal(n_cols))
+    base_colidx = alloc_drawn(memory, "spmv_colidx", nnz,
+                              lambda count: rng.integers(0, n_cols, count))
+    base_vals = alloc_normal(memory, "spmv_vals", nnz, rng)
+    base_x = alloc_normal(memory, "spmv_x", n_cols, rng)
     base_y = memory.alloc("spmv_y", n_warps)
     program = build_spmv_program().build()
 

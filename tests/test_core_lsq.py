@@ -263,6 +263,29 @@ def test_property_batches_equal_observe_many_streams(case):
     _check_chunking(case)
 
 
+@pytest.mark.parametrize("window", [3, 64])
+@pytest.mark.parametrize("mean_check", [True, False])
+def test_fixed_chunk_sizes_equal_one_call_and_observe(window, mean_check):
+    """One stream cut into equal chunks of 1, 7, ``window - 1``,
+    ``window``, ``window + 1`` and 8,192 observations: each chunking
+    gives the verdicts and views of one call and of ``observe``."""
+    points = _stream(random.Random(window), 8192 + 5 * window + 3)
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    alone = StabilityDetector(window, 0.03, mean_check)
+    expected = [alone.observe(x, y) for x, y in points]
+    whole = StabilityDetector(window, 0.03, mean_check)
+    assert whole.observe_many(xs, ys).tolist() == expected
+    assert _views(whole) == _views(alone)
+    for chunk in (1, 7, window - 1, window, window + 1, 8192):
+        chunked = StabilityDetector(window, 0.03, mean_check)
+        got = []
+        for lo in range(0, len(points), chunk):
+            got += chunked.observe_many(xs[lo:lo + chunk],
+                                        ys[lo:lo + chunk]).tolist()
+        assert got == expected, chunk
+        assert _views(chunked) == _views(alone), chunk
+
+
 def test_observe_many_empty_and_signed_zero():
     det = StabilityDetector(2, 0.03)
     assert det.observe_many([], []).tolist() == []

@@ -316,16 +316,22 @@ def test_engine_checks_each_warps_record_count(tiny_gpu, extra, match):
 
 
 def test_retire_rows_stay_packed():
-    """The run's peak Python heap is the retire rows — one 8-byte cell
-    per instruction of each resident slot — plus a fixed allowance for
-    everything else.  Rows of boxed floats (32 bytes per instruction)
-    blow the bound; at 64 CUs they also cost the speed back."""
+    """The run's peak Python heap is one retire ring per resident slot —
+    ``K + 1`` 8-byte cells, ``K`` the smallest power of two above the
+    path's longest dependency distance — plus each path's remapped
+    dependency column and a fixed allowance for everything else.  A
+    row per instruction, or rows of boxed floats (32 bytes per cell),
+    blow it."""
     gpu = dataclasses.replace(R9_NANO.scaled(4), max_warps_per_cu=10)
     slots = gpu.n_cu * gpu.max_warps_per_cu
     kernel = make_loop_kernel(n_warps=200, trips_of=lambda w: 250 + w % 3)
     traces = WarpPackExecutor(kernel).run_warps_full(range(kernel.n_warps))
     longest = max(t.n_insts for t in traces.values())
     assert longest >= 1000
+    far = max(i - d for t in traces.values()
+              for i, d in enumerate(t.dep) if d >= 0)
+    ring = 1 << far.bit_length()
+    columns = {id(t.dep): len(t.dep) for t in traces.values()}
     bus = EventBus()
     engine = DetailedEngine(kernel, gpu, bus=bus,
                             trace_provider=traces.__getitem__)
@@ -345,4 +351,5 @@ def test_retire_rows_stay_packed():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * slots * (longest + 1) + 128 * 1024
+    assert peak <= (8 * slots * (ring + 1) + 8 * sum(columns.values())
+                    + 128 * 1024)

@@ -17,15 +17,23 @@ watchdog trips the exception class, its message and the
   to 2 (``SEEDS`` x ``SEEDED_MODES``: quiet, with an ``engine.inst``
   subscriber, with an ``ipc_bucket``, with ``request_stop`` after *n*
   basic blocks).
+* **Long-dependency corpus** (``LONG_REACHES`` x ``LONG_SHAPES`` x
+  ``LONG_SEEDS`` x ``SEEDED_MODES``), recorded from the engine that kept
+  one retire cell per instruction: loop programs in which a value made
+  before a barrier and a long loop is read after them, more than 256
+  or 1,024 instructions later, so a retire ring shorter than the trace
+  must wrap and still read it back.
 
 ``PYTHONPATH=src:tests python tests/test_timing_golden.py`` rewrites the
-file from the current engine (only after an intended model change).
+file from the current engine (only after an intended model change);
+``--only PREFIX`` rewrites the records whose key starts with PREFIX.
 """
 
 import dataclasses
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +41,7 @@ import pytest
 
 from repro.config import R9_NANO
 from repro.errors import ReproError
-from repro.functional import GlobalMemory, Kernel
+from repro.functional import GlobalMemory, Kernel, WarpPackExecutor
 from repro.harness.defaults import EVAL_R9NANO
 from repro.harness.runner import workload_factory
 from repro.isa import KernelBuilder, MemAddr, s, v
@@ -136,6 +144,95 @@ SEEDED_MODES = {
     "stop": (True, {}, True),
 }
 
+_BODY_OPS = ("v_add", "v_sub", "v_max", "v_min", "s_add", "s_max")
+#: longest dependency distances the long programs must pass
+LONG_REACHES = (256, 1024)
+LONG_SHAPES = ("random", "loop")
+LONG_SEEDS = range(2)
+
+
+def _emit_body(b, body) -> None:
+    """Each op accumulates into v1 or s5, never into v9 or s7."""
+    for name, operand in body:
+        if name.startswith("v_"):
+            getattr(b, name)(v(1), v(1), float(operand))
+        else:
+            getattr(b, name)(s(5), s(5), operand)
+
+
+def long_dependency_factory(reach: int, shape: str, src):
+    """A zero-arg factory: warps whose longest dependency passes ``reach``.
+
+    ``v9`` / ``s7`` and a load are made before a barrier and a counted
+    loop that never touches them; after a second barrier, instructions
+    that read only them (and an ``s_waitcnt`` on the load) name a
+    producer more than ``reach`` instructions back; a tail loop twice
+    as long and a third barrier follow.  ``random`` draws the loop
+    body and gives each warp ``s0 & 3`` extra trips; ``loop`` has a
+    one-op body and reads each warp's trip count from memory.  Either
+    way the warps' paths, and their longest distances, differ.
+    """
+    n_warps = src.integers(6, 16)
+    wg_size = src.choice((2, 4))
+    body = [(src.choice(_BODY_OPS), src.integers(1, 6))
+            for _ in range(src.integers(0, 4) if shape == "random" else 0)]
+    body.append(("v_add", 1))
+    body_len = len(body) + 3          # plus s_add, s_cmp, s_cbranch
+    trips = reach // body_len + 2
+    b = KernelBuilder(f"long_{shape}")
+    b.v_lane(v(0))
+    b.s_mul(s(3), s(0), 64)
+    b.v_add(v(0), v(0), s(3))
+    b.v_mov(v(1), 0.0)
+    b.s_mov(s(5), 1)
+    b.v_mov(v(9), 2.0)
+    b.s_mov(s(7), 3)
+    b.v_load(v(4), MemAddr(base=s(4), index=v(0)))
+    b.s_barrier()
+    if shape == "random":
+        b.s_and(s(10), s(0), 3)
+        b.s_add(s(10), s(10), trips)
+    else:
+        b.s_add(s(11), s(12), s(0))
+        b.s_load(s(10), MemAddr(base=s(11)))
+    b.s_mov(s(8), 0)
+    b.label("loop")
+    _emit_body(b, body)
+    b.s_add(s(8), s(8), 1)
+    b.s_cmp_lt(s(8), s(10))
+    b.s_cbranch_scc1("loop")
+    b.s_barrier()
+    b.v_add(v(2), v(9), 1.0)
+    b.s_add(s(6), s(7), 1)
+    b.s_waitcnt()
+    b.v_add(v(1), v(1), v(2))
+    b.v_add(v(1), v(1), v(4))
+    b.v_add(v(1), v(1), s(6))
+    # a tail twice as long: the trace outgrows the smallest power of
+    # two above its longest distance, so a ring of that size wraps
+    b.s_mov(s(8), 0)
+    b.label("tail")
+    _emit_body(b, body)
+    b.s_add(s(8), s(8), 1)
+    b.s_cmp_lt(s(8), 2 * trips)
+    b.s_cbranch_scc1("tail")
+    b.s_barrier()
+    b.v_add(v(1), v(1), 1.0)
+    b.v_store(v(1), MemAddr(base=s(4), index=v(0)))
+    b.s_endpgm()
+    program = b.build()
+    trip_words = [float(trips + w % 5) for w in range(n_warps)]
+
+    def factory():
+        mem = GlobalMemory(capacity_words=n_warps * 64 + n_warps + 256)
+        buf = mem.alloc("buf", np.ones(n_warps * 64))
+        counts = mem.alloc("trips", np.array(trip_words))
+        return Kernel(program=program, n_warps=n_warps, wg_size=wg_size,
+                      memory=mem, args=lambda w: {4: buf, 12: counts},
+                      name=f"long_{shape}")
+
+    return factory
+
 
 def _record(kernel, gpu, engine_kwargs, stop_after=None,
             full_events=True) -> dict:
@@ -213,6 +310,15 @@ def run_seeded(seed: int, mode: str) -> dict:
     return _record(kernel, gpu, engine_kwargs, stop_after, full_events)
 
 
+def run_long(reach: int, shape: str, seed: int, mode: str) -> dict:
+    full_events, engine_kwargs, stop = SEEDED_MODES[mode]
+    rng = random.Random(1000 * reach + seed)
+    kernel = long_dependency_factory(reach, shape, RandomSource(rng))()
+    gpu, stop_after = ((SEEDED_STOP_GPU, rng.randint(20, 400)) if stop
+                       else (SEEDED_GPU, None))
+    return _record(kernel, gpu, engine_kwargs, stop_after, full_events)
+
+
 def all_runs():
     """``(golden key, zero-arg run)`` for every record of the file."""
     for case in sorted(CASES):
@@ -226,6 +332,13 @@ def all_runs():
         for mode in SEEDED_MODES:
             yield (f"seeded-{seed:02d}/{mode}",
                    lambda n=seed, m=mode: run_seeded(n, m))
+    for reach in LONG_REACHES:
+        for shape in LONG_SHAPES:
+            for seed in LONG_SEEDS:
+                for mode in SEEDED_MODES:
+                    yield (f"long-{reach}-{shape}-{seed}/{mode}",
+                           lambda r=reach, h=shape, n=seed, m=mode:
+                           run_long(r, h, n, m))
 
 
 #: the engine accounts latency for the memory classes only; the golden
@@ -273,6 +386,37 @@ def test_golden_replay_seeded_programs(mode, golden):
                         golden[f"seeded-{seed:02d}/{mode}"], seed)
 
 
+@pytest.mark.parametrize("reach", LONG_REACHES)
+@pytest.mark.parametrize("shape", LONG_SHAPES)
+def test_golden_replay_long_dependencies(reach, shape, golden):
+    for seed in LONG_SEEDS:
+        for mode in sorted(SEEDED_MODES):
+            _assert_replays(run_long(reach, shape, seed, mode),
+                            golden[f"long-{reach}-{shape}-{seed}/{mode}"],
+                            (seed, mode))
+
+
+@pytest.mark.parametrize("reach", LONG_REACHES)
+@pytest.mark.parametrize("shape", LONG_SHAPES)
+def test_long_programs_reach_past_their_bound(reach, shape, golden):
+    """The long corpus is only meaningful while every program has a
+    dependency longer than its reach, its stop runs stop with warps
+    left to dispatch and the barriers really synchronise."""
+    for seed in LONG_SEEDS:
+        kernel = long_dependency_factory(
+            reach, shape, RandomSource(random.Random(1000 * reach + seed)))()
+        traces = WarpPackExecutor(kernel).run_warps_full(
+            range(kernel.n_warps))
+        far = max(i - d for t in traces.values()
+                  for i, d in enumerate(t.dep) if d >= 0)
+        assert far > reach, (seed, far)
+        assert len({t.n_insts for t in traces.values()}) > 1
+        ring = 1 << far.bit_length()
+        assert min(t.n_insts for t in traces.values()) > ring
+        stop = golden[f"long-{reach}-{shape}-{seed}/stop"]["result"]
+        assert stop["stopped"] and stop["undispatched"], seed
+
+
 def test_golden_trips_and_survivors_both_present(golden):
     """The budgets in CASES are only meaningful while some trip and
     some do not; a kernel-list edit that loses either side shows here."""
@@ -293,8 +437,10 @@ def test_golden_stops_really_stop(golden):
 
 
 if __name__ == "__main__":
-    fresh = {}
+    prefix = sys.argv[2] if sys.argv[1:2] == ["--only"] else ""
+    fresh = json.loads(GOLDEN.read_text()) if prefix else {}
     for golden_key, run in all_runs():
-        fresh[golden_key] = run()
-        del fresh[golden_key]["counters"]
+        if golden_key.startswith(prefix):
+            fresh[golden_key] = run()
+            del fresh[golden_key]["counters"]
     write_golden(GOLDEN, fresh)
